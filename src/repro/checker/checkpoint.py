@@ -20,7 +20,13 @@ operator ctrl-C.  This module gives our explorer the same durability:
   The determinism argument is short: checkpoints are taken only at BFS
   level boundaries, the restored graph is bit-identical to the live one
   at that boundary, and a BFS level expansion is a pure function of
-  (graph, frontier) -- see DESIGN.md 4d.
+  (graph, frontier) -- see DESIGN.md 4d and 4l.
+* Both engines share one **envelope**: :func:`_write_envelope` puts the
+  common header around an engine-specific body (``"graph"`` here,
+  ``"compact"`` for :mod:`repro.checker.compact`), and
+  :func:`read_checkpoint` is the one reader -- it validates every type
+  and range a resume relies on, so a malformed or hostile file is a
+  :class:`CheckpointError`, never a traceback.
 * :func:`write_manifest` emits a small JSON run manifest (spec name,
   budget, worker count, wall time, outcome, rendered counterexample if
   any) next to the checkpoint -- the machine-readable artifact CI
@@ -41,6 +47,7 @@ import json
 import os
 import pickle
 import tempfile
+from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
 from ..kernel.state import State, value_to_portable
@@ -52,9 +59,11 @@ from .stats import ExploreStats
 __all__ = [
     "CHECKPOINT_FORMAT",
     "CHECKPOINT_VERSION",
+    "COMPACT_CHECKPOINT_MODE",
     "CheckpointError",
     "Checkpoint",
     "save_checkpoint",
+    "read_checkpoint",
     "load_checkpoint",
     "resume",
     "manifest_path_for",
@@ -63,6 +72,13 @@ __all__ = [
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
 CHECKPOINT_VERSION = 1
+
+#: The ``mode`` tag compact checkpoints carry (full ones carry none), so
+#: the two engines can refuse each other's snapshots with a usable error.
+COMPACT_CHECKPOINT_MODE = "compact"
+
+# mode tag -> the payload key holding that engine's body
+_BODY_KEY = {None: "graph", COMPACT_CHECKPOINT_MODE: "compact"}
 
 # resume()'s "keep writing to the file we loaded from" default
 _SAME_PATH = object()
@@ -102,6 +118,44 @@ def _atomic_write_json(path: str, payload: Dict[str, object]) -> None:
         raise
 
 
+def _write_envelope(path: str, mode: Optional[str], spec: Spec, graph,
+                    body: Dict[str, object], frontier: Sequence[int],
+                    depth: int, levels: int, elapsed_seconds: float,
+                    workers: int, checkpoint_every: int,
+                    stats: Optional[ExploreStats],
+                    *sections: Optional[Dict[str, object]]) -> None:
+    """Atomically write one snapshot: the header every engine shares
+    around the engine's own *body*, then any further top-level
+    *sections* (the full engine's reduction/store record, the
+    distributed coordinator's level manifest -- readers keep unknown
+    sections on ``Checkpoint.payload`` and otherwise ignore them)."""
+    payload: Dict[str, object] = {
+        "format": CHECKPOINT_FORMAT,
+        "version": CHECKPOINT_VERSION,
+    }
+    if mode is not None:
+        payload["mode"] = mode
+    payload.update({
+        "spec_name": spec.name,
+        "spec_pickle": base64.b64encode(
+            pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
+        ).decode("ascii"),
+        "max_states": graph.max_states,
+        "workers": workers,
+        "checkpoint_every": checkpoint_every,
+        "depth": depth,
+        "levels": levels,
+        "elapsed_seconds": elapsed_seconds,
+        _BODY_KEY[mode]: body,
+        "frontier": list(frontier),
+        "stats": stats.as_dict() if stats is not None else None,
+    })
+    for section in sections:
+        if section:
+            payload.update(section)
+    _atomic_write_json(path, payload)
+
+
 def save_checkpoint(
     path: str,
     spec: Spec,
@@ -122,14 +176,15 @@ def save_checkpoint(
     ``depth`` is the stats-visible frontier depth so far, ``levels`` the
     number of completed expansion rounds (the checkpoint cadence
     counter), ``frontier`` the node ids still to expand -- exactly the
-    loop state of :func:`~repro.checker.explorer.explore` between two
-    levels.  ``reduction`` / ``store`` are the effective
+    loop state of :func:`repro.checker.bfs.drive` between two levels.
+    ``reduction`` / ``store`` are the effective
     partial-order-reduction and state-store configurations of the run
     (``ReductionConfig.as_dict()`` / ``StateStore.config()``), recorded
     so :func:`resume` continues under the *same* semantics -- resuming a
     reduced run unreduced (or vice versa) would not reproduce the run.
     Spill-store states are re-interned from this snapshot on resume, so
     the snapshot is self-contained even if the spill files are lost.
+    ``extra`` merges additional top-level sections into the payload.
     """
     variables = list(graph.universe.variables)
     rows: List[List[object]] = []
@@ -137,49 +192,29 @@ def save_checkpoint(
     for state in graph.states:
         rows.append([value_to_portable(state[name]) for name in variables])
         fingerprints.append(format(state.fingerprint(), "016x"))
-    payload: Dict[str, object] = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "spec_name": spec.name,
-        "spec_pickle": base64.b64encode(
-            pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
-        ).decode("ascii"),
-        "max_states": graph.max_states,
-        "workers": workers,
-        "checkpoint_every": checkpoint_every,
-        "depth": depth,
-        "levels": levels,
-        "elapsed_seconds": elapsed_seconds,
-        "graph": {
-            "variables": variables,
-            "states": rows,
-            "fingerprints": fingerprints,
-            # stutter self-loops are implied (one per node, always first
-            # in the adjacency list); only the real N-edges are stored
-            "succ": [adj[1:] for adj in graph.succ],
-            "parent": graph.parent,
-            "init_nodes": graph.init_nodes,
-        },
-        "frontier": list(frontier),
-        "stats": stats.as_dict() if stats is not None else None,
-        "reduction": reduction,
-        "store": store,
+    body = {
+        "variables": variables,
+        "states": rows,
+        "fingerprints": fingerprints,
+        # stutter self-loops are implied (one per node, always first
+        # in the adjacency list); only the real N-edges are stored
+        "succ": [adj[1:] for adj in graph.succ],
+        "parent": graph.parent,
+        "init_nodes": graph.init_nodes,
     }
-    if extra:
-        # additional top-level sections (the distributed coordinator's
-        # level manifest); load_checkpoint keeps them readable on
-        # Checkpoint.payload and otherwise ignores them
-        payload.update(extra)
-    _atomic_write_json(path, payload)
+    _write_envelope(path, None, spec, graph, body, frontier, depth, levels,
+                    elapsed_seconds, workers, checkpoint_every, stats,
+                    {"reduction": reduction, "store": store}, extra)
 
 
 class Checkpoint:
-    """A loaded checkpoint: validated metadata plus graph reconstruction."""
+    """A loaded checkpoint of either engine: the validated envelope,
+    plus the engine's own ``body`` (``mode`` says which engine's)."""
 
-    __slots__ = ("path", "payload", "spec_name", "max_states", "workers",
-                 "checkpoint_every", "depth", "levels", "elapsed_seconds",
-                 "frontier", "stats_snapshot", "reduction_config",
-                 "store_config", "_graph_data", "_spec_pickle")
+    __slots__ = ("path", "payload", "mode", "spec_name", "max_states",
+                 "workers", "checkpoint_every", "depth", "levels",
+                 "elapsed_seconds", "frontier", "stats_snapshot",
+                 "reduction_config", "store_config", "body", "_spec_pickle")
 
     def __init__(self, path: str, payload: Dict[str, object]):
         self.path = path
@@ -195,12 +230,7 @@ class Checkpoint:
                 f"{path}: unsupported checkpoint version {version!r} "
                 f"(this build reads version {CHECKPOINT_VERSION})"
             )
-        if payload.get("mode") == "compact":
-            raise CheckpointError(
-                f"{path}: checkpoint was written by the compact engine; "
-                f"resume it with --compact "
-                f"(repro.checker.compact.resume_compact)"
-            )
+        self.mode: Optional[str] = payload.get("mode")
         try:
             self.spec_name: str = payload["spec_name"]
             self.max_states: Optional[int] = payload["max_states"]
@@ -209,40 +239,118 @@ class Checkpoint:
             self.depth: int = payload["depth"]
             self.levels: int = payload["levels"]
             self.elapsed_seconds: float = payload["elapsed_seconds"]
-            self.frontier: List[int] = list(payload["frontier"])
-            self._graph_data: Dict[str, object] = payload["graph"]
+            self.frontier: List[int] = payload["frontier"]
+            self.body: Dict[str, object] = payload[_BODY_KEY[self.mode]]
             self._spec_pickle: str = payload["spec_pickle"]
-        except KeyError as exc:
-            raise CheckpointError(f"{path}: missing field {exc}") from None
-        self.stats_snapshot: Optional[Dict[str, object]] = payload.get("stats")
-        # pre-reduction checkpoints carry neither key: both read as None,
-        # meaning "full exploration, in-RAM store" -- the legacy semantics
-        self.reduction_config: Optional[Dict[str, object]] = \
-            payload.get("reduction")
-        self.store_config: Optional[Dict[str, object]] = payload.get("store")
+            self.stats_snapshot: Optional[Dict[str, object]] = \
+                payload.get("stats")
+            # pre-reduction checkpoints carry neither key: both read as
+            # None, meaning "full exploration, in-RAM store"
+            self.reduction_config: Optional[Dict[str, object]] = \
+                payload.get("reduction")
+            self.store_config: Optional[Dict[str, object]] = \
+                payload.get("store")
+            self._validate()
+        except (KeyError, TypeError) as exc:
+            raise CheckpointError(
+                f"{path}: missing or malformed field ({exc!r})") from None
+
+    def _validate(self) -> None:
+        """Types and ranges of everything a resume indexes or counts
+        with, checked once for both engines: a malformed file is a
+        :class:`CheckpointError`, never a traceback from deep inside a
+        restore or a run quietly continued from garbage."""
+        def need(ok: bool, what: str) -> None:
+            if not ok:
+                raise CheckpointError(
+                    f"{self.path}: malformed checkpoint: {what}")
+
+        def natural(value: object, lowest: int = 0) -> bool:
+            return type(value) is int and value >= lowest
+
+        need(natural(self.workers), "workers must be an integer >= 0")
+        need(natural(self.checkpoint_every, 1),
+             "checkpoint_every must be an integer >= 1")
+        need(natural(self.depth) and natural(self.levels),
+             "depth and levels must be integers >= 0")
+        need(self.max_states is None or natural(self.max_states),
+             "max_states must be null or an integer >= 0")
+        need(type(self.elapsed_seconds) in (int, float),
+             "elapsed_seconds must be a number")
+        need(isinstance(self._spec_pickle, str),
+             "spec_pickle must be a string")
+        for name in ("stats", "reduction", "store"):
+            need(isinstance(self.payload.get(name), (dict, type(None))),
+                 f"{name} must be null or an object")
+        body = self.body
+        need(isinstance(body, dict), "the engine body must be an object")
+        compact = self.mode == COMPACT_CHECKPOINT_MODE
+        column = body["packed" if compact else "states"]
+        need(isinstance(column, list), "the state column must be a list")
+        count = len(column)
+
+        def ids(name: str, values: object, lowest: int = 0) -> None:
+            need(isinstance(values, list)
+                 and all(type(v) is int and lowest <= v < count
+                         for v in values),
+                 f"{name} must list node ids in {lowest}..{count - 1}")
+
+        ids("frontier", self.frontier)
+        ids("init_nodes", body["init_nodes"])
+        parent = body["parent"]
+        need(isinstance(parent, list) and len(parent) == count,
+             "parent must have one entry per state")
+        if compact:
+            ids("parent", parent, -1)
+            need(all(natural(value) for value in column),
+                 "packed states must be integers >= 0")
+            need(natural(body["edge_count"]),
+                 "edge_count must be an integer >= 0")
+            digest = body["digest"]
+            need(isinstance(digest, list) and len(digest) == 4
+                 and all(natural(x) and x < 1 << 64 for x in digest),
+                 "digest must be four unsigned 64-bit integers")
+            need(isinstance(body["codec_signature"], str),
+                 "codec_signature must be a string")
+        else:
+            ids("parent", [p for p in parent if p is not None])
+            need(isinstance(body["variables"], list),
+                 "variables must be a list")
+            for name in ("fingerprints", "succ"):
+                need(isinstance(body[name], list)
+                     and len(body[name]) == count,
+                     f"{name} must have one entry per state")
+            for row in body["succ"]:
+                ids("succ", row)
 
     def load_spec(self) -> Spec:
-        """Unpickle the embedded spec (for standalone ``resume(path)``)."""
+        """Unpickle the embedded spec (for a standalone resume)."""
         try:
             return pickle.loads(base64.b64decode(self._spec_pickle))
         except Exception as exc:
             raise CheckpointError(
                 f"{self.path}: embedded spec cannot be unpickled ({exc}); "
-                f"pass the spec to resume() explicitly"
+                f"pass the spec to the resume call explicitly"
             ) from exc
+
+    def restore_stats(self, stats: Optional[ExploreStats]) -> None:
+        """Reload the cumulative counters the interrupted run recorded."""
+        if stats is not None and self.stats_snapshot:
+            stats.restore(self.stats_snapshot)
 
     def restore_graph(self, spec: Spec,
                       max_states: Optional[int] = None,
                       store: object = None) -> StateGraph:
-        """Rebuild the graph against *spec*'s universe, verifying that the
-        stored variables match and that every decoded state reproduces its
-        stored fingerprint (corruption / encoding-drift detection).
+        """Rebuild the full-engine graph against *spec*'s universe,
+        verifying that the stored variables match and that every decoded
+        state reproduces its stored fingerprint (corruption /
+        encoding-drift detection).
 
         *store* is the :class:`~repro.checker.reduction.store.StateStore`
         to re-intern the states through (default: fresh in-RAM store);
         spill stores rebuild their data/index files from the snapshot, so
         resuming never depends on the old spill files surviving."""
-        data = self._graph_data
+        data = self.body
         variables = list(data["variables"])
         if variables != list(spec.universe.variables):
             raise CheckpointError(
@@ -251,7 +359,12 @@ class Checkpoint:
             )
         states: List[State] = []
         for node, row in enumerate(data["states"]):
-            state = State.from_portable(dict(zip(variables, row)))
+            try:
+                state = State.from_portable(dict(zip(variables, row)))
+            except (TypeError, ValueError) as exc:
+                raise CheckpointError(
+                    f"{self.path}: state {node} cannot be decoded "
+                    f"({exc})") from None
             expected = data["fingerprints"][node]
             actual = format(state.fingerprint(), "016x")
             if actual != expected:
@@ -273,8 +386,14 @@ class Checkpoint:
         )
 
 
-def _read_checkpoint_payload(path: str) -> Dict[str, object]:
-    """Read and JSON-parse a checkpoint file (shared by both engines)."""
+# read_checkpoint()'s "either engine's snapshot will do"
+_ANY_MODE = object()
+
+
+def read_checkpoint(path: str, mode: object = _ANY_MODE) -> Checkpoint:
+    """The one validating reader: parse *path*, check the envelope, and
+    refuse a snapshot written by the other engine than *mode* (``None``
+    is the full engine) -- the two are not interchangeable."""
     try:
         with open(path) as handle:
             payload = json.load(handle)
@@ -284,12 +403,23 @@ def _read_checkpoint_payload(path: str) -> Dict[str, object]:
         raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from exc
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: checkpoint is not a JSON object")
-    return payload
+    loaded = Checkpoint(path, payload)
+    if mode is not _ANY_MODE and loaded.mode != mode:
+        if loaded.mode == COMPACT_CHECKPOINT_MODE:
+            raise CheckpointError(
+                f"{path}: checkpoint was written by the compact engine; "
+                f"resume it with --compact "
+                f"(repro.checker.compact.resume_compact)")
+        raise CheckpointError(
+            f"{path}: checkpoint was written by the full-state engine; "
+            f"resume it without --compact (the two engines' snapshots "
+            f"are not interchangeable)")
+    return loaded
 
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Parse and validate a full-engine checkpoint file."""
-    return Checkpoint(path, _read_checkpoint_payload(path))
+    return read_checkpoint(path, None)
 
 
 def _reduction_dict(reduction: object) -> Optional[Dict[str, object]]:
@@ -341,7 +471,16 @@ def resume(
     spill store the directory/capacity may differ (the files are rebuilt
     from the snapshot); only the store *kind* must match.
     """
+    start = perf_counter()
+    from .bfs import drive, resolve_options
+    from .explorer import FullEngine, _resolve_reducer
+    from .parallel import local_level
+    from .reduction.por import ReductionConfig
+    from .reduction.store import build_store
+
     loaded = load_checkpoint(path)
+    options = resolve_options(workers, worker_timeout, fault_hook,
+                              checkpoint, checkpoint_every, resumed=loaded)
     if spec is None:
         spec = loaded.load_spec()
 
@@ -368,8 +507,6 @@ def resume(
                 f"resume requested {_store_kind(store_cfg)!r}; pick one or "
                 f"drop the flag to adopt the checkpoint's store"
             )
-    from .reduction.por import ReductionConfig
-    from .reduction.store import build_store
     reducer_config = (
         ReductionConfig(tuple(reduction_cfg.get("observed_vars", ())))
         if reduction_cfg is not None else None)
@@ -381,33 +518,11 @@ def resume(
     try:
         graph = loaded.restore_graph(spec, max_states=max_states,
                                      store=run_store)
-        if stats is not None and loaded.stats_snapshot:
-            stats.restore(loaded.stats_snapshot)
-        target = path if checkpoint is _SAME_PATH else checkpoint
-        every = loaded.checkpoint_every if checkpoint_every is None \
-            else checkpoint_every
-        worker_count = loaded.workers if workers is None else workers
-        if worker_count == 0:
-            from .parallel import default_workers
-            worker_count = default_workers()
-        from .explorer import _resolve_reducer
-        reducer = _resolve_reducer(spec, reducer_config, stats)
-        if worker_count <= 1:
-            from .explorer import _drive
-            return _drive(spec, graph, list(loaded.frontier),
-                          depth=loaded.depth, levels=loaded.levels,
-                          elapsed_before=loaded.elapsed_seconds, stats=stats,
-                          checkpoint=target, checkpoint_every=every,
-                          reducer=reducer)
-        from .parallel import _drive_parallel
-        return _drive_parallel(spec, graph, list(loaded.frontier),
-                               depth=loaded.depth, levels=loaded.levels,
-                               elapsed_before=loaded.elapsed_seconds,
-                               stats=stats,
-                               checkpoint=target, checkpoint_every=every,
-                               workers=worker_count,
-                               worker_timeout=worker_timeout,
-                               fault_hook=fault_hook, reducer=reducer)
+        loaded.restore_stats(stats)
+        engine = FullEngine(spec, graph,
+                            _resolve_reducer(spec, reducer_config, stats))
+        return drive(local_level(engine, stats, options),
+                     list(loaded.frontier), start, loaded)
     except BaseException:
         run_store.close()
         raise

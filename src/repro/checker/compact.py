@@ -44,10 +44,6 @@ auto-disables compact with a note).
 
 from __future__ import annotations
 
-import base64
-import multiprocessing
-import os
-import pickle
 from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -55,24 +51,19 @@ from ..kernel.behavior import FiniteBehavior
 from ..kernel.expr import Expr, to_expr
 from ..kernel.packed import CompactUnsupported, PackedPlan
 from ..spec import Spec
+from .bfs import drive, resolve_options
 from .checkpoint import (
-    CHECKPOINT_FORMAT,
-    CHECKPOINT_VERSION,
+    COMPACT_CHECKPOINT_MODE,
+    Checkpoint,
     CheckpointError,
     _SAME_PATH,
-    _atomic_write_json,
-    _read_checkpoint_payload,
+    _write_envelope,
+    read_checkpoint,
 )
 from .digest import GraphDigest
 from .explorer import initial_states
 from .graph import StateSpaceExplosion
-from .parallel import (
-    _CHUNKS_PER_WORKER,
-    _MIN_CHUNK,
-    _ChunkRunner,
-    _inline_threshold,
-    default_workers,
-)
+from .parallel import local_level
 from .results import CheckResult, Counterexample
 from .stats import ExploreStats, maybe_phase
 
@@ -84,11 +75,6 @@ __all__ = [
     "save_compact_checkpoint",
     "check_invariant_compact",
 ]
-
-#: The ``mode`` tag compact checkpoints carry, so the two engines can
-#: refuse each other's snapshots with a usable error.
-COMPACT_CHECKPOINT_MODE = "compact"
-
 
 class _PackedStatesView:
     """Read-only sequence of decoded states, materialised per access.
@@ -302,183 +288,34 @@ def _seed_compact(spec: Spec,
     return graph, frontier
 
 
-def _finish_compact(graph: CompactGraph, stats: Optional[ExploreStats],
-                    depth: int, elapsed: float) -> None:
-    if stats is not None:
-        stats.engine = "compact"
-        stats.record_explore(graph, depth, elapsed)
-        stats.fingerprint_collisions = graph.fingerprint_collisions
+class CompactEngine:
+    """The compact engine seam of :mod:`repro.checker.bfs`: packed ints
+    in, packed ints out, interned on the exact packed value."""
 
+    tag = "compact"
+    reduction = None
+    size = staticmethod(len)
 
-def _drive_compact(
-    spec: Spec,
-    graph: CompactGraph,
-    frontier: List[int],
-    depth: int,
-    levels: int,
-    elapsed_before: float,
-    stats: Optional[ExploreStats] = None,
-    checkpoint: Optional[str] = None,
-    checkpoint_every: int = 1,
-    workers: int = 1,
-    worker_timeout: Optional[float] = None,
-    fault_hook: Optional[Callable] = None,
-    start: Optional[float] = None,
-) -> CompactGraph:
-    """The compact BFS loop, resumable at any level boundary (the
-    packed-int twin of :func:`repro.checker.explorer._drive`)."""
-    if start is None:
-        start = perf_counter()
-    if workers > 1:
-        return _drive_compact_parallel(
-            spec, graph, frontier, depth, levels, elapsed_before,
-            stats=stats, checkpoint=checkpoint,
-            checkpoint_every=checkpoint_every, workers=workers,
-            worker_timeout=worker_timeout, fault_hook=fault_hook,
-            start=start)
-    successors = graph.plan.successors
-    packed = graph.packed
-    merge = graph.merge_successors
-    while frontier:
-        next_frontier: List[int] = []
-        for src in frontier:
-            next_frontier.extend(merge(src, successors(packed[src])))
+    def __init__(self, graph: CompactGraph):
+        self.spec = graph.spec
+        self.graph = graph
+        self.payloads = graph.packed
+        self.expand = graph.plan.successors
+        self.merge = graph.merge_successors
+
+    def snapshot(self, path: str, frontier: List[int], depth: int,
+                 levels: int, elapsed: float, workers: int,
+                 checkpoint_every: int,
+                 stats: Optional[ExploreStats]) -> None:
+        save_compact_checkpoint(
+            path, self.spec, self.graph, frontier, depth, levels,
+            elapsed_seconds=elapsed, workers=workers,
+            checkpoint_every=checkpoint_every, stats=stats)
+
+    def finish(self, stats: Optional[ExploreStats]) -> None:
         if stats is not None:
-            stats.record_level(len(frontier), graph)
-        frontier = next_frontier
-        levels += 1
-        if frontier:
-            depth += 1
-        if checkpoint is not None and (
-                not frontier or levels % checkpoint_every == 0):
-            save_compact_checkpoint(
-                checkpoint, spec, graph, frontier, depth, levels,
-                elapsed_seconds=elapsed_before + perf_counter() - start,
-                workers=workers, checkpoint_every=checkpoint_every,
-                stats=stats)
-    _finish_compact(graph, stats, depth,
-                    elapsed_before + perf_counter() - start)
-    return graph
-
-
-# worker-process globals, set once by _init_compact_worker
-_compact_expand: Optional[Callable[[int], List[int]]] = None
-_compact_fault: Optional[Callable] = None
-
-
-def _init_compact_worker(spec_payload: bytes, fault_hook=None) -> None:
-    """Pool initializer: build the packed plan once per worker process."""
-    global _compact_expand, _compact_fault
-    spec = pickle.loads(spec_payload)
-    _compact_expand = PackedPlan(spec).successors
-    _compact_fault = fault_hook
-
-
-def _expand_packed_chunk(chunk: List[int]):
-    """Worker body: successor emission for one packed frontier chunk.
-
-    Chunk entries are packed ints -- exact state identities -- so no
-    batch keys are needed: the coordinator pairs results back to sources
-    positionally (results arrive per chunk in submission order, batches
-    within a chunk in chunk order)."""
-    expand = _compact_expand
-    assert expand is not None, "worker used before initialization"
-    if _compact_fault is not None:
-        _compact_fault(chunk)
-    start = perf_counter()
-    batches = [expand(packed) for packed in chunk]
-    return os.getpid(), perf_counter() - start, batches
-
-
-def _packed_chunks(entries: List[int], workers: int) -> List[List[int]]:
-    """Contiguous chunks, same size rule as the full engine's sharding."""
-    target = workers * _CHUNKS_PER_WORKER
-    chunk_size = max(_MIN_CHUNK, -(-len(entries) // target))
-    return [entries[i:i + chunk_size]
-            for i in range(0, len(entries), chunk_size)]
-
-
-def _drive_compact_parallel(
-    spec: Spec,
-    graph: CompactGraph,
-    frontier: List[int],
-    depth: int,
-    levels: int,
-    elapsed_before: float,
-    stats: Optional[ExploreStats] = None,
-    checkpoint: Optional[str] = None,
-    checkpoint_every: int = 1,
-    workers: int = 2,
-    worker_timeout: Optional[float] = None,
-    fault_hook: Optional[Callable] = None,
-    start: Optional[float] = None,
-) -> CompactGraph:
-    """Multi-process compact BFS: workers expand packed chunks, the
-    coordinator merges strictly in submission order, so the graph (and
-    its digest) is bit-for-bit the serial compact graph -- the same
-    determinism argument as :func:`repro.checker.parallel._drive_parallel`,
-    with retry/crash recovery inherited from :class:`_ChunkRunner`."""
-    if start is None:
-        start = perf_counter()
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods
-                                     else methods[0])
-    payload = pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
-    idle = 0.0
-    worker_ids: Dict[int, int] = {}
-    successors = graph.plan.successors
-    packed = graph.packed
-    merge = graph.merge_successors
-    inline_below = _inline_threshold(workers)
-    runner = _ChunkRunner(workers, payload, ctx, worker_timeout, fault_hook,
-                          stats, initializer=_init_compact_worker,
-                          task=_expand_packed_chunk)
-    try:
-        while frontier:
-            next_frontier: List[int] = []
-            if len(frontier) < inline_below:
-                for src in frontier:
-                    next_frontier.extend(merge(src, successors(packed[src])))
-            else:
-                sources = list(frontier)
-                chunks = _packed_chunks([packed[src] for src in sources],
-                                        workers)
-                merged = 0
-                wait_from = perf_counter()
-                for pid, busy, batches in runner.run_level(chunks):
-                    idle += perf_counter() - wait_from
-                    if stats is not None:
-                        stats.record_worker_batch(
-                            worker_ids.setdefault(pid, len(worker_ids)),
-                            sources=len(batches),
-                            successors=sum(len(b) for b in batches),
-                            busy_seconds=busy,
-                        )
-                    for offset, succ_packed in enumerate(batches):
-                        next_frontier.extend(
-                            merge(sources[merged + offset], succ_packed))
-                    merged += len(batches)
-                    wait_from = perf_counter()
-            if stats is not None:
-                stats.record_level(len(frontier), graph)
-            frontier = next_frontier
-            levels += 1
-            if frontier:
-                depth += 1
-            if checkpoint is not None and (
-                    not frontier or levels % checkpoint_every == 0):
-                save_compact_checkpoint(
-                    checkpoint, spec, graph, frontier, depth, levels,
-                    elapsed_seconds=elapsed_before + perf_counter() - start,
-                    workers=workers, checkpoint_every=checkpoint_every,
-                    stats=stats)
-    finally:
-        runner.close()
-    _finish_compact(graph, stats, depth,
-                    elapsed_before + perf_counter() - start)
-    if stats is not None:
-        stats.record_parallel(workers, idle)
-    return graph
+            stats.engine = "compact"
+            stats.fingerprint_collisions = self.graph.fingerprint_collisions
 
 
 def explore_compact(
@@ -502,24 +339,12 @@ def explore_compact(
     ``<= 1`` runs serially); specs the packed codec cannot represent
     raise :class:`CompactUnsupported` before any exploration happens.
     """
-    if workers == 1 and (worker_timeout is not None
-                         or fault_hook is not None):
-        raise ValueError(
-            "workers=1 runs the serial engine, which would silently "
-            "ignore worker_timeout/fault_hook; drop those options or "
-            "use workers >= 2 (workers=0 auto-sizes)")
-    if workers == 0:
-        workers = default_workers()
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
     start = perf_counter()
+    options = resolve_options(workers, worker_timeout, fault_hook,
+                              checkpoint, checkpoint_every)
     graph, frontier = _seed_compact(spec, max_states)
-    return _drive_compact(spec, graph, frontier, depth=0, levels=0,
-                          elapsed_before=0.0, stats=stats,
-                          checkpoint=checkpoint,
-                          checkpoint_every=checkpoint_every,
-                          workers=workers, worker_timeout=worker_timeout,
-                          fault_hook=fault_hook, start=start)
+    return drive(local_level(CompactEngine(graph), stats, options),
+                 frontier, start)
 
 
 # -- checkpoint / resume -----------------------------------------------------
@@ -549,157 +374,75 @@ def save_compact_checkpoint(
     ignores sections it does not know, so such snapshots stay resumable
     single-machine.
     """
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "mode": COMPACT_CHECKPOINT_MODE,
-        "spec_name": spec.name,
-        "spec_pickle": base64.b64encode(
-            pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
-        ).decode("ascii"),
-        "max_states": graph.max_states,
-        "workers": workers,
-        "checkpoint_every": checkpoint_every,
-        "depth": depth,
-        "levels": levels,
-        "elapsed_seconds": elapsed_seconds,
-        "compact": {
-            "codec_signature": graph.codec.signature(),
-            "packed": list(graph.packed),
-            "parent": list(graph.parent),
-            "init_nodes": list(graph.init_nodes),
-            "edge_count": graph.edge_count,
-            "digest": graph.digest_state(),
-        },
-        "frontier": list(frontier),
-        "stats": stats.as_dict() if stats is not None else None,
+    body = {
+        "codec_signature": graph.codec.signature(),
+        "packed": list(graph.packed),
+        "parent": list(graph.parent),
+        "init_nodes": list(graph.init_nodes),
+        "edge_count": graph.edge_count,
+        "digest": graph.digest_state(),
     }
-    if extra:
-        payload.update(extra)
-    _atomic_write_json(path, payload)
+    _write_envelope(path, COMPACT_CHECKPOINT_MODE, spec, graph, body,
+                    frontier, depth, levels, elapsed_seconds, workers,
+                    checkpoint_every, stats, extra)
 
 
-class CompactResume:
-    """A compact checkpoint reloaded into live run state: the rebuilt
-    graph plus the loop counters :func:`_drive_compact` needs.  Shared by
-    :func:`resume_compact` and the distributed coordinator's crash-resume
-    (which re-drives the same state through its own merge loop)."""
-
-    __slots__ = ("spec", "graph", "frontier", "depth", "levels",
-                 "elapsed_seconds", "workers", "checkpoint_every", "payload")
-
-    def __init__(self, spec: Spec, graph: CompactGraph, frontier: List[int],
-                 depth: int, levels: int, elapsed_seconds: float,
-                 workers: int, checkpoint_every: int,
-                 payload: Dict[str, object]):
-        self.spec = spec
-        self.graph = graph
-        self.frontier = frontier
-        self.depth = depth
-        self.levels = levels
-        self.elapsed_seconds = elapsed_seconds
-        self.workers = workers
-        self.checkpoint_every = checkpoint_every
-        self.payload = payload
-
-
-def load_compact_checkpoint(
-    path: str,
+def restore_compact(
+    loaded: Checkpoint,
     spec: Optional[Spec] = None,
     max_states: Optional[int] = None,
-    stats: Optional[ExploreStats] = None,
-) -> CompactResume:
-    """Reload a compact snapshot into a live :class:`CompactGraph` plus
-    the BFS loop counters, verifying format/version/mode/codec layout.
-    This is the load half of :func:`resume_compact`; the raw payload is
-    kept on the result so callers can read extra sections (the
-    distributed level manifest)."""
-    payload = _read_checkpoint_payload(path)
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(
-            f"{path}: not a {CHECKPOINT_FORMAT} file "
-            f"(format={payload.get('format')!r})")
-    version = payload.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported checkpoint version {version!r} "
-            f"(this build reads version {CHECKPOINT_VERSION})")
-    mode = payload.get("mode")
-    if mode != COMPACT_CHECKPOINT_MODE:
-        raise CheckpointError(
-            f"{path}: checkpoint was written by the full-state engine; "
-            f"resume it without --compact (the two engines' snapshots "
-            f"are not interchangeable)")
-    try:
-        data = payload["compact"]
-        spec_pickle = payload["spec_pickle"]
-        stored_max = payload["max_states"]
-        stored_workers = payload["workers"]
-        stored_every = payload["checkpoint_every"]
-        depth = payload["depth"]
-        levels = payload["levels"]
-        elapsed = payload["elapsed_seconds"]
-        frontier = [int(node) for node in payload["frontier"]]
-        packed_rows = [int(p) for p in data["packed"]]
-        parent = [int(p) for p in data["parent"]]
-        init_nodes = [int(n) for n in data["init_nodes"]]
-        edge_count = int(data["edge_count"])
-        digest_state = data["digest"]
-        codec_signature = data["codec_signature"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(
-            f"{path}: missing or malformed field ({exc!r})") from None
+) -> CompactGraph:
+    """Rebuild the live :class:`CompactGraph` of a compact snapshot
+    (already envelope-checked by
+    :func:`~repro.checker.checkpoint.read_checkpoint`) against *spec*,
+    default the embedded one, verifying the codec layout.  Shared by
+    :func:`resume_compact` and the distributed coordinator's resume."""
+    path, data = loaded.path, loaded.body
     if spec is None:
-        try:
-            spec = pickle.loads(base64.b64decode(spec_pickle))
-        except Exception as exc:
-            raise CheckpointError(
-                f"{path}: embedded spec cannot be unpickled ({exc}); "
-                f"pass the spec to resume_compact() explicitly") from exc
-
+        spec = loaded.load_spec()
     plan = PackedPlan(spec)
-    if plan.codec.signature() != codec_signature:
+    if plan.codec.signature() != data["codec_signature"]:
         raise CheckpointError(
             f"{path}: packed-state layout does not match spec "
             f"{spec.name!r}; the checkpoint is corrupt or was written "
             f"against a different spec or domain enumeration")
-    budget = stored_max if max_states is None else max_states
+    packed_rows: List[int] = data["packed"]
+    budget = loaded.max_states if max_states is None else max_states
     if budget is not None and len(packed_rows) > budget:
         raise StateSpaceExplosion(
             f"exploring {spec.name!r} exceeded the state budget of "
             f"{budget} states")
-    if len(parent) != len(packed_rows) or any(
-            node >= len(packed_rows) for node in frontier):
-        raise CheckpointError(
-            f"{path}: inconsistent node tables; the checkpoint is corrupt")
 
     graph = CompactGraph(spec, plan, max_states=budget)
     graph.packed = packed_rows
-    graph.parent = parent
+    graph.parent = data["parent"]
     graph.visited = {p: node for node, p in enumerate(packed_rows)}
     if len(graph.visited) != len(packed_rows):
         raise CheckpointError(
             f"{path}: duplicate packed states; the checkpoint is corrupt")
-    graph.init_nodes = init_nodes
-    graph._edge_count = edge_count
-    graph._digest = GraphDigest.restore(digest_state)
+    graph.init_nodes = data["init_nodes"]
+    graph._edge_count = data["edge_count"]
+    graph._digest = GraphDigest.restore(data["digest"])
     fingerprint = plan.codec.fingerprint
+    limit = 1 << plan.codec.bits
     fingerprints: set = set()
     collisions = 0
     for p in packed_rows:
-        fp = fingerprint(p)
+        try:
+            fp = fingerprint(p) if p < limit else None
+        except IndexError:  # a field code beyond its domain
+            fp = None
+        if fp is None:
+            raise CheckpointError(
+                f"{path}: packed state {p} lies outside the codec's bit "
+                f"layout; the checkpoint is corrupt")
         if fp in fingerprints:
             collisions += 1
         else:
             fingerprints.add(fp)
     graph._fingerprints = fingerprints
     graph._collisions = collisions
-
-    if stats is not None and payload.get("stats"):
-        stats.restore(payload["stats"])
-    return CompactResume(spec, graph, frontier, depth=depth, levels=levels,
-                         elapsed_seconds=elapsed, workers=stored_workers,
-                         checkpoint_every=stored_every, payload=payload)
+    return graph
 
 
 def resume_compact(
@@ -722,21 +465,14 @@ def resume_compact(
     :class:`CheckpointError` rather than misread, as is a snapshot whose
     packed layout no longer matches the spec's domain enumeration.
     """
-    loaded = load_compact_checkpoint(path, spec, max_states=max_states,
-                                     stats=stats)
-    target = path if checkpoint is _SAME_PATH else checkpoint
-    every = loaded.checkpoint_every if checkpoint_every is None \
-        else checkpoint_every
-    worker_count = loaded.workers if workers is None else workers
-    if worker_count == 0:
-        worker_count = default_workers()
-    return _drive_compact(loaded.spec, loaded.graph, loaded.frontier,
-                          depth=loaded.depth, levels=loaded.levels,
-                          elapsed_before=loaded.elapsed_seconds, stats=stats,
-                          checkpoint=target, checkpoint_every=every,
-                          workers=worker_count,
-                          worker_timeout=worker_timeout,
-                          fault_hook=fault_hook)
+    start = perf_counter()
+    loaded = read_checkpoint(path, COMPACT_CHECKPOINT_MODE)
+    options = resolve_options(workers, worker_timeout, fault_hook,
+                              checkpoint, checkpoint_every, resumed=loaded)
+    graph = restore_compact(loaded, spec, max_states)
+    loaded.restore_stats(stats)
+    return drive(local_level(CompactEngine(graph), stats, options),
+                 list(loaded.frontier), start, loaded)
 
 
 # -- invariant checking ------------------------------------------------------

@@ -1,51 +1,37 @@
 """Distributed BFS exploration across worker machines, bit-for-bit.
 
-:func:`explore_distributed` runs the level-synchronous BFS of
-:func:`~repro.checker.explorer.explore` with the expensive halves --
-successor enumeration and (in compact mode) the visited set -- spread
-over remote **worker nodes** (:mod:`repro.service.worker`, the ``repro
-worker`` process), while the coordinator merges every level strictly in
-frontier order.  The result is *the same graph*, bit for bit: node
-numbering, BFS parents, edge counts, budget behaviour, and the streaming
+:func:`explore_distributed` runs :func:`repro.checker.bfs.drive` with
+the expensive halves -- successor enumeration and (in compact mode) the
+visited set -- spread over remote **worker nodes**
+(:mod:`repro.service.worker`, the ``repro worker`` process), while the
+coordinator merges every level strictly in frontier order.  The result
+is *the same graph*, bit for bit: node numbering, BFS parents, edge
+counts, budget behaviour, and the streaming
 :class:`~repro.checker.digest.GraphDigest` all match a single-machine
 run -- for any worker count, any request interleaving, and any history
-of node failures.  ``tests/test_distributed_differential.py`` asserts
-this against the serial, parallel, and compact engines for every
-bundled system; ``tests/test_distributed_faults.py`` re-asserts it under
-killed workers, hung workers, dropped/duplicated wire messages, and
-coordinator crash-resume.
+of node failures (``tests/test_distributed_differential.py``,
+``tests/test_distributed_faults.py``).
 
 Sharding model
 --------------
 
 The 64-bit fingerprint space is split once, at run start, into one
-contiguous **pristine range** per worker.  In compact mode each worker
-*owns* the visited-set partition for its ranges: the coordinator keeps
-only the node-ordered ``packed`` / ``parent`` columns (enough to
-regenerate traces and to checkpoint) and never holds a packed->node map.
-A BFS level is four phases:
-
-1. **expand** -- frontier sources are shipped to the owner of their
-   fingerprint; workers stream back per-source successor batches
-   (NDJSON), in compact mode together with each successor's
-   fingerprint -- fingerprinting is the dominant per-state cost, and
-   shipping it to the workers is what makes it scale with the node
-   count (the coordinator only ever *looks up* fingerprints it was
-   told).  Expansion is pure, so re-sending sources is always safe.
-2. **lookup** -- the level's unique successor values are sent to the
-   owners of their fingerprints, which answer with the node ids their
-   partition already knows.  Pure.
-3. **merge** -- the coordinator walks sources in frontier order and
-   interns new states exactly as the serial engine would (same budget
-   check, same digest stream, same edge dedup); this phase is local and
-   serial, which is the whole determinism argument.
-4. **adopt** -- newly interned (packed, node) pairs are pushed to the
-   owners of their fingerprints.  Idempotent, so duplicated or retried
-   adopts cannot skew the partitions.
-
-In full-state mode workers are stateless expanders over portable state
-rows and the coordinator dedups locally through its
-:class:`~repro.checker.graph.StateGraph` -- phase 2 and 4 vanish.
+contiguous **pristine range** per worker.  In compact mode
+(:class:`_DistributedCompact`) each worker *owns* the visited-set
+partition for its ranges: the coordinator keeps only the node-ordered
+``packed`` / ``parent`` columns (enough to regenerate traces and to
+checkpoint) and never holds a packed->node map.  A level is four
+phases: **expand** (sources go to the owner of their fingerprint, which
+streams back successors *and their fingerprints* -- the dominant
+per-state cost, so it scales with the node count), **lookup** (owners
+say which of the level's unique successors they already know), **merge**
+(local, serial, frontier order: the whole determinism argument) and
+**adopt** (new states go to their owners).  Expand and lookup are pure
+and adopt is idempotent, so re-sent or duplicated requests cannot skew
+anything.  In full-state mode (:class:`_DistributedFull`) workers are
+stateless expanders over portable rows and the coordinator dedups
+through its :class:`~repro.checker.graph.StateGraph` -- lookup and
+adopt vanish.
 
 Failure model
 -------------
@@ -88,28 +74,29 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..kernel import packed
-from ..kernel.packed import PackedPlan
 from ..kernel.state import State
 from ..spec import Spec
 from ..service.wire import NetFaultPlan, ProtocolError, WorkerLink
+from .bfs import RunOptions, Serial, drive, resolve_options
 from .checkpoint import (
+    COMPACT_CHECKPOINT_MODE,
+    Checkpoint,
+    CheckpointError,
     _SAME_PATH,
-    _read_checkpoint_payload,
-    load_checkpoint,
+    read_checkpoint,
     save_checkpoint,
 )
 from .compact import (
-    COMPACT_CHECKPOINT_MODE,
+    CompactEngine,
     CompactGraph,
-    _finish_compact,
-    load_compact_checkpoint,
+    _seed_compact,
+    restore_compact,
     save_compact_checkpoint,
 )
-from .explorer import _seed_graph, initial_states
-from .graph import StateGraph
+from .explorer import FullEngine, _seed_graph
 from .parallel import WorkerFailure
 from .stats import ExploreStats
 
@@ -217,9 +204,10 @@ class _HeartbeatMonitor(threading.Thread):
 
 
 class _Coordinator:
-    """One distributed run: nodes, range ownership, and the four-phase
-    level loop.  Engine-specific behaviour (payload encoding, the merge
-    itself, checkpoint format) is parameterised by ``engine``."""
+    """One distributed run's fleet: nodes, range ownership, the wire
+    phases of a level, and the per-level partition manifest.  What a
+    level *does* with them is the two configurations' business
+    (:class:`_DistributedCompact`, :class:`_DistributedFull`)."""
 
     def __init__(self, spec: Spec, urls: Sequence[str], engine: str,
                  stats: Optional[ExploreStats],
@@ -258,10 +246,6 @@ class _Coordinator:
         if stats is not None:
             for node in self.nodes:
                 stats.record_node_label(node.index, node.url)
-        # engine-specific fingerprint of a wire payload
-        if engine == "compact":
-            self._plan = PackedPlan(spec)
-            self._codec = self._plan.codec
 
     def start(self) -> None:
         if self._heartbeat is not None:
@@ -437,7 +421,7 @@ class _Coordinator:
             lambda node: self._on_loss(node, adopt_column,
                                        fingerprint or (lambda fp: fp)))
 
-    def expand_level(self, level: int,
+    def expand_phase(self, level: int,
                      sources: List[Tuple[int, object]],
                      fingerprints: List[int],
                      results: Dict[int, List[object]],
@@ -505,13 +489,15 @@ class _Coordinator:
                       lambda node: self._on_loss(node, packed_column,
                                                  fingerprint))
 
-    def lookup_level(self, values_by_range: Dict[int, List[int]],
-                     known: Dict[int, int],
+    def _range_phase(self, items_by_range: Dict[int, list],
+                     send: Callable[[_Node, list], None],
                      packed_column: List[int],
                      fingerprint: Callable[[int], int]) -> None:
-        """Phase 2 (compact): ask each owner which of the level's unique
-        successor values its partition has already seen."""
-        pending = dict(values_by_range)
+        """Phases 2 and 4: *send* every owner the items of the ranges it
+        owns, in one request per node.  A range leaves *pending* only
+        once its owner answered, so after a loss exactly the unanswered
+        ranges go to their new owners."""
+        pending = dict(items_by_range)
 
         def groups() -> Dict[int, List[int]]:
             grouped: Dict[int, List[int]] = {}
@@ -524,16 +510,7 @@ class _Coordinator:
                 todo = [r for r in ridxs if r in pending]
                 if not todo:
                     return
-                values: List[int] = []
-                for r in todo:
-                    values.extend(pending[r])
-                response = node.link.post("/lookup", {"values": values})
-                nodes = response.get("nodes") or []
-                if len(nodes) != len(values):
-                    raise ConnectionError("lookup response misaligned")
-                for value, node_id in zip(values, nodes):
-                    if node_id >= 0:
-                        known[value] = node_id
+                send(node, [item for r in todo for item in pending[r]])
                 for r in todo:
                     pending.pop(r, None)
 
@@ -542,6 +519,23 @@ class _Coordinator:
         self._fan_out(groups, op,
                       lambda node: self._on_loss(node, packed_column,
                                                  fingerprint))
+
+    def lookup_level(self, values_by_range: Dict[int, List[int]],
+                     known: Dict[int, int],
+                     packed_column: List[int],
+                     fingerprint: Callable[[int], int]) -> None:
+        """Phase 2 (compact): ask each owner which of the level's unique
+        successor values its partition has already seen."""
+        def send(node: _Node, values: List[int]) -> None:
+            response = node.link.post("/lookup", {"values": values})
+            nodes = response.get("nodes") or []
+            if len(nodes) != len(values):
+                raise ConnectionError("lookup response misaligned")
+            for value, node_id in zip(values, nodes):
+                if node_id >= 0:
+                    known[value] = node_id
+
+        self._range_phase(values_by_range, send, packed_column, fingerprint)
 
     def adopt_level(self, entries_by_range: Dict[int, List[List[int]]],
                     packed_column: List[int],
@@ -549,37 +543,24 @@ class _Coordinator:
         """Phase 4 (compact): push the level's newly interned states to
         the owners of their fingerprints.  Idempotent on the worker, so
         retries and duplicates are harmless."""
-        pending = dict(entries_by_range)
+        def send(node: _Node, entries: List[List[int]]) -> None:
+            self._record_adopt(
+                node, node.link.post("/adopt", {"entries": entries}))
 
-        def groups() -> Dict[int, List[int]]:
-            grouped: Dict[int, List[int]] = {}
-            for ridx in pending:
-                grouped.setdefault(self.owner[ridx], []).append(ridx)
-            return grouped
-
-        def op(node: _Node, ridxs: List[int]) -> None:
-            def attempt() -> None:
-                todo = [r for r in ridxs if r in pending]
-                if not todo:
-                    return
-                entries: List[List[int]] = []
-                for r in todo:
-                    entries.extend(pending[r])
-                self._record_adopt(
-                    node, node.link.post("/adopt", {"entries": entries}))
-                for r in todo:
-                    pending.pop(r, None)
-
-            self._with_retries(node, attempt)
-
-        self._fan_out(groups, op,
-                      lambda node: self._on_loss(node, packed_column,
-                                                 fingerprint))
+        self._range_phase(entries_by_range, send, packed_column, fingerprint)
 
     # -- run summary ----------------------------------------------------------
 
     def partition_collisions(self) -> int:
         return sum(node.collisions for node in self.nodes if node.alive)
+
+    def record_partitions(self, fingerprints: Iterable[int]) -> None:
+        """Append one manifest row: how the states with these
+        *fingerprints* (a level's new ones) spread over the ranges."""
+        counts = [0] * len(self.ranges)
+        for fp in fingerprints:
+            counts[range_index(fp, self.ranges)] += 1
+        self.level_partitions.append(counts)
 
     def distributed_section(self) -> Dict[str, object]:
         """The ``"distributed"`` checkpoint section: everything a resume
@@ -591,68 +572,76 @@ class _Coordinator:
         }}
 
 
-# -- compact-mode drive -------------------------------------------------------
+# -- the two distributed configurations ---------------------------------------
 
 
-def _drive_distributed_compact(
-    coord: _Coordinator,
-    graph: CompactGraph,
-    frontier: List[int],
-    depth: int,
-    levels: int,
-    elapsed_before: float,
-    stats: Optional[ExploreStats],
-    checkpoint: Optional[str],
-    checkpoint_every: int,
-    seed_adopt: bool,
-    fp_of: Dict[int, int],
-) -> CompactGraph:
-    """The compact distributed level loop.  Mirrors
-    :func:`repro.checker.compact._drive_compact` exactly at every point
-    that feeds the graph -- intern order, edge dedup, digest stream,
-    budget check, ``record_level`` placement -- so the resulting graph
-    is bit-for-bit the single-machine compact graph.
+class _Distributed(Serial):
+    """What the distributed configurations share: the coordinator is
+    their pool -- its waits are the run's idle time, closing it ends
+    the run -- and snapshots carry its ``"distributed"`` section."""
 
-    *fp_of* maps every packed value in the coordinator's column (and,
+    def __init__(self, coord: _Coordinator, engine,
+                 stats: Optional[ExploreStats], options: RunOptions,
+                 level: int):
+        super().__init__(engine, stats, options)
+        self.coord = coord
+        self.level = level  # the one being expanded; fault hooks key on it
+
+    @property
+    def idle(self) -> float:
+        return self.coord.idle
+
+    def load(self) -> Iterable[int]:
+        """(Re)initialise the fleet for this run; returns the
+        fingerprints of the starting column, in node order."""
+        raise NotImplementedError
+
+    def close(self) -> None:
+        self.coord.close()
+
+
+class _DistributedCompact(_Distributed):
+    """Compact mode: the visited set lives on the workers, partitioned
+    by fingerprint range; the coordinator keeps the node-ordered columns.
+
+    ``fp_of`` maps every packed value in the coordinator's column (and,
     as levels proceed, every successor value the workers report) to its
-    fingerprint.  The callers seed it for the starting column; from
-    then on the workers compute every new fingerprint (the per-state
-    hot spot) and the coordinator only looks them up -- which is why
-    adding worker nodes actually speeds the run up."""
-    start = perf_counter()
-    spec = coord.spec
-    packed_column = graph.packed
-    ranges = coord.ranges
-    fingerprint = fp_of.__getitem__
+    fingerprint.  The starting column is fingerprinted here, once; from
+    then on the workers compute every new fingerprint (the per-state hot
+    spot) and the coordinator only looks them up -- which is why adding
+    worker nodes actually speeds the run up."""
 
-    def partition_counts(new_packed: List[int]) -> List[int]:
-        counts = [0] * len(ranges)
-        for value in new_packed:
-            counts[range_index(fp_of[value], ranges)] += 1
-        return counts
+    def __init__(self, coord: _Coordinator, engine: CompactEngine,
+                 stats: Optional[ExploreStats], options: RunOptions,
+                 level: int):
+        super().__init__(coord, engine, stats, options, level)
+        fp = engine.graph.codec.fingerprint
+        self.fp_of: Dict[int, int] = {value: fp(value)
+                                      for value in engine.graph.packed}
 
-    if seed_adopt:
-        # ship the seed partition (the initial states interned by the
-        # caller) to its owners, and record it as the level-0 row
-        seed_entries: Dict[int, List[List[int]]] = {}
-        for node_id, packed in enumerate(packed_column):
-            ridx = range_index(fp_of[packed], ranges)
-            seed_entries.setdefault(ridx, []).append([packed, node_id])
-        coord.adopt_level(seed_entries, packed_column, fingerprint)
-        coord.level_partitions.append(partition_counts(list(packed_column)))
+    def load(self) -> Iterable[int]:
+        # the coordinator's column is authoritative: the visited map
+        # lives on the workers from here on, rebuilt from that column
+        graph = self.engine.graph
+        graph.visited = {}
+        self.coord.load_workers(adopt_column=graph.packed,
+                                fingerprint=self.fp_of.__getitem__)
+        return self.fp_of.values()
 
-    while frontier:
-        level = levels
+    def expand_level(self, frontier: List[int]) -> List[int]:
+        coord, graph, fp_of = self.coord, self.engine.graph, self.fp_of
+        packed_column, ranges = graph.packed, coord.ranges
+        fingerprint = fp_of.__getitem__
         # phase 1: expand, sharded by source fingerprint; the workers
         # also hand back each successor's fingerprint
-        src_fps = [fp_of[packed_column[src]] for src in frontier]
         results: Dict[int, List[int]] = {}
         succ_fps: Dict[int, List[int]] = {}
-        coord.expand_level(
-            level,
+        coord.expand_phase(
+            self.level,
             [(pos, packed_column[src]) for pos, src in enumerate(frontier)],
-            src_fps, results, packed_column, fingerprint,
-            fps_out=succ_fps)
+            [fp_of[packed_column[src]] for src in frontier],
+            results, packed_column, fingerprint, fps_out=succ_fps)
+        self.level += 1
         # phase 2: dedup query for the level's unique successor values
         unique: Dict[int, int] = {}
         for pos in range(len(frontier)):
@@ -667,11 +656,11 @@ def _drive_distributed_compact(
         known: Dict[int, int] = {}
         coord.lookup_level(values_by_range, known, packed_column,
                            fingerprint)
-        # phase 3: serial merge in frontier order -- the one code path
-        # shared with the single-machine engine (CompactGraph._intern_new
-        # does the budget check and the node-digest stream)
+        # phase 3: serial merge in frontier order, mirroring
+        # CompactGraph.merge_successors at every point that feeds the
+        # graph -- CompactGraph._intern_new does the budget check and the
+        # node-digest stream, edge dedup and the edge digest follow suit
         level_new: Dict[int, int] = {}
-        new_packed: List[int] = []
         next_frontier: List[int] = []
         for pos, src in enumerate(frontier):
             dsts: List[int] = []
@@ -683,7 +672,6 @@ def _drive_distributed_compact(
                 if node is None:
                     node = graph._intern_new(value, src, fp_of[value])
                     level_new[value] = node
-                    new_packed.append(value)
                     next_frontier.append(node)
                 if node != src and node not in seen:
                     seen.add(node)
@@ -697,100 +685,94 @@ def _drive_distributed_compact(
             entries_by_range.setdefault(ridx, []).append([value, node])
         if entries_by_range:
             coord.adopt_level(entries_by_range, packed_column, fingerprint)
-        coord.level_partitions.append(partition_counts(new_packed))
-        if stats is not None:
-            stats.record_level(len(frontier), graph)
-        frontier = next_frontier
-        levels += 1
-        if frontier:
-            depth += 1
-        if checkpoint is not None and (
-                not frontier or levels % checkpoint_every == 0):
-            save_compact_checkpoint(
-                checkpoint, spec, graph, frontier, depth, levels,
-                elapsed_seconds=elapsed_before + perf_counter() - start,
-                workers=len(coord.nodes), checkpoint_every=checkpoint_every,
-                stats=stats, extra=coord.distributed_section())
-    graph._collisions = coord.partition_collisions()
-    _finish_compact(graph, stats, depth,
-                    elapsed_before + perf_counter() - start)
-    if stats is not None:
-        stats.record_parallel(len(coord.nodes), coord.idle)
-    graph.partition_ranges = list(coord.ranges)
-    graph.level_partitions = [list(row) for row in coord.level_partitions]
-    return graph
+        coord.record_partitions(fp_of[value] for value in level_new)
+        graph._collisions = coord.partition_collisions()
+        return next_frontier
+
+    def snapshot(self, frontier: List[int], depth: int, levels: int,
+                 elapsed: float) -> None:
+        options, engine = self.options, self.engine
+        save_compact_checkpoint(
+            options.checkpoint, engine.spec, engine.graph, frontier, depth,
+            levels, elapsed_seconds=elapsed, workers=options.workers,
+            checkpoint_every=options.checkpoint_every, stats=self.stats,
+            extra=self.coord.distributed_section())
 
 
-# -- full-mode drive ----------------------------------------------------------
+class _DistributedFull(_Distributed):
+    """Full-state mode: workers are stateless expanders over portable
+    rows; dedup stays in the coordinator's :class:`StateGraph`, through
+    the engine's own ``merge`` in frontier order."""
 
+    def load(self) -> Iterable[int]:
+        self.coord.load_workers()
+        return (state.fingerprint() for state in self.engine.payloads)
 
-def _drive_distributed_full(
-    coord: _Coordinator,
-    graph: StateGraph,
-    frontier: List[int],
-    depth: int,
-    levels: int,
-    elapsed_before: float,
-    stats: Optional[ExploreStats],
-    checkpoint: Optional[str],
-    checkpoint_every: int,
-    record_seed_row: bool,
-) -> StateGraph:
-    """The full-state distributed level loop: workers are stateless
-    expanders over portable rows, the coordinator merges through
-    :meth:`StateGraph.merge_batch` in frontier order -- the exact serial
-    semantics, so the graph matches :func:`explore` bit for bit."""
-    start = perf_counter()
-    spec = coord.spec
-    states = graph.states
-    merge_batch = graph.merge_batch
-    ranges = coord.ranges
-
-    def partition_counts(nodes: List[int]) -> List[int]:
-        counts = [0] * len(ranges)
-        for node in nodes:
-            counts[range_index(states[node].fingerprint(), ranges)] += 1
-        return counts
-
-    if record_seed_row:
-        coord.level_partitions.append(
-            partition_counts(list(range(graph.state_count))))
-
-    while frontier:
-        level = levels
-        src_fps = [states[src].fingerprint() for src in frontier]
+    def expand_level(self, frontier: List[int]) -> List[int]:
+        coord, engine = self.coord, self.engine
+        states, merge = engine.payloads, engine.merge
         results: Dict[int, List[object]] = {}
-        coord.expand_level(
-            level,
+        coord.expand_phase(
+            self.level,
             [(pos, states[src].to_portable())
              for pos, src in enumerate(frontier)],
-            src_fps, results, None, lambda fp: fp)
+            [states[src].fingerprint() for src in frontier],
+            results, None, lambda fp: fp)
+        self.level += 1
         next_frontier: List[int] = []
-        new_nodes: List[int] = []
         for pos, src in enumerate(frontier):
-            successors = [State.from_portable(row) for row in results[pos]]
-            fresh = merge_batch(src, successors)
-            next_frontier.extend(fresh)
-            new_nodes.extend(fresh)
-        coord.level_partitions.append(partition_counts(new_nodes))
-        if stats is not None:
-            stats.record_level(len(frontier), graph)
-        frontier = next_frontier
-        levels += 1
-        if frontier:
-            depth += 1
-        if checkpoint is not None and (
-                not frontier or levels % checkpoint_every == 0):
-            save_checkpoint(
-                checkpoint, spec, graph, frontier, depth, levels,
-                elapsed_seconds=elapsed_before + perf_counter() - start,
-                workers=len(coord.nodes), checkpoint_every=checkpoint_every,
-                stats=stats, store=graph.store.config(),
-                extra=coord.distributed_section())
-    if stats is not None:
-        stats.record_explore(graph, depth,
-                             elapsed_before + perf_counter() - start)
-        stats.record_parallel(len(coord.nodes), coord.idle)
+            next_frontier.extend(merge(
+                src, [State.from_portable(row) for row in results[pos]]))
+        coord.record_partitions(states[node].fingerprint()
+                                for node in next_frontier)
+        return next_frontier
+
+    def snapshot(self, frontier: List[int], depth: int, levels: int,
+                 elapsed: float) -> None:
+        options, engine = self.options, self.engine
+        save_checkpoint(
+            options.checkpoint, engine.spec, engine.graph, frontier, depth,
+            levels, elapsed_seconds=elapsed, workers=options.workers,
+            checkpoint_every=options.checkpoint_every, stats=self.stats,
+            store=engine.graph.store.config(),
+            extra=self.coord.distributed_section())
+
+
+def _run(spec: Spec, urls: Sequence[str], graph, frontier: List[int],
+         stats: Optional[ExploreStats], checkpoint: Optional[str],
+         checkpoint_every: int, start: float,
+         resumed: Optional[Checkpoint] = None, **fleet: object):
+    """Bring up a coordinator (*fleet*: heartbeat, worker_timeout,
+    net_fault, fault_hook) for *graph* -- seeded, or restored from
+    *resumed* -- load the workers, and drive the matching configuration."""
+    section = (resumed.payload.get("distributed") or {}) if resumed else {}
+    try:
+        ranges = [(int(lo), int(hi)) for lo, hi in section.get("ranges", [])]
+        partitions = [[int(count) for count in row]
+                      for row in section.get("level_partitions", [])]
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{resumed.path}: malformed distributed "
+                              f"section ({exc!r})") from None
+    engine, configuration = (
+        (CompactEngine(graph), _DistributedCompact)
+        if isinstance(graph, CompactGraph)
+        else (FullEngine(spec, graph), _DistributedFull))
+    coord = _Coordinator(spec, list(urls), engine.tag, stats,
+                         ranges=ranges or None, **fleet)
+    coord.level_partitions = partitions
+    options = RunOptions(len(coord.nodes), None, None, checkpoint,
+                         checkpoint_every)
+    config = configuration(coord, engine, stats, options,
+                           resumed.levels if resumed else 0)
+    try:
+        coord.start()
+        seed_fingerprints = config.load()
+        if resumed is None:  # the manifest's level-0 row: the seed states
+            coord.record_partitions(seed_fingerprints)
+    except BaseException:
+        coord.close()
+        raise
+    graph = drive(config, frontier, start, resumed)
     graph.partition_ranges = list(coord.ranges)
     graph.level_partitions = [list(row) for row in coord.level_partitions]
     return graph
@@ -841,42 +823,14 @@ def explore_distributed(
     picklable callable shipped to every worker, invoked per ``/expand``)
     are the chaos-test seams; leave both ``None`` in production.
     """
-    resolved = _resolve_engine(spec, engine)
-    coord = _Coordinator(spec, list(workers), resolved, stats,
-                         heartbeat, worker_timeout, net_fault, fault_hook)
-    try:
-        coord.start()
-        coord.load_workers()
-        if resolved == "compact":
-            graph = CompactGraph(spec, coord._plan, max_states=max_states)
-            encode = coord._codec.encode
-            fp = coord._codec.fingerprint
-            seen: Dict[int, int] = {}
-            frontier: List[int] = []
-            fp_of: Dict[int, int] = {}  # seeded here; workers fill the rest
-            for state in initial_states(spec.init, spec.universe):
-                value = encode(state)
-                if value in seen:
-                    continue
-                fpv = fp(value)
-                node = graph._intern_new(value, -1, fpv)
-                seen[value] = node
-                fp_of[value] = fpv
-                frontier.append(node)
-            if stats is not None:
-                stats.engine = "compact"
-            return _drive_distributed_compact(
-                coord, graph, frontier, depth=0, levels=0,
-                elapsed_before=0.0, stats=stats, checkpoint=checkpoint,
-                checkpoint_every=checkpoint_every, seed_adopt=True,
-                fp_of=fp_of)
-        graph, frontier = _seed_graph(spec, max_states)
-        return _drive_distributed_full(
-            coord, graph, frontier, depth=0, levels=0, elapsed_before=0.0,
-            stats=stats, checkpoint=checkpoint,
-            checkpoint_every=checkpoint_every, record_seed_row=True)
-    finally:
-        coord.close()
+    start = perf_counter()
+    seed = _seed_compact if _resolve_engine(spec, engine) == "compact" \
+        else _seed_graph
+    graph, frontier = seed(spec, max_states)
+    return _run(spec, workers, graph, frontier, stats, checkpoint,
+                checkpoint_every, start, heartbeat=heartbeat,
+                worker_timeout=worker_timeout, net_fault=net_fault,
+                fault_hook=fault_hook)
 
 
 def resume_distributed(
@@ -898,71 +852,36 @@ def resume_distributed(
     coordinator (its ``"distributed"`` section restores the pristine
     ranges and the partition-count manifest) or from a single-machine
     run (fresh ranges are cut for the current cluster).  Compact and
-    full snapshots are dispatched to the matching engine automatically.
+    full snapshots are dispatched to the matching engine automatically;
+    a full snapshot written under partial-order reduction is refused,
+    because worker nodes expand unreduced.
 
     The worker partitions are rebuilt from the snapshot's own state
     columns, so resuming does not require the original workers -- any
     cluster (any size, fresh processes) continues the run.
     """
-    payload = _read_checkpoint_payload(path)
-    section = payload.get("distributed") or {}
-    stored_ranges = [
-        (int(lo), int(hi)) for lo, hi in section.get("ranges", [])
-    ] or None
-    stored_partitions = [list(map(int, row))
-                         for row in section.get("level_partitions", [])]
-    target = path if checkpoint is _SAME_PATH else checkpoint
-
-    if payload.get("mode") == COMPACT_CHECKPOINT_MODE:
-        loaded = load_compact_checkpoint(path, spec, max_states=max_states,
-                                         stats=stats)
-        every = loaded.checkpoint_every if checkpoint_every is None \
-            else checkpoint_every
-        coord = _Coordinator(loaded.spec, list(workers), "compact", stats,
-                             heartbeat, worker_timeout, net_fault,
-                             fault_hook, ranges=stored_ranges)
-        coord.level_partitions = stored_partitions
-        # fingerprint the snapshot column once; everything discovered
-        # after this point is fingerprinted by the workers
-        fp = coord._codec.fingerprint
-        fp_of = {packed: fp(packed) for packed in loaded.graph.packed}
-        try:
-            coord.start()
-            coord.load_workers(adopt_column=loaded.graph.packed,
-                               fingerprint=fp_of.__getitem__)
-            # the coordinator column is authoritative; the local visited
-            # map now lives on the workers
-            loaded.graph.visited = {}
-            return _drive_distributed_compact(
-                coord, loaded.graph, loaded.frontier, depth=loaded.depth,
-                levels=loaded.levels,
-                elapsed_before=loaded.elapsed_seconds, stats=stats,
-                checkpoint=target, checkpoint_every=every, seed_adopt=False,
-                fp_of=fp_of)
-        finally:
-            coord.close()
-
-    loaded = load_checkpoint(path)
-    run_spec = spec if spec is not None else loaded.load_spec()
-    every = loaded.checkpoint_every if checkpoint_every is None \
-        else checkpoint_every
-    coord = _Coordinator(run_spec, list(workers), "full", stats,
-                         heartbeat, worker_timeout, net_fault, fault_hook,
-                         ranges=stored_ranges)
-    coord.level_partitions = stored_partitions
-    try:
-        coord.start()
-        coord.load_workers()
-        graph = loaded.restore_graph(run_spec, max_states=max_states)
-        if stats is not None and loaded.stats_snapshot:
-            stats.restore(loaded.stats_snapshot)
-        return _drive_distributed_full(
-            coord, graph, list(loaded.frontier), depth=loaded.depth,
-            levels=loaded.levels, elapsed_before=loaded.elapsed_seconds,
-            stats=stats, checkpoint=target, checkpoint_every=every,
-            record_seed_row=False)
-    finally:
-        coord.close()
+    start = perf_counter()
+    loaded = read_checkpoint(path)
+    options = resolve_options(len(workers), None, None, checkpoint,
+                              checkpoint_every, resumed=loaded)
+    if loaded.mode == COMPACT_CHECKPOINT_MODE:
+        graph = restore_compact(loaded, spec, max_states)
+        spec = graph.spec
+    else:
+        if loaded.reduction_config is not None:
+            raise CheckpointError(
+                f"{path}: checkpoint was written with reduction config "
+                f"{loaded.reduction_config!r}, but worker nodes expand "
+                f"unreduced; resume it on one machine (repro check "
+                f"--resume / repro.checker.resume)")
+        if spec is None:
+            spec = loaded.load_spec()
+        graph = loaded.restore_graph(spec, max_states=max_states)
+    loaded.restore_stats(stats)
+    return _run(spec, workers, graph, list(loaded.frontier), stats,
+                options.checkpoint, options.checkpoint_every, start, loaded,
+                heartbeat=heartbeat, worker_timeout=worker_timeout,
+                net_fault=net_fault, fault_hook=fault_hook)
 
 
 # -- localhost worker fleets --------------------------------------------------

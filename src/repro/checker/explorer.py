@@ -13,11 +13,12 @@ to the spec's universe, instead of re-analysing the expression per
 state.  Pass an :class:`~repro.checker.stats.ExploreStats` to collect
 throughput, depth, and edge counts.
 
-Runs are durable: pass ``checkpoint=path`` (and optionally
-``checkpoint_every=N``) to atomically snapshot the run every N BFS
-levels via :mod:`repro.checker.checkpoint`;
-:func:`repro.checker.checkpoint.resume` continues a snapshot bit-for-bit
-identically to an uninterrupted run.
+The level loop itself is :func:`repro.checker.bfs.drive`; this module
+contributes the full-state engine seam (:class:`FullEngine`) and runs it
+under the serial configuration.  Runs are durable: ``checkpoint=path``
+snapshots every ``checkpoint_every`` levels and
+:func:`repro.checker.checkpoint.resume` continues a snapshot bit for
+bit.
 
 Two scaling levers plug in through :mod:`repro.checker.reduction`:
 
@@ -34,12 +35,13 @@ Two scaling levers plug in through :mod:`repro.checker.reduction`:
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Iterator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from ..kernel.action import compile_action
 from ..kernel.expr import Expr, prime_expr, to_expr
 from ..kernel.state import State, Universe
 from ..spec import Spec
+from .bfs import RunOptions, Serial, drive, expander
 from .checkpoint import save_checkpoint
 from .graph import StateGraph, StateSpaceExplosion
 from .stats import ExploreStats
@@ -112,91 +114,82 @@ def _resolve_reducer(
     return reducer
 
 
-def _finish_reduction(graph: StateGraph,
-                      reducer: Optional["AmpleReducer"],
-                      stats: Optional[ExploreStats]) -> None:
-    """Fold the reducer's merge-time counters into graph/stats state."""
-    if reducer is None:
-        return
-    counters = reducer.counters
-    graph.reduction_used = bool(counters["ample_states"])
-    if stats is not None:
-        stats.record_reduction(enabled=True, counters=counters)
-
-
-def _drive(
-    spec: Spec,
-    graph: StateGraph,
-    frontier: List[int],
-    depth: int,
-    levels: int,
-    elapsed_before: float,
-    stats: Optional[ExploreStats] = None,
-    checkpoint: Optional[str] = None,
-    checkpoint_every: int = 1,
-    start: Optional[float] = None,
-    reducer: Optional["AmpleReducer"] = None,
-) -> StateGraph:
-    """The serial BFS engine, resumable at any level boundary.
-
-    Expands *frontier* level by level until empty.  ``depth`` and
-    ``levels`` are the counters accumulated so far (zero for a fresh
-    run), ``elapsed_before`` the wall-clock seconds a resumed run already
-    spent before its checkpoint.  When *checkpoint* is set, the run is
-    snapshotted atomically after every ``checkpoint_every``-th completed
-    level; because a level expansion is a pure function of
-    (graph, frontier) and the snapshot captures both exactly, resuming
-    reproduces the uninterrupted run bit-for-bit.
+class FullEngine:
+    """The full-state engine seam of :mod:`repro.checker.bfs`: states
+    are retained in a :class:`StateGraph`.
 
     With a *reducer*, each source is expanded through its ample set and
-    merged via :func:`repro.checker.reduction.por.merge_source` (which
-    applies the C3 cycle proviso against the live graph); without one,
-    the loop below is exactly the pre-reduction hot path.
-    """
-    if start is None:
-        start = perf_counter()
-    states = graph.states
-    merge_batch = graph.merge_batch
-    if reducer is None:
-        plan = compile_action(spec.next_action).plan(spec.universe)
-        plan_successors = plan.successors
-    else:
-        from .reduction.por import merge_source
-        reduce_expand = reducer.expand
-    while frontier:
-        next_frontier: List[int] = []
+    merged via :func:`repro.checker.reduction.por.merge_source`, which
+    applies the C3 cycle proviso against the live graph -- on the
+    coordinator, in merge order, so the reduced graph too is the same
+    for every configuration.  Without one, ``expand`` / ``merge`` are
+    the bare plan and :meth:`StateGraph.merge_batch`."""
+
+    tag = "full"
+
+    def __init__(self, spec: Spec, graph: StateGraph,
+                 reducer: Optional["AmpleReducer"] = None):
+        self.spec = spec
+        self.graph = graph
+        self.reducer = reducer
+        self.reduction = reducer.config if reducer is not None else None
+        self.payloads = graph.states
         if reducer is None:
-            for src in frontier:
-                next_frontier.extend(
-                    merge_batch(src, plan_successors(states[src])))
+            self.expand = expander(spec, self.tag)
+            self.merge = graph.merge_batch
+            self.size = len
         else:
-            for src in frontier:
-                tag, succs, pruned = reduce_expand(states[src])
-                next_frontier.extend(
-                    merge_source(graph, src, tag, succs, pruned, reducer))
+            from .reduction.por import merge_source
+
+            self.expand = reducer.expand
+            self.merge = lambda src, expanded: merge_source(
+                graph, src, *expanded, reducer)
+            self.size = lambda expanded: len(expanded[1])
+
+    def snapshot(self, path: str, frontier: List[int], depth: int,
+                 levels: int, elapsed: float, workers: int,
+                 checkpoint_every: int,
+                 stats: Optional[ExploreStats]) -> None:
+        save_checkpoint(
+            path, self.spec, self.graph, frontier, depth, levels,
+            elapsed_seconds=elapsed, workers=workers,
+            checkpoint_every=checkpoint_every, stats=stats,
+            reduction=(self.reduction.as_dict()
+                       if self.reduction is not None else None),
+            store=self.graph.store.config())
+
+    def finish(self, stats: Optional[ExploreStats]) -> None:
+        """Fold the reducer's merge-time counters into graph/stats."""
+        if self.reducer is None:
+            return
+        counters = self.reducer.counters
+        self.graph.reduction_used = bool(counters["ample_states"])
         if stats is not None:
-            stats.record_level(len(frontier), graph)
-        frontier = next_frontier
-        levels += 1
-        if frontier:
-            depth += 1
-        # snapshot on the cadence, plus always once the frontier drains:
-        # the file ends reflecting the completed run (resuming it is a no-op)
-        if checkpoint is not None and (
-                not frontier or levels % checkpoint_every == 0):
-            save_checkpoint(
-                checkpoint, spec, graph, frontier, depth, levels,
-                elapsed_seconds=(elapsed_before + perf_counter() - start),
-                workers=1, checkpoint_every=checkpoint_every, stats=stats,
-                reduction=(reducer.config.as_dict()
-                           if reducer is not None else None),
-                store=graph.store.config(),
-            )
-    _finish_reduction(graph, reducer, stats)
-    if stats is not None:
-        stats.record_explore(graph, depth,
-                             elapsed_before + perf_counter() - start)
-    return graph
+            stats.record_reduction(enabled=True, counters=counters)
+
+
+def _explore_full(spec: Spec, max_states: int, stats: Optional[ExploreStats],
+                  options: RunOptions,
+                  reduction: Optional["ReductionConfig"],
+                  store: Optional["StateStore"],
+                  configure: Callable[..., Serial],
+                  start: float) -> StateGraph:
+    """Seed a fresh full-state graph and drive it under the
+    configuration *configure* builds -- the body shared by
+    :func:`explore` and
+    :func:`~repro.checker.parallel.explore_parallel`."""
+    reducer = _resolve_reducer(spec, reduction, stats)
+    # on any error (budget explosion included) close the caller's store:
+    # exceptions escape with the graph unreachable to the caller, so this
+    # is the only place a spilled run's mmap/file handles get released
+    try:
+        graph, frontier = _seed_graph(spec, max_states, store=store)
+        engine = FullEngine(spec, graph, reducer)
+        return drive(configure(engine, stats, options), frontier, start)
+    except BaseException:
+        if store is not None:
+            store.close()
+        raise
 
 
 def explore(
@@ -232,17 +225,6 @@ def explore(
     default to off, which is the byte-identical legacy behaviour.
     """
     start = perf_counter()
-    reducer = _resolve_reducer(spec, reduction, stats)
-    # on any error (budget explosion included) close the caller's store:
-    # exceptions escape with the graph unreachable to the caller, so this
-    # is the only place a spilled run's mmap/file handles get released
-    try:
-        graph, frontier = _seed_graph(spec, max_states, store=store)
-        return _drive(spec, graph, frontier, depth=0, levels=0,
-                      elapsed_before=0.0, stats=stats, checkpoint=checkpoint,
-                      checkpoint_every=checkpoint_every, start=start,
-                      reducer=reducer)
-    except BaseException:
-        if store is not None:
-            store.close()
-        raise
+    options = RunOptions(1, None, None, checkpoint, checkpoint_every)
+    return _explore_full(spec, max_states, stats, options, reduction, store,
+                         Serial, start)

@@ -1,41 +1,25 @@
-"""Parallel sharded BFS exploration of canonical specifications.
+"""Process-pool BFS exploration of canonical specifications.
 
-:func:`explore_parallel` distributes the successor enumeration of each
-BFS level across worker processes while keeping the *merge* of results
-strictly serial, which makes the parallel explorer **bit-for-bit
-deterministic**: the resulting :class:`~repro.checker.graph.StateGraph`
-has the same states, the same node numbering, the same edges, the same
-BFS parent tree (hence the same counterexample traces), and the same
-:class:`~repro.checker.graph.StateSpaceExplosion` behaviour as a serial
-:func:`~repro.checker.explorer.explore` run -- regardless of worker
-count, chunking, scheduling, **or worker failures**.  ``workers=1`` *is*
-the serial explorer (the call delegates), so the serial path remains the
-reference semantics; ``tests/test_parallel_differential.py`` checks the
-equivalence for every bundled system and
-``tests/test_fault_injection.py`` re-checks it under injected crashes.
+:func:`explore_parallel` runs :func:`repro.checker.bfs.drive` under the
+:class:`Pooled` configuration: the successor enumeration of each BFS
+level is spread over worker processes while the *merge* stays strictly
+serial, in frontier order, on the coordinator.  That makes the result
+**bit-for-bit** the serial graph -- same states, node numbering, edges,
+BFS parent tree (hence counterexample traces) and
+:class:`~repro.checker.graph.StateSpaceExplosion` insertion -- whatever
+the worker count, chunking, scheduling, **or worker failures**
+(``tests/test_parallel_differential.py``,
+``tests/test_fault_injection.py``).  The pool protocol is engine-blind:
+the same initializer, task and chunker serve the full engine (with or
+without partial-order reduction) and the compact one.
 
-How the work is sharded
------------------------
+How a level is shipped
+----------------------
 
-Per BFS level the coordinator:
-
-1. snapshots the frontier (node ids in serial-BFS order), pairs each
-   frontier state with its :meth:`~repro.kernel.state.State.fingerprint`
-   (an opaque batch key echoed back by workers; fingerprint collisions
-   within a level are disambiguated with the node id, so keys are always
-   unique),
-2. splits the keyed frontier into contiguous chunks -- the chunk size is
-   a pure function of frontier length and worker count, so the sharding
-   itself is deterministic,
-3. submits the chunks to a ``concurrent.futures`` process pool and
-   retrieves results strictly in **submission order**, and
-4. merges each returned ``(src_fingerprint, tag, successors, pruned)``
-   batch in that order -- exactly the order the serial explorer would
-   have used (plain runs go straight through
-   :meth:`~repro.checker.graph.StateGraph.merge_batch`; reduced runs go
-   through :func:`repro.checker.reduction.por.merge_source`, which also
-   applies the C3 cycle proviso on the coordinator, in merge order, so
-   the reduced graph too is identical for every worker count).
+The frontier's payloads (states, or packed ints) are cut into
+contiguous chunks (:func:`_chunks`), submitted to a
+``concurrent.futures`` process pool, and retrieved strictly in
+**submission order**; results pair back to their sources positionally.
 
 Worker-crash recovery
 ---------------------
@@ -45,27 +29,19 @@ as a broken pool; a worker that exceeds the per-chunk ``worker_timeout``
 surfaces as a timeout.  Either way the coordinator tears the pool down,
 spins up fresh processes, and resubmits every chunk whose result it has
 not merged yet.  This cannot change the explored graph: chunk expansion
-is **pure** (workers only read frontier states and drive a deterministic
-:class:`~repro.kernel.action.SuccessorPlan`; nothing is merged until a
-chunk's full result arrives), and the merge order is the chunk
-submission order whatever the retry history -- so a retried run is
-bit-for-bit the run without failures.  Retries are counted on
+is **pure** (nothing is merged until a chunk's full result arrives),
+and the merge order is the chunk submission order whatever the retry
+history.  Retries are counted on
 :class:`~repro.checker.stats.ExploreStats` (``worker_retries``); a chunk
 that keeps failing raises :class:`WorkerFailure` after
 ``_MAX_CHUNK_RETRIES`` attempts.
 
-Workers are started lazily and initialised once: each unpickles the spec
-in its initializer and builds its own
-:class:`~repro.kernel.action.SuccessorPlan` (compiled once, driven for
-every chunk), so the per-chunk payload is only the frontier states and
-the per-chunk result only the successor batches.  Worker-side busy time
-and coordinator idle time are recorded on the optional
-:class:`~repro.checker.stats.ExploreStats`.
-
-Durable runs: ``checkpoint=path`` snapshots the run at BFS level
-boundaries exactly like the serial explorer (see
-:mod:`repro.checker.checkpoint`); resuming with any worker count yields
-the identical graph.
+Workers are started lazily and initialised once: each unpickles
+(engine tag, spec, reduction config) in its initializer and builds its
+expander through :func:`repro.checker.bfs.expander`, so the per-chunk
+payload is only the frontier payloads and the per-chunk result only the
+successor batches.  Worker-side busy time and coordinator idle time are
+recorded on the optional :class:`~repro.checker.stats.ExploreStats`.
 """
 
 from __future__ import annotations
@@ -81,26 +57,24 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
-from ..kernel.action import compile_action
-from ..kernel.state import State
 from ..spec import Spec
-from .checkpoint import save_checkpoint
-from .explorer import _finish_reduction, _resolve_reducer, _seed_graph, explore
+from .bfs import (RunOptions, Serial, default_workers, expander,
+                  resolve_options)
+from .explorer import _explore_full
 from .graph import StateGraph
 from .stats import ExploreStats
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from .reduction.por import AmpleReducer, ReductionConfig
+    from .reduction.por import ReductionConfig
     from .reduction.store import StateStore
 
 __all__ = ["explore_parallel", "default_workers", "WorkerFailure"]
 
-# one payload per chunk: [(batch_key, frontier_state), ...]
-_Chunk = List[Tuple[object, State]]
-# one result per chunk:
-# (worker_pid, busy_seconds, [(batch_key, tag, successors, pruned)]) --
-# tag/pruned are EXPAND_FULL/0 for unreduced runs (see reduction.por)
-_ChunkResult = Tuple[int, float, List[Tuple[object, int, List[State], int]]]
+# one payload per chunk: the frontier payloads (states or packed ints)
+_Chunk = List[object]
+# one result per chunk: (worker_pid, busy_seconds, [expanded, ...]), one
+# ``expand(payload)`` result per chunk entry, in chunk order
+_ChunkResult = Tuple[int, float, List[object]]
 # optional fault-injection hook, called in the worker once per chunk
 _FaultHook = Optional[Callable[[_Chunk], None]]
 
@@ -110,7 +84,9 @@ _CHUNKS_PER_WORKER = 4
 
 # never cut chunks smaller than this many sources: per-task pool overhead
 # (dispatch, pickling envelopes, result queueing) swamps the successor
-# work for tiny chunks
+# work for tiny chunks.  Frontiers below workers * _MIN_CHUNK are expanded
+# inline by the coordinator (shipping them would cost more than computing
+# them); the narrow first/last BFS levels of most systems take that path
 _MIN_CHUNK = 16
 
 # a chunk that failed this many times in a row aborts the run: by then the
@@ -123,101 +99,51 @@ class WorkerFailure(Exception):
     """A frontier chunk kept crashing or timing out after all retries."""
 
 
-# frontiers smaller than workers * _MIN_CHUNK are expanded inline by the
-# coordinator (shipping them would cost more than computing them); the
-# narrow first/last BFS levels of most systems take this path
-def _inline_threshold(workers: int) -> int:
-    return workers * _MIN_CHUNK
-
-
-# worker-process globals, set once by _init_worker: a pure
-# state -> (tag, successors, pruned) expansion function
-_worker_expand: Optional[Callable[[State], Tuple[int, List[State], int]]] = None
+# worker-process globals, set once by _init_worker: the pure
+# payload -> expanded function of the run's engine
+_worker_expand: Optional[Callable[[object], object]] = None
 _worker_fault: _FaultHook = None
 
 
-def default_workers() -> int:
-    """The worker count ``--workers 0`` resolves to: one per available
-    core (respecting CPU affinity where the platform exposes it)."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # pragma: no cover - non-Linux platforms
-        return os.cpu_count() or 1
-
-
-def _full_expander(
-    spec: Spec,
-) -> Callable[[State], Tuple[int, List[State], int]]:
-    """The unreduced expansion function (tag is always EXPAND_FULL=0)."""
-    plan = compile_action(spec.next_action).plan(spec.universe)
-    successors = plan.successors
-
-    def expand(state: State) -> Tuple[int, List[State], int]:
-        return 0, list(successors(state)), 0
-
-    return expand
-
-
-def _init_worker(spec_payload: bytes, fault_hook: _FaultHook = None) -> None:
-    """Pool initializer: unpickle (spec, reduction config) and build the
-    expansion function once; every chunk this worker processes reuses it.
-
-    With reduction on, the worker derives the *same* reducer the
-    coordinator did (decomposition is a pure function of the spec), so
-    per-state ample decisions are identical on both sides."""
+def _init_worker(payload: bytes, fault_hook: _FaultHook = None) -> None:
+    """Pool initializer: unpickle (engine tag, spec, reduction config)
+    and build the expander once; every chunk this worker processes
+    reuses it."""
     global _worker_expand, _worker_fault
-    spec, reduction = pickle.loads(spec_payload)
-    if reduction is not None:
-        from .reduction.por import build_reducer
+    engine, spec, reduction = pickle.loads(payload)
+    expand = expander(spec, engine, reduction)
+    if engine == "full" and reduction is None:
+        # the bare plan yields lazily and generators do not pickle (the
+        # coordinator only ships a reduction config it found usable)
+        successors = expand
 
-        reducer, _reason = build_reducer(spec, reduction)
-        if reducer is not None:
-            _worker_expand = reducer.expand
-        else:  # pragma: no cover - coordinator never ships an unusable config
-            _worker_expand = _full_expander(spec)
-    else:
-        _worker_expand = _full_expander(spec)
+        def expand(state):
+            return list(successors(state))
+    _worker_expand = expand
     _worker_fault = fault_hook
 
 
 def _expand_chunk(chunk: _Chunk) -> _ChunkResult:
-    """Worker body: enumerate successors for one frontier chunk."""
+    """Worker body: expand one frontier chunk.  Chunk entries are exact
+    state identities, so no batch keys travel: the coordinator pairs
+    results back to sources positionally."""
     expand = _worker_expand
     assert expand is not None, "worker used before initialization"
     if _worker_fault is not None:
         _worker_fault(chunk)
     start = perf_counter()
-    batches = []
-    for key, state in chunk:
-        tag, succs, pruned = expand(state)
-        batches.append((key, tag, succs, pruned))
+    batches = [expand(payload) for payload in chunk]
     return os.getpid(), perf_counter() - start, batches
 
 
-def _shard_frontier(
-    graph: StateGraph, frontier: List[int], workers: int
-) -> Tuple[List[_Chunk], Dict[object, int]]:
-    """Key the frontier by state fingerprint and cut it into contiguous
-    chunks; returns the chunks and the key -> node id resolution map."""
-    states = graph.states
-    entries: _Chunk = []
-    key_to_node: Dict[object, int] = {}
-    for node in frontier:
-        key: object = states[node].fingerprint()
-        if key in key_to_node:
-            # distinct frontier states with colliding fingerprints: make
-            # the batch key unique (workers only echo it back)
-            key = (key, node)
-        key_to_node[key] = node
-        entries.append((key, states[node]))
-    # ceil-divide into at most workers * _CHUNKS_PER_WORKER chunks of at
-    # least _MIN_CHUNK sources -- a pure function of (len(frontier),
-    # workers), hence deterministic
+def _chunks(payloads: _Chunk, workers: int) -> List[_Chunk]:
+    """Cut a level's payloads into at most workers * _CHUNKS_PER_WORKER
+    contiguous chunks of at least _MIN_CHUNK sources (ceil division) --
+    a pure function of (len(payloads), workers), hence deterministic."""
     target = workers * _CHUNKS_PER_WORKER
-    chunk_size = max(_MIN_CHUNK, -(-len(entries) // target))
-    chunks = [entries[i:i + chunk_size]
-              for i in range(0, len(entries), chunk_size)]
-    return chunks, key_to_node
+    chunk_size = max(_MIN_CHUNK, -(-len(payloads) // target))
+    return [payloads[i:i + chunk_size]
+            for i in range(0, len(payloads), chunk_size)]
 
 
 class _ChunkRunner:
@@ -233,19 +159,13 @@ class _ChunkRunner:
 
     def __init__(self, workers: int, payload: bytes, ctx,
                  worker_timeout: Optional[float], fault_hook: _FaultHook,
-                 stats: Optional[ExploreStats],
-                 initializer: Callable = _init_worker,
-                 task: Callable = _expand_chunk):
+                 stats: Optional[ExploreStats]):
         self._workers = workers
         self._payload = payload
         self._ctx = ctx
         self._timeout = worker_timeout
         self._fault_hook = fault_hook
         self._stats = stats
-        # the engine seam: the compact explorer reuses the pool/retry
-        # machinery with its own worker initializer and chunk task
-        self._initializer = initializer
-        self._task = task
         self._executor: Optional[ProcessPoolExecutor] = None
 
     def _ensure(self) -> ProcessPoolExecutor:
@@ -253,7 +173,7 @@ class _ChunkRunner:
             self._executor = ProcessPoolExecutor(
                 max_workers=self._workers,
                 mp_context=self._ctx,
-                initializer=self._initializer,
+                initializer=_init_worker,
                 initargs=(self._payload, self._fault_hook),
             )
         return self._executor
@@ -292,7 +212,7 @@ class _ChunkRunner:
         while index < len(chunks):
             if futures is None:
                 executor = self._ensure()
-                submitted = [executor.submit(self._task, chunk)
+                submitted = [executor.submit(_expand_chunk, chunk)
                              for chunk in chunks[index:]]
                 futures = [None] * index + submitted
             try:
@@ -323,124 +243,63 @@ class _ChunkRunner:
         return None
 
 
-def _drive_parallel(
-    spec: Spec,
-    graph: StateGraph,
-    frontier: List[int],
-    depth: int,
-    levels: int,
-    elapsed_before: float,
-    stats: Optional[ExploreStats] = None,
-    checkpoint: Optional[str] = None,
-    checkpoint_every: int = 1,
-    workers: int = 2,
-    worker_timeout: Optional[float] = None,
-    fault_hook: _FaultHook = None,
-    start: Optional[float] = None,
-    reducer: Optional["AmpleReducer"] = None,
-) -> StateGraph:
-    """The parallel BFS engine, resumable at any level boundary (the
-    multi-process twin of :func:`repro.checker.explorer._drive`).
+class Pooled(Serial):
+    """The process-pool configuration: a wide level's payloads are
+    expanded by worker processes and merged here, in frontier order; a
+    narrow one takes the serial step it inherits."""
 
-    With a *reducer*, workers compute per-state ample sets (pure, so any
-    chunking/retry history yields the same batches) and the coordinator
-    applies the C3 cycle proviso at merge time, in submission order,
-    against the live graph -- which makes the reduced graph bit-for-bit
-    identical to the serial reduced run for any worker count."""
-    if start is None:
-        start = perf_counter()
-    # fork is the cheap path where available (Linux); spawn/forkserver
-    # workers rebuild everything from the pickled spec payload anyway
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods
-                                     else methods[0])
-    reduction_config = reducer.config if reducer is not None else None
-    payload = pickle.dumps((spec, reduction_config),
-                           protocol=pickle.HIGHEST_PROTOCOL)
+    def __init__(self, engine, stats: Optional[ExploreStats],
+                 options: RunOptions):
+        super().__init__(engine, stats, options)
+        self.idle = 0.0
+        self._worker_ids: Dict[int, int] = {}  # pid -> dense worker id
+        # fork is the cheap path where available (Linux); spawn/forkserver
+        # workers rebuild everything from the pickled payload anyway
+        methods = multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context("fork" if "fork" in methods
+                                         else methods[0])
+        payload = pickle.dumps((engine.tag, engine.spec, engine.reduction),
+                               protocol=pickle.HIGHEST_PROTOCOL)
+        self._runner = _ChunkRunner(options.workers, payload, ctx,
+                                    options.worker_timeout,
+                                    options.fault_hook, stats)
 
-    idle = 0.0
-    worker_ids: Dict[int, int] = {}  # pid -> dense worker id
-    merge_batch = graph.merge_batch
-    states = graph.states
-    # the coordinator's own expander, for frontiers too narrow to ship --
-    # the reducer's expand when reduction is on, else the full plan (the
-    # compile/plan caches make the latter free when it is never needed)
-    if reducer is not None:
-        from .reduction.por import merge_source
-
-        local_expand = reducer.expand
-
-        def merge(src: int, tag: int, succs: List[State],
-                  pruned: int) -> List[int]:
-            return merge_source(graph, src, tag, succs, pruned, reducer)
-    else:
-        local_expand = _full_expander(spec)
-
-        def merge(src: int, tag: int, succs: List[State],
-                  pruned: int) -> List[int]:
-            return merge_batch(src, succs)
-    inline_below = _inline_threshold(workers)
-    runner = _ChunkRunner(workers, payload, ctx, worker_timeout, fault_hook,
-                          stats)
-    try:
-        while frontier:
-            next_frontier: List[int] = []
-            if len(frontier) < inline_below:
-                # narrow level: expanding locally beats IPC round trips;
-                # merge order (frontier order) is the serial order either way
-                for src in frontier:
-                    tag, succs, pruned = local_expand(states[src])
-                    next_frontier.extend(merge(src, tag, succs, pruned))
-            else:
-                chunks, key_to_node = _shard_frontier(graph, frontier,
-                                                      workers)
-                wait_from = perf_counter()
-                # results arrive in submission order; merging in that order
-                # reproduces the serial interning order
-                for pid, busy, batches in runner.run_level(chunks):
-                    idle += perf_counter() - wait_from
-                    if stats is not None:
-                        stats.record_worker_batch(
-                            worker_ids.setdefault(pid, len(worker_ids)),
-                            sources=len(batches),
-                            successors=sum(len(succ)
-                                           for _k, _t, succ, _p in batches),
-                            busy_seconds=busy,
-                        )
-                    for key, tag, successor_states, pruned in batches:
-                        next_frontier.extend(
-                            merge(key_to_node[key], tag, successor_states,
-                                  pruned))
-                    wait_from = perf_counter()
+    def expand_level(self, frontier: List[int]) -> List[int]:
+        workers = self.options.workers
+        if len(frontier) < workers * _MIN_CHUNK:
+            # narrow level: expanding locally beats IPC round trips;
+            # merge order (frontier order) is the serial order either way
+            return super().expand_level(frontier)
+        engine, stats = self.engine, self.stats
+        payloads, merge, size = engine.payloads, engine.merge, engine.size
+        chunks = _chunks([payloads[src] for src in frontier], workers)
+        sources = iter(frontier)
+        next_frontier: List[int] = []
+        wait_from = perf_counter()
+        # results arrive in submission order; merging in that order
+        # reproduces the serial interning order
+        for pid, busy, batches in self._runner.run_level(chunks):
+            self.idle += perf_counter() - wait_from
             if stats is not None:
-                stats.record_level(len(frontier), graph)
-            frontier = next_frontier
-            levels += 1
-            if frontier:
-                depth += 1
-            # cadence snapshots, plus a final one when the frontier drains
-            # (mirrors the serial engine)
-            if checkpoint is not None and (
-                    not frontier or levels % checkpoint_every == 0):
-                save_checkpoint(
-                    checkpoint, spec, graph, frontier, depth, levels,
-                    elapsed_seconds=(elapsed_before
-                                     + perf_counter() - start),
-                    workers=workers, checkpoint_every=checkpoint_every,
-                    stats=stats,
-                    reduction=(reduction_config.as_dict()
-                               if reduction_config is not None else None),
-                    store=graph.store.config(),
+                stats.record_worker_batch(
+                    self._worker_ids.setdefault(pid, len(self._worker_ids)),
+                    sources=len(batches),
+                    successors=sum(map(size, batches)),
+                    busy_seconds=busy,
                 )
-    finally:
-        runner.close()
+            for expanded in batches:
+                next_frontier.extend(merge(next(sources), expanded))
+            wait_from = perf_counter()
+        return next_frontier
 
-    _finish_reduction(graph, reducer, stats)
-    if stats is not None:
-        stats.record_explore(graph, depth,
-                             elapsed_before + perf_counter() - start)
-        stats.record_parallel(workers, idle)
-    return graph
+    def close(self) -> None:
+        self._runner.close()
+
+
+def local_level(engine, stats: Optional[ExploreStats],
+                options: RunOptions) -> Serial:
+    """The single-machine configuration *options* ask for."""
+    return (Pooled if options.workers > 1 else Serial)(engine, stats, options)
 
 
 def explore_parallel(
@@ -462,7 +321,7 @@ def explore_parallel(
     states in the same node order, same edges, same ``init_nodes``, same
     BFS parent tree, and :class:`StateSpaceExplosion` raised at the same
     insertion -- for every worker count, even when workers crash or hang
-    mid-chunk.  ``workers <= 1`` delegates to the serial explorer;
+    mid-chunk.  ``workers <= 1`` runs the serial configuration;
     ``workers=0`` is resolved by :func:`default_workers` to one worker
     per available core.
 
@@ -477,8 +336,7 @@ def explore_parallel(
     tests use; leave it ``None`` in production.
 
     ``reduction`` / ``store`` plug in partial-order reduction and the
-    state-store backend exactly as in :func:`explore`; the reduced graph
-    is still bit-for-bit identical across worker counts (workers compute
+    state-store backend exactly as in :func:`explore` (workers compute
     ample sets, the coordinator applies the cycle proviso in serial
     merge order).  Requesting ``workers=1`` explicitly together with
     options that only the multi-process engine honours
@@ -486,36 +344,8 @@ def explore_parallel(
     silent degrade; ``workers=0`` auto-sizing is exempt because it never
     resolves below the core count.
     """
-    if workers == 1 and (worker_timeout is not None
-                         or fault_hook is not None):
-        raise ValueError(
-            "workers=1 runs the serial engine, which would silently "
-            "ignore worker_timeout/fault_hook; drop those options or "
-            "use workers >= 2 (workers=0 auto-sizes)")
-    if workers == 0:
-        workers = default_workers()
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
-    if workers <= 1:
-        return explore(spec, max_states=max_states, stats=stats,
-                       checkpoint=checkpoint,
-                       checkpoint_every=checkpoint_every,
-                       reduction=reduction, store=store)
     start = perf_counter()
-    reducer = _resolve_reducer(spec, reduction, stats)
-    # mirror explore(): a store handed in by the caller is closed on any
-    # error path (explosion, WorkerFailure, interrupt) -- the graph never
-    # reaches the caller then, so nobody else can release the handles
-    try:
-        graph, frontier = _seed_graph(spec, max_states, store=store)
-        return _drive_parallel(spec, graph, frontier, depth=0, levels=0,
-                               elapsed_before=0.0, stats=stats,
-                               checkpoint=checkpoint,
-                               checkpoint_every=checkpoint_every,
-                               workers=workers, worker_timeout=worker_timeout,
-                               fault_hook=fault_hook, start=start,
-                               reducer=reducer)
-    except BaseException:
-        if store is not None:
-            store.close()
-        raise
+    options = resolve_options(workers, worker_timeout, fault_hook,
+                              checkpoint, checkpoint_every)
+    return _explore_full(spec, max_states, stats, options, reduction, store,
+                         local_level, start)

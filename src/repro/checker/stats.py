@@ -83,8 +83,8 @@ class ExploreStats:
         self.levels: List[Dict[str, int]] = []
         # total levels recorded, including rows beyond _MAX_LEVEL_ROWS
         self.levels_seen = 0
-        # the progress-callback seam: both exploration engines call
-        # record_level at every BFS level boundary, so a listener here
+        # the progress-callback seam: the level driver (checker/bfs.py)
+        # calls record_level at every BFS level boundary, so a listener here
         # observes live per-level progress (the checking service streams
         # these; raising from a listener aborts the exploration, which is
         # how cooperative cancellation works)

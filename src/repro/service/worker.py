@@ -63,8 +63,8 @@ import sys
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..kernel.action import compile_action
-from ..kernel.packed import PackedPlan
+from ..checker.bfs import expander
+from ..kernel.packed import PackedCodec
 from ..kernel.state import State
 from .wire import HttpError, read_body, read_head, send_json
 
@@ -199,22 +199,21 @@ class WorkerNode:
             raise
         except Exception as exc:
             raise HttpError(400, f"malformed load request: {exc}") from None
+        try:
+            expand = expander(spec, engine)
+        except ValueError as exc:
+            raise HttpError(400, str(exc)) from None
         fingerprint = None
-        if engine == "compact":
-            plan = PackedPlan(spec)  # CompactUnsupported -> 500 is a bug:
-            # the coordinator probes support before shipping the spec
-            expand = plan.successors
-            fingerprint = plan.codec.fingerprint
-        elif engine == "full":
-            successors = compile_action(
-                spec.next_action).plan(spec.universe).successors
+        if engine == "compact":  # CompactUnsupported above -> 500 is a
+            # bug: the coordinator probes support before shipping the spec
+            fingerprint = PackedCodec(spec.universe).fingerprint
+        else:  # the wire carries portable rows, not State objects
+            successors = expand
 
             def expand(row: object) -> List[object]:
                 state = State.from_portable(row)
                 return [succ.to_portable() for succ in successors(state)]
 
-        else:
-            raise HttpError(400, f"unknown engine {engine!r}")
         self._clear_run()
         self._fingerprint = fingerprint
         self.generation += 1

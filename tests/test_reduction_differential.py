@@ -40,8 +40,10 @@ from repro.checker import (
     check_invariant_reduced,
     decompose,
     explore,
+    explore_compact,
     explore_parallel,
     resume,
+    resume_compact,
 )
 from repro.kernel.expr import Cmp, Const, Len, Var
 from repro.spec import Spec
@@ -323,6 +325,20 @@ def test_explicit_serial_with_parallel_only_options_rejected():
         explore_parallel(spec, workers=1, worker_timeout=5.0)
     with pytest.raises(ValueError, match="serial"):
         explore_parallel(spec, workers=1, fault_hook=_kill_once)
+
+
+def test_resume_paths_validate_options_like_fresh_runs(tmp_path):
+    """The same two rejections on both resume entry points: they share
+    the fresh runs' option resolver."""
+    spec = complete_queue(2)
+    full, compact = str(tmp_path / "full"), str(tmp_path / "compact")
+    explore(spec, checkpoint=full)
+    explore_compact(spec, checkpoint=compact)
+    for resumer, path in ((resume, full), (resume_compact, compact)):
+        with pytest.raises(ValueError, match="serial"):
+            resumer(path, spec, workers=1, worker_timeout=5.0)
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            resumer(path, spec, workers=-3)
 
 
 def test_autosized_workers_keep_parallel_options():
