@@ -39,7 +39,6 @@ from .reduction import (
     SpillStateStore,
     StateStore,
     build_store,
-    check_invariant_reduced,
     decompose,
 )
 from .refinement import IDENTITY, RefinementMapping, check_safety_refinement
@@ -99,7 +98,6 @@ __all__ = [
     "Counterexample",
     "ReductionConfig",
     "decompose",
-    "check_invariant_reduced",
     "StateStore",
     "MemoryStateStore",
     "SpillStateStore",

@@ -81,13 +81,21 @@ class GraphDigest:
 
 
 def digest_of_graph(graph) -> str:
-    """Digest a fully-explored :class:`StateGraph` post hoc.
+    """A strong identity for an explored graph of either type: two runs
+    with equal digests produced bit-for-bit the same graph (hence the
+    same traces).
 
-    Produces the same value a compact exploration of the same spec
-    streams out: nodes in id order with their BFS parents, then each
-    source's non-stutter successors (``succ[src][1:]`` -- the leading
-    entry is the implicit stutter self-loop).
+    A :class:`~repro.checker.compact.CompactGraph` streamed its digest
+    during exploration and simply reports it.  A full
+    :class:`StateGraph` is walked post hoc and yields the same value a
+    compact exploration of the same spec streams out: nodes in id order
+    with their BFS parents, then each source's non-stutter successors
+    (``succ[src][1:]`` -- the leading entry is the implicit stutter
+    self-loop).
     """
+    own = getattr(graph, "digest", None)
+    if own is not None:
+        return own()
     digest = GraphDigest()
     parent = graph.parent
     for node, state in enumerate(graph.states):

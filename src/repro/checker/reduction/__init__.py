@@ -12,24 +12,15 @@ explorer, the parallel coordinator, checkpoints, stats, and the CLI:
   behind :class:`~repro.checker.graph.StateGraph` interning, with the
   default in-RAM store and a fingerprint-indexed disk spill store.
 
-:func:`check_invariant_reduced` is the convenience entry combining
-both: explore under POR, and on a violation re-explore the *full* graph
-to recover the canonical (POR-off) counterexample trace -- reduction
-may legally reach a violating state along a different shortest path, so
-the reduced trace is not byte-comparable; the full re-exploration makes
-verdict *and* trace identical to an unreduced run.
+Checking an invariant under POR -- which variables the reduction must
+observe, and the unreduced re-exploration that makes a violation's
+trace identical to a POR-off run -- is the check pipeline's policy:
+:class:`repro.engine.ExplicitEngine` with ``por=True``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, TYPE_CHECKING
-
-from ...spec import Spec
-from ..stats import ExploreStats
 from .independence import Decomposition, TransitionClass, decompose
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from ..results import CheckResult
 from .por import (
     EXPAND_AMPLE,
     EXPAND_FULL,
@@ -54,49 +45,5 @@ __all__ = [
     "MemoryStateStore",
     "SpillStateStore",
     "build_store",
-    "check_invariant_reduced",
 ]
 
-
-def check_invariant_reduced(
-    spec: Spec,
-    invariant,
-    name: Optional[str] = None,
-    max_states: int = 200_000,
-    workers: int = 1,
-    stats: Optional[ExploreStats] = None,
-    store: Optional[StateStore] = None,
-) -> Tuple["CheckResult", bool]:
-    """Check one invariant under POR; returns (result, reduction_used).
-
-    The reduction observes exactly the invariant's free variables (C2).
-    On a violation the *full* graph is re-explored and re-checked so the
-    returned counterexample is the canonical POR-off trace; the verdict
-    itself is already guaranteed equal by the ample conditions, the
-    re-run only normalises the trace.  ``reduction_used`` is False when
-    the spec's action shape is not reducible (the run was full anyway).
-    """
-    from ...kernel.expr import to_expr
-    from ..explorer import explore
-    from ..invariants import check_invariant
-    from ..parallel import explore_parallel
-
-    invariant = to_expr(invariant)
-    config = ReductionConfig(tuple(invariant.free_vars()))
-
-    def run(reduction, run_store):
-        if workers > 1:
-            return explore_parallel(spec, max_states=max_states,
-                                    workers=workers, stats=stats,
-                                    reduction=reduction, store=run_store)
-        return explore(spec, max_states=max_states, stats=stats,
-                       reduction=reduction, store=run_store)
-
-    graph = run(config, store)
-    reduced = bool(getattr(graph, "reduction_used", False))
-    result = check_invariant(graph, invariant, name=name, run_stats=stats)
-    if result.ok or not reduced:
-        return result, reduced
-    full_graph = run(None, None)
-    return (check_invariant(full_graph, invariant, name=name,
-                            run_stats=stats), reduced)

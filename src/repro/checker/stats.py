@@ -182,6 +182,21 @@ class ExploreStats:
             for key, value in counters.items():
                 self.por_counters[key] = self.por_counters.get(key, 0) + value
 
+    def restart_unreduced(self, reason: str) -> None:
+        """Start over for the unreduced re-exploration that supersedes
+        a reduced one (*reason* is the note announcing it), so these
+        stats describe the one graph that gets reported: levels restart
+        at 0 for the listeners, which stay subscribed.  The reduced run
+        survives only as ``por_counters`` -- now beside a reduction
+        that is off, and why -- and its wall time under its own phase."""
+        listeners, counters = self._level_listeners, self.por_counters
+        reduced_seconds = self.phases.get("explore", 0.0)
+        self.__init__()
+        self._level_listeners = listeners
+        self.por_enabled, self.por_reason = False, reason
+        self.por_counters = counters
+        self.phases["explore-reduced"] = reduced_seconds
+
     def record_worker_batch(self, worker_id: int, sources: int,
                             successors: int, busy_seconds: float) -> None:
         """Accumulate one returned worker batch into that worker's totals."""

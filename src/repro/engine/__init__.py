@@ -1,111 +1,68 @@
-"""Checking engines behind one protocol.
+"""Checking engines: one spec language, two back ends.
 
 The paper's finite-domain obligations can be decided more than one
 way, and mature TLA+ tooling ships several engines over one spec
 language (explicit TLC, symbolic Apalache).  This package is that
-split for our checker:
+split for our checker, and the one place a *check* is executed:
 
-* :class:`~repro.engine.explicit.ExplicitEngine` -- exhaustive BFS in
-  any of the existing modes (serial / parallel / compact /
-  distributed).  Definitive verdicts; cost grows with the reachable
-  state count.
+* :class:`~repro.engine.explicit.ExplicitEngine` -- the explicit-state
+  pipeline: exhaustive BFS in any of the existing modes (serial /
+  parallel / compact / distributed, fresh or resumed), then every
+  invariant and property decided on that one graph.  Definitive
+  verdicts; cost grows with the reachable state count.
 * :class:`~repro.engine.symbolic.SymbolicEngine` -- bounded model
   checking over a CNF translation solved by a small built-in CDCL
-  solver (or ``z3`` when installed).  Cost grows with the unrolling
-  depth, not the state count, so it answers on specs whose domains
-  blow the BFS budget -- but a clean run up to depth *k* is
-  :data:`~repro.engine.result.UNKNOWN`, never HOLDS.
+  solver.  Cost grows with the unrolling depth, not the state count,
+  so it answers on specs whose domains blow the BFS budget -- but a
+  clean run up to depth *k* is :data:`~repro.engine.result.UNKNOWN`,
+  never HOLDS.
 
-An engine is anything with a ``name`` and the two checking methods of
-:class:`Engine`; :func:`create_engine` instantiates one by registry
-name, which is how the CLI's ``--engine`` flag and the service's
-``engine`` request field resolve.
+The CLI and the service each construct the engine a request asks for
+at one site, after :func:`resolve_request` has turned the request's
+names into a spec and obligations; what they do with the outcome is
+presentation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from ..kernel.expr import Expr
 from .cnf import SymbolicUnsupported, Translation
-from .explicit import ExplicitEngine
+from .explicit import CheckRun, ExplicitEngine
 from .result import HOLDS, UNKNOWN, VIOLATION, EngineResult
-from .sat import BackendUnavailable, CdclBackend, Z3Backend, get_backend
+from .sat import CdclBackend
 from .stats import SolveStats
 from .symbolic import DEFAULT_DEPTH, SymbolicEngine
 
 __all__ = [
-    "Engine",
+    "CheckRun",
     "EngineResult",
     "ExplicitEngine",
     "SymbolicEngine",
     "SolveStats",
     "SymbolicUnsupported",
     "Translation",
-    "BackendUnavailable",
     "CdclBackend",
-    "Z3Backend",
-    "get_backend",
     "HOLDS",
     "VIOLATION",
     "UNKNOWN",
     "DEFAULT_DEPTH",
-    "available_engines",
-    "create_engine",
-    "register_engine",
+    "resolve_request",
 ]
 
 
-class Engine:
-    """The duck-typed engine protocol (also usable as a base class).
+def resolve_request(
+    module, spec_name: str, invariant_names: Iterable[str] = (),
+    property_names: Iterable[str] = (),
+) -> Tuple[object, str, List[Tuple[str, Expr]], List[Tuple[str, object]]]:
+    """Turn a request's names into what an engine consumes:
+    ``(spec, label, [(name, invariant Expr)], [(name, formula)])``.
 
-    ``check_invariant(spec, invariant, name=None)`` answers one
-    invariant obligation with an :class:`EngineResult`;
-    ``check_obligations(spec, obligations)`` answers a batch of
-    ``(name, invariant)`` pairs, sharing whatever work the engine can
-    share (one exploration, one translation).
+    *module* is a parsed :class:`~repro.parser.TLAModule`; an unknown
+    name raises ``KeyError`` and a definition of the wrong kind
+    ``TypeError``, both before anything is explored.
     """
-
-    name = "abstract"
-
-    def check_invariant(self, spec, invariant: Expr,
-                        name: Optional[str] = None) -> EngineResult:
-        raise NotImplementedError
-
-    def check_obligations(
-        self, spec, obligations: Iterable[Tuple[str, Expr]],
-    ) -> List[EngineResult]:
-        return [self.check_invariant(spec, expr, name=obligation_name)
-                for obligation_name, expr in obligations]
-
-
-_REGISTRY: Dict[str, Callable[..., object]] = {}
-
-
-def register_engine(name: str, factory: Callable[..., object]) -> None:
-    """Register an engine factory under *name* (keyword options are
-    passed through by :func:`create_engine`)."""
-    _REGISTRY[name] = factory
-
-
-def available_engines() -> Tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
-
-
-def create_engine(name: str, **options) -> object:
-    """Instantiate a registered engine by name.
-
-    ``create_engine("explicit", mode="compact", workers=4)``,
-    ``create_engine("symbolic", depth=12)``.
-    """
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {name!r}; "
-            f"available: {', '.join(available_engines())}") from None
-    return factory(**options)
-
-
-register_engine("explicit", ExplicitEngine)
-register_engine("symbolic", SymbolicEngine)
+    return (module.spec(spec_name), f"{module.name}!{spec_name}",
+            [(name, module.expr(name)) for name in invariant_names],
+            [(name, module.formula(name)) for name in property_names])

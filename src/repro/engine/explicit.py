@@ -1,12 +1,36 @@
-"""The explicit-state engine behind the :class:`~repro.engine.Engine`
-protocol.
+"""The explicit-state check pipeline: explore once, decide every
+obligation on that graph.
 
-This is a thin adapter: all the machinery (serial and parallel BFS,
-the compact fingerprint-only engine, the distributed coordinator)
-already exists in :mod:`repro.checker`; this class folds those modes
-behind the engine protocol so callers pick *an engine* first and *a
-mode* second.  Unlike the symbolic engine its verdicts are definitive:
-exhaustive exploration yields HOLDS or VIOLATION, never UNKNOWN.
+:class:`ExplicitEngine` holds the run options -- spelled once, here --
+and :meth:`ExplicitEngine.run` is the one path from *(spec, invariants,
+properties)* to *(graph, per-obligation results, notes)*.  ``repro
+check | explore | coordinate`` render a run as text + manifest + exit
+code, the service's ``run_check`` as a JSON document, and
+:meth:`ExplicitEngine.check_invariant` as an
+:class:`~repro.engine.result.EngineResult`; none of them explores or
+checks on its own.  Exhaustive exploration is definitive: HOLDS or
+VIOLATION, never UNKNOWN.
+
+What the pipeline owns:
+
+* **dispatch** -- {full, compact, distributed} x {fresh, resume}, the
+  only calls of the ``explore_*`` / ``resume*`` entry points outside
+  :mod:`repro.checker`;
+* **obligation policy** -- partial-order reduction observes the sorted
+  free variables of the invariants and is switched off (with a note)
+  when temporal properties need the full graph; a violation found on a
+  reduced graph is re-explored unreduced so the reported trace is the
+  canonical POR-off counterexample (the ample conditions already
+  guarantee the verdict); each graph type gets its invariant checker;
+  properties are checked against the spec's fairness premises;
+* **notes** -- one wording per event (:data:`POR_DISABLED`,
+  :data:`REEXPLORING`); front ends print or store them;
+* **the store** -- closed on every exit path of :class:`CheckRun`.
+
+What a front end *refuses* or *substitutes* before it builds an engine
+(``--compact --property``, an unpackable spec under ``compact``) stays
+that front end's input handling; the engine itself raises ``ValueError``
+for a combination it cannot honour.
 """
 
 from __future__ import annotations
@@ -16,90 +40,238 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from ..checker import (
     CompactGraph,
     ExploreStats,
+    ReductionConfig,
+    build_store,
     check_invariant,
     check_invariant_compact,
+    check_temporal_implication,
     explore_compact,
     explore_parallel,
+    premises_of_spec,
+    resume,
+    resume_compact,
 )
-from ..checker.distributed import explore_distributed
+from ..checker.distributed import explore_distributed, resume_distributed
+from ..checker.results import CheckResult
 from ..kernel.expr import Expr
 from .result import HOLDS, VIOLATION, EngineResult
 
-__all__ = ["ExplicitEngine"]
+__all__ = ["ExplicitEngine", "CheckRun"]
+
+POR_DISABLED = ("partial-order reduction disabled: temporal properties "
+                "need the full graph")
+REEXPLORING = ("violation found under reduction; re-exploring the full "
+               "graph for the canonical counterexample")
 
 
 class ExplicitEngine:
-    """Exhaustive BFS in one of the existing modes.
+    """Exhaustive BFS in one of the existing modes, plus how to run it.
 
     ``mode`` selects the path: ``"serial"`` / ``"parallel"`` (the full
     dict-backed graph; serial is parallel with one worker), ``"compact"``
     (fingerprint-only exploration with on-demand trace regeneration),
     or ``"distributed"`` (requires ``nodes``, a sequence of worker
-    URLs).  Every mode produces bit-for-bit identical graphs, so the
-    verdicts and traces are mode-independent by construction.
+    URLs; ``node_engine`` picks what they hold -- ``"auto"``,
+    ``"compact"`` or ``"full"``).  Every mode produces bit-for-bit
+    identical graphs, so the verdicts and traces are mode-independent by
+    construction.
+
+    ``por`` and ``store`` (a ``StateStore.config()`` dict; the full
+    graph's only, compact and distributed runs keep no store) are
+    tri-state: ``None`` means *unset* -- off on a fresh run, and on
+    ``resume`` whatever the checkpoint recorded -- while a set value is
+    used on a fresh run and *asserted* on resume (a mismatch raises
+    :class:`~repro.checker.CheckpointError`).  ``checkpoint`` /
+    ``checkpoint_every`` / ``resume`` make the exploration durable;
+    ``worker_timeout`` bounds a pool worker's chunk or a node's wire
+    operation, ``heartbeat`` is the distributed health-probe interval.
+
+    A blown ``max_states`` budget raises
+    :class:`~repro.checker.StateSpaceExplosion` out of every method;
+    turning it into a verdict is the caller's presentation.
     """
 
     name = "explicit"
 
     def __init__(self, mode: str = "serial", max_states: int = 200_000,
-                 workers: int = 1,
-                 nodes: Sequence[str] = ()) -> None:
+                 workers: int = 1, nodes: Sequence[str] = (), *,
+                 por: Optional[bool] = None, store: Optional[dict] = None,
+                 checkpoint: Optional[str] = None, checkpoint_every: int = 1,
+                 resume: bool = False,
+                 worker_timeout: Optional[float] = None,
+                 heartbeat: float = 2.0, node_engine: str = "auto") -> None:
         if mode not in ("serial", "parallel", "compact", "distributed"):
             raise ValueError(f"unknown explicit mode {mode!r}")
         if mode == "distributed" and not nodes:
             raise ValueError("distributed mode needs worker node URLs")
+        if por and mode in ("compact", "distributed"):
+            raise ValueError(f"{mode} mode has no reduction machinery; "
+                             f"por needs serial or parallel mode")
+        if resume and not checkpoint:
+            raise ValueError("resume needs the checkpoint to continue from")
         self.mode = mode
         self.max_states = max_states
         self.workers = workers
         self.nodes = tuple(nodes)
+        self.por = por
+        self.store = store
+        self.checkpoint = checkpoint
+        self.checkpoint_every = checkpoint_every
+        self.resume = resume
+        self.worker_timeout = worker_timeout
+        self.heartbeat = heartbeat
+        self.node_engine = node_engine
 
-    # -- exploration ---------------------------------------------------------
-
-    def _explore(self, spec, stats: Optional[ExploreStats]):
-        if self.mode == "compact":
-            return explore_compact(spec, max_states=self.max_states,
-                                   workers=self.workers, stats=stats)
+    def _explore(self, spec, stats: Optional[ExploreStats],
+                 por: Optional[bool], reduction: Optional[ReductionConfig]):
+        """The one exploration dispatch."""
+        common = dict(max_states=self.max_states, stats=stats,
+                      checkpoint_every=self.checkpoint_every,
+                      worker_timeout=self.worker_timeout)
         if self.mode == "distributed":
+            if self.resume:
+                return resume_distributed(self.checkpoint, self.nodes, spec,
+                                          heartbeat=self.heartbeat, **common)
             return explore_distributed(spec, self.nodes,
-                                       max_states=self.max_states,
-                                       stats=stats)
-        return explore_parallel(spec, max_states=self.max_states,
-                                workers=self.workers, stats=stats)
+                                       engine=self.node_engine,
+                                       checkpoint=self.checkpoint,
+                                       heartbeat=self.heartbeat, **common)
+        common["workers"] = self.workers
+        if self.mode == "compact":
+            if self.resume:
+                return resume_compact(self.checkpoint, spec, **common)
+            return explore_compact(spec, checkpoint=self.checkpoint, **common)
+        if self.resume:
+            # forward only what the caller set: anything else is adopted
+            # from the checkpoint, and what is forwarded is asserted
+            if por is not None:
+                common["reduction"] = reduction
+            if self.store is not None:
+                common["store"] = self.store
+            return resume(self.checkpoint, spec, **common)
+        store = build_store(self.store) if self.store else None
+        return explore_parallel(spec, checkpoint=self.checkpoint,
+                                reduction=reduction, store=store, **common)
 
-    @staticmethod
-    def _check(graph, invariant: Expr, name: Optional[str],
-               stats: Optional[ExploreStats]):
-        if isinstance(graph, CompactGraph):
-            return check_invariant_compact(graph, invariant, name=name,
-                                           run_stats=stats)
-        return check_invariant(graph, invariant, name=name, run_stats=stats)
-
-    # -- protocol ------------------------------------------------------------
+    def run(self, spec, invariants: Iterable[Tuple[Optional[str], Expr]] = (),
+            properties: Iterable[Tuple[str, object]] = (),
+            stats: Optional[ExploreStats] = None) -> "CheckRun":
+        """One trip through the pipeline; enter the returned
+        :class:`CheckRun` to explore and check."""
+        return CheckRun(self, spec, list(invariants), list(properties), stats)
 
     def check_invariant(self, spec, invariant: Expr,
                         name: Optional[str] = None,
                         stats: Optional[ExploreStats] = None) -> EngineResult:
         if stats is None:
             stats = ExploreStats()
-        graph = self._explore(spec, stats)
-        result = self._check(graph, invariant, name, stats)
-        verdict = HOLDS if result.ok else VIOLATION
-        return EngineResult(result.name, verdict, self.name,
-                            counterexample=result.counterexample,
-                            stats=stats, notes=tuple(result.notes))
+        with self.run(spec, [(name, invariant)], stats=stats) as run:
+            return self._results(run)[0]
 
     def check_obligations(
         self, spec, obligations: Iterable[Tuple[str, Expr]],
     ) -> List[EngineResult]:
         """Check every invariant obligation over ONE exploration."""
-        stats = ExploreStats()
-        graph = self._explore(spec, stats)
-        out = []
-        for obligation_name, expr in obligations:
-            result = self._check(graph, expr, obligation_name, stats)
-            verdict = HOLDS if result.ok else VIOLATION
-            out.append(EngineResult(result.name, verdict, self.name,
-                                    counterexample=result.counterexample,
-                                    stats=stats,
-                                    notes=tuple(result.notes)))
-        return out
+        with self.run(spec, obligations, stats=ExploreStats()) as run:
+            return self._results(run)
+
+    def _results(self, run: "CheckRun") -> List[EngineResult]:
+        return [EngineResult(result.name, HOLDS if result.ok else VIOLATION,
+                             self.name, counterexample=result.counterexample,
+                             stats=run.stats, notes=tuple(result.notes))
+                for _kind, result in run.results]
+
+
+class CheckRun:
+    """One pipeline run, as a context manager.
+
+    Construction only *decides*: ``reduction`` is the
+    :class:`~repro.checker.ReductionConfig` the exploration will ask for
+    (``None`` = none) and ``notes`` explains anything degraded, so both
+    are readable even when the exploration then blows its budget.
+    Entering explores and checks: ``graph`` is the graph the verdicts
+    were decided on, ``results`` the ``(kind, CheckResult)`` pairs in
+    request order (``kind`` is ``"invariant"`` or ``"property"``),
+    ``reduction_used`` whether the first exploration pruned anything.
+    Leaving lets go of the graph and closes its state store -- as does
+    every failure on the way in, so ``graph`` is ``None`` outside the
+    ``with`` block.
+    """
+
+    def __init__(self, engine: ExplicitEngine, spec,
+                 invariants: List[Tuple[Optional[str], Expr]],
+                 properties: List[Tuple[str, object]],
+                 stats: Optional[ExploreStats]) -> None:
+        if properties and engine.mode == "compact":
+            raise ValueError("compact mode cannot check temporal "
+                             "properties: lasso search needs the successor "
+                             "structure the compact graph does not retain")
+        self.engine = engine
+        self.spec = spec
+        self.invariants = invariants
+        self.properties = properties
+        self.stats = stats
+        self.notes: List[str] = []
+        self.por = engine.por
+        if self.por and properties:
+            self.por = False
+            self.notes.append(POR_DISABLED)
+        # the observed set the reduction must keep visible (C2); with no
+        # invariant nothing is observed and deadlock reachability is
+        # all that is preserved
+        self.reduction = None
+        if self.por:
+            self.reduction = ReductionConfig(tuple(sorted(
+                {v for _name, expr in invariants for v in expr.free_vars()})))
+        self.graph = None
+        self.reduction_used = False
+        self.results: List[Tuple[str, CheckResult]] = []
+
+    @property
+    def ok(self) -> bool:
+        return all(result.ok for _kind, result in self.results)
+
+    def close(self) -> None:
+        """Let go of the graph, releasing its state store (the compact
+        graph has none)."""
+        graph, self.graph = self.graph, None
+        store = getattr(graph, "store", None)
+        if store is not None:
+            store.close()
+
+    def __enter__(self) -> "CheckRun":
+        engine, spec, stats = self.engine, self.spec, self.stats
+        self.graph = engine._explore(spec, stats, self.por, self.reduction)
+        try:
+            self.reduction_used = bool(
+                getattr(self.graph, "reduction_used", False))
+            if self.reduction_used and any(
+                    not check_invariant(self.graph, expr).ok
+                    for _name, expr in self.invariants):
+                # a reduced run may reach the violating state along a
+                # different shortest path, so its trace is not the one a
+                # POR-off run reports
+                self.notes.append(REEXPLORING)
+                self.close()
+                if stats is not None:
+                    stats.restart_unreduced(REEXPLORING)
+                self.graph = explore_parallel(
+                    spec, max_states=engine.max_states,
+                    workers=engine.workers, stats=stats)
+            check = (check_invariant_compact
+                     if isinstance(self.graph, CompactGraph)
+                     else check_invariant)
+            for name, expr in self.invariants:
+                self.results.append(("invariant", check(
+                    self.graph, expr, name=name, run_stats=stats)))
+            for name, formula in self.properties:
+                self.results.append(("property", check_temporal_implication(
+                    self.graph, formula, premises=premises_of_spec(spec),
+                    name=name, run_stats=stats)))
+        except BaseException:
+            self.close()
+            raise
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()

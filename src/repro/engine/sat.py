@@ -1,20 +1,14 @@
 """A small stdlib SAT layer for the bounded symbolic engine.
 
-Two backends behind one two-method interface:
+:class:`CdclBackend` is a self-contained CDCL solver (two-watched
+literals, 1UIP conflict learning, VSIDS-lite activity with phase
+saving, geometric restarts).  Pure Python, no dependencies; tuned for
+the tens-of-thousands-of-clauses formulas the translator emits, not
+for competition instances.
 
-* :class:`CdclBackend` -- a self-contained CDCL solver (two-watched
-  literals, 1UIP conflict learning, VSIDS-lite activity with phase
-  saving, geometric restarts).  Pure Python, no dependencies; tuned for
-  the tens-of-thousands-of-clauses formulas the translator emits, not
-  for competition instances.
-* :class:`Z3Backend` -- the same interface over ``z3-solver`` when that
-  package happens to be installed.  It is strictly optional: the import
-  is gated, and requesting it without the package raises
-  :class:`BackendUnavailable` (the CLI maps this to a usage error).
-
-A backend's ``solve(num_vars, clauses, stats=None)`` returns a model --
-a list indexed ``1..num_vars`` of booleans (index 0 unused) -- or
-``None`` for UNSAT.  Clauses are lists of nonzero DIMACS-style ints.
+``solve(num_vars, clauses, stats=None)`` returns a model -- a list
+indexed ``1..num_vars`` of booleans (index 0 unused) -- or ``None``
+for UNSAT.  Clauses are lists of nonzero DIMACS-style ints.
 """
 
 from __future__ import annotations
@@ -22,11 +16,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["BackendUnavailable", "CdclBackend", "Z3Backend", "get_backend"]
-
-
-class BackendUnavailable(Exception):
-    """The requested SAT backend cannot run in this environment."""
+__all__ = ["CdclBackend"]
 
 
 # -- CDCL ---------------------------------------------------------------------
@@ -312,7 +302,7 @@ class _CdclState:
 
 
 class CdclBackend:
-    """The default, dependency-free solver backend."""
+    """The dependency-free solver the symbolic engine runs."""
 
     name = "cdcl"
 
@@ -328,51 +318,3 @@ class CdclBackend:
             return None
         return [bool(v == 1) for v in assign]
 
-
-# -- z3 (optional) ------------------------------------------------------------
-
-
-class Z3Backend:
-    """Same interface over ``z3-solver``; import-gated, never required."""
-
-    name = "z3"
-
-    def __init__(self) -> None:
-        try:
-            import z3  # type: ignore[import-not-found]
-        except ImportError as exc:  # pragma: no cover - depends on env
-            raise BackendUnavailable(
-                "the z3 backend needs the optional z3-solver package; "
-                "install it or use the default cdcl backend") from exc
-        self._z3 = z3
-
-    def solve(self, num_vars: int, clauses: Sequence[Sequence[int]],
-              stats=None) -> Optional[List[bool]]:  # pragma: no cover
-        z3 = self._z3
-        bools = [None] + [z3.Bool(f"v{i}") for i in range(1, num_vars + 1)]
-        solver = z3.Solver()
-        for clause in clauses:
-            solver.add(z3.Or(*[
-                bools[lit] if lit > 0 else z3.Not(bools[-lit])
-                for lit in clause]))
-        if solver.check() != z3.sat:
-            return None
-        model = solver.model()
-        out = [False] * (num_vars + 1)
-        for i in range(1, num_vars + 1):
-            out[i] = bool(model.eval(bools[i], model_completion=True))
-        return out
-
-
-_BACKENDS = {"cdcl": CdclBackend, "z3": Z3Backend}
-
-
-def get_backend(name: str):
-    """Instantiate a solver backend by name ('cdcl' or 'z3')."""
-    try:
-        factory = _BACKENDS[name]
-    except KeyError:
-        raise BackendUnavailable(
-            f"unknown SAT backend {name!r}; "
-            f"available: {', '.join(sorted(_BACKENDS))}") from None
-    return factory()

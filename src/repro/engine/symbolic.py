@@ -28,7 +28,7 @@ from ..kernel.behavior import FiniteBehavior
 from ..kernel.expr import Expr
 from .cnf import Translation
 from .result import UNKNOWN, VIOLATION, EngineResult
-from .sat import get_backend
+from .sat import CdclBackend
 from .stats import SolveStats
 
 __all__ = ["SymbolicEngine", "DEFAULT_DEPTH"]
@@ -37,22 +37,22 @@ DEFAULT_DEPTH = 10
 
 
 class SymbolicEngine:
-    """Bounded model checking behind the :class:`~repro.engine.Engine`
-    protocol.
+    """Bounded model checking over the built-in CDCL solver.
 
-    ``depth`` is the unrolling bound; ``backend`` names the SAT backend
-    ('cdcl' -- the stdlib default -- or 'z3' when that optional package
-    is installed).
+    ``depth`` is the unrolling bound (``None`` = :data:`DEFAULT_DEPTH`);
+    ``minimize`` binary-searches the smallest violating depth so the
+    trace is a shortest counterexample.
     """
 
     name = "symbolic"
 
-    def __init__(self, depth: int = DEFAULT_DEPTH,
-                 backend: str = "cdcl", minimize: bool = True) -> None:
+    def __init__(self, depth: Optional[int] = None,
+                 minimize: bool = True) -> None:
+        if depth is None:
+            depth = DEFAULT_DEPTH
         if depth < 0:
             raise ValueError(f"depth must be >= 0, got {depth}")
         self.depth = depth
-        self.backend = backend
         self.minimize = minimize
 
     def check_invariant(self, spec, invariant: Expr,
@@ -67,8 +67,7 @@ class SymbolicEngine:
         label = name or f"invariant {invariant!r}"
         if stats is None:
             stats = SolveStats()
-        stats.backend = self.backend
-        solver = get_backend(self.backend)
+        solver = CdclBackend()
         with stats.phase("translate"):
             translation = Translation(spec, invariant)
 
@@ -117,9 +116,12 @@ class SymbolicEngine:
 
     def check_obligations(
         self, spec, obligations: Iterable[Tuple[str, Expr]],
+        stats: Optional[SolveStats] = None,
     ) -> List[EngineResult]:
-        """Check each named invariant obligation independently."""
-        return [self.check_invariant(spec, expr, name=obligation_name)
+        """Check each named invariant obligation independently (one
+        translation each), accumulating into one *stats*."""
+        return [self.check_invariant(spec, expr, name=obligation_name,
+                                     stats=stats)
                 for obligation_name, expr in obligations]
 
 

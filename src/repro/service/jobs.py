@@ -26,8 +26,9 @@ per-job state machine::
   level boundary.  A cancelled job ends ``cancelled``; an interrupted
   one (server shutdown) drops back to ``queued`` with its latest
   checkpoint on disk, is persisted, and a restarted manager resumes it
-  bit-for-bit via :func:`repro.checker.checkpoint.resume` -- same
-  verdict, same trace, same graph digest.
+  bit-for-bit -- same verdict, same trace, same graph digest.  What a
+  job executes is the check pipeline of :mod:`repro.engine`
+  (:func:`run_check` renders its outcome as the result document).
 * **Multi-tenancy and fair dispatch** -- submissions carry a tenant
   name; :mod:`repro.service.scheduler` rate-limits and bounds each
   tenant and dispatches deficit-round-robin so no tenant starves the
@@ -59,22 +60,9 @@ import uuid
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..checker import (
-    CompactGraph,
-    ExploreStats,
-    ReductionConfig,
-    check_invariant,
-    check_invariant_compact,
-    check_temporal_implication,
-    digest_of_graph,
-    explore_compact,
-    explore_parallel,
-    premises_of_spec,
-    resume_compact,
-)
-from ..checker.checkpoint import counterexample_to_portable, resume
-from ..checker.graph import StateGraph, StateSpaceExplosion
-from ..checker.results import CheckResult
+from ..checker import ExploreStats, StateSpaceExplosion
+from ..checker import digest_of_graph as graph_digest
+from ..checker.checkpoint import counterexample_to_portable
 from ..kernel import packed
 from ..parser import load_module
 from .cache import ShardedResultCache, canonical_fingerprint
@@ -309,120 +297,50 @@ class CheckRequest:
                                      self.semantic_config())
 
 
-def graph_digest(graph) -> str:
-    """A strong identity for an explored graph: SHA-256 sealing the
-    streaming :class:`~repro.checker.digest.GraphDigest` (state
-    fingerprints + BFS parent tree in node order, per-source successor
-    lists in expansion order).  Two runs with equal digests produced
-    bit-for-bit the same graph (hence the same traces) -- and because
-    the compact engine maintains the same stream incrementally, a
-    compact run and a full run of one spec yield the *same* digest."""
-    own = getattr(graph, "digest", None)  # CompactGraph streams its own
-    if own is not None:
-        return own()
-    return digest_of_graph(graph)
+def _explicit_engine(request: CheckRequest, spec,
+                     checkpoint: Optional[str], resume_from_checkpoint: bool,
+                     notes: List[str]):
+    """The explicit engine *request* asks for.  What the CLI refuses up
+    front the service substitutes, saying so in *notes*: the full engine
+    yields the identical verdict, trace and digest, so the job still
+    completes.  Each substitution is a pure function of request and
+    spec, so a resumed job picks the engine its checkpoint was written
+    by rather than tripping the cross-engine resume guard."""
+    from ..engine import ExplicitEngine
 
-
-def _explore_for(request: CheckRequest, spec, stats: ExploreStats,
-                 checkpoint: Optional[str], resume_from_checkpoint: bool,
-                 reduction: Optional[ReductionConfig],
-                 compact_active: bool, notes: List[str]):
-    """Dispatch one exploration to the engine the request selected.
-
-    A spec the packed codec cannot represent (unbounded values, huge
-    domains) falls back to the full engine with a note -- the verdict,
-    trace, and digest are identical by construction, so the fallback is
-    sound and the job still completes.  The support probe runs *before*
-    touching any checkpoint: the fallback decision is a pure function of
-    the spec, so an interrupted fallen-back job resumes its full-engine
-    checkpoint with the full engine rather than tripping the compact
-    resume's cross-engine guard.
-    """
-    resuming = (resume_from_checkpoint and checkpoint is not None
-                and os.path.exists(checkpoint))
-    if compact_active:
+    compact, por = request.compact, request.por
+    if compact and request.properties:
+        # lasso search walks successor lists the compact engine does
+        # not retain
+        compact = False
+        notes.append("compact engine disabled: temporal properties need "
+                     "the full state graph")
+    if compact and por:
+        por = False
+        notes.append("partial-order reduction disabled: the compact "
+                     "engine has no reduction machinery")
+    if compact:
         problem = packed.support_problem(spec)
         if problem is not None:
-            compact_active = False
+            compact = False
             notes.append(f"compact engine unavailable for this spec "
                          f"({problem}); ran the full engine")
-    if compact_active:
-        if resuming:
-            return resume_compact(
-                checkpoint, spec, workers=request.workers,
-                max_states=request.max_states, stats=stats,
-                checkpoint_every=request.checkpoint_every)
-        return explore_compact(
-            spec, max_states=request.max_states,
-            workers=request.workers, stats=stats,
-            checkpoint=checkpoint,
-            checkpoint_every=request.checkpoint_every)
-    if resuming:
-        return resume(checkpoint, spec, workers=request.workers,
-                      max_states=request.max_states, stats=stats,
-                      checkpoint_every=request.checkpoint_every)
-    return explore_parallel(
-        spec, max_states=request.max_states, workers=request.workers,
-        stats=stats, checkpoint=checkpoint,
-        checkpoint_every=request.checkpoint_every,
-        reduction=reduction)
+    resuming = (resume_from_checkpoint and checkpoint is not None
+                and os.path.exists(checkpoint))
+    # a restarted job adopts the reduction its checkpoint recorded
+    # (por=None): asserting por=True would refuse a snapshot whose
+    # reducer the spec could not use, which is recorded as none
+    return ExplicitEngine("compact" if compact else "parallel",
+                          max_states=request.max_states,
+                          workers=request.workers,
+                          por=None if resuming else por,
+                          checkpoint=checkpoint,
+                          checkpoint_every=request.checkpoint_every,
+                          resume=resuming)
 
 
-def _symbolic_result(request: CheckRequest, spec, label: str,
-                     inv_exprs, notes: List[str]) -> Optional[Dict[str, object]]:
-    """Run a symbolic request to a result document, or ``None`` when the
-    spec cannot be translated (the caller falls back to the explicit
-    engine -- the note explaining why is already appended).
-
-    The document's verdict is ``"violation"`` when any invariant has a
-    counterexample within the bound, else ``"unknown"`` -- never
-    ``"ok"``, because a bounded pass proves nothing about deeper states.
-    There are no BFS levels, so symbolic jobs emit no ``level`` events
-    and run to completion once started (cancellation takes effect only
-    while queued).
-    """
-    from ..engine import (
-        DEFAULT_DEPTH,
-        VIOLATION,
-        SolveStats,
-        SymbolicEngine,
-        SymbolicUnsupported,
-    )
-
-    depth = request.depth if request.depth is not None else DEFAULT_DEPTH
-    engine = SymbolicEngine(depth=depth)
-    stats = SolveStats()
-    checks: List[Dict[str, object]] = []
-    no_violation = True
-    try:
-        for name, expr in inv_exprs:
-            res = engine.check_invariant(spec, expr, name=name, stats=stats)
-            checks.append({
-                "kind": "invariant",
-                "name": res.name,
-                "ok": res.ok,  # always False: VIOLATION or UNKNOWN
-                "verdict": res.verdict,
-                "summary": res.summary(),
-                "counterexample": (
-                    counterexample_to_portable(res.counterexample)
-                    if res.counterexample is not None else None),
-            })
-            no_violation = no_violation and res.verdict != VIOLATION
-    except SymbolicUnsupported as exc:
-        notes.append(f"symbolic engine unavailable for this spec "
-                     f"({exc}); ran the full explicit engine")
-        return None
-    return {
-        "verdict": "unknown" if no_violation else "violation",
-        "label": label, "checks": checks,
-        "states": None, "edges": None, "stutter": None,
-        "graph_digest": None, "notes": notes, "error": None,
-        "engine": "symbolic", "depth": depth,
-        "stats": stats.as_dict(),
-    }
-
-
-def _check_record(kind: str, res: CheckResult) -> Dict[str, object]:
+def _check_record(kind: str, res) -> Dict[str, object]:
+    """One obligation's entry in a result document."""
     return {
         "kind": kind,
         "name": res.name,
@@ -440,99 +358,70 @@ def run_check(
     resume_from_checkpoint: bool = False,
 ) -> Dict[str, object]:
     """Execute one check request to a result document (the unit the
-    cache stores): explore (fresh, or resumed from *checkpoint* when
-    *resume_from_checkpoint*), run every requested invariant and
-    property, and summarise verdict + per-check counterexamples + stats
-    + graph digest.  This is the service twin of ``repro check``; the
-    POR semantics (auto-disable for properties, full re-exploration for
-    the canonical trace on a reduced violation) match the CLI's.
+    cache stores).  :mod:`repro.engine` explores (fresh, or resumed from
+    *checkpoint* when *resume_from_checkpoint*) and checks; this renders
+    the outcome as JSON, a blown budget as the verdict ``"explosion"``.
+
+    A symbolic request answers ``"violation"`` or ``"unknown"`` -- never
+    ``"ok"``, a bounded pass proves nothing about deeper states.  It has
+    no BFS levels, so it emits no ``level`` events and runs to completion
+    once started; a spec the translation cannot handle falls back to the
+    explicit engine with a note.
     """
-    module = load_module(request.module_source)
-    spec = module.spec(request.spec)
-    label = f"{module.name}!{request.spec}"
+    from ..engine import (
+        VIOLATION,
+        SolveStats,
+        SymbolicEngine,
+        SymbolicUnsupported,
+        resolve_request,
+    )
+
+    spec, label, invariants, properties = resolve_request(
+        load_module(request.module_source), request.spec,
+        request.invariants, request.properties)
+    notes: List[str] = []
+    document: Dict[str, object] = {
+        "verdict": None, "label": label, "checks": [],
+        "states": None, "edges": None, "stutter": None,
+        "graph_digest": None, "notes": notes, "error": None, "stats": None}
+    if request.engine == "symbolic":
+        engine, solve_stats = SymbolicEngine(depth=request.depth), SolveStats()
+        try:
+            results = engine.check_obligations(spec, invariants,
+                                               stats=solve_stats)
+        except SymbolicUnsupported as exc:
+            notes.append(f"symbolic engine unavailable for this spec "
+                         f"({exc}); ran the full explicit engine")
+        else:
+            document.update(
+                verdict=("violation" if any(
+                    res.verdict == VIOLATION for res in results)
+                    else "unknown"),
+                # ok is always False here: VIOLATION or UNKNOWN
+                checks=[dict(_check_record("invariant", res),
+                             verdict=res.verdict) for res in results],
+                engine=engine.name, depth=engine.depth,
+                stats=solve_stats.as_dict())
+            return document
     if stats is None:
         stats = ExploreStats()
-    inv_exprs = [(name, module.expr(name)) for name in request.invariants]
-    notes: List[str] = []
-    if request.engine == "symbolic":
-        document = _symbolic_result(request, spec, label, inv_exprs, notes)
-        if document is not None:
-            return document
-        # translation unsupported: fall through to the explicit engine
-        # (the note saying so is already in ``notes``)
-    por_active = request.por
-    if request.por and request.properties:
-        por_active = False
-        notes.append("partial-order reduction disabled: temporal "
-                     "properties need the full graph")
-    compact_active = request.compact
-    if request.compact and request.properties:
-        # mirrors the POR precedent: lasso search walks successor lists
-        # the compact engine does not retain
-        compact_active = False
-        notes.append("compact engine disabled: temporal properties need "
-                     "the full state graph")
-    if compact_active and por_active:
-        por_active = False
-        notes.append("partial-order reduction disabled: the compact "
-                     "engine has no reduction machinery")
-    reduction = None
-    if por_active:
-        observed = sorted({v for _name, expr in inv_exprs
-                           for v in expr.free_vars()})
-        reduction = ReductionConfig(tuple(observed))
-
-    def base(verdict: str) -> Dict[str, object]:
-        return {"verdict": verdict, "label": label, "checks": [],
-                "states": None, "edges": None, "stutter": None,
-                "graph_digest": None, "notes": notes, "error": None,
-                "stats": stats.as_dict()}
-
+    run = _explicit_engine(request, spec, checkpoint, resume_from_checkpoint,
+                           notes).run(spec, invariants, properties, stats)
     try:
-        graph = _explore_for(request, spec, stats, checkpoint,
-                             resume_from_checkpoint, reduction,
-                             compact_active, notes)
+        with run:
+            graph = run.graph
+            document.update(
+                verdict="ok" if run.ok else "violation",
+                checks=[_check_record(kind, res)
+                        for kind, res in run.results],
+                states=graph.state_count, edges=graph.edge_count,
+                stutter=graph.stutter_count,
+                graph_digest=graph_digest(graph))
     except StateSpaceExplosion as exc:
-        result = base("explosion")
-        result["error"] = str(exc)
-        result["stats"] = stats.as_dict()
-        return result
-
-    if getattr(graph, "reduction_used", False) and any(
-            not check_invariant(graph, expr, name=name).ok
-            for name, expr in inv_exprs):
-        # as in the CLI: re-explore the full graph so the reported trace
-        # is the canonical POR-off counterexample
-        notes.append("violation found under reduction; re-explored the "
-                     "full graph for the canonical counterexample")
-        graph.store.close()
-        graph = explore_parallel(spec, max_states=request.max_states,
-                                 workers=request.workers, stats=stats)
-    ok = True
-    checks: List[Dict[str, object]] = []
-    run_invariant = (check_invariant_compact
-                     if isinstance(graph, CompactGraph) else check_invariant)
-    for name, expr in inv_exprs:
-        res = run_invariant(graph, expr, name=name, run_stats=stats)
-        checks.append(_check_record("invariant", res))
-        ok = ok and res.ok
-    for name in request.properties:
-        res = check_temporal_implication(
-            graph, module.formula(name), premises=premises_of_spec(spec),
-            name=name, run_stats=stats)
-        checks.append(_check_record("property", res))
-        ok = ok and res.ok
-    result = base("ok" if ok else "violation")
-    result["checks"] = checks
-    result["states"] = graph.state_count
-    result["edges"] = graph.edge_count
-    result["stutter"] = graph.stutter_count
-    result["graph_digest"] = graph_digest(graph)
-    result["stats"] = stats.as_dict()
-    store = getattr(graph, "store", None)  # the compact engine has none
-    if store is not None:
-        store.close()
-    return result
+        document.update(verdict="explosion", error=str(exc))
+    notes.extend(run.notes)
+    document["stats"] = stats.as_dict()
+    return document
 
 
 class Job:
@@ -837,10 +726,13 @@ class JobManager:
         CPU on the request alone, so the HTTP layer runs it on an
         executor thread -- a pathological module must not stall the
         event loop every other connection shares."""
-        module = load_module(request.module_source)
-        module.spec(request.spec)
-        for name in tuple(request.invariants) + tuple(request.properties):
-            module.get(name)
+        from ..engine import resolve_request
+
+        try:
+            resolve_request(load_module(request.module_source), request.spec,
+                            request.invariants, request.properties)
+        except TypeError as exc:  # a name of the wrong kind of definition
+            raise ValueError(str(exc)) from None
 
     def submit(self, request: CheckRequest,
                tenant: str = DEFAULT_TENANT,
@@ -1305,13 +1197,20 @@ class JobManager:
         cancel check also polls the job's flag file, the path by which
         a sibling process cancels a job it does not own."""
         stats = ExploreStats()
+        last_level = -1
 
         def on_level(level: int, row: Dict[str, int]) -> None:
+            nonlocal last_level
             if job.cancel_requested or self._cancel_flagged(job):
                 job.cancel_requested = True
                 raise JobCancelled()
             if self._interrupting or job.interrupt_requested:
                 raise _JobInterrupted()
+            if level <= last_level:
+                # the pipeline restarted exploring (unreduced, after a
+                # violation under reduction): levels are monotone per run
+                job.emit("reexploring", reason=stats.por_reason)
+            last_level = level
             job.emit("level", level=level, **row)
             if job.request.level_delay:
                 time.sleep(job.request.level_delay)

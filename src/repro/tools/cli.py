@@ -8,10 +8,13 @@
     python -m repro trace Counter.tla --spec Spec --steps 12 --seed 7
     python -m repro pretty Counter.tla Next
 
-``check`` exits nonzero when any check fails, printing rendered
-counterexamples -- suitable for CI.  ``--stats-json PATH`` writes the
-machine-readable :meth:`~repro.checker.stats.ExploreStats.to_json`
-snapshot next to the human ``--stats`` summary.
+``check``, ``explore`` and ``coordinate`` execute through the one check
+pipeline in :mod:`repro.engine` and only render its outcome: text, the
+run manifest, the exit code.  ``check`` exits nonzero when any check
+fails, printing rendered counterexamples -- suitable for CI.
+``--stats-json PATH`` writes the machine-readable
+:meth:`~repro.checker.stats.ExploreStats.to_json` snapshot next to the
+human ``--stats`` summary.
 
 Service verbs (see :mod:`repro.service`): ``repro serve`` runs the
 checking service (async job server + durable journal + sharded result
@@ -37,7 +40,7 @@ configuration) is written next to it.
 
 Scaling levers (see :mod:`repro.checker.reduction`): ``--por`` turns on
 Disjoint-derived partial-order reduction (sound for invariants and
-deadlock; auto-disabled with a warning when ``--property`` needs the
+deadlock; auto-disabled with a note when ``--property`` needs the
 full graph), ``--store spill --spill-dir DIR`` swaps the in-RAM state
 store for the fingerprint-indexed disk spill store so ``--max-states``
 can exceed resident memory.  Both default to off, which is the
@@ -67,22 +70,22 @@ from ..checker import (
     CheckpointError,
     CompactUnsupported,
     ExploreStats,
-    ReductionConfig,
-    build_store,
-    check_invariant,
-    check_invariant_compact,
-    check_temporal_implication,
+    StateSpaceExplosion,
     digest_of_graph,
-    explore_compact,
-    explore_parallel,
     manifest_path_for,
-    resume,
-    resume_compact,
+    spawn_local_workers,
     write_manifest,
 )
-from ..checker.graph import StateGraph, StateSpaceExplosion
-from ..checker.results import CheckResult, Counterexample
+from ..checker.results import CheckResult
 from ..checker.simulate import random_walk
+from ..engine import (
+    VIOLATION,
+    ExplicitEngine,
+    SolveStats,
+    SymbolicEngine,
+    SymbolicUnsupported,
+    resolve_request,
+)
 from ..fmt import pretty
 from ..kernel.values import format_value
 from ..parser import TLAModule, load_module
@@ -142,10 +145,6 @@ def _symbolic_flags_error(args: argparse.Namespace, out) -> bool:
         if getattr(args, "depth", None) is not None:
             print("error: --depth is the symbolic unrolling bound; it "
                   "requires --engine symbolic", file=out)
-            return True
-        if getattr(args, "backend", "cdcl") != "cdcl":
-            print("error: --backend selects the symbolic engine's SAT "
-                  "solver; it requires --engine symbolic", file=out)
             return True
         return False
     for flag, active in (
@@ -238,287 +237,167 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _want_stats(args: argparse.Namespace) -> Optional[ExploreStats]:
-    """Stats are collected when either rendering is requested: the human
-    ``--stats`` summary or the machine ``--stats-json`` file."""
-    return ExploreStats() if (args.stats or args.stats_json) else None
-
-
-def _write_stats_json(args: argparse.Namespace,
-                      stats: Optional[ExploreStats]) -> None:
+def _write_stats_json(args: argparse.Namespace, stats) -> None:
     if not args.stats_json or stats is None:
         return
     with open(args.stats_json, "w") as handle:
         handle.write(stats.to_json(indent=2) + "\n")
 
 
-def _store_config(args: argparse.Namespace) -> dict:
-    """The StateStore config dict the --store flags describe."""
+def _store_config(args: argparse.Namespace) -> Optional[dict]:
+    """The StateStore config dict the --store flags describe (None when
+    --store was not given)."""
     if args.store == "spill":
         return {"kind": "spill", "spill_dir": args.spill_dir,
                 "hot_capacity": args.spill_cache}
-    return {"kind": "mem"}
+    return {"kind": "mem"} if args.store else None
 
 
-def _run_exploration(args: argparse.Namespace, spec,
-                     stats: Optional[ExploreStats],
-                     reduction: Optional[ReductionConfig]) -> StateGraph:
-    """Fresh exploration or checkpoint resume, per the durability flags.
-
-    *reduction* is the resolved request (None = off).  On ``--resume``,
-    flags the user left at their defaults are *not* forwarded, so the
-    run adopts the checkpoint's recorded configuration; explicit flags
-    are forwarded and act as assertions (mismatch -> CheckpointError).
-    """
-    if args.compact:
-        # fingerprint-only engine: no reduction, no state store -- the
-        # incompatible flag combinations were rejected in
-        # _durability_error, so plain dispatch is enough here
-        if args.resume:
-            return resume_compact(args.checkpoint, spec,
-                                  workers=args.workers,
-                                  max_states=args.max_states, stats=stats,
-                                  checkpoint_every=args.checkpoint_every,
-                                  worker_timeout=args.worker_timeout)
-        return explore_compact(spec, max_states=args.max_states,
-                               workers=args.workers, stats=stats,
-                               checkpoint=args.checkpoint,
-                               checkpoint_every=args.checkpoint_every,
-                               worker_timeout=args.worker_timeout)
-    if args.resume:
-        kwargs = {}
-        if args.por is not None:
-            kwargs["reduction"] = reduction
-        if args.store is not None:
-            kwargs["store"] = _store_config(args)
-        return resume(args.checkpoint, spec, workers=args.workers,
-                      max_states=args.max_states, stats=stats,
-                      checkpoint_every=args.checkpoint_every,
-                      worker_timeout=args.worker_timeout, **kwargs)
-    store = build_store(_store_config(args)) if args.store else None
-    return explore_parallel(spec, max_states=args.max_states,
-                            workers=args.workers, stats=stats,
-                            checkpoint=args.checkpoint,
-                            checkpoint_every=args.checkpoint_every,
-                            worker_timeout=args.worker_timeout,
-                            reduction=reduction, store=store)
+def _explicit_engine(args: argparse.Namespace) -> ExplicitEngine:
+    """The engine the ``check`` / ``explore`` flags describe.  Flags the
+    user left unset stay ``None``, so a ``--resume`` adopts what the
+    checkpoint recorded for them."""
+    return ExplicitEngine(
+        "compact" if args.compact else "parallel",
+        max_states=args.max_states, workers=args.workers, por=args.por,
+        store=_store_config(args), checkpoint=args.checkpoint,
+        checkpoint_every=args.checkpoint_every, resume=args.resume,
+        worker_timeout=args.worker_timeout)
 
 
-def _close_store(graph) -> None:
-    """Release the graph's state-store resources; the compact engine has
-    no store (fingerprints + packed ints only), so this is a no-op there."""
-    store = getattr(graph, "store", None)
-    if store is not None:
-        store.close()
+def _leave_behind(args: argparse.Namespace, engine: ExplicitEngine, run,
+                  label: str, wall_seconds: float, outcome: str,
+                  error: Optional[str] = None) -> None:
+    """What an explicit run leaves on disk, on success and on a blown
+    budget (``run.graph`` is None) alike: the run manifest next to the
+    checkpoint (if one was asked for) and the ``--stats-json`` file."""
+    if args.checkpoint:
+        graph = run.graph
+        store = getattr(graph, "store", None)  # CompactGraph has no store
+        reduction = None
+        if run.reduction is not None:
+            # the requested config plus whether any state of the
+            # reported graph was actually ample-expanded
+            reduction = dict(run.reduction.as_dict(), used=bool(
+                getattr(graph, "reduction_used", False)))
+        write_manifest(
+            manifest_path_for(args.checkpoint),
+            spec_name=label,
+            max_states=engine.max_states,
+            workers=engine.workers,
+            wall_seconds=wall_seconds,
+            outcome=outcome,
+            states=graph.state_count if graph is not None else None,
+            edges=graph.edge_count if graph is not None else None,
+            counterexample=next(
+                (result.counterexample for _kind, result in run.results
+                 if result.counterexample is not None), None),
+            stats=run.stats,
+            error=error,
+            reduction=reduction,
+            store=(store.config() if store is not None
+                   else {"kind": "compact"} if graph is not None
+                   else engine.store),
+        )
+    _write_stats_json(args, run.stats)
 
 
-def _reduction_manifest(reduction: Optional[ReductionConfig],
-                        graph: Optional[StateGraph]) -> Optional[dict]:
-    """The manifest's effective-reduction record: the requested config
-    plus whether any state was actually ample-expanded."""
-    if reduction is None:
-        return None
-    payload = reduction.as_dict()
-    payload["used"] = bool(getattr(graph, "reduction_used", False))
-    return payload
+def _run_explicit(args: argparse.Namespace, out, engine: ExplicitEngine,
+                  request, report, indent: str = "") -> int:
+    """Render one pipeline run the way ``check`` / ``explore`` /
+    ``coordinate`` share: the run's notes, the verb's own *report* of
+    the finished run, the ``--stats`` table, and what the run leaves on
+    disk.  Returns the exit code; a blown budget leaves its manifest
+    and propagates (``main`` prints it, exit 2)."""
+    spec, label, invariants, properties = request
+    # stats are collected when either rendering is requested: the human
+    # --stats summary or the machine --stats-json file
+    stats = ExploreStats() if (args.stats or args.stats_json) else None
+    run = engine.run(spec, invariants, properties, stats)
+
+    def print_notes() -> None:
+        for note in run.notes:
+            print(f"note: {note}", file=out)
+
+    start = perf_counter()
+    try:
+        with run:
+            print_notes()
+            report(run, label)
+            if args.stats and stats is not None:
+                print(stats.summary(indent=indent), file=out)
+            _leave_behind(args, engine, run, label, perf_counter() - start,
+                          "ok" if run.ok else "violation")
+            return 0 if run.ok else 1
+    except StateSpaceExplosion as exc:
+        print_notes()
+        _leave_behind(args, engine, run, label, perf_counter() - start,
+                      "explosion", error=str(exc))
+        raise
+    except (CheckpointError, CompactUnsupported) as exc:
+        print(f"error: {exc}", file=out)
+        return 2
 
 
-def _maybe_manifest(
-    args: argparse.Namespace,
-    spec_name: str,
-    wall_seconds: float,
-    outcome: str,
-    graph: Optional[StateGraph] = None,
-    counterexample: Optional[Counterexample] = None,
-    stats: Optional[ExploreStats] = None,
-    error: Optional[str] = None,
-    reduction: Optional[ReductionConfig] = None,
-) -> None:
-    """Write the run manifest next to the checkpoint (if one was asked for)."""
-    if not args.checkpoint:
-        return
-    store = getattr(graph, "store", None)  # CompactGraph has no store
-    if store is not None:
-        store_cfg = store.config()
-    elif graph is not None:
-        store_cfg = {"kind": "compact"} if getattr(args, "compact", False) \
-            else None
-    else:
-        store_cfg = _store_config(args) if args.store else None
-    write_manifest(
-        manifest_path_for(args.checkpoint),
-        spec_name=spec_name,
-        max_states=args.max_states,
-        workers=args.workers,
-        wall_seconds=wall_seconds,
-        outcome=outcome,
-        states=graph.state_count if graph is not None else None,
-        edges=graph.edge_count if graph is not None else None,
-        counterexample=counterexample,
-        stats=stats,
-        error=error,
-        reduction=_reduction_manifest(reduction, graph),
-        store=store_cfg,
-    )
-
-
-def _cmd_check_symbolic(args: argparse.Namespace, out) -> int:
+def _check_symbolic(args: argparse.Namespace, out, request) -> int:
     """Bounded symbolic checking: one CNF unrolling per invariant.
 
     Exit codes: 0 when no violation was found within the bound (this
     includes UNKNOWN -- the run says so explicitly, because a bounded
     pass is not a proof), 1 for a violation, 2 when the spec cannot be
-    translated or the requested SAT backend is unavailable.
+    translated.
     """
-    from ..engine import (
-        DEFAULT_DEPTH,
-        VIOLATION,
-        BackendUnavailable,
-        SolveStats,
-        SymbolicEngine,
-        SymbolicUnsupported,
-    )
-
-    module = _load(args.module)
-    spec = module.spec(args.spec)
-    label = f"{module.name}!{args.spec}"
-    obligations = [(name, module.expr(name)) for name in args.invariant]
-    depth = args.depth if args.depth is not None else DEFAULT_DEPTH
-    engine = SymbolicEngine(depth=depth, backend=args.backend)
+    spec, label, invariants, _properties = request
+    engine = SymbolicEngine(depth=args.depth)
     stats = SolveStats() if (args.stats or args.stats_json) else None
-    print(f"{label}: bounded symbolic check to depth {depth} "
-          f"({args.backend} backend)", file=out)
-    ok = True
+    print(f"{label}: bounded symbolic check to depth {engine.depth} "
+          f"(cdcl backend)", file=out)
     try:
-        for name, expr in obligations:
-            result = engine.check_invariant(spec, expr, name=name,
-                                            stats=stats)
-            print(result.summary(), file=out)
-            if result.counterexample is not None:
-                print(result.counterexample.render(), file=out)
-            ok = ok and result.verdict != VIOLATION
+        results = engine.check_obligations(spec, invariants, stats=stats)
     except SymbolicUnsupported as exc:
         print(f"error: the symbolic engine cannot translate this spec "
               f"({exc}); rerun with --engine explicit", file=out)
         return 2
-    except BackendUnavailable as exc:
-        print(f"error: {exc}", file=out)
-        return 2
+    for result in results:
+        print(result.summary(), file=out)
+        if result.counterexample is not None:
+            print(result.counterexample.render(), file=out)
     if args.stats and stats is not None:
         print(stats.summary(), file=out)
     _write_stats_json(args, stats)
-    return 0 if ok else 1
+    return 1 if any(r.verdict == VIOLATION for r in results) else 0
 
 
 def cmd_check(args: argparse.Namespace, out) -> int:
     if _durability_error(args, out):
         return 2
-    if getattr(args, "engine", "explicit") == "symbolic":
-        return _cmd_check_symbolic(args, out)
-    module = _load(args.module)
-    spec = module.spec(args.spec)
-    label = f"{module.name}!{args.spec}"
-    stats = _want_stats(args)
-    # resolve the invariants *before* exploring: their free variables are
-    # the observed set the reduction must keep visible (C2)
-    inv_exprs = [(name, module.expr(name)) for name in args.invariant or ()]
-    if args.por and args.property:
-        print("warning: partial-order reduction preserves invariant and "
-              "deadlock verdicts only; --property needs the full graph, "
-              "so reduction is disabled for this run", file=out)
-        args.por = False
-    reduction = None
-    if args.por:
-        observed = sorted({v for _name, expr in inv_exprs
-                           for v in expr.free_vars()})
-        reduction = ReductionConfig(tuple(observed))
-    start = perf_counter()
-    try:
-        graph = _run_exploration(args, spec, stats, reduction)
-    except StateSpaceExplosion as exc:
-        _maybe_manifest(args, label, perf_counter() - start, "explosion",
-                        stats=stats, error=str(exc), reduction=reduction)
-        _write_stats_json(args, stats)
-        raise
-    except (CheckpointError, CompactUnsupported) as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    try:
-        if getattr(graph, "reduction_used", False) and any(
-                not check_invariant(graph, expr, name=name).ok
-                for name, expr in inv_exprs):
-            # a reduced run may reach the violating state along a different
-            # shortest path; re-explore the full graph so the reported trace
-            # is the canonical POR-off counterexample (the verdict itself is
-            # already guaranteed identical by the ample conditions)
-            print("note: violation found under reduction; re-exploring the "
-                  "full graph for the canonical counterexample", file=out)
-            _close_store(graph)
-            graph = explore_parallel(spec, max_states=args.max_states,
-                                     workers=args.workers, stats=stats)
+    request = resolve_request(_load(args.module), args.spec,
+                              args.invariant or (), args.property or ())
+    if args.engine == "symbolic":
+        return _check_symbolic(args, out, request)
+
+    def report(run, label: str) -> None:
+        graph = run.graph
         # edge_count is real N-edges; the stutter self-loops (one per node)
         # are reported separately so the N-edge count is not inflated
         print(f"{label}: {graph.state_count} states, "
               f"{graph.edge_count} edges (+{graph.stutter_count} stutter)",
               file=out)
-        ok = True
-        first_cex: Optional[Counterexample] = None
-        run_invariant = check_invariant_compact if args.compact \
-            else check_invariant
-        for name, expr in inv_exprs:
-            result = run_invariant(graph, expr, name=name, run_stats=stats)
-            if first_cex is None and result.counterexample is not None:
-                first_cex = result.counterexample
-            ok = _report(result, out) and ok
-        for name in args.property or ():
-            from ..checker.liveness import premises_of_spec
-
-            result = check_temporal_implication(
-                graph, module.formula(name),
-                premises=premises_of_spec(spec), name=name, run_stats=stats)
-            if first_cex is None and result.counterexample is not None:
-                first_cex = result.counterexample
-            ok = _report(result, out) and ok
-        if not (args.invariant or args.property):
+        for _kind, result in run.results:
+            _report(result, out)
+        if not run.results:
             print("(no --invariant/--property given: exploration only)",
                   file=out)
-        if args.stats and stats is not None:
-            print(stats.summary(), file=out)
-        _maybe_manifest(args, label, perf_counter() - start,
-                        "ok" if ok else "violation", graph=graph,
-                        counterexample=first_cex, stats=stats,
-                        reduction=reduction)
-        _write_stats_json(args, stats)
-        return 0 if ok else 1
-    finally:
-        # release spill-store handles even when a check raises mid-way
-        _close_store(graph)
+
+    return _run_explicit(args, out, _explicit_engine(args), request, report)
 
 
 def cmd_explore(args: argparse.Namespace, out) -> int:
     if _durability_error(args, out):
         return 2
-    module = _load(args.module)
-    spec = module.spec(args.spec)
-    label = f"{module.name}!{args.spec}"
-    stats = _want_stats(args)
-    # no property is being checked, so nothing is observed: every class
-    # is invisible and the reduction preserves reachability-of-deadlock
-    reduction = ReductionConfig(()) if args.por else None
-    start = perf_counter()
-    try:
-        graph = _run_exploration(args, spec, stats, reduction)
-    except StateSpaceExplosion as exc:
-        _maybe_manifest(args, label, perf_counter() - start, "explosion",
-                        stats=stats, error=str(exc), reduction=reduction)
-        _write_stats_json(args, stats)
-        raise
-    except (CheckpointError, CompactUnsupported) as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    try:
-        _maybe_manifest(args, label, perf_counter() - start, "ok",
-                        graph=graph, stats=stats, reduction=reduction)
+
+    def report(run, label: str) -> None:
+        graph = run.graph
         print(f"{label}:", file=out)
         print(f"  states: {graph.state_count}", file=out)
         print(f"  edges:  {graph.edge_count} (+{graph.stutter_count} stutter)",
@@ -529,12 +408,10 @@ def cmd_explore(args: argparse.Namespace, out) -> int:
             print(f"  first {shown} state(s):", file=out)
             for node in range(shown):
                 print(f"    {graph.states[node]!r}", file=out)
-        if args.stats and stats is not None:
-            print(stats.summary(indent="  "), file=out)
-        _write_stats_json(args, stats)
-        return 0
-    finally:
-        _close_store(graph)
+
+    return _run_explicit(args, out, _explicit_engine(args),
+                         resolve_request(_load(args.module), args.spec),
+                         report, indent="  ")
 
 
 def cmd_trace(args: argparse.Namespace, out) -> int:
@@ -722,12 +599,6 @@ def cmd_worker(args: argparse.Namespace, out) -> int:
 
 
 def cmd_coordinate(args: argparse.Namespace, out) -> int:
-    from ..checker.distributed import (
-        explore_distributed,
-        resume_distributed,
-        spawn_local_workers,
-    )
-
     if bool(args.spawn) == bool(args.worker_at):
         print("error: give exactly one of --spawn N (launch localhost "
               "workers) or --worker-at URL (repeatable; already-running "
@@ -741,63 +612,28 @@ def cmd_coordinate(args: argparse.Namespace, out) -> int:
         print(f"error: cannot resume: checkpoint file "
               f"{args.checkpoint!r} does not exist", file=out)
         return 2
-    module = _load(args.module)
-    spec = module.spec(args.spec)
-    label = f"{module.name}!{args.spec}"
-    stats = _want_stats(args)
-    start = perf_counter()
+    request = resolve_request(_load(args.module), args.spec)
     pool = spawn_local_workers(args.spawn) if args.spawn else None
     urls = list(pool.urls) if pool is not None else list(args.worker_at)
-    # manifest bookkeeping reuses the check/explore helper, which reads
-    # these engine flags off the namespace
-    args.workers = len(urls)
-    args.store = None
-    try:
-        try:
-            if args.resume:
-                graph = resume_distributed(
-                    args.checkpoint, urls, spec,
-                    max_states=args.max_states, stats=stats,
-                    checkpoint_every=args.checkpoint_every,
-                    heartbeat=args.heartbeat,
-                    worker_timeout=args.worker_timeout)
-            else:
-                graph = explore_distributed(
-                    spec, urls, max_states=args.max_states,
-                    engine=args.engine, stats=stats,
-                    checkpoint=args.checkpoint,
-                    checkpoint_every=args.checkpoint_every,
-                    heartbeat=args.heartbeat,
-                    worker_timeout=args.worker_timeout)
-        except StateSpaceExplosion as exc:
-            args.compact = getattr(exc, "graph", None) is not None \
-                and not hasattr(exc.graph, "store")
-            _maybe_manifest(args, label, perf_counter() - start,
-                            "explosion", stats=stats, error=str(exc))
-            _write_stats_json(args, stats)
-            raise
-        except (CheckpointError, CompactUnsupported) as exc:
-            print(f"error: {exc}", file=out)
-            return 2
-    finally:
-        if pool is not None:
-            pool.terminate()
-    try:
-        args.compact = not hasattr(graph, "store")
-        _maybe_manifest(args, label, perf_counter() - start, "ok",
-                        graph=graph, stats=stats)
-        digest = graph.digest() if hasattr(graph, "digest") \
-            else digest_of_graph(graph)
+    engine = ExplicitEngine(
+        "distributed", max_states=args.max_states, workers=len(urls),
+        nodes=urls, checkpoint=args.checkpoint,
+        checkpoint_every=args.checkpoint_every, resume=args.resume,
+        worker_timeout=args.worker_timeout, heartbeat=args.heartbeat,
+        node_engine=args.engine)
+
+    def report(run, label: str) -> None:
+        graph = run.graph
         print(f"{label}: {graph.state_count} states, "
               f"{graph.edge_count} edges (+{graph.stutter_count} stutter) "
               f"across {len(urls)} worker node(s)", file=out)
-        print(f"  digest: {digest}", file=out)
-        if args.stats and stats is not None:
-            print(stats.summary(indent="  "), file=out)
-        _write_stats_json(args, stats)
-        return 0
+        print(f"  digest: {digest_of_graph(graph)}", file=out)
+
+    try:
+        return _run_explicit(args, out, engine, request, report, indent="  ")
     finally:
-        _close_store(graph)
+        if pool is not None:
+            pool.terminate()
 
 
 def _add_durability_flags(sub: argparse.ArgumentParser) -> None:
@@ -907,11 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "violation within K steps of an initial "
                             "state (default 10; requires --engine "
                             "symbolic)")
-    check.add_argument("--backend", choices=("cdcl", "z3"),
-                       default="cdcl",
-                       help="SAT backend for --engine symbolic: 'cdcl' "
-                            "(default) is the built-in stdlib solver; "
-                            "'z3' uses the z3 package when installed")
     _add_engine_flags(check)
     _add_durability_flags(check)
     _add_scaling_flags(check)

@@ -32,7 +32,6 @@ from repro.checker import (
     ExploreStats,
     check_invariant,
     check_invariant_compact,
-    check_invariant_reduced,
     digest_of_graph,
     explore,
     explore_compact,
@@ -43,6 +42,7 @@ from repro.checker import (
 from repro.systems.mutex import LamportMutex
 from repro.systems.paxos import Paxos, v1a, v2a
 
+from .systems_under_test import check_invariant_reduced
 from .test_compact_differential import assert_compact_matches_full
 
 WORKER_COUNTS = [1, 2, 4]

@@ -7,7 +7,7 @@ Two claims, checked empirically against the unreduced serial explorer
   traces.**  For every bundled system and a battery of seeded random
   specs, POR-on and POR-off runs must agree on invariant verdicts,
   counterexample traces (via the canonicalising re-exploration in
-  :func:`~repro.checker.reduction.check_invariant_reduced`), and
+  the check pipeline, :class:`repro.engine.ExplicitEngine`), and
   deadlock existence -- while the reduced runs are free to visit fewer
   states.  Reduced exploration must itself be bit-for-bit deterministic
   across worker counts (ample sets are computed in workers, the C3
@@ -37,7 +37,6 @@ from repro.checker import (
     build_store,
     check_deadlock_free,
     check_invariant,
-    check_invariant_reduced,
     decompose,
     explore,
     explore_compact,
@@ -50,7 +49,7 @@ from repro.spec import Spec
 from repro.systems.handshake import ready
 from repro.systems.queue import QueueChain, complete_queue
 
-from .systems_under_test import CASES
+from .systems_under_test import CASES, check_invariant_reduced
 from .test_fault_injection import _kill_once
 from .test_property_random_specs import random_action, random_universe
 

@@ -35,9 +35,8 @@ from repro.engine import (
     HOLDS,
     UNKNOWN,
     VIOLATION,
+    ExplicitEngine,
     SymbolicEngine,
-    available_engines,
-    create_engine,
 )
 from repro.kernel import packed
 from repro.kernel.action import compile_action
@@ -220,21 +219,10 @@ class TestSupportsProbe:
 
 
 class TestEngineRegistry:
-    def test_both_engines_are_registered(self):
-        assert set(available_engines()) >= {"explicit", "symbolic"}
-
-    def test_create_engine_dispatches_options(self):
-        symbolic = create_engine("symbolic", depth=7)
-        assert symbolic.depth == 7
-        explicit = create_engine("explicit", mode="compact")
-        assert explicit.mode == "compact"
-        with pytest.raises(ValueError, match="unknown engine"):
-            create_engine("quantum")
-
     def test_explicit_engine_agrees_with_direct_checker(self):
         spec = complete_queue(2)
         invariant = Cmp("<=", Len(Var("q")), 1)
-        engine = create_engine("explicit")
+        engine = ExplicitEngine()
         result = engine.check_invariant(spec, invariant, name="cap")
         assert result.verdict == VIOLATION
         direct = check_invariant(explore(spec), invariant, name="cap")
