@@ -93,8 +93,7 @@ def _baseline_enumerate_post(state, universe, branch, relevant):
     yield from rec(0)
 
 
-def _baseline_successors(action, state, universe):
-    compiled = compile_action(action)
+def _baseline_successors(compiled, state, universe):
     relevant = _vars(universe)
     seen = set()
     for branch in compiled.branches:
@@ -142,6 +141,9 @@ class _BaselineGraph:
 def _baseline_explore(spec, max_states=200_000):
     graph = _BaselineGraph()
     frontier = []
+    # the pre-overhaul path hit a process-wide compile cache per state;
+    # compiling once per run is the same cost model without one
+    compiled = compile_action(spec.next_action)
     for state in initial_states(spec.init, spec.universe):
         node, new = graph.add_state(state)
         if new:
@@ -153,7 +155,7 @@ def _baseline_explore(spec, max_states=200_000):
         next_frontier = []
         for src in frontier:
             state = graph.states[src]
-            for succ_state in _baseline_successors(spec.next_action, state,
+            for succ_state in _baseline_successors(compiled, state,
                                                    spec.universe):
                 dst, new = graph.add_state(succ_state)
                 graph.add_edge(src, dst)

@@ -276,9 +276,12 @@ class CompactGraph:
 # -- exploration -------------------------------------------------------------
 
 
-def _seed_compact(spec: Spec,
-                  max_states: Optional[int]) -> Tuple[CompactGraph, List[int]]:
-    graph = CompactGraph(spec, max_states=max_states)
+def _seed_compact(
+    spec: Spec, max_states: Optional[int],
+    stats: Optional[ExploreStats] = None,
+) -> Tuple[CompactGraph, List[int]]:
+    with maybe_phase(stats, "plan"):
+        graph = CompactGraph(spec, max_states=max_states)
     encode = graph.codec.encode
     frontier: List[int] = []
     for state in initial_states(spec.init, spec.universe):
@@ -342,7 +345,7 @@ def explore_compact(
     start = perf_counter()
     options = resolve_options(workers, worker_timeout, fault_hook,
                               checkpoint, checkpoint_every)
-    graph, frontier = _seed_compact(spec, max_states)
+    graph, frontier = _seed_compact(spec, max_states, stats)
     return drive(local_level(CompactEngine(graph), stats, options),
                  frontier, start)
 

@@ -44,7 +44,7 @@ from ..spec import Spec
 from .bfs import RunOptions, Serial, drive, expander
 from .checkpoint import save_checkpoint
 from .graph import StateGraph, StateSpaceExplosion
-from .stats import ExploreStats
+from .stats import ExploreStats, maybe_phase
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from .reduction.por import AmpleReducer, ReductionConfig
@@ -184,7 +184,8 @@ def _explore_full(spec: Spec, max_states: int, stats: Optional[ExploreStats],
     # is the only place a spilled run's mmap/file handles get released
     try:
         graph, frontier = _seed_graph(spec, max_states, store=store)
-        engine = FullEngine(spec, graph, reducer)
+        with maybe_phase(stats, "plan"):
+            engine = FullEngine(spec, graph, reducer)
         return drive(configure(engine, stats, options), frontier, start)
     except BaseException:
         if store is not None:

@@ -38,7 +38,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from ..kernel.action import angle, compile_action, holds_on_step, square
+from ..kernel.action import (
+    ActionPlans, angle, compile_action, holds_on_step, square,
+)
 from ..kernel.behavior import Lasso
 from ..kernel.expr import Expr
 from ..kernel.state import State, Universe
@@ -223,7 +225,7 @@ class ConclusionChecker:
         self.name = name
         self._mapped: Dict[int, State] = {}
         self._enabled_cache: Dict[Tuple[int, int], bool] = {}
-        self._retained: List[Expr] = []
+        self._target_actions = ActionPlans()
         self.stats: Dict[str, int] = {
             "states": graph.state_count,
             "edges": graph.edge_count,
@@ -253,13 +255,12 @@ class ConclusionChecker:
         return holds_on_step(action, self.mapped_state(src), self.mapped_state(dst))
 
     def _target_enabled(self, action: Expr, node: int) -> bool:
-        key = (id(action), node)
+        key = (id(action), node)  # _target_actions pins the id
         cached = self._enabled_cache.get(key)
         if cached is None:
-            plan = compile_action(action).plan(self.target_universe)
+            plan = self._target_actions.plan(action, self.target_universe)
             cached = plan.enabled(self.mapped_state(node))
             self._enabled_cache[key] = cached
-            self._retained.append(action)  # pin: id()-keyed cache
         return cached
 
     # -- top level ------------------------------------------------------------

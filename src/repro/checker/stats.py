@@ -35,8 +35,12 @@ class ExploreStats:
     * ``depth`` -- BFS frontier depth: the number of expansion levels, i.e.
       the distance of the deepest state from an initial state;
     * ``explore_seconds`` -- wall-clock time of the exploration phase;
-    * ``phases`` -- ordered wall-clock timings per named phase (exploration
-      plus one entry per invariant/property check);
+    * ``phases`` -- ordered wall-clock timings per named phase
+      (exploration plus one entry per invariant/property check).
+      ``plan`` is successor-plan construction (the layer the benchmark
+      calls ``kernel.action.plan_build``); it is the one nested entry,
+      a part of ``explore``, whose clock starts at the public entry
+      point;
     * ``workers`` -- worker-process count of a parallel exploration
       (0 = serial run);
     * ``worker_stats`` -- per-worker accumulators: sources expanded,
@@ -307,7 +311,7 @@ class ExploreStats:
 
     @property
     def total_seconds(self) -> float:
-        return sum(self.phases.values())
+        return sum(self.phases.values()) - self.phases.get("plan", 0.0)
 
     @property
     def collision_probability_bound(self) -> float:

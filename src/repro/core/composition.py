@@ -37,7 +37,8 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..checker.explorer import explore
-from ..checker.liveness import check_temporal_implication
+from ..checker.graph import StateGraph
+from ..checker.liveness import check_temporal_implication, premises_of_spec
 from ..checker.refinement import IDENTITY, RefinementMapping, check_safety_refinement
 from ..kernel.state import Universe
 from ..spec import Spec, conjoin
@@ -163,13 +164,17 @@ class CompositionTheorem:
         if not setup.ok:
             return cert
 
-        safety_product = self._safety_product(closures)
+        # the one exploration: E ∧ ⋀ M_j is this product plus fairness
+        # (Proposition 1: C(M_j) is M_j minus fairness), which shapes no
+        # state or edge and enters hypothesis 2b as premises only
+        graph = explore(self._safety_product(closures),
+                        max_states=self.max_states)
 
         for i, ag in enumerate(self.devices, start=1):
-            cert.add(self._hypothesis1(i, ag, safety_product))
+            cert.add(self._hypothesis1(i, ag, graph))
 
-        cert.add(self._hypothesis2a(safety_product))
-        cert.add(self._hypothesis2b())
+        cert.add(self._hypothesis2a(graph))
+        cert.add(self._hypothesis2b(graph))
         return cert
 
     # -- step 0: closures (Propositions 1 and 2) -------------------------------
@@ -218,7 +223,8 @@ class CompositionTheorem:
 
     # -- hypothesis 1 ------------------------------------------------------------
 
-    def _hypothesis1(self, index: int, ag: AGSpec, product: Spec) -> Obligation:
+    def _hypothesis1(self, index: int, ag: AGSpec,
+                     graph: StateGraph) -> Obligation:
         oid = f"1[{index}]"
         if ag.assumption is None:
             return Obligation(
@@ -227,7 +233,7 @@ class CompositionTheorem:
                 skipped_reason=f"E_{index} is TRUE",
             )
         result = check_safety_refinement(
-            self._explored(product),
+            graph,
             ag.assumption,
             mapping=IDENTITY,
             name=f"C(E) ∧ ⋀ C(M_j) ⇒ {ag.assumption.name}",
@@ -241,7 +247,7 @@ class CompositionTheorem:
 
     # -- hypothesis 2(a) ------------------------------------------------------------
 
-    def _hypothesis2a(self, product: Spec) -> Obligation:
+    def _hypothesis2a(self, graph: StateGraph) -> Obligation:
         rules: List[PropositionReport] = []
         description = "C(E)+v ∧ ⋀ C(M_j) ⇒ C(M)"
 
@@ -253,10 +259,10 @@ class CompositionTheorem:
             # eliminate the +v via Propositions 3 and 4
             sub = self.plus_sub()
             rules.append(proposition3(self.goal.guarantee_formula(), sub))
-            rules.append(self._orthogonality_report(product))
+            rules.append(self._orthogonality_report(graph))
 
         result = check_safety_refinement(
-            self._explored(product),
+            graph,
             target_closure,
             mapping=self.mapping,
             name=f"C(E) ∧ ⋀ C(M_j) ⇒ C({self.goal.guarantee_spec.name})",
@@ -264,7 +270,7 @@ class CompositionTheorem:
         )
         return Obligation("2a", description, rules=rules, result=result)
 
-    def _orthogonality_report(self, product: Spec) -> PropositionReport:
+    def _orthogonality_report(self, graph: StateGraph) -> PropositionReport:
         """``⋀ C(M_j) ⇒ C(E) ⊥ C(M)`` via Proposition 4 (Figure 9, step 2.1)."""
         assumption = self.goal.assumption
         assert assumption is not None
@@ -286,7 +292,6 @@ class CompositionTheorem:
         report = proposition4(assumption.sub, sys_owned, self.disjoint)
         # initial disjunction, checked on the product's initial states with
         # the mapping supplying the goal's internal variables
-        graph = self._explored(product)
         goal_universe = self.goal.guarantee_spec.universe
         details = list(report.details)
         ok = report.ok
@@ -308,7 +313,7 @@ class CompositionTheorem:
 
     # -- hypothesis 2(b) ------------------------------------------------------------
 
-    def _hypothesis2b(self) -> Obligation:
+    def _hypothesis2b(self, graph: StateGraph) -> Obligation:
         specs: List[Spec] = []
         if self.goal.assumption is not None:
             specs.append(self.goal.assumption)
@@ -316,26 +321,14 @@ class CompositionTheorem:
         full_product = conjoin(specs, name="E ∧ ⋀ M_j")
         conclusion = self.goal.guarantee_spec.formula()
         result = check_temporal_implication(
-            full_product,
+            graph,
             conclusion,
             mapping=self.mapping,
             target_universe=self.goal.guarantee_spec.universe,
+            premises=premises_of_spec(full_product),
             name=f"E ∧ ⋀ M_j ⇒ {self.goal.guarantee_spec.name}",
-            max_states=self.max_states,
         )
         return Obligation("2b", "E ∧ ⋀ M_j ⇒ M", result=result)
-
-    # -- shared exploration cache ------------------------------------------------
-
-    def _explored(self, product: Spec):
-        cache = getattr(self, "_graph_cache", None)
-        if cache is None:
-            cache = {}
-            self._graph_cache = cache
-        key = id(product)
-        if key not in cache:
-            cache[key] = explore(product, max_states=self.max_states)
-        return cache[key]
 
 
 def compose(

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from ..kernel.action import successors, holds_on_step
+from ..kernel.action import ActionPlans, compile_action, holds_on_step
 from ..kernel.behavior import Lasso
 from ..kernel.expr import Expr
 from ..kernel.state import State, Universe
 from ..spec import Component, Spec
 from ..temporal.formulas import TemporalFormula, to_tf
-from ..temporal.semantics import EvalContext, holds
+from ..temporal.semantics import EvalContext
 from .disjoint import DisjointSpec
 from .operators import Closure, Guarantees, Orthogonal, Plus
 
@@ -64,8 +64,9 @@ def check_subaction(
     """Semantically check ``A ⇒ N`` over the given states: every A-successor
     pair must be an N step.  Returns problems (empty = verified)."""
     problems: List[str] = []
+    plan = compile_action(action).plan(universe)
     for state in states:
-        for succ in successors(action, state, universe):
+        for succ in plan.successors(state):
             if not holds_on_step(next_action, state, succ):
                 problems.append(
                     f"A step {state!r} -> {succ!r} is not an N step"
@@ -117,9 +118,10 @@ def validate_proposition1(spec: Spec, lassos: Iterable[Lasso]) -> List[str]:
     semantic = Closure(spec.formula())
     syntactic = spec.safety_formula()
     mismatches = []
+    actions = ActionPlans()
     for lasso in lassos:
-        lhs = holds(semantic, lasso, spec.universe)
-        rhs = holds(syntactic, lasso, spec.universe)
+        ctx = EvalContext(lasso, spec.universe, actions=actions)
+        lhs, rhs = ctx.eval(semantic, 0), ctx.eval(syntactic, 0)
         if lhs != rhs:
             mismatches.append(
                 f"C-semantic={lhs} but Init∧□[N]_v={rhs} on {lasso!r}"
@@ -239,8 +241,9 @@ def validate_proposition3(
     """
     env_tf, sys_tf, rely_tf = to_tf(env), to_tf(sys_formula), to_tf(rely)
     lasso_list = list(lassos)
+    actions = ActionPlans()
     for behavior in lasso_list:
-        ctx = EvalContext(behavior, universe)
+        ctx = EvalContext(behavior, universe, actions=actions)
         hyp1 = (not (ctx.eval(env_tf, 0) and ctx.eval(rely_tf, 0))) or \
             ctx.eval(sys_tf, 0)
         hyp2 = (not ctx.eval(rely_tf, 0)) or \
@@ -253,7 +256,7 @@ def validate_proposition3(
             ]
     problems = []
     for behavior in lasso_list:
-        ctx = EvalContext(behavior, universe)
+        ctx = EvalContext(behavior, universe, actions=actions)
         lhs = ctx.eval(Plus(env_tf, tuple(plus_sub)), 0) and ctx.eval(rely_tf, 0)
         if lhs and not ctx.eval(sys_tf, 0):
             problems.append(f"Proposition 3 conclusion fails on {behavior!r}")
@@ -332,8 +335,9 @@ def validate_proposition4(
     closures must be orthogonal."""
     problems = []
     disjoint_tf = disjoint.formula()
+    actions = ActionPlans()
     for lasso in lassos:
-        ctx = EvalContext(lasso, universe)
+        ctx = EvalContext(lasso, universe, actions=actions)
         init_ok = ctx.eval(to_tf(env_init), 0) or ctx.eval(to_tf(sys_init), 0)
         if not init_ok or not ctx.eval(disjoint_tf, 0):
             continue
@@ -356,8 +360,9 @@ def validate_guarantee_identity(
     from .operators import AsLongAs
 
     problems = []
+    actions = ActionPlans()
     for lasso in lassos:
-        ctx = EvalContext(lasso, universe)
+        ctx = EvalContext(lasso, universe, actions=actions)
         lhs = ctx.eval(Guarantees(env, sys_formula), 0)
         rhs = ctx.eval(AsLongAs(env, sys_formula), 0) and ctx.eval(
             Orthogonal(env, sys_formula), 0

@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..checker.results import CheckResult, Counterexample
+from ..kernel.action import ActionPlans
 from ..kernel.behavior import all_lassos
 from ..kernel.state import Universe
 from ..temporal.formulas import TemporalFormula, to_tf
@@ -52,6 +53,7 @@ def brute_force_implication(
     conclusion_tf = to_tf(conclusion)
     states = list(universe.states())
     examined = 0
+    actions = ActionPlans()  # ENABLED plans: built once, not per lasso
     for lasso in all_lassos(states, max_stem, max_loop):
         examined += 1
         if max_behaviors is not None and examined > max_behaviors:
@@ -61,7 +63,7 @@ def brute_force_implication(
                 stats={"behaviors": examined - 1, "states": len(states)},
                 notes=[f"stopped early at max_behaviors={max_behaviors}"],
             )
-        ctx = EvalContext(lasso, universe)
+        ctx = EvalContext(lasso, universe, actions=actions)
         if not all(ctx.eval(tf, 0) for tf in premise_tfs):
             continue
         if not ctx.eval(conclusion_tf, 0):
@@ -94,9 +96,10 @@ def brute_force_equivalence(
     lhs_tf, rhs_tf = to_tf(lhs), to_tf(rhs)
     states = list(universe.states())
     examined = 0
+    actions = ActionPlans()  # ENABLED plans: built once, not per lasso
     for lasso in all_lassos(states, max_stem, max_loop):
         examined += 1
-        ctx = EvalContext(lasso, universe)
+        ctx = EvalContext(lasso, universe, actions=actions)
         left, right = ctx.eval(lhs_tf, 0), ctx.eval(rhs_tf, 0)
         if left != right:
             return CheckResult(

@@ -264,9 +264,12 @@ class CheckRun:
             for name, expr in self.invariants:
                 self.results.append(("invariant", check(
                     self.graph, expr, name=name, run_stats=stats)))
+            # one premise list for the run: each fairness action is
+            # compiled once, and its ENABLED memo serves every property
+            premises = premises_of_spec(spec) if self.properties else []
             for name, formula in self.properties:
                 self.results.append(("property", check_temporal_implication(
-                    self.graph, formula, premises=premises_of_spec(spec),
+                    self.graph, formula, premises=premises,
                     name=name, run_stats=stats)))
         except BaseException:
             self.close()

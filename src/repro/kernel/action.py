@@ -228,6 +228,11 @@ class _BranchPlan:
       unexpanded enumeration would have produced, so node numbering and
       every downstream golden artifact are unchanged; the expansion is a
       pure optimisation replacing domain enumeration with evaluation.
+
+    A sub-plan is analysed as the whole conjunction (its parent's branch
+    merged with one sub-branch) but *holds* only what it adds: a state
+    reaches it through its parent, which has already decided its own
+    guards, bindings and checks and hands the determined values down.
     """
 
     __slots__ = ("bindings", "checks", "fixed_bound", "free_names",
@@ -235,8 +240,9 @@ class _BranchPlan:
                  "pre_constraints", "step_constraints", "expanded")
 
     def __init__(self, branch: Branch, universe: "Universe",
-                 relevant: Sequence[str], depth: int = 0,
-                 budget: Optional[List[int]] = None):
+                 relevant: Sequence[str], budget: List[int],
+                 memo: Dict[int, List[Branch]], depth: int = 0,
+                 parent: Optional["_BranchPlan"] = None):
         self.bindings: Tuple[Tuple[str, Expr, object], ...] = tuple(
             (name, expr, universe.domain(name))
             for name, expr in branch.bindings.items()
@@ -249,7 +255,8 @@ class _BranchPlan:
         )
         relevant_set = set(relevant)
         self.fixed_bound: Tuple[str, ...] = tuple(
-            name for name in determined if name not in relevant_set
+            name for name, _expr, _dom in self.bindings
+            if name not in relevant_set
         )
         free = [name for name in relevant if name not in determined]
         self.free_names: Tuple[str, ...] = tuple(free)
@@ -276,12 +283,22 @@ class _BranchPlan:
         )
         self.expanded: Optional[Tuple["_BranchPlan", ...]] = None
         if free and depth < _EXPAND_DEPTH:
-            self.expanded = self._expand(branch, universe, relevant, depth,
-                                         budget)
+            self.expanded = self._expand(branch, universe, relevant, budget,
+                                         memo, depth)
+        if parent is not None:
+            # _merge appends, so the parent's (whole) tuples are prefixes
+            # of these; drop them only now, after our own children were
+            # cut against the whole tuples
+            self.bindings = self.bindings[len(parent.bindings):]
+            self.checks = self.checks[len(parent.checks):]
+            self.fixed_bound = self.fixed_bound[len(parent.fixed_bound):]
+            self.pre_constraints = \
+                self.pre_constraints[len(parent.pre_constraints):]
 
     def _expand(self, branch: Branch, universe: "Universe",
-                relevant: Sequence[str], depth: int,
-                budget: Optional[List[int]]) -> Optional[Tuple["_BranchPlan", ...]]:
+                relevant: Sequence[str], budget: List[int],
+                memo: Dict[int, List[Branch]],
+                depth: int) -> Optional[Tuple["_BranchPlan", ...]]:
         """Refine this branch through the opaque constraint whose own
         compiled sub-branches determine the most free variables."""
         free_set = set(self.free_names)
@@ -289,7 +306,12 @@ class _BranchPlan:
         for constraint in branch.constraints:
             if not constraint.primed_vars():
                 continue  # a guard determines nothing
-            sub = _compile(constraint)
+            # compiled once per plan build: the same few constraint
+            # objects (kept alive by the branches that list them) recur
+            # in every sub-branch at every level
+            sub = memo.get(id(constraint))
+            if sub is None:
+                sub = memo[id(constraint)] = _compile(constraint)
             if not 0 < len(sub) <= _EXPAND_CAP:
                 continue
             coverage = min(
@@ -302,10 +324,9 @@ class _BranchPlan:
         if best is None:
             return None
         _coverage, chosen, sub = best
-        if budget is not None:
-            if budget[0] < len(sub):
-                return None  # plan-table cap: fall back to enumeration
-            budget[0] -= len(sub)
+        if budget[0] < len(sub):
+            return None  # plan-table cap: fall back to enumeration
+        budget[0] -= len(sub)
         rest = Branch(
             branch.bindings,
             [c for c in branch.constraints if c is not chosen],
@@ -313,7 +334,7 @@ class _BranchPlan:
         )
         return tuple(
             _BranchPlan(_merge(rest, sub_branch), universe, relevant,
-                        depth + 1, budget)
+                        budget, memo, depth + 1, parent=self)
             for sub_branch in sub
         )
 
@@ -357,9 +378,9 @@ class SuccessorPlan:
             self.relevant = tuple(
                 name for name in universe.variables if name in wanted
             )
-        budget = [_EXPAND_TOTAL]
+        budget, memo = [_EXPAND_TOTAL], {}
         self.branch_plans: Tuple[_BranchPlan, ...] = tuple(
-            _BranchPlan(branch, universe, self.relevant, budget=budget)
+            _BranchPlan(branch, universe, self.relevant, budget, memo)
             for branch in compiled.branches
         )
 
@@ -370,65 +391,58 @@ class SuccessorPlan:
         env0 = Env(state)
         pre = state._map  # direct dict access: skip the Mapping ABC
         for plan in self.branch_plans:
-            if plan.expanded is not None:
-                # refined sub-plans replace free-domain enumeration; emit
-                # in the domain-product order the enumeration would use
-                collected: Dict[State, Tuple[int, ...]] = {}
-                for sub_plan in plan.expanded:
-                    for candidate in self._candidates(sub_plan, state,
-                                                      env0, pre):
-                        if candidate not in collected:
-                            collected[candidate] = plan.rank(candidate)
-                for candidate in sorted(collected, key=collected.get):
-                    if candidate not in seen:
-                        seen.add(candidate)
-                        yield candidate
-                continue
-            for candidate in self._candidates(plan, state, env0, pre):
+            for candidate in self._candidates(plan, state, env0, pre, {}):
                 if candidate not in seen:
                     seen.add(candidate)
                     yield candidate
 
-    def _candidates(self, plan: _BranchPlan, state: State, env0: Env,
-                    pre: Dict[str, object]) -> Iterator[State]:
-        """One branch's passing candidates, in its free-variable
-        domain-product order (sub-plan results re-ranked by the caller)."""
-        for constraint in plan.pre_constraints:
-            try:
+    @staticmethod
+    def _determine(plan: _BranchPlan, env0: Env, pre: Dict[str, object],
+                   inherited: Dict[str, object]) -> Optional[Dict[str, object]]:
+        """The post-values *plan* determines on this pre-state, on top of
+        those its ancestors *inherited* to it; ``None`` when one of its
+        guards, bindings or checks disables the branch here."""
+        try:
+            for constraint in plan.pre_constraints:
                 if not constraint.holds(env0):
-                    return
-            except EvalError:
-                return  # unevaluable guard on this state: branch disabled
-        determined: Dict[str, object] = {}
-        for name, expr, domain in plan.bindings:
-            try:
+                    return None
+            determined = dict(inherited)
+            for name, expr, domain in plan.bindings:
                 value = expr.eval(env0)
-            except EvalError:
-                return  # binding unevaluable => branch disabled
-            if value not in domain:
-                return  # post-value escapes the domain
-            determined[name] = value
-        for name, expr in plan.checks:
-            try:
+                if value not in domain:
+                    return None  # post-value escapes the domain
+                determined[name] = value
+            for name, expr in plan.checks:
                 if expr.eval(env0) != determined[name]:
-                    return
-            except EvalError:
-                return
+                    return None
+        except EvalError:
+            return None  # unevaluable on this state: branch disabled
         for name in plan.fixed_bound:
             if determined[name] != pre[name]:
-                return  # out-of-frame variable must not change
+                return None  # out-of-frame variable must not change
+        return determined
 
-        base: Dict[str, object] = dict(pre)
-        base.update(determined)
+    def _candidates(self, plan: _BranchPlan, state: State, env0: Env,
+                    pre: Dict[str, object],
+                    inherited: Dict[str, object]) -> Iterator[State]:
+        """One branch's passing candidates, in its free-variable
+        domain-product order."""
+        determined = self._determine(plan, env0, pre, inherited)
+        if determined is None:
+            return
         if plan.expanded is not None:
+            # refined sub-plans replace free-domain enumeration; emit
+            # in the domain-product order the enumeration would use
             collected: Dict[State, Tuple[int, ...]] = {}
             for sub_plan in plan.expanded:
-                for candidate in self._candidates(sub_plan, state, env0, pre):
+                for candidate in self._candidates(sub_plan, state, env0,
+                                                  pre, determined):
                     if candidate not in collected:
                         collected[candidate] = plan.rank(candidate)
-            for candidate in sorted(collected, key=collected.get):
-                yield candidate
+            yield from sorted(collected, key=collected.get)
             return
+        base: Dict[str, object] = dict(pre)
+        base.update(determined)
         if not plan.free_names:
             candidate = State._trusted(base)
             if self._constraints_hold(plan, state, candidate):
@@ -466,38 +480,19 @@ class SuccessorPlan:
         the number of components."""
         env0 = Env(state)
         pre = state._map
-        return any(self._branch_enabled(plan, state, env0, pre)
+        return any(self._branch_enabled(plan, state, env0, pre, {})
                    for plan in self.branch_plans)
 
     def _branch_enabled(self, plan: _BranchPlan, state: State, env0: Env,
-                        pre: Dict[str, object]) -> bool:
-        for constraint in plan.pre_constraints:
-            try:
-                if not constraint.holds(env0):
-                    return False
-            except EvalError:
-                return False
-        determined: Dict[str, object] = {}
-        for name, expr, domain in plan.bindings:
-            try:
-                value = expr.eval(env0)
-            except EvalError:
-                return False
-            if value not in domain:
-                return False
-            determined[name] = value
-        for name, expr in plan.checks:
-            try:
-                if expr.eval(env0) != determined[name]:
-                    return False
-            except EvalError:
-                return False
-        for name in plan.fixed_bound:
-            if determined[name] != pre[name]:
-                return False
+                        pre: Dict[str, object],
+                        inherited: Dict[str, object]) -> bool:
+        determined = self._determine(plan, env0, pre, inherited)
+        if determined is None:
+            return False
         if plan.expanded is not None:
-            return any(self._branch_enabled(sub, state, env0, pre)
-                       for sub in plan.expanded)
+            return any(
+                self._branch_enabled(sub, state, env0, pre, determined)
+                for sub in plan.expanded)
         base: Dict[str, object] = dict(pre)
         base.update(determined)
         if not plan.free_names:
@@ -523,7 +518,7 @@ class SuccessorPlan:
 
 
 class CompiledAction:
-    """The compiled form of one action, cached by the explorer.
+    """The compiled form of one action, held by whoever compiled it.
 
     :meth:`plan` specialises the branches to a universe and frame,
     yielding a :class:`SuccessorPlan`; any universe variable never
@@ -556,16 +551,37 @@ class CompiledAction:
         return cached
 
 
-_COMPILE_CACHE: Dict[int, CompiledAction] = {}
-
-
 def compile_action(action: Expr) -> CompiledAction:
-    """Compile (with an identity-keyed cache) an action expression."""
-    cached = _COMPILE_CACHE.get(id(action))
-    if cached is None or cached.action is not action:
-        cached = CompiledAction(action)
-        _COMPILE_CACHE[id(action)] = cached
-    return cached
+    """Compile an action expression.  The caller owns the result: hold it
+    (or the plan it yields) on the run, checker or theorem that queries
+    it, so it lives exactly as long as that owner does."""
+    return CompiledAction(action)
+
+
+class ActionPlans:
+    """The compiled actions one owner queries, by action identity.
+
+    For owners that meet actions as they go (a liveness checker's
+    conclusion conjuncts, a lasso evaluation's fairness formulas): each
+    action is compiled on first sight and dropped with the owner.  An
+    entry pins its action, so a live entry's ``id`` cannot be recycled
+    -- callers may key their own per-action memos on ``id(action)``
+    once they have fetched its plan here.
+    """
+
+    __slots__ = ("_by_id",)
+
+    def __init__(self) -> None:
+        self._by_id: Dict[int, CompiledAction] = {}
+
+    def plan(self, action: Expr, universe: "Universe") -> SuccessorPlan:
+        compiled = self._by_id.get(id(action))
+        if compiled is None:
+            compiled = self._by_id[id(action)] = CompiledAction(action)
+        return compiled.plan(universe)
+
+    def __len__(self) -> int:
+        return len(self._by_id)
 
 
 def successors(

@@ -26,7 +26,7 @@ from typing import Dict, Optional, Tuple
 from ..kernel.behavior import Lasso
 from ..kernel.expr import Expr
 from ..kernel.state import State, Universe
-from ..kernel.action import enabled as kernel_enabled
+from ..kernel.action import ActionPlans
 from .formulas import Hide, TemporalFormula, to_tf
 
 
@@ -44,16 +44,20 @@ class EvalContext:
         universe: Optional[Universe] = None,
         max_unroll: int = 2,
         max_witness_candidates: int = 500_000,
+        actions: Optional[ActionPlans] = None,
     ):
         self.lasso = lasso
         self.universe = universe
         self.max_unroll = max_unroll
         self.max_witness_candidates = max_witness_candidates
-        # memo keys use id(); the retained lists pin every cached object so
-        # a garbage-collected formula's id cannot be recycled by a new one
-        # and silently alias its cache entry
+        # memo keys use id(); every cached formula is pinned (once) in
+        # _formulas and every action in `actions`, so a garbage-collected
+        # object's id cannot be recycled by a new one and silently alias
+        # its cache entry.  A caller evaluating the same formulas on many
+        # lassos passes one `actions` so ENABLED plans are built once.
         self._memo: Dict[Tuple[int, int], bool] = {}
-        self._retained: list = []
+        self._formulas: Dict[int, TemporalFormula] = {}
+        self.actions = ActionPlans() if actions is None else actions
         self._enabled_cache: Dict[Tuple[int, State], bool] = {}
 
     # -- formula evaluation -------------------------------------------------
@@ -64,7 +68,7 @@ class EvalContext:
         if cached is None:
             cached = formula.eval_at(self, pos)
             self._memo[key] = cached
-            self._retained.append(formula)
+            self._formulas[id(formula)] = formula
         return cached
 
     # -- ENABLED ------------------------------------------------------------
@@ -78,9 +82,8 @@ class EvalContext:
         key = (id(action), state)
         cached = self._enabled_cache.get(key)
         if cached is None:
-            cached = kernel_enabled(action, state, self.universe)
-            self._enabled_cache[key] = cached
-            self._retained.append(action)
+            plan = self.actions.plan(action, self.universe)
+            cached = self._enabled_cache[key] = plan.enabled(state)
         return cached
 
     # -- witness search for Hide ---------------------------------------------
@@ -123,6 +126,7 @@ class EvalContext:
                     inner_universe,
                     self.max_unroll,
                     self.max_witness_candidates,
+                    self.actions,
                 )
                 if inner.eval(hide.body, 0):
                     return True

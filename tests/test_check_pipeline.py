@@ -325,3 +325,35 @@ class TestStatsDescribeOneGraph:
         keys = ("level", "frontier", "states", "edges", "stutter")
         assert [[event[key] for key in keys] for event in second] \
             == [[event[key] for key in keys] for event in plain]
+
+
+def test_one_run_compiles_each_action_once(monkeypatch):
+    """Three properties over a spec with two fairness conditions: the run
+    compiles Init (for enumeration), Next, and each ``<A>_v`` once -- one
+    premise list serves every property."""
+    from repro.kernel import And, Eq, Or, Universe, Var, interval
+    from repro.kernel.action import CompiledAction
+    from repro.spec import Spec, strong_fairness, weak_fairness
+    from repro.temporal import Eventually, StatePred
+
+    x, xp = Var("x"), Var("x", primed=True)
+    step, reset = Eq(xp, x + 1), And(Eq(x, 2), Eq(xp, 0))
+    spec = Spec("cycle", Eq(x, 0), Or(step, reset), ("x",),
+                Universe({"x": interval(0, 2)}),
+                [weak_fairness(("x",), Or(step, reset)),
+                 strong_fairness(("x",), step)])
+    properties = [(f"reach{k}", Eventually(StatePred(Eq(x, k))))
+                  for k in range(3)]
+
+    compiled = []
+    real_init = CompiledAction.__init__
+
+    def counting_init(self, action):
+        compiled.append(action)
+        real_init(self, action)
+
+    monkeypatch.setattr(CompiledAction, "__init__", counting_init)
+    with ExplicitEngine().run(spec, [], properties) as run:
+        assert run.ok and len(run.results) == 3
+    assert len(compiled) == 4
+    assert sum(action is spec.next_action for action in compiled) == 1

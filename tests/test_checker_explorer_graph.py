@@ -116,6 +116,20 @@ class TestExplore:
         assert "explore" in stats.phases
         assert "states/sec" in stats.format()
 
+    def test_plan_build_is_a_named_phase(self):
+        """Successor-plan construction shows beside ``explore`` (which
+        contains it) on both engines, and costs nothing without stats."""
+        from repro.checker import explore_compact
+
+        for run in (explore, explore_compact):
+            stats = ExploreStats()
+            run(counter_spec(), stats=stats)
+            assert list(stats.phases) == ["plan", "explore"]
+            assert 0 < stats.phases["plan"] < stats.phases["explore"]
+            assert stats.total_seconds == stats.phases["explore"]
+            assert "plan" in stats.as_dict()["phases"]
+            assert "phases: plan " in stats.format()
+
 
 class TestStateGraph:
     def build_diamond(self):

@@ -272,3 +272,24 @@ class TestLivenessConclusions:
                 counter_spec(),
                 TOr(Eventually(StatePred(Eq(x, 1))),
                     Eventually(StatePred(Eq(x, 2)))))
+
+
+class TestEnabledMemoPinsEachActionOnce:
+    def test_doublequeue_2b_pins_one_action(self):
+        """Hypothesis 2b of DoubleQueue(2) asks ENABLED of the goal's one
+        WF action on thousands of nodes; the checker holds that action
+        (and its plan) once, not once per query."""
+        from repro.checker.liveness import ConclusionChecker, premises_of_spec
+        from repro.systems.queue import DoubleQueue
+
+        from .test_certificate_sharing import _full_product
+
+        theorem = DoubleQueue(2).composition_theorem()
+        goal = theorem.goal
+        full = _full_product(theorem)
+        checker = ConclusionChecker(
+            explore(full), premises_of_spec(full), mapping=theorem.mapping,
+            target_universe=goal.guarantee_spec.universe)
+        assert checker.check(goal.guarantee_spec.formula()).ok
+        assert len(checker._enabled_cache) > 1000
+        assert len(checker._target_actions) == 1

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.kernel import (
+    ActionPlans,
     And,
     Const,
     Eq,
@@ -23,6 +24,10 @@ from repro.kernel import (
     successors,
     unchanged,
 )
+from repro.kernel import action as action_module
+from repro.kernel.action import CompiledAction, SuccessorPlan
+from repro.kernel.expr import EvalError
+from repro.spec import conjoin
 
 from tests.conftest import st
 
@@ -102,9 +107,13 @@ class TestCompile:
         branch = compiled.branches[0]
         assert branch.binding_checks
 
-    def test_cache_by_identity(self):
+    def test_owner_caches_by_identity(self, uni):
         action = Eq(xp, x)
-        assert compile_action(action) is compile_action(action)
+        owner = ActionPlans()
+        assert owner.plan(action, uni) is owner.plan(action, uni)
+        assert len(owner) == 1
+        # nothing process-wide: another owner compiles its own
+        assert compile_action(action) is not compile_action(action)
 
 
 class TestSuccessors:
@@ -174,3 +183,143 @@ class TestEnabled:
         small = Universe({"x": interval(0, 0)})
         action = Eq(xp, x + 1)
         assert not enabled(action, State({"x": 0}), small)
+
+
+# -- certificate products: the plans that expand ------------------------------
+#
+# The safety products of the Paxos(2,2,2) and Mutex(2,3) certificates are
+# the specs whose plans refine through nested sub-plans; the random-spec
+# oracle in test_property_random_specs.py never builds one.
+
+def _safety_product(theorem):
+    goal = theorem.goal
+    specs = ([] if goal.assumption is None
+             else [goal.assumption.without_fairness()])
+    specs += [ag.guarantee_spec.without_fairness()
+              for ag in theorem.all_parts]
+    return conjoin(specs)
+
+
+@pytest.fixture(scope="module", params=["paxos-2-2-2", "mutex-2-3"])
+def product(request):
+    from repro.checker import explore
+    from repro.systems.mutex import LamportMutex
+    from repro.systems.paxos import Paxos
+
+    system = (Paxos(2, 2, 2) if request.param == "paxos-2-2-2"
+              else LamportMutex(2, 3))
+    spec = _safety_product(system.composition_theorem())
+    return spec, explore(spec).states
+
+
+def _brute_force_disjunct(branch, universe, state):
+    """One compiled disjunct, the long way: every post-state of the
+    universe's domain product that ``holds_on_step`` accepts for all of
+    its conjuncts, in domain-product order.  Variables are assigned
+    conjunct by conjunct so each conjunct filters as soon as everything it
+    mentions has a value; the order of the result does not depend on it."""
+    def holds(conjunct, post):
+        try:
+            return holds_on_step(conjunct, state, State(post))
+        except EvalError:
+            return False
+
+    conjuncts = sorted(
+        [Eq(Var(name, primed=True), expr)
+         for name, expr in [*branch.bindings.items(), *branch.binding_checks]]
+        + list(branch.constraints),
+        key=lambda conjunct: len(conjunct.primed_vars()))
+    order = []
+    for conjunct in conjuncts:
+        order += sorted(conjunct.primed_vars() - set(order))
+    order += [name for name in universe.variables if name not in order]
+    partial, assigned = [dict(state)], set()
+    for name in [None] + order:  # None: the prime-free guards
+        if name is not None:
+            partial = [{**post, name: value} for post in partial
+                       for value in universe.domain(name).values()]
+            assigned.add(name)
+        decidable = [c for c in conjuncts if c.primed_vars() <= assigned]
+        conjuncts = [c for c in conjuncts if not c.primed_vars() <= assigned]
+        partial = [post for post in partial
+                   if all(holds(c, post) for c in decidable)]
+    index = {name: {value: rank for rank, value
+                    in enumerate(universe.domain(name).values())}
+             for name in universe.variables}
+    return sorted((State(post) for post in partial),
+                  key=lambda t: [index[name][t[name]]
+                                 for name in universe.variables])
+
+
+class TestCertificateProductPlans:
+    def test_successor_sequence_matches_brute_force(self, product):
+        spec, states = product
+        compiled = compile_action(spec.next_action)
+        plan = compiled.plan(spec.universe)
+        for state in states[::len(states) // 3]:  # sampled: up to 1 s a state
+            expected = []
+            for branch in compiled.branches:
+                expected += [
+                    t for t in _brute_force_disjunct(branch, spec.universe,
+                                                     state)
+                    if t not in expected]
+            assert list(plan.successors(state)) == expected
+
+    def test_enabled_is_some_successor(self, product):
+        spec, states = product
+        plan = compile_action(spec.next_action).plan(spec.universe)
+        for state in states:
+            assert plan.enabled(state) == any(True for _ in
+                                              plan.successors(state))
+
+    def test_each_constraint_compiled_once_per_build(self, product,
+                                                     monkeypatch):
+        spec, _states = product
+        compiled = compile_action(spec.next_action)
+        entered, depth = [], [0]
+        real = action_module._compile
+
+        def counting(expr):
+            if depth[0] == 0:  # the build's own calls, not the recursion
+                entered.append(expr)
+            depth[0] += 1
+            try:
+                return real(expr)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(action_module, "_compile", counting)
+        compiled.plan(spec.universe)
+        assert entered and len(entered) == len({id(e) for e in entered})
+
+    def test_compiled_forms_do_not_travel_or_linger(self, product):
+        import gc
+        import pickle
+        from repro.checker import explore
+
+        spec, _states = product
+        size = len(pickle.dumps(spec))
+        explore(spec)
+        assert len(pickle.dumps(spec)) == size
+        gc.collect()
+        assert not [obj for obj in gc.get_objects()
+                    if isinstance(obj, SuccessorPlan)
+                    and obj.compiled.action is spec.next_action]
+
+
+def test_verify_rounds_leave_no_compiled_actions_behind():
+    import gc
+    from repro.systems.paxos import Paxos
+
+    system = Paxos(2, 2, 2)
+
+    def live_after_a_round():
+        system.composition_theorem().verify()
+        gc.collect()
+        return sum(isinstance(obj, (SuccessorPlan, CompiledAction))
+                   for obj in gc.get_objects())
+
+    first = live_after_a_round()
+    for _ in range(2):
+        live_after_a_round()
+    assert live_after_a_round() == first

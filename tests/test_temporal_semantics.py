@@ -99,6 +99,19 @@ class TestEvalContext:
         ctx.eval(wf, 0)
         assert ctx._enabled_cache
 
+    def test_pins_count_objects_not_queries(self):
+        """The id()-keyed memos pin each formula and each action once,
+        however many (formula, position) / (action, state) pairs miss."""
+        from repro.temporal import WF
+
+        la = bits("x", [0, 1, 2, 1], 0)
+        ctx = EvalContext(la, U)
+        wf = WF(("x",), Eq(Var("x", primed=True), x + 2))
+        formula = TAnd(Always(Eventually(StatePred(Eq(x, 2)))), wf)
+        assert ctx.eval(formula, 0)
+        assert len(ctx._memo) > len(ctx._formulas) == 5
+        assert len(ctx._enabled_cache) > len(ctx.actions) == 1
+
 
 class TestCheckImplicationOn:
     def test_holds(self):

@@ -199,7 +199,7 @@ class TestStatsJson:
         assert stats["states"] == 3
         assert stats["depth"] == 2
         assert stats["levels_seen"] == 3
-        assert "invariant:Small" in stats["phases"]
+        assert sorted(stats["phases"]) == ["explore", "invariant:Small", "plan"]
 
     def test_explore_stats_json_and_stats_compose(self, module_file,
                                                   tmp_path):
