@@ -7,17 +7,8 @@ whereas the direct semantic route is already hopeless at k = 2
 (see test_ablation_direct_vs_theorem).
 """
 
-import os
-from time import perf_counter
-
 import pytest
 
-from repro.checker import (
-    ExploreStats,
-    ReductionConfig,
-    check_deadlock_free,
-    explore,
-)
 from repro.core import behavior_count
 from repro.systems.queue import QueueChain
 
@@ -36,55 +27,4 @@ def test_chain_composition(benchmark, count):
         ["capacity proved", chain.capacity],
         ["states explored (theorem)", cert.total_states_explored()],
         ["lassos in open universe (direct, stem/loop<=2)", f"{direct:.2e}"],
-    ])
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover
-        return os.cpu_count() or 1
-
-
-def test_chain_partial_order_reduction_halves_the_state_space():
-    """PERF/acceptance: Disjoint-derived POR on the k=3 chain explores
-    >= 2x fewer states than the full graph with the identical deadlock
-    verdict.  The ratio itself is deterministic (the reduced graph is
-    machine-independent); the test is gated on cores only because the
-    full k=3 exploration is the expensive half of the measurement and
-    is not worth timesharing on tiny boxes.
-    """
-    cores = _usable_cores()
-    if cores < 4:
-        pytest.skip(f"full-graph half of the measurement is too slow on "
-                    f"{cores} usable core(s); CI runs it on 4+")
-    spec = QueueChain(3, 1).complete_spec()
-    t0 = perf_counter()
-    full = explore(spec)
-    t_full = perf_counter() - t0
-    stats = ExploreStats()
-    t0 = perf_counter()
-    reduced = explore(spec, stats=stats, reduction=ReductionConfig(()))
-    t_reduced = perf_counter() - t0
-
-    assert stats.por_enabled is True
-    ratio = full.state_count / reduced.state_count
-    assert ratio >= 2.0, (
-        f"POR explored {reduced.state_count} of {full.state_count} states "
-        f"({ratio:.2f}x); the acceptance bar is >= 2x"
-    )
-    assert (check_deadlock_free(reduced).ok
-            == check_deadlock_free(full).ok)
-    counters = stats.por_counters
-    expanded = (counters["ample_states"] + counters["full_states"]
-                + counters["proviso_states"])
-    report("chain POR, k=3, N=1 (deadlock-only observation)", [
-        ["full graph states", full.state_count],
-        ["reduced graph states", reduced.state_count],
-        ["state reduction", f"{ratio:.2f}x"],
-        ["ample expansions", f"{counters['ample_states']}/{expanded}"],
-        ["proviso fallbacks", counters["proviso_states"]],
-        ["successors pruned (est.)", counters["pruned_successors"]],
-        ["full explore", f"{t_full:.2f} s"],
-        ["reduced explore", f"{t_reduced:.2f} s"],
     ])

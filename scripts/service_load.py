@@ -17,8 +17,9 @@ nothing coalesces or caches away) and reports:
 * ``/metrics`` reconciliation: admitted == completed + failed +
   cancelled once the queue is drained.
 
-The JSON report lands at ``--out`` (the shape committed as
-``benchmarks/BENCH_service.json``).  Prints ``PASS`` and exits 0, or
+The JSON report lands at ``--out``; the CI ``service-load`` job uploads
+it.  Service speed is measured by ``bench/run.py`` (its ``serve``
+workload, see ``bench/README.md``).  Prints ``PASS`` and exits 0, or
 dies with the first violated assertion.
 """
 

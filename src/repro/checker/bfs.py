@@ -1,8 +1,8 @@
-"""The level-synchronous BFS driver: one loop, four configurations.
+"""The level-synchronous BFS driver: one loop, three configurations.
 
 Every exploration mode of this package -- serial, process pool,
-distributed compact, distributed full, fresh or resumed -- is
-:func:`drive` applied to a *configuration* over an *engine*.
+distributed, fresh or resumed -- is :func:`drive` applied to a
+*configuration* over an *engine*.
 
 The **engine** seam says how one source node is handled, and has two
 instances (``FullEngine`` in :mod:`~repro.checker.explorer` over a
@@ -23,8 +23,8 @@ instances (``FullEngine`` in :mod:`~repro.checker.explorer` over a
 
 A **configuration** says how a whole frontier becomes the next one:
 :class:`Serial` (below), ``Pooled`` (:mod:`~repro.checker.parallel`) and
-the two in :mod:`~repro.checker.distributed`.  All four merge strictly
-in frontier order on the coordinator, which is the whole determinism
+``_Distributed`` (:mod:`~repro.checker.distributed`, compact engine
+only).  All three merge strictly in frontier order on the coordinator, which is the whole determinism
 argument: whatever ran in parallel was pure, so every mode builds the
 serial graph bit for bit.
 
@@ -120,8 +120,8 @@ def resolve_options(
 
 def expander(spec: Spec, engine: str, reduction=None) -> Callable:
     """The pure ``payload -> successors`` function of *engine* for
-    *spec*: what a pool worker or a worker node runs, and the
-    coordinator's own expander for unreduced full-state runs.
+    *spec*: what a pool worker runs, and the coordinator's own expander
+    for unreduced full-state runs.
 
     ``"compact"`` maps a packed int to a list of packed ints;
     ``"full"`` maps a ``State`` to an iterator of states, or under a
@@ -143,7 +143,7 @@ def expander(spec: Spec, engine: str, reduction=None) -> Callable:
 
 class Serial:
     """The serial configuration -- each source expanded and merged in
-    frontier order on this process -- and the base of the other three,
+    frontier order on this process -- and the base of the other two,
     which ship the expansion elsewhere but merge the same way."""
 
     #: seconds the coordinator spent waiting on workers (None: no workers)

@@ -1,8 +1,8 @@
 """Distributed BFS exploration across worker machines, bit-for-bit.
 
-:func:`explore_distributed` runs :func:`repro.checker.bfs.drive` with
-the expensive halves -- successor enumeration and (in compact mode) the
-visited set -- spread over remote **worker nodes**
+:func:`explore_distributed` runs :func:`repro.checker.bfs.drive` on the
+compact engine with the expensive halves -- successor enumeration and
+the visited set -- spread over remote **worker nodes**
 (:mod:`repro.service.worker`, the ``repro worker`` process), while the
 coordinator merges every level strictly in frontier order.  The result
 is *the same graph*, bit for bit: node numbering, BFS parents, edge
@@ -16,11 +16,11 @@ Sharding model
 --------------
 
 The 64-bit fingerprint space is split once, at run start, into one
-contiguous **pristine range** per worker.  In compact mode
-(:class:`_DistributedCompact`) each worker *owns* the visited-set
-partition for its ranges: the coordinator keeps only the node-ordered
-``packed`` / ``parent`` columns (enough to regenerate traces and to
-checkpoint) and never holds a packed->node map.  A level is four
+contiguous **pristine range** per worker.  Each worker *owns* the
+visited-set partition for its ranges: the coordinator keeps only the
+node-ordered ``packed`` / ``parent`` columns (enough to regenerate
+traces and to checkpoint) and never holds a packed->node map.  A level
+is four
 phases: **expand** (sources go to the owner of their fingerprint, which
 streams back successors *and their fingerprints* -- the dominant
 per-state cost, so it scales with the node count), **lookup** (owners
@@ -28,10 +28,8 @@ say which of the level's unique successors they already know), **merge**
 (local, serial, frontier order: the whole determinism argument) and
 **adopt** (new states go to their owners).  Expand and lookup are pure
 and adopt is idempotent, so re-sent or duplicated requests cannot skew
-anything.  In full-state mode (:class:`_DistributedFull`) workers are
-stateless expanders over portable rows and the coordinator dedups
-through its :class:`~repro.checker.graph.StateGraph` -- lookup and
-adopt vanish.
+anything.  Workers deal only in packed ints and fingerprints, so a spec
+whose states do not pack is refused before any worker is loaded.
 
 Failure model
 -------------
@@ -52,12 +50,12 @@ never shape -- the per-level partition counts recorded in checkpoints
 and goldens are identical with and without failures.
 
 Durability: with ``checkpoint=`` the coordinator snapshots every
-``checkpoint_every`` levels using the engine's native checkpoint format
-plus a ``"distributed"`` section (pristine ranges, per-level partition
-counts).  Compact snapshots are therefore *also* plain compact
-checkpoints: :func:`~repro.checker.compact.resume_compact` can finish
-them on one machine, and :func:`resume_distributed` can finish a
-single-machine snapshot on a cluster.
+``checkpoint_every`` levels in the compact checkpoint format plus a
+``"distributed"`` section (pristine ranges, per-level partition
+counts).  Its snapshots are therefore *also* plain compact checkpoints:
+:func:`~repro.checker.compact.resume_compact` can finish them on one
+machine, and :func:`resume_distributed` can finish a single-machine
+compact snapshot on a cluster.
 """
 
 from __future__ import annotations
@@ -77,7 +75,6 @@ from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..kernel import packed
-from ..kernel.state import State
 from ..spec import Spec
 from ..service.wire import NetFaultPlan, ProtocolError, WorkerLink
 from .bfs import RunOptions, Serial, drive, resolve_options
@@ -87,7 +84,6 @@ from .checkpoint import (
     CheckpointError,
     _SAME_PATH,
     read_checkpoint,
-    save_checkpoint,
 )
 from .compact import (
     CompactEngine,
@@ -96,7 +92,6 @@ from .compact import (
     restore_compact,
     save_compact_checkpoint,
 )
-from .explorer import FullEngine, _seed_graph
 from .parallel import WorkerFailure
 from .stats import ExploreStats
 
@@ -206,10 +201,18 @@ class _HeartbeatMonitor(threading.Thread):
 class _Coordinator:
     """One distributed run's fleet: nodes, range ownership, the wire
     phases of a level, and the per-level partition manifest.  What a
-    level *does* with them is the two configurations' business
-    (:class:`_DistributedCompact`, :class:`_DistributedFull`)."""
+    level *does* with them is :class:`_Distributed`'s business.
 
-    def __init__(self, spec: Spec, urls: Sequence[str], engine: str,
+    ``column`` is the graph's node-ordered packed column and ``fp_of``
+    maps every value in it (and, as levels proceed, every successor
+    value the workers report) to its fingerprint.  The starting column
+    is fingerprinted here, once; from then on the workers compute every
+    new fingerprint (the per-state hot spot) and the coordinator only
+    looks them up -- which is why adding worker nodes actually speeds
+    the run up.  The column is also what rebuilds a lost node's
+    partitions: every interned node is in it."""
+
+    def __init__(self, graph: CompactGraph, urls: Sequence[str],
                  stats: Optional[ExploreStats],
                  heartbeat: Optional[float],
                  worker_timeout: Optional[float],
@@ -219,8 +222,11 @@ class _Coordinator:
         if not urls:
             raise ValueError("explore_distributed needs at least one "
                              "worker URL")
-        self.spec = spec
-        self.engine = engine
+        spec = graph.spec
+        fingerprint = graph.codec.fingerprint
+        self.column = graph.packed
+        self.fp_of: Dict[int, int] = {value: fingerprint(value)
+                                      for value in graph.packed}
         self.stats = stats
         self.nodes = [_Node(i, url, worker_timeout, net_fault)
                       for i, url in enumerate(urls)]
@@ -265,9 +271,6 @@ class _Coordinator:
     def alive_nodes(self) -> List[_Node]:
         return [node for node in self.nodes if node.alive]
 
-    def owner_node(self, ridx: int) -> _Node:
-        return self.nodes[self.owner[ridx]]
-
     def _owned_ranges(self, node: _Node) -> List[Tuple[int, int]]:
         return [self.ranges[i] for i, w in enumerate(self.owner)
                 if w == node.index]
@@ -291,13 +294,18 @@ class _Coordinator:
                     break
         raise _NodeLost(node, last or ConnectionError("unknown"))
 
-    def _on_loss(self, node: _Node, packed_column: Optional[List[int]],
-                 fingerprint_of_node: Callable[[int], int]) -> None:
+    def _column_entries(self, ridxs: Iterable[int]) -> List[List[int]]:
+        """The ``[packed, node]`` rows of the column whose fingerprints
+        fall in the pristine ranges *ridxs*."""
+        taken, fp_of, ranges = set(ridxs), self.fp_of, self.ranges
+        return [[value, node_id] for node_id, value in enumerate(self.column)
+                if range_index(fp_of[value], ranges) in taken]
+
+    def _on_loss(self, node: _Node) -> None:
         """Declare *node* dead and move its pristine ranges to the
-        survivors with the fewest ranges (ties to the lowest index).  In
-        compact mode the orphaned visited partitions are rebuilt on the
-        new owners from the coordinator's packed column -- complete by
-        construction, because every interned node is in that column."""
+        survivors with the fewest ranges (ties to the lowest index), then
+        rebuild the orphaned visited partitions on their new owners from
+        the column."""
         if not node.alive:
             return
         node.alive = False
@@ -324,18 +332,9 @@ class _Coordinator:
             moved.setdefault(target.index, []).append(ridx)
         if self.stats is not None:
             self.stats.record_rebalance(len(orphaned))
-        if packed_column is None:  # full mode: nothing to re-adopt
-            return
-        # rebuild the orphaned partitions on their new owners
-        by_node = {n.index: n for n in self.nodes}
         for target_index, ridxs in moved.items():
-            target = by_node[target_index]
-            taken = set(ridxs)
-            entries = []
-            for node_id, packed in enumerate(packed_column):
-                if range_index(fingerprint_of_node(packed),
-                               self.ranges) in taken:
-                    entries.append([packed, node_id])
+            target = self.nodes[target_index]
+            entries = self._column_entries(ridxs)
             try:
                 self._with_retries(target, lambda t=target, e=entries: (
                     t.link.post("/ranges",
@@ -347,7 +346,7 @@ class _Coordinator:
                 # the rescue target died too: recurse, which re-moves
                 # these ranges (and the target's own) to the remaining
                 # survivors
-                self._on_loss(lost.node, packed_column, fingerprint_of_node)
+                self._on_loss(lost.node)
 
     def _record_adopt(self, node: _Node, response: Dict) -> Dict:
         node.collisions = int(response.get("collisions", node.collisions))
@@ -356,8 +355,7 @@ class _Coordinator:
     # -- generic fan-out phase ------------------------------------------------
 
     def _fan_out(self, groups: Callable[[], Dict[int, object]],
-                 op: Callable[[_Node, object], None],
-                 on_loss: Callable[[_Node], None]) -> None:
+                 op: Callable[[_Node, object], None]) -> None:
         """Run ``op(node, item)`` concurrently for the node->item map
         *groups* produces, handling losses (rebalance + regroup) until
         the map comes back empty.  *groups* must shrink as ops succeed
@@ -367,12 +365,9 @@ class _Coordinator:
             grouped = groups()
             if not grouped:
                 return
-            by_node = {n.index: n for n in self.nodes}
             wait_from = perf_counter()
-            futures = {
-                self._pool.submit(op, by_node[index], item): by_node[index]
-                for index, item in grouped.items()
-            }
+            futures = [self._pool.submit(op, self.nodes[index], item)
+                       for index, item in grouped.items()]
             lost: List[_NodeLost] = []
             for future in as_completed(futures):
                 try:
@@ -381,75 +376,57 @@ class _Coordinator:
                     lost.append(exc)
             self.idle += perf_counter() - wait_from
             for exc in lost:
-                on_loss(exc.node)
+                self._on_loss(exc.node)
 
     # -- wire phases ----------------------------------------------------------
 
-    def load_workers(self, adopt_column: Optional[List[int]] = None,
-                     fingerprint: Optional[Callable[[int], int]] = None
-                     ) -> None:
-        """(Re)initialise every node for this run; on a resume,
-        *adopt_column* rebuilds each node's visited partition from the
-        checkpointed packed column."""
+    def load_workers(self) -> None:
+        """(Re)initialise every node for this run and rebuild its visited
+        partition from the column (the seed states, or a checkpoint's
+        whole column on a resume)."""
         pending = {node.index: node for node in self.nodes if node.alive}
 
         def op(node: _Node, _item: object) -> None:
             payload = {"spec_pickle": self._spec_pickle,
-                       "engine": self.engine,
                        "worker": node.index,
                        "ranges": self._owned_ranges(node)}
             if self._fault_pickle is not None:
                 payload["fault_pickle"] = self._fault_pickle
             self._with_retries(
                 node, lambda: node.link.post("/load", payload))
-            if adopt_column is not None:
-                owned = {i for i, w in enumerate(self.owner)
-                         if w == node.index}
-                entries = [[packed, node_id]
-                           for node_id, packed in enumerate(adopt_column)
-                           if range_index(fingerprint(packed),
-                                          self.ranges) in owned]
-                if entries:
-                    self._with_retries(node, lambda: self._record_adopt(
-                        node, node.link.post("/adopt",
-                                             {"entries": entries})))
+            entries = self._column_entries(
+                i for i, w in enumerate(self.owner) if w == node.index)
+            if entries:
+                self._with_retries(node, lambda: self._record_adopt(
+                    node, node.link.post("/adopt", {"entries": entries})))
             pending.pop(node.index, None)
 
         self._fan_out(
-            lambda: {i: n for i, n in pending.items() if n.alive},
-            op,
-            lambda node: self._on_loss(node, adopt_column,
-                                       fingerprint or (lambda fp: fp)))
+            lambda: {i: n for i, n in pending.items() if n.alive}, op)
 
-    def expand_phase(self, level: int,
-                     sources: List[Tuple[int, object]],
-                     fingerprints: List[int],
-                     results: Dict[int, List[object]],
-                     packed_column: Optional[List[int]],
-                     fingerprint: Callable[[int], int],
-                     fps_out: Optional[Dict[int, List[int]]] = None) -> None:
-        """Phase 1: ship each (pos, payload) source to the owner of its
-        fingerprint; collect per-source successor batches into
-        *results* (and, when *fps_out* is given, the worker-computed
-        successor fingerprints).  Streamed per source, so a node that
-        dies mid-level only costs its unanswered sources (bounded
-        re-expansion)."""
-        pending: Dict[int, object] = {pos: payload
-                                      for pos, payload in sources}
+    def expand_phase(self, level: int, values: List[int],
+                     results: Dict[int, List[int]],
+                     fps: Dict[int, List[int]]) -> None:
+        """Phase 1: ship each frontier value (keyed by its position) to
+        the owner of its fingerprint; collect per-position successor
+        batches into *results* and their worker-computed fingerprints
+        into *fps*.  Streamed per source, so a node that dies mid-level
+        only costs its unanswered sources (bounded re-expansion)."""
+        pending: Dict[int, int] = dict(enumerate(values))
 
-        def groups() -> Dict[int, List[Tuple[int, object]]]:
-            grouped: Dict[int, List[Tuple[int, object]]] = {}
-            for pos, payload in pending.items():
-                owner = self.owner[range_index(fingerprints[pos],
+        def groups() -> Dict[int, List[Tuple[int, int]]]:
+            grouped: Dict[int, List[Tuple[int, int]]] = {}
+            for pos, value in pending.items():
+                owner = self.owner[range_index(self.fp_of[value],
                                                self.ranges)]
-                grouped.setdefault(owner, []).append((pos, payload))
+                grouped.setdefault(owner, []).append((pos, value))
             return grouped
 
-    # one attempt = one /expand of that node's *still unanswered* share;
-    # answered positions leave `pending` as their lines stream in
-        def op(node: _Node, items: List[Tuple[int, object]]) -> None:
+        # one attempt = one /expand of that node's *still unanswered*
+        # share; answered positions leave `pending` as their lines stream in
+        def op(node: _Node, items: List[Tuple[int, int]]) -> None:
             def attempt() -> None:
-                remaining = [[pos, payload] for pos, payload in items
+                remaining = [[pos, value] for pos, value in items
                              if pos in pending]
                 if not remaining:
                     return
@@ -462,8 +439,7 @@ class _Coordinator:
                         pos = int(line["pos"])
                         succ = line["succ"]
                         results[pos] = succ
-                        if fps_out is not None:
-                            fps_out[pos] = line.get("fps") or []
+                        fps[pos] = line.get("fps") or []
                         if pending.pop(pos, None) is not None:
                             answered += 1
                             successors += len(succ)
@@ -485,14 +461,10 @@ class _Coordinator:
                     self.stats.record_reshipped(still)
                 raise
 
-        self._fan_out(groups, op,
-                      lambda node: self._on_loss(node, packed_column,
-                                                 fingerprint))
+        self._fan_out(groups, op)
 
     def _range_phase(self, items_by_range: Dict[int, list],
-                     send: Callable[[_Node, list], None],
-                     packed_column: List[int],
-                     fingerprint: Callable[[int], int]) -> None:
+                     send: Callable[[_Node, list], None]) -> None:
         """Phases 2 and 4: *send* every owner the items of the ranges it
         owns, in one request per node.  A range leaves *pending* only
         once its owner answered, so after a loss exactly the unanswered
@@ -516,16 +488,12 @@ class _Coordinator:
 
             self._with_retries(node, attempt)
 
-        self._fan_out(groups, op,
-                      lambda node: self._on_loss(node, packed_column,
-                                                 fingerprint))
+        self._fan_out(groups, op)
 
     def lookup_level(self, values_by_range: Dict[int, List[int]],
-                     known: Dict[int, int],
-                     packed_column: List[int],
-                     fingerprint: Callable[[int], int]) -> None:
-        """Phase 2 (compact): ask each owner which of the level's unique
-        successor values its partition has already seen."""
+                     known: Dict[int, int]) -> None:
+        """Phase 2: ask each owner which of the level's unique successor
+        values its partition has already seen."""
         def send(node: _Node, values: List[int]) -> None:
             response = node.link.post("/lookup", {"values": values})
             nodes = response.get("nodes") or []
@@ -535,19 +503,18 @@ class _Coordinator:
                 if node_id >= 0:
                     known[value] = node_id
 
-        self._range_phase(values_by_range, send, packed_column, fingerprint)
+        self._range_phase(values_by_range, send)
 
-    def adopt_level(self, entries_by_range: Dict[int, List[List[int]]],
-                    packed_column: List[int],
-                    fingerprint: Callable[[int], int]) -> None:
-        """Phase 4 (compact): push the level's newly interned states to
-        the owners of their fingerprints.  Idempotent on the worker, so
-        retries and duplicates are harmless."""
+    def adopt_level(self, entries_by_range: Dict[int, List[List[int]]]
+                    ) -> None:
+        """Phase 4: push the level's newly interned states to the owners
+        of their fingerprints.  Idempotent on the worker, so retries and
+        duplicates are harmless."""
         def send(node: _Node, entries: List[List[int]]) -> None:
             self._record_adopt(
                 node, node.link.post("/adopt", {"entries": entries}))
 
-        self._range_phase(entries_by_range, send, packed_column, fingerprint)
+        self._range_phase(entries_by_range, send)
 
     # -- run summary ----------------------------------------------------------
 
@@ -572,15 +539,18 @@ class _Coordinator:
         }}
 
 
-# -- the two distributed configurations ---------------------------------------
+# -- the distributed configuration -------------------------------------------
 
 
 class _Distributed(Serial):
-    """What the distributed configurations share: the coordinator is
-    their pool -- its waits are the run's idle time, closing it ends
-    the run -- and snapshots carry its ``"distributed"`` section."""
+    """The distributed configuration of :func:`~repro.checker.bfs.drive`:
+    the visited set lives on the workers, partitioned by fingerprint
+    range, and the coordinator keeps the node-ordered columns.  The
+    coordinator is the run's pool -- its waits are the idle time,
+    closing it ends the run -- and snapshots carry its
+    ``"distributed"`` section."""
 
-    def __init__(self, coord: _Coordinator, engine,
+    def __init__(self, coord: _Coordinator, engine: CompactEngine,
                  stats: Optional[ExploreStats], options: RunOptions,
                  level: int):
         super().__init__(engine, stats, options)
@@ -594,53 +564,21 @@ class _Distributed(Serial):
     def load(self) -> Iterable[int]:
         """(Re)initialise the fleet for this run; returns the
         fingerprints of the starting column, in node order."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        self.coord.close()
-
-
-class _DistributedCompact(_Distributed):
-    """Compact mode: the visited set lives on the workers, partitioned
-    by fingerprint range; the coordinator keeps the node-ordered columns.
-
-    ``fp_of`` maps every packed value in the coordinator's column (and,
-    as levels proceed, every successor value the workers report) to its
-    fingerprint.  The starting column is fingerprinted here, once; from
-    then on the workers compute every new fingerprint (the per-state hot
-    spot) and the coordinator only looks them up -- which is why adding
-    worker nodes actually speeds the run up."""
-
-    def __init__(self, coord: _Coordinator, engine: CompactEngine,
-                 stats: Optional[ExploreStats], options: RunOptions,
-                 level: int):
-        super().__init__(coord, engine, stats, options, level)
-        fp = engine.graph.codec.fingerprint
-        self.fp_of: Dict[int, int] = {value: fp(value)
-                                      for value in engine.graph.packed}
-
-    def load(self) -> Iterable[int]:
         # the coordinator's column is authoritative: the visited map
         # lives on the workers from here on, rebuilt from that column
-        graph = self.engine.graph
-        graph.visited = {}
-        self.coord.load_workers(adopt_column=graph.packed,
-                                fingerprint=self.fp_of.__getitem__)
-        return self.fp_of.values()
+        self.engine.graph.visited = {}
+        self.coord.load_workers()
+        return self.coord.fp_of.values()
 
     def expand_level(self, frontier: List[int]) -> List[int]:
-        coord, graph, fp_of = self.coord, self.engine.graph, self.fp_of
-        packed_column, ranges = graph.packed, coord.ranges
-        fingerprint = fp_of.__getitem__
+        coord, graph = self.coord, self.engine.graph
+        fp_of, ranges = coord.fp_of, coord.ranges
         # phase 1: expand, sharded by source fingerprint; the workers
         # also hand back each successor's fingerprint
         results: Dict[int, List[int]] = {}
         succ_fps: Dict[int, List[int]] = {}
-        coord.expand_phase(
-            self.level,
-            [(pos, packed_column[src]) for pos, src in enumerate(frontier)],
-            [fp_of[packed_column[src]] for src in frontier],
-            results, packed_column, fingerprint, fps_out=succ_fps)
+        coord.expand_phase(self.level, [graph.packed[src] for src in frontier],
+                           results, succ_fps)
         self.level += 1
         # phase 2: dedup query for the level's unique successor values
         unique: Dict[int, int] = {}
@@ -654,8 +592,7 @@ class _DistributedCompact(_Distributed):
         for value, ridx in unique.items():
             values_by_range.setdefault(ridx, []).append(value)
         known: Dict[int, int] = {}
-        coord.lookup_level(values_by_range, known, packed_column,
-                           fingerprint)
+        coord.lookup_level(values_by_range, known)
         # phase 3: serial merge in frontier order, mirroring
         # CompactGraph.merge_successors at every point that feeds the
         # graph -- CompactGraph._intern_new does the budget check and the
@@ -684,7 +621,7 @@ class _DistributedCompact(_Distributed):
             ridx = range_index(fp_of[value], ranges)
             entries_by_range.setdefault(ridx, []).append([value, node])
         if entries_by_range:
-            coord.adopt_level(entries_by_range, packed_column, fingerprint)
+            coord.adopt_level(entries_by_range)
         coord.record_partitions(fp_of[value] for value in level_new)
         graph._collisions = coord.partition_collisions()
         return next_frontier
@@ -698,53 +635,17 @@ class _DistributedCompact(_Distributed):
             checkpoint_every=options.checkpoint_every, stats=self.stats,
             extra=self.coord.distributed_section())
 
-
-class _DistributedFull(_Distributed):
-    """Full-state mode: workers are stateless expanders over portable
-    rows; dedup stays in the coordinator's :class:`StateGraph`, through
-    the engine's own ``merge`` in frontier order."""
-
-    def load(self) -> Iterable[int]:
-        self.coord.load_workers()
-        return (state.fingerprint() for state in self.engine.payloads)
-
-    def expand_level(self, frontier: List[int]) -> List[int]:
-        coord, engine = self.coord, self.engine
-        states, merge = engine.payloads, engine.merge
-        results: Dict[int, List[object]] = {}
-        coord.expand_phase(
-            self.level,
-            [(pos, states[src].to_portable())
-             for pos, src in enumerate(frontier)],
-            [states[src].fingerprint() for src in frontier],
-            results, None, lambda fp: fp)
-        self.level += 1
-        next_frontier: List[int] = []
-        for pos, src in enumerate(frontier):
-            next_frontier.extend(merge(
-                src, [State.from_portable(row) for row in results[pos]]))
-        coord.record_partitions(states[node].fingerprint()
-                                for node in next_frontier)
-        return next_frontier
-
-    def snapshot(self, frontier: List[int], depth: int, levels: int,
-                 elapsed: float) -> None:
-        options, engine = self.options, self.engine
-        save_checkpoint(
-            options.checkpoint, engine.spec, engine.graph, frontier, depth,
-            levels, elapsed_seconds=elapsed, workers=options.workers,
-            checkpoint_every=options.checkpoint_every, stats=self.stats,
-            store=engine.graph.store.config(),
-            extra=self.coord.distributed_section())
+    def close(self) -> None:
+        self.coord.close()
 
 
-def _run(spec: Spec, urls: Sequence[str], graph, frontier: List[int],
+def _run(urls: Sequence[str], graph: CompactGraph, frontier: List[int],
          stats: Optional[ExploreStats], checkpoint: Optional[str],
          checkpoint_every: int, start: float,
          resumed: Optional[Checkpoint] = None, **fleet: object):
     """Bring up a coordinator (*fleet*: heartbeat, worker_timeout,
     net_fault, fault_hook) for *graph* -- seeded, or restored from
-    *resumed* -- load the workers, and drive the matching configuration."""
+    *resumed* -- load the workers, and drive the run."""
     section = (resumed.payload.get("distributed") or {}) if resumed else {}
     try:
         ranges = [(int(lo), int(hi)) for lo, hi in section.get("ranges", [])]
@@ -753,17 +654,13 @@ def _run(spec: Spec, urls: Sequence[str], graph, frontier: List[int],
     except (AttributeError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{resumed.path}: malformed distributed "
                               f"section ({exc!r})") from None
-    engine, configuration = (
-        (CompactEngine(graph), _DistributedCompact)
-        if isinstance(graph, CompactGraph)
-        else (FullEngine(spec, graph), _DistributedFull))
-    coord = _Coordinator(spec, list(urls), engine.tag, stats,
-                         ranges=ranges or None, **fleet)
+    coord = _Coordinator(graph, list(urls), stats, ranges=ranges or None,
+                         **fleet)
     coord.level_partitions = partitions
     options = RunOptions(len(coord.nodes), None, None, checkpoint,
                          checkpoint_every)
-    config = configuration(coord, engine, stats, options,
-                           resumed.levels if resumed else 0)
+    config = _Distributed(coord, CompactEngine(graph), stats, options,
+                          resumed.levels if resumed else 0)
     try:
         coord.start()
         seed_fingerprints = config.load()
@@ -781,20 +678,10 @@ def _run(spec: Spec, urls: Sequence[str], graph, frontier: List[int],
 # -- public API ---------------------------------------------------------------
 
 
-def _resolve_engine(spec: Spec, engine: str) -> str:
-    if engine == "auto":
-        return "compact" if packed.supports(spec) else "full"
-    if engine not in ("compact", "full"):
-        raise ValueError(f"engine must be 'auto', 'compact', or 'full', "
-                         f"got {engine!r}")
-    return engine
-
-
 def explore_distributed(
     spec: Spec,
     workers: Sequence[str],
     max_states: int = 200_000,
-    engine: str = "auto",
     stats: Optional[ExploreStats] = None,
     checkpoint: Optional[str] = None,
     checkpoint_every: int = 1,
@@ -802,19 +689,20 @@ def explore_distributed(
     worker_timeout: Optional[float] = None,
     net_fault: Optional[NetFaultPlan] = None,
     fault_hook: Optional[Callable] = None,
-):
+) -> CompactGraph:
     """Explore ``Init ∧ □[N]_v`` across the worker nodes at *workers*
     (URLs of running ``repro worker`` processes).
 
-    Returns the same graph a single-machine run would -- a
-    :class:`~repro.checker.compact.CompactGraph` when the spec supports
-    packed encoding (or ``engine="compact"`` forces it), else a full
-    :class:`~repro.checker.graph.StateGraph` -- with identical node
-    numbering, parents, edges, digests, and
+    Returns the :class:`~repro.checker.compact.CompactGraph` a
+    single-machine compact run would -- identical node numbering,
+    parents, edges, digests, and
     :class:`~repro.checker.graph.StateSpaceExplosion` behaviour for any
     worker count and failure history.  The run survives worker loss as
     long as one node stays up; the coordinator itself is made durable
-    with ``checkpoint=`` + :func:`resume_distributed`.
+    with ``checkpoint=`` + :func:`resume_distributed`.  A spec whose
+    states do not pack raises
+    :class:`~repro.kernel.packed.CompactUnsupported` before any worker
+    is contacted.
 
     ``heartbeat`` is the health-probe interval in seconds (``None``
     disables the monitor -- then only ``worker_timeout`` bounds a hung
@@ -824,10 +712,14 @@ def explore_distributed(
     are the chaos-test seams; leave both ``None`` in production.
     """
     start = perf_counter()
-    seed = _seed_compact if _resolve_engine(spec, engine) == "compact" \
-        else _seed_graph
-    graph, frontier = seed(spec, max_states)
-    return _run(spec, workers, graph, frontier, stats, checkpoint,
+    problem = packed.support_problem(spec)
+    if problem is not None:
+        raise packed.CompactUnsupported(
+            f"distributed exploration needs a spec whose states pack, and "
+            f"{spec.name!r} does not ({problem}); explore it on one "
+            f"machine with repro check --workers N")
+    graph, frontier = _seed_compact(spec, max_states)
+    return _run(workers, graph, frontier, stats, checkpoint,
                 checkpoint_every, start, heartbeat=heartbeat,
                 worker_timeout=worker_timeout, net_fault=net_fault,
                 fault_hook=fault_hook)
@@ -846,39 +738,35 @@ def resume_distributed(
     worker_timeout: Optional[float] = None,
     net_fault: Optional[NetFaultPlan] = None,
     fault_hook: Optional[Callable] = None,
-):
-    """Continue a checkpointed run on the cluster at *workers*,
-    bit-for-bit -- whether the snapshot came from a distributed
-    coordinator (its ``"distributed"`` section restores the pristine
-    ranges and the partition-count manifest) or from a single-machine
-    run (fresh ranges are cut for the current cluster).  Compact and
-    full snapshots are dispatched to the matching engine automatically;
-    a full snapshot written under partial-order reduction is refused,
-    because worker nodes expand unreduced.
+) -> CompactGraph:
+    """Continue a compact snapshot on the cluster at *workers*,
+    bit-for-bit -- whether it came from a distributed coordinator (its
+    ``"distributed"`` section restores the pristine ranges and the
+    partition-count manifest) or from a single-machine compact run
+    (fresh ranges are cut for the current cluster).  A full-state
+    snapshot raises :class:`~repro.checker.CheckpointError`: worker
+    nodes hold packed partitions only.
 
-    The worker partitions are rebuilt from the snapshot's own state
-    columns, so resuming does not require the original workers -- any
+    The worker partitions are rebuilt from the snapshot's own packed
+    column, so resuming does not require the original workers -- any
     cluster (any size, fresh processes) continues the run.
     """
     start = perf_counter()
     loaded = read_checkpoint(path)
+    if loaded.mode != COMPACT_CHECKPOINT_MODE:
+        written = ("with reduction config "
+                   f"{loaded.reduction_config!r}"
+                   if loaded.reduction_config is not None
+                   else "by the full-state engine")
+        raise CheckpointError(
+            f"{path}: checkpoint was written {written}, but worker nodes "
+            f"hold packed partitions and expand unreduced; resume it on "
+            f"one machine (repro check --resume / repro.checker.resume)")
     options = resolve_options(len(workers), None, None, checkpoint,
                               checkpoint_every, resumed=loaded)
-    if loaded.mode == COMPACT_CHECKPOINT_MODE:
-        graph = restore_compact(loaded, spec, max_states)
-        spec = graph.spec
-    else:
-        if loaded.reduction_config is not None:
-            raise CheckpointError(
-                f"{path}: checkpoint was written with reduction config "
-                f"{loaded.reduction_config!r}, but worker nodes expand "
-                f"unreduced; resume it on one machine (repro check "
-                f"--resume / repro.checker.resume)")
-        if spec is None:
-            spec = loaded.load_spec()
-        graph = loaded.restore_graph(spec, max_states=max_states)
+    graph = restore_compact(loaded, spec, max_states)
     loaded.restore_stats(stats)
-    return _run(spec, workers, graph, list(loaded.frontier), stats,
+    return _run(workers, graph, list(loaded.frontier), stats,
                 options.checkpoint, options.checkpoint_every, start, loaded,
                 heartbeat=heartbeat, worker_timeout=worker_timeout,
                 net_fault=net_fault, fault_hook=fault_hook)

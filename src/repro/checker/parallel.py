@@ -210,12 +210,14 @@ class _ChunkRunner:
         futures: Optional[List] = None
         index = 0
         while index < len(chunks):
-            if futures is None:
-                executor = self._ensure()
-                submitted = [executor.submit(_expand_chunk, chunk)
-                             for chunk in chunks[index:]]
-                futures = [None] * index + submitted
             try:
+                if futures is None:
+                    # a worker can die while later chunks are still being
+                    # submitted: submit then raises BrokenProcessPool too
+                    executor = self._ensure()
+                    submitted = [executor.submit(_expand_chunk, chunk)
+                                 for chunk in chunks[index:]]
+                    futures = [None] * index + submitted
                 result = futures[index].result(
                     timeout=self._wait_budget(len(chunks) - index))
             except _FutureTimeout:

@@ -70,11 +70,11 @@ class ExplicitEngine:
     ``mode`` selects the path: ``"serial"`` / ``"parallel"`` (the full
     dict-backed graph; serial is parallel with one worker), ``"compact"``
     (fingerprint-only exploration with on-demand trace regeneration),
-    or ``"distributed"`` (requires ``nodes``, a sequence of worker
-    URLs; ``node_engine`` picks what they hold -- ``"auto"``,
-    ``"compact"`` or ``"full"``).  Every mode produces bit-for-bit
-    identical graphs, so the verdicts and traces are mode-independent by
-    construction.
+    or ``"distributed"`` (the compact engine across worker nodes;
+    requires ``nodes``, a sequence of worker URLs).  Every mode produces
+    bit-for-bit identical graphs, so the verdicts and traces are
+    mode-independent by construction; the two compact-graph modes cannot
+    check temporal properties.
 
     ``por`` and ``store`` (a ``StateStore.config()`` dict; the full
     graph's only, compact and distributed runs keep no store) are
@@ -99,7 +99,7 @@ class ExplicitEngine:
                  checkpoint: Optional[str] = None, checkpoint_every: int = 1,
                  resume: bool = False,
                  worker_timeout: Optional[float] = None,
-                 heartbeat: float = 2.0, node_engine: str = "auto") -> None:
+                 heartbeat: float = 2.0) -> None:
         if mode not in ("serial", "parallel", "compact", "distributed"):
             raise ValueError(f"unknown explicit mode {mode!r}")
         if mode == "distributed" and not nodes:
@@ -120,7 +120,6 @@ class ExplicitEngine:
         self.resume = resume
         self.worker_timeout = worker_timeout
         self.heartbeat = heartbeat
-        self.node_engine = node_engine
 
     def _explore(self, spec, stats: Optional[ExploreStats],
                  por: Optional[bool], reduction: Optional[ReductionConfig]):
@@ -133,7 +132,6 @@ class ExplicitEngine:
                 return resume_distributed(self.checkpoint, self.nodes, spec,
                                           heartbeat=self.heartbeat, **common)
             return explore_distributed(spec, self.nodes,
-                                       engine=self.node_engine,
                                        checkpoint=self.checkpoint,
                                        heartbeat=self.heartbeat, **common)
         common["workers"] = self.workers
@@ -202,10 +200,10 @@ class CheckRun:
                  invariants: List[Tuple[Optional[str], Expr]],
                  properties: List[Tuple[str, object]],
                  stats: Optional[ExploreStats]) -> None:
-        if properties and engine.mode == "compact":
-            raise ValueError("compact mode cannot check temporal "
-                             "properties: lasso search needs the successor "
-                             "structure the compact graph does not retain")
+        if properties and engine.mode in ("compact", "distributed"):
+            raise ValueError(f"{engine.mode} mode cannot check temporal "
+                             f"properties: lasso search needs the successor "
+                             f"structure the compact graph does not retain")
         self.engine = engine
         self.spec = spec
         self.invariants = invariants

@@ -398,15 +398,15 @@ class SuccessorPlan:
 
     @staticmethod
     def _determine(plan: _BranchPlan, env0: Env, pre: Dict[str, object],
-                   inherited: Dict[str, object]) -> Optional[Dict[str, object]]:
+                   handed_down: Dict[str, object]) -> Optional[Dict[str, object]]:
         """The post-values *plan* determines on this pre-state, on top of
-        those its ancestors *inherited* to it; ``None`` when one of its
+        those its ancestors *handed down* to it; ``None`` when one of its
         guards, bindings or checks disables the branch here."""
         try:
             for constraint in plan.pre_constraints:
                 if not constraint.holds(env0):
                     return None
-            determined = dict(inherited)
+            determined = dict(handed_down)
             for name, expr, domain in plan.bindings:
                 value = expr.eval(env0)
                 if value not in domain:
@@ -424,10 +424,10 @@ class SuccessorPlan:
 
     def _candidates(self, plan: _BranchPlan, state: State, env0: Env,
                     pre: Dict[str, object],
-                    inherited: Dict[str, object]) -> Iterator[State]:
+                    handed_down: Dict[str, object]) -> Iterator[State]:
         """One branch's passing candidates, in its free-variable
         domain-product order."""
-        determined = self._determine(plan, env0, pre, inherited)
+        determined = self._determine(plan, env0, pre, handed_down)
         if determined is None:
             return
         if plan.expanded is not None:
@@ -485,8 +485,8 @@ class SuccessorPlan:
 
     def _branch_enabled(self, plan: _BranchPlan, state: State, env0: Env,
                         pre: Dict[str, object],
-                        inherited: Dict[str, object]) -> bool:
-        determined = self._determine(plan, env0, pre, inherited)
+                        handed_down: Dict[str, object]) -> bool:
+        determined = self._determine(plan, env0, pre, handed_down)
         if determined is None:
             return False
         if plan.expanded is not None:

@@ -232,8 +232,8 @@ class PackedCodec:
 # CompactUnsupported is raised only while building the codec, so whether a
 # spec can be packed is a pure function of its universe.  Callers that gate
 # an engine choice on packability (the service's --compact fallback, the
-# distributed coordinator's engine auto-selection, the symbolic translator)
-# share this probe instead of constructing a throwaway plan and catching.
+# distributed coordinator's refusal, the symbolic translator) share this
+# probe instead of constructing a throwaway plan and catching.
 
 
 def support_problem(spec_or_universe) -> Optional[str]:

@@ -7,10 +7,10 @@ owning its terminal.  This package splits *submission* from *checking*
 the way TLAPS's proof manager splits obligation generation from backend
 provers (see PAPERS.md):
 
-* :mod:`repro.service.cache` -- content-addressed result caches keyed
-  by a canonical fingerprint of (module source, spec name, semantic
-  check config), so byte-identical resubmissions return in O(1); the
-  sharded variant is LRU-bounded and safe for N concurrent writer
+* :mod:`repro.service.cache` -- the content-addressed result cache
+  keyed by a canonical fingerprint of (module source, spec name,
+  semantic check config), so byte-identical resubmissions return in
+  O(1); sharded, LRU-bounded and safe for N concurrent writer
   processes;
 * :mod:`repro.service.journal` -- the append-only job journal +
   snapshot compaction that makes the queue durable: queued jobs survive
@@ -43,7 +43,7 @@ the CLI uses, so verdicts, traces, and graphs are bit-for-bit the ones a
 local run would produce.
 """
 
-from .cache import ResultCache, ShardedResultCache, canonical_fingerprint
+from .cache import ShardedResultCache, canonical_fingerprint
 from .client import ServiceClient, ServiceError, QueueFullError
 from .jobs import CheckRequest, Job, JobManager, QueueFull, TenantThrottled
 from .journal import JobJournal
@@ -52,7 +52,6 @@ from .scheduler import DEFAULT_TENANT, FairScheduler, TenantPolicy
 from .server import BackgroundServer, CheckService, run_server
 
 __all__ = [
-    "ResultCache",
     "ShardedResultCache",
     "canonical_fingerprint",
     "CheckRequest",

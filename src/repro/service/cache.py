@@ -1,4 +1,4 @@
-"""Content-addressed result caches for the checking service.
+"""The content-addressed result cache of the checking service.
 
 A check is a pure function of (module source, spec name, semantic check
 configuration): the explorer is deterministic for any worker count, the
@@ -8,23 +8,18 @@ makes content addressing sound -- the cache key never has to mention
 *how* a result was computed (workers, checkpoint cadence, pacing), only
 *what* was asked.
 
-Two stores share that key and one counter/summary surface:
-
-* :class:`ResultCache` -- the flat single-directory store (PR 5), now
-  with an optional ``max_entries`` LRU bound so a long-lived server no
-  longer grows without limit, an ``evictions`` counter, and
-  ``summary()``/``to_json()`` in the :class:`~repro.checker.stats
-  .ExploreStats` style so a hit-rate or eviction-storm regression is
-  visible in one line.
-* :class:`ShardedResultCache` -- the multi-process store: entries land
-  in ``shard-XX/`` directories keyed by the fingerprint's first byte,
-  bounded per shard by entry count and bytes, with eviction serialised
-  by a per-shard ``flock`` so N pre-forked server processes can write
-  concurrently without double-unlinking or unbounded growth.  Reads are
-  lock-free (writes are atomic rename) and bump the entry's mtime, so
-  eviction order is least-recently-*used*, not least-recently-written.
-  Entries written by the flat layout are still found (legacy fallback),
-  so an upgraded server keeps its warm cache.
+:class:`ShardedResultCache` is the one store: entries land in
+``shard-XX/`` directories keyed by the fingerprint's first byte,
+bounded per shard by entry count and bytes, with eviction serialised by
+a per-shard ``flock`` so N pre-forked server processes can write
+concurrently without double-unlinking or unbounded growth.  Reads are
+lock-free (writes are atomic rename) and bump the entry's mtime, so
+eviction order is least-recently-*used*, not least-recently-written.
+Hit/miss/eviction counters and ``summary()``/``to_json()`` in the
+:class:`~repro.checker.stats.ExploreStats` style make a hit-rate or
+eviction-storm regression visible in one line.  Entries are
+content-addressed and recomputable, so a directory in any other layout
+simply starts cold.
 
 Writes are atomic (write-temp-then-rename), so a crash mid-``put``
 never leaves a torn entry for a later server to trust.
@@ -39,7 +34,7 @@ import os
 import tempfile
 from typing import Callable, Dict, List, Optional, Tuple
 
-__all__ = ["canonical_fingerprint", "ResultCache", "ShardedResultCache"]
+__all__ = ["canonical_fingerprint", "ShardedResultCache"]
 
 
 def canonical_fingerprint(module_source: str, spec: str,
@@ -76,146 +71,7 @@ def _atomic_write_json(directory: str, path: str,
         raise
 
 
-class _CacheCounters:
-    """The shared hit/miss/eviction accounting + summary surface."""
-
-    def __init__(self,
-                 on_event: Optional[Callable[[str, int], None]] = None):
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._on_event = on_event
-
-    def _record(self, kind: str, amount: int = 1) -> None:
-        setattr(self, kind, getattr(self, kind) + amount)
-        if self._on_event is not None:
-            self._on_event(kind, amount)
-
-    def counters(self) -> Dict[str, int]:
-        """Health counters for ``/healthz`` and ``/metrics``."""
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "entries": len(self)}
-
-    def __len__(self) -> int:  # pragma: no cover - subclasses override
-        raise NotImplementedError
-
-    def summary(self, indent: str = "") -> str:
-        """One human line, ExploreStats-style: hit rate + pressure."""
-        lookups = self.hits + self.misses
-        rate = (100.0 * self.hits / lookups) if lookups else 0.0
-        return (f"{indent}result cache: {len(self)} entries, "
-                f"{self.hits} hits / {self.misses} misses "
-                f"({rate:.1f}% hit rate), {self.evictions} evictions")
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Machine-readable twin of :meth:`summary`."""
-        return json.dumps(self.counters(), indent=indent, sort_keys=True)
-
-
-class ResultCache(_CacheCounters):
-    """Fingerprint -> result-document store, disk-backed and crash-safe.
-
-    ``directory=None`` keeps the cache purely in memory (useful for
-    tests and embedding); otherwise every :meth:`put` also lands as
-    ``<directory>/<fp>.json`` and a fresh process re-reads entries
-    lazily on :meth:`get`.  ``max_entries`` bounds the store: past it,
-    the least-recently-used entries (by disk mtime when disk-backed,
-    insertion order in memory) are evicted and counted.
-    """
-
-    def __init__(self, directory: Optional[str] = None,
-                 max_entries: Optional[int] = None,
-                 on_event: Optional[Callable[[str, int], None]] = None):
-        super().__init__(on_event)
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.directory = directory
-        self.max_entries = max_entries
-        if directory is not None:
-            os.makedirs(directory, exist_ok=True)
-        self._memory: Dict[str, Dict[str, object]] = {}
-
-    def _path(self, fingerprint: str) -> str:
-        assert self.directory is not None
-        return os.path.join(self.directory, fingerprint + ".json")
-
-    def get(self, fingerprint: str) -> Optional[Dict[str, object]]:
-        """The cached result document, or None.  Counts hits/misses."""
-        entry = self._memory.get(fingerprint)
-        if entry is not None and self._memory.pop(fingerprint, None) is not None:
-            self._memory[fingerprint] = entry  # re-insert: LRU recency
-        if entry is None and self.directory is not None:
-            try:
-                with open(self._path(fingerprint)) as handle:
-                    entry = json.load(handle)
-            except (OSError, ValueError):
-                entry = None  # absent or torn-by-external-meddling: a miss
-            else:
-                self._memory[fingerprint] = entry
-                try:  # recency for mtime-ordered eviction
-                    os.utime(self._path(fingerprint))
-                except OSError:
-                    pass
-        if entry is None:
-            self._record("misses")
-            return None
-        self._record("hits")
-        return entry
-
-    def put(self, fingerprint: str, result: Dict[str, object]) -> None:
-        """Store a result document (atomically, when disk-backed)."""
-        self._memory[fingerprint] = result
-        if self.directory is not None:
-            _atomic_write_json(self.directory, self._path(fingerprint),
-                               result)
-        self._evict()
-
-    def _evict(self) -> None:
-        if self.max_entries is None:
-            return
-        if self.directory is None:
-            while len(self._memory) > self.max_entries:
-                oldest = next(iter(self._memory))
-                del self._memory[oldest]
-                self._record("evictions")
-            return
-        entries: List[Tuple[float, str]] = []
-        for name in os.listdir(self.directory):
-            if not name.endswith(".json"):
-                continue
-            try:
-                entries.append(
-                    (os.path.getmtime(os.path.join(self.directory, name)),
-                     name[:-5]))
-            except OSError:
-                continue
-        excess = len(entries) - self.max_entries
-        if excess <= 0:
-            return
-        entries.sort()
-        for _mtime, fingerprint in entries[:excess]:
-            try:
-                os.unlink(self._path(fingerprint))
-            except OSError:
-                continue
-            self._memory.pop(fingerprint, None)
-            self._record("evictions")
-
-    def __contains__(self, fingerprint: str) -> bool:
-        if fingerprint in self._memory:
-            return True
-        return (self.directory is not None
-                and os.path.exists(self._path(fingerprint)))
-
-    def __len__(self) -> int:
-        if self.directory is None:
-            return len(self._memory)
-        on_disk = {name[:-5] for name in os.listdir(self.directory)
-                   if name.endswith(".json")}
-        return len(on_disk | set(self._memory))
-
-
-class ShardedResultCache(_CacheCounters):
+class ShardedResultCache:
     """The multi-process cache: fingerprint-sharded, LRU-bounded.
 
     The first fingerprint byte picks one of ``shards`` directories, so
@@ -234,7 +90,6 @@ class ShardedResultCache(_CacheCounters):
                  max_bytes: Optional[int] = None,
                  memory_entries: int = 256,
                  on_event: Optional[Callable[[str, int], None]] = None):
-        super().__init__(on_event)
         if shards < 1 or shards > 256:
             raise ValueError(f"shards must be in 1..256, got {shards}")
         if max_entries is not None and max_entries < 1:
@@ -251,6 +106,15 @@ class ShardedResultCache(_CacheCounters):
         self.memory_entries = memory_entries
         os.makedirs(self.directory, exist_ok=True)
         self._memory: Dict[str, Dict[str, object]] = {}
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self._on_event = on_event
+
+    def _record(self, kind: str, amount: int = 1) -> None:
+        setattr(self, kind, getattr(self, kind) + amount)
+        if self._on_event is not None:
+            self._on_event(kind, amount)
 
     # -- layout --------------------------------------------------------------
 
@@ -261,9 +125,6 @@ class ShardedResultCache(_CacheCounters):
     def _path(self, fingerprint: str) -> str:
         return os.path.join(self._shard_dir(fingerprint),
                             fingerprint + ".json")
-
-    def _legacy_path(self, fingerprint: str) -> str:
-        return os.path.join(self.directory, fingerprint + ".json")
 
     def _shard_lock(self, shard_dir: str):
         handle = open(os.path.join(shard_dir, ".lock"), "a")
@@ -287,22 +148,20 @@ class ShardedResultCache(_CacheCounters):
             self._remember(fingerprint, entry)  # refresh recency
             self._record("hits")
             return entry
-        for path in (self._path(fingerprint),
-                     self._legacy_path(fingerprint)):
-            try:
-                with open(path) as handle:
-                    entry = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            self._remember(fingerprint, entry)
-            try:
-                os.utime(path)  # LRU recency for the evictor
-            except OSError:
-                pass
-            self._record("hits")
-            return entry
-        self._record("misses")
-        return None
+        path = self._path(fingerprint)
+        try:
+            with open(path) as handle:
+                entry = json.load(handle)
+        except (OSError, ValueError):  # absent or torn: a miss
+            self._record("misses")
+            return None
+        self._remember(fingerprint, entry)
+        try:
+            os.utime(path)  # LRU recency for the evictor
+        except OSError:
+            pass
+        self._record("hits")
+        return entry
 
     def put(self, fingerprint: str, result: Dict[str, object]) -> None:
         shard_dir = self._shard_dir(fingerprint)
@@ -378,14 +237,11 @@ class ShardedResultCache(_CacheCounters):
                                  if entry.endswith(".json"))
                 except OSError:
                     continue
-            elif name.endswith(".json"):
-                paths.append(full)  # legacy flat entries still count
         return paths
 
     def __contains__(self, fingerprint: str) -> bool:
         return (fingerprint in self._memory
-                or os.path.exists(self._path(fingerprint))
-                or os.path.exists(self._legacy_path(fingerprint)))
+                or os.path.exists(self._path(fingerprint)))
 
     def __len__(self) -> int:
         return len(self._iter_entry_paths())
@@ -400,7 +256,19 @@ class ShardedResultCache(_CacheCounters):
         return total
 
     def counters(self) -> Dict[str, int]:
-        counters = super().counters()
-        counters["bytes"] = self.total_bytes()
-        counters["shards"] = self.shards
-        return counters
+        """Health counters for ``/healthz`` and ``/metrics``."""
+        return {"hits": self.hits, "misses": self.misses,
+                "evictions": self.evictions, "entries": len(self),
+                "bytes": self.total_bytes(), "shards": self.shards}
+
+    def summary(self, indent: str = "") -> str:
+        """One human line, ExploreStats-style: hit rate + pressure."""
+        lookups = self.hits + self.misses
+        rate = (100.0 * self.hits / lookups) if lookups else 0.0
+        return (f"{indent}result cache: {len(self)} entries, "
+                f"{self.hits} hits / {self.misses} misses "
+                f"({rate:.1f}% hit rate), {self.evictions} evictions")
+
+    def to_json(self, indent: Optional[int] = None) -> str:
+        """Machine-readable twin of :meth:`summary`."""
+        return json.dumps(self.counters(), indent=indent, sort_keys=True)

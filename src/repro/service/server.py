@@ -34,8 +34,7 @@ directory.
 ``procs > 1`` pre-forks that many worker processes, each running the
 full manager+server stack over the shared state directory.  Every child
 binds the same port with ``SO_REUSEPORT`` (the kernel load-balances
-accepts); on platforms without it the parent binds one listening socket
-that the children inherit (the kernel serialises their accepts).  The
+accepts); on a platform without it ``procs > 1`` is refused.  The
 journal, metrics directory, and sharded cache are the cross-process
 seams that make this safe.  :class:`BackgroundServer` runs the whole
 stack on a daemon thread for tests and embedding.
@@ -50,7 +49,7 @@ import signal
 import socket
 import sys
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..parser import ParseError
 from .jobs import (
@@ -79,20 +78,11 @@ class CheckService:
         self.port = port  # 0 = ephemeral; start() fills the real one in
         self._server: Optional[asyncio.AbstractServer] = None
 
-    async def start(self, sock: Optional[socket.socket] = None,
-                    reuse_port: bool = False) -> None:
-        """Begin accepting: on a fresh bind, on an inherited listening
-        *sock* (pre-fork fallback), or -- with *reuse_port* -- on our own
+    async def start(self, reuse_port: bool = False) -> None:
+        """Begin accepting on a fresh bind -- with *reuse_port*, our own
         ``SO_REUSEPORT`` member of a shared port group."""
-        if sock is not None:
-            self._server = await asyncio.start_server(self._handle,
-                                                      sock=sock)
-        elif reuse_port:
-            self._server = await asyncio.start_server(
-                self._handle, self.host, self.port, reuse_port=True)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle, self.host, self.port)
+        self._server = await asyncio.start_server(
+            self._handle, self.host, self.port, reuse_port=reuse_port)
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
@@ -275,8 +265,7 @@ def _write_endpoint_file(state_dir: str, host: str, port: int,
 
 def _serve_one(state_dir: str, host: str, port: int, pool_size: int,
                queue_limit: int, tenant_policy: Optional[TenantPolicy],
-               out, sock: Optional[socket.socket] = None,
-               reuse_port: bool = False, procs: int = 1,
+               out, reuse_port: bool = False, procs: int = 1,
                write_endpoint: bool = True,
                parent_pid: Optional[int] = None) -> int:
     """One process's serve loop: run until SIGTERM/SIGINT, then drain
@@ -292,7 +281,7 @@ def _serve_one(state_dir: str, host: str, port: int, pool_size: int,
                              tenant_policy=tenant_policy)
         await manager.start()
         service = CheckService(manager, host=host, port=port)
-        await service.start(sock=sock, reuse_port=reuse_port)
+        await service.start(reuse_port=reuse_port)
         if write_endpoint:
             _write_endpoint_file(manager.state_dir, service.host,
                                  service.port, procs=procs)
@@ -353,24 +342,20 @@ def run_server(state_dir: str, host: str = "127.0.0.1", port: int = 8123,
     """The ``repro serve`` body.  ``procs == 1`` serves in this process;
     ``procs > 1`` pre-forks that many full manager+server stacks over
     the shared state directory, each binding the port with
-    ``SO_REUSEPORT`` (falling back to one parent-bound socket the
-    children inherit).  The parent relays SIGTERM/SIGINT to the children
-    and waits for them to drain."""
+    ``SO_REUSEPORT`` -- a usage error (``ValueError``) on a platform
+    without it.  The parent relays SIGTERM/SIGINT to the children and
+    waits for them to drain."""
     out = out if out is not None else sys.stdout
     if procs < 1:
         raise ValueError(f"procs must be >= 1, got {procs}")
     if procs == 1:
         return _serve_one(state_dir, host, port, pool_size, queue_limit,
                           tenant_policy, out)
-
-    inherited: Optional[socket.socket] = None
-    reuse_port = hasattr(socket, "SO_REUSEPORT")
-    if reuse_port:
-        if port == 0:
-            port = _probe_reuseport(host, port)
-    else:  # pragma: no cover - platform without SO_REUSEPORT
-        inherited = socket.create_server((host, port), backlog=128)
-        port = inherited.getsockname()[1]
+    if not hasattr(socket, "SO_REUSEPORT"):
+        raise ValueError("--procs > 1 needs SO_REUSEPORT, which this "
+                         "platform lacks; serve with --procs 1")
+    if port == 0:
+        port = _probe_reuseport(host, port)
     state_dir = os.path.abspath(state_dir)
     os.makedirs(state_dir, exist_ok=True)
     _write_endpoint_file(state_dir, host, port, procs=procs)
@@ -384,16 +369,14 @@ def run_server(state_dir: str, host: str = "127.0.0.1", port: int = 8123,
             try:
                 code = _serve_one(state_dir, host, port, pool_size,
                                   queue_limit, tenant_policy, out,
-                                  sock=inherited, reuse_port=reuse_port,
-                                  procs=procs, write_endpoint=False,
+                                  reuse_port=True, procs=procs,
+                                  write_endpoint=False,
                                   parent_pid=supervisor)
             except BaseException:  # noqa: BLE001 - child must not unwind
                 pass
             finally:
                 os._exit(code)
         children.append(pid)
-    if inherited is not None:  # pragma: no cover - fallback path
-        inherited.close()
 
     def relay(signum: int, _frame: object) -> None:
         for child in children:

@@ -1,39 +1,35 @@
 """Distributed exploration worker node (the ``repro worker`` body).
 
 A worker node is one process holding a **partition of the visited set**
-for a distributed compact run (see
-:mod:`repro.checker.distributed`): the coordinator assigns it fingerprint
-ranges, ships it the spec once, and then drives it level by level.  In
-full-state mode the worker is a stateless expander instead -- the
-coordinator keeps the graph, workers only enumerate successors of
-portable state rows.
+for a distributed run (see :mod:`repro.checker.distributed`): the
+coordinator assigns it fingerprint ranges, ships it the spec once, and
+then drives it level by level.  It deals only in packed ints and their
+fingerprints.
 
 Routes (JSON in; JSON out except ``/expand``, which streams NDJSON)::
 
-    GET  /healthz   liveness probe: pid, engine, partition size.  The
+    GET  /healthz   liveness probe: pid, partition size.  The
                     coordinator's heartbeat monitor polls this.
-    POST /load      (re)initialise for a run: spec pickle (b64), engine
-                    ("compact"/"full"), worker index, owned fingerprint
-                    ranges, optional fault-hook pickle.  Idempotent:
-                    loading resets all partition state.
+    POST /load      (re)initialise for a run: spec pickle (b64), worker
+                    index, owned fingerprint ranges, optional fault-hook
+                    pickle.  Idempotent: loading resets all partition
+                    state.  A spec whose states do not pack is a 400.
     POST /ranges    replace the owned fingerprint ranges (rebalance
                     after a node loss).
-    POST /expand    {"level": L, "sources": [[pos, payload], ...]} ->
-                    one NDJSON line {"pos": p, "succ": [...]} per
-                    source -- in compact mode with a parallel "fps"
-                    list carrying each successor's 64-bit fingerprint,
-                    so the coordinator's routing/partition decisions
-                    never recompute them -- then a terminator line
-                    {"done": n, "busy": secs, "pid": pid}.  Payloads
-                    are packed ints (compact) or portable state rows
-                    (full).  Pure: expansion never touches the visited
-                    partition, so the coordinator may re-send sources
-                    after a retry or duplication without skew.
-    POST /lookup    compact only: {"values": [packed...]} ->
+    POST /expand    {"level": L, "sources": [[pos, packed], ...]} ->
+                    one NDJSON line {"pos": p, "succ": [...],
+                    "fps": [...]} per source -- "fps" carries each
+                    successor's 64-bit fingerprint, so the coordinator's
+                    routing/partition decisions never recompute them --
+                    then a terminator line {"done": n, "busy": secs,
+                    "pid": pid}.  Pure: expansion never touches the
+                    visited partition, so the coordinator may re-send
+                    sources after a retry or duplication without skew.
+    POST /lookup    {"values": [packed...]} ->
                     {"nodes": [id...]} positionally aligned with the
                     request, -1 for a value this partition has not
                     seen.  Pure.
-    POST /adopt     compact only: {"entries": [[packed, node], ...]}
+    POST /adopt     {"entries": [[packed, node], ...]}
                     inserts newly interned states into the partition.
                     Idempotent: known packed values are skipped, so a
                     duplicated or retried adopt cannot double-count.
@@ -63,9 +59,7 @@ import sys
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..checker.bfs import expander
-from ..kernel.packed import PackedCodec
-from ..kernel.state import State
+from ..kernel.packed import CompactUnsupported, PackedPlan
 from .wire import HttpError, read_body, read_head, send_json
 
 __all__ = ["WorkerNode", "run_worker", "write_worker_endpoint"]
@@ -87,13 +81,12 @@ class WorkerNode:
         self._clear_run()
 
     def _clear_run(self) -> None:
-        self.engine: Optional[str] = None
         self.spec = None
         self.worker_index: Optional[int] = None
         self.ranges: List[Tuple[int, int]] = []
         self.expand: Optional[Callable[[object], List[object]]] = None
         self.fault: Optional[Callable] = None
-        # compact-mode partition state
+        # partition state
         self.visited: Dict[int, int] = {}
         self._fingerprint = None
         self._fp_cache: Dict[int, int] = {}  # fingerprints are pure
@@ -145,7 +138,7 @@ class WorkerNode:
         path = path.split("?", 1)[0].rstrip("/") or "/"
         if path == "/healthz" and method == "GET":
             await send_json(writer, 200, {
-                "ok": True, "pid": os.getpid(), "engine": self.engine,
+                "ok": True, "pid": os.getpid(),
                 "worker": self.worker_index, "generation": self.generation,
                 "visited": len(self.visited),
                 "collisions": self.collisions})
@@ -191,7 +184,6 @@ class WorkerNode:
     def _load(self, payload: Dict) -> Dict:
         try:
             spec = pickle.loads(base64.b64decode(payload["spec_pickle"]))
-            engine = payload["engine"]
             worker_index = int(payload["worker"])
             ranges = [(int(lo), int(hi)) for lo, hi in payload["ranges"]]
             fault_pickle = payload.get("fault_pickle")
@@ -200,35 +192,23 @@ class WorkerNode:
         except Exception as exc:
             raise HttpError(400, f"malformed load request: {exc}") from None
         try:
-            expand = expander(spec, engine)
-        except ValueError as exc:
-            raise HttpError(400, str(exc)) from None
-        fingerprint = None
-        if engine == "compact":  # CompactUnsupported above -> 500 is a
-            # bug: the coordinator probes support before shipping the spec
-            fingerprint = PackedCodec(spec.universe).fingerprint
-        else:  # the wire carries portable rows, not State objects
-            successors = expand
-
-            def expand(row: object) -> List[object]:
-                state = State.from_portable(row)
-                return [succ.to_portable() for succ in successors(state)]
-
+            plan = PackedPlan(spec)
+        except CompactUnsupported as exc:
+            raise HttpError(400, f"spec does not pack: {exc}") from None
         self._clear_run()
-        self._fingerprint = fingerprint
+        self._fingerprint = plan.codec.fingerprint
         self.generation += 1
-        self.engine = engine
         self.spec = spec
         self.worker_index = worker_index
         self.ranges = ranges
-        self.expand = expand
+        self.expand = plan.successors
         if fault_pickle:
             try:
                 self.fault = pickle.loads(base64.b64decode(fault_pickle))
             except Exception as exc:
                 raise HttpError(
                     400, f"fault hook cannot be unpickled: {exc}") from None
-        return {"ok": True, "pid": os.getpid(), "engine": engine,
+        return {"ok": True, "pid": os.getpid(),
                 "worker": worker_index, "generation": self.generation}
 
     def _set_ranges(self, payload: Dict) -> Dict:
@@ -268,20 +248,17 @@ class WorkerNode:
         start = perf_counter()
         for count, (pos, value) in enumerate(sources, start=1):
             succ = expand(value)
-            if fingerprint is None:  # full mode: portable rows, no fps
-                payload = {"pos": pos, "succ": succ}
-            else:
-                # fingerprinting here (not on the coordinator) is what
-                # makes the cost scale with the worker count
-                fps = []
-                for v in succ:
-                    fp = cache.get(v)
-                    if fp is None:
-                        fp = fingerprint(v)
-                        cache[v] = fp
-                    fps.append(fp)
-                payload = {"pos": pos, "succ": succ, "fps": fps}
-            line = json.dumps(payload, separators=(",", ":"))
+            # fingerprinting here (not on the coordinator) is what makes
+            # the cost scale with the worker count
+            fps = []
+            for v in succ:
+                fp = cache.get(v)
+                if fp is None:
+                    fp = fingerprint(v)
+                    cache[v] = fp
+                fps.append(fp)
+            line = json.dumps({"pos": pos, "succ": succ, "fps": fps},
+                              separators=(",", ":"))
             writer.write(line.encode("utf-8") + b"\n")
             if count % _EXPAND_YIELD_EVERY == 0:
                 await writer.drain()
@@ -294,8 +271,6 @@ class WorkerNode:
 
     def _lookup(self, payload: Dict) -> Dict:
         self._require_loaded()
-        if self.engine != "compact":
-            raise HttpError(409, "/lookup only exists on compact partitions")
         try:
             values = [int(v) for v in payload["values"]]
         except Exception as exc:
@@ -305,8 +280,6 @@ class WorkerNode:
 
     def _adopt(self, payload: Dict) -> Dict:
         self._require_loaded()
-        if self.engine != "compact":
-            raise HttpError(409, "/adopt only exists on compact partitions")
         try:
             entries = [(int(packed), int(node))
                        for packed, node in payload["entries"]]

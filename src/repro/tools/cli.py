@@ -619,8 +619,7 @@ def cmd_coordinate(args: argparse.Namespace, out) -> int:
         "distributed", max_states=args.max_states, workers=len(urls),
         nodes=urls, checkpoint=args.checkpoint,
         checkpoint_every=args.checkpoint_every, resume=args.resume,
-        worker_timeout=args.worker_timeout, heartbeat=args.heartbeat,
-        node_engine=args.engine)
+        worker_timeout=args.worker_timeout, heartbeat=args.heartbeat)
 
     def report(run, label: str) -> None:
         graph = run.graph
@@ -902,12 +901,6 @@ def build_parser() -> argparse.ArgumentParser:
     coord.add_argument("--worker-at", action="append", metavar="URL",
                        help="URL of an already-running repro worker "
                             "(repeatable; one per node)")
-    coord.add_argument("--engine", choices=("auto", "compact", "full"),
-                       default="auto",
-                       help="exploration engine: auto picks compact "
-                            "(fingerprint-only partitions on the workers) "
-                            "when the spec supports packed encoding, else "
-                            "full (stateless expander workers)")
     coord.add_argument("--max-states", type=_positive_int, default=200_000,
                        help="hard budget on interned states (default "
                             "200000)")

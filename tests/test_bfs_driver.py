@@ -1,8 +1,8 @@
-"""The level driver's contract, pinned across all six ways of running it.
+"""The level driver's contract, pinned across all five ways of running it.
 
 ``repro.checker.bfs.drive`` is the only level loop in the checker; the
-serial, pooled, compact, compact-pooled, distributed-compact and
-distributed-full runs are configurations of it.  The differential
+serial, pooled, compact, compact-pooled and distributed-compact runs are
+configurations of it.  The differential
 suites compare the *graphs* those runs build; this file pins what the
 driver itself promises per level, identically in every mode:
 
@@ -46,7 +46,7 @@ SYSTEMS = {
     "mutex": lambda: LamportMutex(2, 2).complete_spec(),
 }
 MODES = ["serial", "pooled", "compact", "compact-pooled",
-         "distributed-compact", "distributed-full"]
+         "distributed-compact"]
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +71,7 @@ def run(mode, spec, urls, **options):
         return explore_compact(spec, **options)
     if mode == "compact-pooled":
         return explore_compact(spec, workers=2, **options)
-    engine = mode.split("-")[1]
-    return explore_distributed(spec, urls, engine=engine, **options)
+    return explore_distributed(spec, urls, **options)
 
 
 def resume_run(mode, path, spec, urls):

@@ -72,14 +72,10 @@ def test_snapshot_key_sets_are_pinned(tmp_path):
     explore_compact(mutex_spec(), checkpoint=compact)
     with spawn_local_workers(1) as pool:
         dist_compact = str(tmp_path / "dist-compact")
-        dist_full = str(tmp_path / "dist-full")
         explore_distributed(mutex_spec(), pool.urls, checkpoint=dist_compact)
-        explore_distributed(mutex_spec(), pool.urls, engine="full",
-                            checkpoint=dist_full)
     for path, keys, body_key, body in (
             (full, FULL_KEYS, "graph", GRAPH_BODY),
             (compact, COMPACT_KEYS, "compact", COMPACT_BODY),
-            (dist_full, FULL_KEYS | {"distributed"}, "graph", GRAPH_BODY),
             (dist_compact, COMPACT_KEYS | {"distributed"}, "compact",
              COMPACT_BODY)):
         payload = read(path)

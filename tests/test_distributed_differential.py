@@ -9,13 +9,9 @@ stutter accounting, ``StateSpaceExplosion`` insertion point, and
 streaming :class:`~repro.checker.digest.GraphDigest` -- and therefore
 the same verdicts and byte-identical counterexample traces.  These
 tests make the claim empirical for every bundled system (including the
-deliberately broken mutex and Paxos variants) in both engines:
-
-* **compact** -- workers own visited-set partitions keyed by
-  fingerprint range; the coordinator keeps only the packed columns;
-* **full** -- workers are stateless expanders over portable state rows
-  (forced with ``engine="full"``: every bundled system supports packed
-  encoding, so the full path needs explicit selection).
+deliberately broken mutex and Paxos variants): workers own visited-set
+partitions keyed by fingerprint range, the coordinator keeps only the
+packed columns, and a spec that does not pack is refused up front.
 
 Golden distributed-run manifests freeze the digest and the per-level
 partition counts for the mutex and Paxos corpus systems; because
@@ -28,12 +24,17 @@ One 4-worker pool is spawned per module and reset per run via
 
 from __future__ import annotations
 
+import base64
 import json
 import os
+import pickle
+import urllib.error
+import urllib.request
 
 import pytest
 
 from repro.checker import (
+    CheckpointError,
     ExploreStats,
     StateSpaceExplosion,
     digest_of_graph,
@@ -42,13 +43,20 @@ from repro.checker import (
     explore_distributed,
     explore_parallel,
     partition_ranges,
+    resume_compact,
+    resume_distributed,
     spawn_local_workers,
 )
+from repro.engine import ExplicitEngine
+from repro.kernel import packed
+from repro.kernel.expr import Const, Eq, Var
+from repro.kernel.state import Universe
+from repro.kernel.values import BIT, TupleDomain
+from repro.spec import Spec
 from repro.systems import bundled_module
 from repro.tools.cli import main as cli_main
 
 from .systems_under_test import CASE_PARAMS, CASES
-from .test_checkpoint_roundtrip import assert_same_graph
 
 WORKER_COUNTS = [1, 2, 4]
 _extra = int(os.environ.get("REPRO_TEST_WORKERS", "0"))
@@ -80,14 +88,13 @@ def references():
 
 
 # ---------------------------------------------------------------------------
-# graph identity, both engines, every bundled system
+# graph identity, every bundled system
 # ---------------------------------------------------------------------------
 
 
 def assert_distributed_compact_matches(spec, urls, reference):
     stats = ExploreStats()
     graph = explore_distributed(spec, urls, stats=stats)
-    # engine auto-resolves to compact: every bundled system packs
     assert stats.engine == "compact"
     assert list(graph.states) == list(reference.states)
     assert graph.parent == [-1 if p is None else p
@@ -114,34 +121,35 @@ def test_compact_graph_identical_to_serial(case, workers, pool, references):
 @pytest.mark.parametrize("case", CASE_PARAMS)
 def test_full_graph_identical_to_serial_and_parallel(case, workers, pool,
                                                      references):
-    graph = explore_distributed(case.make_spec(), pool.urls[:workers],
-                                engine="full")
-    assert_same_graph(graph, references(case))
-    assert_same_graph(graph, explore_parallel(case.make_spec(), workers=2))
+    """Decoded, the distributed graph *is* the full-state graph the
+    serial and process-pool explorers build: the same states in the same
+    node order, parents, counts, and digest."""
+    spec = case.make_spec()
+    graph, _stats = assert_distributed_compact_matches(
+        spec, pool.urls[:workers], references(case))
+    parallel = explore_parallel(spec, workers=2)
+    assert list(graph.states) == parallel.states
+    assert graph.digest() == digest_of_graph(parallel)
 
 
 @pytest.mark.parametrize("case", CASE_PARAMS)
 def test_verdicts_and_traces_identical(case, pool, references):
     """The checks built on top agree too: same summaries, byte-identical
-    rendered counterexample traces, in both engines."""
+    rendered counterexample traces.  Lasso checks need the full
+    successor structure, so their rows pin the graph digest instead."""
     spec = case.make_spec()
     reference = references(case)
     ref_result = case.check(spec, reference)
     assert not ref_result.ok  # every row violates its property
 
-    full = explore_distributed(case.make_spec(), pool.urls[:2],
-                               engine="full")
-    result = case.check(spec, full)
+    graph = explore_distributed(spec, pool.urls[:2])
+    if case.kind != "finite":
+        assert graph.digest() == digest_of_graph(reference)
+        return
+    result = case.check(spec, graph)
     assert result.summary() == ref_result.summary()
     assert result.counterexample.render() == \
         ref_result.counterexample.render()
-
-    if case.kind == "finite":  # lasso checks need the full graph
-        compact = explore_distributed(spec, pool.urls[:2])
-        compact_result = case.check(spec, compact)
-        assert compact_result.summary() == ref_result.summary()
-        assert compact_result.counterexample.render() == \
-            ref_result.counterexample.render()
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +202,9 @@ def test_partition_ranges_tile_the_fingerprint_space():
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_level_partitions_sum_to_level_sizes(workers, pool, references):
     """The per-level partition counts are a decomposition of the BFS
-    levels: each row sums to the number of states interned that level,
-    and rows are identical across engines (both shard by the same
-    fingerprints)."""
+    levels: each row sums to the number of states interned that level."""
     case = CASES[0]  # queue
     compact = explore_distributed(case.make_spec(), pool.urls[:workers])
-    full = explore_distributed(case.make_spec(), pool.urls[:workers],
-                               engine="full")
-    assert compact.level_partitions == full.level_partitions
     assert len(compact.partition_ranges) == workers
     assert sum(compact.level_partitions[0]) == len(compact.init_nodes)
     assert sum(sum(row) for row in compact.level_partitions) == \
@@ -262,3 +265,119 @@ def test_cli_coordinate_requires_a_fleet(capsys):
     code = cli_main(["coordinate", "@mutex:n=2,clock=3"])
     assert code == 2
     assert "--spawn" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# one engine: what it cannot run is refused up front
+# ---------------------------------------------------------------------------
+
+
+def _unpackable_spec() -> Spec:
+    """Bit strings up to length 20: 2M values, past the packed codec's
+    per-variable bound, yet tiny to pickle (the domain is lazy)."""
+    return Spec("Words", Eq(Var("w"), Const(())),
+                Eq(Var("w", primed=True), Var("w")), ("w",),
+                Universe({"w": TupleDomain(BIT, 20)}))
+
+
+def _generation(url: str) -> int:
+    with urllib.request.urlopen(url + "/healthz", timeout=10) as response:
+        return json.load(response)["generation"]
+
+
+def test_unpackable_spec_is_refused_before_any_load(pool):
+    before = _generation(pool.urls[0])
+    with pytest.raises(packed.CompactUnsupported) as caught:
+        explore_distributed(_unpackable_spec(), pool.urls[:1])
+    assert "exceeds" in str(caught.value)
+    assert "repro check --workers N" in str(caught.value)
+    assert _generation(pool.urls[0]) == before
+
+
+def test_cli_coordinate_refuses_an_unpackable_spec(pool, monkeypatch,
+                                                   capsys):
+    reason = "domain of 'x' is empty; nothing to pack"
+    monkeypatch.setattr(packed, "support_problem", lambda spec: reason)
+    before = _generation(pool.urls[0])
+    code = cli_main(["coordinate", "@mutex:n=2,clock=3",
+                     "--worker-at", pool.urls[0]])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert reason in out and "repro check --workers N" in out
+    assert _generation(pool.urls[0]) == before  # no /load was sent
+
+
+def test_load_of_an_unpackable_spec_is_a_400(pool):
+    body = json.dumps({
+        "spec_pickle": base64.b64encode(
+            pickle.dumps(_unpackable_spec())).decode("ascii"),
+        "worker": 0, "ranges": [[0, 1 << 64]]}).encode("utf-8")
+    request = urllib.request.Request(
+        pool.urls[0] + "/load", data=body, method="POST",
+        headers={"Content-Type": "application/json"})
+    with pytest.raises(urllib.error.HTTPError) as caught:
+        urllib.request.urlopen(request, timeout=30)
+    assert caught.value.code == 400
+    assert "does not pack" in json.load(caught.value)["error"]
+
+
+def test_full_checkpoint_is_refused_on_a_cluster(pool, tmp_path, capsys):
+    path = str(tmp_path / "full.ckpt")
+    assert cli_main(["check", "@mutex:n=2,clock=3",
+                     "--checkpoint", path]) == 0
+    with pytest.raises(CheckpointError, match="full-state engine"):
+        resume_distributed(path, pool.urls[:1])
+    capsys.readouterr()
+    code = cli_main(["coordinate", "@mutex:n=2,clock=3",
+                     "--worker-at", pool.urls[0],
+                     "--checkpoint", path, "--resume"])
+    assert code == 2
+    assert "full-state engine" in capsys.readouterr().out
+
+
+class _Abort(Exception):
+    pass
+
+
+def _interrupted(run, path):
+    """Run *run* with a checkpoint at *path*, aborting after level 3."""
+    stats = ExploreStats()
+
+    def abort_at_3(level, _row):
+        if level == 3:
+            raise _Abort()
+
+    stats.add_level_listener(abort_at_3)
+    with pytest.raises(_Abort):
+        run(stats=stats, checkpoint=path)
+
+
+def test_compact_snapshots_resume_on_a_cluster_and_on_one_machine(
+        pool, tmp_path):
+    spec = bundled_module("mutex:n=2,clock=3").spec("Spec")
+    reference = explore_compact(spec).digest()
+    single = str(tmp_path / "single.ckpt")
+    _interrupted(lambda **kw: explore_compact(spec, **kw), single)
+    assert resume_distributed(single, pool.urls[:2], spec,
+                              checkpoint=None).digest() == reference
+    fleet = str(tmp_path / "fleet.ckpt")
+    _interrupted(lambda **kw: explore_distributed(spec, pool.urls[:2], **kw),
+                 fleet)
+    assert resume_compact(fleet, spec,
+                          checkpoint=None).digest() == reference
+    assert resume_distributed(fleet, pool.urls[:1], spec,
+                              checkpoint=None).digest() == reference
+
+
+def test_distributed_runs_refuse_temporal_properties():
+    """Distributed runs build a compact graph, which has no successor
+    structure for lasso search: refused like compact mode, not a
+    traceback from inside the liveness checker."""
+    engine = ExplicitEngine("distributed", nodes=["http://127.0.0.1:9"])
+    spec = bundled_module("mutex:n=2,clock=3").spec("Spec")
+    with pytest.raises(ValueError, match="distributed mode cannot check "
+                                         "temporal properties"):
+        engine.run(spec, properties=[("P", object())])
+    with pytest.raises(ValueError, match="compact mode cannot check "
+                                         "temporal properties"):
+        ExplicitEngine("compact").run(spec, properties=[("P", object())])

@@ -8,7 +8,9 @@ oracle comparisons then pin the successor machinery:
 
 * ``SuccessorPlan.successors(s)`` must agree exactly with brute-force
   enumeration -- filter *all* states of the universe by evaluating the
-  action on the step ``(s, t)`` -- for every state ``s``;
+  action on the step ``(s, t)`` -- for every state ``s``, and a BFS over
+  that brute force rebuilds ``explore``'s graph of the bundled appendix
+  queue and Figure 1 circuit;
 * ``State`` pickling and fingerprinting must round-trip: equality, hash,
   and fingerprint survive ``pickle``, and the fingerprint is stable
   across interpreter processes regardless of ``PYTHONHASHSEED`` (the
@@ -29,6 +31,8 @@ from typing import List, Tuple
 
 import pytest
 
+from repro.checker import explore
+from repro.checker.explorer import initial_states
 from repro.kernel.action import compile_action, holds_on_step
 from repro.kernel.expr import (
     And,
@@ -45,6 +49,8 @@ from repro.kernel.expr import (
 )
 from repro.kernel.state import State, Universe
 from repro.kernel.values import FiniteDomain
+from repro.systems.circuit import composed_processes
+from repro.systems.queue import complete_queue
 
 VAR_NAMES = ("x", "y", "z")
 
@@ -150,6 +156,30 @@ def test_plan_enabled_agrees_with_brute_force(seed):
         assert plan.enabled(state) == bool(
             brute_force_successors(action, state, universe)
         )
+
+
+@pytest.mark.parametrize("make_spec", [lambda: complete_queue(2),
+                                       composed_processes],
+                         ids=["queue", "circuit"])
+def test_explored_graph_matches_brute_force_bfs(make_spec):
+    spec = make_spec()
+    states = list(initial_states(spec.init, spec.universe))
+    seen, edges = set(states), set()
+    for state in states:  # grows as the BFS discovers states
+        for succ in brute_force_successors(spec.next_action, state,
+                                           spec.universe):
+            if succ != state:
+                edges.add((state, succ))
+            if succ not in seen:
+                seen.add(succ)
+                states.append(succ)
+    graph = explore(spec)
+    assert set(graph.states) == seen
+    assert {(graph.states[src], graph.states[dst])
+            for src, outs in enumerate(graph.succ)
+            for dst in outs if dst != src} == edges
+    assert graph.edge_count == len(edges)
+    assert graph.stutter_count == graph.state_count
 
 
 # -- State pickle / fingerprint properties -----------------------------------

@@ -146,6 +146,20 @@ def test_chain_reduction_shrinks_the_graph():
             == check_deadlock_free(full).ok)
 
 
+def test_chain_reduction_exact_state_counts():
+    """The k=3 chain pins POR's payoff exactly: 6,038 states full,
+    2,240 under deadlock-only observation (the reduced graph is
+    machine-independent), with the same deadlock verdict."""
+    spec = QueueChain(3, 1).complete_spec()
+    full = explore(spec)
+    stats = ExploreStats()
+    reduced = explore(spec, stats=stats, reduction=ReductionConfig(()))
+    assert stats.por_enabled is True
+    assert (full.state_count, reduced.state_count) == (6_038, 2_240)
+    assert (check_deadlock_free(reduced).ok
+            == check_deadlock_free(full).ok)
+
+
 def test_liveness_shaped_specs_auto_disable():
     """Specs whose decomposition collapses are refused with a recorded
     reason, and the run silently falls back to full exploration."""

@@ -1,18 +1,15 @@
 """Content-addressed cache layer: fingerprint soundness (semantic knobs
-address the result, execution-only knobs never do), ResultCache
-persistence/atomicity/counters, LRU eviction with ExploreStats-style
-summaries, and the sharded multi-process store."""
+address the result, execution-only knobs never do), and the one result
+store -- the sharded multi-process cache: persistence, atomicity,
+counters, LRU eviction with ExploreStats-style summaries, and shard
+bounds."""
 
 import json
 import os
 
 import pytest
 
-from repro.service.cache import (
-    ResultCache,
-    ShardedResultCache,
-    canonical_fingerprint,
-)
+from repro.service.cache import ShardedResultCache, canonical_fingerprint
 from repro.service.jobs import CheckRequest
 
 COUNTER_TLA = """
@@ -103,93 +100,121 @@ class TestFingerprint:
         assert a != b
 
 
+def fp_of(prefix: str) -> str:
+    """A full-length fingerprint whose first byte picks the shard."""
+    return prefix * 32
+
+
+def one_shard(tmp_path, **bounds) -> ShardedResultCache:
+    """A single-shard cache, so every entry lands in ``cache/shard-00``
+    and the global bounds are exactly the shard's."""
+    return ShardedResultCache(str(tmp_path / "cache"), shards=1, **bounds)
+
+
+def age(tmp_path, prefix: str, seconds: float) -> None:
+    path = tmp_path / "cache" / "shard-00" / (fp_of(prefix) + ".json")
+    os.utime(path, (seconds, seconds))
+
+
 class TestResultCache:
-    def test_memory_roundtrip_and_counters(self):
-        cache = ResultCache()
-        assert cache.get("deadbeef") is None
-        cache.put("deadbeef", {"verdict": "ok"})
-        assert cache.get("deadbeef") == {"verdict": "ok"}
-        assert "deadbeef" in cache
+    def test_memory_roundtrip_and_counters(self, tmp_path):
+        cache = ShardedResultCache(str(tmp_path / "cache"))
+        assert cache.get(fp_of("de")) is None
+        cache.put(fp_of("de"), {"verdict": "ok"})
+        assert cache.get(fp_of("de")) == {"verdict": "ok"}
+        assert fp_of("de") in cache
         assert len(cache) == 1
-        assert cache.counters() == {"hits": 1, "misses": 1,
-                                    "evictions": 0, "entries": 1}
+        counters = cache.counters()
+        assert {key: counters[key] for key in
+                ("hits", "misses", "evictions", "entries")} == {
+            "hits": 1, "misses": 1, "evictions": 0, "entries": 1}
 
     def test_disk_persistence_across_instances(self, tmp_path):
         directory = str(tmp_path / "cache")
-        first = ResultCache(directory)
-        first.put("abc123", {"verdict": "violation", "states": 3})
-        second = ResultCache(directory)  # fresh process, cold memory
-        assert second.get("abc123") == {"verdict": "violation", "states": 3}
+        first = ShardedResultCache(directory)
+        first.put(fp_of("ab"), {"verdict": "violation", "states": 3})
+        second = ShardedResultCache(directory)  # fresh process, cold memory
+        assert second.get(fp_of("ab")) == {"verdict": "violation",
+                                           "states": 3}
         assert second.hits == 1 and second.misses == 0
-        assert "abc123" in second and len(second) == 1
+        assert fp_of("ab") in second and len(second) == 1
 
     def test_torn_entry_is_a_miss_not_a_crash(self, tmp_path):
-        directory = str(tmp_path / "cache")
-        cache = ResultCache(directory)
-        (tmp_path / "cache" / "feed.json").write_text("{not json")
-        assert cache.get("feed") is None
+        cache = one_shard(tmp_path)
+        shard = tmp_path / "cache" / "shard-00"
+        shard.mkdir()
+        (shard / (fp_of("fe") + ".json")).write_text("{not json")
+        assert cache.get(fp_of("fe")) is None
         assert cache.misses == 1
 
     def test_put_is_atomic_on_disk(self, tmp_path):
-        directory = str(tmp_path / "cache")
-        cache = ResultCache(directory)
-        cache.put("aa", {"verdict": "ok"})
-        files = list(tmp_path.glob("cache/*"))
-        assert [f.name for f in files] == ["aa.json"]  # no .tmp leftovers
+        cache = one_shard(tmp_path)
+        cache.put(fp_of("aa"), {"verdict": "ok"})
+        files = [f for f in (tmp_path / "cache" / "shard-00").iterdir()
+                 if f.name != ".lock"]  # the evictor's flock file
+        # no .tmp leftovers
+        assert [f.name for f in files] == [fp_of("aa") + ".json"]
         assert json.loads(files[0].read_text()) == {"verdict": "ok"}
 
 
 class TestEvictionStats:
-    def test_memory_lru_eviction_counts(self):
-        cache = ResultCache(max_entries=2)
-        cache.put("aa", {"n": 1})
-        cache.put("bb", {"n": 2})
-        cache.put("cc", {"n": 3})
+    def test_memory_lru_eviction_counts(self, tmp_path):
+        cache = one_shard(tmp_path, max_entries=2)
+        for n, prefix in enumerate(("aa", "bb")):
+            cache.put(fp_of(prefix), {"n": n + 1})
+            age(tmp_path, prefix, 1000.0 + n)
+        cache.put(fp_of("cc"), {"n": 3})
         assert cache.evictions == 1
         assert len(cache) == 2
-        assert cache.get("aa") is None  # the oldest went
-        assert cache.get("cc") == {"n": 3}
+        assert cache.get(fp_of("aa")) is None  # the oldest went
+        assert cache.get(fp_of("cc")) == {"n": 3}
 
-    def test_get_refreshes_recency(self):
-        cache = ResultCache(max_entries=2)
-        cache.put("aa", {"n": 1})
-        cache.put("bb", {"n": 2})
-        cache.get("aa")             # aa is now the most recently used
-        cache.put("cc", {"n": 3})
-        assert cache.get("bb") is None  # bb was LRU, not aa
-        assert cache.get("aa") == {"n": 1}
+    def test_get_refreshes_recency(self, tmp_path):
+        # no memory layer: every get reads (and touches) the disk entry
+        cache = one_shard(tmp_path, max_entries=2, memory_entries=0)
+        for n, prefix in enumerate(("aa", "bb")):
+            cache.put(fp_of(prefix), {"n": n + 1})
+            age(tmp_path, prefix, 1000.0 + n)
+        cache.get(fp_of("aa"))      # aa is now the most recently used
+        cache.put(fp_of("cc"), {"n": 3})
+        assert cache.get(fp_of("bb")) is None  # bb was LRU, not aa
+        assert cache.get(fp_of("aa")) == {"n": 1}
 
     def test_disk_eviction_by_mtime(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"), max_entries=2)
-        for n, name in enumerate(("aa", "bb", "cc")):
-            cache.put(name, {"n": n})
-            os.utime(tmp_path / "cache" / (name + ".json"),
-                     (1000.0 + n, 1000.0 + n))
-        cache.put("dd", {"n": 3})
+        cache = one_shard(tmp_path, max_entries=2)
+        shard = tmp_path / "cache" / "shard-00"
+        for n, prefix in enumerate(("aa", "bb", "cc")):
+            cache.put(fp_of(prefix), {"n": n})
+            age(tmp_path, prefix, 1000.0 + n)
+        cache.put(fp_of("dd"), {"n": 3})
         assert cache.evictions >= 2
-        assert not (tmp_path / "cache" / "aa.json").exists()
-        assert (tmp_path / "cache" / "dd.json").exists()
+        assert not (shard / (fp_of("aa") + ".json")).exists()
+        assert (shard / (fp_of("dd") + ".json")).exists()
 
-    def test_summary_and_to_json_expose_eviction_pressure(self):
-        cache = ResultCache(max_entries=1)
-        cache.get("aa")             # miss
-        cache.put("aa", {"n": 1})
-        cache.get("aa")             # hit
-        cache.put("bb", {"n": 2})   # evicts aa
+    def test_summary_and_to_json_expose_eviction_pressure(self, tmp_path):
+        cache = one_shard(tmp_path, max_entries=1)
+        cache.get(fp_of("aa"))             # miss
+        cache.put(fp_of("aa"), {"n": 1})
+        cache.get(fp_of("aa"))             # hit
+        age(tmp_path, "aa", 1000.0)
+        cache.put(fp_of("bb"), {"n": 2})   # evicts aa
         line = cache.summary(indent="  ")
         assert line.startswith("  result cache: 1 entries")
         assert "1 hits / 1 misses (50.0% hit rate)" in line
         assert "1 evictions" in line
-        assert json.loads(cache.to_json()) == {
-            "hits": 1, "misses": 1, "evictions": 1, "entries": 1}
+        payload = json.loads(cache.to_json())
+        assert payload.pop("bytes") > 0
+        assert payload == {"hits": 1, "misses": 1, "evictions": 1,
+                           "entries": 1, "shards": 1}
 
-    def test_on_event_feeds_external_counters(self):
+    def test_on_event_feeds_external_counters(self, tmp_path):
         seen = []
-        cache = ResultCache(max_entries=1,
-                            on_event=lambda kind, n: seen.append((kind, n)))
-        cache.get("aa")
-        cache.put("aa", {"n": 1})
-        cache.put("bb", {"n": 2})
+        cache = one_shard(tmp_path, max_entries=1,
+                          on_event=lambda kind, n: seen.append((kind, n)))
+        cache.get(fp_of("aa"))
+        cache.put(fp_of("aa"), {"n": 1})
+        age(tmp_path, "aa", 1000.0)
+        cache.put(fp_of("bb"), {"n": 2})
         assert ("misses", 1) in seen
         assert ("evictions", 1) in seen
 
@@ -210,17 +235,6 @@ class TestShardedResultCache:
         second = ShardedResultCache(directory)
         assert second.get("cd" * 32) == {"states": 7}
         assert second.hits == 1
-
-    def test_legacy_flat_entries_still_hit(self, tmp_path):
-        directory = tmp_path / "cache"
-        directory.mkdir()
-        fingerprint = "ef" * 32
-        (directory / (fingerprint + ".json")).write_text(
-            json.dumps({"verdict": "ok"}))
-        cache = ShardedResultCache(str(directory))
-        assert cache.get(fingerprint) == {"verdict": "ok"}
-        assert fingerprint in cache
-        assert len(cache) == 1
 
     def test_entry_bound_evicts_lru_within_shard(self, tmp_path):
         # one shard, so the global bound is exactly the shard bound
