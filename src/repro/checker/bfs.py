@@ -17,8 +17,11 @@ instances (``FullEngine`` in :mod:`~repro.checker.explorer` over a
 * ``expand(payload)`` -- the node's successors, pure;
 * ``merge(src, expanded)`` -- intern them, return the new node ids;
 * ``size(expanded)`` -- how many successors a worker's result holds;
-* ``snapshot(path, frontier, depth, levels, elapsed, workers,
-  checkpoint_every, stats)`` -- the engine's checkpoint body;
+* ``header()`` -- the engine's fields of a checkpoint log's header;
+* ``snapshot(nodes, sources)`` -- the engine's share of one checkpoint
+  record: the rows of the node-id range *nodes* interned since the
+  previous record, and the adjacency of the newly expanded *sources*
+  (see :class:`~repro.checker.checkpoint.LevelLog`);
 * ``finish(stats)`` -- fold engine counters into graph/stats.
 
 A **configuration** says how a whole frontier becomes the next one:
@@ -37,11 +40,11 @@ The per-level contract, pinned by ``tests/test_bfs_driver.py``:
    raises aborts the run with *no* snapshot for this level; the
    previous one survives (the cancellation seam).
 3. ``levels`` / ``depth`` advance.
-4. ``snapshot`` runs every ``checkpoint_every``-th level and once more
-   when the frontier drains, so a finished run's file resumes as a
-   no-op.  Levels are pure functions of (graph, frontier) and a
-   snapshot captures both, so a resumed run repeats the uninterrupted
-   one exactly.
+4. ``snapshot`` appends a record to the run's level log every
+   ``checkpoint_every``-th level and once more when the frontier
+   drains, so a finished run's file resumes as a no-op.  Levels are
+   pure functions of (graph, frontier) and the log's records fold back
+   into both, so a resumed run repeats the uninterrupted one exactly.
 
 The configuration is closed on every exit path, and ``elapsed`` counts
 from the public entry point (``start``) in every mode.
@@ -56,7 +59,7 @@ from typing import Callable, List, NamedTuple, Optional
 from ..kernel.action import compile_action
 from ..kernel.packed import PackedPlan
 from ..spec import Spec
-from .checkpoint import _SAME_PATH, Checkpoint
+from .checkpoint import _SAME_PATH, Checkpoint, LevelLog, run_header
 
 __all__ = ["RunOptions", "resolve_options", "default_workers", "expander",
            "Serial", "drive"]
@@ -162,12 +165,19 @@ class Serial:
             next_frontier.extend(merge(src, expand(payloads[src])))
         return next_frontier
 
-    def snapshot(self, frontier: List[int], depth: int, levels: int,
-                 elapsed: float) -> None:
-        options = self.options
-        self.engine.snapshot(options.checkpoint, frontier, depth, levels,
-                             elapsed, options.workers,
-                             options.checkpoint_every, self.stats)
+    def open_log(self) -> LevelLog:
+        """The run's level log, fresh: its first record replaces
+        whatever file is at the path."""
+        engine, options = self.engine, self.options
+        header = run_header(engine.spec.name, engine.graph.max_states,
+                            options.workers, options.checkpoint_every,
+                            engine.header())
+        return LevelLog(options.checkpoint, header)
+
+    def snapshot(self, log: LevelLog, frontier: List[int], depth: int,
+                 levels: int, elapsed: float) -> None:
+        log.append_level(self.engine.graph, self.engine.snapshot, frontier,
+                         depth, levels, elapsed, self.stats)
 
     def close(self) -> None:
         """Release what the configuration holds (pool, coordinator)."""
@@ -182,6 +192,7 @@ def drive(level: Serial, frontier: List[int], start: float,
     engine, stats, options = level.engine, level.stats, level.options
     graph = engine.graph
     checkpoint_every = options.checkpoint_every
+    log = level.open_log() if options.checkpoint is not None else None
     depth, levels, before = ((resumed.depth, resumed.levels,
                               resumed.elapsed_seconds)
                              if resumed is not None else (0, 0, 0.0))
@@ -194,9 +205,9 @@ def drive(level: Serial, frontier: List[int], start: float,
             levels += 1
             if frontier:
                 depth += 1
-            if options.checkpoint is not None and (
+            if log is not None and (
                     not frontier or levels % checkpoint_every == 0):
-                level.snapshot(frontier, depth, levels,
+                level.snapshot(log, frontier, depth, levels,
                                before + perf_counter() - start)
     finally:
         level.close()

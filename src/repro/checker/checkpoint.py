@@ -1,54 +1,57 @@
-"""Durable exploration runs: checkpoint, resume, and run manifests.
+"""Durable exploration runs: the checkpoint level log, resume, manifests.
 
 TLC treats checkpointing as table stakes for industrial model checking --
 a multi-hour run must survive an OOM kill, a pre-empted machine, or an
-operator ctrl-C.  This module gives our explorer the same durability:
+operator ctrl-C.  This module gives our explorer the same durability at
+the cost of the rows a run interns, not of the graph it has so far:
 
-* :func:`save_checkpoint` writes a **versioned, portable** snapshot of a
-  run in flight -- the :class:`~repro.checker.graph.StateGraph` built so
-  far (states in node order with their process-stable fingerprints,
-  adjacency lists in insertion order, the BFS parent tree, the
-  real-vs-stutter edge split), the frontier still to expand, the BFS
-  depth, and the cumulative :class:`~repro.checker.stats.ExploreStats`
-  counters.  Writes are atomic (write-temp-then-``os.replace``), so a
-  crash *during* checkpointing leaves the previous snapshot intact.
-* :func:`load_checkpoint` / :func:`resume` reload a snapshot and continue
-  the run **bit-for-bit identically** to an uninterrupted one: same node
-  numbering, same adjacency order, same parents, hence the same
-  counterexample traces and the same
-  :class:`~repro.checker.graph.StateSpaceExplosion` insertion point.
-  The determinism argument is short: checkpoints are taken only at BFS
-  level boundaries, the restored graph is bit-identical to the live one
-  at that boundary, and a BFS level expansion is a pure function of
-  (graph, frontier) -- see DESIGN.md 4d and 4l.
-* Both engines share one **envelope**: :func:`_write_envelope` puts the
-  common header around an engine-specific body (``"graph"`` here,
-  ``"compact"`` for :mod:`repro.checker.compact`), and
-  :func:`read_checkpoint` is the one reader -- it validates every type
-  and range a resume relies on, so a malformed or hostile file is a
-  :class:`CheckpointError`, never a traceback.
-* :func:`write_manifest` emits a small JSON run manifest (spec name,
-  budget, worker count, wall time, outcome, rendered counterexample if
-  any) next to the checkpoint -- the machine-readable artifact CI
-  uploads per run.
+* A checkpoint is an append-only **level log** (:class:`LevelLog`): a
+  magic line, one header frame (format, version, spec name, the
+  engine's variables or codec signature, budget, cadence, reduction and
+  store configs), then one frame per snapshot.  A snapshot's record
+  holds only what the level boundary added: the rows, fingerprints and
+  parents interned since the previous record, the adjacency of the
+  sources expanded since then (BFS expands in node-id order, so both are
+  contiguous id ranges), the frontier, the ``depth`` / ``levels`` /
+  elapsed counters and the cumulative stats.  A run's checkpoint I/O is
+  therefore O(states), however many levels it snapshots.
+* Frames are length-prefixed and CRC32-checked and every append is
+  ``fsync``'d.  Every run, fresh or resumed, writes the header
+  together with its first record through write-temp-then-``os.replace``,
+  so it *replaces* an old log at the same path and never appends to
+  one.
+* :func:`read_checkpoint` is the one reader: it folds the records into
+  the run's state at the last complete one, drops a torn final frame
+  (the residue of a crash mid-append, the same idiom as
+  :mod:`repro.service.journal`), and fails closed with a
+  :class:`CheckpointError` on anything else -- a bad checksum, a gap
+  between records, a type or range a resume would index with.
+* :func:`resume` (and the compact and distributed twins) continue a run
+  **bit-for-bit**: same node numbering, adjacency order, parents,
+  traces, and :class:`~repro.checker.graph.StateSpaceExplosion`
+  insertion point.  Levels are pure functions of (graph, frontier) and
+  the fold rebuilds both exactly -- see DESIGN.md 4d and 4l.  A resumed
+  run's first record holds the whole restored graph and replaces the
+  log it was read from; its later records append as a fresh run's do.
+* :func:`write_manifest` emits a small JSON run manifest next to the
+  checkpoint -- the machine-readable artifact CI uploads per run.
 
-States are serialized with the tagged JSON encoding of
-:func:`repro.kernel.state.value_to_portable` (no pickle), so checkpoint
-files are stable across interpreter processes and ``PYTHONHASHSEED``
-values.  The spec itself *is* embedded as a pickle (base64) purely as a
-convenience so ``resume(path)`` works standalone; passing ``spec=``
-explicitly to :func:`resume` skips it entirely.
+Everything in the file is JSON: states use the tagged encoding of
+:func:`repro.kernel.state.value_to_portable`, so bytes are stable across
+processes and ``PYTHONHASHSEED`` values.  The spec is not in the file;
+every resume takes it from the caller and checks it against the
+header's variables (or codec signature).
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import os
-import pickle
+import struct
 import tempfile
+import zlib
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..kernel.state import State, value_to_portable
 from ..spec import Spec
@@ -62,6 +65,8 @@ __all__ = [
     "COMPACT_CHECKPOINT_MODE",
     "CheckpointError",
     "Checkpoint",
+    "LevelLog",
+    "run_header",
     "save_checkpoint",
     "read_checkpoint",
     "load_checkpoint",
@@ -71,14 +76,20 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
-#: The ``mode`` tag compact checkpoints carry (full ones carry none), so
-#: the two engines can refuse each other's snapshots with a usable error.
+#: The ``mode`` tag compact checkpoints carry (full ones carry ``null``),
+#: so the two engines can refuse each other's snapshots with a usable
+#: error.
 COMPACT_CHECKPOINT_MODE = "compact"
 
-# mode tag -> the payload key holding that engine's body
-_BODY_KEY = {None: "graph", COMPACT_CHECKPOINT_MODE: "compact"}
+# the first bytes of every level log
+_MAGIC = b"repro-checkpoint level log\n"
+# a frame: payload length, CRC32 of the length's bytes, CRC32 of the
+# payload.  The length has its own check so a damaged one is corruption,
+# never mistaken for a torn tail.
+_FRAME = struct.Struct(">III")
+_LENGTH = struct.Struct(">I")
 
 # resume()'s "keep writing to the file we loaded from" default
 _SAME_PATH = object()
@@ -93,20 +104,29 @@ class CheckpointError(Exception):
     """A checkpoint file is missing, malformed, or fails integrity checks."""
 
 
-def _atomic_write_json(path: str, payload: Dict[str, object]) -> None:
-    """Serialize *payload* to *path* via write-temp-then-rename.
+# -- writing -----------------------------------------------------------------
 
-    ``os.replace`` is atomic on POSIX and Windows, so readers (and a
-    crash mid-write) only ever observe the old complete file or the new
-    complete file, never a truncated one.
-    """
+
+def _encode(payload: Dict[str, object]) -> bytes:
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+
+
+def _frame(body: bytes) -> bytes:
+    length = _LENGTH.pack(len(body))
+    return (_FRAME.pack(len(body), zlib.crc32(length), zlib.crc32(body))
+            + body)
+
+
+def _replace(path: str, data: bytes) -> None:
+    """Write *data* to *path* via write-temp-then-rename: readers (and a
+    crash mid-write) see the old complete file or the new one."""
     path = os.path.abspath(path)
-    directory = os.path.dirname(path)
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory)
+    fd, tmp_path = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
+                                    suffix=".tmp",
+                                    dir=os.path.dirname(path))
     try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, separators=(",", ":"))
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
@@ -118,42 +138,137 @@ def _atomic_write_json(path: str, payload: Dict[str, object]) -> None:
         raise
 
 
-def _write_envelope(path: str, mode: Optional[str], spec: Spec, graph,
-                    body: Dict[str, object], frontier: Sequence[int],
-                    depth: int, levels: int, elapsed_seconds: float,
-                    workers: int, checkpoint_every: int,
-                    stats: Optional[ExploreStats],
-                    *sections: Optional[Dict[str, object]]) -> None:
-    """Atomically write one snapshot: the header every engine shares
-    around the engine's own *body*, then any further top-level
-    *sections* (the full engine's reduction/store record, the
-    distributed coordinator's level manifest -- readers keep unknown
-    sections on ``Checkpoint.payload`` and otherwise ignore them)."""
-    payload: Dict[str, object] = {
+def run_header(spec_name: str, max_states: Optional[int], workers: int,
+               checkpoint_every: int,
+               engine: Dict[str, object]) -> Dict[str, object]:
+    """A level log's header: what identifies the run, then the engine's
+    own fields (``mode``, ``variables`` or ``codec_signature``, and the
+    full engine's ``reduction`` / ``store`` configs)."""
+    header: Dict[str, object] = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-    }
-    if mode is not None:
-        payload["mode"] = mode
-    payload.update({
-        "spec_name": spec.name,
-        "spec_pickle": base64.b64encode(
-            pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
-        ).decode("ascii"),
-        "max_states": graph.max_states,
+        "mode": None,
+        "spec_name": spec_name,
+        "max_states": max_states,
         "workers": workers,
         "checkpoint_every": checkpoint_every,
-        "depth": depth,
-        "levels": levels,
-        "elapsed_seconds": elapsed_seconds,
-        _BODY_KEY[mode]: body,
-        "frontier": list(frontier),
-        "stats": stats.as_dict() if stats is not None else None,
-    })
-    for section in sections:
-        if section:
-            payload.update(section)
-    _atomic_write_json(path, payload)
+    }
+    header.update(engine)
+    return header
+
+
+def graph_header(graph: StateGraph,
+                 reduction: Optional[Dict[str, object]],
+                 store: Optional[Dict[str, object]]) -> Dict[str, object]:
+    """The full engine's header fields.  ``reduction`` / ``store`` are
+    the run's effective ``ReductionConfig.as_dict()`` /
+    ``StateStore.config()``, recorded so :func:`resume` continues under
+    the *same* semantics."""
+    return {"variables": list(graph.universe.variables),
+            "reduction": reduction, "store": store}
+
+
+def graph_rows(graph: StateGraph, nodes: range,
+               sources: range) -> Dict[str, object]:
+    """The full engine's share of one record: portable rows,
+    fingerprints and parents (``-1``: initial) of *nodes*, and the
+    adjacency of *sources* without the implied stutter self-loop."""
+    variables = graph.universe.variables
+    states = graph.states
+    rows: List[List[object]] = []
+    fingerprints: List[str] = []
+    for node in nodes:
+        state = states[node]
+        rows.append([value_to_portable(state[name]) for name in variables])
+        fingerprints.append(format(state.fingerprint(), "016x"))
+    parent = graph.parent
+    return {
+        "states": rows,
+        "fingerprints": fingerprints,
+        "parent": [-1 if parent[node] is None else parent[node]
+                   for node in nodes],
+        "succ": [graph.succ[src][1:] for src in sources],
+    }
+
+
+class LevelLog:
+    """The writer of one run's level log at *path*.
+
+    The first :meth:`append` writes the magic, the *header* and the
+    record in one atomic replace -- so every run, fresh or resumed,
+    starts a new log, and a resumed run's first record holds the whole
+    restored graph; later appends add a frame and ``fsync`` it.
+
+    The cursors say what the file already holds -- ``nodes`` interned,
+    ``sources`` whose adjacency is stored, per-level ``level_rows`` of
+    the stats, ``partition_rows`` of a distributed manifest -- so each
+    record carries only what came after them."""
+
+    def __init__(self, path: str, header: Dict[str, object]):
+        self.path = path
+        self._header = _encode(header)
+        self._started = False
+        self.nodes = self.sources = self.level_rows = self.partition_rows = 0
+
+    def append(self, record: Dict[str, object]) -> None:
+        """Make *record* durable."""
+        frame = _frame(_encode(record))
+        if not self._started:
+            _replace(self.path, _MAGIC + _frame(self._header) + frame)
+            self._started = True
+            return
+        with open(self.path, "ab") as handle:
+            handle.write(frame)
+            handle.flush()
+            os.fsync(handle.fileno())
+
+    def append_level(self, graph, rows: Callable[[range, range], Dict],
+                     frontier: Sequence[int], depth: int, levels: int,
+                     elapsed_seconds: float, stats: Optional[ExploreStats],
+                     distributed: Optional[Dict[str, object]] = None
+                     ) -> None:
+        """Append the record of one level boundary of a BFS over
+        *graph*.  *rows* is the engine's ``snapshot`` hook: the engine's
+        share of the record for a range of new nodes and a range of newly
+        expanded sources.  BFS expands in node-id order and the frontier
+        is the last level's new nodes, so the frontier is the tail of the
+        node ids, stored as the pair ``[first, end)``, and every node
+        below it has been expanded.  *distributed* is a coordinator's
+        section; its ``level_partitions`` rows are appended like the
+        nodes."""
+        count = graph.state_count
+        first = count - len(frontier)
+        if frontier and (frontier[0] != first or frontier[-1] != count - 1
+                         or first < self.sources):
+            raise ValueError(
+                f"a level log stores the frontier as the unexpanded tail "
+                f"of the node ids; {frontier[0]}..{frontier[-1]} is not "
+                f"{max(first, self.sources)}..{count - 1}")
+        record: Dict[str, object] = {"nodes_from": self.nodes}
+        record.update(rows(range(self.nodes, count),
+                           range(self.sources, first)))
+        snapshot = None
+        if stats is not None:
+            snapshot = stats.as_dict()
+            snapshot["levels"] = snapshot["levels"][self.level_rows:]
+        record.update({
+            "frontier": [first, count],
+            "depth": depth,
+            "levels": levels,
+            "elapsed_seconds": elapsed_seconds,
+            "stats": snapshot,
+        })
+        if distributed is not None:
+            section = dict(distributed)
+            partitions = section["level_partitions"]
+            section["level_partitions"] = partitions[self.partition_rows:]
+            record["distributed"] = section
+        self.append(record)
+        self.nodes, self.sources = count, first
+        if stats is not None:
+            self.level_rows = len(stats.levels)
+        if distributed is not None:
+            self.partition_rows = len(partitions)
 
 
 def save_checkpoint(
@@ -169,169 +284,293 @@ def save_checkpoint(
     stats: Optional[ExploreStats] = None,
     reduction: Optional[Dict[str, object]] = None,
     store: Optional[Dict[str, object]] = None,
-    extra: Optional[Dict[str, object]] = None,
 ) -> None:
-    """Atomically snapshot a run at a BFS level boundary.
+    """Write a fresh level log holding *graph* as one record: the
+    header, then every state, and the adjacency of every node below the
+    *frontier* -- the unexpanded tail of the node ids, empty for a
+    finished run.
 
     ``depth`` is the stats-visible frontier depth so far, ``levels`` the
     number of completed expansion rounds (the checkpoint cadence
-    counter), ``frontier`` the node ids still to expand -- exactly the
-    loop state of :func:`repro.checker.bfs.drive` between two levels.
-    ``reduction`` / ``store`` are the effective
-    partial-order-reduction and state-store configurations of the run
-    (``ReductionConfig.as_dict()`` / ``StateStore.config()``), recorded
-    so :func:`resume` continues under the *same* semantics -- resuming a
-    reduced run unreduced (or vice versa) would not reproduce the run.
-    Spill-store states are re-interned from this snapshot on resume, so
-    the snapshot is self-contained even if the spill files are lost.
-    ``extra`` merges additional top-level sections into the payload.
-    """
-    variables = list(graph.universe.variables)
-    rows: List[List[object]] = []
-    fingerprints: List[str] = []
-    for state in graph.states:
-        rows.append([value_to_portable(state[name]) for name in variables])
-        fingerprints.append(format(state.fingerprint(), "016x"))
-    body = {
-        "variables": variables,
-        "states": rows,
-        "fingerprints": fingerprints,
-        # stutter self-loops are implied (one per node, always first
-        # in the adjacency list); only the real N-edges are stored
-        "succ": [adj[1:] for adj in graph.succ],
-        "parent": graph.parent,
-        "init_nodes": graph.init_nodes,
-    }
-    _write_envelope(path, None, spec, graph, body, frontier, depth, levels,
-                    elapsed_seconds, workers, checkpoint_every, stats,
-                    {"reduction": reduction, "store": store}, extra)
+    counter) -- the loop state of :func:`repro.checker.bfs.drive`
+    between two levels.  Spill-store states are re-interned from the
+    log on resume, so it is self-contained even if the spill files are
+    lost."""
+    header = run_header(spec.name, graph.max_states, workers,
+                        checkpoint_every,
+                        graph_header(graph, reduction, store))
+    LevelLog(path, header).append_level(
+        graph, lambda nodes, sources: graph_rows(graph, nodes, sources),
+        frontier, depth, levels, elapsed_seconds, stats)
+
+
+# -- reading -----------------------------------------------------------------
+
+
+def _frames(path: str, data: bytes) -> List[bytes]:
+    """The payloads of the complete frames after the magic.  A final
+    frame the file ends inside of is a torn tail and left out; a
+    complete frame that fails its checksums raises."""
+    bodies: List[bytes] = []
+    offset, size = len(_MAGIC), len(data)
+    while offset + _FRAME.size <= size:
+        length, length_crc, body_crc = _FRAME.unpack_from(data, offset)
+        if zlib.crc32(_LENGTH.pack(length)) != length_crc:
+            raise CheckpointError(
+                f"{path}: corrupt checkpoint: damaged frame length at "
+                f"byte {offset}")
+        start = offset + _FRAME.size
+        if start + length > size:
+            break
+        body = data[start:start + length]
+        if zlib.crc32(body) != body_crc:
+            raise CheckpointError(
+                f"{path}: corrupt checkpoint: checksum mismatch in the "
+                f"frame at byte {offset}")
+        bodies.append(body)
+        offset = start + length
+    return bodies
+
+
+def _foreign(path: str, data: bytes) -> CheckpointError:
+    """Why *data*, which lacks the level-log magic, is refused: it is
+    not JSON, not an object, another format, or another version of this
+    one (version 1 files were one JSON object)."""
+    try:
+        payload = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError included
+        return CheckpointError(
+            f"{path}: unreadable checkpoint (not a {CHECKPOINT_FORMAT} "
+            f"level log: {exc})")
+    if not isinstance(payload, dict):
+        return CheckpointError(f"{path}: checkpoint is not a JSON object")
+    return _identity_error(path, payload) or CheckpointError(
+        f"{path}: unreadable checkpoint (no level-log magic)")
+
+
+def _identity_error(path: str,
+                    header: Dict[str, object]) -> Optional[CheckpointError]:
+    if header.get("format") != CHECKPOINT_FORMAT:
+        return CheckpointError(
+            f"{path}: not a {CHECKPOINT_FORMAT} file "
+            f"(format={header.get('format')!r})")
+    if header.get("version") != CHECKPOINT_VERSION:
+        return CheckpointError(
+            f"{path}: unsupported checkpoint version "
+            f"{header.get('version')!r} (this build reads version "
+            f"{CHECKPOINT_VERSION})")
+    return None
+
+
+def _natural(value: object, lowest: int = 0) -> bool:
+    return type(value) is int and value >= lowest
 
 
 class Checkpoint:
-    """A loaded checkpoint of either engine: the validated envelope,
-    plus the engine's own ``body`` (``mode`` says which engine's)."""
+    """A loaded level log, folded: the header's run identity, the node
+    columns every record appended, and the loop state of the last
+    complete record.
 
-    __slots__ = ("path", "payload", "mode", "spec_name", "max_states",
-                 "workers", "checkpoint_every", "depth", "levels",
-                 "elapsed_seconds", "frontier", "stats_snapshot",
-                 "reduction_config", "store_config", "body", "_spec_pickle")
+    ``parent`` uses ``-1`` for initial states in both engines; the full
+    engine's columns are ``states`` (portable rows), ``fingerprints``
+    and ``succ`` (adjacency of the expanded sources, stutter loop
+    implied), the compact engine's are ``packed`` plus the running
+    ``edge_count`` and ``digest``.  ``frontier`` lists the node ids the
+    last record left unexpanded."""
 
-    def __init__(self, path: str, payload: Dict[str, object]):
+    def __init__(self, path: str, header_bytes: bytes,
+                 records: List[bytes]):
         self.path = path
-        self.payload = payload
-        if payload.get("format") != CHECKPOINT_FORMAT:
-            raise CheckpointError(
-                f"{path}: not a {CHECKPOINT_FORMAT} file "
-                f"(format={payload.get('format')!r})"
-            )
-        version = payload.get("version")
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{path}: unsupported checkpoint version {version!r} "
-                f"(this build reads version {CHECKPOINT_VERSION})"
-            )
-        self.mode: Optional[str] = payload.get("mode")
         try:
-            self.spec_name: str = payload["spec_name"]
-            self.max_states: Optional[int] = payload["max_states"]
-            self.workers: int = payload["workers"]
-            self.checkpoint_every: int = payload["checkpoint_every"]
-            self.depth: int = payload["depth"]
-            self.levels: int = payload["levels"]
-            self.elapsed_seconds: float = payload["elapsed_seconds"]
-            self.frontier: List[int] = payload["frontier"]
-            self.body: Dict[str, object] = payload[_BODY_KEY[self.mode]]
-            self._spec_pickle: str = payload["spec_pickle"]
-            self.stats_snapshot: Optional[Dict[str, object]] = \
-                payload.get("stats")
-            # pre-reduction checkpoints carry neither key: both read as
-            # None, meaning "full exploration, in-RAM store"
-            self.reduction_config: Optional[Dict[str, object]] = \
-                payload.get("reduction")
-            self.store_config: Optional[Dict[str, object]] = \
-                payload.get("store")
-            self._validate()
+            header = json.loads(header_bytes.decode("utf-8"))
+        except ValueError as exc:
+            raise CheckpointError(
+                f"{path}: unreadable checkpoint header ({exc})") from None
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: checkpoint header is not an "
+                                  f"object")
+        problem = _identity_error(path, header)
+        if problem is not None:
+            raise problem
+        self.header = header
+        self.mode: Optional[str] = header.get("mode")
+        try:
+            self.spec_name: str = header["spec_name"]
+            self.max_states: Optional[int] = header["max_states"]
+            self.workers: int = header["workers"]
+            self.checkpoint_every: int = header["checkpoint_every"]
+            compact = self.mode == COMPACT_CHECKPOINT_MODE
+            self.need(compact or self.mode is None,
+                      f"unknown mode {self.mode!r}")
+            self.need(isinstance(self.spec_name, str),
+                      "spec_name must be a string")
+            self.need(_natural(self.workers),
+                      "workers must be an integer >= 0")
+            self.need(_natural(self.checkpoint_every, 1),
+                      "checkpoint_every must be an integer >= 1")
+            self.need(self.max_states is None or _natural(self.max_states),
+                      "max_states must be null or an integer >= 0")
+            if compact:
+                self.codec_signature: str = header["codec_signature"]
+                self.need(isinstance(self.codec_signature, str),
+                          "codec_signature must be a string")
+                self.reduction_config = self.store_config = None
+            else:
+                self.variables: List[str] = header["variables"]
+                self.need(isinstance(self.variables, list)
+                          and all(isinstance(v, str)
+                                  for v in self.variables),
+                          "variables must be a list of names")
+                self.reduction_config: Optional[Dict[str, object]] = \
+                    header["reduction"]
+                self.store_config: Optional[Dict[str, object]] = \
+                    header["store"]
+                for name in ("reduction", "store"):
+                    self.need(isinstance(header[name], (dict, type(None))),
+                              f"{name} must be null or an object")
+            self._fold(records, compact)
         except (KeyError, TypeError) as exc:
             raise CheckpointError(
                 f"{path}: missing or malformed field ({exc!r})") from None
 
-    def _validate(self) -> None:
-        """Types and ranges of everything a resume indexes or counts
-        with, checked once for both engines: a malformed file is a
-        :class:`CheckpointError`, never a traceback from deep inside a
-        restore or a run quietly continued from garbage."""
-        def need(ok: bool, what: str) -> None:
-            if not ok:
+    def need(self, ok: bool, what: str) -> None:
+        """Fail closed: a malformed file is a :class:`CheckpointError`,
+        never a traceback from deep inside a restore or a run quietly
+        continued from garbage."""
+        if not ok:
+            raise CheckpointError(f"{self.path}: malformed checkpoint: {what}")
+
+    def _fold(self, records: List[bytes], compact: bool) -> None:
+        """Replay the records: append their node columns, keep the last
+        one's loop state.  Types and ranges of everything a resume
+        indexes or counts with are checked here, once, for both
+        engines."""
+        need = self.need
+        self.parent: List[int] = []
+        self.states: List[List[object]] = []
+        self.fingerprints: List[str] = []
+        self.succ: List[List[int]] = []
+        self.packed: List[int] = []
+        self.stats_snapshot: Optional[Dict[str, object]] = None
+        self.distributed: Optional[Dict[str, object]] = None
+        need(bool(records), "the log holds no complete snapshot record")
+        for index, raw in enumerate(records):
+            try:
+                record = json.loads(raw.decode("utf-8"))
+            except ValueError as exc:
                 raise CheckpointError(
-                    f"{self.path}: malformed checkpoint: {what}")
+                    f"{self.path}: unreadable record {index} ({exc})"
+                ) from None
+            need(isinstance(record, dict), f"record {index} is not an object")
+            where = f"record {index}: "
+            need(record["nodes_from"] == len(self.parent),
+                 f"{where}starts at node {record['nodes_from']!r}, but the "
+                 f"records before it hold {len(self.parent)} nodes")
+            parent = record["parent"]
+            need(isinstance(parent, list), f"{where}parent must be a list")
+            count = len(self.parent) + len(parent)
 
-        def natural(value: object, lowest: int = 0) -> bool:
-            return type(value) is int and value >= lowest
+            def ids(name: str, values: object, lowest: int = 0) -> None:
+                need(isinstance(values, list)
+                     and all(type(v) is int and lowest <= v < count
+                             for v in values),
+                     f"{where}{name} must list node ids in "
+                     f"{lowest}..{count - 1}")
 
-        need(natural(self.workers), "workers must be an integer >= 0")
-        need(natural(self.checkpoint_every, 1),
-             "checkpoint_every must be an integer >= 1")
-        need(natural(self.depth) and natural(self.levels),
-             "depth and levels must be integers >= 0")
-        need(self.max_states is None or natural(self.max_states),
-             "max_states must be null or an integer >= 0")
-        need(type(self.elapsed_seconds) in (int, float),
-             "elapsed_seconds must be a number")
-        need(isinstance(self._spec_pickle, str),
-             "spec_pickle must be a string")
-        for name in ("stats", "reduction", "store"):
-            need(isinstance(self.payload.get(name), (dict, type(None))),
-                 f"{name} must be null or an object")
-        body = self.body
-        need(isinstance(body, dict), "the engine body must be an object")
-        compact = self.mode == COMPACT_CHECKPOINT_MODE
-        column = body["packed" if compact else "states"]
-        need(isinstance(column, list), "the state column must be a list")
-        count = len(column)
-
-        def ids(name: str, values: object, lowest: int = 0) -> None:
-            need(isinstance(values, list)
-                 and all(type(v) is int and lowest <= v < count
-                         for v in values),
-                 f"{name} must list node ids in {lowest}..{count - 1}")
-
-        ids("frontier", self.frontier)
-        ids("init_nodes", body["init_nodes"])
-        parent = body["parent"]
-        need(isinstance(parent, list) and len(parent) == count,
-             "parent must have one entry per state")
-        if compact:
             ids("parent", parent, -1)
-            need(all(natural(value) for value in column),
-                 "packed states must be integers >= 0")
-            need(natural(body["edge_count"]),
-                 "edge_count must be an integer >= 0")
-            digest = body["digest"]
-            need(isinstance(digest, list) and len(digest) == 4
-                 and all(natural(x) and x < 1 << 64 for x in digest),
-                 "digest must be four unsigned 64-bit integers")
-            need(isinstance(body["codec_signature"], str),
-                 "codec_signature must be a string")
-        else:
-            ids("parent", [p for p in parent if p is not None])
-            need(isinstance(body["variables"], list),
-                 "variables must be a list")
-            for name in ("fingerprints", "succ"):
-                need(isinstance(body[name], list)
-                     and len(body[name]) == count,
-                     f"{name} must have one entry per state")
-            for row in body["succ"]:
-                ids("succ", row)
+            if compact:
+                packed = record["packed"]
+                need(isinstance(packed, list) and len(packed) == len(parent)
+                     and all(_natural(value) for value in packed),
+                     f"{where}packed must hold one integer >= 0 per node")
+                need(_natural(record["edge_count"]),
+                     f"{where}edge_count must be an integer >= 0")
+                digest = record["digest"]
+                need(isinstance(digest, list) and len(digest) == 4
+                     and all(_natural(x) and x < 1 << 64 for x in digest),
+                     f"{where}digest must be four unsigned 64-bit integers")
+                self.packed.extend(packed)
+                self.edge_count: int = record["edge_count"]
+                self.digest: List[int] = digest
+            else:
+                rows, fingerprints = record["states"], record["fingerprints"]
+                width = len(self.variables)
+                need(isinstance(rows, list) and len(rows) == len(parent)
+                     and all(isinstance(row, list) and len(row) == width
+                             for row in rows),
+                     f"{where}states must hold one row of {width} values "
+                     f"per node")
+                need(isinstance(fingerprints, list)
+                     and len(fingerprints) == len(parent)
+                     and all(isinstance(fp, str) for fp in fingerprints),
+                     f"{where}fingerprints must hold one string per node")
+                succ = record["succ"]
+                need(isinstance(succ, list), f"{where}succ must be a list")
+                for row in succ:
+                    ids("succ", row)
+                self.states.extend(rows)
+                self.fingerprints.extend(fingerprints)
+                self.succ.extend(succ)
+            self.parent.extend(parent)
+            frontier = record["frontier"]
+            need(isinstance(frontier, list) and len(frontier) == 2
+                 and _natural(frontier[0]) and frontier[0] <= count
+                 and frontier[1] == count,
+                 f"{where}frontier must be the node-id range "
+                 f"[first, {count}) left unexpanded")
+            need(compact or len(self.succ) == frontier[0],
+                 f"{where}succ must hold one row per node below the "
+                 f"frontier")
+            self.frontier = list(range(frontier[0], count))
+            self.depth: int = record["depth"]
+            self.levels: int = record["levels"]
+            self.elapsed_seconds: float = record["elapsed_seconds"]
+            need(_natural(self.depth) and _natural(self.levels),
+                 f"{where}depth and levels must be integers >= 0")
+            need(type(self.elapsed_seconds) in (int, float),
+                 f"{where}elapsed_seconds must be a number")
+            self._fold_stats(record["stats"], where)
+            if "distributed" in record:
+                self._fold_distributed(record["distributed"], where)
+        self.init_nodes = [node for node, p in enumerate(self.parent)
+                           if p < 0]
 
-    def load_spec(self) -> Spec:
-        """Unpickle the embedded spec (for a standalone resume)."""
-        try:
-            return pickle.loads(base64.b64decode(self._spec_pickle))
-        except Exception as exc:
-            raise CheckpointError(
-                f"{self.path}: embedded spec cannot be unpickled ({exc}); "
-                f"pass the spec to the resume call explicitly"
-            ) from exc
+    def _fold_stats(self, stats: object, where: str) -> None:
+        """A record's stats are cumulative except ``levels``, whose rows
+        are the ones added since the previous record."""
+        self.need(isinstance(stats, (dict, type(None))),
+                  f"{where}stats must be null or an object")
+        if stats is None:
+            self.stats_snapshot = None
+            return
+        rows = stats.get("levels", [])
+        self.need(isinstance(rows, list)
+                  and all(isinstance(row, dict) for row in rows),
+                  f"{where}stats levels must be a list of objects")
+        folded = (self.stats_snapshot or {}).get("levels", [])
+        folded.extend(rows)
+        self.stats_snapshot = dict(stats, levels=folded)
+
+    def _fold_distributed(self, section: object, where: str) -> None:
+        """The coordinator's section: the last record's ranges and
+        worker URLs, and every record's ``level_partitions`` rows."""
+        need = self.need
+        need(isinstance(section, dict),
+             f"{where}the distributed section must be an object")
+        ranges, rows = section["ranges"], section["level_partitions"]
+        need(isinstance(ranges, list)
+             and all(isinstance(pair, list) and len(pair) == 2
+                     and all(_natural(x) for x in pair) for pair in ranges),
+             f"{where}ranges must be [low, high] integer pairs")
+        need(isinstance(rows, list)
+             and all(isinstance(row, list) and all(_natural(c) for c in row)
+                     for row in rows),
+             f"{where}level_partitions must be lists of counts")
+        need(isinstance(section["worker_urls"], list),
+             f"{where}worker_urls must be a list")
+        folded = (self.distributed or {}).get("level_partitions", [])
+        folded.extend(rows)
+        self.distributed = dict(section, level_partitions=folded)
 
     def restore_stats(self, stats: Optional[ExploreStats]) -> None:
         """Reload the cumulative counters the interrupted run recorded."""
@@ -342,30 +581,29 @@ class Checkpoint:
                       max_states: Optional[int] = None,
                       store: object = None) -> StateGraph:
         """Rebuild the full-engine graph against *spec*'s universe,
-        verifying that the stored variables match and that every decoded
-        state reproduces its stored fingerprint (corruption /
+        verifying that the header's variables match and that every
+        decoded state reproduces its stored fingerprint (corruption /
         encoding-drift detection).
 
         *store* is the :class:`~repro.checker.reduction.store.StateStore`
         to re-intern the states through (default: fresh in-RAM store);
-        spill stores rebuild their data/index files from the snapshot, so
+        spill stores rebuild their data/index files from the log, so
         resuming never depends on the old spill files surviving."""
-        data = self.body
-        variables = list(data["variables"])
+        variables = self.variables
         if variables != list(spec.universe.variables):
             raise CheckpointError(
                 f"{self.path}: checkpoint variables {variables} do not match "
                 f"spec {spec.name!r} variables {list(spec.universe.variables)}"
             )
         states: List[State] = []
-        for node, row in enumerate(data["states"]):
+        for node, row in enumerate(self.states):
             try:
                 state = State.from_portable(dict(zip(variables, row)))
             except (TypeError, ValueError) as exc:
                 raise CheckpointError(
                     f"{self.path}: state {node} cannot be decoded "
                     f"({exc})") from None
-            expected = data["fingerprints"][node]
+            expected = self.fingerprints[node]
             actual = format(state.fingerprint(), "016x")
             if actual != expected:
                 raise CheckpointError(
@@ -374,12 +612,13 @@ class Checkpoint:
                     f"corrupt or was written by an incompatible encoder"
                 )
             states.append(state)
+        unexpanded = [[]] * (len(states) - len(self.succ))
         return StateGraph.restore(
             spec.universe,
             states,
-            data["succ"],
-            data["parent"],
-            data["init_nodes"],
+            self.succ + unexpanded,
+            [None if p < 0 else p for p in self.parent],
+            self.init_nodes,
             max_states=self.max_states if max_states is None else max_states,
             name=spec.name,
             store=store,
@@ -391,19 +630,23 @@ _ANY_MODE = object()
 
 
 def read_checkpoint(path: str, mode: object = _ANY_MODE) -> Checkpoint:
-    """The one validating reader: parse *path*, check the envelope, and
-    refuse a snapshot written by the other engine than *mode* (``None``
-    is the full engine) -- the two are not interchangeable."""
+    """The one validating reader: fold the level log at *path*, and
+    refuse a log written by the other engine than *mode* (``None`` is
+    the full engine) -- the two are not interchangeable."""
     try:
-        with open(path) as handle:
-            payload = json.load(handle)
+        with open(path, "rb") as handle:
+            data = handle.read()
     except FileNotFoundError:
         raise
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise CheckpointError(f"{path}: checkpoint is not a JSON object")
-    loaded = Checkpoint(path, payload)
+    if not data.startswith(_MAGIC):
+        raise _foreign(path, data)
+    bodies = _frames(path, data)
+    if not bodies:
+        raise CheckpointError(
+            f"{path}: unreadable checkpoint (the header is truncated)")
+    loaded = Checkpoint(path, bodies[0], bodies[1:])
     if mode is not _ANY_MODE and loaded.mode != mode:
         if loaded.mode == COMPACT_CHECKPOINT_MODE:
             raise CheckpointError(
@@ -418,7 +661,7 @@ def read_checkpoint(path: str, mode: object = _ANY_MODE) -> Checkpoint:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Parse and validate a full-engine checkpoint file."""
+    """Read and validate a full-engine level log."""
     return read_checkpoint(path, None)
 
 
@@ -435,7 +678,7 @@ def _store_kind(config: Optional[Dict[str, object]]) -> str:
 
 def resume(
     path: str,
-    spec: Optional[Spec] = None,
+    spec: Spec,
     *,
     workers: Optional[int] = None,
     max_states: Optional[int] = None,
@@ -447,18 +690,17 @@ def resume(
     reduction: object = _ADOPT,
     store: object = _ADOPT,
 ) -> StateGraph:
-    """Continue an exploration from a checkpoint, bit-for-bit.
+    """Continue an exploration of *spec* from a checkpoint, bit-for-bit.
 
     The restored run picks up at the stored BFS level boundary and
     produces exactly the graph an uninterrupted run would have: same
     numbering, adjacency, parents, traces, and budget behaviour.
 
-    *spec* defaults to the pickle embedded in the checkpoint; *workers*,
-    *max_states*, and *checkpoint_every* default to the stored values
-    (pass ``max_states`` explicitly to continue an exploded run under a
-    larger budget).  By default the resumed run keeps checkpointing to
-    the same *path*; pass ``checkpoint=None`` to disable further
-    snapshots, or another path to redirect them.
+    *workers*, *max_states*, and *checkpoint_every* default to the
+    stored values (pass ``max_states`` explicitly to continue an
+    exploded run under a larger budget).  By default the resumed run
+    keeps checkpointing to the same *path*; pass ``checkpoint=None`` to
+    disable further snapshots, or another path to redirect them.
 
     The run's partial-order-reduction and state-store semantics are
     adopted from the snapshot by default.  Passing ``reduction`` (a
@@ -481,8 +723,6 @@ def resume(
     loaded = load_checkpoint(path)
     options = resolve_options(workers, worker_timeout, fault_hook,
                               checkpoint, checkpoint_every, resumed=loaded)
-    if spec is None:
-        spec = loaded.load_spec()
 
     if reduction is _ADOPT:
         reduction_cfg = loaded.reduction_config
@@ -530,6 +770,9 @@ def resume(
 
 # -- run manifests -----------------------------------------------------------
 
+#: The run manifest's own schema revision (independent of the log's).
+MANIFEST_VERSION = 1
+
 
 def manifest_path_for(checkpoint_path: str) -> str:
     """The manifest's conventional location: next to the checkpoint."""
@@ -576,7 +819,7 @@ def write_manifest(
     """
     payload: Dict[str, object] = {
         "format": "repro-run-manifest",
-        "version": CHECKPOINT_VERSION,
+        "version": MANIFEST_VERSION,
         "spec": spec_name,
         "max_states": max_states,
         "workers": workers,
@@ -591,5 +834,5 @@ def write_manifest(
         "reduction": reduction,
         "store": store,
     }
-    _atomic_write_json(path, payload)
+    _replace(path, _encode(payload))
     return payload

@@ -56,9 +56,10 @@ from .checkpoint import (
     COMPACT_CHECKPOINT_MODE,
     Checkpoint,
     CheckpointError,
+    LevelLog,
     _SAME_PATH,
-    _write_envelope,
     read_checkpoint,
+    run_header,
 )
 from .digest import GraphDigest
 from .explorer import initial_states
@@ -306,14 +307,11 @@ class CompactEngine:
         self.expand = graph.plan.successors
         self.merge = graph.merge_successors
 
-    def snapshot(self, path: str, frontier: List[int], depth: int,
-                 levels: int, elapsed: float, workers: int,
-                 checkpoint_every: int,
-                 stats: Optional[ExploreStats]) -> None:
-        save_compact_checkpoint(
-            path, self.spec, self.graph, frontier, depth, levels,
-            elapsed_seconds=elapsed, workers=workers,
-            checkpoint_every=checkpoint_every, stats=stats)
+    def header(self) -> Dict[str, object]:
+        return _compact_header(self.graph)
+
+    def snapshot(self, nodes: range, sources: range) -> Dict[str, object]:
+        return _compact_rows(self.graph, nodes, sources)
 
     def finish(self, stats: Optional[ExploreStats]) -> None:
         if stats is not None:
@@ -353,6 +351,27 @@ def explore_compact(
 # -- checkpoint / resume -----------------------------------------------------
 
 
+def _compact_header(graph: CompactGraph) -> Dict[str, object]:
+    """The compact engine's header fields: the codec signature lets a
+    resume verify the packing layout still matches the spec."""
+    return {"mode": COMPACT_CHECKPOINT_MODE,
+            "codec_signature": graph.codec.signature()}
+
+
+def _compact_rows(graph: CompactGraph, nodes: range,
+                  _sources: range) -> Dict[str, object]:
+    """The compact engine's share of one record: packed ints and parents
+    of *nodes*, plus the running edge count and digest accumulator --
+    edges are not retained, so the digest stream *must* survive the
+    round trip rather than be recomputed."""
+    return {
+        "packed": graph.packed[nodes.start:nodes.stop],
+        "parent": graph.parent[nodes.start:nodes.stop],
+        "edge_count": graph.edge_count,
+        "digest": graph.digest_state(),
+    }
+
+
 def save_compact_checkpoint(
     path: str,
     spec: Spec,
@@ -364,52 +383,35 @@ def save_compact_checkpoint(
     workers: int = 1,
     checkpoint_every: int = 1,
     stats: Optional[ExploreStats] = None,
-    extra: Optional[Dict[str, object]] = None,
 ) -> None:
-    """Atomically snapshot a compact run at a BFS level boundary.
-
-    The snapshot stores packed ints (plus the codec signature, so resume
-    can verify the packing layout still matches the spec) and the live
-    digest accumulator -- edge structure is not retained, so the digest
-    stream *must* survive the round trip rather than be recomputed.
-    ``extra`` merges additional top-level sections into the payload (the
-    distributed coordinator records its level manifest there); resume
-    ignores sections it does not know, so such snapshots stay resumable
-    single-machine.
-    """
-    body = {
-        "codec_signature": graph.codec.signature(),
-        "packed": list(graph.packed),
-        "parent": list(graph.parent),
-        "init_nodes": list(graph.init_nodes),
-        "edge_count": graph.edge_count,
-        "digest": graph.digest_state(),
-    }
-    _write_envelope(path, COMPACT_CHECKPOINT_MODE, spec, graph, body,
-                    frontier, depth, levels, elapsed_seconds, workers,
-                    checkpoint_every, stats, extra)
+    """Write a fresh level log holding a compact run at a BFS level
+    boundary as one record (the compact twin of
+    :func:`~repro.checker.checkpoint.save_checkpoint`)."""
+    header = run_header(spec.name, graph.max_states, workers,
+                        checkpoint_every, _compact_header(graph))
+    LevelLog(path, header).append_level(
+        graph, lambda nodes, sources: _compact_rows(graph, nodes, sources),
+        frontier, depth, levels, elapsed_seconds, stats)
 
 
 def restore_compact(
     loaded: Checkpoint,
-    spec: Optional[Spec] = None,
+    spec: Spec,
     max_states: Optional[int] = None,
 ) -> CompactGraph:
-    """Rebuild the live :class:`CompactGraph` of a compact snapshot
-    (already envelope-checked by
+    """Rebuild the live :class:`CompactGraph` of a compact log (already
+    folded and checked by
     :func:`~repro.checker.checkpoint.read_checkpoint`) against *spec*,
-    default the embedded one, verifying the codec layout.  Shared by
-    :func:`resume_compact` and the distributed coordinator's resume."""
-    path, data = loaded.path, loaded.body
-    if spec is None:
-        spec = loaded.load_spec()
+    verifying the codec layout.  Shared by :func:`resume_compact` and
+    the distributed coordinator's resume."""
+    path = loaded.path
     plan = PackedPlan(spec)
-    if plan.codec.signature() != data["codec_signature"]:
+    if plan.codec.signature() != loaded.codec_signature:
         raise CheckpointError(
             f"{path}: packed-state layout does not match spec "
             f"{spec.name!r}; the checkpoint is corrupt or was written "
             f"against a different spec or domain enumeration")
-    packed_rows: List[int] = data["packed"]
+    packed_rows: List[int] = loaded.packed
     budget = loaded.max_states if max_states is None else max_states
     if budget is not None and len(packed_rows) > budget:
         raise StateSpaceExplosion(
@@ -418,14 +420,14 @@ def restore_compact(
 
     graph = CompactGraph(spec, plan, max_states=budget)
     graph.packed = packed_rows
-    graph.parent = data["parent"]
+    graph.parent = loaded.parent
     graph.visited = {p: node for node, p in enumerate(packed_rows)}
     if len(graph.visited) != len(packed_rows):
         raise CheckpointError(
             f"{path}: duplicate packed states; the checkpoint is corrupt")
-    graph.init_nodes = data["init_nodes"]
-    graph._edge_count = data["edge_count"]
-    graph._digest = GraphDigest.restore(data["digest"])
+    graph.init_nodes = loaded.init_nodes
+    graph._edge_count = loaded.edge_count
+    graph._digest = GraphDigest.restore(loaded.digest)
     fingerprint = plan.codec.fingerprint
     limit = 1 << plan.codec.bits
     fingerprints: set = set()
@@ -450,7 +452,7 @@ def restore_compact(
 
 def resume_compact(
     path: str,
-    spec: Optional[Spec] = None,
+    spec: Spec,
     *,
     workers: Optional[int] = None,
     max_states: Optional[int] = None,

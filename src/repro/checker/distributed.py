@@ -49,10 +49,11 @@ re-ships only the still-unanswered sources of the current level
 never shape -- the per-level partition counts recorded in checkpoints
 and goldens are identical with and without failures.
 
-Durability: with ``checkpoint=`` the coordinator snapshots every
-``checkpoint_every`` levels in the compact checkpoint format plus a
-``"distributed"`` section (pristine ranges, per-level partition
-counts).  Its snapshots are therefore *also* plain compact checkpoints:
+Durability: with ``checkpoint=`` the coordinator appends a compact
+level-log record every ``checkpoint_every`` levels, plus a
+``"distributed"`` section (pristine ranges, the per-level partition
+counts added since the previous record).  Its logs are therefore *also*
+plain compact checkpoints:
 :func:`~repro.checker.compact.resume_compact` can finish them on one
 machine, and :func:`resume_distributed` can finish a single-machine
 compact snapshot on a cluster.
@@ -82,6 +83,7 @@ from .checkpoint import (
     COMPACT_CHECKPOINT_MODE,
     Checkpoint,
     CheckpointError,
+    LevelLog,
     _SAME_PATH,
     read_checkpoint,
 )
@@ -90,7 +92,6 @@ from .compact import (
     CompactGraph,
     _seed_compact,
     restore_compact,
-    save_compact_checkpoint,
 )
 from .parallel import WorkerFailure
 from .stats import ExploreStats
@@ -532,11 +533,11 @@ class _Coordinator:
     def distributed_section(self) -> Dict[str, object]:
         """The ``"distributed"`` checkpoint section: everything a resume
         (or a golden) needs that the engine checkpoint does not carry."""
-        return {"distributed": {
+        return {
             "worker_urls": [node.url for node in self.nodes],
             "ranges": [[lo, hi] for lo, hi in self.ranges],
-            "level_partitions": [list(row) for row in self.level_partitions],
-        }}
+            "level_partitions": self.level_partitions,
+        }
 
 
 # -- the distributed configuration -------------------------------------------
@@ -626,14 +627,11 @@ class _Distributed(Serial):
         graph._collisions = coord.partition_collisions()
         return next_frontier
 
-    def snapshot(self, frontier: List[int], depth: int, levels: int,
-                 elapsed: float) -> None:
-        options, engine = self.options, self.engine
-        save_compact_checkpoint(
-            options.checkpoint, engine.spec, engine.graph, frontier, depth,
-            levels, elapsed_seconds=elapsed, workers=options.workers,
-            checkpoint_every=options.checkpoint_every, stats=self.stats,
-            extra=self.coord.distributed_section())
+    def snapshot(self, log: LevelLog, frontier: List[int], depth: int,
+                 levels: int, elapsed: float) -> None:
+        log.append_level(self.engine.graph, self.engine.snapshot, frontier,
+                         depth, levels, elapsed, self.stats,
+                         self.coord.distributed_section())
 
     def close(self) -> None:
         self.coord.close()
@@ -646,14 +644,9 @@ def _run(urls: Sequence[str], graph: CompactGraph, frontier: List[int],
     """Bring up a coordinator (*fleet*: heartbeat, worker_timeout,
     net_fault, fault_hook) for *graph* -- seeded, or restored from
     *resumed* -- load the workers, and drive the run."""
-    section = (resumed.payload.get("distributed") or {}) if resumed else {}
-    try:
-        ranges = [(int(lo), int(hi)) for lo, hi in section.get("ranges", [])]
-        partitions = [[int(count) for count in row]
-                      for row in section.get("level_partitions", [])]
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{resumed.path}: malformed distributed "
-                              f"section ({exc!r})") from None
+    section = (resumed.distributed or {}) if resumed else {}
+    ranges = [(lo, hi) for lo, hi in section.get("ranges", [])]
+    partitions = [list(row) for row in section.get("level_partitions", [])]
     coord = _Coordinator(graph, list(urls), stats, ranges=ranges or None,
                          **fleet)
     coord.level_partitions = partitions
@@ -728,7 +721,7 @@ def explore_distributed(
 def resume_distributed(
     path: str,
     workers: Sequence[str],
-    spec: Optional[Spec] = None,
+    spec: Spec,
     *,
     max_states: Optional[int] = None,
     stats: Optional[ExploreStats] = None,

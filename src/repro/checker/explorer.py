@@ -16,7 +16,7 @@ throughput, depth, and edge counts.
 The level loop itself is :func:`repro.checker.bfs.drive`; this module
 contributes the full-state engine seam (:class:`FullEngine`) and runs it
 under the serial configuration.  Runs are durable: ``checkpoint=path``
-snapshots every ``checkpoint_every`` levels and
+appends a snapshot to a level log every ``checkpoint_every`` levels and
 :func:`repro.checker.checkpoint.resume` continues a snapshot bit for
 bit.
 
@@ -35,14 +35,15 @@ Two scaling levers plug in through :mod:`repro.checker.reduction`:
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Iterator, List, Optional, Tuple, TYPE_CHECKING
+from typing import (Callable, Dict, Iterator, List, Optional, Tuple,
+                    TYPE_CHECKING)
 
 from ..kernel.action import compile_action
 from ..kernel.expr import Expr, prime_expr, to_expr
 from ..kernel.state import State, Universe
 from ..spec import Spec
 from .bfs import RunOptions, Serial, drive, expander
-from .checkpoint import save_checkpoint
+from .checkpoint import graph_header, graph_rows
 from .graph import StateGraph, StateSpaceExplosion
 from .stats import ExploreStats, maybe_phase
 
@@ -146,17 +147,14 @@ class FullEngine:
                 graph, src, *expanded, reducer)
             self.size = lambda expanded: len(expanded[1])
 
-    def snapshot(self, path: str, frontier: List[int], depth: int,
-                 levels: int, elapsed: float, workers: int,
-                 checkpoint_every: int,
-                 stats: Optional[ExploreStats]) -> None:
-        save_checkpoint(
-            path, self.spec, self.graph, frontier, depth, levels,
-            elapsed_seconds=elapsed, workers=workers,
-            checkpoint_every=checkpoint_every, stats=stats,
-            reduction=(self.reduction.as_dict()
-                       if self.reduction is not None else None),
-            store=self.graph.store.config())
+    def header(self) -> Dict[str, object]:
+        return graph_header(self.graph,
+                            (self.reduction.as_dict()
+                             if self.reduction is not None else None),
+                            self.graph.store.config())
+
+    def snapshot(self, nodes: range, sources: range) -> Dict[str, object]:
+        return graph_rows(self.graph, nodes, sources)
 
     def finish(self, stats: Optional[ExploreStats]) -> None:
         """Fold the reducer's merge-time counters into graph/stats."""
@@ -215,11 +213,11 @@ def explore(
     :class:`StateSpaceExplosion` (see
     :class:`~repro.checker.graph.StateGraph`).
 
-    Pass ``checkpoint=path`` to snapshot the run atomically every
-    ``checkpoint_every`` BFS levels;
-    :func:`repro.checker.checkpoint.resume` continues the snapshot
+    Pass ``checkpoint=path`` to append a snapshot to the run's level log
+    every ``checkpoint_every`` BFS levels;
+    :func:`repro.checker.checkpoint.resume` continues the last one
     bit-for-bit identically (including after a crash or an exceeded
-    budget -- the last snapshot survives both).
+    budget -- the last complete snapshot survives both).
 
     ``reduction`` / ``store`` plug in partial-order reduction and the
     state-store backend (see :mod:`repro.checker.reduction`); both

@@ -31,8 +31,9 @@ identical verdict and trace, and queued jobs are re-admitted from the
 journal exactly once even after SIGKILL.
 
 Durable runs: ``check`` and ``explore`` accept ``--checkpoint PATH`` to
-snapshot the exploration atomically every ``--checkpoint-every`` BFS
-levels, ``--resume`` to continue a snapshot bit-for-bit, and
+append a snapshot of the exploration to a level log every
+``--checkpoint-every`` BFS levels, ``--resume`` to continue the last
+complete snapshot bit-for-bit, and
 ``--worker-timeout`` to bound (and retry) stuck parallel workers.  When a
 checkpoint path is given, a JSON run manifest (spec, budget, workers,
 wall time, outcome, counterexample trace, effective reduction/store

@@ -19,7 +19,6 @@ driver itself promises per level, identically in every mode:
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
@@ -38,6 +37,7 @@ from repro.checker import (
     resume_distributed,
     spawn_local_workers,
 )
+from repro.checker.checkpoint import read_checkpoint
 from repro.systems.mutex import LamportMutex
 from repro.systems.queue import complete_queue
 
@@ -95,8 +95,7 @@ def stored_levels(path):
     """The ``levels`` counter of the snapshot at *path* (None: no file)."""
     if not os.path.exists(path):
         return None
-    with open(path) as handle:
-        return json.load(handle)["levels"]
+    return read_checkpoint(path).levels
 
 
 def observed_run(mode, spec, urls, path, checkpoint_every):

@@ -13,15 +13,15 @@ Three layers of property-based evidence that durable runs are exact:
 * **kill-and-resume equality** -- for every bundled system, interrupting
   a checkpointed run after its k-th snapshot (for *every* k) and
   resuming yields a graph bit-for-bit identical to the uninterrupted
-  serial run; likewise resuming under more workers, resuming after a
-  :class:`StateSpaceExplosion` with a larger budget, and resuming from
-  the embedded pickled spec (the acceptance criterion of the
-  checkpointing PR).
+  serial run; likewise resuming under more workers, and resuming after
+  a :class:`StateSpaceExplosion` with a larger budget.  The file embeds
+  no spec: every resume takes it from the caller.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
 
 import pytest
@@ -34,7 +34,7 @@ from repro.checker import (
     resume,
     save_checkpoint,
 )
-from repro.checker.checkpoint import CHECKPOINT_VERSION
+from repro.checker.checkpoint import CHECKPOINT_VERSION, LevelLog
 from repro.checker.stats import ExploreStats
 from repro.kernel.expr import And, Const, Eq, Or, Var
 from repro.kernel.state import (
@@ -45,6 +45,7 @@ from repro.kernel.state import (
 from repro.spec import Spec
 
 from .systems_under_test import CASE_PARAMS
+from .test_checkpoint_log import frame_spans, read_log, write_log
 from .test_property_random_specs import random_action, random_universe
 
 
@@ -154,16 +155,17 @@ def test_random_graph_checkpoint_roundtrip(seed, tmp_path):
 @pytest.mark.parametrize("seed", range(5))
 def test_checkpoint_file_is_stable_json(seed, tmp_path):
     # two saves of the same run produce byte-identical files: the
-    # encoding has no process-, hash-seed-, or time-dependent parts
+    # JSON frames have no process-, hash-seed-, or time-dependent parts
     spec = random_spec(seed)
     graph = explore(spec)
     a, b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
-    save_checkpoint(a, spec, graph, [0], depth=1, levels=1,
+    save_checkpoint(a, spec, graph, [], depth=1, levels=1,
                     elapsed_seconds=0.0)
-    save_checkpoint(b, spec, graph, [0], depth=1, levels=1,
+    save_checkpoint(b, spec, graph, [], depth=1, levels=1,
                     elapsed_seconds=0.0)
     with open(a, "rb") as fa, open(b, "rb") as fb:
         assert fa.read() == fb.read()
+    assert len(read_log(a)) == 2  # the header and one record
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +180,16 @@ class _SimulatedCrash(Exception):
 def _run_until_crash(monkeypatch, spec, path, crash_after: int) -> int:
     """Explore with checkpointing, killing the run right after its
     ``crash_after``-th snapshot; returns the number of snapshots taken."""
-    import repro.checker.explorer as explorer_module
-
-    real_save = save_checkpoint
+    real_append = LevelLog.append
     saves = [0]
 
-    def crashing_save(*args, **kwargs):
-        real_save(*args, **kwargs)
+    def crashing_append(log, record):
+        real_append(log, record)
         saves[0] += 1
         if saves[0] >= crash_after:
             raise _SimulatedCrash()
 
-    monkeypatch.setattr(explorer_module, "save_checkpoint", crashing_save)
+    monkeypatch.setattr(LevelLog, "append", crashing_append)
     try:
         explore(spec, checkpoint=path, checkpoint_every=1)
     except _SimulatedCrash:
@@ -201,21 +201,8 @@ def _run_until_crash(monkeypatch, spec, path, crash_after: int) -> int:
 
 def _count_snapshots(spec, scratch_path: str) -> int:
     """How many snapshots a checkpoint_every=1 run of *spec* takes."""
-    counter = [0]
-    import repro.checker.explorer as explorer_module
-
-    real_save = explorer_module.save_checkpoint
-
-    def counting_save(*args, **kwargs):
-        counter[0] += 1
-        real_save(*args, **kwargs)
-
-    explorer_module.save_checkpoint = counting_save
-    try:
-        explore(spec, checkpoint=scratch_path, checkpoint_every=1)
-    finally:
-        explorer_module.save_checkpoint = real_save
-    return counter[0]
+    explore(spec, checkpoint=scratch_path, checkpoint_every=1)
+    return len(frame_spans(scratch_path)) - 1  # one record per snapshot
 
 
 @pytest.mark.parametrize("case", CASE_PARAMS)
@@ -255,11 +242,18 @@ def test_resume_with_more_workers_is_identical(case, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("case", CASE_PARAMS)
 def test_resume_uses_embedded_spec(case, tmp_path, monkeypatch):
+    """Files used to embed a pickled spec for ``resume(path)``; they
+    embed none now, so the spec is a required argument and the header's
+    variables are checked against it."""
     reference = explore(case.make_spec())
     path = str(tmp_path / "run.ckpt")
     _run_until_crash(monkeypatch, case.make_spec(), path, 1)
-    # no spec argument at all: resume() unpickles the one in the file
-    assert_same_graph(resume(path, checkpoint=None), reference)
+    with open(path, "rb") as handle:
+        assert b"pickle" not in handle.read()
+    with pytest.raises(TypeError):
+        resume(path, checkpoint=None)
+    assert_same_graph(resume(path, case.make_spec(), checkpoint=None),
+                      reference)
 
 
 def test_explosion_then_resume_with_bigger_budget(tmp_path):
@@ -311,24 +305,24 @@ def test_resume_restores_stats_counters(tmp_path, monkeypatch):
 
 
 def _write_tampered(tmp_path, mutate):
+    """Save a one-record log, apply *mutate* to ``[header, record]``,
+    and write it back with valid checksums."""
     from repro.systems.queue import complete_queue
 
     spec = complete_queue(1)
     graph = explore(spec)
     path = str(tmp_path / "run.ckpt")
-    save_checkpoint(path, spec, graph, [0], depth=0, levels=0,
+    save_checkpoint(path, spec, graph, [], depth=0, levels=0,
                     elapsed_seconds=0.0)
-    with open(path) as handle:
-        payload = json.load(handle)
-    mutate(payload)
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
+    log = read_log(path)
+    mutate(log)
+    write_log(path, log)
     return path, spec
 
 
 def test_fingerprint_mismatch_is_detected(tmp_path):
-    def corrupt(payload):
-        payload["graph"]["fingerprints"][0] = "0" * 16
+    def corrupt(log):
+        log[1]["fingerprints"][0] = "0" * 16
 
     path, spec = _write_tampered(tmp_path, corrupt)
     with pytest.raises(CheckpointError, match="fingerprint mismatch"):
@@ -337,7 +331,7 @@ def test_fingerprint_mismatch_is_detected(tmp_path):
 
 def test_wrong_format_is_rejected(tmp_path):
     path, _spec = _write_tampered(
-        tmp_path, lambda payload: payload.update(format="something-else"))
+        tmp_path, lambda log: log[0].update(format="something-else"))
     with pytest.raises(CheckpointError, match="not a repro-checkpoint"):
         load_checkpoint(path)
 
@@ -345,14 +339,14 @@ def test_wrong_format_is_rejected(tmp_path):
 def test_future_version_is_rejected(tmp_path):
     path, _spec = _write_tampered(
         tmp_path,
-        lambda payload: payload.update(version=CHECKPOINT_VERSION + 1))
+        lambda log: log[0].update(version=CHECKPOINT_VERSION + 1))
     with pytest.raises(CheckpointError, match="unsupported checkpoint"):
         load_checkpoint(path)
 
 
 def test_variable_mismatch_is_rejected(tmp_path):
-    def rename(payload):
-        payload["graph"]["variables"][0] = "zz"
+    def rename(log):
+        log[0]["variables"][0] = "zz"
 
     path, spec = _write_tampered(tmp_path, rename)
     with pytest.raises(CheckpointError, match="do not match"):
@@ -364,6 +358,13 @@ def test_truncated_file_is_a_checkpoint_error(tmp_path):
     path.write_text('{"format": "repro-checkpoint", "ver')
     with pytest.raises(CheckpointError, match="unreadable"):
         load_checkpoint(str(path))
+    # a log cut inside its header (never written that way: the header
+    # goes to disk together with the first record, atomically)
+    path, _spec = _write_tampered(tmp_path, lambda log: None)
+    header_end = frame_spans(path)[0][1]
+    os.truncate(path, header_end - 1)
+    with pytest.raises(CheckpointError, match="unreadable"):
+        load_checkpoint(path)
 
 
 def test_missing_file_raises_file_not_found(tmp_path):

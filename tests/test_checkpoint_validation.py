@@ -1,12 +1,13 @@
-"""Checkpoints are outside input: the one envelope reader fails closed.
+"""Checkpoints are outside input: the one level-log reader fails closed.
 
-Both engines' snapshots go through
+Both engines' logs go through
 :func:`repro.checker.checkpoint.read_checkpoint`.  This file pins
 
-* the bytes' *shape*: the top-level and body key sets of full, compact
-  and distributed snapshots (``CHECKPOINT_VERSION`` stays 1 -- the
-  envelope refactor must not move a key);
-* one table of hostile mutations per engine: every one is a
+* the bytes' *shape*: the header and record key sets of full, compact
+  and distributed logs (``CHECKPOINT_VERSION`` is 2: the append-only
+  level log);
+* one table of hostile mutations per engine, applied to header or
+  record fields and re-framed with valid checksums: every one is a
   :class:`CheckpointError` from the library and exit 2 from the CLI,
   never a ``TypeError`` / ``IndexError`` / ``ValueError`` traceback and
   never a run quietly continued from garbage;
@@ -37,27 +38,23 @@ from repro.systems import bundled_module
 from repro.systems.queue import QueueChain
 from repro.tools.cli import main as cli_main
 
+from .test_checkpoint_log import read_log, write_log
+
 MODULE = "mutex:n=2,clock=2"
 
-HEADER = {"format", "version", "spec_name", "spec_pickle", "max_states",
-          "workers", "checkpoint_every", "depth", "levels",
-          "elapsed_seconds", "frontier", "stats"}
-FULL_KEYS = HEADER | {"graph", "reduction", "store"}
-COMPACT_KEYS = HEADER | {"mode", "compact"}
-GRAPH_BODY = {"variables", "states", "fingerprints", "succ", "parent",
-              "init_nodes"}
-COMPACT_BODY = {"codec_signature", "packed", "parent", "init_nodes",
-                "edge_count", "digest"}
+HEADER = ["format", "version", "mode", "spec_name", "max_states",
+          "workers", "checkpoint_every"]
+FULL_HEADER = HEADER + ["variables", "reduction", "store"]
+COMPACT_HEADER = HEADER + ["codec_signature"]
+RECORD = {"nodes_from", "parent", "frontier", "depth", "levels",
+          "elapsed_seconds", "stats"}
+FULL_RECORD = RECORD | {"states", "fingerprints", "succ"}
+COMPACT_RECORD = RECORD | {"packed", "edge_count", "digest"}
 DISTRIBUTED_SECTION = {"worker_urls", "ranges", "level_partitions"}
 
 
 def mutex_spec():
     return bundled_module(MODULE).spec("Spec")
-
-
-def read(path):
-    with open(path) as handle:
-        return json.load(handle)
 
 
 # ---------------------------------------------------------------------------
@@ -66,28 +63,28 @@ def read(path):
 
 
 def test_snapshot_key_sets_are_pinned(tmp_path):
-    assert CHECKPOINT_VERSION == 1
+    assert CHECKPOINT_VERSION == 2
     full, compact = str(tmp_path / "full"), str(tmp_path / "compact")
     explore(mutex_spec(), checkpoint=full)
     explore_compact(mutex_spec(), checkpoint=compact)
     with spawn_local_workers(1) as pool:
         dist_compact = str(tmp_path / "dist-compact")
         explore_distributed(mutex_spec(), pool.urls, checkpoint=dist_compact)
-    for path, keys, body_key, body in (
-            (full, FULL_KEYS, "graph", GRAPH_BODY),
-            (compact, COMPACT_KEYS, "compact", COMPACT_BODY),
-            (dist_compact, COMPACT_KEYS | {"distributed"}, "compact",
-             COMPACT_BODY)):
-        payload = read(path)
-        assert set(payload) == keys, path
-        assert set(payload[body_key]) == body, path
-        assert payload["version"] == 1
-        assert payload.get("mode") == ("compact" if "mode" in keys else None)
-        if "distributed" in keys:
-            assert set(payload["distributed"]) == DISTRIBUTED_SECTION
-    # the header comes first and in one order for both engines
-    assert [key for key in read(full) if key in HEADER] == \
-        [key for key in read(compact) if key in HEADER]
+    for path, header_keys, record_keys in (
+            (full, FULL_HEADER, FULL_RECORD),
+            (compact, COMPACT_HEADER, COMPACT_RECORD),
+            (dist_compact, COMPACT_HEADER,
+             COMPACT_RECORD | {"distributed"})):
+        header, *records = read_log(path)
+        # the header's keys come in one order, the shared ones first
+        assert list(header) == header_keys, path
+        assert header["version"] == 2
+        assert header["mode"] == (None if path == full else "compact")
+        assert len(records) > 1, path
+        for record in records:
+            assert set(record) == record_keys, path
+            if "distributed" in record:
+                assert set(record["distributed"]) == DISTRIBUTED_SECTION
 
 
 # ---------------------------------------------------------------------------
@@ -97,51 +94,59 @@ def test_snapshot_key_sets_are_pinned(tmp_path):
 BIG = 10 ** 6
 
 
-def _set(section, key, value):
-    def mutate(payload):
-        target = payload[section] if section else payload
-        target[key] = value
+def _header(key, value):
+    def mutate(log):
+        log[0][key] = value
     return mutate
 
 
-def _edit(section, key, edit):
-    def mutate(payload):
-        edit(payload[section][key])
+def _record(index, edit):
+    def mutate(log):
+        edit(log[1:][index])
     return mutate
+
+
+def _count(record):
+    return record["nodes_from"] + len(record["parent"])
 
 
 MUTATIONS = [
-    # (engine, id, mutation)
-    ("full", "frontier-not-a-list", _set(None, "frontier", 5)),
-    ("full", "frontier-id-out-of-range", _set(None, "frontier", [BIG])),
+    # (engine, id, mutation); record 0 is the seed level's, -1 the last
+    ("full", "frontier-not-a-list",
+     _record(-1, lambda r: r.update(frontier=5))),
+    ("full", "frontier-id-out-of-range",
+     _record(-1, lambda r: r.update(frontier=[BIG, BIG]))),
     ("full", "short-fingerprints",
-     _edit("graph", "fingerprints", lambda rows: rows.pop())),
-    ("full", "short-parent",
-     _edit("graph", "parent", lambda rows: rows.pop())),
-    ("full", "graph-not-an-object", _set(None, "graph", [])),
-    ("full", "workers-not-an-int", _set(None, "workers", "two")),
+     _record(0, lambda r: r["fingerprints"].pop())),
+    ("full", "short-parent", _record(0, lambda r: r["parent"].pop())),
+    ("full", "graph-not-an-object",
+     lambda log: log.__setitem__(-1, [])),
+    ("full", "workers-not-an-int", _header("workers", "two")),
     ("full", "dangling-succ-target",
-     _edit("graph", "succ", lambda rows: rows[0].append(BIG))),
-    ("full", "checkpoint-every-zero", _set(None, "checkpoint_every", 0)),
-    ("full", "levels-not-an-int", _set(None, "levels", "x")),
+     _record(0, lambda r: r["succ"][0].append(BIG))),
+    ("full", "checkpoint-every-zero", _header("checkpoint_every", 0)),
+    ("full", "levels-not-an-int", _record(-1, lambda r: r.update(levels="x"))),
+    # records are deltas: one dropped from the middle leaves a gap
+    ("full", "missing-middle-record", lambda log: log.pop(3)),
     ("compact", "garbage-digest",
-     _set("compact", "digest", ["x", 1, 2, 3])),
-    ("compact", "workers-not-an-int", _set(None, "workers", "two")),
-    ("compact", "negative-frontier-id", _set(None, "frontier", [-1])),
+     _record(-1, lambda r: r.update(digest=["x", 1, 2, 3]))),
+    ("compact", "workers-not-an-int", _header("workers", "two")),
+    ("compact", "negative-frontier-id",
+     _record(-1, lambda r: r.update(frontier=[-1, _count(r)]))),
     ("compact", "parent-out-of-range",
-     _edit("compact", "parent", lambda rows: rows.__setitem__(1, BIG))),
+     _record(0, lambda r: r["parent"].__setitem__(-1, BIG))),
+    # an initial node's parent is -1; anything lower is out of range
     ("compact", "init-node-out-of-range",
-     _set("compact", "init_nodes", [BIG])),
+     _record(0, lambda r: r["parent"].__setitem__(0, -2))),
     ("compact", "packed-outside-the-layout",
-     _edit("compact", "packed",
-           lambda rows: rows.__setitem__(-1, 1 << 200))),
+     _record(-1, lambda r: r["packed"].__setitem__(-1, 1 << 200))),
 ]
 
 
 @pytest.fixture(scope="module")
 def interrupted(tmp_path_factory):
-    """One mid-run snapshot per engine (budget-interrupted, so a resume
-    has real work left and would really index the tables)."""
+    """One mid-run log per engine (budget-interrupted, so a resume has
+    real work left and would really index the tables)."""
     directory = tmp_path_factory.mktemp("interrupted")
     paths = {"full": str(directory / "full.ckpt"),
              "compact": str(directory / "compact.ckpt")}
@@ -150,7 +155,7 @@ def interrupted(tmp_path_factory):
     with pytest.raises(StateSpaceExplosion):
         explore_compact(mutex_spec(), max_states=60,
                         checkpoint=paths["compact"])
-    return {engine: read(path) for engine, path in paths.items()}
+    return {engine: read_log(path) for engine, path in paths.items()}
 
 
 @pytest.mark.parametrize("engine,mutation",
@@ -160,11 +165,10 @@ def interrupted(tmp_path_factory):
                               for engine, mid, _m in MUTATIONS])
 def test_malformed_checkpoint_fails_closed(engine, mutation, interrupted,
                                            tmp_path, capsys):
-    payload = json.loads(json.dumps(interrupted[engine]))  # deep copy
-    mutation(payload)
+    log = json.loads(json.dumps(interrupted[engine]))  # deep copy
+    mutation(log)
     path = str(tmp_path / "bad.ckpt")
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
+    write_log(path, log)
     resumer = resume if engine == "full" else resume_compact
     with pytest.raises(CheckpointError):
         resumer(path, mutex_spec(), max_states=10_000, checkpoint=None)
@@ -181,12 +185,12 @@ def test_malformed_checkpoint_fails_closed(engine, mutation, interrupted,
 
 
 def test_untouched_snapshots_still_resume(interrupted, tmp_path):
-    """The table's control row: the same files, unmutated, resume."""
+    """The table's control row: the same logs, re-framed unmutated,
+    resume."""
     reference = explore(mutex_spec())
     for engine, resumer in (("full", resume), ("compact", resume_compact)):
         path = str(tmp_path / f"{engine}.ckpt")
-        with open(path, "w") as handle:
-            json.dump(interrupted[engine], handle)
+        write_log(path, interrupted[engine])
         graph = resumer(path, mutex_spec(), max_states=10_000,
                         checkpoint=None)
         assert graph.state_count == reference.state_count

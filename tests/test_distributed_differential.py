@@ -326,7 +326,8 @@ def test_full_checkpoint_is_refused_on_a_cluster(pool, tmp_path, capsys):
     assert cli_main(["check", "@mutex:n=2,clock=3",
                      "--checkpoint", path]) == 0
     with pytest.raises(CheckpointError, match="full-state engine"):
-        resume_distributed(path, pool.urls[:1])
+        resume_distributed(path, pool.urls[:1],
+                           bundled_module("mutex:n=2,clock=3").spec("Spec"))
     capsys.readouterr()
     code = cli_main(["coordinate", "@mutex:n=2,clock=3",
                      "--worker-at", pool.urls[0],

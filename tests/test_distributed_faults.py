@@ -52,6 +52,7 @@ from repro.checker import (
     resume_distributed,
     spawn_local_workers,
 )
+from repro.checker.checkpoint import read_checkpoint
 from repro.systems.mutex import LamportMutex
 from repro.systems.queue import complete_queue
 
@@ -225,23 +226,24 @@ def test_network_faults_compose_with_node_loss(reference, tmp_path):
 
 _CRASHING_COORDINATOR = textwrap.dedent("""
     import json, os, sys
-    import repro.checker.distributed as distributed_module
-    from repro.checker.compact import save_compact_checkpoint
+    from repro.checker import explore_distributed
+    from repro.checker.checkpoint import LevelLog
     from repro.systems.mutex import LamportMutex
 
     path, crash_after = sys.argv[1], int(sys.argv[2])
     urls = json.loads(sys.argv[3])
     saves = [0]
+    append = LevelLog.append
 
-    def save_then_die(*args, **kwargs):
-        save_compact_checkpoint(*args, **kwargs)
+    def append_then_die(log, record):
+        append(log, record)
         saves[0] += 1
         if saves[0] >= crash_after:
             os._exit(17)  # the coordinator machine dies between levels
 
-    distributed_module.save_compact_checkpoint = save_then_die
-    distributed_module.explore_distributed(
-        LamportMutex(2, 2).complete_spec(), urls, checkpoint=path)
+    LevelLog.append = append_then_die
+    explore_distributed(LamportMutex(2, 2).complete_spec(), urls,
+                        checkpoint=path)
 """)
 
 
@@ -259,13 +261,11 @@ def test_coordinator_killed_between_levels_resumes(reference, tmp_path,
             env=env, capture_output=True, text=True)
         assert proc.returncode == 17, proc.stderr
         # the workers survived their coordinator; resume on them
-        graph = resume_distributed(path, pool.urls)
+        graph = resume_distributed(path, pool.urls, _mutex_spec())
     assert graph.digest() == reference.digest()
     assert graph.state_count == reference.state_count
-    # the snapshot carried the distributed section along
-    with open(path) as handle:
-        payload = json.load(handle)
-    assert payload["distributed"]["ranges"][0][0] == 0
+    # the log carried the distributed section along
+    assert read_checkpoint(path).distributed["ranges"][0][0] == 0
 
 
 def test_resume_on_larger_cluster_same_digest(reference, tmp_path):
@@ -290,5 +290,5 @@ def test_resume_on_larger_cluster_same_digest(reference, tmp_path):
             explore_distributed(_mutex_spec(), pool.urls, stats=stats,
                                 checkpoint=path)
     with spawn_local_workers(3) as pool:
-        graph = resume_distributed(path, pool.urls)
+        graph = resume_distributed(path, pool.urls, _mutex_spec())
     assert graph.digest() == reference.digest()

@@ -14,8 +14,8 @@ make that claim empirical:
 * a chunk that *always* kills its worker must raise
   :class:`WorkerFailure` after the bounded retries rather than loop;
 * a whole-process crash (a subprocess that ``os._exit``\\ s mid-run) is
-  recovered by ``resume()`` from the surviving checkpoint, using the
-  spec pickle embedded in the file.
+  recovered by ``resume()`` from the surviving checkpoint; the file
+  embeds no spec, so the resuming process supplies it.
 """
 
 from __future__ import annotations
@@ -164,22 +164,22 @@ def test_crash_during_checkpointed_parallel_run_resumes(tmp_path,
 
 _CRASHING_RUN = textwrap.dedent("""
     import os, sys
-    import repro.checker.explorer as explorer_module
-    from repro.checker.checkpoint import save_checkpoint
+    from repro.checker import explore
+    from repro.checker.checkpoint import LevelLog
     from repro.systems.queue import complete_queue
 
     crash_after = int(sys.argv[2])
     saves = [0]
+    append = LevelLog.append
 
-    def save_then_die(*args, **kwargs):
-        save_checkpoint(*args, **kwargs)
+    def append_then_die(log, record):
+        append(log, record)
         saves[0] += 1
         if saves[0] >= crash_after:
             os._exit(17)  # simulate an OOM kill / power loss
 
-    explorer_module.save_checkpoint = save_then_die
-    explorer_module.explore(complete_queue(2), checkpoint=sys.argv[1],
-                            checkpoint_every=1)
+    LevelLog.append = append_then_die
+    explore(complete_queue(2), checkpoint=sys.argv[1], checkpoint_every=1)
 """)
 
 
@@ -195,8 +195,9 @@ def test_process_death_recovered_via_embedded_spec(tmp_path, crash_after):
         [sys.executable, "-c", _CRASHING_RUN, path, str(crash_after)],
         env=env, capture_output=True, text=True)
     assert proc.returncode == 17, proc.stderr
-    # the checkpoint survived the crash; no spec object needed to resume
+    # the checkpoint survived the crash; the spec comes from this
+    # process, never from the file
     loaded = load_checkpoint(path)
     assert loaded.levels == crash_after
-    assert_same_graph(resume(path, checkpoint=None),
+    assert_same_graph(resume(path, complete_queue(2), checkpoint=None),
                       explore(complete_queue(2)))

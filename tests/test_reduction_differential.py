@@ -268,7 +268,7 @@ def test_spill_checkpoint_resume_bit_for_bit(tmp_path):
     reference = explore(spec, reduction=ReductionConfig(("q",)))
     path = _interrupted_checkpoint(spec, tmp_path, budget=60)
     # the resumed run adopts the stored reduction + spill configuration
-    graph = resume(path, max_states=200_000)
+    graph = resume(path, spec, max_states=200_000)
     assert graph.store.kind == "spill"
     assert graph_signature(graph) == graph_signature(reference)
     graph.store.close()
@@ -278,14 +278,14 @@ def test_resume_refuses_mismatched_configs(tmp_path):
     spec = complete_queue(2)
     path = _interrupted_checkpoint(spec, tmp_path, budget=60)
     with pytest.raises(CheckpointError, match="reduction"):
-        resume(path, max_states=200_000, reduction=None)
+        resume(path, spec, max_states=200_000, reduction=None)
     with pytest.raises(CheckpointError, match="state store"):
-        resume(path, max_states=200_000, store={"kind": "mem"})
+        resume(path, spec, max_states=200_000, store={"kind": "mem"})
     with pytest.raises(CheckpointError, match="reduction"):
-        resume(path, max_states=200_000,
+        resume(path, spec, max_states=200_000,
                reduction=ReductionConfig(("q", "i.sig")))  # wrong observed
     # matching explicit configs are accepted
-    graph = resume(path, max_states=200_000,
+    graph = resume(path, spec, max_states=200_000,
                    reduction=ReductionConfig(("q",)),
                    store={"kind": "spill",
                           "spill_dir": str(tmp_path / "ckpt-spill"),
@@ -303,7 +303,7 @@ def test_spill_resume_survives_deleted_spill_files(tmp_path):
     path = _interrupted_checkpoint(spec, tmp_path, budget=60)
     for stale in (tmp_path / "ckpt-spill").iterdir():
         stale.unlink()
-    graph = resume(path, max_states=200_000)
+    graph = resume(path, spec, max_states=200_000)
     assert graph_signature(graph) == graph_signature(reference)
     graph.store.close()
 

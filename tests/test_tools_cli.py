@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.checker.checkpoint import read_checkpoint
 from repro.tools.cli import main
 
 COUNTER_TLA = """
@@ -253,10 +254,9 @@ class TestDurableRuns:
         code, _ = run_cli("check", module_file, "--invariant", "Small",
                           "--checkpoint", cp)
         assert code == 0
-        with open(cp) as handle:
-            snapshot = json.load(handle)
-        assert snapshot["format"] == "repro-checkpoint"
-        assert snapshot["spec_name"]
+        snapshot = read_checkpoint(cp)
+        assert snapshot.header["format"] == "repro-checkpoint"
+        assert snapshot.spec_name
         with open(manifest) as handle:
             data = json.load(handle)
         assert data["format"] == "repro-run-manifest"
