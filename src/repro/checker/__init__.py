@@ -44,18 +44,6 @@ from .reduction import (
 from .refinement import IDENTITY, RefinementMapping, check_safety_refinement
 from .results import CheckResult, Counterexample
 
-# imported last: distributed pulls in repro.service (the wire layer),
-# whose job runner imports back into this package -- by this point every
-# name it needs is already bound, so the cycle resolves cleanly
-from .distributed import (  # noqa: E402
-    LocalWorkerPool,
-    NetFaultPlan,
-    explore_distributed,
-    partition_ranges,
-    resume_distributed,
-    spawn_local_workers,
-)
-
 __all__ = [
     "StateSpaceExplosion",
     "explore",
@@ -74,12 +62,6 @@ __all__ = [
     "CompactUnsupported",
     "explore_compact",
     "resume_compact",
-    "explore_distributed",
-    "resume_distributed",
-    "partition_ranges",
-    "spawn_local_workers",
-    "LocalWorkerPool",
-    "NetFaultPlan",
     "check_invariant_compact",
     "GraphDigest",
     "digest_of_graph",

@@ -1,7 +1,7 @@
-"""The level-synchronous BFS driver: one loop, three configurations.
+"""The level-synchronous BFS driver: one loop, two configurations.
 
-Every exploration mode of this package -- serial, process pool,
-distributed, fresh or resumed -- is :func:`drive` applied to a
+Every exploration mode of this package -- serial or process pool,
+fresh or resumed -- is :func:`drive` applied to a
 *configuration* over an *engine*.
 
 The **engine** seam says how one source node is handled, and has two
@@ -25,11 +25,10 @@ instances (``FullEngine`` in :mod:`~repro.checker.explorer` over a
 * ``finish(stats)`` -- fold engine counters into graph/stats.
 
 A **configuration** says how a whole frontier becomes the next one:
-:class:`Serial` (below), ``Pooled`` (:mod:`~repro.checker.parallel`) and
-``_Distributed`` (:mod:`~repro.checker.distributed`, compact engine
-only).  All three merge strictly in frontier order on the coordinator, which is the whole determinism
-argument: whatever ran in parallel was pure, so every mode builds the
-serial graph bit for bit.
+:class:`Serial` (below) and ``Pooled`` (:mod:`~repro.checker.parallel`).
+Both merge strictly in frontier order on the coordinator, which is the
+whole determinism argument: whatever ran in parallel was pure, so every
+mode builds the serial graph bit for bit.
 
 The per-level contract, pinned by ``tests/test_bfs_driver.py``:
 
@@ -146,8 +145,8 @@ def expander(spec: Spec, engine: str, reduction=None) -> Callable:
 
 class Serial:
     """The serial configuration -- each source expanded and merged in
-    frontier order on this process -- and the base of the other two,
-    which ship the expansion elsewhere but merge the same way."""
+    frontier order on this process -- and the base of ``Pooled``, which
+    ships the expansion to worker processes but merges the same way."""
 
     #: seconds the coordinator spent waiting on workers (None: no workers)
     idle: Optional[float] = None
@@ -180,7 +179,7 @@ class Serial:
                          depth, levels, elapsed, self.stats)
 
     def close(self) -> None:
-        """Release what the configuration holds (pool, coordinator)."""
+        """Release what the configuration holds (the pool)."""
 
 
 def drive(level: Serial, frontier: List[int], start: float,

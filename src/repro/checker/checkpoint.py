@@ -26,7 +26,7 @@ the cost of the rows a run interns, not of the graph it has so far:
   :mod:`repro.service.journal`), and fails closed with a
   :class:`CheckpointError` on anything else -- a bad checksum, a gap
   between records, a type or range a resume would index with.
-* :func:`resume` (and the compact and distributed twins) continue a run
+* :func:`resume` (and its compact twin) continue a run
   **bit-for-bit**: same node numbering, adjacency order, parents,
   traces, and :class:`~repro.checker.graph.StateSpaceExplosion`
   insertion point.  Levels are pure functions of (graph, frontier) and
@@ -201,14 +201,13 @@ class LevelLog:
 
     The cursors say what the file already holds -- ``nodes`` interned,
     ``sources`` whose adjacency is stored, per-level ``level_rows`` of
-    the stats, ``partition_rows`` of a distributed manifest -- so each
-    record carries only what came after them."""
+    the stats -- so each record carries only what came after them."""
 
     def __init__(self, path: str, header: Dict[str, object]):
         self.path = path
         self._header = _encode(header)
         self._started = False
-        self.nodes = self.sources = self.level_rows = self.partition_rows = 0
+        self.nodes = self.sources = self.level_rows = 0
 
     def append(self, record: Dict[str, object]) -> None:
         """Make *record* durable."""
@@ -224,18 +223,15 @@ class LevelLog:
 
     def append_level(self, graph, rows: Callable[[range, range], Dict],
                      frontier: Sequence[int], depth: int, levels: int,
-                     elapsed_seconds: float, stats: Optional[ExploreStats],
-                     distributed: Optional[Dict[str, object]] = None
-                     ) -> None:
+                     elapsed_seconds: float,
+                     stats: Optional[ExploreStats]) -> None:
         """Append the record of one level boundary of a BFS over
         *graph*.  *rows* is the engine's ``snapshot`` hook: the engine's
         share of the record for a range of new nodes and a range of newly
         expanded sources.  BFS expands in node-id order and the frontier
         is the last level's new nodes, so the frontier is the tail of the
         node ids, stored as the pair ``[first, end)``, and every node
-        below it has been expanded.  *distributed* is a coordinator's
-        section; its ``level_partitions`` rows are appended like the
-        nodes."""
+        below it has been expanded."""
         count = graph.state_count
         first = count - len(frontier)
         if frontier and (frontier[0] != first or frontier[-1] != count - 1
@@ -258,17 +254,10 @@ class LevelLog:
             "elapsed_seconds": elapsed_seconds,
             "stats": snapshot,
         })
-        if distributed is not None:
-            section = dict(distributed)
-            partitions = section["level_partitions"]
-            section["level_partitions"] = partitions[self.partition_rows:]
-            record["distributed"] = section
         self.append(record)
         self.nodes, self.sources = count, first
         if stats is not None:
             self.level_rows = len(stats.levels)
-        if distributed is not None:
-            self.partition_rows = len(partitions)
 
 
 def save_checkpoint(
@@ -452,7 +441,6 @@ class Checkpoint:
         self.succ: List[List[int]] = []
         self.packed: List[int] = []
         self.stats_snapshot: Optional[Dict[str, object]] = None
-        self.distributed: Optional[Dict[str, object]] = None
         need(bool(records), "the log holds no complete snapshot record")
         for index, raw in enumerate(records):
             try:
@@ -530,8 +518,6 @@ class Checkpoint:
             need(type(self.elapsed_seconds) in (int, float),
                  f"{where}elapsed_seconds must be a number")
             self._fold_stats(record["stats"], where)
-            if "distributed" in record:
-                self._fold_distributed(record["distributed"], where)
         self.init_nodes = [node for node, p in enumerate(self.parent)
                            if p < 0]
 
@@ -550,27 +536,6 @@ class Checkpoint:
         folded = (self.stats_snapshot or {}).get("levels", [])
         folded.extend(rows)
         self.stats_snapshot = dict(stats, levels=folded)
-
-    def _fold_distributed(self, section: object, where: str) -> None:
-        """The coordinator's section: the last record's ranges and
-        worker URLs, and every record's ``level_partitions`` rows."""
-        need = self.need
-        need(isinstance(section, dict),
-             f"{where}the distributed section must be an object")
-        ranges, rows = section["ranges"], section["level_partitions"]
-        need(isinstance(ranges, list)
-             and all(isinstance(pair, list) and len(pair) == 2
-                     and all(_natural(x) for x in pair) for pair in ranges),
-             f"{where}ranges must be [low, high] integer pairs")
-        need(isinstance(rows, list)
-             and all(isinstance(row, list) and all(_natural(c) for c in row)
-                     for row in rows),
-             f"{where}level_partitions must be lists of counts")
-        need(isinstance(section["worker_urls"], list),
-             f"{where}worker_urls must be a list")
-        folded = (self.distributed or {}).get("level_partitions", [])
-        folded.extend(rows)
-        self.distributed = dict(section, level_partitions=folded)
 
     def restore_stats(self, stats: Optional[ExploreStats]) -> None:
         """Reload the cumulative counters the interrupted run recorded."""

@@ -131,14 +131,17 @@ class CompactGraph:
 
     # -- interning -----------------------------------------------------------
 
-    def _intern_new(self, packed: int, parent: int,
-                    fingerprint: Optional[int] = None) -> int:
-        """Append a known-to-be-new packed state: budget check, node-id
-        assignment, and digest accounting -- the part of :meth:`intern`
-        that does *not* touch the ``visited`` map.  The distributed
-        coordinator calls this directly (its visited set lives on the
-        worker nodes), so budget behaviour and the node digest stream
-        stay one code path across engines."""
+    def intern(self, packed: int, parent: int) -> Tuple[int, bool]:
+        """Intern a packed state; returns ``(node_id, is_new)``.
+
+        Enforces the ``max_states`` budget at insertion time exactly
+        like :meth:`StateGraph.add_state`, and counts 64-bit fingerprint
+        collisions (packed keys are exact, so a collision here is
+        *observed and survived*, never a silent merge).
+        """
+        node = self.visited.get(packed)
+        if node is not None:
+            return node, False
         node = len(self.packed)
         if self.max_states is not None and node >= self.max_states:
             label = f"exploring {self.name!r} " if self.name else "exploration "
@@ -151,24 +154,8 @@ class CompactGraph:
         self.parent.append(parent)
         if parent < 0:
             self.init_nodes.append(node)
-        if fingerprint is None:
-            fingerprint = self.codec.fingerprint(packed)
-        self._digest.absorb_node(fingerprint, parent)
-        return node
-
-    def intern(self, packed: int, parent: int) -> Tuple[int, bool]:
-        """Intern a packed state; returns ``(node_id, is_new)``.
-
-        Enforces the ``max_states`` budget at insertion time exactly
-        like :meth:`StateGraph.add_state`, and counts 64-bit fingerprint
-        collisions (packed keys are exact, so a collision here is
-        *observed and survived*, never a silent merge).
-        """
-        node = self.visited.get(packed)
-        if node is not None:
-            return node, False
         fingerprint = self.codec.fingerprint(packed)
-        node = self._intern_new(packed, parent, fingerprint)
+        self._digest.absorb_node(fingerprint, parent)
         self.visited[packed] = node
         if fingerprint in self._fingerprints:
             self._collisions += 1
@@ -277,21 +264,6 @@ class CompactGraph:
 # -- exploration -------------------------------------------------------------
 
 
-def _seed_compact(
-    spec: Spec, max_states: Optional[int],
-    stats: Optional[ExploreStats] = None,
-) -> Tuple[CompactGraph, List[int]]:
-    with maybe_phase(stats, "plan"):
-        graph = CompactGraph(spec, max_states=max_states)
-    encode = graph.codec.encode
-    frontier: List[int] = []
-    for state in initial_states(spec.init, spec.universe):
-        node, is_new = graph.intern(encode(state), -1)
-        if is_new:
-            frontier.append(node)
-    return graph, frontier
-
-
 class CompactEngine:
     """The compact engine seam of :mod:`repro.checker.bfs`: packed ints
     in, packed ints out, interned on the exact packed value."""
@@ -343,7 +315,14 @@ def explore_compact(
     start = perf_counter()
     options = resolve_options(workers, worker_timeout, fault_hook,
                               checkpoint, checkpoint_every)
-    graph, frontier = _seed_compact(spec, max_states, stats)
+    with maybe_phase(stats, "plan"):
+        graph = CompactGraph(spec, max_states=max_states)
+    encode = graph.codec.encode
+    frontier: List[int] = []
+    for state in initial_states(spec.init, spec.universe):
+        node, is_new = graph.intern(encode(state), -1)
+        if is_new:
+            frontier.append(node)
     return drive(local_level(CompactEngine(graph), stats, options),
                  frontier, start)
 
@@ -402,8 +381,7 @@ def restore_compact(
     """Rebuild the live :class:`CompactGraph` of a compact log (already
     folded and checked by
     :func:`~repro.checker.checkpoint.read_checkpoint`) against *spec*,
-    verifying the codec layout.  Shared by :func:`resume_compact` and
-    the distributed coordinator's resume."""
+    verifying the codec layout."""
     path = loaded.path
     plan = PackedPlan(spec)
     if plan.codec.signature() != loaded.codec_signature:

@@ -63,8 +63,7 @@ class ExploreStats:
                  "coordinator_idle_seconds", "worker_retries", "levels",
                  "levels_seen", "por_enabled", "por_reason", "por_counters",
                  "store_kind", "store_counters", "peak_rss_kb", "engine",
-                 "fingerprint_collisions", "node_losses", "rebalances",
-                 "reshipped_sources", "node_labels", "_level_listeners")
+                 "fingerprint_collisions", "_level_listeners")
 
     # per-level rows beyond this are dropped (pathologically deep graphs
     # would otherwise bloat checkpoints); the totals stay exact
@@ -108,15 +107,6 @@ class ExploreStats:
         # on exact packed ints -- detects them at intern time)
         self.engine = "full"
         self.fingerprint_collisions = 0
-        # distributed-run health: worker *nodes* declared lost, range
-        # rebalances performed, frontier sources re-shipped after a loss
-        # (none of which can change the explored graph -- see
-        # repro.checker.distributed), plus worker id -> URL labels for
-        # the summary table
-        self.node_losses = 0
-        self.rebalances = 0
-        self.reshipped_sources = 0
-        self.node_labels: Dict[int, str] = {}
 
     # -- population ----------------------------------------------------------
 
@@ -220,27 +210,8 @@ class ExploreStats:
         self.coordinator_idle_seconds += idle_seconds
 
     def record_retry(self, reason: str) -> None:
-        """Count one chunk retry (``"crash"``, ``"timeout"``, or a
-        distributed run's ``"wire"`` transport retry)."""
+        """Count one chunk retry (``"crash"`` or ``"timeout"``)."""
         self.worker_retries[reason] = self.worker_retries.get(reason, 0) + 1
-
-    def record_node_label(self, worker_id: int, url: str) -> None:
-        """Label a distributed worker node for the summary table."""
-        self.node_labels[worker_id] = url
-
-    def record_node_loss(self) -> None:
-        """Count one worker node declared lost (dead or hung)."""
-        self.node_losses += 1
-
-    def record_rebalance(self, ranges_moved: int = 0) -> None:
-        """Count one ownership rebalance after a node loss.  The number
-        of ranges moved is implicit in the loss pattern; the event count
-        alone is the health signal."""
-        self.rebalances += 1
-
-    def record_reshipped(self, sources: int) -> None:
-        """Count frontier sources re-shipped to survivors after a loss."""
-        self.reshipped_sources += sources
 
     @property
     def total_retries(self) -> int:
@@ -282,12 +253,6 @@ class ExploreStats:
             self.engine = str(engine)
         self.fingerprint_collisions = int(
             snapshot.get("fingerprint_collisions", 0) or 0)
-        self.node_losses = int(snapshot.get("node_losses", 0) or 0)
-        self.rebalances = int(snapshot.get("rebalances", 0) or 0)
-        self.reshipped_sources = int(
-            snapshot.get("reshipped_sources", 0) or 0)
-        for worker_id, url in dict(snapshot.get("node_labels") or {}).items():
-            self.node_labels[int(worker_id)] = str(url)
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
@@ -352,20 +317,12 @@ class ExploreStats:
                 entry = self.worker_stats[worker_id]
                 busy = entry["busy_seconds"]
                 rate = entry["sources"] / busy if busy > 0 else 0.0
-                label = self.node_labels.get(worker_id)
-                label_text = f" ({label})" if label else ""
                 lines.append(
-                    f"{indent}  worker {worker_id}{label_text}: "
+                    f"{indent}  worker {worker_id}: "
                     f"{entry['sources']:.0f} sources -> "
                     f"{entry['successors']:.0f} successors in "
                     f"{entry['batches']:.0f} batches, busy {busy:.4f}s "
                     f"({rate:,.0f} states/sec)"
-                )
-            if self.node_losses or self.reshipped_sources:
-                lines.append(
-                    f"{indent}distributed: {self.node_losses} node "
-                    f"loss(es), {self.rebalances} rebalance(s), "
-                    f"{self.reshipped_sources} sources re-shipped"
                 )
         if self.por_enabled is not None:
             lines.append(self._format_reduction(indent))
@@ -457,11 +414,6 @@ class ExploreStats:
             "engine": self.engine,
             "fingerprint_collisions": self.fingerprint_collisions,
             "collision_probability_bound": self.collision_probability_bound,
-            "node_losses": self.node_losses,
-            "rebalances": self.rebalances,
-            "reshipped_sources": self.reshipped_sources,
-            "node_labels": {wid: url
-                            for wid, url in self.node_labels.items()},
         }
 
     def to_json(self, indent: Optional[int] = None) -> str:

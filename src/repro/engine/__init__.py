@@ -7,7 +7,7 @@ split for our checker, and the one place a *check* is executed:
 
 * :class:`~repro.engine.explicit.ExplicitEngine` -- the explicit-state
   pipeline: exhaustive BFS in any of the existing modes (serial /
-  parallel / compact / distributed, fresh or resumed), then every
+  parallel / compact, fresh or resumed), then every
   invariant and property decided on that one graph.  Definitive
   verdicts; cost grows with the reachable state count.
 * :class:`~repro.engine.symbolic.SymbolicEngine` -- bounded model

@@ -4,7 +4,7 @@ obligation on that graph.
 :class:`ExplicitEngine` holds the run options -- spelled once, here --
 and :meth:`ExplicitEngine.run` is the one path from *(spec, invariants,
 properties)* to *(graph, per-obligation results, notes)*.  ``repro
-check | explore | coordinate`` render a run as text + manifest + exit
+check | explore`` render a run as text + manifest + exit
 code, the service's ``run_check`` as a JSON document, and
 :meth:`ExplicitEngine.check_invariant` as an
 :class:`~repro.engine.result.EngineResult`; none of them explores or
@@ -13,7 +13,7 @@ VIOLATION, never UNKNOWN.
 
 What the pipeline owns:
 
-* **dispatch** -- {full, compact, distributed} x {fresh, resume}, the
+* **dispatch** -- {full, compact} x {fresh, resume}, the
   only calls of the ``explore_*`` / ``resume*`` entry points outside
   :mod:`repro.checker`;
 * **obligation policy** -- partial-order reduction observes the sorted
@@ -35,7 +35,7 @@ for a combination it cannot honour.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..checker import (
     CompactGraph,
@@ -51,7 +51,6 @@ from ..checker import (
     resume,
     resume_compact,
 )
-from ..checker.distributed import explore_distributed, resume_distributed
 from ..checker.results import CheckResult
 from ..kernel.expr import Expr
 from .result import HOLDS, VIOLATION, EngineResult
@@ -68,23 +67,20 @@ class ExplicitEngine:
     """Exhaustive BFS in one of the existing modes, plus how to run it.
 
     ``mode`` selects the path: ``"serial"`` / ``"parallel"`` (the full
-    dict-backed graph; serial is parallel with one worker), ``"compact"``
-    (fingerprint-only exploration with on-demand trace regeneration),
-    or ``"distributed"`` (the compact engine across worker nodes;
-    requires ``nodes``, a sequence of worker URLs).  Every mode produces
-    bit-for-bit identical graphs, so the verdicts and traces are
-    mode-independent by construction; the two compact-graph modes cannot
-    check temporal properties.
+    dict-backed graph; serial is parallel with one worker) or
+    ``"compact"`` (fingerprint-only exploration with on-demand trace
+    regeneration).  Every mode produces bit-for-bit identical graphs, so
+    the verdicts and traces are mode-independent by construction; the
+    compact mode cannot check temporal properties.
 
     ``por`` and ``store`` (a ``StateStore.config()`` dict; the full
-    graph's only, compact and distributed runs keep no store) are
-    tri-state: ``None`` means *unset* -- off on a fresh run, and on
+    graph's only, compact runs keep no store) are tri-state: ``None``
+    means *unset* -- off on a fresh run, and on
     ``resume`` whatever the checkpoint recorded -- while a set value is
     used on a fresh run and *asserted* on resume (a mismatch raises
     :class:`~repro.checker.CheckpointError`).  ``checkpoint`` /
     ``checkpoint_every`` / ``resume`` make the exploration durable;
-    ``worker_timeout`` bounds a pool worker's chunk or a node's wire
-    operation, ``heartbeat`` is the distributed health-probe interval.
+    ``worker_timeout`` bounds a pool worker's chunk.
 
     A blown ``max_states`` budget raises
     :class:`~repro.checker.StateSpaceExplosion` out of every method;
@@ -94,47 +90,35 @@ class ExplicitEngine:
     name = "explicit"
 
     def __init__(self, mode: str = "serial", max_states: int = 200_000,
-                 workers: int = 1, nodes: Sequence[str] = (), *,
+                 workers: int = 1, *,
                  por: Optional[bool] = None, store: Optional[dict] = None,
                  checkpoint: Optional[str] = None, checkpoint_every: int = 1,
                  resume: bool = False,
-                 worker_timeout: Optional[float] = None,
-                 heartbeat: float = 2.0) -> None:
-        if mode not in ("serial", "parallel", "compact", "distributed"):
+                 worker_timeout: Optional[float] = None) -> None:
+        if mode not in ("serial", "parallel", "compact"):
             raise ValueError(f"unknown explicit mode {mode!r}")
-        if mode == "distributed" and not nodes:
-            raise ValueError("distributed mode needs worker node URLs")
-        if por and mode in ("compact", "distributed"):
-            raise ValueError(f"{mode} mode has no reduction machinery; "
-                             f"por needs serial or parallel mode")
+        if por and mode == "compact":
+            raise ValueError("compact mode has no reduction machinery; "
+                             "por needs serial or parallel mode")
         if resume and not checkpoint:
             raise ValueError("resume needs the checkpoint to continue from")
         self.mode = mode
         self.max_states = max_states
         self.workers = workers
-        self.nodes = tuple(nodes)
         self.por = por
         self.store = store
         self.checkpoint = checkpoint
         self.checkpoint_every = checkpoint_every
         self.resume = resume
         self.worker_timeout = worker_timeout
-        self.heartbeat = heartbeat
 
     def _explore(self, spec, stats: Optional[ExploreStats],
                  por: Optional[bool], reduction: Optional[ReductionConfig]):
         """The one exploration dispatch."""
         common = dict(max_states=self.max_states, stats=stats,
                       checkpoint_every=self.checkpoint_every,
+                      workers=self.workers,
                       worker_timeout=self.worker_timeout)
-        if self.mode == "distributed":
-            if self.resume:
-                return resume_distributed(self.checkpoint, self.nodes, spec,
-                                          heartbeat=self.heartbeat, **common)
-            return explore_distributed(spec, self.nodes,
-                                       checkpoint=self.checkpoint,
-                                       heartbeat=self.heartbeat, **common)
-        common["workers"] = self.workers
         if self.mode == "compact":
             if self.resume:
                 return resume_compact(self.checkpoint, spec, **common)
@@ -200,10 +184,10 @@ class CheckRun:
                  invariants: List[Tuple[Optional[str], Expr]],
                  properties: List[Tuple[str, object]],
                  stats: Optional[ExploreStats]) -> None:
-        if properties and engine.mode in ("compact", "distributed"):
-            raise ValueError(f"{engine.mode} mode cannot check temporal "
-                             f"properties: lasso search needs the successor "
-                             f"structure the compact graph does not retain")
+        if properties and engine.mode == "compact":
+            raise ValueError("compact mode cannot check temporal "
+                             "properties: lasso search needs the successor "
+                             "structure the compact graph does not retain")
         self.engine = engine
         self.spec = spec
         self.invariants = invariants

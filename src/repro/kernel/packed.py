@@ -198,11 +198,10 @@ class PackedCodec:
     def fingerprint(self, packed: int) -> int:
         """``State.fingerprint()`` of the decoded state, without decoding.
 
-        Hot path of the compact and distributed engines (every routing
-        and dedup decision starts here), so the per-variable fold is
-        flattened into one loop over a precomputed ``(shift, mask,
-        words-per-code)`` table instead of per-variable dict lookups and
-        ``_fold`` calls.  The fold sequence -- and therefore every
+        Hot path of the compact engine (every intern and digest step
+        starts here), so the per-variable fold is flattened into one
+        loop over a precomputed ``(shift, mask, words-per-code)`` table
+        instead of per-variable dict lookups and ``_fold`` calls.  The fold sequence -- and therefore every
         fingerprint, digest, and golden -- is unchanged."""
         h = self._fp_seed
         for shift, mask, per_code in self._fp_table:
@@ -232,7 +231,7 @@ class PackedCodec:
 # CompactUnsupported is raised only while building the codec, so whether a
 # spec can be packed is a pure function of its universe.  Callers that gate
 # an engine choice on packability (the service's --compact fallback, the
-# distributed coordinator's refusal, the symbolic translator) share this
+# symbolic translator) share this
 # probe instead of constructing a throwaway plan and catching.
 
 

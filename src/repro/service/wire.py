@@ -1,46 +1,23 @@
-"""Shared HTTP/NDJSON wire layer for the service and distributed tiers.
+"""The checking service's HTTP/NDJSON server helpers.
 
-The checking service (:mod:`repro.service.server`) and the distributed
-worker nodes (:mod:`repro.service.worker`) speak the same deliberately
-minimal HTTP/1.1 dialect: one request per connection, ``Connection:
-close``, JSON bodies, NDJSON for streams.  This module is the single
-home of that dialect.
-
-Server side (asyncio): :func:`read_head` / :func:`read_body` /
-:func:`send_json` plus :class:`HttpError`, which handlers raise to turn
-into a JSON error response.
-
-Client side (blocking): :class:`WorkerLink`, the coordinator's
-per-worker connection.  Each request opens a fresh socket; the link
-tracks the in-flight socket so :meth:`WorkerLink.abort` -- called from
-the heartbeat monitor thread -- can tear down a read that is blocked on
-a dead or hung node.  Non-2xx responses raise :class:`ProtocolError`
-(the node is alive but refused); everything transport-shaped raises
-:class:`OSError`/:class:`ConnectionError` (the node or link is gone),
-which is the signal the coordinator's fault machinery keys on.
-
-:class:`NetFaultPlan` is the seeded network-fault seam: it makes a
-:class:`WorkerLink` deterministically *drop* requests (a transient
-``ConnectionError`` before anything is sent, which must be absorbed by
-coordinator-side retries) or *duplicate* them (the request is performed
-twice, which the worker endpoints must tolerate by being idempotent).
-The chaos tests drive both to prove the wire protocol is retry-safe.
+:mod:`repro.service.server` speaks a deliberately minimal HTTP/1.1
+dialect: one request per connection, ``Connection: close``, JSON
+bodies, NDJSON for streams.  This module holds its asyncio plumbing:
+:func:`read_head` / :func:`read_body` / :func:`send_json` /
+:func:`send_text`, plus :class:`HttpError`, which handlers raise to turn
+into a JSON error response.  The client side lives in
+:mod:`repro.service.client`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import random
-import socket
-import threading
-from typing import Dict, Iterator, Optional, Tuple
-from urllib.parse import urlsplit
+from typing import Dict, Optional, Tuple
 
 __all__ = [
     "MAX_BODY", "REASONS", "HttpError", "read_head", "read_body",
-    "send_json", "send_text", "ProtocolError", "WorkerLink",
-    "NetFaultPlan",
+    "send_json", "send_text",
 ]
 
 MAX_BODY = 16 * 1024 * 1024  # a body larger than this is a typo
@@ -124,237 +101,3 @@ async def send_text(writer: asyncio.StreamWriter, status: int, text: str,
             "Connection: close"]
     writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
     await writer.drain()
-
-
-# -- client side --------------------------------------------------------------
-
-
-class ProtocolError(RuntimeError):
-    """A non-2xx response: the peer is alive but refused or failed the
-    request.  Deliberately *not* an :class:`OSError` -- the coordinator
-    treats transport errors as node loss and protocol errors as bugs."""
-
-    def __init__(self, status: int, message: str):
-        super().__init__(f"HTTP {status}: {message}")
-        self.status = status
-
-
-class NetFaultPlan:
-    """Seeded, deterministic network faults for :class:`WorkerLink`.
-
-    Each POST rolls the shared RNG once: below ``drop_rate`` the request
-    is dropped (a ``ConnectionError`` is raised before any bytes go out,
-    consuming one coordinator-side retry); in the next ``dup_rate`` band
-    it is duplicated (performed twice back to back, exercising endpoint
-    idempotence).  GETs (health probes) are never faulted -- dropping a
-    heartbeat would fake a node loss rather than a network fault.
-
-    One plan may be shared across the links of a run; the lock keeps the
-    roll sequence well-defined, and with a fixed seed the whole fault
-    schedule replays identically across runs with the same request
-    order.
-    """
-
-    def __init__(self, seed: int = 0, drop_rate: float = 0.0,
-                 dup_rate: float = 0.0):
-        if drop_rate + dup_rate > 1.0:
-            raise ValueError("drop_rate + dup_rate must be <= 1")
-        self._rng = random.Random(seed)
-        self.drop_rate = drop_rate
-        self.dup_rate = dup_rate
-        self.drops = 0
-        self.duplicates = 0
-        self._lock = threading.Lock()
-
-    def decide(self, path: str) -> str:
-        """``"drop"``, ``"dup"``, or ``"ok"`` for the next POST."""
-        with self._lock:
-            roll = self._rng.random()
-            if roll < self.drop_rate:
-                self.drops += 1
-                return "drop"
-            if roll < self.drop_rate + self.dup_rate:
-                self.duplicates += 1
-                return "dup"
-            return "ok"
-
-
-class WorkerLink:
-    """Blocking one-request-per-connection HTTP client for one worker.
-
-    Used from the coordinator's request threads.  ``abort()`` is safe to
-    call from any other thread (the heartbeat monitor): it closes the
-    in-flight socket, so a ``recv`` blocked on a hung node fails with an
-    ``OSError`` instead of waiting forever, and marks the link dead so
-    later requests fail fast.
-    """
-
-    def __init__(self, url: str, timeout: Optional[float] = None,
-                 fault: Optional[NetFaultPlan] = None):
-        parts = urlsplit(url if "//" in url else f"http://{url}")
-        self.host = parts.hostname or "127.0.0.1"
-        self.port = parts.port or 80
-        self.url = f"http://{self.host}:{self.port}"
-        self.timeout = timeout
-        self.fault = fault
-        self._sock: Optional[socket.socket] = None
-        self._lock = threading.Lock()
-        self._aborted = False
-
-    # -- public API ----------------------------------------------------------
-
-    def get(self, path: str, timeout: Optional[float] = None) -> Dict:
-        return self._perform_json("GET", path, None, timeout)
-
-    def post(self, path: str, payload: object,
-             timeout: Optional[float] = None) -> Dict:
-        attempts = 1
-        if self.fault is not None:
-            verdict = self.fault.decide(path)
-            if verdict == "drop":
-                raise ConnectionError(f"injected drop of POST {path}")
-            if verdict == "dup":
-                attempts = 2
-        result: Dict = {}
-        for _ in range(attempts):
-            result = self._perform_json("POST", path, payload, timeout)
-        return result
-
-    def post_stream(self, path: str, payload: object,
-                    timeout: Optional[float] = None) -> Iterator[Dict]:
-        """POST and yield the NDJSON response line by line."""
-        if self.fault is not None:
-            verdict = self.fault.decide(path)
-            if verdict == "drop":
-                raise ConnectionError(f"injected drop of POST {path}")
-            if verdict == "dup":
-                # consume-and-discard one full response first; the
-                # endpoint is pure, so the repeat observes the same state
-                for _ in self._perform_stream(path, payload, timeout):
-                    pass
-        yield from self._perform_stream(path, payload, timeout)
-
-    def abort(self) -> None:
-        """Kill the in-flight request (thread-safe) and poison the link."""
-        with self._lock:
-            self._aborted = True
-            sock, self._sock = self._sock, None
-        if sock is not None:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-    def close(self) -> None:
-        self.abort()
-
-    # -- plumbing ------------------------------------------------------------
-
-    def _connect(self, timeout: Optional[float]) -> socket.socket:
-        sock = socket.create_connection(
-            (self.host, self.port),
-            timeout=self.timeout if timeout is None else timeout)
-        with self._lock:
-            if self._aborted:
-                sock.close()
-                raise ConnectionError(f"link to {self.url} is aborted")
-            self._sock = sock
-        return sock
-
-    def _release(self, sock: socket.socket) -> None:
-        with self._lock:
-            if self._sock is sock:
-                self._sock = None
-        try:
-            sock.close()
-        except OSError:
-            pass
-
-    def _send_request(self, sock: socket.socket, method: str, path: str,
-                      body: bytes) -> None:
-        head = (f"{method} {path} HTTP/1.1\r\n"
-                f"Host: {self.host}:{self.port}\r\n"
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                "Connection: close\r\n\r\n")
-        sock.sendall(head.encode("latin-1") + body)
-
-    @staticmethod
-    def _read_response_head(fh) -> Tuple[int, Dict[str, str]]:
-        status_line = fh.readline()
-        if not status_line:
-            raise ConnectionError("peer closed before responding")
-        parts = status_line.decode("latin-1").split(None, 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise ConnectionError(f"malformed status line: {status_line!r}")
-        status = int(parts[1])
-        headers: Dict[str, str] = {}
-        while True:
-            line = fh.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            if b":" in line:
-                key, value = line.decode("latin-1").split(":", 1)
-                headers[key.strip().lower()] = value.strip()
-        return status, headers
-
-    @staticmethod
-    def _error_payload(fh, headers: Dict[str, str]) -> object:
-        length = int(headers.get("content-length", "0"))
-        raw = fh.read(length) if length else b""
-        try:
-            return json.loads(raw.decode("utf-8")) if raw else {}
-        except ValueError:
-            return {"error": raw.decode("utf-8", "replace")}
-
-    def _perform_json(self, method: str, path: str, payload: object,
-                      timeout: Optional[float]) -> Dict:
-        body = b"" if payload is None else \
-            json.dumps(payload).encode("utf-8")
-        sock = self._connect(timeout)
-        try:
-            fh = sock.makefile("rb")
-            self._send_request(sock, method, path, body)
-            status, headers = self._read_response_head(fh)
-            length = int(headers.get("content-length", "0"))
-            raw = fh.read(length) if length else b""
-            if len(raw) != length:
-                raise ConnectionError("peer closed mid-body")
-            try:
-                data = json.loads(raw.decode("utf-8")) if raw else {}
-            except ValueError:
-                data = {"error": raw.decode("utf-8", "replace")}
-            if status >= 300:
-                message = data.get("error", data) if isinstance(data, dict) \
-                    else data
-                raise ProtocolError(status, str(message))
-            return data
-        finally:
-            self._release(sock)
-
-    def _perform_stream(self, path: str, payload: object,
-                        timeout: Optional[float]) -> Iterator[Dict]:
-        body = json.dumps(payload).encode("utf-8")
-        sock = self._connect(timeout)
-        try:
-            fh = sock.makefile("rb")
-            self._send_request(sock, "POST", path, body)
-            status, headers = self._read_response_head(fh)
-            if status >= 300:
-                data = self._error_payload(fh, headers)
-                message = data.get("error", data) if isinstance(data, dict) \
-                    else data
-                raise ProtocolError(status, str(message))
-            # ``Connection: close`` framing: the stream ends at EOF; the
-            # application layer puts its own terminator line at the end
-            # so a mid-stream connection loss is distinguishable
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield json.loads(line.decode("utf-8"))
-        finally:
-            self._release(sock)

@@ -8,7 +8,7 @@
     python -m repro trace Counter.tla --spec Spec --steps 12 --seed 7
     python -m repro pretty Counter.tla Next
 
-``check``, ``explore`` and ``coordinate`` execute through the one check
+``check`` and ``explore`` execute through the one check
 pipeline in :mod:`repro.engine` and only render its outcome: text, the
 run manifest, the exit code.  ``check`` exits nonzero when any check
 fails, printing rendered counterexamples -- suitable for CI.
@@ -72,9 +72,7 @@ from ..checker import (
     CompactUnsupported,
     ExploreStats,
     StateSpaceExplosion,
-    digest_of_graph,
     manifest_path_for,
-    spawn_local_workers,
     write_manifest,
 )
 from ..checker.results import CheckResult
@@ -305,10 +303,9 @@ def _leave_behind(args: argparse.Namespace, engine: ExplicitEngine, run,
 
 def _run_explicit(args: argparse.Namespace, out, engine: ExplicitEngine,
                   request, report, indent: str = "") -> int:
-    """Render one pipeline run the way ``check`` / ``explore`` /
-    ``coordinate`` share: the run's notes, the verb's own *report* of
-    the finished run, the ``--stats`` table, and what the run leaves on
-    disk.  Returns the exit code; a blown budget leaves its manifest
+    """Render one pipeline run the way ``check`` / ``explore`` share:
+    the run's notes, the verb's own *report* of the finished run, the
+    ``--stats`` table, and what the run leaves on disk.  Returns the exit code; a blown budget leaves its manifest
     and propagates (``main`` prints it, exit 2)."""
     spec, label, invariants, properties = request
     # stats are collected when either rendering is requested: the human
@@ -592,50 +589,6 @@ def cmd_admin(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def cmd_worker(args: argparse.Namespace, out) -> int:
-    from ..service.worker import run_worker
-
-    return run_worker(host=args.host, port=args.port,
-                      endpoint_file=args.endpoint_file, out=out)
-
-
-def cmd_coordinate(args: argparse.Namespace, out) -> int:
-    if bool(args.spawn) == bool(args.worker_at):
-        print("error: give exactly one of --spawn N (launch localhost "
-              "workers) or --worker-at URL (repeatable; already-running "
-              "repro worker processes)", file=out)
-        return 2
-    if args.resume and not args.checkpoint:
-        print("error: --resume requires --checkpoint PATH "
-              "(the snapshot to continue from)", file=out)
-        return 2
-    if args.resume and not os.path.exists(args.checkpoint):
-        print(f"error: cannot resume: checkpoint file "
-              f"{args.checkpoint!r} does not exist", file=out)
-        return 2
-    request = resolve_request(_load(args.module), args.spec)
-    pool = spawn_local_workers(args.spawn) if args.spawn else None
-    urls = list(pool.urls) if pool is not None else list(args.worker_at)
-    engine = ExplicitEngine(
-        "distributed", max_states=args.max_states, workers=len(urls),
-        nodes=urls, checkpoint=args.checkpoint,
-        checkpoint_every=args.checkpoint_every, resume=args.resume,
-        worker_timeout=args.worker_timeout, heartbeat=args.heartbeat)
-
-    def report(run, label: str) -> None:
-        graph = run.graph
-        print(f"{label}: {graph.state_count} states, "
-              f"{graph.edge_count} edges (+{graph.stutter_count} stutter) "
-              f"across {len(urls)} worker node(s)", file=out)
-        print(f"  digest: {digest_of_graph(graph)}", file=out)
-
-    try:
-        return _run_explicit(args, out, engine, request, report, indent="  ")
-    finally:
-        if pool is not None:
-            pool.terminate()
-
-
 def _add_durability_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--checkpoint", default=None, metavar="PATH",
                      help="snapshot the exploration to PATH (atomically, at "
@@ -873,63 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--timeout", type=float, default=600.0,
                        help="per-read stream timeout in seconds")
     watch.set_defaults(func=cmd_watch)
-
-    worker = sub.add_parser(
-        "worker", help="run a distributed-exploration worker node (owns a "
-                       "visited-set partition; driven by repro coordinate)")
-    worker.add_argument("--host", default="127.0.0.1")
-    worker.add_argument("--port", type=int, default=0,
-                        help="TCP port (default 0 = pick an ephemeral port, "
-                             "recorded in --endpoint-file)")
-    worker.add_argument("--endpoint-file", default=None, metavar="PATH",
-                        help="write {host, port, url, pid} JSON here once "
-                             "listening (how spawners discover the port)")
-    worker.set_defaults(func=cmd_worker)
-
-    coord = sub.add_parser(
-        "coordinate",
-        help="explore a module across worker nodes; the resulting graph "
-             "(numbering, digest, traces) is bit-for-bit the "
-             "single-machine run")
-    coord.add_argument("module",
-                       help="module file or @name:key=val,... bundled "
-                            "protocol reference")
-    coord.add_argument("--spec", default="Spec")
-    coord.add_argument("--spawn", type=_positive_int, default=None,
-                       metavar="N",
-                       help="launch N localhost worker processes for this "
-                            "run (mutually exclusive with --worker-at)")
-    coord.add_argument("--worker-at", action="append", metavar="URL",
-                       help="URL of an already-running repro worker "
-                            "(repeatable; one per node)")
-    coord.add_argument("--max-states", type=_positive_int, default=200_000,
-                       help="hard budget on interned states (default "
-                            "200000)")
-    coord.add_argument("--checkpoint", default=None, metavar="PATH",
-                       help="snapshot the run at BFS level boundaries; the "
-                            "snapshot is also a valid single-machine "
-                            "checkpoint")
-    coord.add_argument("--checkpoint-every", type=_positive_int, default=1,
-                       metavar="N")
-    coord.add_argument("--resume", action="store_true",
-                       help="continue the --checkpoint snapshot on this "
-                            "cluster (any size; workers need not be the "
-                            "original ones)")
-    coord.add_argument("--heartbeat", type=float, default=2.0,
-                       metavar="SECONDS",
-                       help="health-probe interval for detecting hung "
-                            "workers (default 2.0)")
-    coord.add_argument("--worker-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="cap each wire operation to a worker; a node "
-                            "that exceeds it is treated as lost and its "
-                            "ranges move to the survivors")
-    coord.add_argument("--stats", action="store_true",
-                       help="print exploration statistics, including "
-                            "per-node throughput and loss/rebalance "
-                            "counters")
-    coord.add_argument("--stats-json", default=None, metavar="PATH")
-    coord.set_defaults(func=cmd_coordinate)
 
     cancel = sub.add_parser("cancel", help="cancel a queued or running job")
     cancel.add_argument("job", help="job id (from repro submit)")

@@ -91,7 +91,7 @@ class SystemCase:
 
 def _check_invariant(graph, expr, name, stats):
     """Invariant check dispatched on the graph flavour, so the same case
-    table drives the full, compact, and distributed engines."""
+    table drives the full and compact engines."""
     run = check_invariant_compact if isinstance(graph, CompactGraph) \
         else check_invariant
     return run(graph, expr, name=name, run_stats=stats)

@@ -1,8 +1,8 @@
-"""The level driver's contract, pinned across all five ways of running it.
+"""The level driver's contract, pinned across all four ways of running it.
 
 ``repro.checker.bfs.drive`` is the only level loop in the checker; the
-serial, pooled, compact, compact-pooled and distributed-compact runs are
-configurations of it.  The differential
+serial, pooled, compact and compact-pooled runs are configurations of
+it.  The differential
 suites compare the *graphs* those runs build; this file pins what the
 driver itself promises per level, identically in every mode:
 
@@ -30,12 +30,9 @@ from repro.checker import (
     digest_of_graph,
     explore,
     explore_compact,
-    explore_distributed,
     explore_parallel,
     resume,
     resume_compact,
-    resume_distributed,
-    spawn_local_workers,
 )
 from repro.checker.checkpoint import read_checkpoint
 from repro.systems.mutex import LamportMutex
@@ -45,15 +42,7 @@ SYSTEMS = {
     "queue": lambda: complete_queue(2),
     "mutex": lambda: LamportMutex(2, 2).complete_spec(),
 }
-MODES = ["serial", "pooled", "compact", "compact-pooled",
-         "distributed-compact"]
-
-
-@pytest.fixture(scope="module")
-def fleet():
-    with spawn_local_workers(2) as pool:
-        yield pool.urls
-
+MODES = ["serial", "pooled", "compact", "compact-pooled"]
 
 @pytest.fixture(autouse=True)
 def shipped_chunks(monkeypatch):
@@ -62,28 +51,24 @@ def shipped_chunks(monkeypatch):
     monkeypatch.setattr(parallel_module, "_MIN_CHUNK", 1)
 
 
-def run(mode, spec, urls, **options):
+def run(mode, spec, **options):
     if mode == "serial":
         return explore(spec, **options)
     if mode == "pooled":
         return explore_parallel(spec, workers=2, **options)
     if mode == "compact":
         return explore_compact(spec, **options)
-    if mode == "compact-pooled":
-        return explore_compact(spec, workers=2, **options)
-    return explore_distributed(spec, urls, **options)
+    return explore_compact(spec, workers=2, **options)
 
 
-def resume_run(mode, path, spec, urls):
+def resume_run(mode, path, spec):
     if mode == "serial":
         return resume(path, spec, checkpoint=None)
     if mode == "pooled":
         return resume(path, spec, workers=2, checkpoint=None)
     if mode == "compact":
         return resume_compact(path, spec, checkpoint=None)
-    if mode == "compact-pooled":
-        return resume_compact(path, spec, workers=2, checkpoint=None)
-    return resume_distributed(path, urls, spec, checkpoint=None)
+    return resume_compact(path, spec, workers=2, checkpoint=None)
 
 
 def digest(graph) -> str:
@@ -98,7 +83,7 @@ def stored_levels(path):
     return read_checkpoint(path).levels
 
 
-def observed_run(mode, spec, urls, path, checkpoint_every):
+def observed_run(mode, spec, path, checkpoint_every):
     """One checkpointed run; returns (stats rows, listener calls, the
     set of levels after which a snapshot was on disk)."""
     stats = ExploreStats()
@@ -111,7 +96,7 @@ def observed_run(mode, spec, urls, path, checkpoint_every):
         snapshots.add(stored_levels(path))
 
     stats.add_level_listener(listener)
-    run(mode, spec, urls, stats=stats, checkpoint=path,
+    run(mode, spec, stats=stats, checkpoint=path,
         checkpoint_every=checkpoint_every)
     snapshots.add(stored_levels(path))
     return stats.levels, calls, snapshots - {None}
@@ -120,7 +105,7 @@ def observed_run(mode, spec, urls, path, checkpoint_every):
 @pytest.mark.parametrize("checkpoint_every", [1, 3])
 @pytest.mark.parametrize("system", sorted(SYSTEMS))
 def test_levels_listeners_and_snapshot_cadence(system, checkpoint_every,
-                                               fleet, tmp_path):
+                                               tmp_path):
     make_spec = SYSTEMS[system]
     reference = ExploreStats()
     explore(make_spec(), stats=reference)
@@ -130,7 +115,7 @@ def test_levels_listeners_and_snapshot_cadence(system, checkpoint_every,
                           if done % checkpoint_every == 0 or done == total}
     for mode in MODES:
         rows, calls, snapshots = observed_run(
-            mode, make_spec(), fleet, str(tmp_path / f"{mode}.ckpt"),
+            mode, make_spec(), str(tmp_path / f"{mode}.ckpt"),
             checkpoint_every)
         assert rows == reference.levels, mode
         assert calls == expected_calls, mode
@@ -144,7 +129,7 @@ class _Abort(Exception):
 @pytest.mark.parametrize("checkpoint_every", [1, 3])
 @pytest.mark.parametrize("mode", MODES)
 def test_listener_abort_keeps_previous_snapshot(mode, checkpoint_every,
-                                                fleet, tmp_path):
+                                                tmp_path):
     """Raise from the listener of level 4: that level is merged but not
     snapshotted, the file still holds the last cadence boundary, and a
     resume from it finishes on the reference digest."""
@@ -159,21 +144,21 @@ def test_listener_abort_keeps_previous_snapshot(mode, checkpoint_every,
 
     stats.add_level_listener(abort_at_4)
     with pytest.raises(_Abort):
-        run(mode, SYSTEMS["queue"](), fleet, stats=stats, checkpoint=path,
+        run(mode, SYSTEMS["queue"](), stats=stats, checkpoint=path,
             checkpoint_every=checkpoint_every)
     assert stored_levels(path) == (4 if checkpoint_every == 1 else 3)
-    assert digest(resume_run(mode, path, spec, fleet)) == reference
+    assert digest(resume_run(mode, path, spec)) == reference
 
 
 @pytest.mark.parametrize("system", sorted(SYSTEMS))
-def test_explosion_at_the_same_insertion(system, fleet, tmp_path):
+def test_explosion_at_the_same_insertion(system, tmp_path):
     make_spec = SYSTEMS[system]
     budget = 100
     explosions, compact_digests = {}, {}
     for mode in MODES:
         path = str(tmp_path / f"{mode}.ckpt")
         with pytest.raises(StateSpaceExplosion) as caught:
-            run(mode, make_spec(), fleet, max_states=budget, checkpoint=path)
+            run(mode, make_spec(), max_states=budget, checkpoint=path)
         graph = caught.value.graph
         assert graph is not None, mode
         assert graph.state_count == budget, mode
@@ -187,5 +172,5 @@ def test_explosion_at_the_same_insertion(system, fleet, tmp_path):
                for found in explosions.values())
     # the compact family streams its digest, so there the whole partial
     # graph (edges included) is comparable at the explosion boundary
-    assert len(compact_digests) == 3
+    assert len(compact_digests) == 2
     assert len(set(compact_digests.values())) == 1, compact_digests

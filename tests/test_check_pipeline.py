@@ -357,3 +357,18 @@ def test_one_run_compiles_each_action_once(monkeypatch):
         assert run.ok and len(run.results) == 3
     assert len(compiled) == 4
     assert sum(action is spec.next_action for action in compiled) == 1
+
+
+def test_compact_mode_refuses_what_it_cannot_run():
+    """The compact graph keeps no successor structure for lasso search
+    and has no reduction machinery: both are refused when the run is
+    built, never a traceback from inside a checker."""
+    spec, _label, _invariants, _properties = resolve_request(
+        load_module(THREE_TLA), "Spec")
+    with pytest.raises(ValueError, match="compact mode cannot check "
+                                         "temporal properties"):
+        ExplicitEngine("compact").run(spec, properties=[("P", object())])
+    with pytest.raises(ValueError, match="compact mode has no reduction"):
+        ExplicitEngine("compact", por=True)
+    with pytest.raises(ValueError, match="unknown explicit mode"):
+        ExplicitEngine("distributed")

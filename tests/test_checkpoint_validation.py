@@ -3,16 +3,17 @@
 Both engines' logs go through
 :func:`repro.checker.checkpoint.read_checkpoint`.  This file pins
 
-* the bytes' *shape*: the header and record key sets of full, compact
-  and distributed logs (``CHECKPOINT_VERSION`` is 2: the append-only
-  level log);
+* the bytes' *shape*: the header and record key sets of full and
+  compact logs (``CHECKPOINT_VERSION`` is 2: the append-only level log)
+  and of the stats snapshot a record carries;
 * one table of hostile mutations per engine, applied to header or
   record fields and re-framed with valid checksums: every one is a
   :class:`CheckpointError` from the library and exit 2 from the CLI,
   never a ``TypeError`` / ``IndexError`` / ``ValueError`` traceback and
   never a run quietly continued from garbage;
-* ``resume_distributed`` refusing a reduced (POR) snapshot instead of
-  silently continuing it unreduced.
+* logs written before the worker fleet was deleted still resume: their
+  records' ``"distributed"`` section and the stats' fleet counters are
+  ignored.
 """
 
 from __future__ import annotations
@@ -23,19 +24,15 @@ import pytest
 
 from repro.checker import (
     CheckpointError,
-    ReductionConfig,
+    ExploreStats,
     StateSpaceExplosion,
     explore,
     explore_compact,
-    explore_distributed,
     resume,
     resume_compact,
-    resume_distributed,
-    spawn_local_workers,
 )
 from repro.checker.checkpoint import CHECKPOINT_VERSION
 from repro.systems import bundled_module
-from repro.systems.queue import QueueChain
 from repro.tools.cli import main as cli_main
 
 from .test_checkpoint_log import read_log, write_log
@@ -50,7 +47,16 @@ RECORD = {"nodes_from", "parent", "frontier", "depth", "levels",
           "elapsed_seconds", "stats"}
 FULL_RECORD = RECORD | {"states", "fingerprints", "succ"}
 COMPACT_RECORD = RECORD | {"packed", "edge_count", "digest"}
-DISTRIBUTED_SECTION = {"worker_urls", "ranges", "level_partitions"}
+STATS = {"states", "edges", "stutter_edges", "init_states", "depth",
+         "states_per_sec", "explore_seconds", "phases", "workers",
+         "worker_stats", "coordinator_idle_seconds", "worker_retries",
+         "levels", "levels_seen", "por_enabled", "por_reason",
+         "por_counters", "store_kind", "store_counters", "peak_rss_kb",
+         "engine", "fingerprint_collisions", "collision_probability_bound"}
+# the stats keys a record carried while the worker fleet existed; logs
+# written then must still resume
+FLEET_STATS = {"node_losses": 1, "rebalances": 1, "reshipped_sources": 7,
+               "node_labels": {"0": "http://127.0.0.1:9"}}
 
 
 def mutex_spec():
@@ -66,15 +72,10 @@ def test_snapshot_key_sets_are_pinned(tmp_path):
     assert CHECKPOINT_VERSION == 2
     full, compact = str(tmp_path / "full"), str(tmp_path / "compact")
     explore(mutex_spec(), checkpoint=full)
-    explore_compact(mutex_spec(), checkpoint=compact)
-    with spawn_local_workers(1) as pool:
-        dist_compact = str(tmp_path / "dist-compact")
-        explore_distributed(mutex_spec(), pool.urls, checkpoint=dist_compact)
+    explore_compact(mutex_spec(), checkpoint=compact, stats=ExploreStats())
     for path, header_keys, record_keys in (
             (full, FULL_HEADER, FULL_RECORD),
-            (compact, COMPACT_HEADER, COMPACT_RECORD),
-            (dist_compact, COMPACT_HEADER,
-             COMPACT_RECORD | {"distributed"})):
+            (compact, COMPACT_HEADER, COMPACT_RECORD)):
         header, *records = read_log(path)
         # the header's keys come in one order, the shared ones first
         assert list(header) == header_keys, path
@@ -83,8 +84,8 @@ def test_snapshot_key_sets_are_pinned(tmp_path):
         assert len(records) > 1, path
         for record in records:
             assert set(record) == record_keys, path
-            if "distributed" in record:
-                assert set(record["distributed"]) == DISTRIBUTED_SECTION
+            if record["stats"] is not None:
+                assert set(record["stats"]) == STATS, path
 
 
 # ---------------------------------------------------------------------------
@@ -197,42 +198,38 @@ def test_untouched_snapshots_still_resume(interrupted, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# resume_distributed must not silently drop partial-order reduction
+# logs from before the worker fleet was deleted
 # ---------------------------------------------------------------------------
 
 
-def _interrupted_reduced_run(make_spec, path):
-    """Explore under POR, interrupt at half budget; returns the reduced
-    reference graph."""
-    reduction = ReductionConfig(())
-    reduced = explore(make_spec(), reduction=reduction)
-    assert reduced.reduction_used
-    with pytest.raises(StateSpaceExplosion):
-        explore(make_spec(), reduction=reduction,
-                max_states=reduced.state_count // 2, checkpoint=path)
-    return reduced
+def test_fleet_era_compact_log_still_resumes(interrupted, tmp_path):
+    """A coordinator's log was a compact log whose records also carried
+    a ``"distributed"`` section (pristine fingerprint ranges, worker
+    URLs, per-level partition counts) and fleet counters in their
+    stats.  Re-framed with valid checksums, such a log resumes on one
+    machine to the uninterrupted run's digest."""
+    log = json.loads(json.dumps(interrupted["compact"]))  # deep copy
+    for record in log[1:]:
+        record["distributed"] = {
+            "worker_urls": ["http://127.0.0.1:9"],
+            "ranges": [[0, 1 << 64]],
+            "level_partitions": [[len(record["parent"])]],
+        }
+        record["stats"] = dict(record["stats"] or {}, **FLEET_STATS)
+    path = str(tmp_path / "fleet-era.ckpt")
+    write_log(path, log)
+    stats = ExploreStats()
+    graph = resume_compact(path, mutex_spec(), max_states=10_000,
+                           stats=stats, checkpoint=None)
+    assert graph.digest() == explore_compact(mutex_spec()).digest()
+    assert set(stats.as_dict()) == STATS
 
 
-def test_resume_distributed_refuses_reduced_checkpoint(tmp_path, capsys):
-    """A reduced QueueChain(2,1) explores 348 states, an unreduced one
-    670.  Continuing a reduced snapshot on a fleet (whose workers expand
-    unreduced) used to return a 520-state hybrid of the two."""
-    def chain():
-        return QueueChain(2, 1).complete_spec()
-
-    path = str(tmp_path / "chain.ckpt")
-    reduced = _interrupted_reduced_run(chain, path)
-    cli_path = str(tmp_path / "mutex.ckpt")
-    _interrupted_reduced_run(mutex_spec, cli_path)
-    with spawn_local_workers(1) as pool:
-        with pytest.raises(CheckpointError, match="reduction"):
-            resume_distributed(path, pool.urls, chain(), max_states=10_000)
-        code = cli_main(["coordinate", f"@{MODULE}",
-                         "--worker-at", pool.urls[0],
-                         "--checkpoint", cli_path, "--resume",
-                         "--max-states", "10000"])
-    assert code == 2
-    assert "reduction" in capsys.readouterr().out
-    # one machine still finishes the run, reduced
-    resumed = resume(path, chain(), max_states=10_000, checkpoint=None)
-    assert resumed.state_count == reduced.state_count == 348
+def test_stats_restore_ignores_dropped_fleet_keys():
+    snapshot = ExploreStats().as_dict()
+    snapshot.update(FLEET_STATS, workers=2, fingerprint_collisions=3)
+    stats = ExploreStats()
+    stats.restore(snapshot)
+    assert stats.workers == 2 and stats.fingerprint_collisions == 3
+    assert set(stats.as_dict()) == STATS
+    assert not any(hasattr(stats, key) for key in FLEET_STATS)

@@ -14,8 +14,9 @@ make that claim empirical:
 * a chunk that *always* kills its worker must raise
   :class:`WorkerFailure` after the bounded retries rather than loop;
 * a whole-process crash (a subprocess that ``os._exit``\\ s mid-run) is
-  recovered by ``resume()`` from the surviving checkpoint; the file
-  embeds no spec, so the resuming process supplies it.
+  recovered by ``resume()`` -- or ``resume_compact()`` for the compact
+  engine -- from the surviving checkpoint; the file embeds no spec, so
+  the resuming process supplies it.
 """
 
 from __future__ import annotations
@@ -36,10 +37,13 @@ from repro.checker import (
     ExploreStats,
     WorkerFailure,
     explore,
+    explore_compact,
     explore_parallel,
     load_checkpoint,
     resume,
+    resume_compact,
 )
+from repro.checker.checkpoint import read_checkpoint
 
 from .systems_under_test import CASE_PARAMS
 from .test_checkpoint_roundtrip import assert_same_graph
@@ -164,11 +168,12 @@ def test_crash_during_checkpointed_parallel_run_resumes(tmp_path,
 
 _CRASHING_RUN = textwrap.dedent("""
     import os, sys
-    from repro.checker import explore
+    from repro.checker import explore, explore_compact
     from repro.checker.checkpoint import LevelLog
     from repro.systems.queue import complete_queue
 
     crash_after = int(sys.argv[2])
+    run = explore_compact if sys.argv[3:] == ["compact"] else explore
     saves = [0]
     append = LevelLog.append
 
@@ -179,8 +184,21 @@ _CRASHING_RUN = textwrap.dedent("""
             os._exit(17)  # simulate an OOM kill / power loss
 
     LevelLog.append = append_then_die
-    explore(complete_queue(2), checkpoint=sys.argv[1], checkpoint_every=1)
+    run(complete_queue(2), checkpoint=sys.argv[1], checkpoint_every=1)
 """)
+
+
+def _crash_a_run(path, crash_after, *engine):
+    """Run :data:`_CRASHING_RUN` in a subprocess; it dies right after
+    its *crash_after*-th checkpoint record."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _CRASHING_RUN, path, str(crash_after),
+         *engine],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 17, proc.stderr
 
 
 @pytest.mark.parametrize("crash_after", [1, 3])
@@ -188,16 +206,24 @@ def test_process_death_recovered_via_embedded_spec(tmp_path, crash_after):
     from repro.systems.queue import complete_queue
 
     path = str(tmp_path / "run.ckpt")
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c", _CRASHING_RUN, path, str(crash_after)],
-        env=env, capture_output=True, text=True)
-    assert proc.returncode == 17, proc.stderr
+    _crash_a_run(path, crash_after)
     # the checkpoint survived the crash; the spec comes from this
     # process, never from the file
     loaded = load_checkpoint(path)
     assert loaded.levels == crash_after
     assert_same_graph(resume(path, complete_queue(2), checkpoint=None),
                       explore(complete_queue(2)))
+
+
+@pytest.mark.parametrize("crash_after", [1, 3])
+def test_compact_process_death_resumes_on_one_machine(tmp_path, crash_after):
+    """The compact engine's log survives its writer's death the same
+    way, and ``resume_compact`` finishes it on the uninterrupted run's
+    digest."""
+    from repro.systems.queue import complete_queue
+
+    path = str(tmp_path / "run.ckpt")
+    _crash_a_run(path, crash_after, "compact")
+    assert read_checkpoint(path).levels == crash_after
+    resumed = resume_compact(path, complete_queue(2), checkpoint=None)
+    assert resumed.digest() == explore_compact(complete_queue(2)).digest()

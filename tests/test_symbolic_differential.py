@@ -197,7 +197,7 @@ class TestRandomSpecs:
 
 class TestSupportsProbe:
     """The public ``packed.supports`` / ``support_problem`` probe that
-    the service fallback and the distributed refusal use."""
+    the service fallback and the symbolic translator use."""
 
     def test_bundled_systems_are_supported(self):
         for spec in (complete_queue(2), handshake_system(),
