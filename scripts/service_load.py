@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Load test for the multi-tenant checking service, CI-runnable.
 
-Boots ``python -m repro serve --procs P`` as a real subprocess on an
-ephemeral port, then drives ``--clients`` concurrent submissions split
+Boots one ``python -m repro serve`` front with ``--pool-size`` check
+processes as a real subprocess on an ephemeral port, then drives ``--clients`` concurrent submissions split
 across ``--tenants`` tenants (every submission a distinct check, so
 nothing coalesces or caches away) and reports:
 
@@ -60,14 +60,13 @@ def wait_until(predicate, timeout=60.0, message="condition"):
         time.sleep(0.05)
 
 
-def spawn_server(state_dir, procs, pool_size, queue_limit):
+def spawn_server(state_dir, pool_size, queue_limit):
     env = dict(os.environ)
     env["PYTHONPATH"] = (os.path.join(REPO, "src") + os.pathsep
                          + env.get("PYTHONPATH", ""))
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--state-dir", state_dir, "--procs", str(procs),
-         "--pool-size", str(pool_size),
+         "--state-dir", state_dir, "--pool-size", str(pool_size),
          "--queue-limit", str(queue_limit)],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
 
@@ -111,10 +110,8 @@ def main():
                         help="tenants splitting the submissions (default 2)")
     parser.add_argument("--threads", type=int, default=100,
                         help="client threads driving them (default 100)")
-    parser.add_argument("--procs", type=int, default=2,
-                        help="server processes (default 2)")
     parser.add_argument("--pool-size", type=int, default=4,
-                        help="per-process worker pool (default 4)")
+                        help="check processes (default 4)")
     parser.add_argument("--fairness-factor", type=float, default=2.0,
                         help="max allowed slowest/fastest tenant batch "
                              "ratio (default 2.0)")
@@ -125,7 +122,7 @@ def main():
     args = parser.parse_args()
 
     state_dir = args.state_dir or tempfile.mkdtemp(prefix="repro-load-")
-    server = spawn_server(state_dir, args.procs, args.pool_size,
+    server = spawn_server(state_dir, args.pool_size,
                           queue_limit=args.clients + args.threads)
     tenants = [f"tenant-{n}" for n in range(args.tenants)]
     lock = threading.Lock()
@@ -172,9 +169,8 @@ def main():
 
     try:
         url = discover_url(state_dir)
-        wait_until(lambda: answering(url), message="a server process")
-        print(f"server up at {url} ({args.procs} procs, pool "
-              f"{args.pool_size}); driving {args.clients} submissions "
+        wait_until(lambda: answering(url), message="the server")
+        print(f"server up at {url} (pool {args.pool_size}); driving {args.clients} submissions "
               f"from {args.tenants} tenants over {args.threads} threads")
 
         start = time.perf_counter()
@@ -232,7 +228,6 @@ def main():
         "clients": args.clients,
         "tenants": args.tenants,
         "threads": args.threads,
-        "procs": args.procs,
         "pool_size": args.pool_size,
         "wall_s": round(wall, 3),
         "throughput_jobs_s": round(args.clients / wall, 1),

@@ -14,14 +14,13 @@ provers (see PAPERS.md):
   processes;
 * :mod:`repro.service.journal` -- the append-only job journal +
   snapshot compaction that makes the queue durable: queued jobs survive
-  SIGKILL and are re-admitted exactly once across any mix of restarts
-  and pre-forked sibling processes;
+  SIGKILL and are re-admitted exactly once per restart;
 * :mod:`repro.service.scheduler` -- per-tenant token-bucket rate
   limits, queue/in-flight bounds, and deficit-round-robin dispatch, so
   no tenant can starve the rest;
 * :mod:`repro.service.metrics` -- stdlib counters/gauges/histograms
-  rendered in the Prometheus text format at ``GET /metrics``, merged
-  across server processes;
+  rendered in the Prometheus text format at ``GET /metrics``, whose
+  counters carry across restarts;
 * :mod:`repro.service.jobs` -- the job manager: admission control over a
   bounded queue (full -> rejected with a retry-after hint), a bounded
   pool of concurrent explorations, a per-job
@@ -31,7 +30,10 @@ provers (see PAPERS.md):
 * :mod:`repro.service.server` -- a stdlib-only asyncio HTTP front end
   (``POST /jobs``, ``GET /jobs/<id>``, NDJSON event streaming,
   ``DELETE /jobs/<id>``, ``/healthz``, ``/metrics``, ``/tenants``),
-  optionally pre-forked (``repro serve --procs N``);
+  one front per state directory;
+* :mod:`repro.service.pool` -- the check processes: one long-lived
+  child interpreter per pool slot runs the explorations off the
+  front's GIL, speaking newline-delimited JSON over its stdin/stdout;
 * :mod:`repro.service.client` -- the thin blocking client behind the
   ``repro serve`` / ``repro submit`` / ``repro watch`` / ``repro
   cancel`` / ``repro admin`` CLI verbs, with Retry-After-honouring

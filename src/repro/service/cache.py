@@ -10,11 +10,9 @@ makes content addressing sound -- the cache key never has to mention
 
 :class:`ShardedResultCache` is the one store: entries land in
 ``shard-XX/`` directories keyed by the fingerprint's first byte,
-bounded per shard by entry count and bytes, with eviction serialised by
-a per-shard ``flock`` so N pre-forked server processes can write
-concurrently without double-unlinking or unbounded growth.  Reads are
-lock-free (writes are atomic rename) and bump the entry's mtime, so
-eviction order is least-recently-*used*, not least-recently-written.
+bounded per shard by entry count and bytes.  Reads bump the entry's
+mtime, so eviction order is least-recently-*used*, not
+least-recently-written.
 Hit/miss/eviction counters and ``summary()``/``to_json()`` in the
 :class:`~repro.checker.stats.ExploreStats` style make a hit-rate or
 eviction-storm regression visible in one line.  Entries are
@@ -27,7 +25,6 @@ never leaves a torn entry for a later server to trust.
 
 from __future__ import annotations
 
-import fcntl
 import hashlib
 import json
 import os
@@ -55,13 +52,16 @@ def canonical_fingerprint(module_source: str, spec: str,
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _atomic_write_json(directory: str, path: str,
-                       document: Dict[str, object]) -> None:
+def atomic_write_json(path: str, document: Dict[str, object]) -> None:
+    """Write *document* to *path* whole or not at all (write a temp
+    file beside it, then rename), so a crash never leaves a torn file
+    for a later reader to trust."""
     fd, tmp_path = tempfile.mkstemp(prefix=".put-", suffix=".tmp",
-                                    dir=directory)
+                                    dir=os.path.dirname(path))
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(document, handle, separators=(",", ":"))
+            # dumps, not dump: only the one-shot encoder is the C one
+            handle.write(json.dumps(document, separators=(",", ":")))
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -72,17 +72,15 @@ def _atomic_write_json(directory: str, path: str,
 
 
 class ShardedResultCache:
-    """The multi-process cache: fingerprint-sharded, LRU-bounded.
+    """The result cache: fingerprint-sharded, LRU-bounded.
 
     The first fingerprint byte picks one of ``shards`` directories, so
-    eviction scans touch ~1/shards of the population and concurrent
-    writers in different shards never contend.  Per-shard bounds are the
-    global ``max_entries``/``max_bytes`` split evenly (rounded up) --
-    SHA-256 fingerprints spread uniformly, so the global bound holds to
-    within a shard's worth of slack.  Eviction runs under a per-shard
-    ``flock`` (two processes may both see a full shard; the lock makes
-    one of them evict and the other find it already done -- a concurrent
-    unlink is tolerated, not double-counted).
+    eviction scans touch ~1/shards of the population.  Per-shard bounds
+    are the global ``max_entries``/``max_bytes`` split evenly (rounded
+    up) -- SHA-256 fingerprints spread uniformly, so the global bound
+    holds to within a shard's worth of slack.  An entry that vanished
+    under the evictor (another cache object on the directory) is
+    skipped, not double-counted.
     """
 
     def __init__(self, directory: str, shards: int = 16,
@@ -126,11 +124,6 @@ class ShardedResultCache:
         return os.path.join(self._shard_dir(fingerprint),
                             fingerprint + ".json")
 
-    def _shard_lock(self, shard_dir: str):
-        handle = open(os.path.join(shard_dir, ".lock"), "a")
-        fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-        return handle
-
     # -- the store -----------------------------------------------------------
 
     def _remember(self, fingerprint: str,
@@ -166,7 +159,7 @@ class ShardedResultCache:
     def put(self, fingerprint: str, result: Dict[str, object]) -> None:
         shard_dir = self._shard_dir(fingerprint)
         os.makedirs(shard_dir, exist_ok=True)
-        _atomic_write_json(shard_dir, self._path(fingerprint), result)
+        atomic_write_json(self._path(fingerprint), result)
         self._remember(fingerprint, result)
         self._evict_shard(shard_dir)
 
@@ -180,45 +173,40 @@ class ShardedResultCache:
         byte_bound = self._shard_bound(self.max_bytes)
         if entry_bound is None and byte_bound is None:
             return
-        lock = self._shard_lock(shard_dir)
-        try:
-            entries: List[Tuple[float, int, str]] = []
-            total_bytes = 0
-            for name in os.listdir(shard_dir):
-                if not name.endswith(".json"):
-                    continue
-                path = os.path.join(shard_dir, name)
-                try:
-                    info = os.stat(path)
-                except OSError:
-                    continue
-                entries.append((info.st_mtime, info.st_size, name[:-5]))
-                total_bytes += info.st_size
-            over_entries = (len(entries) - entry_bound
-                            if entry_bound is not None else 0)
-            over_bytes = (total_bytes - byte_bound
-                          if byte_bound is not None else 0)
+        entries: List[Tuple[float, int, str]] = []
+        total_bytes = 0
+        for name in os.listdir(shard_dir):
+            if not name.endswith(".json"):
+                continue
+            path = os.path.join(shard_dir, name)
+            try:
+                info = os.stat(path)
+            except OSError:
+                continue
+            entries.append((info.st_mtime, info.st_size, name[:-5]))
+            total_bytes += info.st_size
+        over_entries = (len(entries) - entry_bound
+                        if entry_bound is not None else 0)
+        over_bytes = (total_bytes - byte_bound
+                      if byte_bound is not None else 0)
+        if over_entries <= 0 and over_bytes <= 0:
+            return
+        entries.sort()  # oldest mtime first: least recently used
+        evicted = 0
+        for mtime, size, fingerprint in entries:
             if over_entries <= 0 and over_bytes <= 0:
-                return
-            entries.sort()  # oldest mtime first: least recently used
-            evicted = 0
-            for mtime, size, fingerprint in entries:
-                if over_entries <= 0 and over_bytes <= 0:
-                    break
-                try:
-                    os.unlink(os.path.join(shard_dir,
-                                           fingerprint + ".json"))
-                except OSError:
-                    continue  # a sibling got there first
-                self._memory.pop(fingerprint, None)
-                over_entries -= 1
-                over_bytes -= size
-                evicted += 1
-            if evicted:
-                self._record("evictions", evicted)
-        finally:
-            fcntl.flock(lock.fileno(), fcntl.LOCK_UN)
-            lock.close()
+                break
+            try:
+                os.unlink(os.path.join(shard_dir,
+                                       fingerprint + ".json"))
+            except OSError:
+                continue  # another cache object got there first
+            self._memory.pop(fingerprint, None)
+            over_entries -= 1
+            over_bytes -= size
+            evicted += 1
+        if evicted:
+            self._record("evictions", evicted)
 
     # -- views ---------------------------------------------------------------
 

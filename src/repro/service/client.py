@@ -137,7 +137,7 @@ class ServiceClient:
         return self._request("GET", "/healthz")
 
     def metrics(self) -> str:
-        """GET /metrics: the fleet-wide Prometheus text exposition."""
+        """GET /metrics: the Prometheus text exposition."""
         conn = self._connect(None)
         try:
             conn.request("GET", "/metrics", headers=self._headers())

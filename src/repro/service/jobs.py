@@ -21,37 +21,39 @@ per-job state machine::
   per-level rows come straight from the explorer through
   :meth:`repro.checker.stats.ExploreStats.add_level_listener`, so a
   watcher sees live frontier/state/edge counts.
-* **Cancellation and graceful shutdown** -- both ride the same seam:
-  the level listener raises inside the exploring thread at the next BFS
-  level boundary.  A cancelled job ends ``cancelled``; an interrupted
-  one (server shutdown) drops back to ``queued`` with its latest
-  checkpoint on disk, is persisted, and a restarted manager resumes it
-  bit-for-bit -- same verdict, same trace, same graph digest.  What a
-  job executes is the check pipeline of :mod:`repro.engine`
+* **Check processes** -- each pool slot runs its jobs in a child
+  interpreter of its own (:mod:`repro.service.pool`), off the front's
+  GIL, through the check pipeline of :mod:`repro.engine`
   (:func:`run_check` renders its outcome as the result document).
+* **Cancellation and graceful shutdown** -- both ride the same seam:
+  the child's level listener raises at the next BFS level boundary.  A
+  cancelled job ends ``cancelled``; an interrupted one (server
+  shutdown) drops back to ``queued`` with its latest checkpoint on
+  disk, is persisted, and a restarted manager resumes it bit-for-bit --
+  same verdict, same trace, same graph digest.
 * **Multi-tenancy and fair dispatch** -- submissions carry a tenant
   name; :mod:`repro.service.scheduler` rate-limits and bounds each
   tenant and dispatches deficit-round-robin so no tenant starves the
   rest.  429s carry the rejected tenant's own Retry-After.
-* **Durability and fleet awareness** -- every transition is appended to
-  the :mod:`repro.service.journal` (so *queued* jobs survive SIGKILL,
-  re-admitted exactly once even with N pre-forked sibling processes on
-  one state dir) and mirrored into the :mod:`repro.service.metrics`
-  registry (so ``GET /metrics`` reconciles with the journal:
-  admitted == completed + failed + cancelled + in-flight).  Jobs owned
-  by a sibling process are readable (and cancellable, via a flag file
-  the owner polls at level boundaries) through the shared state dir.
+* **Durability** -- every transition is appended to the
+  :mod:`repro.service.journal` (so *queued* jobs survive SIGKILL and
+  are re-admitted exactly once) and mirrored into the
+  :mod:`repro.service.metrics` registry (so ``GET /metrics`` reconciles
+  with the journal: admitted == completed + failed + cancelled +
+  in-flight, across restarts).
 
 Everything the manager needs to survive a restart lives under its
-``state_dir``: ``jobs/<id>.json`` records, ``jobs/<id>.events.ndjson``
-event logs, ``jobs/<id>.ckpt`` exploration checkpoints, ``journal/``
-the durable queue, ``metrics/`` per-process metric snapshots, and
-``cache/`` the sharded result store.
+``state_dir``, which one front holds at a time (``front.lock``):
+``jobs/<id>.json`` records, ``jobs/<id>.events.ndjson`` event logs,
+``jobs/<id>.ckpt`` exploration checkpoints, ``journal/`` the durable
+queue, ``metrics/`` the metrics snapshot, and ``cache/`` the sharded
+result store.
 """
 
 from __future__ import annotations
 
 import asyncio
+import fcntl
 import json
 import os
 import re
@@ -65,9 +67,14 @@ from ..checker import digest_of_graph as graph_digest
 from ..checker.checkpoint import counterexample_to_portable
 from ..kernel import packed
 from ..parser import load_module
-from .cache import ShardedResultCache, canonical_fingerprint
-from .journal import JobJournal, owner_alive
+from .cache import (
+    ShardedResultCache,
+    atomic_write_json,
+    canonical_fingerprint,
+)
+from .journal import JobJournal
 from .metrics import MetricsDir, MetricsRegistry
+from .pool import CheckFailed, CheckProcess, JobCancelled, JobInterrupted
 from .scheduler import (
     DEFAULT_TENANT,
     FairScheduler,
@@ -84,6 +91,7 @@ __all__ = [
     "QueueFull",
     "TenantThrottled",
     "JobCancelled",
+    "StateDirBusy",
     "run_check",
     "graph_digest",
     "valid_job_id",
@@ -92,7 +100,7 @@ __all__ = [
 
 # job ids are uuid4().hex[:12]; anything else arriving over the wire is
 # at best a typo and at worst a path-traversal probe, since ids are
-# joined into jobs/<id>.json / .events.ndjson / .cancel paths
+# joined into jobs/<id>.json / .events.ndjson / .ckpt paths
 _JOB_ID_RE = re.compile(r"[0-9a-f]{12}")
 
 # module_source travels in every journal `submitted` line and is parsed
@@ -120,12 +128,8 @@ _CACHEABLE_VERDICTS = ("ok", "violation", "explosion", "unknown")
 _TERMINAL_STATES = ("done", "failed", "cancelled")
 
 
-class JobCancelled(Exception):
-    """Raised inside the exploring thread when the job was cancelled."""
-
-
-class _JobInterrupted(Exception):
-    """Raised inside the exploring thread on graceful server shutdown."""
+class StateDirBusy(RuntimeError):
+    """Another live front holds the state directory."""
 
 
 @dataclass(frozen=True)
@@ -447,25 +451,28 @@ class Job:
         self.events: List[Dict[str, object]] = []
         self.cancel_requested = False
         self.interrupt_requested = False
-        # the manager wires this to an append into <id>.events.ndjson so
-        # watchers in sibling processes can follow the stream live
-        self.event_sink = None
+        # jobs/<id>.events.ndjson, which a restarted front reloads
+        self.events_path: Optional[str] = None
 
     @property
     def terminal(self) -> bool:
         return self.state in _TERMINAL_STATES
 
     def emit(self, event: str, **fields: object) -> None:
-        """Append one progress event (safe from the exploring thread:
-        list appends are atomic and watchers only read by index)."""
+        """Append one progress event (watchers only read by index)."""
         record: Dict[str, object] = {
             "event": event, "job": self.id, "seq": len(self.events),
             "t": round(time.time(), 4),
         }
         record.update(fields)
         self.events.append(record)
-        if self.event_sink is not None:
-            self.event_sink(record)
+        if self.events_path is not None:
+            try:
+                with open(self.events_path, "a") as handle:
+                    handle.write(
+                        json.dumps(record, separators=(",", ":")) + "\n")
+            except OSError:  # pragma: no cover - events are best-effort
+                pass
 
     def to_dict(self, with_request: bool = False) -> Dict[str, object]:
         payload: Dict[str, object] = {
@@ -492,21 +499,18 @@ class JobManager:
     """Admit, queue, execute, cancel, persist, and resume check jobs.
 
     All public methods are called on the event-loop thread; the
-    exploration itself runs on executor threads, reporting back only
-    through the job's event list and the level-listener control flow.
-    ``pool_size`` bounds concurrent explorations, ``queue_limit`` the
-    jobs waiting in ``queued`` (global admission control), and
-    ``tenant_policy`` the per-tenant quotas and rates enforced within
-    it.  Dispatch is deficit-round-robin across tenants.
+    exploration itself runs in the pool slots' check processes,
+    reporting back only through the job's event stream and outcome.
+    ``pool_size`` bounds concurrent explorations (one check process
+    each), ``queue_limit`` the jobs waiting in ``queued`` (global
+    admission control), and ``tenant_policy`` the per-tenant quotas and
+    rates enforced within it.  Dispatch is deficit-round-robin across
+    tenants.
 
-    The manager is fleet-aware: N processes (``repro serve --procs N``)
-    may each run one manager over a shared ``state_dir``.  The journal
-    arbitrates job ownership (exactly-once re-admission after SIGKILL),
-    the metrics directory merges per-process snapshots for a fleet-wide
-    ``/metrics``, the sharded cache serialises eviction per shard, and
-    jobs owned by a sibling stay readable -- and cancellable, via a flag
-    file the owner polls at level boundaries -- through the shared
-    files (:meth:`job_record`, :meth:`job_events`, :meth:`cancel_any`).
+    One started manager holds its ``state_dir`` exclusively: a second
+    :meth:`start` on it raises :class:`StateDirBusy` naming the holder's
+    pid.  So every unfinished job a starting manager finds was left by
+    a front that has exited, and it re-admits all of them.
     """
 
     def __init__(self, state_dir: str, pool_size: int = 2,
@@ -525,9 +529,9 @@ class JobManager:
         os.makedirs(self.jobs_dir, exist_ok=True)
         self.journal = JobJournal(os.path.join(self.state_dir, "journal"))
         self.registry = MetricsRegistry()
+        self._init_metrics()
         self.metrics_dir = MetricsDir(
             os.path.join(self.state_dir, "metrics"), self.registry)
-        self._init_metrics()
         self.cache = ShardedResultCache(
             os.path.join(self.state_dir, "cache"),
             max_entries=cache_max_entries, max_bytes=cache_max_bytes,
@@ -536,7 +540,10 @@ class JobManager:
         self._jobs: Dict[str, Job] = {}
         self._inflight: Dict[str, str] = {}  # fingerprint -> live job id
         self._wake: Optional[asyncio.Event] = None
+        self._slots: List[CheckProcess] = []
+        self._running: Dict[str, CheckProcess] = {}  # job id -> its slot
         self._runners: List[asyncio.Task] = []
+        self._lock_file = None
         self._accepting = False
         self._interrupting = False
         self._stopping = False
@@ -585,9 +592,10 @@ class JobManager:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Load persisted jobs (claiming orphaned ones through the
-        journal, exactly once across sibling processes) and start the
-        runner pool."""
+        """Take the state directory, load persisted jobs (claiming the
+        unfinished ones through the journal) and start the runner pool;
+        each slot spawns its check process on its first job."""
+        self._hold_state_dir()
         self._wake = asyncio.Event()
         self._accepting = True
         self._interrupting = False
@@ -596,81 +604,83 @@ class JobManager:
         self._set_gauges()
         self._flush_metrics()
         loop = asyncio.get_running_loop()
-        self._runners = [loop.create_task(self._runner())
-                         for _ in range(self.pool_size)]
+        self._slots = [CheckProcess() for _ in range(self.pool_size)]
+        self._runners = [loop.create_task(self._runner(slot))
+                         for slot in self._slots]
+
+    def _hold_state_dir(self) -> None:
+        """One front per state directory: an exclusive ``flock`` on
+        ``front.lock`` until :meth:`shutdown`, which the kernel drops
+        when the process dies, SIGKILL included."""
+        handle = open(os.path.join(self.state_dir, "front.lock"), "a+")
+        try:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            handle.seek(0)
+            holder = handle.read().strip() or "unknown"
+            handle.close()
+            raise StateDirBusy(f"state directory {self.state_dir} is held "
+                               f"by the front with pid {holder}") from None
+        handle.truncate(0)
+        handle.write(f"{os.getpid()}\n")
+        handle.flush()
+        self._lock_file = handle
 
     def _recover(self) -> None:
-        """Reload persisted jobs under the journal lock.
+        """Reload persisted jobs and re-admit every unfinished one.
 
-        ``jobs/*.json`` records are authoritative for job content; the
-        journal fold is authoritative for *ownership*.  A non-terminal
-        job whose journal owner is a live sibling process is left alone
-        (it is that sibling's to run); one whose owner is dead -- or is
-        this very process, restarting in place -- is claimed by
-        appending a ``claimed`` record while still holding the lock, so
-        exactly one recovering process re-admits it.  Jobs that exist
-        only in the journal (the owner died between the ``submitted``
-        append and its first record write) are rebuilt from the request
-        stored in the journal line itself."""
-        with self.journal.lock():
-            folded = self.journal.replay()
-            own = os.getpid()
-
-            def foreign(entry: Optional[Dict[str, object]]) -> bool:
-                if entry is None:
-                    return False
-                owner = entry.get("owner")
-                return owner != own and owner_alive(
-                    owner, entry.get("owner_start"))
-
-            for name in sorted(os.listdir(self.jobs_dir)):
-                if not name.endswith(".json"):
-                    continue
-                path = os.path.join(self.jobs_dir, name)
-                try:
-                    with open(path) as handle:
-                        record = json.load(handle)
-                    job = self._job_from_record(record)
-                except (OSError, ValueError, KeyError):
-                    continue  # torn or foreign file: not a job we can run
-                if not job.terminal and foreign(folded.get(job.id)):
-                    continue  # a live sibling owns it
-                self._jobs[job.id] = job
-                if job.state in ("queued", "running"):
-                    job.state = "queued"
-                    job.resume = bool(job.checkpoint_path
-                                      and os.path.exists(job.checkpoint_path))
-                    job.emit("requeued", resume=job.resume)
-                    self.journal.append_locked("claimed", job.id,
-                                               tenant=job.tenant)
-                    self._inflight[job.fingerprint] = job.id
-                    self._persist(job)
-                    self.scheduler.push(job.tenant, job.id)
-            for job_id, entry in sorted(folded.items()):
-                if (not valid_job_id(job_id)
-                        or job_id in self._jobs
-                        or entry.get("state") not in ("queued", "running")
-                        or foreign(entry)
-                        or not isinstance(entry.get("request"), dict)):
-                    continue
-                try:
-                    request = CheckRequest.from_dict(entry["request"])
-                except ValueError:
-                    continue
-                tenant = entry.get("tenant") or DEFAULT_TENANT
-                job = Job(job_id, request,
-                          entry.get("fingerprint") or request.fingerprint(),
-                          checkpoint_path=os.path.join(
-                              self.jobs_dir, job_id + ".ckpt"),
-                          tenant=tenant)
-                self._wire_sink(job)
-                job.resume = os.path.exists(job.checkpoint_path)
-                job.emit("requeued", resume=job.resume, source="journal")
-                self.journal.append_locked("claimed", job_id, tenant=tenant)
-                self._jobs[job_id] = job
+        This front holds the state directory, so each queued or running
+        job found here was left by a front that has exited: it is
+        claimed with a journal ``claimed`` record and queued again.
+        ``jobs/*.json`` records are authoritative for job content; jobs
+        that exist only in the journal (the front died between the
+        ``submitted`` append and its first record write) are rebuilt
+        from the request stored in the journal line itself."""
+        folded = self.journal.replay()
+        for name in sorted(os.listdir(self.jobs_dir)):
+            if not name.endswith(".json"):
+                continue
+            path = os.path.join(self.jobs_dir, name)
+            try:
+                with open(path) as handle:
+                    record = json.load(handle)
+                job = self._job_from_record(record)
+            except (OSError, ValueError, KeyError):
+                continue  # torn or foreign file: not a job we can run
+            self._jobs[job.id] = job
+            if job.state in ("queued", "running"):
+                job.state = "queued"
+                job.resume = bool(job.checkpoint_path
+                                  and os.path.exists(job.checkpoint_path))
+                job.emit("requeued", resume=job.resume)
+                self.journal.append("claimed", job.id, tenant=job.tenant)
                 self._inflight[job.fingerprint] = job.id
                 self._persist(job)
-                self.scheduler.push(tenant, job_id)
+                self.scheduler.push(job.tenant, job.id)
+        for job_id, entry in sorted(folded.items()):
+            if (not valid_job_id(job_id)
+                    or job_id in self._jobs
+                    or entry.get("state") not in ("queued", "running")
+                    or not isinstance(entry.get("request"), dict)):
+                continue
+            try:
+                request = CheckRequest.from_dict(entry["request"])
+            except ValueError:
+                continue
+            tenant = entry.get("tenant") or DEFAULT_TENANT
+            job = Job(job_id, request,
+                      entry.get("fingerprint") or request.fingerprint(),
+                      checkpoint_path=os.path.join(
+                          self.jobs_dir, job_id + ".ckpt"),
+                      tenant=tenant)
+            job.events_path = self._events_path(job.id)
+            job.resume = os.path.exists(job.checkpoint_path)
+            job.emit("requeued", resume=job.resume, source="journal")
+            self.journal.append("claimed", job_id, tenant=tenant)
+            self._jobs[job_id] = job
+            self._inflight[job.fingerprint] = job.id
+            self._persist(job)
+            self.scheduler.push(tenant, job_id)
 
     def _job_from_record(self, record: Dict[str, object]) -> Job:
         request = CheckRequest.from_dict(record["request"])
@@ -686,30 +696,33 @@ class JobManager:
         job.finished = record.get("finished")
         job.result = record.get("result")
         job.error = record.get("error")
-        events_path = self._events_path(job.id)
-        if os.path.exists(events_path):
-            with open(events_path) as handle:
-                for line in handle:
-                    line = line.strip()
-                    if line:
-                        job.events.append(json.loads(line))
-        self._wire_sink(job)
+        job.events_path = self._events_path(job.id)
+        if os.path.exists(job.events_path):
+            with open(job.events_path) as handle:
+                job.events = [json.loads(line) for line in handle
+                              if line.strip()]
         return job
 
     async def shutdown(self) -> None:
         """Graceful drain: stop admissions, interrupt running jobs at
         their next level boundary (they fall back to ``queued`` with a
-        checkpoint), keep queued jobs persisted, stop the runners, and
-        compact the journal with a final metrics snapshot (the service's
-        run manifest)."""
+        checkpoint), keep queued jobs persisted, stop the runners, reap
+        every check process, compact the journal with a final metrics
+        snapshot (the service's run manifest), and let go of the state
+        directory."""
         self._accepting = False
         self._interrupting = True
         self._stopping = True
+        for job_id, slot in self._running.items():
+            self._jobs[job_id].interrupt_requested = True
+            slot.sync()
         if self._wake is not None:
             self._wake.set()
         if self._runners:
             await asyncio.gather(*self._runners, return_exceptions=True)
         self._runners = []
+        await asyncio.gather(*(slot.close() for slot in self._slots))
+        self._slots = []
         self._set_gauges()
         try:
             self._flush_metrics()
@@ -717,6 +730,14 @@ class JobManager:
                 extra={"metrics": self.registry.snapshot()})
         except OSError:  # pragma: no cover - a full disk must not wedge
             pass
+        if self._lock_file is not None:
+            self._lock_file.close()
+            self._lock_file = None
+
+    def kill_check_processes(self) -> None:
+        """SIGKILL every check process now (any thread)."""
+        for slot in self._slots:
+            slot.kill()
 
     # -- submission / querying ----------------------------------------------
 
@@ -781,13 +802,9 @@ class JobManager:
             self._m_completed.labels(tenant=tenant, verdict=verdict).inc()
             self._m_latency.labels(tenant=tenant).observe(
                 job.finished - job.created)
-            with self.journal.lock():
-                # both lines under one lock: the journal never shows a
-                # cache-served job as admitted-but-unaccounted
-                self.journal.append_locked(
-                    "submitted", job.id, tenant=tenant,
-                    fingerprint=fingerprint, cached=True)
-                self.journal.append_locked("done", job.id, verdict=verdict)
+            self.journal.append("submitted", job.id, tenant=tenant,
+                                fingerprint=fingerprint, cached=True)
+            self.journal.append("done", job.id, verdict=verdict)
             self._flush_metrics()
             return job, "cached"
         if self._queued_count() >= self.queue_limit:
@@ -822,9 +839,8 @@ class JobManager:
         return sorted(self._jobs.values(), key=lambda job: job.created)
 
     def cancel(self, job_id: str) -> Tuple[Optional[Job], bool]:
-        """Cancel a job this process owns: immediate for ``queued``,
-        cooperative (next BFS level boundary) for ``running``.  Returns
-        (job, accepted)."""
+        """Cancel a job: immediate for ``queued``, cooperative (next BFS
+        level boundary) for ``running``.  Returns (job, accepted)."""
         job = self._jobs.get(job_id)
         if job is None:
             return None, False
@@ -843,6 +859,9 @@ class JobManager:
         if job.state == "running":
             job.cancel_requested = True
             job.emit("cancel_requested")
+            slot = self._running.get(job.id)
+            if slot is not None:
+                slot.sync()
             return job, True
         return job, False
 
@@ -855,6 +874,8 @@ class JobManager:
             "uptime_seconds": round(time.time() - self.started_at, 3),
             "pid": os.getpid(),
             "pool_size": self.pool_size,
+            "check_processes": [slot.pid for slot in self._slots
+                                if slot.pid is not None],
             "queue_limit": self.queue_limit,
             "queued": self._queued_count(),
             "jobs": counts,
@@ -868,100 +889,9 @@ class JobManager:
         return self.scheduler.tenants_view()
 
     def metrics_text(self) -> str:
-        """The fleet-wide Prometheus exposition for ``GET /metrics``."""
+        """The Prometheus exposition for ``GET /metrics``."""
         self._set_gauges()
-        return self.metrics_dir.render()
-
-    # -- cross-process views (jobs owned by sibling processes) ---------------
-
-    def job_record(self, job_id: str) -> Optional[Dict[str, object]]:
-        """This job's wire record, whether we own it or a sibling
-        process on the same state dir does (disk read-through)."""
-        job = self._jobs.get(job_id)
-        if job is not None:
-            return job.to_dict()
-        return self._disk_record(job_id)
-
-    def job_events(self, job_id: str,
-                   start: int = 0) -> Optional[List[Dict[str, object]]]:
-        """Events from *start*, served from memory for owned jobs and
-        from the append-only events file for a sibling's."""
-        job = self._jobs.get(job_id)
-        if job is not None:
-            return job.events[start:]
-        if self._disk_record(job_id) is None:
-            return None
-        events: List[Dict[str, object]] = []
-        try:
-            with open(self._events_path(job_id)) as handle:
-                for line in handle:
-                    line = line.strip()
-                    if line:
-                        try:
-                            events.append(json.loads(line))
-                        except ValueError:
-                            continue  # torn tail of a concurrent append
-        except OSError:
-            pass
-        return events[start:]
-
-    def list_records(self) -> List[Dict[str, object]]:
-        """Every job on the state dir: ours from memory, siblings' from
-        their persisted records."""
-        records = {job.id: job.to_dict() for job in self._jobs.values()}
-        try:
-            names = sorted(os.listdir(self.jobs_dir))
-        except OSError:
-            names = []
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            job_id = name[: -len(".json")]
-            if job_id in records:
-                continue
-            record = self._disk_record(job_id)
-            if record is not None:
-                records[job_id] = record
-        return sorted(records.values(),
-                      key=lambda r: (r.get("created") or 0, r.get("id", "")))
-
-    def cancel_any(self, job_id: str
-                   ) -> Tuple[Optional[Dict[str, object]], bool]:
-        """Cancel a job wherever it lives: directly when owned, via a
-        ``jobs/<id>.cancel`` flag file -- polled by the owner at its next
-        level boundary, and before it starts a queued job -- when a
-        sibling owns it."""
-        job, accepted = self.cancel(job_id)
-        if job is not None:
-            return job.to_dict(), accepted
-        record = self._disk_record(job_id)
-        if record is None:
-            return None, False
-        if record.get("state") in ("queued", "running"):
-            try:
-                with open(self._cancel_flag_path(job_id), "w") as handle:
-                    handle.write(str(round(time.time(), 4)))
-            except OSError:
-                return record, False
-            return record, True
-        return record, False
-
-    def _disk_record(self, job_id: str) -> Optional[Dict[str, object]]:
-        if not valid_job_id(job_id):
-            # ids are joined into paths below: reject anything that is
-            # not literally a generated id (e.g. "../../../etc/passwd")
-            return None
-        path = os.path.join(self.jobs_dir, job_id + ".json")
-        try:
-            with open(path) as handle:
-                record = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(record, dict):
-            return None
-        record.pop("request", None)   # wire shape of Job.to_dict()
-        record.pop("checkpoint", None)
-        return record
+        return self.registry.render()
 
     # -- internals -----------------------------------------------------------
 
@@ -972,23 +902,8 @@ class JobManager:
                   checkpoint_path=os.path.join(self.jobs_dir,
                                                job_id + ".ckpt"),
                   tenant=tenant)
-        self._wire_sink(job)
+        job.events_path = self._events_path(job.id)
         return job
-
-    def _wire_sink(self, job: Job) -> None:
-        """Events append to ``jobs/<id>.events.ndjson`` as they happen,
-        so a sibling process's watcher follows the stream live."""
-        path = self._events_path(job.id)
-
-        def sink(record: Dict[str, object]) -> None:
-            try:
-                with open(path, "a") as handle:
-                    handle.write(
-                        json.dumps(record, separators=(",", ":")) + "\n")
-            except OSError:  # pragma: no cover - events are best-effort
-                pass
-
-        job.event_sink = sink
 
     def _queued_count(self) -> int:
         return sum(1 for job in self._jobs.values()
@@ -1019,22 +934,13 @@ class JobManager:
     def _events_path(self, job_id: str) -> str:
         return os.path.join(self.jobs_dir, job_id + ".events.ndjson")
 
-    def _cancel_flag_path(self, job_id: str) -> str:
-        return os.path.join(self.jobs_dir, job_id + ".cancel")
-
-    def _cancel_flagged(self, job: Job) -> bool:
-        return os.path.exists(self._cancel_flag_path(job.id))
-
     def _persist(self, job: Job) -> None:
         """Write the job record atomically (the durable source of truth
         across restarts; events append separately as they are emitted)."""
         record = job.to_dict(with_request=True)
         record["checkpoint"] = job.checkpoint_path
-        path = os.path.join(self.jobs_dir, job.id + ".json")
-        tmp = path + ".tmp"
-        with open(tmp, "w") as handle:
-            json.dump(record, handle, separators=(",", ":"))
-        os.replace(tmp, path)
+        atomic_write_json(os.path.join(self.jobs_dir, job.id + ".json"),
+                          record)
 
     async def _next_job(self) -> Optional[Tuple[str, str]]:
         """The next (tenant, job_id) the DRR scheduler dispatches, or
@@ -1051,10 +957,10 @@ class JobManager:
                 return item
             await self._wake.wait()
 
-    async def _runner(self) -> None:
-        """One pool slot: take scheduled jobs and execute them on a
-        thread, journaling and mirroring every transition to metrics."""
-        loop = asyncio.get_running_loop()
+    async def _runner(self, slot: CheckProcess) -> None:
+        """One pool slot: take scheduled jobs and execute them in the
+        slot's check process, journaling and mirroring every transition
+        to metrics."""
         while True:
             item = await self._next_job()
             if item is None:
@@ -1065,18 +971,6 @@ class JobManager:
                 # cancelled while queued, or draining (stays persisted)
                 self.scheduler.release(tenant, completed=False)
                 continue
-            if self._cancel_flagged(job):
-                # a sibling process flagged this job before we started it
-                job.cancel_requested = True
-                job.state = "cancelled"
-                job.finished = time.time()
-                job.emit("cancelled", while_state="queued", via="flag")
-                self._inflight.pop(job.fingerprint, None)
-                self.journal.append("cancelled", job.id, tenant=tenant)
-                self._m_cancelled.labels(tenant=tenant).inc()
-                self.scheduler.release(tenant, completed=False)
-                self._finish(job)
-                continue
             job.state = "running"
             job.started = time.time()
             job.emit("started", resume=job.resume,
@@ -1086,9 +980,9 @@ class JobManager:
             self._set_gauges()
             self._flush_metrics()
             began = time.monotonic()
+            self._running[job.id] = slot
             try:
-                result = await loop.run_in_executor(
-                    None, self._execute, job)
+                result = await slot.run(job, job.emit)
             except JobCancelled:
                 job.state = "cancelled"
                 job.finished = time.time()
@@ -1098,7 +992,7 @@ class JobManager:
                 self.journal.append("cancelled", job.id, tenant=tenant)
                 self._m_cancelled.labels(tenant=tenant).inc()
                 self.scheduler.release(tenant, completed=False)
-            except _JobInterrupted:
+            except JobInterrupted:
                 # graceful shutdown: back to queued, checkpoint on disk;
                 # the next manager on this state_dir resumes it
                 job.state = "queued"
@@ -1107,10 +1001,11 @@ class JobManager:
                 job.emit("interrupted", resume=job.resume)
                 self.journal.append("requeued", job.id, tenant=tenant)
                 self.scheduler.release(tenant, completed=False)
-            except Exception as exc:  # surface executor errors as verdicts
+            except Exception as exc:  # a failed check is a job outcome
                 job.state = "failed"
                 job.finished = time.time()
-                job.error = f"{type(exc).__name__}: {exc}"
+                job.error = (str(exc) if isinstance(exc, CheckFailed)
+                             else f"{type(exc).__name__}: {exc}")
                 job.emit("failed", error=job.error)
                 self._inflight.pop(job.fingerprint, None)
                 self._remove_checkpoint(job)
@@ -1144,17 +1039,14 @@ class JobManager:
                 self._m_latency.labels(tenant=tenant).observe(
                     job.finished - job.created)
                 self.scheduler.release(tenant, completed=True)
+            finally:
+                self._running.pop(job.id, None)
             self._finish(job)
 
     def _finish(self, job: Job) -> None:
         """Persist a transition and wake dispatchers (a release may have
         unblocked a tenant at its in-flight cap)."""
         self._persist(job)
-        if job.terminal:
-            try:
-                os.unlink(self._cancel_flag_path(job.id))
-            except OSError:
-                pass
         self._set_gauges()
         self._flush_metrics()
         self._maybe_compact_journal()
@@ -1190,32 +1082,3 @@ class JobManager:
             os.unlink(job.checkpoint_path)
         except OSError:
             pass
-
-    def _execute(self, job: Job) -> Dict[str, object]:
-        """Thread body: run the check, streaming level events and
-        honouring cancel/interrupt flags at level boundaries.  The
-        cancel check also polls the job's flag file, the path by which
-        a sibling process cancels a job it does not own."""
-        stats = ExploreStats()
-        last_level = -1
-
-        def on_level(level: int, row: Dict[str, int]) -> None:
-            nonlocal last_level
-            if job.cancel_requested or self._cancel_flagged(job):
-                job.cancel_requested = True
-                raise JobCancelled()
-            if self._interrupting or job.interrupt_requested:
-                raise _JobInterrupted()
-            if level <= last_level:
-                # the pipeline restarted exploring (unreduced, after a
-                # violation under reduction): levels are monotone per run
-                job.emit("reexploring", reason=stats.por_reason)
-            last_level = level
-            job.emit("level", level=level, **row)
-            if job.request.level_delay:
-                time.sleep(job.request.level_delay)
-
-        stats.add_level_listener(on_level)
-        return run_check(job.request, stats=stats,
-                         checkpoint=job.checkpoint_path,
-                         resume_from_checkpoint=job.resume)

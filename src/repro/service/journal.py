@@ -1,17 +1,16 @@
 """Append-only job journal: the service's durable queue of record.
 
-Per-job ``jobs/<id>.json`` records (PR 5) already survive a graceful
-drain, but they are one process's private bookkeeping: after a SIGKILL
-nothing says *which* jobs the dead process still owed, and with N
-pre-forked server processes over one state directory nothing stops two
-survivors from both re-admitting the same queued job.  The journal fixes
-both with the classic recipe:
+Per-job ``jobs/<id>.json`` records survive a graceful drain, but a
+SIGKILL can land between a submission being admitted and its record
+being written, and nothing in the records says which transitions
+happened.  The journal is the service's record of every transition,
+kept with the classic recipe:
 
 * **Append-only NDJSON log** (``journal/journal.ndjson``): every job
   transition -- ``submitted`` (with the full request, so the journal is
   self-contained), ``started``, ``requeued``, ``done``/``failed``/
   ``cancelled``, and recovery ``claimed`` records -- is one JSON line
-  appended under an ``flock``.  A SIGKILL can at worst tear the final
+  appended under the journal lock.  A SIGKILL can at worst tear the final
   line; :meth:`JobJournal.replay` tolerates exactly that (a torn
   *middle* line would mean filesystem corruption and is skipped with a
   count).
@@ -20,142 +19,57 @@ both with the classic recipe:
   that fold (plus an optional extra blob -- the service embeds a
   metrics snapshot) and truncates the log, so the journal's size tracks
   the *live* job population, not service uptime.
-* **Idempotent replay, exactly-once claims**: replay is keyed by job
-  id -- re-applying any suffix of the log is a no-op on the folded
-  state.  Recovery runs under the journal lock: a process that wants to
-  re-admit an orphaned (queued/running, owner dead) job first appends
-  ``claimed`` with its own pid; the next process's replay sees a live
-  owner and leaves the job alone.  That is what makes "queued jobs
-  survive SIGKILL and are re-admitted exactly once" hold across any mix
-  of restarts and pre-forked siblings.
+* **Idempotent replay, exactly-once re-admission**: replay is keyed by
+  job id -- re-applying any suffix of the log is a no-op on the folded
+  state.  One front holds a state directory at a time (its
+  ``front.lock``), so a starting front re-admits every job the fold
+  shows queued or running, appending ``claimed`` for each: every
+  unfinished job is run again exactly once per restart.
 
-Lock discipline: ``flock`` on ``journal/.lock`` serialises appends,
-compaction, and recovery across processes.  Appends hold it for one
-``write``; recovery holds it across replay-then-claim (the only
-read-modify-write).
+Lock discipline: the journal's one writer is the front holding the
+state directory, so a thread lock suffices: it keeps appends out of a
+compaction (which runs on a thread of its own) between its replay and
+its truncation.
 """
 
 from __future__ import annotations
 
-import fcntl
 import json
 import os
-import tempfile
+import threading
 import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
-__all__ = ["JobJournal", "pid_alive", "process_start_time", "owner_alive",
-           "own_start"]
+from .cache import atomic_write_json
 
-# kinds that transfer ownership to the appending process
-_OWNING_KINDS = ("submitted", "claimed", "started")
-# kinds after which a job sits in the queue again
+__all__ = ["JobJournal"]
+
+# kinds after which a job is finished
 _TERMINAL_KINDS = ("done", "failed", "cancelled")
 
 
-def pid_alive(pid: Optional[int]) -> bool:
-    if not pid:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - alive, different user
-        return True
-    except OSError:  # pragma: no cover
-        return False
-    return True
-
-
-def process_start_time(pid: Optional[int]) -> Optional[int]:
-    """The kernel start time (clock ticks since boot) of *pid*, read
-    from ``/proc/<pid>/stat``; ``None`` where /proc is unavailable
-    (non-Linux) or the process is gone.  (pid, start time) identifies a
-    process incarnation -- a recycled pid gets a different start."""
-    if not pid:
-        return None
-    try:
-        with open(f"/proc/{pid}/stat", "rb") as handle:
-            data = handle.read()
-        # the comm field may itself contain spaces and ')'; everything
-        # after the LAST ')' is fixed-position -- index 0 is field 3
-        # (state), so starttime (field 22) is index 19
-        fields = data.rsplit(b")", 1)[1].split()
-        return int(fields[19])
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-_own_start_cache: Dict[int, Optional[int]] = {}
-
-
-def own_start() -> Optional[int]:
-    """This process's start-time token (cached per pid, so a fork gets
-    its own fresh value)."""
-    pid = os.getpid()
-    if pid not in _own_start_cache:
-        _own_start_cache[pid] = process_start_time(pid)
-    return _own_start_cache[pid]
-
-
-def owner_alive(pid: Optional[int],
-                start: Optional[int] = None) -> bool:
-    """Is the process that recorded ``(pid, start)`` still the one
-    running as *pid*?  A bare pid check would call a recycled pid alive
-    and strand its orphaned jobs forever; comparing the recorded start
-    time catches that wherever the platform exposes it (a record with
-    no start, or a platform with no /proc, degrades to the pid check).
-    """
-    if not pid_alive(pid):
-        return False
-    if start is None:
-        return True
-    current = process_start_time(pid)
-    return current is None or current == start
-
-
 class JobJournal:
-    """One state directory's journal (safe for N concurrent processes)."""
+    """One state directory's journal."""
 
     def __init__(self, directory: str):
         self.directory = os.path.abspath(directory)
         os.makedirs(self.directory, exist_ok=True)
         self.log_path = os.path.join(self.directory, "journal.ndjson")
         self.snapshot_path = os.path.join(self.directory, "snapshot.json")
-        self._lock_path = os.path.join(self.directory, ".lock")
+        self.lock = threading.Lock()
         self.torn_lines = 0
-
-    # -- locking -------------------------------------------------------------
-
-    @contextmanager
-    def lock(self) -> Iterator[None]:
-        """The cross-process journal lock (flock; reentrancy not needed:
-        appends inside a locked recovery use the unlocked writer)."""
-        with open(self._lock_path, "a") as handle:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
     # -- writing -------------------------------------------------------------
 
     def append(self, kind: str, job_id: str, **fields: object) -> None:
         """Append one transition under the lock (one line, one write)."""
-        with self.lock():
-            self.append_locked(kind, job_id, **fields)
-
-    def append_locked(self, kind: str, job_id: str,
-                      **fields: object) -> None:
-        """Append while the caller already holds :meth:`lock`."""
         record: Dict[str, object] = {
             "kind": kind, "job": job_id, "pid": os.getpid(),
-            "pid_start": own_start(), "t": round(time.time(), 4),
+            "t": round(time.time(), 4),
         }
         record.update(fields)
         line = json.dumps(record, separators=(",", ":")) + "\n"
-        with open(self.log_path, "a") as handle:
+        with self.lock, open(self.log_path, "a") as handle:
             handle.write(line)
 
     # -- reading -------------------------------------------------------------
@@ -181,14 +95,9 @@ class JobJournal:
     def replay(self) -> Dict[str, Dict[str, object]]:
         """Fold snapshot + log into one record per job id::
 
-            {job_id: {"state", "tenant", "owner", "request",
-                      "fingerprint", "verdict", "counts": {kind: n},
-                      "claims": [...], "first_t", "last_t"}}
-
-        ``owner`` is the pid of the last process that took
-        responsibility for the job (submitted / claimed / started);
-        recovery treats a non-terminal job with a dead owner as
-        orphaned.
+            {job_id: {"state", "tenant", "request", "fingerprint",
+                      "verdict", "counts": {kind: n},
+                      "claims": [{"pid", "t"}, ...], "first_t", "last_t"}}
         """
         jobs: Dict[str, Dict[str, object]] = {}
         try:
@@ -204,17 +113,13 @@ class JobJournal:
             if not isinstance(job_id, str) or not isinstance(kind, str):
                 continue
             record = jobs.setdefault(job_id, {
-                "state": None, "tenant": None, "owner": None,
-                "owner_start": None, "request": None, "fingerprint": None,
-                "verdict": None, "counts": {}, "claims": [],
-                "first_t": entry.get("t"),
+                "state": None, "tenant": None, "request": None,
+                "fingerprint": None, "verdict": None, "counts": {},
+                "claims": [], "first_t": entry.get("t"),
             })
             counts = record.setdefault("counts", {})
             counts[kind] = counts.get(kind, 0) + 1
             record["last_t"] = entry.get("t")
-            if kind in _OWNING_KINDS:
-                record["owner"] = entry.get("pid")
-                record["owner_start"] = entry.get("pid_start")
             if kind == "submitted":
                 record["state"] = "queued"
                 record["tenant"] = entry.get("tenant", record["tenant"])
@@ -236,18 +141,6 @@ class JobJournal:
                     record["verdict"] = entry["verdict"]
         return jobs
 
-    def orphans(self, jobs: Optional[Dict[str, Dict[str, object]]] = None
-                ) -> List[str]:
-        """Job ids that are non-terminal with no live owner -- the set a
-        recovering process may claim (call under :meth:`lock`)."""
-        jobs = self.replay() if jobs is None else jobs
-        own = os.getpid()
-        return [job_id for job_id, record in sorted(jobs.items())
-                if record.get("state") in ("queued", "running")
-                and (record.get("owner") == own
-                     or not owner_alive(record.get("owner"),
-                                        record.get("owner_start")))]
-
     # -- compaction ----------------------------------------------------------
 
     def compact(self, extra: Optional[Dict[str, object]] = None,
@@ -257,7 +150,7 @@ class JobJournal:
         verbatim in the snapshot (the service stores a metrics snapshot
         there, its run-manifest twin).  Terminal records older than
         *drop_terminal_older_than* seconds are aged out."""
-        with self.lock():
+        with self.lock:
             jobs = self.replay()
             if drop_terminal_older_than is not None:
                 horizon = time.time() - drop_terminal_older_than
@@ -269,18 +162,7 @@ class JobJournal:
             }
             if extra:
                 snapshot["extra"] = extra
-            fd, tmp = tempfile.mkstemp(prefix=".snapshot-", suffix=".tmp",
-                                       dir=self.directory)
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(snapshot, handle, separators=(",", ":"))
-                os.replace(tmp, self.snapshot_path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            atomic_write_json(self.snapshot_path, snapshot)
             with open(self.log_path, "w"):
                 pass  # truncate: its contents are folded into the snapshot
             return len(jobs)

@@ -7,22 +7,15 @@ stdlib: a metric family is a name + kind + label names; a child is one
 label-value combination holding a float (counter/gauge) or cumulative
 bucket counts + sum (histogram).
 
-The service runs as N pre-forked processes over one state directory,
-so one process's registry only sees its own slice of the fleet.  The
-multi-process story mirrors Prometheus's multiprocess mode, minus the
-mmap: each process owns a :class:`MetricsDir` that flushes its
-registry's snapshot to ``<dir>/proc-<pid>-<nonce>.json`` (atomic
-write-then-rename) on every job transition, and :meth:`MetricsDir.render`
-merges every sibling snapshot with the live local registry before
-rendering.  Merge rules:
-
-* **counters and histograms sum** across snapshots -- including those of
-  dead processes, because work they admitted/completed still happened
-  (that is what lets ``/metrics`` reconcile with the journal across
-  restarts: admitted == completed + failed + cancelled + in-flight);
-* **gauges sum across live processes only** -- a dead process's queue
-  depth is meaningless (its queued jobs were re-claimed by a survivor
-  and are already in the survivor's gauge).
+One front serves a state directory, so its registry is the whole
+story.  :class:`MetricsDir` keeps it on disk as one snapshot file,
+flushed (atomic write-then-rename) on every job transition; the next
+front loads that file as its **counter baseline**.  Counters and
+histograms count on from there -- work the previous front admitted or
+completed still happened, which is what lets ``/metrics`` reconcile
+with the journal across restarts, SIGKILL included (admitted ==
+completed + failed + cancelled + in-flight).  Gauges start from zero:
+a dead front's queue depth describes nothing now.
 
 Quantiles for human summaries (``repro admin metrics``, the load-test
 report) come from :meth:`Histogram.quantile`, a conservative
@@ -31,21 +24,18 @@ upper-bound read of the cumulative buckets.
 
 from __future__ import annotations
 
-import fcntl
 import json
 import math
 import os
-import tempfile
 import threading
 import time
-import uuid
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .journal import own_start, owner_alive
+from .cache import atomic_write_json
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "MetricsDir",
-    "DEFAULT_BUCKETS", "render_snapshot", "merge_snapshots",
+    "DEFAULT_BUCKETS", "render_snapshot",
 ]
 
 # submit->finish latencies span ~5 ms cache hits to minutes-long
@@ -172,6 +162,16 @@ class Histogram(_Child):
             "count": self._count,
         }
 
+    def _add(self, data: Dict[str, object]) -> None:
+        """Fold in another histogram's :meth:`_data` (same bounds)."""
+        with self._lock:
+            for i, bound in enumerate(self.bounds):
+                self._counts[i] += int(data["buckets"].get(
+                    _format_value(bound), 0))
+            self._counts[-1] += int(data["inf"])
+            self._sum += float(data["sum"])
+            self._count += int(data["count"])
+
 
 class _Family:
     def __init__(self, name: str, kind: str, help_text: str,
@@ -256,8 +256,8 @@ class MetricsRegistry:
     # -- snapshot / render ---------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
-        """A JSON-safe dump of every family (the unit MetricsDir flushes
-        and merge_snapshots sums)."""
+        """A JSON-safe dump of every family (the unit MetricsDir
+        flushes and :meth:`restore` reads back)."""
         families: Dict[str, object] = {}
         with self._lock:
             for name, family in self._families.items():
@@ -269,51 +269,25 @@ class MetricsRegistry:
                                 for key, child in
                                 sorted(family._children.items())],
                 }
-        return {"pid": os.getpid(), "pid_start": own_start(),
-                "t": time.time(), "families": families}
+        return {"pid": os.getpid(), "t": time.time(), "families": families}
+
+    def restore(self, snapshot: Dict[str, object]) -> None:
+        """Add an earlier snapshot's counters and histograms to the
+        families registered here (gauges are skipped: they describe a
+        past moment)."""
+        for name, family in snapshot["families"].items():
+            target = self._families.get(name)
+            if target is None or target.kind == "gauge":
+                continue
+            for key, data in family["samples"]:
+                child = target.labels(**dict(zip(target.labelnames, key)))
+                if target.kind == "counter":
+                    child.inc(float(data))
+                else:
+                    child._add(data)
 
     def render(self) -> str:
         return render_snapshot(self.snapshot())
-
-
-def _merge_data(kind: str, into: object, data: object) -> object:
-    if kind in ("counter", "gauge"):
-        return (into or 0.0) + data
-    merged = into or {"buckets": {}, "inf": 0, "sum": 0.0, "count": 0}
-    for le, n in data["buckets"].items():
-        merged["buckets"][le] = merged["buckets"].get(le, 0) + n
-    merged["inf"] += data["inf"]
-    merged["sum"] += data["sum"]
-    merged["count"] += data["count"]
-    return merged
-
-
-def merge_snapshots(snapshots: Iterable[Dict[str, object]],
-                    live_pids: Optional[Iterable[int]] = None
-                    ) -> Dict[str, object]:
-    """Sum snapshots into one: counters/histograms always, gauges only
-    from processes in *live_pids* (None = keep all gauges)."""
-    alive = None if live_pids is None else set(live_pids)
-    combined: Dict[str, Dict[str, object]] = {}
-    for snapshot in snapshots:
-        pid = snapshot.get("pid")
-        for name, family in snapshot.get("families", {}).items():
-            kind = family["kind"]
-            if kind == "gauge" and alive is not None and pid not in alive:
-                continue
-            slot = combined.setdefault(name, {
-                "kind": kind, "help": family.get("help", ""),
-                "labelnames": family.get("labelnames", []), "samples": {}})
-            for key, data in family.get("samples", ()):
-                tkey = tuple(key)
-                slot["samples"][tkey] = _merge_data(
-                    kind, slot["samples"].get(tkey), data)
-    return {"families": {
-        name: {"kind": fam["kind"], "help": fam["help"],
-               "labelnames": fam["labelnames"],
-               "samples": [[list(k), v] for k, v in
-                           sorted(fam["samples"].items())]}
-        for name, fam in combined.items()}}
 
 
 def render_snapshot(snapshot: Dict[str, object]) -> str:
@@ -348,185 +322,25 @@ def render_snapshot(snapshot: Dict[str, object]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-# dead-process snapshot files fold into this single baseline so a
-# /metrics scrape re-reads O(live fleet) files, not O(every process
-# that ever ran); the name keeps the existing proc-*.json dir filter
-_BASELINE_NAME = "proc-dead-merged.json"
-
-
-def _snapshot_owner_alive(snapshot: Dict[str, object]) -> bool:
-    """Liveness of the process that wrote *snapshot*: pid plus, where
-    recorded, its start time -- a recycled pid must not resurrect a
-    dead sibling's gauges."""
-    pid = snapshot.get("pid")
-    if not isinstance(pid, int) or pid <= 0:
-        return False
-    return owner_alive(pid, snapshot.get("pid_start"))
-
-
 class MetricsDir:
-    """One process's window onto the shared metrics directory.
+    """The front's registry on disk: ``<directory>/snapshot.json``.
 
-    ``flush()`` persists the local registry (cheap: one small JSON,
-    atomic rename); ``aggregate()`` loads every sibling process's last
-    flush, swaps this process's file for its *live* registry, and merges
-    per the counter/gauge rules above.  Files of dead processes are kept
-    (their counters are history that must keep counting) but their
-    gauges are dropped.
+    Construction loads the previous front's last flush into
+    *registry*'s families as the counter baseline (a missing or
+    unreadable file is a zero baseline); :meth:`flush` persists the registry -- one small JSON,
+    atomic rename -- and the manager calls it on every job transition.
     """
 
     def __init__(self, directory: str, registry: MetricsRegistry):
         self.directory = directory
         self.registry = registry
         os.makedirs(directory, exist_ok=True)
-        self._nonce = uuid.uuid4().hex[:8]
-        self.path = os.path.join(
-            directory, f"proc-{os.getpid()}-{self._nonce}.json")
-        self._flush_lock = threading.Lock()
-        # a previous MetricsDir of this same live process (a restarted
-        # in-process manager) would pass the pid-liveness gauge filter
-        # and double-count its stale gauges.  Retire such files: null
-        # the pid (gauges drop out) but keep the counters -- work the
-        # previous manager admitted/completed still happened.
-        stale_prefix = f"proc-{os.getpid()}-"
-        for name in os.listdir(directory):
-            if (not name.startswith(stale_prefix)
-                    or not name.endswith(".json")
-                    or name == os.path.basename(self.path)):
-                continue
-            stale_path = os.path.join(directory, name)
-            try:
-                with open(stale_path) as handle:
-                    snapshot = json.load(handle)
-                snapshot["pid"] = None
-                fd, tmp = tempfile.mkstemp(prefix=".retire-",
-                                           suffix=".tmp", dir=directory)
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(snapshot, handle, separators=(",", ":"))
-                os.replace(tmp, os.path.join(
-                    directory, "proc-dead-" + name[len(stale_prefix):]))
-                os.unlink(stale_path)
-            except (OSError, ValueError):
-                try:
-                    os.unlink(stale_path)
-                except OSError:
-                    pass
-        self.fold_dead()
-
-    def fold_dead(self) -> int:
-        """Merge every dead process's snapshot file (retired
-        ``proc-dead-*`` files and ``proc-<pid>-*`` files whose owner is
-        gone) into the single baseline file, dropping their gauges but
-        keeping counters/histograms counting.  This bounds both the
-        directory and the per-scrape read cost by the *live* fleet
-        rather than by every process that ever served.  Serialised
-        against sibling folds by a directory flock; returns the number
-        of files folded away."""
-        lock_path = os.path.join(self.directory, ".fold.lock")
+        self.path = os.path.join(directory, "snapshot.json")
         try:
-            with open(lock_path, "a") as lockf:
-                fcntl.flock(lockf.fileno(), fcntl.LOCK_EX)
-                try:
-                    return self._fold_dead_locked()
-                finally:
-                    fcntl.flock(lockf.fileno(), fcntl.LOCK_UN)
-        except OSError:  # pragma: no cover - folding is an optimisation
-            return 0
-
-    def _fold_dead_locked(self) -> int:
-        dead_paths: List[str] = []
-        snapshots: List[Dict[str, object]] = []
-        try:
-            names = sorted(os.listdir(self.directory))
-        except OSError:
-            return 0
-        for name in names:
-            if not name.startswith("proc-") or not name.endswith(".json"):
-                continue
-            path = os.path.join(self.directory, name)
-            if name == os.path.basename(self.path):
-                continue  # our own live slice
-            try:
-                with open(path) as handle:
-                    snapshot = json.load(handle)
-            except (OSError, ValueError):
-                continue  # torn or vanished: leave it for its owner
-            if _snapshot_owner_alive(snapshot):
-                continue  # a live sibling's slice
-            dead_paths.append(path)
-            snapshots.append(snapshot)
-        if not any(os.path.basename(p) != _BASELINE_NAME
-                   for p in dead_paths):
-            return 0  # nothing beyond the existing baseline
-        merged = merge_snapshots(snapshots, live_pids=())
-        merged["pid"] = None
-        merged["t"] = time.time()
-        fd, tmp = tempfile.mkstemp(prefix=".fold-", suffix=".tmp",
-                                   dir=self.directory)
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(merged, handle, separators=(",", ":"))
-            os.replace(tmp, os.path.join(self.directory, _BASELINE_NAME))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        folded = 0
-        for path in dead_paths:
-            if os.path.basename(path) == _BASELINE_NAME:
-                continue  # just rewritten with the merge folded in
-            try:
-                os.unlink(path)
-                folded += 1
-            except OSError:
-                pass
-        return folded
+            with open(self.path) as handle:
+                registry.restore(json.load(handle))
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            pass
 
     def flush(self) -> None:
-        snapshot = self.registry.snapshot()
-        with self._flush_lock:
-            fd, tmp = tempfile.mkstemp(prefix=".flush-", suffix=".tmp",
-                                       dir=self.directory)
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(snapshot, handle, separators=(",", ":"))
-                os.replace(tmp, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-
-    def _sibling_snapshots(self) -> List[Dict[str, object]]:
-        snapshots = []
-        try:
-            names = sorted(os.listdir(self.directory))
-        except OSError:
-            return snapshots
-        for name in names:
-            if not name.startswith("proc-") or not name.endswith(".json"):
-                continue
-            if name == os.path.basename(self.path):
-                continue  # our slice comes from the live registry
-            try:
-                with open(os.path.join(self.directory, name)) as handle:
-                    snapshots.append(json.load(handle))
-            except (OSError, ValueError):
-                continue  # torn or vanished: skip, the owner will re-flush
-        return snapshots
-
-    def aggregate(self) -> Dict[str, object]:
-        snapshots = self._sibling_snapshots()
-        mine = self.registry.snapshot()
-        live = {s["pid"] for s in snapshots if _snapshot_owner_alive(s)}
-        live.add(mine["pid"])
-        return merge_snapshots(snapshots + [mine], live_pids=live)
-
-    def render(self) -> str:
-        """The fleet-wide Prometheus text (flushes first, so a scrape of
-        any process publishes that process's latest numbers too)."""
-        self.flush()
-        return render_snapshot(self.aggregate())
+        atomic_write_json(self.path, self.registry.snapshot())

@@ -2,8 +2,9 @@
 
 Routes (JSON in, JSON out, except ``/metrics``)::
 
-    GET    /healthz          liveness + queue/cache counters
-    GET    /metrics          fleet-wide Prometheus text exposition
+    GET    /healthz          liveness + queue/cache counters and the
+                             pool's check-process pids
+    GET    /metrics          Prometheus text exposition
     GET    /tenants          per-tenant scheduler state
     POST   /jobs             submit a CheckRequest body (the submitting
                              tenant rides in ``X-Repro-Tenant``)
@@ -11,14 +12,12 @@ Routes (JSON in, JSON out, except ``/metrics``)::
                              -> 400 invalid / 429 throttled-or-full
                                 (Retry-After from the tenant's bucket)
     GET    /jobs             all jobs on the state dir, oldest first
-                             (including sibling processes' jobs)
     GET    /jobs/<id>        one job's metadata + result
     GET    /jobs/<id>/events NDJSON stream: buffered events replayed,
                              then live-followed until the job is
                              terminal (the connection then closes)
     DELETE /jobs/<id>        cancel (immediate when queued, cooperative
-                             at the next BFS level when running; jobs
-                             owned by a sibling process are flagged)
+                             at the next BFS level when running)
 
 The server is deliberately minimal HTTP/1.1 (``Connection: close``, one
 request per connection): it exists so ``curl`` and the bundled
@@ -29,15 +28,10 @@ point -- it writes a ``server.json`` endpoint file into the state
 directory (so scripts can discover an ephemeral port) and turns
 SIGTERM/SIGINT into a graceful drain: running jobs checkpoint at their
 next BFS level and are resumed by the next server on the same state
-directory.
-
-``procs > 1`` pre-forks that many worker processes, each running the
-full manager+server stack over the shared state directory.  Every child
-binds the same port with ``SO_REUSEPORT`` (the kernel load-balances
-accepts); on a platform without it ``procs > 1`` is refused.  The
-journal, metrics directory, and sharded cache are the cross-process
-seams that make this safe.  :class:`BackgroundServer` runs the whole
-stack on a daemon thread for tests and embedding.
+directory.  One front serves a state directory; its checks run in the
+manager's pool of check processes (:mod:`repro.service.pool`), so the
+front's own thread only routes.  :class:`BackgroundServer` runs the
+whole stack on a daemon thread for tests and embedding.
 """
 
 from __future__ import annotations
@@ -46,26 +40,26 @@ import asyncio
 import json
 import os
 import signal
-import socket
 import sys
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..parser import ParseError
 from .jobs import (
     CheckRequest,
+    Job,
     JobManager,
     QueueFull,
     TenantThrottled,
     valid_job_id,
 )
+from .cache import atomic_write_json
 from .scheduler import DEFAULT_TENANT, TenantPolicy
 from .wire import HttpError, read_body, read_head, send_json, send_text
 
 __all__ = ["CheckService", "BackgroundServer", "run_server"]
 
 _STREAM_POLL_SECONDS = 0.05
-_PARENT_POLL_SECONDS = 1.0
 
 
 class CheckService:
@@ -78,11 +72,9 @@ class CheckService:
         self.port = port  # 0 = ephemeral; start() fills the real one in
         self._server: Optional[asyncio.AbstractServer] = None
 
-    async def start(self, reuse_port: bool = False) -> None:
-        """Begin accepting on a fresh bind -- with *reuse_port*, our own
-        ``SO_REUSEPORT`` member of a shared port group."""
+    async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port, reuse_port=reuse_port)
+            self._handle, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
@@ -142,8 +134,8 @@ class CheckService:
                 await self._submit(headers, body, writer)
                 return
             if method == "GET":
-                await send_json(writer, 200,
-                                {"jobs": self.manager.list_records()})
+                await send_json(writer, 200, {"jobs": [
+                    job.to_dict() for job in self.manager.jobs()]})
                 return
             raise HttpError(405, f"{method} not allowed on {path}")
         if path.startswith("/jobs/"):
@@ -152,25 +144,22 @@ class CheckService:
                 job_id, tail = rest[:-len("/events")], "events"
             else:
                 job_id, tail = rest, ""
-            if not valid_job_id(job_id):
-                # ids become jobs/<id>.* paths downstream; anything that
-                # is not a literal generated id (traversal sequences,
-                # encoded slashes) is rejected before touching disk
-                raise HttpError(404, f"no such job {job_id!r}")
-            record = self.manager.job_record(job_id)
-            if record is None:
+            # a literal generated id or nothing: traversal sequences and
+            # encoded slashes never reach a lookup
+            job = self.manager.get(job_id) if valid_job_id(job_id) else None
+            if job is None:
                 raise HttpError(404, f"no such job {job_id!r}")
             if tail == "events" and method == "GET":
-                await self._stream_events(job_id, writer)
+                await self._stream_events(job, writer)
                 return
             if tail == "" and method == "GET":
-                await send_json(writer, 200, record)
+                await send_json(writer, 200, job.to_dict())
                 return
             if tail == "" and method == "DELETE":
-                record, accepted = self.manager.cancel_any(job_id)
+                job, accepted = self.manager.cancel(job_id)
                 await send_json(writer, 200, {
                     "id": job_id, "accepted": accepted,
-                    "state": record.get("state") if record else None})
+                    "state": job.state})
                 return
             raise HttpError(405, f"{method} not allowed on {path}")
         raise HttpError(404, f"no route for {method} {path}")
@@ -211,7 +200,7 @@ class CheckService:
         await send_json(writer, status, {
             "job": job.to_dict(), "disposition": disposition})
 
-    async def _stream_events(self, job_id: str,
+    async def _stream_events(self, job: Job,
                              writer: asyncio.StreamWriter) -> None:
         writer.write(b"HTTP/1.1 200 OK\r\n"
                      b"Content-Type: application/x-ndjson\r\n"
@@ -220,60 +209,38 @@ class CheckService:
         await writer.drain()
         sent = 0
         while True:
-            job = self.manager.get(job_id)
-            if job is not None:
-                # our job: events is append-only in memory, so reading
-                # by index races with nothing
-                while sent < len(job.events):
-                    line = json.dumps(job.events[sent],
-                                      separators=(",", ":"))
-                    writer.write(line.encode("utf-8") + b"\n")
-                    sent += 1
-                terminal, drained = job.terminal, sent >= len(job.events)
-            else:
-                # a sibling process's job: follow its append-only
-                # events file through the shared state dir
-                batch = self.manager.job_events(job_id, sent) or []
-                for event in batch:
-                    line = json.dumps(event, separators=(",", ":"))
-                    writer.write(line.encode("utf-8") + b"\n")
-                    sent += 1
-                record = self.manager.job_record(job_id)
-                terminal = record is None or record.get("state") in (
-                    "done", "failed", "cancelled")
-                drained = not batch
+            # events is append-only, so reading by index races with
+            # nothing
+            terminal = job.terminal
+            while sent < len(job.events):
+                line = json.dumps(job.events[sent], separators=(",", ":"))
+                writer.write(line.encode("utf-8") + b"\n")
+                sent += 1
             await writer.drain()
-            if terminal and drained:
+            if terminal:
                 return
             await asyncio.sleep(_STREAM_POLL_SECONDS)
 
 
-def _write_endpoint_file(state_dir: str, host: str, port: int,
-                         procs: int = 1) -> str:
+def _write_endpoint_file(state_dir: str, host: str, port: int) -> str:
     """Drop ``server.json`` into the state dir so scripts can discover
     an ephemeral port (the smoke tests bind port 0)."""
     path = os.path.join(state_dir, "server.json")
-    payload = {"host": host, "port": port,
-               "url": f"http://{host}:{port}", "pid": os.getpid(),
-               "procs": procs}
-    tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        json.dump(payload, handle)
-    os.replace(tmp, path)
+    atomic_write_json(path, {"host": host, "port": port,
+                             "url": f"http://{host}:{port}",
+                             "pid": os.getpid()})
     return path
 
 
-def _serve_one(state_dir: str, host: str, port: int, pool_size: int,
-               queue_limit: int, tenant_policy: Optional[TenantPolicy],
-               out, reuse_port: bool = False, procs: int = 1,
-               write_endpoint: bool = True,
-               parent_pid: Optional[int] = None) -> int:
-    """One process's serve loop: run until SIGTERM/SIGINT, then drain
+def run_server(state_dir: str, host: str = "127.0.0.1", port: int = 8123,
+               pool_size: int = 2, queue_limit: int = 16,
+               tenant_policy: Optional[TenantPolicy] = None,
+               out=None) -> int:
+    """The ``repro serve`` body: serve until SIGTERM/SIGINT, then drain
     gracefully (running jobs checkpoint and requeue; a later server on
-    the same *state_dir* resumes them).  Forked children also pass
-    *parent_pid*: SIGKILL on the supervisor cannot be relayed, so each
-    child watches for re-parenting and drains itself rather than serve
-    on as an unsupervised orphan."""
+    the same *state_dir* resumes them).  Raises :class:`StateDirBusy`
+    when another front holds *state_dir*."""
+    out = out if out is not None else sys.stdout
 
     async def _amain() -> None:
         manager = JobManager(state_dir, pool_size=pool_size,
@@ -281,10 +248,8 @@ def _serve_one(state_dir: str, host: str, port: int, pool_size: int,
                              tenant_policy=tenant_policy)
         await manager.start()
         service = CheckService(manager, host=host, port=port)
-        await service.start(reuse_port=reuse_port)
-        if write_endpoint:
-            _write_endpoint_file(manager.state_dir, service.host,
-                                 service.port, procs=procs)
+        await service.start()
+        _write_endpoint_file(manager.state_dir, service.host, service.port)
         print(f"repro service: pid {os.getpid()} listening on "
               f"{service.url} (state in {manager.state_dir}, "
               f"pool {pool_size}, queue limit {queue_limit})",
@@ -296,19 +261,7 @@ def _serve_one(state_dir: str, host: str, port: int, pool_size: int,
                 loop.add_signal_handler(signum, stop.set)
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 signal.signal(signum, lambda *_args: stop.set())
-
-        async def _watch_parent() -> None:
-            while os.getppid() == parent_pid:
-                await asyncio.sleep(_PARENT_POLL_SECONDS)
-            print(f"repro service: pid {os.getpid()} lost its supervisor "
-                  f"(pid {parent_pid}); draining", file=out, flush=True)
-            stop.set()
-
-        watchdog = (asyncio.get_running_loop().create_task(_watch_parent())
-                    if parent_pid is not None else None)
         await stop.wait()
-        if watchdog is not None:
-            watchdog.cancel()
         print(f"repro service: pid {os.getpid()} draining (running jobs "
               f"checkpoint at their next level)", file=out, flush=True)
         await service.stop()
@@ -320,94 +273,6 @@ def _serve_one(state_dir: str, host: str, port: int, pool_size: int,
     return 0
 
 
-def _probe_reuseport(host: str, port: int) -> int:
-    """Resolve port 0 to a concrete port for a SO_REUSEPORT group (every
-    member must bind the same number).  The momentary bind-then-close
-    leaves a tiny window in which another process could take the port;
-    pre-forked children fail loudly on bind if that ever happens."""
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        sock.bind((host, port))
-        return sock.getsockname()[1]
-    finally:
-        sock.close()
-
-
-def run_server(state_dir: str, host: str = "127.0.0.1", port: int = 8123,
-               pool_size: int = 2, queue_limit: int = 16,
-               procs: int = 1,
-               tenant_policy: Optional[TenantPolicy] = None,
-               out=None) -> int:
-    """The ``repro serve`` body.  ``procs == 1`` serves in this process;
-    ``procs > 1`` pre-forks that many full manager+server stacks over
-    the shared state directory, each binding the port with
-    ``SO_REUSEPORT`` -- a usage error (``ValueError``) on a platform
-    without it.  The parent relays SIGTERM/SIGINT to the children and
-    waits for them to drain."""
-    out = out if out is not None else sys.stdout
-    if procs < 1:
-        raise ValueError(f"procs must be >= 1, got {procs}")
-    if procs == 1:
-        return _serve_one(state_dir, host, port, pool_size, queue_limit,
-                          tenant_policy, out)
-    if not hasattr(socket, "SO_REUSEPORT"):
-        raise ValueError("--procs > 1 needs SO_REUSEPORT, which this "
-                         "platform lacks; serve with --procs 1")
-    if port == 0:
-        port = _probe_reuseport(host, port)
-    state_dir = os.path.abspath(state_dir)
-    os.makedirs(state_dir, exist_ok=True)
-    _write_endpoint_file(state_dir, host, port, procs=procs)
-
-    supervisor = os.getpid()
-    children: List[int] = []
-    for _index in range(procs):
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                code = _serve_one(state_dir, host, port, pool_size,
-                                  queue_limit, tenant_policy, out,
-                                  reuse_port=True, procs=procs,
-                                  write_endpoint=False,
-                                  parent_pid=supervisor)
-            except BaseException:  # noqa: BLE001 - child must not unwind
-                pass
-            finally:
-                os._exit(code)
-        children.append(pid)
-
-    def relay(signum: int, _frame: object) -> None:
-        for child in children:
-            try:
-                os.kill(child, signum)
-            except ProcessLookupError:
-                pass
-
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        signal.signal(signum, relay)
-    print(f"repro service: parent pid {os.getpid()} supervising "
-          f"{procs} processes on http://{host}:{port}", file=out,
-          flush=True)
-    code = 0
-    remaining = set(children)
-    while remaining:
-        try:
-            pid, status = os.wait()
-        except InterruptedError:  # a relayed signal; keep waiting
-            continue
-        except ChildProcessError:  # pragma: no cover
-            break
-        remaining.discard(pid)
-        child_code = os.waitstatus_to_exitcode(status)
-        if child_code != 0:
-            code = 1
-    print(f"repro service: all {procs} processes exited", file=out,
-          flush=True)
-    return code
-
-
 class BackgroundServer:
     """The full service stack on a daemon thread, for tests/embedding::
 
@@ -416,7 +281,8 @@ class BackgroundServer:
             ...
 
     ``stop()`` performs the same graceful drain as SIGTERM on ``repro
-    serve`` -- running jobs checkpoint and persist as queued.
+    serve`` -- running jobs checkpoint and persist as queued, and every
+    check process is reaped.
     """
 
     def __init__(self, state_dir: str, host: str = "127.0.0.1",
@@ -450,6 +316,7 @@ class BackgroundServer:
         self._loop.call_soon_threadsafe(self._stop_event.set)
         self._thread.join(timeout=60)
         if self._thread.is_alive():  # pragma: no cover - hung drain
+            self.manager.kill_check_processes()
             raise RuntimeError("service thread did not drain in 60s")
 
     def __enter__(self) -> "BackgroundServer":

@@ -17,9 +17,9 @@ fails, printing rendered counterexamples -- suitable for CI.
 human ``--stats`` summary.
 
 Service verbs (see :mod:`repro.service`): ``repro serve`` runs the
-checking service (async job server + durable journal + sharded result
-cache), optionally pre-forked across ``--procs N`` processes sharing
-one port and state directory, with per-tenant quotas via
+checking service (one async front per state directory, a durable
+journal, a sharded result cache, and ``--pool-size N`` check
+processes that run the explorations), with per-tenant quotas via
 ``--tenant-rate``/``--tenant-burst``/``--tenant-max-inflight``/
 ``--tenant-queue-limit``.  ``repro submit --tenant NAME`` posts a
 module to it (retrying 429s with Retry-After-honouring backoff),
@@ -475,7 +475,7 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
                               max_queued=args.tenant_queue_limit)
     return run_server(state_dir=args.state_dir, host=args.host,
                       port=args.port, pool_size=args.pool_size,
-                      queue_limit=args.queue_limit, procs=args.procs,
+                      queue_limit=args.queue_limit,
                       tenant_policy=policy, out=out)
 
 
@@ -555,10 +555,7 @@ def cmd_admin(args: argparse.Namespace, out) -> int:
             print(json.dumps(tenants, indent=2, sort_keys=True), file=out)
             return 0
         if not tenants:
-            # scheduler state is per process; with --procs N the answer
-            # depends on which process took the connection
-            print("no tenants yet on the answering process "
-                  "(fleet-wide counters: repro admin metrics)", file=out)
+            print("no tenants yet", file=out)
             return 0
         print(f"{'tenant':<20} {'queued':>6} {'inflight':>8} "
               f"{'admitted':>8} {'completed':>9} {'throttled':>9}",
@@ -741,10 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="admission limit on queued jobs; submissions "
                             "beyond it get 429 + Retry-After (default 16)")
-    serve.add_argument("--procs", type=_positive_int, default=1, metavar="N",
-                       help="pre-fork N server processes sharing the port "
-                            "(SO_REUSEPORT) and the state directory "
-                            "(default 1)")
     serve.add_argument("--tenant-rate", type=float, default=None,
                        metavar="PER_SECOND",
                        help="per-tenant admission rate (token bucket); "

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import pathlib
-from typing import Dict, Sequence
+import time
+from typing import Dict, List, Sequence
 
 import pytest
 
@@ -19,6 +21,47 @@ def pytest_addoption(parser):
         help="rewrite the golden files under tests/goldens/ from the "
              "current output instead of comparing against them",
     )
+
+
+def _live_children(parent: int) -> List[str]:
+    """``pid (name)`` of every running (not zombie) child of *parent*."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", "rb") as handle:
+                data = handle.read()
+        except OSError:
+            continue  # exited while we looked
+        name, _, rest = data.rpartition(b")")
+        fields = rest.split()
+        if len(fields) > 1 and fields[0] != b"Z" \
+                and int(fields[1]) == parent:
+            found.append(f"{entry} ({name.split(b'(', 1)[-1].decode()})")
+    return found
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """No test may leave a process running: a child of this pytest
+    process still alive at the end (after a short grace for ones on
+    their way out) fails the run."""
+    if not os.path.isdir("/proc"):
+        return
+    deadline = time.monotonic() + 10.0
+    leftovers = _live_children(os.getpid())
+    while leftovers and time.monotonic() < deadline:
+        time.sleep(0.1)
+        leftovers = _live_children(os.getpid())
+    if leftovers:
+        reporter = session.config.pluginmanager.get_plugin(
+            "terminalreporter")
+        if reporter is not None:
+            reporter.ensure_newline()
+            reporter.write_line(
+                "processes left running by the tests: "
+                + ", ".join(leftovers), red=True)
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 class GoldenComparer:

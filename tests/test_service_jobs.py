@@ -7,6 +7,8 @@ on the same state directory resumes to the identical graph digest."""
 import asyncio
 import json
 import os
+import signal
+import sys
 import time
 
 import pytest
@@ -20,6 +22,8 @@ from repro.service.jobs import (
     run_check,
     valid_job_id,
 )
+from repro.service.journal import JobJournal
+from repro.service.pool import CheckProcess
 
 COUNTER_TLA = """
 MODULE Counter
@@ -213,19 +217,20 @@ class TestJobIdValidation:
         async def scenario():
             manager = JobManager(str(tmp_path), pool_size=1)
             await manager.start()
+            before = sorted(p.name for p in tmp_path.iterdir())
             for evil in ("../outside", "../../../../etc/passwd",
                          "..%2foutside"):
-                assert manager.job_record(evil) is None
-                assert manager.job_events(evil) is None
-                record, accepted = manager.cancel_any(evil)
-                assert record is None and accepted is False
+                assert manager.get(evil) is None
+                assert manager.cancel(evil) == (None, False)
+            assert sorted(p.name for p in tmp_path.iterdir()) == before
             await manager.shutdown()
 
         asyncio.run(scenario())
-        # in particular no attacker-placed ".cancel" flag appeared next
-        # to the targeted file
-        assert not (tmp_path / "outside.cancel").exists()
-        assert sorted(p.name for p in tmp_path.glob("*.cancel")) == []
+        # in particular nothing was written next to the targeted file
+        assert json.loads(outside.read_text()) == {"id": "x",
+                                                   "state": "queued"}
+        assert sorted(p.name for p in tmp_path.glob("outside*")) \
+            == ["outside.json"]
 
 
 class TestCacheAndCoalescing:
@@ -520,6 +525,105 @@ class TestShutdownAndResume:
         job, folded = asyncio.run(scenario())
         assert folded[job.id]["state"] == "done"
         assert folded[job.id]["verdict"] == "ok"
+
+
+class TestCheckProcesses:
+    """Each pool slot checks in a child process of its own; a child
+    that dies or speaks garbage fails its job closed, exactly once, and
+    the slot's next job gets a fresh child."""
+
+    @staticmethod
+    def _journal_counts(tmp_path, job_id):
+        return JobJournal(str(tmp_path / "journal")).replay()[job_id]["counts"]
+
+    def test_sigkilled_check_process_fails_job_and_slot_recovers(
+            self, tmp_path):
+        async def scenario():
+            manager = JobManager(str(tmp_path), pool_size=1)
+            await manager.start()
+            assert manager.health()["check_processes"] == []  # lazy
+            job, _ = manager.submit(chain_request(level_delay=0.05))
+            await wait_for(
+                lambda: any(e["event"] == "level" for e in job.events),
+                message="first level event")
+            (pid,) = manager.health()["check_processes"]
+            assert pid != os.getpid()
+            os.kill(pid, signal.SIGKILL)
+            await wait_terminal(job)
+            after, _ = manager.submit(counter_request())
+            await wait_terminal(after)
+            pids = manager.health()["check_processes"]
+            await manager.shutdown()
+            return job, after, pid, pids
+
+        job, after, pid, pids = asyncio.run(scenario())
+        assert job.state == "failed"
+        assert job.error == "check process died (signal 9)"
+        assert [e["event"] for e in job.events].count("failed") == 1
+        counts = self._journal_counts(tmp_path, job.id)
+        assert counts["failed"] == 1 and "done" not in counts
+        # the slot spawned a fresh child and the next job completed
+        assert after.state == "done" and after.result["verdict"] == "ok"
+        assert len(pids) == 1 and pids[0] != pid
+
+    @pytest.mark.parametrize("reply, frame", [
+        # unparsable, not an object, cut short, an unknown outcome
+        ('sys.stdout.write("not json\\n"); sys.stdout.flush(); '
+         'sys.stdin.read()', "not json"),
+        ('sys.stdout.write("[1, 2]\\n"); sys.stdout.flush(); '
+         'sys.stdin.read()', "[1, 2]"),
+        ('sys.stdout.write(\'{"outcome": "do\'); sys.stdout.flush()',
+         '{"outcome": "do'),
+        ('sys.stdout.write(\'{"outcome": "bogus"}\\n\'); '
+         'sys.stdout.flush(); sys.stdin.read()', '{"outcome":"bogus"}'),
+    ])
+    def test_malformed_frame_fails_job_and_slot_recovers(
+            self, tmp_path, monkeypatch, reply, frame):
+        liar = [sys.executable, "-c",
+                f"import sys; sys.stdin.readline(); {reply}"]
+
+        async def scenario():
+            manager = JobManager(str(tmp_path), pool_size=1)
+            await manager.start()
+            monkeypatch.setattr(CheckProcess, "command", liar)
+            job, _ = manager.submit(counter_request())
+            await wait_terminal(job)
+            monkeypatch.undo()
+            after, _ = manager.submit(counter_request(max_states=999))
+            await wait_terminal(after)
+            await manager.shutdown()
+            return job, after
+
+        job, after = asyncio.run(scenario())
+        assert job.state == "failed"
+        assert job.error.startswith(
+            f"check process sent a malformed frame b'{frame}"), job.error
+        assert "Traceback" not in job.error
+        assert self._journal_counts(tmp_path, job.id)["failed"] == 1
+        assert after.state == "done" and after.result["verdict"] == "ok"
+
+    def test_check_error_is_the_job_error(self, tmp_path):
+        # an exception inside the check comes back as the job's error,
+        # and the child stays warm for the next job
+        async def scenario():
+            manager = JobManager(str(tmp_path), pool_size=1)
+            await manager.start()
+            # a request that passes admission but not the child's parse
+            bad = counter_request(module_source="MODULE Bad\nInit == x =")
+            job, _ = manager.submit(bad, prevalidated=True)
+            await wait_terminal(job)
+            pid = manager.health()["check_processes"]
+            after, _ = manager.submit(counter_request())
+            await wait_terminal(after)
+            again = manager.health()["check_processes"]
+            await manager.shutdown()
+            return job, after, pid, again
+
+        job, after, pid, again = asyncio.run(scenario())
+        assert job.state == "failed"
+        assert job.error.startswith("ParseError: ")
+        assert after.state == "done"
+        assert pid == again
 
 
 class TestRequestValidation:

@@ -1,24 +1,64 @@
 """Unit tests for the append-only job journal: replay folding, torn
-final lines (the SIGKILL residue), orphan detection, the exactly-once
-claim protocol, and snapshot compaction."""
+final lines (the SIGKILL residue), which jobs a starting front re-admits
+from it (and that it claims each exactly once), and snapshot
+compaction."""
 
+import asyncio
 import json
 import os
 
 import pytest
 
-from repro.service.journal import (
-    JobJournal,
-    owner_alive,
-    pid_alive,
-    process_start_time,
-)
+from repro.service.jobs import CheckRequest, JobManager, StateDirBusy
+from repro.service.journal import JobJournal
 
 DEAD_PID = 999999999  # beyond pid_max on any Linux
+
+COUNTER_TLA = """
+MODULE Counter
+VARIABLE x \\in 0..2
+Init == x = 0
+Next == x' = (x + 1) % 3
+Spec == Init /\\ [][Next]_<<x>>
+Small == x < 3
+"""
+JOB_ID = "0123456789ab"
 
 
 def journal_for(tmp_path):
     return JobJournal(str(tmp_path / "journal"))
+
+
+def journal_submission(tmp_path, pid=None, done=False):
+    """A job as a front that has exited left it: journal lines only,
+    written by process *pid*."""
+    journal = journal_for(tmp_path)
+    request = CheckRequest(COUNTER_TLA, invariants=("Small",))
+    journal.append("submitted", JOB_ID, tenant="a",
+                   fingerprint=request.fingerprint(),
+                   request=request.to_dict())
+    if done:
+        journal.append("done", JOB_ID, verdict="ok")
+    if pid is not None:
+        with open(journal.log_path) as handle:
+            lines = [json.loads(line) for line in handle]
+        with open(journal.log_path, "w") as handle:
+            for line in lines:
+                handle.write(json.dumps(dict(line, pid=pid)) + "\n")
+    return journal
+
+
+def readmitted(tmp_path):
+    """Start a front on *tmp_path* and report what it re-admitted."""
+    async def scenario():
+        manager = JobManager(str(tmp_path), pool_size=1)
+        await manager.start()
+        job = manager.get(JOB_ID)
+        queued = job is not None and job.state in ("queued", "running")
+        await manager.shutdown()
+        return queued
+
+    return asyncio.run(scenario())
 
 
 class TestReplay:
@@ -35,7 +75,6 @@ class TestReplay:
         assert record["tenant"] == "alice"
         assert record["verdict"] == "ok"
         assert record["request"] == {"spec": "Spec"}
-        assert record["owner"] == os.getpid()
         assert record["counts"] == {"submitted": 1, "started": 1, "done": 1}
 
     def test_replay_is_idempotent_under_reapplied_suffix(self, tmp_path):
@@ -51,7 +90,7 @@ class TestReplay:
             handle.write(lines)
         second = journal.replay()
         assert second["job-1"]["state"] == first["job-1"]["state"]
-        assert second["job-1"]["owner"] == first["job-1"]["owner"]
+        assert second["job-1"]["tenant"] == first["job-1"]["tenant"]
 
     def test_torn_final_line_is_tolerated(self, tmp_path):
         journal = journal_for(tmp_path)
@@ -72,87 +111,68 @@ class TestReplay:
 
 
 class TestOrphans:
+    """A starting front holds its state directory, so every unfinished
+    job in the journal was left by a front that has exited: it is
+    re-admitted, whoever wrote it and whatever that pid is now."""
+
     def test_dead_owner_is_orphaned(self, tmp_path):
-        journal = journal_for(tmp_path)
-        journal.append("submitted", "job-1", tenant="a")
-        jobs = journal.replay()
-        jobs["job-1"]["owner"] = DEAD_PID
-        assert journal.orphans(jobs) == ["job-1"]
+        journal_submission(tmp_path, pid=DEAD_PID)
+        assert readmitted(tmp_path)
 
     def test_own_pid_is_claimable(self, tmp_path):
         # an in-process manager restart: same pid, jobs must be re-owned
-        journal = journal_for(tmp_path)
-        journal.append("submitted", "job-1", tenant="a")
-        assert journal.orphans() == ["job-1"]
+        journal_submission(tmp_path)
+        assert readmitted(tmp_path)
 
     def test_live_foreign_owner_is_left_alone(self, tmp_path):
-        journal = journal_for(tmp_path)
-        journal.append("submitted", "job-1", tenant="a")
-        jobs = journal.replay()
-        owner = os.getppid() or 1  # alive, not us
-        jobs["job-1"]["owner"] = owner
-        jobs["job-1"]["owner_start"] = process_start_time(owner)
-        assert journal.orphans(jobs) == []
+        # a live front holds the directory: a second one cannot start,
+        # so it claims nothing
+        journal = journal_submission(tmp_path)
 
-    @pytest.mark.skipif(process_start_time(os.getpid()) is None,
-                        reason="needs /proc start times")
+        async def scenario():
+            holder = JobManager(str(tmp_path), pool_size=1)
+            await holder.start()
+            second = JobManager(str(tmp_path), pool_size=1)
+            with pytest.raises(StateDirBusy, match=f"pid {os.getpid()}"):
+                await second.start()
+            await holder.shutdown()
+
+        asyncio.run(scenario())
+        # only the holder's one claim
+        assert len(journal.replay()[JOB_ID]["claims"]) == 1
+
     def test_recycled_pid_owner_is_orphaned(self, tmp_path):
-        # the dead owner's pid was reused by an unrelated live process:
-        # a bare pid check would call it alive and strand the job, but
-        # the recorded start time no longer matches, so it is reclaimed
-        journal = journal_for(tmp_path)
-        journal.append("submitted", "job-1", tenant="a")
-        jobs = journal.replay()
-        owner = os.getppid() or 1  # alive -- but a different incarnation
-        jobs["job-1"]["owner"] = owner
-        jobs["job-1"]["owner_start"] = \
-            (process_start_time(owner) or 0) + 17
-        assert journal.orphans(jobs) == ["job-1"]
+        # the writer's pid now names an unrelated live process: liveness
+        # is the directory lock, not a pid, so the job is still re-run
+        journal_submission(tmp_path, pid=os.getppid() or 1)
+        assert readmitted(tmp_path)
 
     def test_terminal_jobs_are_never_orphans(self, tmp_path):
-        journal = journal_for(tmp_path)
-        journal.append("submitted", "job-1", tenant="a")
-        journal.append("done", "job-1", verdict="ok")
-        jobs = journal.replay()
-        jobs["job-1"]["owner"] = DEAD_PID
-        assert journal.orphans(jobs) == []
+        journal = journal_submission(tmp_path, pid=DEAD_PID, done=True)
+        assert not readmitted(tmp_path)
+        assert journal.replay()[JOB_ID]["claims"] == []
 
     def test_claim_transfers_ownership_exactly_once(self, tmp_path):
-        # the recovery protocol: replay -> claim under one lock; a
-        # second recoverer's replay then sees a live owner and backs off
-        journal = journal_for(tmp_path)
-        journal.append("submitted", "job-1", tenant="a")
-        with journal.lock():
-            orphans = journal.orphans()
-            assert orphans == ["job-1"]
-            for job_id in orphans:
-                journal.append_locked("claimed", job_id)
-        record = journal.replay()["job-1"]
-        assert record["owner"] == os.getpid()
-        assert record["state"] == "queued"
-        assert len(record["claims"]) == 1
-        # we own it and we are alive-and-equal: still claimable by us,
-        # but a *different* live process would see owner alive and skip
-        assert pid_alive(record["owner"])
+        # recovery claims each unfinished job once per start; the next
+        # start (after it ran) claims nothing
+        journal = journal_submission(tmp_path, pid=DEAD_PID)
 
-    def test_pid_alive(self):
-        assert pid_alive(os.getpid())
-        assert not pid_alive(DEAD_PID)
-        assert not pid_alive(None)
-        assert not pid_alive(0)
+        async def life():
+            manager = JobManager(str(tmp_path), pool_size=1)
+            await manager.start()
+            job = manager.get(JOB_ID)
+            while not job.terminal:
+                await asyncio.sleep(0.02)
+            await manager.shutdown()
+            return job.state
 
-    def test_owner_alive_degrades_without_start(self):
-        # a record with no start time (old journal, non-Linux writer)
-        # falls back to the pid check
-        assert owner_alive(os.getpid(), None)
-        assert not owner_alive(DEAD_PID, None)
-        assert owner_alive(os.getpid(), process_start_time(os.getpid()))
-
-    @pytest.mark.skipif(process_start_time(os.getpid()) is None,
-                        reason="needs /proc start times")
-    def test_owner_alive_rejects_mismatched_start(self):
-        ours = process_start_time(os.getpid())
-        assert not owner_alive(os.getpid(), ours + 1)
+        assert asyncio.run(life()) == "done"
+        assert asyncio.run(life()) == "done"   # nothing left to claim
+        record = journal.replay()[JOB_ID]
+        assert record["state"] == "done"
+        assert [claim["pid"] for claim in record["claims"]] \
+            == [os.getpid()]
+        assert record["counts"]["done"] == 1
 
 
 class TestCompaction:

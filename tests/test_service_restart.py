@@ -7,9 +7,10 @@
 * ``/metrics`` reconciles with the journal across the kill: every
   admitted job is eventually completed/failed/cancelled exactly once,
   with the dead process's counters still counting;
-* the pre-forked front (``repro serve --procs 2``): one port, one
-  state directory, N processes -- submissions from two tenants all
-  complete and the fleet-wide metrics add up.
+* one front, two check processes: submissions from two tenants all
+  complete and the metrics add up; SIGKILL on the front takes its
+  check processes with it; a second front on a held state directory
+  is refused with a usage error naming the holder.
 """
 
 import json
@@ -191,40 +192,31 @@ class TestSigkillRestart:
 
 class TestMultiProcess:
     def test_two_procs_one_port_two_tenants(self, tmp_path):
+        # one front, --pool-size 2: two check processes behind one port
         state_dir = str(tmp_path / "svc")
-        server = spawn_server(state_dir, "--procs", "2")
+        server = spawn_server(state_dir, "--pool-size", "2")
         try:
-            info = endpoint(state_dir)
-            assert info["procs"] == 2
-            url = info["url"]
-
-            def answering(client):
-                # the endpoint file lands before the children bind, so
-                # early polls may be refused outright
-                try:
-                    return client.health()["status"] == "ok"
-                except OSError:
-                    return False
-
+            url = endpoint(state_dir)["url"]
             job_ids = []
             for offset, tenant in ((2000, "alice"), (3000, "bob")):
                 client = ServiceClient(url, tenant=tenant, timeout=120)
-                wait_until(lambda c=client: answering(c),
-                           message="a child process to answer")
                 # distinct max_states per job AND per tenant: nothing
                 # coalesces or caches, every submission is an admission
                 for n in range(3):
                     job_ids.append(
                         (client,
-                         client.submit(COUNTER_TLA, invariants=["Small"],
+                         client.submit(CHAIN_TLA, invariants=["Bound"],
+                                       level_delay=0.01,
                                        max_states=offset + n)["job"]["id"]))
             for client, job_id in job_ids:
                 final = client.wait(job_id, timeout=120)
                 assert final["state"] == "done", (job_id, final)
                 assert final["result"]["verdict"] == "ok"
 
-            # the fleet-wide exposition adds both children's slices up,
-            # whichever child served each submission
+            health = ServiceClient(url).health()
+            assert health["pool_size"] == 2
+            assert len(set(health["check_processes"])) == 2
+            assert server.pid not in health["check_processes"]
             text = ServiceClient(url).metrics()
             admitted = metric_total(text, "repro_jobs_admitted_total")
             completed = metric_total(text, "repro_jobs_completed_total")
@@ -234,65 +226,89 @@ class TestMultiProcess:
                 assert metric_total(text, "repro_jobs_admitted_total",
                                     tenant=tenant) == 3.0
 
-            server.send_signal(signal.SIGTERM)  # parent relays to children
+            server.send_signal(signal.SIGTERM)
             server.wait(timeout=30)
         finally:
             if server.poll() is None:
                 server.kill()
         assert server.returncode == 0
+        # the drain reaped both check processes
+        for pid in health["check_processes"]:
+            assert not _pid_alive(pid)
+
+    def test_second_front_on_a_held_state_dir_exits_2(self, tmp_path):
+        state_dir = str(tmp_path / "svc")
+        first = spawn_server(state_dir)
+        try:
+            endpoint(state_dir)
+            second = spawn_server(state_dir)
+            output, _ = second.communicate(timeout=60)
+            assert second.returncode == 2
+            lines = output.decode().splitlines()
+            assert len(lines) == 1, lines
+            assert lines[0].startswith("error: ")
+            assert f"pid {first.pid}" in lines[0]
+            assert "Traceback" not in lines[0]
+            # the refused front touched nothing the holder serves
+            client = ServiceClient(endpoint(state_dir)["url"])
+            assert client.health()["pid"] == first.pid
+            first.send_signal(signal.SIGTERM)
+            first.wait(timeout=30)
+        finally:
+            if first.poll() is None:
+                first.kill()
+        assert first.returncode == 0
 
     @pytest.mark.skipif(not os.path.isdir("/proc"),
-                        reason="finds the children via /proc cmdlines")
+                        reason="reads process states from /proc")
     def test_children_drain_when_parent_is_sigkilled(self, tmp_path):
-        # SIGKILL on the supervisor cannot be relayed; the children's
-        # re-parenting watchdog must drain them instead of leaving two
-        # orphans serving a port nobody supervises
+        # SIGKILL on the front cannot be caught: its check processes
+        # must still go (parent-death signal), and the next front
+        # resumes the interrupted job to the uninterrupted digest
         state_dir = str(tmp_path / "svc")
-        server = spawn_server(state_dir, "--procs", "2")
+        fresh = run_check(CheckRequest(module_source=CHAIN_TLA,
+                                       invariants=("Bound",)))
+        server = spawn_server(state_dir)
         try:
-            url = endpoint(state_dir)["url"]
-            client = ServiceClient(url, timeout=120)
-
-            def answering():
-                try:
-                    return client.health()["status"] == "ok"
-                except OSError:
-                    return False
-
-            wait_until(answering, message="a child process to answer")
-            children = _serve_pids(state_dir, exclude=server.pid)
-            assert len(children) == 2, children
-
+            client = ServiceClient(endpoint(state_dir)["url"], timeout=120)
+            job_id = client.submit(CHAIN_TLA, invariants=["Bound"],
+                                   level_delay=0.1)["job"]["id"]
+            wait_until(lambda: client.job(job_id)["events"] >= 4,
+                       message="the job to make checkpointed progress")
+            children = client.health()["check_processes"]
+            assert len(children) == 1, children
             server.send_signal(signal.SIGKILL)
             server.wait(timeout=30)
-            wait_until(lambda: all(not _pid_alive(pid) for pid in children),
-                       timeout=30,
-                       message="orphaned children to drain themselves")
+            wait_until(lambda: not any(_pid_alive(pid) for pid in children),
+                       timeout=10,
+                       message="the check processes to die with the front")
         finally:
             if server.poll() is None:
                 server.kill()
 
+        os.unlink(os.path.join(state_dir, "server.json"))
+        second = spawn_server(state_dir)
+        try:
+            client = ServiceClient(endpoint(state_dir)["url"], timeout=120)
+            final = client.wait(job_id, timeout=120)
+            assert final["state"] == "done", final
+            assert final["result"]["graph_digest"] == fresh["graph_digest"]
+            events = [e["event"] for e in client.events(job_id)]
+            assert "requeued" in events
+            second.send_signal(signal.SIGTERM)
+            second.wait(timeout=30)
+        finally:
+            if second.poll() is None:
+                second.kill()
+        assert second.returncode == 0
+
 
 def _pid_alive(pid):
+    """Running, not merely an unreaped zombie (an orphan's reaper may
+    be slow, or absent in a container)."""
     try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            state = handle.read().rsplit(b")", 1)[1].split()[0]
+    except (OSError, IndexError):
         return False
-    return True
-
-
-def _serve_pids(state_dir, exclude):
-    """Pids of every ``repro serve`` process over *state_dir* (via
-    /proc cmdlines), minus *exclude* -- i.e. the forked children."""
-    pids = []
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit() or int(entry) == exclude:
-            continue
-        try:
-            with open(f"/proc/{entry}/cmdline", "rb") as handle:
-                cmdline = handle.read().decode("utf-8", "replace")
-        except OSError:
-            continue
-        if state_dir in cmdline and "serve" in cmdline:
-            pids.append(int(entry))
-    return pids
+    return state != b"Z"
