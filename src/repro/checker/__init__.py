@@ -33,14 +33,7 @@ from .liveness import (
     fair_units,
     premises_of_spec,
 )
-from .reduction import (
-    MemoryStateStore,
-    ReductionConfig,
-    SpillStateStore,
-    StateStore,
-    build_store,
-    decompose,
-)
+from .reduction import ReductionConfig, decompose
 from .refinement import IDENTITY, RefinementMapping, check_safety_refinement
 from .results import CheckResult, Counterexample
 
@@ -80,8 +73,4 @@ __all__ = [
     "Counterexample",
     "ReductionConfig",
     "decompose",
-    "StateStore",
-    "MemoryStateStore",
-    "SpillStateStore",
-    "build_store",
 ]

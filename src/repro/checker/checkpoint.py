@@ -7,13 +7,14 @@ the cost of the rows a run interns, not of the graph it has so far:
 
 * A checkpoint is an append-only **level log** (:class:`LevelLog`): a
   magic line, one header frame (format, version, spec name, the
-  engine's variables or codec signature, budget, cadence, reduction and
-  store configs), then one frame per snapshot.  A snapshot's record
-  holds only what the level boundary added: the rows, fingerprints and
-  parents interned since the previous record, the adjacency of the
-  sources expanded since then (BFS expands in node-id order, so both are
-  contiguous id ranges), the frontier, the ``depth`` / ``levels`` /
-  elapsed counters and the cumulative stats.  A run's checkpoint I/O is
+  engine's variables or codec signature, budget, cadence, the full
+  engine's reduction config), then one frame per snapshot.  A
+  snapshot's record holds only what the level boundary added: the rows,
+  fingerprints and parents interned since the previous record, the
+  adjacency of the sources expanded since then -- both engines keep
+  their edges -- (BFS expands in node-id order, so both are contiguous
+  id ranges), the frontier, the ``depth`` / ``levels`` / elapsed
+  counters and the cumulative stats.  A run's checkpoint I/O is
   therefore O(states), however many levels it snapshots.
 * Frames are length-prefixed and CRC32-checked and every append is
   ``fsync``'d.  Every run, fresh or resumed, writes the header
@@ -69,6 +70,7 @@ __all__ = [
     "run_header",
     "save_checkpoint",
     "read_checkpoint",
+    "checkpoint_mode",
     "load_checkpoint",
     "resume",
     "manifest_path_for",
@@ -95,8 +97,8 @@ _LENGTH = struct.Struct(">I")
 _SAME_PATH = object()
 
 # resume()'s "adopt whatever the checkpoint recorded" default for the
-# reduction / store configurations (None is a meaningful explicit value:
-# "I want this run unreduced / in-RAM", which must *match* the snapshot)
+# reduction configuration (None is a meaningful explicit value: "I want
+# this run unreduced", which must *match* the snapshot)
 _ADOPT = object()
 
 
@@ -143,7 +145,7 @@ def run_header(spec_name: str, max_states: Optional[int], workers: int,
                engine: Dict[str, object]) -> Dict[str, object]:
     """A level log's header: what identifies the run, then the engine's
     own fields (``mode``, ``variables`` or ``codec_signature``, and the
-    full engine's ``reduction`` / ``store`` configs)."""
+    full engine's ``reduction`` config)."""
     header: Dict[str, object] = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -158,14 +160,12 @@ def run_header(spec_name: str, max_states: Optional[int], workers: int,
 
 
 def graph_header(graph: StateGraph,
-                 reduction: Optional[Dict[str, object]],
-                 store: Optional[Dict[str, object]]) -> Dict[str, object]:
-    """The full engine's header fields.  ``reduction`` / ``store`` are
-    the run's effective ``ReductionConfig.as_dict()`` /
-    ``StateStore.config()``, recorded so :func:`resume` continues under
-    the *same* semantics."""
+                 reduction: Optional[Dict[str, object]]) -> Dict[str, object]:
+    """The full engine's header fields.  ``reduction`` is the run's
+    effective ``ReductionConfig.as_dict()``, recorded so :func:`resume`
+    continues under the *same* semantics."""
     return {"variables": list(graph.universe.variables),
-            "reduction": reduction, "store": store}
+            "reduction": reduction}
 
 
 def graph_rows(graph: StateGraph, nodes: range,
@@ -272,7 +272,6 @@ def save_checkpoint(
     checkpoint_every: int = 1,
     stats: Optional[ExploreStats] = None,
     reduction: Optional[Dict[str, object]] = None,
-    store: Optional[Dict[str, object]] = None,
 ) -> None:
     """Write a fresh level log holding *graph* as one record: the
     header, then every state, and the adjacency of every node below the
@@ -282,12 +281,9 @@ def save_checkpoint(
     ``depth`` is the stats-visible frontier depth so far, ``levels`` the
     number of completed expansion rounds (the checkpoint cadence
     counter) -- the loop state of :func:`repro.checker.bfs.drive`
-    between two levels.  Spill-store states are re-interned from the
-    log on resume, so it is self-contained even if the spill files are
-    lost."""
+    between two levels."""
     header = run_header(spec.name, graph.max_states, workers,
-                        checkpoint_every,
-                        graph_header(graph, reduction, store))
+                        checkpoint_every, graph_header(graph, reduction))
     LevelLog(path, header).append_level(
         graph, lambda nodes, sources: graph_rows(graph, nodes, sources),
         frontier, depth, levels, elapsed_seconds, stats)
@@ -360,11 +356,13 @@ class Checkpoint:
     columns every record appended, and the loop state of the last
     complete record.
 
-    ``parent`` uses ``-1`` for initial states in both engines; the full
-    engine's columns are ``states`` (portable rows), ``fingerprints``
-    and ``succ`` (adjacency of the expanded sources, stutter loop
-    implied), the compact engine's are ``packed`` plus the running
-    ``edge_count`` and ``digest``.  ``frontier`` lists the node ids the
+    ``parent`` uses ``-1`` for initial states and ``succ`` holds the
+    adjacency of the expanded sources (stutter loop implied) in both
+    engines; the full engine's rows are ``states`` (portable rows) and
+    ``fingerprints``, the compact engine's are ``packed``, plus the
+    running ``edge_count`` and ``digest``.  A full header's ``store``
+    field, written while the spill store existed, is ignored: every
+    full run interns in RAM.  ``frontier`` lists the node ids the
     last record left unexpanded."""
 
     def __init__(self, path: str, header_bytes: bytes,
@@ -403,7 +401,7 @@ class Checkpoint:
                 self.codec_signature: str = header["codec_signature"]
                 self.need(isinstance(self.codec_signature, str),
                           "codec_signature must be a string")
-                self.reduction_config = self.store_config = None
+                self.reduction_config = None
             else:
                 self.variables: List[str] = header["variables"]
                 self.need(isinstance(self.variables, list)
@@ -412,11 +410,9 @@ class Checkpoint:
                           "variables must be a list of names")
                 self.reduction_config: Optional[Dict[str, object]] = \
                     header["reduction"]
-                self.store_config: Optional[Dict[str, object]] = \
-                    header["store"]
-                for name in ("reduction", "store"):
-                    self.need(isinstance(header[name], (dict, type(None))),
-                              f"{name} must be null or an object")
+                self.need(isinstance(self.reduction_config,
+                                     (dict, type(None))),
+                          "reduction must be null or an object")
             self._fold(records, compact)
         except (KeyError, TypeError) as exc:
             raise CheckpointError(
@@ -466,6 +462,16 @@ class Checkpoint:
                      f"{lowest}..{count - 1}")
 
             ids("parent", parent, -1)
+            if compact and "succ" not in record:
+                raise CheckpointError(
+                    f"{self.path}: record {index} holds no succ: the log "
+                    f"was written before the compact engine kept its "
+                    f"edges and cannot be resumed; start the run afresh")
+            succ = record["succ"]
+            need(isinstance(succ, list), f"{where}succ must be a list")
+            for row in succ:
+                ids("succ", row)
+            self.succ.extend(succ)
             if compact:
                 packed = record["packed"]
                 need(isinstance(packed, list) and len(packed) == len(parent)
@@ -492,13 +498,8 @@ class Checkpoint:
                      and len(fingerprints) == len(parent)
                      and all(isinstance(fp, str) for fp in fingerprints),
                      f"{where}fingerprints must hold one string per node")
-                succ = record["succ"]
-                need(isinstance(succ, list), f"{where}succ must be a list")
-                for row in succ:
-                    ids("succ", row)
                 self.states.extend(rows)
                 self.fingerprints.extend(fingerprints)
-                self.succ.extend(succ)
             self.parent.extend(parent)
             frontier = record["frontier"]
             need(isinstance(frontier, list) and len(frontier) == 2
@@ -506,7 +507,7 @@ class Checkpoint:
                  and frontier[1] == count,
                  f"{where}frontier must be the node-id range "
                  f"[first, {count}) left unexpanded")
-            need(compact or len(self.succ) == frontier[0],
+            need(len(self.succ) == frontier[0],
                  f"{where}succ must hold one row per node below the "
                  f"frontier")
             self.frontier = list(range(frontier[0], count))
@@ -543,17 +544,11 @@ class Checkpoint:
             stats.restore(self.stats_snapshot)
 
     def restore_graph(self, spec: Spec,
-                      max_states: Optional[int] = None,
-                      store: object = None) -> StateGraph:
+                      max_states: Optional[int] = None) -> StateGraph:
         """Rebuild the full-engine graph against *spec*'s universe,
         verifying that the header's variables match and that every
         decoded state reproduces its stored fingerprint (corruption /
-        encoding-drift detection).
-
-        *store* is the :class:`~repro.checker.reduction.store.StateStore`
-        to re-intern the states through (default: fresh in-RAM store);
-        spill stores rebuild their data/index files from the log, so
-        resuming never depends on the old spill files surviving."""
+        encoding-drift detection)."""
         variables = self.variables
         if variables != list(spec.universe.variables):
             raise CheckpointError(
@@ -586,7 +581,6 @@ class Checkpoint:
             self.init_nodes,
             max_states=self.max_states if max_states is None else max_states,
             name=spec.name,
-            store=store,
         )
 
 
@@ -616,13 +610,35 @@ def read_checkpoint(path: str, mode: object = _ANY_MODE) -> Checkpoint:
         if loaded.mode == COMPACT_CHECKPOINT_MODE:
             raise CheckpointError(
                 f"{path}: checkpoint was written by the compact engine; "
-                f"resume it with --compact "
-                f"(repro.checker.compact.resume_compact)")
+                f"resume it with repro.checker.compact.resume_compact")
         raise CheckpointError(
             f"{path}: checkpoint was written by the full-state engine; "
-            f"resume it without --compact (the two engines' snapshots "
-            f"are not interchangeable)")
+            f"resume it with repro.checker.checkpoint.resume (the two "
+            f"engines' snapshots are not interchangeable)")
     return loaded
+
+
+def checkpoint_mode(path: str) -> Optional[str]:
+    """The engine the level log at *path* was written by -- its header's
+    ``mode``: ``None`` for the full engine, ``"compact"`` -- read from the
+    header frame alone.  A file whose header does not check out is
+    handed to :func:`read_checkpoint`, which fails closed saying why."""
+    try:
+        with open(path, "rb") as handle:
+            head = handle.read(len(_MAGIC) + _FRAME.size)
+            length, length_crc, body_crc = _FRAME.unpack_from(
+                head, len(_MAGIC))
+            body = handle.read(length)
+        header = json.loads(body.decode("utf-8"))
+        if (head.startswith(_MAGIC)
+                and zlib.crc32(_LENGTH.pack(length)) == length_crc
+                and zlib.crc32(body) == body_crc
+                and isinstance(header, dict)
+                and _identity_error(path, header) is None):
+            return header.get("mode")
+    except (OSError, struct.error, ValueError):
+        pass
+    return read_checkpoint(path).mode
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -637,10 +653,6 @@ def _reduction_dict(reduction: object) -> Optional[Dict[str, object]]:
     return reduction.as_dict()  # a ReductionConfig
 
 
-def _store_kind(config: Optional[Dict[str, object]]) -> str:
-    return "mem" if config is None else str(config.get("kind", "mem"))
-
-
 def resume(
     path: str,
     spec: Spec,
@@ -653,7 +665,6 @@ def resume(
     worker_timeout: Optional[float] = None,
     fault_hook: object = None,
     reduction: object = _ADOPT,
-    store: object = _ADOPT,
 ) -> StateGraph:
     """Continue an exploration of *spec* from a checkpoint, bit-for-bit.
 
@@ -667,23 +678,19 @@ def resume(
     keeps checkpointing to the same *path*; pass ``checkpoint=None`` to
     disable further snapshots, or another path to redirect them.
 
-    The run's partial-order-reduction and state-store semantics are
-    adopted from the snapshot by default.  Passing ``reduction`` (a
+    The run's partial-order-reduction semantics are adopted from the
+    snapshot by default.  Passing ``reduction`` (a
     :class:`~repro.checker.reduction.por.ReductionConfig`, its dict
-    form, or ``None`` for "unreduced") or ``store`` (a
-    ``StateStore.config()`` dict, or ``None`` for in-RAM) asserts what
-    the caller *expects* the run to be: a mismatch with the snapshot
-    raises :class:`CheckpointError` instead of silently continuing the
-    run under different semantics, which would not reproduce it.  For a
-    spill store the directory/capacity may differ (the files are rebuilt
-    from the snapshot); only the store *kind* must match.
+    form, or ``None`` for "unreduced") asserts what the caller
+    *expects* the run to be: a mismatch with the snapshot raises
+    :class:`CheckpointError` instead of silently continuing the run
+    under different semantics, which would not reproduce it.
     """
     start = perf_counter()
     from .bfs import drive, resolve_options
     from .explorer import FullEngine, _resolve_reducer
     from .parallel import local_level
     from .reduction.por import ReductionConfig
-    from .reduction.store import build_store
 
     loaded = load_checkpoint(path)
     options = resolve_options(workers, worker_timeout, fault_hook,
@@ -700,37 +707,15 @@ def resume(
                 f"{reduction_cfg!r}; resuming under different reduction "
                 f"semantics would not reproduce the run"
             )
-    store_cfg: Optional[Dict[str, object]]
-    if store is _ADOPT:
-        store_cfg = loaded.store_config
-    else:
-        store_cfg = store  # type: ignore[assignment]
-        if _store_kind(store_cfg) != _store_kind(loaded.store_config):
-            raise CheckpointError(
-                f"{path}: checkpoint was written with a "
-                f"{_store_kind(loaded.store_config)!r} state store but the "
-                f"resume requested {_store_kind(store_cfg)!r}; pick one or "
-                f"drop the flag to adopt the checkpoint's store"
-            )
     reducer_config = (
         ReductionConfig(tuple(reduction_cfg.get("observed_vars", ())))
         if reduction_cfg is not None else None)
-
-    run_store = build_store(store_cfg)
-    # close the store we just built on any error path: a resume that
-    # explodes (or crashes) never hands the graph back, so this is the
-    # only chance to release a spill store's mmap/file handles
-    try:
-        graph = loaded.restore_graph(spec, max_states=max_states,
-                                     store=run_store)
-        loaded.restore_stats(stats)
-        engine = FullEngine(spec, graph,
-                            _resolve_reducer(spec, reducer_config, stats))
-        return drive(local_level(engine, stats, options),
-                     list(loaded.frontier), start, loaded)
-    except BaseException:
-        run_store.close()
-        raise
+    graph = loaded.restore_graph(spec, max_states=max_states)
+    loaded.restore_stats(stats)
+    engine = FullEngine(spec, graph,
+                        _resolve_reducer(spec, reducer_config, stats))
+    return drive(local_level(engine, stats, options),
+                 list(loaded.frontier), start, loaded)
 
 
 # -- run manifests -----------------------------------------------------------
@@ -771,16 +756,15 @@ def write_manifest(
     stats: Optional[ExploreStats] = None,
     error: Optional[str] = None,
     reduction: Optional[Dict[str, object]] = None,
-    store: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """Atomically write a JSON run manifest; returns the payload.
 
     *outcome* is one of ``"ok"`` (all checks passed / exploration
     completed), ``"violation"`` (a counterexample was found),
     ``"explosion"`` (the state budget was exceeded), or ``"error"``.
-    ``reduction`` / ``store`` record the *effective* reduction and
-    state-store configuration of the run (after any auto-disable), so
-    the artifact says what semantics actually produced the verdict.
+    ``reduction`` records the *effective* reduction configuration of
+    the run (after any auto-disable), so the artifact says what
+    semantics actually produced the verdict.
     """
     payload: Dict[str, object] = {
         "format": "repro-run-manifest",
@@ -797,7 +781,6 @@ def write_manifest(
         "stats": stats.as_dict() if stats is not None else None,
         "error": error,
         "reduction": reduction,
-        "store": store,
     }
     _replace(path, _encode(payload))
     return payload

@@ -36,14 +36,17 @@ engine counts any fingerprint collisions it observes on
 birthday-bound collision probability is reported in
 ``ExploreStats.summary()`` / ``to_json()``.
 
-Temporal (lasso) properties need the full successor structure, which
-the compact engine deliberately does not retain; callers gate those to
-the full engine (the CLI refuses ``--compact --property``, the service
-auto-disables compact with a note).
+The graph keeps its edges too, as CSR arrays (an ``array('I')`` of
+successor ids plus an offsets array, about 4 bytes per edge), so every
+graph query -- SCCs, shortest paths, lasso construction -- runs on it
+through :class:`~repro.checker.graph.GraphQueries`, and temporal
+properties, refinement and certificates check on packed rows exactly as
+on a :class:`~repro.checker.graph.StateGraph`.
 """
 
 from __future__ import annotations
 
+from array import array
 from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -63,7 +66,7 @@ from .checkpoint import (
 )
 from .digest import GraphDigest
 from .explorer import initial_states
-from .graph import StateSpaceExplosion
+from .graph import GraphQueries, StateSpaceExplosion
 from .parallel import local_level
 from .results import CheckResult, Counterexample
 from .stats import ExploreStats, maybe_phase
@@ -81,7 +84,7 @@ class _PackedStatesView:
     """Read-only sequence of decoded states, materialised per access.
 
     Gives a :class:`CompactGraph` the ``graph.states[node]`` surface the
-    CLI's ``--show`` and ad-hoc callers expect, without retaining any
+    checking layers and the CLI's ``--show`` read, without retaining any
     :class:`~repro.kernel.state.State` objects.
     """
 
@@ -102,20 +105,51 @@ class _PackedStatesView:
             yield decode(packed)
 
 
-class CompactGraph:
-    """A reachable state graph retaining only packed ints + BFS parents.
+class _CsrSuccessors:
+    """Read-only ``succ[i]`` of a :class:`CompactGraph`, rebuilt from
+    its CSR arrays: the stutter loop first, then the deduplicated
+    targets in insertion order -- equal to ``StateGraph.succ[i]``.  A
+    node not expanded yet has only its stutter loop."""
 
-    Mirrors the :class:`~repro.checker.graph.StateGraph` surface the
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: "CompactGraph"):
+        self._graph = graph
+
+    def __len__(self) -> int:
+        return len(self._graph.packed)
+
+    def __getitem__(self, node: int) -> List[int]:
+        graph = self._graph
+        if not 0 <= node < len(graph.packed):
+            raise IndexError(f"node {node!r} is not in this graph")
+        offsets = graph._offsets
+        if node + 1 < len(offsets):
+            return [node, *graph._targets[offsets[node]:offsets[node + 1]]]
+        return [node]
+
+
+class CompactGraph(GraphQueries):
+    """A reachable state graph retaining packed ints, BFS parents and
+    CSR edges.
+
+    Answers the :class:`~repro.checker.graph.StateGraph` surface the
     checking layers read (``state_count`` / ``edge_count`` /
-    ``stutter_count`` / ``init_nodes`` / ``path_to_root`` / ``states``)
-    but drops successor lists and full states.  The transition structure
-    is folded into a streaming :class:`GraphDigest` at expansion time
-    instead, so two explorations can still be compared bit-for-bit.
+    ``stutter_count`` / ``init_nodes`` / ``universe`` / ``states`` /
+    ``succ`` / ``has_edge`` and the shared
+    :class:`~repro.checker.graph.GraphQueries`) without full states:
+    ``states[i]`` decodes on access.  Sources are expanded in node-id
+    order, so the CSR arrays -- ``_targets`` (successor ids) and
+    ``_offsets`` (where each expanded source's run starts; one more
+    entry than expanded sources) -- only ever grow at the end.  The
+    transition structure is also folded into a streaming
+    :class:`GraphDigest`, so two explorations compare bit-for-bit.
     """
 
     def __init__(self, spec: Spec, plan: Optional[PackedPlan] = None,
                  max_states: Optional[int] = None):
         self.spec = spec
+        self.universe = spec.universe
         self.plan = plan if plan is not None else PackedPlan(spec)
         self.codec = self.plan.codec
         self.name = spec.name
@@ -124,7 +158,10 @@ class CompactGraph:
         self.packed: List[int] = []         # node id -> packed
         self.parent: List[int] = []         # node id -> parent (-1: initial)
         self.init_nodes: List[int] = []
-        self._edge_count = 0
+        self._targets = array("I")
+        self._offsets = array("Q", [0])
+        self.succ = _CsrSuccessors(self)
+        self.states = _PackedStatesView(self)
         self._fingerprints: set = set()
         self._collisions = 0
         self._digest = GraphDigest()
@@ -167,11 +204,16 @@ class CompactGraph:
                          successors: Iterable[int]) -> List[int]:
         """Merge one source's successor emission; returns new node ids.
 
-        Edge accounting matches the full engine: stutter self-loops and
-        repeated targets are not counted, and the deduplicated target
-        list (the full engine's ``succ[src][1:]``) feeds the digest's
-        edge stream.
+        *src* must be the next unexpanded node.  Edge accounting matches
+        the full engine: stutter self-loops and repeated targets are not
+        stored, and the deduplicated target list (the full engine's
+        ``succ[src][1:]``) is appended to the CSR arrays and feeds the
+        digest's edge stream.
         """
+        if src != len(self._offsets) - 1:
+            raise RuntimeError(
+                f"node {src} merged out of order: the next source to "
+                f"expand is {len(self._offsets) - 1}")
         new_nodes: List[int] = []
         dsts: List[int] = []
         seen: set = set()
@@ -182,9 +224,20 @@ class CompactGraph:
             if node != src and node not in seen:
                 seen.add(node)
                 dsts.append(node)
-        self._edge_count += len(dsts)
+        self._targets.extend(dsts)
+        self._offsets.append(len(self._targets))
         self._digest.absorb_edges(src, dsts)
         return new_nodes
+
+    def has_edge(self, src: int, dst: int) -> bool:
+        """Membership test, stutter self-loops included: linear in the
+        out-degree of *src*."""
+        if dst == src:
+            return True
+        offsets = self._offsets
+        if src + 1 >= len(offsets):
+            return False
+        return dst in self._targets[offsets[src]:offsets[src + 1]]
 
     # -- StateGraph-compatible surface ---------------------------------------
 
@@ -194,7 +247,7 @@ class CompactGraph:
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        return len(self._targets)
 
     @property
     def stutter_count(self) -> int:
@@ -202,37 +255,17 @@ class CompactGraph:
 
     @property
     def total_edge_count(self) -> int:
-        return self._edge_count + len(self.packed)
-
-    @property
-    def states(self) -> _PackedStatesView:
-        return _PackedStatesView(self)
+        return len(self._targets) + len(self.packed)
 
     @property
     def fingerprint_collisions(self) -> int:
         """Distinct states observed sharing a 64-bit fingerprint."""
         return self._collisions
 
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < len(self.packed):
-            raise ValueError(
-                f"node {node!r} is not in this graph (valid ids: "
-                f"0..{len(self.packed) - 1}); states beyond the "
-                f"max_states budget are never interned")
-
     def state_at(self, node: int):
         """Decode node *node* back into a full ``State``."""
         self._check_node(node)
         return self.codec.decode(self.packed[node])
-
-    def path_to_root(self, node: int) -> List[int]:
-        """The BFS-tree path from an initial node to *node* (inclusive)."""
-        self._check_node(node)
-        path = [node]
-        while self.parent[path[-1]] >= 0:
-            path.append(self.parent[path[-1]])
-        path.reverse()
-        return path
 
     def trace_to(self, node: int) -> FiniteBehavior:
         """Regenerate the counterexample trace reaching *node*.
@@ -288,7 +321,6 @@ class CompactEngine:
     def finish(self, stats: Optional[ExploreStats]) -> None:
         if stats is not None:
             stats.engine = "compact"
-            stats.fingerprint_collisions = self.graph.fingerprint_collisions
 
 
 def explore_compact(
@@ -338,14 +370,18 @@ def _compact_header(graph: CompactGraph) -> Dict[str, object]:
 
 
 def _compact_rows(graph: CompactGraph, nodes: range,
-                  _sources: range) -> Dict[str, object]:
+                  sources: range) -> Dict[str, object]:
     """The compact engine's share of one record: packed ints and parents
-    of *nodes*, plus the running edge count and digest accumulator --
-    edges are not retained, so the digest stream *must* survive the
-    round trip rather than be recomputed."""
+    of *nodes*, the adjacency of *sources* without the implied stutter
+    self-loop (as a full record stores it), the running edge count (a
+    resume checks the adjacency against it) and the digest accumulator
+    (a resume continues it)."""
+    targets, offsets = graph._targets, graph._offsets
     return {
         "packed": graph.packed[nodes.start:nodes.stop],
         "parent": graph.parent[nodes.start:nodes.stop],
+        "succ": [targets[offsets[src]:offsets[src + 1]].tolist()
+                 for src in sources],
         "edge_count": graph.edge_count,
         "digest": graph.digest_state(),
     }
@@ -404,7 +440,15 @@ def restore_compact(
         raise CheckpointError(
             f"{path}: duplicate packed states; the checkpoint is corrupt")
     graph.init_nodes = loaded.init_nodes
-    graph._edge_count = loaded.edge_count
+    targets, offsets = graph._targets, graph._offsets
+    for row in loaded.succ:
+        targets.extend(row)
+        offsets.append(len(targets))
+    if len(targets) != loaded.edge_count:
+        raise CheckpointError(
+            f"{path}: the stored adjacency holds {len(targets)} edges but "
+            f"the log records {loaded.edge_count}; the checkpoint is "
+            f"corrupt")
     graph._digest = GraphDigest.restore(loaded.digest)
     fingerprint = plan.codec.fingerprint
     limit = 1 << plan.codec.bits

@@ -20,16 +20,12 @@ appends a snapshot to a level log every ``checkpoint_every`` levels and
 :func:`repro.checker.checkpoint.resume` continues a snapshot bit for
 bit.
 
-Two scaling levers plug in through :mod:`repro.checker.reduction`:
-
-* ``reduction=ReductionConfig(...)`` enables ample/stubborn-set
-  partial-order reduction derived from the paper's ``Disjoint``
-  decomposition -- sound for invariants and deadlock, auto-disabled
-  (with the reason recorded on the stats) when the action shape is not
-  reducible.  The POR-off path is byte-identical to the pre-subsystem
-  explorer.
-* ``store=...`` swaps the state-interning backend (in-RAM dict vs the
-  disk spill store), without changing node numbering or verdicts.
+``reduction=ReductionConfig(...)`` (see :mod:`repro.checker.reduction`)
+enables ample/stubborn-set partial-order reduction derived from the
+paper's ``Disjoint`` decomposition -- sound for invariants and deadlock,
+auto-disabled (with the reason recorded on the stats) when the action
+shape is not reducible.  The POR-off path is byte-identical to the
+unreduced explorer.
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ from .stats import ExploreStats, maybe_phase
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from .reduction.por import AmpleReducer, ReductionConfig
-    from .reduction.store import StateStore
 
 __all__ = ["StateSpaceExplosion", "initial_states", "explore"]
 
@@ -79,14 +74,12 @@ def initial_states(init: Expr, universe: Universe) -> Iterator[State]:
     yield from compile_action(primed).plan(universe).successors(dummy)
 
 
-def _seed_graph(
-    spec: Spec, max_states: int, store: Optional["StateStore"] = None
-) -> Tuple[StateGraph, List[int]]:
+def _seed_graph(spec: Spec,
+                max_states: int) -> Tuple[StateGraph, List[int]]:
     """A fresh graph holding the spec's initial states, plus the level-0
     frontier -- the common starting point of the serial and parallel
     explorers."""
-    graph = StateGraph(spec.universe, max_states=max_states, name=spec.name,
-                       store=store)
+    graph = StateGraph(spec.universe, max_states=max_states, name=spec.name)
     frontier: List[int] = []
     for state in initial_states(spec.init, spec.universe):
         node, new = graph.add_state(state)
@@ -150,8 +143,7 @@ class FullEngine:
     def header(self) -> Dict[str, object]:
         return graph_header(self.graph,
                             (self.reduction.as_dict()
-                             if self.reduction is not None else None),
-                            self.graph.store.config())
+                             if self.reduction is not None else None))
 
     def snapshot(self, nodes: range, sources: range) -> Dict[str, object]:
         return graph_rows(self.graph, nodes, sources)
@@ -169,7 +161,6 @@ class FullEngine:
 def _explore_full(spec: Spec, max_states: int, stats: Optional[ExploreStats],
                   options: RunOptions,
                   reduction: Optional["ReductionConfig"],
-                  store: Optional["StateStore"],
                   configure: Callable[..., Serial],
                   start: float) -> StateGraph:
     """Seed a fresh full-state graph and drive it under the
@@ -177,18 +168,10 @@ def _explore_full(spec: Spec, max_states: int, stats: Optional[ExploreStats],
     :func:`explore` and
     :func:`~repro.checker.parallel.explore_parallel`."""
     reducer = _resolve_reducer(spec, reduction, stats)
-    # on any error (budget explosion included) close the caller's store:
-    # exceptions escape with the graph unreachable to the caller, so this
-    # is the only place a spilled run's mmap/file handles get released
-    try:
-        graph, frontier = _seed_graph(spec, max_states, store=store)
-        with maybe_phase(stats, "plan"):
-            engine = FullEngine(spec, graph, reducer)
-        return drive(configure(engine, stats, options), frontier, start)
-    except BaseException:
-        if store is not None:
-            store.close()
-        raise
+    graph, frontier = _seed_graph(spec, max_states)
+    with maybe_phase(stats, "plan"):
+        engine = FullEngine(spec, graph, reducer)
+    return drive(configure(engine, stats, options), frontier, start)
 
 
 def explore(
@@ -198,7 +181,6 @@ def explore(
     checkpoint: Optional[str] = None,
     checkpoint_every: int = 1,
     reduction: Optional["ReductionConfig"] = None,
-    store: Optional["StateStore"] = None,
 ) -> StateGraph:
     """The reachable state graph of ``Init ∧ □[N]_v`` over the spec's universe.
 
@@ -219,11 +201,10 @@ def explore(
     bit-for-bit identically (including after a crash or an exceeded
     budget -- the last complete snapshot survives both).
 
-    ``reduction`` / ``store`` plug in partial-order reduction and the
-    state-store backend (see :mod:`repro.checker.reduction`); both
-    default to off, which is the byte-identical legacy behaviour.
+    ``reduction`` plugs in partial-order reduction (see
+    :mod:`repro.checker.reduction`); it defaults to off.
     """
     start = perf_counter()
     options = RunOptions(1, None, None, checkpoint, checkpoint_every)
-    return _explore_full(spec, max_states, stats, options, reduction, store,
+    return _explore_full(spec, max_states, stats, options, reduction,
                          Serial, start)

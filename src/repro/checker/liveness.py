@@ -60,7 +60,7 @@ from ..temporal.formulas import (
 )
 from ..temporal.semantics import EvalContext
 from .explorer import explore
-from .graph import StateGraph
+from .graph import GraphQueries
 from .refinement import IDENTITY, RefinementMapping
 from .results import CheckResult, Counterexample
 from .stats import ExploreStats, maybe_phase
@@ -93,10 +93,10 @@ class PremiseConstraint:
         cls = WF if self.kind == "WF" else SF
         return cls(self.sub, self.action)
 
-    def is_step(self, graph: StateGraph, src: int, dst: int) -> bool:
+    def is_step(self, graph: GraphQueries, src: int, dst: int) -> bool:
         return holds_on_step(self._angle, graph.states[src], graph.states[dst])
 
-    def is_enabled(self, graph: StateGraph, node: int) -> bool:
+    def is_enabled(self, graph: GraphQueries, node: int) -> bool:
         cached = self._enabled_cache.get(node)
         if cached is None:
             plan = self._compiled.plan(graph.universe)
@@ -113,7 +113,7 @@ EdgeOk = Callable[[int, int], bool]
 
 
 def fair_units(
-    graph: StateGraph,
+    graph: GraphQueries,
     nodes: Iterable[int],
     edge_ok: EdgeOk,
     premises: Sequence[PremiseConstraint],
@@ -212,7 +212,7 @@ class ConclusionChecker:
 
     def __init__(
         self,
-        graph: StateGraph,
+        graph: GraphQueries,
         premises: Sequence[PremiseConstraint],
         mapping: Optional[RefinementMapping] = None,
         target_universe: Optional[Universe] = None,
@@ -477,7 +477,7 @@ def _flatten_conjunction(tf: TemporalFormula) -> List[TemporalFormula]:
 
 
 def check_temporal_implication(
-    impl: Union[Spec, StateGraph],
+    impl: Union[Spec, GraphQueries],
     conclusion: object,
     mapping: Optional[RefinementMapping] = None,
     target_universe: Optional[Universe] = None,
@@ -494,7 +494,7 @@ def check_temporal_implication(
     Theorem and the refinement Corollary.  Pass *run_stats* to time the
     exploration and fair-cycle-search phases.
     """
-    if isinstance(impl, StateGraph):
+    if isinstance(impl, GraphQueries):
         graph = impl
         if premises is None:
             premises = []

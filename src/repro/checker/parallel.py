@@ -49,6 +49,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import signal
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
@@ -66,9 +68,9 @@ from .stats import ExploreStats
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from .reduction.por import ReductionConfig
-    from .reduction.store import StateStore
 
-__all__ = ["explore_parallel", "default_workers", "WorkerFailure"]
+__all__ = ["explore_parallel", "default_workers", "WorkerFailure",
+           "die_with_parent"]
 
 # one payload per chunk: the frontier payloads (states or packed ints)
 _Chunk = List[object]
@@ -105,11 +107,25 @@ _worker_expand: Optional[Callable[[object], object]] = None
 _worker_fault: _FaultHook = None
 
 
+def die_with_parent() -> None:
+    """Ask the kernel to SIGKILL this process when its parent dies
+    (Linux ``PR_SET_PDEATHSIG``), then re-check: the parent may have
+    died before the request took, in which case exit now."""
+    parent = os.getppid()
+    if sys.platform.startswith("linux"):
+        import ctypes
+
+        ctypes.CDLL(None).prctl(1, signal.SIGKILL, 0, 0, 0)  # PDEATHSIG
+    if os.getppid() != parent:
+        os._exit(0)
+
+
 def _init_worker(payload: bytes, fault_hook: _FaultHook = None) -> None:
-    """Pool initializer: unpickle (engine tag, spec, reduction config)
-    and build the expander once; every chunk this worker processes
-    reuses it."""
+    """Pool initializer: tie the worker's life to the coordinator's,
+    unpickle (engine tag, spec, reduction config) and build the expander
+    once; every chunk this worker processes reuses it."""
     global _worker_expand, _worker_fault
+    die_with_parent()
     engine, spec, reduction = pickle.loads(payload)
     expand = expander(spec, engine, reduction)
     if engine == "full" and reduction is None:
@@ -314,7 +330,6 @@ def explore_parallel(
     worker_timeout: Optional[float] = None,
     fault_hook: _FaultHook = None,
     reduction: Optional["ReductionConfig"] = None,
-    store: Optional["StateStore"] = None,
 ) -> StateGraph:
     """The reachable state graph of ``Init ∧ □[N]_v``, explored with
     *workers* processes.
@@ -337,10 +352,9 @@ def explore_parallel(
     worker once per chunk -- the fault-injection seam the crash-recovery
     tests use; leave it ``None`` in production.
 
-    ``reduction`` / ``store`` plug in partial-order reduction and the
-    state-store backend exactly as in :func:`explore` (workers compute
-    ample sets, the coordinator applies the cycle proviso in serial
-    merge order).  Requesting ``workers=1`` explicitly together with
+    ``reduction`` plugs in partial-order reduction exactly as in
+    :func:`explore` (workers compute ample sets, the coordinator applies
+    the cycle proviso in serial merge order).  Requesting ``workers=1`` explicitly together with
     options that only the multi-process engine honours
     (``worker_timeout`` / ``fault_hook``) is an error rather than a
     silent degrade; ``workers=0`` auto-sizing is exempt because it never
@@ -349,5 +363,5 @@ def explore_parallel(
     start = perf_counter()
     options = resolve_options(workers, worker_timeout, fault_hook,
                               checkpoint, checkpoint_every)
-    return _explore_full(spec, max_states, stats, options, reduction, store,
+    return _explore_full(spec, max_states, stats, options, reduction,
                          local_level, start)

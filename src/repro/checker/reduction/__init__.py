@@ -1,16 +1,12 @@
-"""State-space reduction: partial-order reduction + pluggable stores.
+"""State-space reduction: partial-order reduction.
 
-The subsystem has two cooperating layers, both wired through the
-explorer, the parallel coordinator, checkpoints, stats, and the CLI:
-
-* :mod:`~repro.checker.reduction.independence` +
-  :mod:`~repro.checker.reduction.por` -- derive ⊥-independence between
-  transition classes from the paper's ``Disjoint`` shape and prune
-  successor expansion with ample/stubborn sets (invariant and deadlock
-  verdicts preserved; liveness/refinement auto-disable reduction).
-* :mod:`~repro.checker.reduction.store` -- the ``StateStore`` protocol
-  behind :class:`~repro.checker.graph.StateGraph` interning, with the
-  default in-RAM store and a fingerprint-indexed disk spill store.
+:mod:`~repro.checker.reduction.independence` +
+:mod:`~repro.checker.reduction.por` derive ⊥-independence between
+transition classes from the paper's ``Disjoint`` shape and prune
+successor expansion with ample/stubborn sets (invariant and deadlock
+verdicts preserved; liveness/refinement auto-disable reduction).  They
+are wired through the full-state explorer, the parallel coordinator,
+checkpoints, stats, and the CLI.
 
 Checking an invariant under POR -- which variables the reduction must
 observe, and the unreduced re-exploration that makes a violation's
@@ -29,7 +25,6 @@ from .por import (
     build_reducer,
     merge_source,
 )
-from .store import MemoryStateStore, SpillStateStore, StateStore, build_store
 
 __all__ = [
     "Decomposition",
@@ -41,9 +36,5 @@ __all__ = [
     "merge_source",
     "EXPAND_FULL",
     "EXPAND_AMPLE",
-    "StateStore",
-    "MemoryStateStore",
-    "SpillStateStore",
-    "build_store",
 ]
 

@@ -27,7 +27,7 @@ from ..kernel.action import square
 from ..kernel.state import State, Universe
 from ..spec import Spec
 from .explorer import explore
-from .graph import StateGraph
+from .graph import GraphQueries
 from .results import CheckResult, Counterexample
 from .stats import ExploreStats, maybe_phase
 
@@ -82,7 +82,7 @@ IDENTITY = RefinementMapping()
 
 
 def check_safety_refinement(
-    impl: Union[Spec, StateGraph],
+    impl: Union[Spec, GraphQueries],
     target: Spec,
     mapping: Optional[RefinementMapping] = None,
     name: Optional[str] = None,
@@ -100,7 +100,7 @@ def check_safety_refinement(
     phases.
     """
     mapping = mapping or IDENTITY
-    if isinstance(impl, StateGraph):
+    if isinstance(impl, GraphQueries):
         graph = impl
         label = name or f"safety refinement -> {target.name}"
         if run_stats is not None and run_stats.states == 0:

@@ -62,7 +62,7 @@ class ExploreStats:
                  "explore_seconds", "phases", "workers", "worker_stats",
                  "coordinator_idle_seconds", "worker_retries", "levels",
                  "levels_seen", "por_enabled", "por_reason", "por_counters",
-                 "store_kind", "store_counters", "peak_rss_kb", "engine",
+                 "peak_rss_kb", "engine",
                  "fingerprint_collisions", "_level_listeners")
 
     # per-level rows beyond this are dropped (pathologically deep graphs
@@ -97,14 +97,11 @@ class ExploreStats:
         self.por_enabled: Optional[bool] = None
         self.por_reason: Optional[str] = None
         self.por_counters: Dict[str, int] = {}
-        self.store_kind: Optional[str] = None
-        self.store_counters: Dict[str, int] = {}
         self.peak_rss_kb = 0
         # which exploration engine produced these numbers ("full" or
         # "compact"), and how many 64-bit fingerprint collisions were
-        # *observed* among distinct states (never silent: the memory and
-        # spill stores count them, and the compact engine -- which interns
-        # on exact packed ints -- detects them at intern time)
+        # *observed* among distinct states (never silent: both graph
+        # classes intern on exact keys and count them)
         self.engine = "full"
         self.fingerprint_collisions = 0
 
@@ -120,17 +117,13 @@ class ExploreStats:
     def record_explore(self, graph: "StateGraph", depth: int,
                        seconds: float) -> None:
         """Record one exploration run (size, frontier depth, timing),
-        plus the store-health counters and the process's peak RSS."""
+        plus the graph's observed fingerprint collisions and the
+        process's peak RSS."""
         self.record_graph(graph)
         self.depth = depth
         self.explore_seconds = seconds
         self.phases["explore"] = self.phases.get("explore", 0.0) + seconds
-        store = getattr(graph, "store", None)
-        if store is not None:
-            self.store_kind = store.kind
-            self.store_counters = store.counters()
-            self.fingerprint_collisions = int(
-                self.store_counters.get("fp_collisions", 0) or 0)
+        self.fingerprint_collisions = graph.fingerprint_collisions
         self.peak_rss_kb = _peak_rss_kb()
 
     def add_level_listener(
@@ -326,11 +319,6 @@ class ExploreStats:
                 )
         if self.por_enabled is not None:
             lines.append(self._format_reduction(indent))
-        if self.store_kind not in (None, "mem"):
-            rendered_store = ", ".join(
-                f"{key}={value}"
-                for key, value in sorted(self.store_counters.items()))
-            lines.append(f"{indent}store: {self.store_kind} ({rendered_store})")
         if self.phases:
             rendered = ", ".join(
                 f"{name} {seconds:.4f}s" for name, seconds in self.phases.items()
@@ -408,8 +396,6 @@ class ExploreStats:
             "por_enabled": self.por_enabled,
             "por_reason": self.por_reason,
             "por_counters": dict(self.por_counters),
-            "store_kind": self.store_kind,
-            "store_counters": dict(self.store_counters),
             "peak_rss_kb": self.peak_rss_kb,
             "engine": self.engine,
             "fingerprint_collisions": self.fingerprint_collisions,

@@ -6,9 +6,11 @@ language (explicit TLC, symbolic Apalache).  This package is that
 split for our checker, and the one place a *check* is executed:
 
 * :class:`~repro.engine.explicit.ExplicitEngine` -- the explicit-state
-  pipeline: exhaustive BFS in any of the existing modes (serial /
-  parallel / compact, fresh or resumed), then every
-  invariant and property decided on that one graph.  Definitive
+  pipeline: exhaustive BFS in the mode
+  :func:`~repro.engine.explicit.choose_mode` picks (compact unless
+  reduction or an unpackable spec needs the full graph; fresh or
+  resumed), then every invariant and property decided on that one
+  graph.  Definitive
   verdicts; cost grows with the reachable state count.
 * :class:`~repro.engine.symbolic.SymbolicEngine` -- bounded model
   checking over a CNF translation solved by a small built-in CDCL
@@ -29,7 +31,7 @@ from typing import Iterable, List, Tuple
 
 from ..kernel.expr import Expr
 from .cnf import SymbolicUnsupported, Translation
-from .explicit import CheckRun, ExplicitEngine
+from .explicit import CheckRun, ExplicitEngine, choose_mode
 from .result import HOLDS, UNKNOWN, VIOLATION, EngineResult
 from .sat import CdclBackend
 from .stats import SolveStats
@@ -49,6 +51,7 @@ __all__ = [
     "UNKNOWN",
     "DEFAULT_DEPTH",
     "resolve_request",
+    "choose_mode",
 ]
 
 

@@ -13,8 +13,15 @@ VIOLATION, never UNKNOWN.
 
 What the pipeline owns:
 
-* **dispatch** -- {full, compact} x {fresh, resume}, the
-  only calls of the ``explore_*`` / ``resume*`` entry points outside
+* **the engine choice** -- :func:`choose_mode`, which both front ends
+  call: the compact engine (packed rows, CSR edges) for every check it
+  can run, the full dict-backed engine when partial-order reduction
+  stays on or the packed codec cannot represent the spec, and on a
+  resume whichever engine wrote the level log.  Both produce the same
+  graph bit for bit, so the choice changes memory and speed, never a
+  verdict, trace or digest, and it adds no note;
+* **dispatch** -- {full, compact} x {fresh, resume}, the only calls of
+  the ``explore_*`` / ``resume*`` entry points outside
   :mod:`repro.checker`;
 * **obligation policy** -- partial-order reduction observes the sorted
   free variables of the invariants and is switched off (with a note)
@@ -22,15 +29,13 @@ What the pipeline owns:
   reduced graph is re-explored unreduced so the reported trace is the
   canonical POR-off counterexample (the ample conditions already
   guarantee the verdict); each graph type gets its invariant checker;
-  properties are checked against the spec's fairness premises;
+  properties are checked against the spec's fairness premises on
+  either graph;
 * **notes** -- one wording per event (:data:`POR_DISABLED`,
-  :data:`REEXPLORING`); front ends print or store them;
-* **the store** -- closed on every exit path of :class:`CheckRun`.
+  :data:`REEXPLORING`); front ends print or store them.
 
-What a front end *refuses* or *substitutes* before it builds an engine
-(``--compact --property``, an unpackable spec under ``compact``) stays
-that front end's input handling; the engine itself raises ``ValueError``
-for a combination it cannot honour.
+The engine itself raises ``ValueError`` for a combination it cannot
+honour (reduction that stays on in compact mode).
 """
 
 from __future__ import annotations
@@ -38,10 +43,10 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Tuple
 
 from ..checker import (
+    CheckpointError,
     CompactGraph,
     ExploreStats,
     ReductionConfig,
-    build_store,
     check_invariant,
     check_invariant_compact,
     check_temporal_implication,
@@ -51,11 +56,13 @@ from ..checker import (
     resume,
     resume_compact,
 )
+from ..checker.checkpoint import COMPACT_CHECKPOINT_MODE, checkpoint_mode
 from ..checker.results import CheckResult
+from ..kernel import packed
 from ..kernel.expr import Expr
 from .result import HOLDS, VIOLATION, EngineResult
 
-__all__ = ["ExplicitEngine", "CheckRun"]
+__all__ = ["ExplicitEngine", "CheckRun", "choose_mode"]
 
 POR_DISABLED = ("partial-order reduction disabled: temporal properties "
                 "need the full graph")
@@ -63,22 +70,49 @@ REEXPLORING = ("violation found under reduction; re-exploring the full "
                "graph for the canonical counterexample")
 
 
+def choose_mode(spec, por: Optional[bool] = None, properties: bool = False,
+                resume_from: Optional[str] = None) -> str:
+    """The :class:`ExplicitEngine` mode a front end runs *spec* in.
+
+    Resuming the level log at *resume_from* continues it on the engine
+    that wrote it (its header's ``mode``).  A fresh run is ``"compact"``
+    unless reduction stays on -- *por* asked for and no temporal
+    *properties* to switch it off -- or
+    :func:`~repro.kernel.packed.support_problem` refuses the spec; then
+    it is the full engine, ``"parallel"`` (serial at one worker).
+    """
+    if resume_from is not None:
+        if checkpoint_mode(resume_from) != COMPACT_CHECKPOINT_MODE:
+            return "parallel"
+        if por:
+            raise CheckpointError(
+                f"{resume_from}: checkpoint was written by the compact "
+                f"engine, which has no reduction; resuming it with "
+                f"reduction would not reproduce the run (drop --por)")
+        return "compact"
+    if por and not properties:
+        return "parallel"
+    if packed.support_problem(spec) is not None:
+        return "parallel"
+    return "compact"
+
+
 class ExplicitEngine:
     """Exhaustive BFS in one of the existing modes, plus how to run it.
 
     ``mode`` selects the path: ``"serial"`` / ``"parallel"`` (the full
     dict-backed graph; serial is parallel with one worker) or
-    ``"compact"`` (fingerprint-only exploration with on-demand trace
-    regeneration).  Every mode produces bit-for-bit identical graphs, so
-    the verdicts and traces are mode-independent by construction; the
-    compact mode cannot check temporal properties.
+    ``"compact"`` (packed rows and CSR edges, traces regenerated on
+    demand).  Every mode produces bit-for-bit identical graphs, so the
+    verdicts and traces are mode-independent by construction; only the
+    full modes have partial-order reduction, so a run that keeps ``por``
+    on in compact mode is refused.  Front ends pick the mode with
+    :func:`choose_mode`.
 
-    ``por`` and ``store`` (a ``StateStore.config()`` dict; the full
-    graph's only, compact runs keep no store) are tri-state: ``None``
-    means *unset* -- off on a fresh run, and on
-    ``resume`` whatever the checkpoint recorded -- while a set value is
-    used on a fresh run and *asserted* on resume (a mismatch raises
-    :class:`~repro.checker.CheckpointError`).  ``checkpoint`` /
+    ``por`` is tri-state: ``None`` means *unset* -- off on a fresh run,
+    and on ``resume`` whatever the checkpoint recorded -- while a set
+    value is used on a fresh run and *asserted* on resume (a mismatch
+    raises :class:`~repro.checker.CheckpointError`).  ``checkpoint`` /
     ``checkpoint_every`` / ``resume`` make the exploration durable;
     ``worker_timeout`` bounds a pool worker's chunk.
 
@@ -90,23 +124,18 @@ class ExplicitEngine:
     name = "explicit"
 
     def __init__(self, mode: str = "serial", max_states: int = 200_000,
-                 workers: int = 1, *,
-                 por: Optional[bool] = None, store: Optional[dict] = None,
+                 workers: int = 1, *, por: Optional[bool] = None,
                  checkpoint: Optional[str] = None, checkpoint_every: int = 1,
                  resume: bool = False,
                  worker_timeout: Optional[float] = None) -> None:
         if mode not in ("serial", "parallel", "compact"):
             raise ValueError(f"unknown explicit mode {mode!r}")
-        if por and mode == "compact":
-            raise ValueError("compact mode has no reduction machinery; "
-                             "por needs serial or parallel mode")
         if resume and not checkpoint:
             raise ValueError("resume needs the checkpoint to continue from")
         self.mode = mode
         self.max_states = max_states
         self.workers = workers
         self.por = por
-        self.store = store
         self.checkpoint = checkpoint
         self.checkpoint_every = checkpoint_every
         self.resume = resume
@@ -128,12 +157,9 @@ class ExplicitEngine:
             # from the checkpoint, and what is forwarded is asserted
             if por is not None:
                 common["reduction"] = reduction
-            if self.store is not None:
-                common["store"] = self.store
             return resume(self.checkpoint, spec, **common)
-        store = build_store(self.store) if self.store else None
         return explore_parallel(spec, checkpoint=self.checkpoint,
-                                reduction=reduction, store=store, **common)
+                                reduction=reduction, **common)
 
     def run(self, spec, invariants: Iterable[Tuple[Optional[str], Expr]] = (),
             properties: Iterable[Tuple[str, object]] = (),
@@ -175,19 +201,14 @@ class CheckRun:
     were decided on, ``results`` the ``(kind, CheckResult)`` pairs in
     request order (``kind`` is ``"invariant"`` or ``"property"``),
     ``reduction_used`` whether the first exploration pruned anything.
-    Leaving lets go of the graph and closes its state store -- as does
-    every failure on the way in, so ``graph`` is ``None`` outside the
-    ``with`` block.
+    Leaving lets go of the graph -- as does every failure on the way
+    in, so ``graph`` is ``None`` outside the ``with`` block.
     """
 
     def __init__(self, engine: ExplicitEngine, spec,
                  invariants: List[Tuple[Optional[str], Expr]],
                  properties: List[Tuple[str, object]],
                  stats: Optional[ExploreStats]) -> None:
-        if properties and engine.mode == "compact":
-            raise ValueError("compact mode cannot check temporal "
-                             "properties: lasso search needs the successor "
-                             "structure the compact graph does not retain")
         self.engine = engine
         self.spec = spec
         self.invariants = invariants
@@ -198,6 +219,9 @@ class CheckRun:
         if self.por and properties:
             self.por = False
             self.notes.append(POR_DISABLED)
+        if self.por and engine.mode == "compact":
+            raise ValueError("compact mode has no reduction machinery; "
+                             "por needs serial or parallel mode")
         # the observed set the reduction must keep visible (C2); with no
         # invariant nothing is observed and deadlock reachability is
         # all that is preserved
@@ -214,12 +238,8 @@ class CheckRun:
         return all(result.ok for _kind, result in self.results)
 
     def close(self) -> None:
-        """Let go of the graph, releasing its state store (the compact
-        graph has none)."""
-        graph, self.graph = self.graph, None
-        store = getattr(graph, "store", None)
-        if store is not None:
-            store.close()
+        """Let go of the graph."""
+        self.graph = None
 
     def __enter__(self) -> "CheckRun":
         engine, spec, stats = self.engine, self.spec, self.stats

@@ -230,7 +230,7 @@ class PackedCodec:
 #
 # CompactUnsupported is raised only while building the codec, so whether a
 # spec can be packed is a pure function of its universe.  Callers that gate
-# an engine choice on packability (the service's --compact fallback, the
+# an engine choice on packability (the check pipeline's choose_mode, the
 # symbolic translator) share this
 # probe instead of constructing a throwaway plan and catching.
 

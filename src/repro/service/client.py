@@ -163,7 +163,7 @@ class ServiceClient:
                invariants: Sequence[str] = (),
                properties: Sequence[str] = (),
                max_states: int = 200_000, por: bool = False,
-               compact: bool = False, workers: int = 1,
+               workers: int = 1,
                checkpoint_every: int = 1,
                level_delay: float = 0.0,
                engine: str = "explicit",
@@ -189,7 +189,6 @@ class ServiceClient:
             "properties": list(properties),
             "max_states": max_states,
             "por": por,
-            "compact": compact,
             "workers": workers,
             "checkpoint_every": checkpoint_every,
             "level_delay": level_delay,

@@ -65,7 +65,6 @@ from typing import Dict, List, Optional, Tuple
 from ..checker import ExploreStats, StateSpaceExplosion
 from ..checker import digest_of_graph as graph_digest
 from ..checker.checkpoint import counterexample_to_portable
-from ..kernel import packed
 from ..parser import load_module
 from .cache import (
     ShardedResultCache,
@@ -137,7 +136,7 @@ class CheckRequest:
     """One check submission: a module plus what to verify and how.
 
     ``module_source``/``spec``/``invariants``/``properties``/
-    ``max_states``/``por``/``compact``/``engine``/``depth`` are
+    ``max_states``/``por``/``engine``/``depth`` are
     *semantic* -- they address the result in the cache.  ``workers``,
     ``checkpoint_every``, and ``level_delay``
     are execution-only: the engine produces the identical graph and
@@ -150,6 +149,11 @@ class CheckRequest:
     ``depth`` steps (a clean run's verdict is ``"unknown"``, never
     ``"ok"``).  ``depth`` is only meaningful -- and only part of the
     cache key -- with the symbolic engine.
+
+    Which explicit engine explores is not a field: :func:`run_check`
+    asks :func:`~repro.engine.explicit.choose_mode`.  A boolean
+    ``compact`` field, which requests once carried, is accepted and
+    dropped, so journals and clients from before still load.
     """
 
     module_source: str
@@ -158,7 +162,6 @@ class CheckRequest:
     properties: Tuple[str, ...] = ()
     max_states: int = 200_000
     por: bool = False
-    compact: bool = False
     workers: int = 1
     checkpoint_every: int = 1
     level_delay: float = 0.0
@@ -166,8 +169,10 @@ class CheckRequest:
     depth: Optional[int] = None
 
     _FIELDS = ("module_source", "spec", "invariants", "properties",
-               "max_states", "por", "compact", "workers",
+               "max_states", "por", "workers",
                "checkpoint_every", "level_delay", "engine", "depth")
+    # accepted for compatibility, then dropped
+    _RETIRED = ("compact",)
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "CheckRequest":
@@ -175,7 +180,7 @@ class CheckRequest:
         ``ValueError`` with a client-presentable message on bad input."""
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
-        unknown = set(payload) - set(cls._FIELDS)
+        unknown = set(payload) - set(cls._FIELDS) - set(cls._RETIRED)
         if unknown:
             raise ValueError(f"unknown request fields: {sorted(unknown)}")
         module_source = payload.get("module_source")
@@ -213,12 +218,8 @@ class CheckRequest:
         por = payload.get("por", False)
         if not isinstance(por, bool):
             raise ValueError("por must be a boolean")
-        compact = payload.get("compact", False)
-        if not isinstance(compact, bool):
+        if not isinstance(payload.get("compact", False), bool):
             raise ValueError("compact must be a boolean")
-        if compact and por:
-            raise ValueError("compact and por are mutually exclusive: the "
-                             "compact engine has no reduction machinery")
         engine = payload.get("engine", "explicit")
         if engine not in ("explicit", "symbolic"):
             raise ValueError("engine must be 'explicit' or 'symbolic'")
@@ -230,7 +231,7 @@ class CheckRequest:
             raise ValueError("depth is the symbolic unrolling bound; it "
                              "requires engine='symbolic'")
         if engine == "symbolic":
-            for flag, active in (("por", por), ("compact", compact),
+            for flag, active in (("por", por),
                                  ("properties", bool(names("properties")))):
                 if active:
                     raise ValueError(
@@ -247,7 +248,6 @@ class CheckRequest:
             properties=names("properties"),
             max_states=bounded_int("max_states", 200_000, 1),
             por=por,
-            compact=compact,
             workers=bounded_int("workers", 1, 0),
             checkpoint_every=bounded_int("checkpoint_every", 1, 1),
             level_delay=float(level_delay),
@@ -263,7 +263,6 @@ class CheckRequest:
             "properties": list(self.properties),
             "max_states": self.max_states,
             "por": self.por,
-            "compact": self.compact,
             "workers": self.workers,
             "checkpoint_every": self.checkpoint_every,
             "level_delay": self.level_delay,
@@ -286,7 +285,6 @@ class CheckRequest:
             "properties": list(self.properties),
             "max_states": self.max_states,
             "por": self.por,
-            "compact": self.compact,
             "engine": self.engine,
         }
         if self.engine == "symbolic":
@@ -302,42 +300,25 @@ class CheckRequest:
 
 
 def _explicit_engine(request: CheckRequest, spec,
-                     checkpoint: Optional[str], resume_from_checkpoint: bool,
-                     notes: List[str]):
-    """The explicit engine *request* asks for.  What the CLI refuses up
-    front the service substitutes, saying so in *notes*: the full engine
-    yields the identical verdict, trace and digest, so the job still
-    completes.  Each substitution is a pure function of request and
-    spec, so a resumed job picks the engine its checkpoint was written
-    by rather than tripping the cross-engine resume guard."""
-    from ..engine import ExplicitEngine
+                     checkpoint: Optional[str], resume_from_checkpoint: bool):
+    """The explicit engine *request* asks for, in the mode
+    :func:`~repro.engine.explicit.choose_mode` picks -- a pure function
+    of request, spec and checkpoint, so a resumed job continues on the
+    engine its checkpoint was written by."""
+    from ..engine import ExplicitEngine, choose_mode
 
-    compact, por = request.compact, request.por
-    if compact and request.properties:
-        # lasso search walks successor lists the compact engine does
-        # not retain
-        compact = False
-        notes.append("compact engine disabled: temporal properties need "
-                     "the full state graph")
-    if compact and por:
-        por = False
-        notes.append("partial-order reduction disabled: the compact "
-                     "engine has no reduction machinery")
-    if compact:
-        problem = packed.support_problem(spec)
-        if problem is not None:
-            compact = False
-            notes.append(f"compact engine unavailable for this spec "
-                         f"({problem}); ran the full engine")
     resuming = (resume_from_checkpoint and checkpoint is not None
                 and os.path.exists(checkpoint))
     # a restarted job adopts the reduction its checkpoint recorded
     # (por=None): asserting por=True would refuse a snapshot whose
     # reducer the spec could not use, which is recorded as none
-    return ExplicitEngine("compact" if compact else "parallel",
+    por = None if resuming else request.por
+    mode = choose_mode(spec, por=por, properties=bool(request.properties),
+                       resume_from=checkpoint if resuming else None)
+    return ExplicitEngine(mode,
                           max_states=request.max_states,
                           workers=request.workers,
-                          por=None if resuming else por,
+                          por=por,
                           checkpoint=checkpoint,
                           checkpoint_every=request.checkpoint_every,
                           resume=resuming)
@@ -409,8 +390,9 @@ def run_check(
             return document
     if stats is None:
         stats = ExploreStats()
-    run = _explicit_engine(request, spec, checkpoint, resume_from_checkpoint,
-                           notes).run(spec, invariants, properties, stats)
+    run = _explicit_engine(request, spec, checkpoint,
+                           resume_from_checkpoint).run(
+        spec, invariants, properties, stats)
     try:
         with run:
             graph = run.graph

@@ -21,7 +21,8 @@ pickle, no spec object: the child re-elaborates the module source::
                      {"outcome": "failed", "error": "Type: message"}
 
 Nothing outlives the front (parent-death signal, exit on stdin EOF,
-reaped on shutdown).  A child that dies, or sends a frame the front
+reaped on shutdown), and a ``workers > 1`` check's pool workers carry
+the same parent-death signal, so they go with their check process.  A child that dies, or sends a frame the front
 cannot read, fails its job closed; the slot's next job gets a fresh one.
 """
 
@@ -37,6 +38,7 @@ import time
 from typing import Callable, Dict, List, Optional
 
 import repro
+from ..checker.parallel import die_with_parent
 
 __all__ = ["CheckProcess", "CheckFailed", "JobCancelled", "JobInterrupted"]
 
@@ -257,19 +259,6 @@ class _Inbox:
         return [self.next() for _ in range(self._buffer.count(b"\n"))]
 
 
-def _die_with_parent() -> None:
-    """Ask the kernel to SIGKILL us when the front dies (Linux), then
-    re-check: the front may have died before the request took.  (A
-    front that died before we even looked shows as stdin EOF.)"""
-    parent = os.getppid()
-    if sys.platform.startswith("linux"):
-        import ctypes
-
-        ctypes.CDLL(None).prctl(1, signal.SIGKILL, 0, 0, 0)  # PDEATHSIG
-    if os.getppid() != parent:
-        os._exit(0)
-
-
 def _check(message: Dict[str, object], inbox: _Inbox,
            send: Callable[[Dict[str, object]], None]) -> Dict[str, object]:
     """One run frame to its outcome frame."""
@@ -315,7 +304,7 @@ def _check(message: Dict[str, object], inbox: _Inbox,
 
 
 def main() -> int:
-    _die_with_parent()
+    die_with_parent()   # a front that already died shows as stdin EOF
     # frames own the real stdout; a stray print lands on stderr
     wire = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)

@@ -36,26 +36,22 @@ append a snapshot of the exploration to a level log every
 complete snapshot bit-for-bit, and
 ``--worker-timeout`` to bound (and retry) stuck parallel workers.  When a
 checkpoint path is given, a JSON run manifest (spec, budget, workers,
-wall time, outcome, counterexample trace, effective reduction/store
+wall time, outcome, counterexample trace, effective reduction
 configuration) is written next to it.
 
-Scaling levers (see :mod:`repro.checker.reduction`): ``--por`` turns on
-Disjoint-derived partial-order reduction (sound for invariants and
-deadlock; auto-disabled with a note when ``--property`` needs the
-full graph), ``--store spill --spill-dir DIR`` swaps the in-RAM state
-store for the fingerprint-indexed disk spill store so ``--max-states``
-can exceed resident memory.  Both default to off, which is the
-byte-identical legacy behaviour; on ``--resume`` they default to
-whatever the checkpoint recorded, and passing them explicitly asserts a
-match (a mismatched resume is refused rather than silently changing the
-run's semantics).
-
-``--compact`` switches to the fingerprint-only engine
-(:mod:`repro.checker.compact`): states live as packed machine integers,
-the BFS keeps only fingerprints plus parent/level metadata, and
-counterexample traces are regenerated on demand by re-walking the
-parent chain through the compiled action plan.  Verdicts, traces, node
-numbering, and graph digests are identical to the full engine.
+Which engine explores is not a flag: the pipeline's
+:func:`~repro.engine.explicit.choose_mode` runs every check on the
+compact engine (:mod:`repro.checker.compact`: states as packed machine
+integers, edges as CSR arrays, counterexample traces regenerated from
+the BFS parent chain), invariants and temporal properties alike.  Only
+``--por`` -- Disjoint-derived partial-order reduction, sound for
+invariants and deadlock, auto-disabled with a note when ``--property``
+needs the full graph -- or a spec the packed codec cannot represent
+selects the full dict-backed engine, and ``--resume`` continues on
+whichever engine wrote the checkpoint (``--por`` there defaults to what
+the checkpoint recorded, and passing it asserts a match).  Verdicts,
+traces, node numbering and graph digests are identical on both engines;
+``--stats`` names the one that ran.
 """
 
 from __future__ import annotations
@@ -81,6 +77,7 @@ from ..engine import (
     VIOLATION,
     ExplicitEngine,
     SolveStats,
+    choose_mode,
     SymbolicEngine,
     SymbolicUnsupported,
     resolve_request,
@@ -111,27 +108,6 @@ def _report(result: CheckResult, out) -> bool:
     return result.ok
 
 
-def _spill_dir_problem(path: str) -> Optional[str]:
-    """Why *path* cannot host the spill store's files (None = usable).
-
-    Probed with an actual write, not just ``os.access`` -- permission
-    bits lie for root and for read-only filesystems."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        return str(exc)
-    if not os.path.isdir(path):
-        return "not a directory"
-    probe = os.path.join(path, ".repro-write-probe")
-    try:
-        with open(probe, "w"):
-            pass
-        os.unlink(probe)
-    except OSError as exc:
-        return str(exc)
-    return None
-
-
 def _symbolic_flags_error(args: argparse.Namespace, out) -> bool:
     """Reject flag combinations the symbolic engine cannot honour.
 
@@ -148,8 +124,6 @@ def _symbolic_flags_error(args: argparse.Namespace, out) -> bool:
         return False
     for flag, active in (
             ("--por", bool(args.por)),
-            ("--compact", bool(args.compact)),
-            ("--store spill", args.store == "spill"),
             ("--property", bool(getattr(args, "property", None))),
             ("--checkpoint", bool(args.checkpoint)),
             ("--resume", bool(args.resume)),
@@ -184,33 +158,6 @@ def _durability_error(args: argparse.Namespace, out) -> bool:
               f"{args.checkpoint!r} does not exist (run with --checkpoint "
               f"first to create one, or drop --resume)", file=out)
         return True
-    if args.store == "spill" and not args.spill_dir:
-        print("error: --store spill requires --spill-dir DIR "
-              "(where the state data/index files live)", file=out)
-        return True
-    if args.store == "spill" and args.spill_dir:
-        problem = _spill_dir_problem(args.spill_dir)
-        if problem is not None:
-            print(f"error: --spill-dir {args.spill_dir!r} is not a "
-                  f"writable directory ({problem})", file=out)
-            return True
-    if args.compact and args.por:
-        print("error: --compact and --por are mutually exclusive: the "
-              "compact engine explores the full graph on packed ints and "
-              "has no reduction machinery (drop one of the flags)",
-              file=out)
-        return True
-    if args.compact and args.store == "spill":
-        print("error: --compact keeps only packed ints in RAM and does "
-              "not use a state store; drop --store spill (compact mode "
-              "is already the low-memory engine)", file=out)
-        return True
-    if args.compact and getattr(args, "property", None):
-        print("error: --compact cannot check temporal properties: "
-              "lasso search needs the full successor structure, which "
-              "the compact engine does not retain (drop --compact or "
-              "--property)", file=out)
-        return True
     if args.workers == 1 and args.worker_timeout is not None:
         # never silently accept an option the serial engine would ignore
         print("error: --worker-timeout only applies to the multi-process "
@@ -224,7 +171,7 @@ def _durability_error(args: argparse.Namespace, out) -> bool:
 def _positive_int(text: str) -> int:
     """argparse type for flags that must be >= 1; bad values fail at
     parse time (usage error, exit 2) instead of surfacing as confusing
-    runtime errors deep in the store/checkpoint layers."""
+    runtime errors deep in the checkpoint layer."""
     try:
         value = int(text)
     except ValueError:
@@ -243,23 +190,17 @@ def _write_stats_json(args: argparse.Namespace, stats) -> None:
         handle.write(stats.to_json(indent=2) + "\n")
 
 
-def _store_config(args: argparse.Namespace) -> Optional[dict]:
-    """The StateStore config dict the --store flags describe (None when
-    --store was not given)."""
-    if args.store == "spill":
-        return {"kind": "spill", "spill_dir": args.spill_dir,
-                "hot_capacity": args.spill_cache}
-    return {"kind": "mem"} if args.store else None
-
-
-def _explicit_engine(args: argparse.Namespace) -> ExplicitEngine:
-    """The engine the ``check`` / ``explore`` flags describe.  Flags the
-    user left unset stay ``None``, so a ``--resume`` adopts what the
-    checkpoint recorded for them."""
+def _explicit_engine(args: argparse.Namespace, spec,
+                     properties) -> ExplicitEngine:
+    """The engine the ``check`` / ``explore`` flags describe, in the
+    mode :func:`~repro.engine.explicit.choose_mode` picks.  ``--por``
+    left unset stays ``None``, so a ``--resume`` adopts what the
+    checkpoint recorded."""
+    mode = choose_mode(spec, por=args.por, properties=bool(properties),
+                       resume_from=args.checkpoint if args.resume else None)
     return ExplicitEngine(
-        "compact" if args.compact else "parallel",
-        max_states=args.max_states, workers=args.workers, por=args.por,
-        store=_store_config(args), checkpoint=args.checkpoint,
+        mode, max_states=args.max_states, workers=args.workers,
+        por=args.por, checkpoint=args.checkpoint,
         checkpoint_every=args.checkpoint_every, resume=args.resume,
         worker_timeout=args.worker_timeout)
 
@@ -272,7 +213,6 @@ def _leave_behind(args: argparse.Namespace, engine: ExplicitEngine, run,
     checkpoint (if one was asked for) and the ``--stats-json`` file."""
     if args.checkpoint:
         graph = run.graph
-        store = getattr(graph, "store", None)  # CompactGraph has no store
         reduction = None
         if run.reduction is not None:
             # the requested config plus whether any state of the
@@ -294,23 +234,26 @@ def _leave_behind(args: argparse.Namespace, engine: ExplicitEngine, run,
             stats=run.stats,
             error=error,
             reduction=reduction,
-            store=(store.config() if store is not None
-                   else {"kind": "compact"} if graph is not None
-                   else engine.store),
         )
     _write_stats_json(args, run.stats)
 
 
-def _run_explicit(args: argparse.Namespace, out, engine: ExplicitEngine,
-                  request, report, indent: str = "") -> int:
+def _run_explicit(args: argparse.Namespace, out, request, report,
+                  indent: str = "") -> int:
     """Render one pipeline run the way ``check`` / ``explore`` share:
     the run's notes, the verb's own *report* of the finished run, the
-    ``--stats`` table, and what the run leaves on disk.  Returns the exit code; a blown budget leaves its manifest
-    and propagates (``main`` prints it, exit 2)."""
+    ``--stats`` table, and what the run leaves on disk.  Returns the
+    exit code; a blown budget leaves its manifest and propagates
+    (``main`` prints it, exit 2)."""
     spec, label, invariants, properties = request
     # stats are collected when either rendering is requested: the human
     # --stats summary or the machine --stats-json file
     stats = ExploreStats() if (args.stats or args.stats_json) else None
+    try:
+        engine = _explicit_engine(args, spec, properties)
+    except CheckpointError as exc:
+        print(f"error: {exc}", file=out)
+        return 2
     run = engine.run(spec, invariants, properties, stats)
 
     def print_notes() -> None:
@@ -387,7 +330,7 @@ def cmd_check(args: argparse.Namespace, out) -> int:
             print("(no --invariant/--property given: exploration only)",
                   file=out)
 
-    return _run_explicit(args, out, _explicit_engine(args), request, report)
+    return _run_explicit(args, out, request, report)
 
 
 def cmd_explore(args: argparse.Namespace, out) -> int:
@@ -407,7 +350,7 @@ def cmd_explore(args: argparse.Namespace, out) -> int:
             for node in range(shown):
                 print(f"    {graph.states[node]!r}", file=out)
 
-    return _run_explicit(args, out, _explicit_engine(args),
+    return _run_explicit(args, out,
                          resolve_request(_load(args.module), args.spec),
                          report, indent="  ")
 
@@ -492,7 +435,6 @@ def cmd_submit(args: argparse.Namespace, out) -> int:
             invariants=args.invariant or (),
             properties=args.property or (),
             max_states=args.max_states, por=bool(args.por),
-            compact=bool(args.compact),
             workers=args.workers, level_delay=args.level_delay,
             engine=args.engine, depth=args.depth)
     except QueueFullError as exc:
@@ -617,21 +559,6 @@ def _add_scaling_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--no-por", dest="por", action="store_false",
                      help="force reduction off (on --resume this asserts "
                           "the checkpoint was written without reduction)")
-    sub.add_argument("--store", choices=("mem", "spill"), default=None,
-                     help="state-store backend: 'mem' (default) interns "
-                          "states in RAM; 'spill' keeps a bounded LRU of "
-                          "hot states backed by data+index files under "
-                          "--spill-dir, so --max-states can exceed resident "
-                          "memory.  Node numbering and verdicts are "
-                          "identical either way.")
-    sub.add_argument("--spill-dir", default=None, metavar="DIR",
-                     help="directory for the spill store's states.dat / "
-                          "states.idx files (required with --store spill)")
-    sub.add_argument("--spill-cache", type=_positive_int, default=4096,
-                     metavar="N",
-                     help="spill store: how many hot decoded states to keep "
-                          "resident (default 4096; must be >= 1); purely a "
-                          "speed knob, never changes results")
 
 
 def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
@@ -643,14 +570,6 @@ def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
                           "= the serial reference explorer; 0 = one per "
                           "core).  Any value yields the identical graph, "
                           "numbering, and traces.")
-    sub.add_argument("--compact", action="store_true",
-                     help="fingerprint-only engine: keep packed integer "
-                          "states plus BFS parents instead of full State "
-                          "objects, and regenerate counterexample traces "
-                          "on demand.  Verdicts, traces, and node "
-                          "numbering are identical to the full engine; "
-                          "incompatible with --por, --store spill, and "
-                          "--property (those need the full graph).")
     sub.add_argument("--stats", action="store_true",
                      help="print exploration statistics (states/sec, "
                           "depth, real-vs-stutter edges, per-phase timing, "
@@ -770,11 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--por", action="store_true", default=False,
                         help="request partial-order reduction (same "
                              "semantics as repro check --por)")
-    submit.add_argument("--compact", action="store_true", default=False,
-                        help="request the fingerprint-only compact engine "
-                             "(same semantics as repro check --compact; "
-                             "auto-disabled server-side when temporal "
-                             "properties need the full graph)")
     submit.add_argument("--engine", choices=("explicit", "symbolic"),
                         default="explicit",
                         help="checking engine (same semantics as repro "

@@ -29,11 +29,16 @@ from repro.engine import (
     VIOLATION,
     ExplicitEngine,
     SymbolicEngine,
+    choose_mode,
     resolve_request,
 )
 from repro.engine.explicit import POR_DISABLED, REEXPLORING
+from repro.kernel.expr import Const
+from repro.kernel.state import Universe
+from repro.kernel.values import Domain
 from repro.parser import load_module
 from repro.service.jobs import CheckRequest, JobManager, run_check
+from repro.spec import Spec
 
 from .test_service_jobs import wait_terminal
 from .test_tools_cli import COUNTER_TLA, run_cli
@@ -65,7 +70,6 @@ class Row:
     invariants: Tuple[str, ...] = ()
     properties: Tuple[str, ...] = ()
     por: bool = False
-    compact: bool = False
     max_states: int = 200_000
     depth: Optional[int] = None     # set = the symbolic engine
     notes: Tuple[str, ...] = ()
@@ -81,10 +85,9 @@ ROWS = [
     Row("por-violation", THREE_TLA, "violation", ("XSmall",), por=True,
         notes=(REEXPLORING,), states=343),
     Row("por-ok", THREE_TLA, "ok", ("XBounded",), por=True, states=19),
-    Row("compact-ok", THREE_TLA, "ok", ("XBounded",), compact=True,
+    Row("three-ok", THREE_TLA, "ok", ("XBounded",), states=343),
+    Row("three-violation", THREE_TLA, "violation", ("XSmall",),
         states=343),
-    Row("compact-violation", THREE_TLA, "violation", ("XSmall",),
-        compact=True, states=343),
     Row("explosion", THREE_TLA, "explosion", ("XSmall",), max_states=100),
     Row("por-reexploration-explosion", THREE_TLA, "explosion", ("XSmall",),
         por=True, max_states=100, notes=(REEXPLORING,)),
@@ -99,7 +102,7 @@ ROWS = [
 def request_of(row: Row) -> CheckRequest:
     return CheckRequest(
         row.source, invariants=row.invariants, properties=row.properties,
-        max_states=row.max_states, por=row.por, compact=row.compact,
+        max_states=row.max_states, por=row.por,
         engine="symbolic" if row.depth else "explicit", depth=row.depth)
 
 
@@ -111,8 +114,6 @@ def cli_argv(row: Row, path: str):
         argv += ["--property", name]
     if row.por:
         argv.append("--por")
-    if row.compact:
-        argv.append("--compact")
     if row.depth:
         argv += ["--engine", "symbolic", "--depth", str(row.depth)]
     return argv
@@ -150,8 +151,9 @@ def via_engine(row: Row):
                    else "unknown")
         assert all(r.verdict in (VIOLATION, UNKNOWN) for r in results)
         return verdict, None, None, results, []
-    engine = ExplicitEngine("compact" if row.compact else "parallel",
-                            max_states=row.max_states, por=row.por)
+    engine = ExplicitEngine(
+        choose_mode(spec, por=row.por, properties=bool(properties)),
+        max_states=row.max_states, por=row.por)
     run = engine.run(spec, invariants, properties)
     try:
         with run:
@@ -360,15 +362,38 @@ def test_one_run_compiles_each_action_once(monkeypatch):
 
 
 def test_compact_mode_refuses_what_it_cannot_run():
-    """The compact graph keeps no successor structure for lasso search
-    and has no reduction machinery: both are refused when the run is
-    built, never a traceback from inside a checker."""
-    spec, _label, _invariants, _properties = resolve_request(
-        load_module(THREE_TLA), "Spec")
-    with pytest.raises(ValueError, match="compact mode cannot check "
-                                         "temporal properties"):
-        ExplicitEngine("compact").run(spec, properties=[("P", object())])
+    """The compact graph has no reduction machinery: reduction that stays
+    on is refused when the run is built, never a traceback from inside
+    a checker; reduction that a property switches off leaves a compact
+    run with the usual note."""
+    spec, _label, _invariants, properties = resolve_request(
+        load_module(COUNTER_TLA), "Spec", (), ("Progress",))
     with pytest.raises(ValueError, match="compact mode has no reduction"):
-        ExplicitEngine("compact", por=True)
+        ExplicitEngine("compact", por=True).run(spec)
+    with ExplicitEngine("compact", por=True).run(
+            spec, properties=properties) as run:
+        assert run.ok and run.notes == [POR_DISABLED]
     with pytest.raises(ValueError, match="unknown explicit mode"):
         ExplicitEngine("distributed")
+
+
+def test_the_engine_choice():
+    """Compact unless reduction stays on or the spec cannot be packed."""
+    three = resolve_request(load_module(THREE_TLA), "Spec")[0]
+    assert choose_mode(three) == "compact"
+    assert choose_mode(three, por=True) == "parallel"
+    assert choose_mode(three, por=True, properties=True) == "compact"
+    assert choose_mode(three, por=False) == "compact"
+
+    class Empty(Domain):
+        def values(self):
+            return iter(())
+
+        def __contains__(self, value):
+            return False
+
+    # an empty domain cannot be packed: the full engine, properties or not
+    unpackable = Spec("empty", Const(True), Const(True), ("x",),
+                      Universe({"x": Empty()}))
+    assert choose_mode(unpackable) == "parallel"
+    assert choose_mode(unpackable, properties=True) == "parallel"

@@ -93,7 +93,7 @@ class TestExplore:
 
     def test_parent_paths(self):
         graph = explore(counter_spec())
-        target = graph.index[st(x=2)]
+        target = graph.lookup(st(x=2))
         path = graph.path_to_root(target)
         assert [graph.states[i]["x"] for i in path] == [0, 1, 2]
 
@@ -314,3 +314,27 @@ class TestCompactNodeIdValidation:
         graph = self.build()
         with pytest.raises(ValueError, match="not in this graph"):
             graph.trace_to(graph.state_count)
+
+    def test_csr_edges_of_a_budget_capped_run(self):
+        """The frontier the budget left unexpanded has only its stutter
+        loop; every expanded node's edges equal the full graph's."""
+        from repro.checker import explore_compact
+        from repro.systems.queue import complete_queue
+
+        spec = complete_queue(2)
+        with pytest.raises(StateSpaceExplosion) as compact_exc:
+            explore_compact(spec, max_states=40)
+        with pytest.raises(StateSpaceExplosion) as full_exc:
+            explore(spec, max_states=40)
+        compact, full = compact_exc.value.graph, full_exc.value.graph
+        assert [list(row) for row in compact.succ] == full.succ
+        assert compact.edge_count == full.edge_count
+        last = compact.state_count - 1
+        assert compact.succ[last] == [last]
+        for src in range(compact.state_count):
+            for dst in range(compact.state_count):
+                assert compact.has_edge(src, dst) == full.has_edge(src, dst)
+        with pytest.raises(IndexError):
+            compact.succ[compact.state_count]
+        with pytest.raises(RuntimeError, match="out of order"):
+            compact.merge_successors(last, [])

@@ -10,6 +10,7 @@ from repro.checker import (
     check_safety_refinement,
     check_temporal_implication,
     explore,
+    explore_compact,
     fair_units,
 )
 from repro.kernel import (
@@ -114,6 +115,20 @@ class TestSafetyRefinement:
         result = check_safety_refinement(graph, parity_spec(), PARITY_MAP)
         assert result.ok
 
+    def test_compact_graph_gives_the_full_graphs_results(self):
+        bad = RefinementMapping({"y": Arith("%", x, Const(3))})
+        for mapping in (PARITY_MAP, bad):
+            full, compact = (
+                check_safety_refinement(graph, parity_spec(), mapping,
+                                        domain_check=False)
+                for graph in (explore(counter6()),
+                              explore_compact(counter6())))
+            assert (compact.ok, compact.stats) == (full.ok, full.stats)
+            assert ((compact.counterexample and
+                     compact.counterexample.render())
+                    == (full.counterexample and
+                        full.counterexample.render()))
+
 
 class TestInvariantsAndDeadlock:
     def test_invariant_counterexample_trace(self):
@@ -139,16 +154,18 @@ class TestInvariantsAndDeadlock:
 
 
 class TestFairUnits:
+    a = And(Eq(x, 0), Eq(x.prime(), 1))
+    b = And(Eq(x, 0), Eq(x.prime(), 2))
+    c = And(Eq(x, 1), Eq(x.prime(), 0))
+    d = And(Eq(x, 2), Eq(x.prime(), 2))
+
+    def choice_spec(self):
+        return Spec("choice", Eq(x, 0), Or(self.a, self.b, self.c, self.d),
+                    ("x",), Universe({"x": interval(0, 2)}))
+
     def make_choice_graph(self):
         """0 <-> 1, and 0 -> 2 (absorbing)."""
-        a = And(Eq(x, 0), Eq(x.prime(), 1))
-        b = And(Eq(x, 0), Eq(x.prime(), 2))
-        c = And(Eq(x, 1), Eq(x.prime(), 0))
-        d = And(Eq(x, 2), Eq(x.prime(), 2))
-        action = Or(a, b, c, d)
-        spec = Spec("choice", Eq(x, 0), action, ("x",),
-                    Universe({"x": interval(0, 2)}))
-        return explore(spec), a, b, c
+        return explore(self.choice_spec()), self.a, self.b, self.c
 
     def test_no_premises_every_scc_fair(self):
         graph, *_ = self.make_choice_graph()
@@ -168,6 +185,16 @@ class TestFairUnits:
         assert {0, 1} in flat or any(0 in u and 1 in u for u in flat)
         assert {2} in flat
         assert {0} not in flat
+
+    def test_units_identical_on_the_compact_graph(self):
+        graph, a, b, c = self.make_choice_graph()
+        compact = explore_compact(self.choice_spec())
+        for premises in ([], [PremiseConstraint("WF", ("x",), Or(a, b, c))],
+                         [PremiseConstraint("SF", ("x",), b)]):
+            assert (fair_units(compact, range(compact.state_count),
+                               lambda s, d: True, premises)
+                    == fair_units(graph, range(graph.state_count),
+                                  lambda s, d: True, premises))
 
     def test_sf_removal_recursion(self):
         graph, a, b, c = self.make_choice_graph()

@@ -143,7 +143,8 @@ def test_torn_final_record_resumes_at_every_offset(engine, tmp_path):
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_torn_final_record_resumes_through_the_cli(engine, tmp_path, capsys):
-    flags = ["--compact"] if engine == "compact" else []
+    # the CLI runs compact unless reduction asks for the full engine
+    flags = ["--por"] if engine == "full" else []
     path = str(tmp_path / "run.ckpt")
     check = ["check", f"@{MODULE}", "--invariant", "MutualExclusion",
              "--checkpoint", path, *flags]
@@ -176,9 +177,9 @@ def _assert_refused(path, engine, capsys, match=None):
     _run, resumer, _digest = ENGINES[engine]
     with pytest.raises(CheckpointError, match=match):
         resumer(path, mutex_spec(), checkpoint=None)
-    flags = ["--compact"] if engine == "compact" else []
+    # the CLI resumes on the engine the header names
     assert cli_main(["explore", f"@{MODULE}", "--checkpoint", path,
-                     "--resume", *flags]) == 2
+                     "--resume"]) == 2
     out = capsys.readouterr().out
     assert out.startswith(f"error: {path}: "), out
     assert "Traceback" not in out

@@ -134,7 +134,8 @@ def assert_same_graph(restored, original):
     assert restored.init_nodes == original.init_nodes
     assert restored.edge_count == original.edge_count
     assert restored.stutter_count == original.stutter_count
-    assert restored.index == original.index
+    assert all(restored.lookup(state) == node
+               for node, state in enumerate(original.states))
 
 
 @pytest.mark.parametrize("seed", range(25))

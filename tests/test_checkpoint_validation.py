@@ -13,7 +13,12 @@ Both engines' logs go through
   never a run quietly continued from garbage;
 * logs written before the worker fleet was deleted still resume: their
   records' ``"distributed"`` section and the stats' fleet counters are
-  ignored.
+  ignored;
+* logs written while the spill store existed: a full header's
+  ``"store"`` field (mem or spill) is ignored and the run resumes in
+  RAM, while a compact log from before the compact engine kept its
+  edges (records without ``"succ"``) fails closed with one line naming
+  the cause -- from the library, the CLI and a service check process.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from repro.checker import (
     CheckpointError,
     ExploreStats,
     StateSpaceExplosion,
+    digest_of_graph,
     explore,
     explore_compact,
     resume,
@@ -41,17 +47,17 @@ MODULE = "mutex:n=2,clock=2"
 
 HEADER = ["format", "version", "mode", "spec_name", "max_states",
           "workers", "checkpoint_every"]
-FULL_HEADER = HEADER + ["variables", "reduction", "store"]
+FULL_HEADER = HEADER + ["variables", "reduction"]
 COMPACT_HEADER = HEADER + ["codec_signature"]
 RECORD = {"nodes_from", "parent", "frontier", "depth", "levels",
           "elapsed_seconds", "stats"}
 FULL_RECORD = RECORD | {"states", "fingerprints", "succ"}
-COMPACT_RECORD = RECORD | {"packed", "edge_count", "digest"}
+COMPACT_RECORD = RECORD | {"packed", "succ", "edge_count", "digest"}
 STATS = {"states", "edges", "stutter_edges", "init_states", "depth",
          "states_per_sec", "explore_seconds", "phases", "workers",
          "worker_stats", "coordinator_idle_seconds", "worker_retries",
          "levels", "levels_seen", "por_enabled", "por_reason",
-         "por_counters", "store_kind", "store_counters", "peak_rss_kb",
+         "por_counters", "peak_rss_kb",
          "engine", "fingerprint_collisions", "collision_probability_bound"}
 # the stats keys a record carried while the worker fleet existed; logs
 # written then must still resume
@@ -175,8 +181,6 @@ def test_malformed_checkpoint_fails_closed(engine, mutation, interrupted,
         resumer(path, mutex_spec(), max_states=10_000, checkpoint=None)
     argv = ["explore", f"@{MODULE}", "--checkpoint", path, "--resume",
             "--max-states", "10000"]
-    if engine == "compact":
-        argv.append("--compact")
     assert cli_main(argv) == 2
     out = capsys.readouterr().out
     # a handled CheckpointError prints its message bare; the CLI's
@@ -233,3 +237,86 @@ def test_stats_restore_ignores_dropped_fleet_keys():
     assert stats.workers == 2 and stats.fingerprint_collisions == 3
     assert set(stats.as_dict()) == STATS
     assert not any(hasattr(stats, key) for key in FLEET_STATS)
+
+
+# ---------------------------------------------------------------------------
+# logs from before the spill store was deleted and compact kept edges
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("store", [
+    {"kind": "mem"},
+    {"kind": "spill", "spill_dir": "/nonexistent/spill", "hot_capacity": 8},
+], ids=["mem", "spill"])
+def test_store_era_full_log_resumes_in_ram(interrupted, tmp_path, store):
+    log = json.loads(json.dumps(interrupted["full"]))  # deep copy
+    log[0]["store"] = store
+    path = str(tmp_path / "store-era.ckpt")
+    write_log(path, log)
+    graph = resume(path, mutex_spec(), max_states=10_000, checkpoint=None)
+    assert digest_of_graph(graph) == digest_of_graph(explore(mutex_spec()))
+
+
+def _edgeless_compact_log(interrupted, tmp_path):
+    """A compact log as the engine wrote it before it kept edges."""
+    log = json.loads(json.dumps(interrupted["compact"]))  # deep copy
+    for record in log[1:]:
+        del record["succ"]
+    path = str(tmp_path / "edgeless.ckpt")
+    write_log(path, log)
+    return path
+
+
+def test_edgeless_compact_log_fails_closed(interrupted, tmp_path, capsys):
+    path = _edgeless_compact_log(interrupted, tmp_path)
+    with pytest.raises(CheckpointError, match="holds no succ") as excinfo:
+        resume_compact(path, mutex_spec(), max_states=10_000,
+                       checkpoint=None)
+    assert "\n" not in str(excinfo.value)
+    assert cli_main(["explore", f"@{MODULE}", "--checkpoint", path,
+                     "--resume", "--max-states", "10000"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"error: {path}: record 0 holds no succ")
+    assert out.count("\n") == 1 and "Traceback" not in out
+
+
+CHAIN_TLA = """
+MODULE Chain
+VARIABLE x \\in 0..40
+Init == x = 0
+Next == x' = IF x < 40 THEN x + 1 ELSE x
+Spec == Init /\\ [][Next]_<<x>>
+Bound == x <= 40
+"""
+
+
+def test_edgeless_compact_log_fails_the_job_closed(tmp_path):
+    """A service check process resuming such a log answers ``failed``
+    with the one-line cause, instead of dying or continuing."""
+    from repro.service.jobs import CheckRequest, run_check
+    from repro.service.pool import _check
+
+    class Quiet:
+        eof = False
+
+        def pending(self):
+            return []
+
+    path = str(tmp_path / "job.ckpt")
+    request = CheckRequest(CHAIN_TLA, invariants=("Bound",))
+    # a budget-capped run leaves a mid-run compact log behind
+    capped = run_check(CheckRequest(CHAIN_TLA, invariants=("Bound",),
+                                    max_states=10), checkpoint=path)
+    assert capped["verdict"] == "explosion"
+    header, *records = read_log(path)
+    assert header["mode"] == "compact"
+    for record in records:
+        del record["succ"]
+    write_log(path, [header, *records])
+    outcome = _check({"op": "run", "request": request.to_dict(),
+                      "checkpoint": path, "resume": True},
+                     Quiet(), lambda _frame: None)
+    assert outcome["outcome"] == "failed"
+    assert outcome["error"].startswith("CheckpointError: ")
+    assert "holds no succ" in outcome["error"]
+    assert "\n" not in outcome["error"]

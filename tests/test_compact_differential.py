@@ -9,8 +9,10 @@ same node numbering, the BFS parent tree, initial nodes, edge and
 stutter accounting, the ``StateSpaceExplosion`` insertion point, the
 streaming :class:`~repro.checker.digest.GraphDigest` -- and the checks
 built on top: invariant verdicts and byte-identical regenerated
-counterexample traces.  Checkpoint kill/resume must land on the same
-digest as the uninterrupted run.
+counterexample traces, and temporal properties (premise-fair lasso
+search over the CSR edges) with byte-identical lassos.  Checkpoint
+kill/resume must land on the same digest and verdicts as the
+uninterrupted run.
 
 This is the same cross-checking-backends discipline as
 ``test_parallel_differential.py``: the full serial explorer is the
@@ -37,6 +39,11 @@ from repro.checker import (
     resume_compact,
 )
 from repro.checker.checkpoint import CheckpointError
+from repro.checker.liveness import (
+    PremiseConstraint,
+    check_temporal_implication,
+)
+from repro.engine import ExplicitEngine, resolve_request
 from repro.kernel.expr import (
     And,
     Arith,
@@ -51,9 +58,12 @@ from repro.kernel.expr import (
 )
 from repro.kernel.state import Universe
 from repro.kernel.values import FiniteDomain
+from repro.parser import load_module
 from repro.spec import Spec
 from repro.systems.arbiter import composed_system
 from repro.systems.circuit import composed_processes
+from repro.systems.mutex import LamportMutex
+from repro.systems.paxos import Paxos, v1a, v2a
 from repro.systems.handshake import (
     ack,
     channel_universe,
@@ -63,6 +73,7 @@ from repro.systems.handshake import (
     send,
 )
 from repro.systems.queue import DEFAULT_MSG, complete_queue
+from repro.temporal.formulas import Always, Eventually, LeadsTo
 
 from tests.test_property_random_specs import random_action, random_universe
 
@@ -128,6 +139,8 @@ def assert_compact_matches_full(spec, workers: int,
     assert compact.state_count == full.state_count
     assert compact.edge_count == full.edge_count
     assert compact.stutter_count == full.stutter_count
+    # the CSR edges: every successor list, stutter loop first
+    assert [list(adjacency) for adjacency in compact.succ] == full.succ
     assert compact_stats.depth == full_stats.depth
     # the transition relation, via the streaming digest
     assert compact.digest() == digest_of_graph(full)
@@ -301,3 +314,127 @@ class TestCheckpointResume:
         explore_compact(complete_queue(2), checkpoint=str(path))
         with pytest.raises(CheckpointError, match="layout"):
             resume_compact(str(path), composed_processes())
+
+
+# ---------------------------------------------------------------------------
+# temporal properties: lasso search on packed rows and CSR edges
+# ---------------------------------------------------------------------------
+
+COUNTER_TLA = """
+MODULE Counter
+CONSTANT N = 3
+VARIABLE x \\in 0..2
+Init == x = 0
+Next == x' = (x + 1) % N
+Spec == Init /\\ [][Next]_<<x>> /\\ WF_<<x>>(Next)
+Small == x < 3
+Progress == (x = 0) ~> (x = 2)
+Stuck == (x = 0) ~> (x = 3)
+"""
+
+
+def counter_properties():
+    spec, _label, _invariants, properties = resolve_request(
+        load_module(COUNTER_TLA), "Spec", (), ("Progress", "Stuck"))
+    return spec, properties
+
+
+def paxos_properties(**options):
+    def make():
+        paxos = Paxos(2, 2, 2, **options)
+        return paxos.complete_spec(), [("EventuallyDecides",
+                                        paxos.eventually_decides())]
+    return make
+
+
+def mutex_properties(clock):
+    def make():
+        mutex = LamportMutex(2, clock)
+        return mutex.complete_spec(), [("SomeoneEnters",
+                                        mutex.someone_enters()),
+                                       ("Progress1", mutex.progress(1))]
+    return make
+
+
+PROPERTY_SUITES = [
+    pytest.param(counter_properties, id="counter"),
+    pytest.param(paxos_properties(), id="paxos-2-2-2"),
+    pytest.param(paxos_properties(droppable=(v1a(1), v2a(0, 0))),
+                 id="paxos-2-2-2-lossy"),
+    pytest.param(mutex_properties(2), id="mutex-2-2"),
+    pytest.param(mutex_properties(3), id="mutex-2-3"),
+]
+
+
+def property_run(mode, spec, properties, workers=1, **options):
+    """Verdict, rendered counterexample and stats of every property, plus
+    the graph digest, through the check pipeline in *mode*."""
+    engine = ExplicitEngine(mode, workers=workers, **options)
+    with engine.run(spec, properties=properties) as run:
+        return ([(result.name, result.ok, result.stats,
+                  result.counterexample.render()
+                  if result.counterexample is not None else None)
+                 for _kind, result in run.results],
+                digest_of_graph(run.graph))
+
+
+class TestProperties:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("make", PROPERTY_SUITES)
+    def test_compact_agrees_with_serial(self, make, workers):
+        spec, properties = make()
+        reference = property_run("serial", spec, properties)
+        assert property_run("compact", spec, properties,
+                            workers=workers) == reference
+
+    @pytest.mark.parametrize("seed", RANDOM_SEEDS)
+    def test_random_property_agrees(self, seed):
+        """A random state predicate under ``<>``, ``[]<>`` or ``~>``,
+        checked under weak fairness of the whole next-state action."""
+        spec = random_spec(seed)
+        rng = random.Random(f"property/{seed}")
+
+        def pred():
+            name = rng.choice(spec.universe.variables)
+            value = rng.choice(list(spec.universe.domain(name).values()))
+            return Eq(Var(name), Const(value))
+
+        formula = rng.choice([lambda: Eventually(pred()),
+                              lambda: Always(Eventually(pred())),
+                              lambda: LeadsTo(pred(), pred())])()
+        premises = [PremiseConstraint("WF", spec.universe.variables,
+                                      spec.next_action)]
+        outcomes = []
+        for graph in (explore(spec), explore_compact(spec),
+                      explore_compact(spec, workers=2)):
+            result = check_temporal_implication(
+                graph, formula, premises=premises, name="p")
+            outcomes.append((result.ok, result.stats,
+                             result.counterexample.render()
+                             if result.counterexample is not None
+                             else None))
+        assert outcomes[1] == outcomes[2] == outcomes[0]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_killed_property_run_resumes_to_the_same_verdicts(
+            self, tmp_path, workers):
+        spec, properties = paxos_properties(
+            droppable=(v1a(1), v2a(0, 0)))()
+        reference = property_run("compact", spec, properties)
+        path = str(tmp_path / "p.ckpt")
+        stats = ExploreStats()
+
+        def bomb(level, row):
+            if level >= 3:
+                raise _StopAtLevel()
+
+        stats.add_level_listener(bomb)
+        with pytest.raises(_StopAtLevel):
+            with ExplicitEngine("compact", workers=workers,
+                                checkpoint=path).run(
+                    spec, properties=properties, stats=stats):
+                pass
+        resumed = property_run("compact", spec, properties,
+                               workers=workers, checkpoint=path,
+                               resume=True)
+        assert resumed == reference

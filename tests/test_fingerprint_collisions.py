@@ -1,9 +1,9 @@
 """Fingerprint collisions are counted, surfaced, and never silent.
 
 64-bit FNV-1a fingerprints can collide (birthday bound ~n^2/2^65).
-Everywhere the repo *has* full states available -- the in-RAM store, the
-disk spill store, the compact engine's packed interning -- a collision
-must be **observed and survived**: distinct states stay distinct, the
+Both graph classes intern on exact keys -- the full engine's ``State``
+dict, the compact engine's packed ints -- so a collision must be
+**observed and survived**: distinct states stay distinct, the
 count lands on ``ExploreStats.fingerprint_collisions``, and the human
 summary says so.  Real collisions are unobtainable in a test, so these
 tests force them by monkeypatching the fingerprint functions to a
@@ -14,12 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.checker import (
-    ExploreStats,
-    build_store,
-    explore,
-    explore_compact,
-)
+from repro.checker import ExploreStats, explore, explore_compact
 from repro.kernel import state as state_mod
 from repro.kernel.packed import PackedCodec
 from repro.systems.queue import complete_queue
@@ -60,22 +55,6 @@ class TestMemoryStoreCollisions:
                 in stats.summary())
         assert (stats.as_dict()["fingerprint_collisions"]
                 == graph.state_count - 1)
-
-
-class TestSpillStoreCollisions:
-    def test_forced_collision_chains_in_the_index(self, spec, tmp_path,
-                                                  monkeypatch):
-        monkeypatch.setattr(state_mod.State, "fingerprint",
-                            constant_fingerprint)
-        store = build_store({"kind": "spill", "spill_dir": str(tmp_path),
-                             "hot_capacity": 8})
-        stats = ExploreStats()
-        graph = explore(spec, stats=stats, store=store)
-        # the fingerprint index chains colliding nodes; states survive
-        assert graph.state_count > 1
-        assert stats.fingerprint_collisions == graph.state_count - 1
-        assert "collision(s) detected" in stats.summary()
-        store.close()
 
 
 class TestCompactEngineCollisions:

@@ -12,12 +12,12 @@ Two claims, checked empirically against the unreduced serial explorer
   states.  Reduced exploration must itself be bit-for-bit deterministic
   across worker counts (ample sets are computed in workers, the C3
   proviso on the coordinator in serial merge order).
-* **The state-store backend is invisible.**  A spill-store run whose
-  state count exceeds the hot LRU capacity must produce the *identical*
-  graph -- same states under the same node numbering, same adjacency,
-  same BFS parents -- as the in-RAM store, at any worker count, with or
-  without reduction, and spill checkpoints must survive explosion /
-  worker-kill interruptions and resume bit-for-bit.
+* **The state representation is invisible.**  The compact engine
+  (packed rows, CSR edges) must produce the *identical* graph -- same
+  states under the same node numbering, same adjacency, same BFS
+  parents -- as the dict-backed one, and reduced checkpoints must
+  survive explosion / worker-kill interruptions and resume
+  bit-for-bit.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.checker import (
     ExploreStats,
     ReductionConfig,
     StateSpaceExplosion,
-    build_store,
     check_deadlock_free,
     check_invariant,
     decompose,
@@ -60,17 +59,12 @@ if _extra and _extra not in WORKER_COUNTS:
 
 
 def graph_signature(graph):
-    """Everything that must be bit-for-bit equal between two runs."""
+    """Everything that must be bit-for-bit equal between two runs (an
+    initial node's parent is ``None`` in one graph class, ``-1`` in the
+    other)."""
     return (list(graph.states), [list(adj) for adj in graph.succ],
-            list(graph.parent), list(graph.init_nodes),
-            graph.edge_count, graph.stutter_count)
-
-
-def spill_store(tmp_path, hot_capacity=8, name="spill"):
-    directory = tmp_path / name
-    directory.mkdir(exist_ok=True)
-    return build_store({"kind": "spill", "spill_dir": str(directory),
-                        "hot_capacity": hot_capacity})
+            [-1 if p is None else p for p in graph.parent],
+            list(graph.init_nodes), graph.edge_count, graph.stutter_count)
 
 
 # the bundled invariant cases: (system id, spec factory, invariant expr,
@@ -173,20 +167,19 @@ def test_liveness_shaped_specs_auto_disable():
 
 
 # ---------------------------------------------------------------------------
-# seeded random specs: POR + both stores against the reference explorer
+# seeded random specs: POR + both representations against the reference
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_random_specs_reduction_and_stores_agree(seed, tmp_path):
+def test_random_specs_reduction_and_stores_agree(seed):
     rng = random.Random(seed)
     universe = random_universe(rng)
     spec = Spec(f"rand{seed}", Const(True), random_action(rng, universe),
                 universe.variables, universe)
     full = explore(spec)
-    # spill store: bit-for-bit the in-RAM graph even with a tiny LRU
-    spilled = explore(spec, store=spill_store(tmp_path, hot_capacity=4))
-    assert graph_signature(spilled) == graph_signature(full)
+    # packed rows + CSR edges: bit-for-bit the dict-backed graph
+    assert graph_signature(explore_compact(spec)) == graph_signature(full)
     # reduction: deadlock existence preserved ...
     reduced = explore(spec, reduction=ReductionConfig(()))
     assert check_deadlock_free(reduced).ok == check_deadlock_free(full).ok
@@ -221,57 +214,18 @@ def test_reduced_parallel_matches_reduced_serial(workers):
     assert graph_signature(parallel) == graph_signature(serial)
 
 
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_spill_store_identical_at_any_worker_count(workers, tmp_path):
-    """Acceptance criterion: a spill run whose state count (170) exceeds
-    the hot LRU capacity (8) is bit-for-bit the mem-store run at any
-    worker count."""
-    spec = complete_queue(2)
-    reference = explore(spec)
-    store = spill_store(tmp_path, hot_capacity=8, name=f"w{workers}")
-    graph = explore_parallel(spec, workers=workers, store=store)
-    assert graph.state_count > 8
-    assert graph_signature(graph) == graph_signature(reference)
-    assert graph.store.counters()["evictions"] > 0
-    graph.store.close()
-
-
-def test_spill_plus_reduction_plus_workers(tmp_path):
-    """All three levers at once still reproduce the serial reduced run."""
-    spec = QueueChain(2, 1).complete_spec()
-    config = ReductionConfig(())
-    reference = explore(spec, reduction=config)
-    store = spill_store(tmp_path, hot_capacity=8)
-    graph = explore_parallel(spec, workers=2, reduction=config, store=store)
-    assert graph_signature(graph) == graph_signature(reference)
-    graph.store.close()
-
-
 # ---------------------------------------------------------------------------
-# durability: spill checkpoints under interruption, config mismatch refusal
+# durability: reduced checkpoints under interruption, config mismatch refusal
 # ---------------------------------------------------------------------------
 
 
 def _interrupted_checkpoint(spec, tmp_path, budget):
-    """Explode a reduced spill run mid-way, leaving a live checkpoint."""
+    """Explode a reduced run mid-way, leaving a live checkpoint."""
     path = str(tmp_path / "run.ckpt")
-    store = spill_store(tmp_path, hot_capacity=8, name="ckpt-spill")
     with pytest.raises(StateSpaceExplosion):
         explore(spec, max_states=budget, checkpoint=path,
-                reduction=ReductionConfig(("q",)), store=store)
-    store.close()
+                reduction=ReductionConfig(("q",)))
     return path
-
-
-def test_spill_checkpoint_resume_bit_for_bit(tmp_path):
-    spec = complete_queue(2)
-    reference = explore(spec, reduction=ReductionConfig(("q",)))
-    path = _interrupted_checkpoint(spec, tmp_path, budget=60)
-    # the resumed run adopts the stored reduction + spill configuration
-    graph = resume(path, spec, max_states=200_000)
-    assert graph.store.kind == "spill"
-    assert graph_signature(graph) == graph_signature(reference)
-    graph.store.close()
 
 
 def test_resume_refuses_mismatched_configs(tmp_path):
@@ -279,52 +233,34 @@ def test_resume_refuses_mismatched_configs(tmp_path):
     path = _interrupted_checkpoint(spec, tmp_path, budget=60)
     with pytest.raises(CheckpointError, match="reduction"):
         resume(path, spec, max_states=200_000, reduction=None)
-    with pytest.raises(CheckpointError, match="state store"):
-        resume(path, spec, max_states=200_000, store={"kind": "mem"})
     with pytest.raises(CheckpointError, match="reduction"):
         resume(path, spec, max_states=200_000,
                reduction=ReductionConfig(("q", "i.sig")))  # wrong observed
-    # matching explicit configs are accepted
+    reference = explore(spec, reduction=ReductionConfig(("q",)))
+    # by default the resumed run adopts the stored reduction ...
+    graph = resume(path, spec, max_states=200_000, checkpoint=None)
+    assert graph_signature(graph) == graph_signature(reference)
+    # ... and a matching explicit config is accepted
     graph = resume(path, spec, max_states=200_000,
-                   reduction=ReductionConfig(("q",)),
-                   store={"kind": "spill",
-                          "spill_dir": str(tmp_path / "ckpt-spill"),
-                          "hot_capacity": 8})
-    reference = explore(spec, reduction=ReductionConfig(("q",)))
+                   reduction=ReductionConfig(("q",)))
     assert graph_signature(graph) == graph_signature(reference)
-    graph.store.close()
 
 
-def test_spill_resume_survives_deleted_spill_files(tmp_path):
-    """The checkpoint is self-contained: resuming re-interns every state
-    through a fresh spill store, so losing the spill files is harmless."""
-    spec = complete_queue(2)
-    reference = explore(spec, reduction=ReductionConfig(("q",)))
-    path = _interrupted_checkpoint(spec, tmp_path, budget=60)
-    for stale in (tmp_path / "ckpt-spill").iterdir():
-        stale.unlink()
-    graph = resume(path, spec, max_states=200_000)
-    assert graph_signature(graph) == graph_signature(reference)
-    graph.store.close()
-
-
-def test_spill_reduced_run_survives_worker_kill(tmp_path, monkeypatch):
+def test_reduced_run_survives_worker_kill(tmp_path, monkeypatch):
     """Fault injection: a SIGKILLed worker mid-chunk does not perturb a
-    reduced spill-store exploration (the chunk is retried and the merge
-    stream -- including proviso decisions -- is unchanged)."""
+    reduced exploration (the chunk is retried and the merge stream --
+    including proviso decisions -- is unchanged)."""
     monkeypatch.setattr(parallel_module, "_MIN_CHUNK", 1)
     spec = complete_queue(2)
     config = ReductionConfig(("q",))
     reference = explore(spec, reduction=config)
     stats = ExploreStats()
     hook = functools.partial(_kill_once, str(tmp_path / "killed.marker"))
-    store = spill_store(tmp_path, hot_capacity=8)
     graph = explore_parallel(spec, workers=2, stats=stats, fault_hook=hook,
                              checkpoint=str(tmp_path / "run.ckpt"),
-                             reduction=config, store=store)
+                             reduction=config)
     assert graph_signature(graph) == graph_signature(reference)
     assert stats.total_retries >= 1
-    graph.store.close()
 
 
 # ---------------------------------------------------------------------------
@@ -367,24 +303,19 @@ def test_autosized_workers_keep_parallel_options():
 # ---------------------------------------------------------------------------
 
 
-def test_stats_summary_reports_reduction_store_and_levels(tmp_path):
+def test_stats_summary_reports_reduction_and_levels():
     spec = complete_queue(2)
     stats = ExploreStats()
-    store = spill_store(tmp_path, hot_capacity=8)
-    explore(spec, stats=stats, reduction=ReductionConfig(("q",)),
-            store=store)
+    explore(spec, stats=stats, reduction=ReductionConfig(("q",)))
     text = stats.summary()
     assert "reduction: por on" in text
-    assert "store: spill" in text
     assert "per-level:" in text
     assert "real-edges" in text
     assert "peak RSS:" in text
     snapshot = stats.as_dict()
     assert snapshot["por_enabled"] is True
-    assert snapshot["store_kind"] == "spill"
     assert snapshot["levels"], "per-level rows missing from the snapshot"
     assert snapshot["peak_rss_kb"] >= 0
-    store.close()
 
 
 def test_decompose_is_pure():
@@ -398,66 +329,3 @@ def test_decompose_is_pure():
     assert [c.writes for c in first.classes] == [c.writes
                                                  for c in second.classes]
     assert first.dep == second.dep
-
-
-# ---------------------------------------------------------------------------
-# store lifecycle: every error path releases the spill files
-# ---------------------------------------------------------------------------
-
-
-def test_spill_store_closed_when_serial_run_explodes(tmp_path):
-    """Regression: a budget explosion used to leak the spill store's
-    mmap'd fingerprint index and data handles (the graph escapes only
-    via the exception, so nobody could close it).  The explorer now
-    closes the caller's store on every error path."""
-    store = spill_store(tmp_path, hot_capacity=8)
-    with pytest.raises(StateSpaceExplosion):
-        explore(complete_queue(2), max_states=10, store=store)
-    assert store.closed
-
-
-def test_spill_store_closed_when_parallel_run_explodes(tmp_path):
-    store = spill_store(tmp_path, hot_capacity=8)
-    with pytest.raises(StateSpaceExplosion):
-        explore_parallel(complete_queue(2), workers=2, max_states=10,
-                         store=store)
-    assert store.closed
-
-
-def test_spill_store_closed_when_resume_validation_fails(tmp_path):
-    """A refused resume (mismatched config assertion) must not leak the
-    store it built for the attempt."""
-    spec = complete_queue(2)
-    path = str(tmp_path / "run.ckpt")
-    graph = explore(spec, checkpoint=path,
-                    store=spill_store(tmp_path, name="first"))
-    graph.store.close()
-    with pytest.raises(CheckpointError):
-        # the checkpoint records spill; asserting mem must be refused
-        resume(path, spec, store={"kind": "mem"})
-
-
-def test_spill_store_is_a_context_manager(tmp_path):
-    with spill_store(tmp_path, hot_capacity=8) as store:
-        graph = explore(complete_queue(2), store=store)
-        assert graph.state_count == explore(complete_queue(2)).state_count
-    assert store.closed
-    store.close()  # idempotent
-
-
-def test_exploded_spill_run_is_resource_warning_clean(tmp_path):
-    """The strict-unlink discipline: after an explosion the spill files
-    can be removed immediately, and garbage collection raises no
-    ResourceWarning for abandoned handles."""
-    import gc
-    import warnings
-
-    store = spill_store(tmp_path, hot_capacity=8, name="strict")
-    with pytest.raises(StateSpaceExplosion):
-        explore(complete_queue(2), max_states=10, store=store)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ResourceWarning)
-        del store
-        gc.collect()
-    for leftover in (tmp_path / "strict").iterdir():
-        leftover.unlink()  # strict unlink: no open handle blocks this

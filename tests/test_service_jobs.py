@@ -665,14 +665,16 @@ class TestRequestValidation:
 
 
 class TestCompactRequests:
-    """The compact engine through the service: same verdict, same trace,
-    same graph digest, a distinct cache identity, and the property /
-    unsupported-spec fallbacks ride the notes channel."""
+    """The compact engine is the service's default: same verdict, same
+    trace, same graph digest as the full engine (what ``por`` still
+    selects), properties included and with no note, and a retired
+    ``compact`` field in a request is accepted and dropped."""
 
     def test_verdict_trace_and_digest_match_full(self):
-        full = run_check(counter_request(invariants=("Small", "TooSmall")))
+        full = run_check(counter_request(invariants=("Small", "TooSmall"),
+                                         por=True))
         compact = run_check(counter_request(
-            invariants=("Small", "TooSmall"), compact=True))
+            invariants=("Small", "TooSmall")))
         assert compact["verdict"] == full["verdict"] == "violation"
         assert compact["graph_digest"] == full["graph_digest"]
         assert compact["checks"] == full["checks"]
@@ -683,36 +685,39 @@ class TestCompactRequests:
         assert compact["stats"]["fingerprint_collisions"] == 0
         assert "collision_probability_bound" in compact["stats"]
 
-    def test_compact_addresses_the_cache_separately(self):
-        assert (counter_request(compact=True).fingerprint()
-                != counter_request().fingerprint())
-        assert counter_request(compact=True).semantic_config()["compact"] \
-            is True
-
-    def test_properties_auto_disable_compact_with_note(self):
-        result = run_check(counter_request(
-            properties=("Progress",), compact=True))
+    def test_properties_run_on_compact_without_a_note(self):
+        result = run_check(counter_request(properties=("Progress",)))
         assert result["verdict"] == "ok"
-        assert any("compact engine disabled" in note
-                   for note in result["notes"])
-        assert result["stats"]["engine"] == "full"
+        assert result["notes"] == []
+        assert result["stats"]["engine"] == "compact"
+        # reduction asked for and switched off by the property: compact
+        result = run_check(counter_request(properties=("Progress",),
+                                           por=True))
+        assert result["verdict"] == "ok"
+        assert result["stats"]["engine"] == "compact"
 
     def test_explosion_verdict_matches_full(self):
-        full = run_check(chain_request(max_states=5))
-        compact = run_check(chain_request(max_states=5, compact=True))
+        full = run_check(chain_request(max_states=5, por=True))
+        compact = run_check(chain_request(max_states=5))
         assert compact["verdict"] == full["verdict"] == "explosion"
         assert compact["error"] == full["error"]
 
     def test_from_dict_accepts_and_roundtrips_compact(self):
-        request = CheckRequest.from_dict(
-            {"module_source": COUNTER_TLA, "compact": True})
-        assert request.compact is True
-        assert CheckRequest.from_dict(request.to_dict()) == request
+        """Journals and clients from before the field was retired still
+        load: ``compact`` is accepted, dropped, and leaves neither the
+        request nor its cache identity different."""
+        plain = CheckRequest.from_dict({"module_source": COUNTER_TLA})
+        for flag in (True, False):
+            request = CheckRequest.from_dict(
+                {"module_source": COUNTER_TLA, "compact": flag})
+            assert request == plain
+            assert request.fingerprint() == plain.fingerprint()
+        assert "compact" not in plain.to_dict()
+        assert "compact" not in plain.semantic_config()
+        assert CheckRequest.from_dict(plain.to_dict()) == plain
 
     @pytest.mark.parametrize("payload, fragment", [
         ({"module_source": "m", "compact": 1}, "compact"),
-        ({"module_source": "m", "compact": True, "por": True},
-         "mutually exclusive"),
     ])
     def test_bad_compact_payloads_rejected(self, payload, fragment):
         with pytest.raises(ValueError, match=fragment):
@@ -722,8 +727,9 @@ class TestCompactRequests:
         async def scenario():
             manager = JobManager(str(tmp_path / "svc"), pool_size=1)
             await manager.start()
-            job, disposition = manager.submit(
-                counter_request(invariants=("TooSmall",), compact=True))
+            job, disposition = manager.submit(CheckRequest.from_dict(
+                {"module_source": COUNTER_TLA, "invariants": ["TooSmall"],
+                 "compact": True}))
             assert disposition == "created"
             await wait_terminal(job)
             await manager.shutdown()
@@ -732,5 +738,7 @@ class TestCompactRequests:
         job = asyncio.run(scenario())
         assert job.state == "done"
         assert job.result["verdict"] == "violation"
-        reference = run_check(counter_request(invariants=("TooSmall",)))
+        assert job.result["stats"]["engine"] == "compact"
+        reference = run_check(counter_request(invariants=("TooSmall",),
+                                              por=True))
         assert job.result["graph_digest"] == reference["graph_digest"]

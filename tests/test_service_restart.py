@@ -9,8 +9,9 @@
   with the dead process's counters still counting;
 * one front, two check processes: submissions from two tenants all
   complete and the metrics add up; SIGKILL on the front takes its
-  check processes with it; a second front on a held state directory
-  is refused with a usage error naming the holder.
+  check processes with it, and a ``workers: 2`` check's pool workers
+  with them; a second front on a held state directory is refused with
+  a usage error naming the holder.
 """
 
 import json
@@ -301,6 +302,67 @@ class TestMultiProcess:
             if second.poll() is None:
                 second.kill()
         assert second.returncode == 0
+
+
+GRID_TLA = """
+MODULE Grid
+VARIABLE x \\in 0..40
+VARIABLE y \\in 0..40
+Init == x = 0 /\\ y = 0
+Next == (x < 40 /\\ x' = x + 1 /\\ y' = y)
+        \\/ (y < 40 /\\ y' = y + 1 /\\ x' = x)
+Spec == Init /\\ [][Next]_<<x, y>>
+Bound == x <= 40
+"""
+
+
+def _descendants(root):
+    """Every live process below *root*, from the parent links in
+    ``/proc/<pid>/stat``."""
+    children = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", "rb") as handle:
+                fields = handle.read().rsplit(b")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if fields[0] != b"Z":
+            children.setdefault(int(fields[1]), []).append(int(entry))
+    found, todo = [], [root]
+    while todo:
+        for child in children.get(todo.pop(), ()):
+            found.append(child)
+            todo.append(child)
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="reads process trees from /proc")
+def test_pool_workers_die_with_the_front(tmp_path):
+    """SIGKILL on the front during a ``workers: 2`` job: the check
+    process dies of its parent-death signal, and its pool workers of
+    theirs -- no descendant survives."""
+    state_dir = str(tmp_path / "svc")
+    server = spawn_server(state_dir)
+    try:
+        client = ServiceClient(endpoint(state_dir)["url"], timeout=120)
+        client.submit(GRID_TLA, invariants=["Bound"], workers=2,
+                      level_delay=0.1)
+        # the check process, and its two pool workers once the
+        # diagonal levels grow wide enough to be shipped
+        wait_until(lambda: len(_descendants(server.pid)) >= 3,
+                   message="the pool workers to start")
+        below = _descendants(server.pid)
+        server.send_signal(signal.SIGKILL)
+        server.wait(timeout=30)
+        wait_until(lambda: not any(_pid_alive(pid) for pid in below),
+                   timeout=10,
+                   message="every descendant to die with the front")
+    finally:
+        if server.poll() is None:
+            server.kill()
 
 
 def _pid_alive(pid):

@@ -128,7 +128,7 @@ class TestCompleteQueue:
         reachable graph -- composition is conjunction."""
         g1 = explore(complete_queue(1))
         g2 = explore(complete_queue_conjunction(1))
-        assert set(g1.index) == set(g2.index)
+        assert set(g1.states) == set(g2.states)
         assert edge_set(g1) == edge_set(g2)
 
     def test_capacity_invariant(self):
@@ -191,7 +191,7 @@ class TestDoubleQueue:
                           dq.disjoint.spec(dq.universe.restrict(
                               [v for t in dq.disjoint.tuples for v in t]))])
         g2 = explore(with_g)
-        assert set(g1.index) == set(g2.index)
+        assert set(g1.states) == set(g2.states)
         assert edge_set(g1) == edge_set(g2)
 
     def test_plain_conjunction_allows_simultaneity(self):
@@ -201,7 +201,7 @@ class TestDoubleQueue:
         dq = DoubleQueue(1)
         g1 = explore(dq.cdq_spec())
         g2 = explore(dq.cdq_conjunction())
-        assert set(g1.index) == set(g2.index)  # same reachable states
+        assert set(g1.states) == set(g2.states)  # same reachable states
         extra = edge_set(g2) - edge_set(g1)
         assert extra, "plain conjunction should allow simultaneous steps"
         assert not (edge_set(g1) - edge_set(g2))

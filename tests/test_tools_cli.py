@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+import repro.tools.cli as cli_module
 from repro.checker.checkpoint import read_checkpoint
 from repro.tools.cli import main
 
@@ -35,6 +36,19 @@ def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+@pytest.fixture
+def run_cli_full(monkeypatch):
+    """``run_cli`` with the pipeline's engine choice pinned to the full
+    dict-backed engine -- the reference the default compact run must
+    reproduce byte for byte."""
+    def run(*argv):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_module, "choose_mode",
+                          lambda *args, **kwargs: "parallel")
+            return run_cli(*argv)
+    return run
 
 
 class TestCheckExitCodes:
@@ -222,15 +236,15 @@ class TestStatsJson:
 
 
 class TestParseTimeValidation:
-    """--checkpoint-every and --spill-cache reject non-positive values
+    """--checkpoint-every and --max-states reject non-positive values
     as usage errors (exit 2) before any work starts."""
 
     @pytest.mark.parametrize("flags", [
         ("--checkpoint-every", "0"),
         ("--checkpoint-every", "-3"),
         ("--checkpoint-every", "two"),
-        ("--spill-cache", "0"),
-        ("--spill-cache", "-5"),
+        ("--max-states", "0"),
+        ("--max-states", "-5"),
     ])
     def test_bad_values_are_usage_errors(self, module_file, flags):
         with pytest.raises(SystemExit) as excinfo:
@@ -376,29 +390,29 @@ class TestCounterexampleRegressions:
 
 
 class TestCompactEngine:
-    """--compact: same verdicts, traces, and rendered output as the full
-    engine, plus the stats surface the collision report rides on."""
+    """The compact engine runs by default: same verdicts, traces, and
+    rendered output as the full engine, plus the stats surface the
+    collision report rides on."""
 
-    def test_check_output_identical_to_full(self, module_file):
-        for invariant in ("Small", "TooSmall"):
-            code_full, full = run_cli("check", module_file,
-                                      "--invariant", invariant)
-            code_compact, compact = run_cli("check", module_file,
-                                            "--invariant", invariant,
-                                            "--compact")
+    def test_check_output_identical_to_full(self, module_file,
+                                            run_cli_full):
+        for flags in (("--invariant", "Small"), ("--invariant", "TooSmall"),
+                      ("--property", "Progress"), ("--property", "Stuck")):
+            code_full, full = run_cli_full("check", module_file, *flags)
+            code_compact, compact = run_cli("check", module_file, *flags)
             assert code_compact == code_full
             assert compact == full  # byte-identical, trace included
 
-    def test_explore_output_identical_to_full(self, module_file):
-        _, full = run_cli("explore", module_file, "--show", "99")
-        code, compact = run_cli("explore", module_file, "--show", "99",
-                                "--compact")
+    def test_explore_output_identical_to_full(self, module_file,
+                                              run_cli_full):
+        _, full = run_cli_full("explore", module_file, "--show", "99")
+        code, compact = run_cli("explore", module_file, "--show", "99")
         assert code == 0
         assert compact == full
 
     def test_stats_report_engine_and_collision_bound(self, module_file):
         code, text = run_cli("check", module_file, "--invariant", "Small",
-                             "--compact", "--stats")
+                             "--property", "Progress", "--stats")
         assert code == 0
         assert "engine: compact" in text
         assert "collision probability bound" in text
@@ -407,7 +421,7 @@ class TestCompactEngine:
     def test_stats_json_records_engine(self, module_file, tmp_path):
         out = tmp_path / "stats.json"
         code, _ = run_cli("check", module_file, "--invariant", "Small",
-                          "--compact", "--stats-json", str(out))
+                          "--stats-json", str(out))
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["engine"] == "compact"
@@ -416,23 +430,22 @@ class TestCompactEngine:
 
     def test_checkpoint_resume_identical(self, module_file, tmp_path):
         cp = str(tmp_path / "c.ckpt")
-        _, fresh = run_cli("explore", module_file, "--show", "99",
-                           "--compact")
+        _, fresh = run_cli("explore", module_file, "--show", "99")
         code, _ = run_cli("explore", module_file, "--show", "99",
-                          "--compact", "--checkpoint", cp)
+                          "--checkpoint", cp)
         assert code == 0
+        assert read_checkpoint(cp).mode == "compact"
         code, resumed = run_cli("explore", module_file, "--show", "99",
-                                "--compact", "--checkpoint", cp, "--resume")
+                                "--checkpoint", cp, "--resume")
         assert code == 0
         assert resumed == fresh
         manifest = json.loads((tmp_path / "c.ckpt.manifest.json").read_text())
-        assert manifest["store"] == {"kind": "compact"}
+        assert "store" not in manifest
 
     def test_compact_workers_identical_to_serial(self, module_file):
-        _, serial = run_cli("check", module_file, "--invariant", "TooSmall",
-                            "--compact")
+        _, serial = run_cli("check", module_file, "--invariant", "TooSmall")
         code, parallel = run_cli("check", module_file, "--invariant",
-                                 "TooSmall", "--compact", "--workers", "2")
+                                 "TooSmall", "--workers", "2")
         assert code == 1
         assert parallel == serial
 
@@ -443,7 +456,7 @@ class TestUsageErrorPaths:
 
     def test_resume_with_missing_checkpoint_file(self, module_file,
                                                  tmp_path):
-        for extra in ((), ("--compact",)):
+        for extra in ((), ("--por",)):
             code, text = run_cli("check", module_file, "--checkpoint",
                                  str(tmp_path / "nope.ckpt"), "--resume",
                                  *extra)
@@ -454,7 +467,7 @@ class TestUsageErrorPaths:
     def test_resume_with_corrupt_checkpoint(self, module_file, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_text("{not json")
-        for extra in ((), ("--compact",)):
+        for extra in ((), ("--por",)):
             code, text = run_cli("check", module_file, "--checkpoint",
                                  str(bad), "--resume", *extra)
             assert code == 2
@@ -478,60 +491,38 @@ class TestUsageErrorPaths:
         assert code == 2
         assert "error:" in text
 
-    def test_cross_engine_resume_is_exit_two_both_ways(self, module_file,
-                                                       tmp_path):
+    def test_resume_continues_on_the_engine_that_wrote_the_log(
+            self, module_file, tmp_path):
         full_cp = str(tmp_path / "full.ckpt")
         compact_cp = str(tmp_path / "compact.ckpt")
-        assert run_cli("explore", module_file, "--checkpoint",
-                       full_cp)[0] == 0
-        assert run_cli("explore", module_file, "--checkpoint", compact_cp,
-                       "--compact")[0] == 0
-        code, text = run_cli("explore", module_file, "--checkpoint",
-                             full_cp, "--resume", "--compact")
+        # --por selects the full engine; the default run is compact
+        assert run_cli("check", module_file, "--invariant", "Small",
+                       "--por", "--checkpoint", full_cp)[0] == 0
+        assert run_cli("check", module_file, "--invariant", "Small",
+                       "--checkpoint", compact_cp)[0] == 0
+        assert read_checkpoint(full_cp).mode is None
+        assert read_checkpoint(compact_cp).mode == "compact"
+        for path in (full_cp, compact_cp):
+            code, text = run_cli("check", module_file, "--invariant",
+                                 "Small", "--checkpoint", path, "--resume",
+                                 "--stats")
+            assert code == 0
+            assert ("engine: compact" in text) == (path == compact_cp)
+        # the compact engine has no reduction to resume under
+        code, text = run_cli("check", module_file, "--invariant", "Small",
+                             "--checkpoint", compact_cp, "--resume", "--por")
         assert code == 2
-        assert "full-state engine" in text
-        code, text = run_cli("explore", module_file, "--checkpoint",
-                             compact_cp, "--resume")
-        assert code == 2
+        assert text.startswith(f"error: {compact_cp}: ")
         assert "compact engine" in text
 
-    def test_spill_dir_pointing_at_a_file(self, module_file):
-        # tests may run as root, where permission bits don't block -- an
-        # existing regular file is the portable "unusable directory"
-        code, text = run_cli("check", module_file, "--store", "spill",
-                             "--spill-dir", module_file)
-        assert code == 2
-        assert "error: --spill-dir" in text
-        assert "not a writable directory" in text
-
-    def test_spill_dir_under_a_file_prefix(self, module_file):
-        code, text = run_cli("check", module_file, "--store", "spill",
-                             "--spill-dir", module_file + "/sub")
-        assert code == 2
-        assert "not a writable directory" in text
-
-    def test_compact_excludes_por(self, module_file):
-        code, text = run_cli("check", module_file, "--compact", "--por")
-        assert code == 2
-        assert "mutually exclusive" in text
-
-    def test_compact_excludes_spill_store(self, module_file, tmp_path):
-        code, text = run_cli("check", module_file, "--compact",
-                             "--store", "spill", "--spill-dir",
-                             str(tmp_path / "spill"))
-        assert code == 2
-        assert "--store spill" in text
-
-    def test_compact_excludes_temporal_properties(self, module_file):
-        code, text = run_cli("check", module_file, "--compact",
-                             "--property", "Progress")
-        assert code == 2
-        assert "temporal properties" in text
-
-    def test_explore_has_no_property_flag_so_compact_is_fine(
-            self, module_file):
-        code, _ = run_cli("explore", module_file, "--compact")
-        assert code == 0
+    def test_help_lists_no_engine_or_store_flag(self, capsys):
+        for verb in ("check", "explore", "submit"):
+            with pytest.raises(SystemExit):
+                main([verb, "--help"])
+            text = capsys.readouterr().out
+            for flag in ("--compact", "--store", "--spill-dir",
+                         "--spill-cache"):
+                assert flag not in text, (verb, flag)
 
 
 class TestBundledModules:
@@ -563,10 +554,10 @@ class TestBundledModules:
                              "--invariant", "Agreement")
         assert code == 1
 
-    def test_bundled_compact_matches_full_output(self):
-        ref_code, ref_text = run_cli("check", "@mutex:n=2,clock=2",
-                                     "--invariant", "MutualExclusion")
-        code, text = run_cli("check", "@mutex:n=2,clock=2", "--compact",
+    def test_bundled_compact_matches_full_output(self, run_cli_full):
+        ref_code, ref_text = run_cli_full("check", "@mutex:n=2,clock=2",
+                                          "--invariant", "MutualExclusion")
+        code, text = run_cli("check", "@mutex:n=2,clock=2",
                              "--invariant", "MutualExclusion")
         assert (code, text) == (ref_code, ref_text)
 
