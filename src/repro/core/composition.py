@@ -36,8 +36,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..checker.explorer import explore
-from ..checker.graph import StateGraph
+from ..checker.compact import explore_compact
+from ..checker.graph import GraphQueries
 from ..checker.liveness import check_temporal_implication, premises_of_spec
 from ..checker.refinement import IDENTITY, RefinementMapping, check_safety_refinement
 from ..kernel.state import Universe
@@ -166,9 +166,12 @@ class CompositionTheorem:
 
         # the one exploration: E ∧ ⋀ M_j is this product plus fairness
         # (Proposition 1: C(M_j) is M_j minus fairness), which shapes no
-        # state or edge and enters hypothesis 2b as premises only
-        graph = explore(self._safety_product(closures),
-                        max_states=self.max_states)
+        # state or edge and enters hypothesis 2b as premises only.  It
+        # runs on the compact engine: every obligation reads the graph
+        # through GraphQueries, and the packed expander walks the same
+        # plan tree over the product's conjoined component actions
+        graph = explore_compact(self._safety_product(closures),
+                                max_states=self.max_states)
 
         for i, ag in enumerate(self.devices, start=1):
             cert.add(self._hypothesis1(i, ag, graph))
@@ -224,7 +227,7 @@ class CompositionTheorem:
     # -- hypothesis 1 ------------------------------------------------------------
 
     def _hypothesis1(self, index: int, ag: AGSpec,
-                     graph: StateGraph) -> Obligation:
+                     graph: GraphQueries) -> Obligation:
         oid = f"1[{index}]"
         if ag.assumption is None:
             return Obligation(
@@ -247,7 +250,7 @@ class CompositionTheorem:
 
     # -- hypothesis 2(a) ------------------------------------------------------------
 
-    def _hypothesis2a(self, graph: StateGraph) -> Obligation:
+    def _hypothesis2a(self, graph: GraphQueries) -> Obligation:
         rules: List[PropositionReport] = []
         description = "C(E)+v ∧ ⋀ C(M_j) ⇒ C(M)"
 
@@ -270,7 +273,7 @@ class CompositionTheorem:
         )
         return Obligation("2a", description, rules=rules, result=result)
 
-    def _orthogonality_report(self, graph: StateGraph) -> PropositionReport:
+    def _orthogonality_report(self, graph: GraphQueries) -> PropositionReport:
         """``⋀ C(M_j) ⇒ C(E) ⊥ C(M)`` via Proposition 4 (Figure 9, step 2.1)."""
         assumption = self.goal.assumption
         assert assumption is not None
@@ -313,7 +316,7 @@ class CompositionTheorem:
 
     # -- hypothesis 2(b) ------------------------------------------------------------
 
-    def _hypothesis2b(self, graph: StateGraph) -> Obligation:
+    def _hypothesis2b(self, graph: GraphQueries) -> Obligation:
         specs: List[Spec] = []
         if self.goal.assumption is not None:
             specs.append(self.goal.assumption)

@@ -401,7 +401,7 @@ def _build_transition(codec: PackedCodec, spec) -> _Template:
             conjuncts.append((b.encode_assignment(name, expr), _FALSE))
         for name, expr in bp.checks:
             conjuncts.append((b.encode_assignment(name, expr), _FALSE))
-        for expr in bp.constraints:
+        for expr in bp.pre_constraints + bp.step_constraints:
             conjuncts.append(b.encode(expr))
         dead = False
         for v, e in conjuncts:

@@ -21,7 +21,7 @@ action in the value model is handled, just more or less quickly.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .expr import (
     And,
@@ -195,13 +195,29 @@ _EXPAND_CAP = 512
 #: every primed variable
 _EXPAND_DEPTH = 8
 
-#: total refined sub-plans per SuccessorPlan; past this, remaining free
-#: variables fall back to domain enumeration (same successors, same order)
+#: total sub-plans per SuccessorPlan, counted as they are reached (a node's
+#: sub-plans are built when a state first passes its guards); past this,
+#: a reached node's free variables fall back to domain enumeration (same
+#: successors, same order)
 _EXPAND_TOTAL = 65536
 
 
+class _Growth:
+    """What the nodes of one :class:`SuccessorPlan` tree share while the
+    tree grows on demand: the universe and frame, the count of sub-plans
+    built, and the per-plan memo of compiled constraints."""
+
+    __slots__ = ("universe", "relevant", "built", "memo")
+
+    def __init__(self, universe: "Universe", relevant: Tuple[str, ...]):
+        self.universe = universe
+        self.relevant = relevant
+        self.built = 0
+        self.memo: Dict[int, List[Branch]] = {}
+
+
 class _BranchPlan:
-    """One branch of a :class:`SuccessorPlan`: the per-state work of
+    """One node of a :class:`SuccessorPlan`'s tree: the per-state work of
     :class:`Branch`, with everything that depends only on the universe and
     frame hoisted out of the per-state loop.
 
@@ -228,6 +244,9 @@ class _BranchPlan:
       unexpanded enumeration would have produced, so node numbering and
       every downstream golden artifact are unchanged; the expansion is a
       pure optimisation replacing domain enumeration with evaluation.
+      It is computed the first time a state reaches this node (passes
+      its guards, bindings and checks) and kept: most sub-plans of a
+      component product are never reached.
 
     A sub-plan is analysed as the whole conjunction (its parent's branch
     merged with one sub-branch) but *holds* only what it adds: a state
@@ -237,12 +256,12 @@ class _BranchPlan:
 
     __slots__ = ("bindings", "checks", "fixed_bound", "free_names",
                  "free_values", "free_index", "free_needed",
-                 "pre_constraints", "step_constraints", "expanded")
+                 "pre_constraints", "step_constraints", "_pending",
+                 "_expanded")
 
-    def __init__(self, branch: Branch, universe: "Universe",
-                 relevant: Sequence[str], budget: List[int],
-                 memo: Dict[int, List[Branch]], depth: int = 0,
-                 parent: Optional["_BranchPlan"] = None):
+    def __init__(self, branch: Branch, growth: _Growth, depth: int = 0,
+                 prefix: Tuple[int, int, int, int] = (0, 0, 0, 0)):
+        universe, relevant = growth.universe, growth.relevant
         self.bindings: Tuple[Tuple[str, Expr, object], ...] = tuple(
             (name, expr, universe.domain(name))
             for name, expr in branch.bindings.items()
@@ -281,34 +300,41 @@ class _BranchPlan:
             idx for idx, name in enumerate(self.free_names)
             if name in mentioned
         )
-        self.expanded: Optional[Tuple["_BranchPlan", ...]] = None
-        if free and depth < _EXPAND_DEPTH:
-            self.expanded = self._expand(branch, universe, relevant, budget,
-                                         memo, depth)
-        if parent is not None:
-            # _merge appends, so the parent's (whole) tuples are prefixes
-            # of these; drop them only now, after our own children were
-            # cut against the whole tuples
-            self.bindings = self.bindings[len(parent.bindings):]
-            self.checks = self.checks[len(parent.checks):]
-            self.fixed_bound = self.fixed_bound[len(parent.fixed_bound):]
-            self.pre_constraints = \
-                self.pre_constraints[len(parent.pre_constraints):]
+        # _merge appends, so an ancestor's whole tuples are prefixes of
+        # ours; our sub-plans are cut against our whole tuples, whose
+        # lengths are kept until they are built
+        whole = (len(self.bindings), len(self.checks),
+                 len(self.fixed_bound), len(self.pre_constraints))
+        self._expanded: Optional[Tuple["_BranchPlan", ...]] = None
+        self._pending = ((branch, growth, depth, whole)
+                         if free and depth < _EXPAND_DEPTH else None)
+        nb, nc, nf, npre = prefix
+        self.bindings = self.bindings[nb:]
+        self.checks = self.checks[nc:]
+        self.fixed_bound = self.fixed_bound[nf:]
+        self.pre_constraints = self.pre_constraints[npre:]
 
-    def _expand(self, branch: Branch, universe: "Universe",
-                relevant: Sequence[str], budget: List[int],
-                memo: Dict[int, List[Branch]],
-                depth: int) -> Optional[Tuple["_BranchPlan", ...]]:
+    @property
+    def expanded(self) -> Optional[Tuple["_BranchPlan", ...]]:
+        if self._pending is not None:
+            self._expanded = self._expand(*self._pending)
+            self._pending = None
+        return self._expanded
+
+    def _expand(self, branch: Branch, growth: _Growth, depth: int,
+                whole: Tuple[int, int, int, int]
+                ) -> Optional[Tuple["_BranchPlan", ...]]:
         """Refine this branch through the opaque constraint whose own
         compiled sub-branches determine the most free variables."""
         free_set = set(self.free_names)
+        memo = growth.memo
         best: Optional[Tuple[int, Expr, List[Branch]]] = None
         for constraint in branch.constraints:
             if not constraint.primed_vars():
                 continue  # a guard determines nothing
-            # compiled once per plan build: the same few constraint
-            # objects (kept alive by the branches that list them) recur
-            # in every sub-branch at every level
+            # compiled once per plan: the same few constraint objects
+            # (kept alive by the branches that list them) recur in every
+            # sub-branch at every level
             sub = memo.get(id(constraint))
             if sub is None:
                 sub = memo[id(constraint)] = _compile(constraint)
@@ -324,28 +350,18 @@ class _BranchPlan:
         if best is None:
             return None
         _coverage, chosen, sub = best
-        if budget[0] < len(sub):
+        if growth.built + len(sub) > _EXPAND_TOTAL:
             return None  # plan-table cap: fall back to enumeration
-        budget[0] -= len(sub)
+        growth.built += len(sub)
         rest = Branch(
             branch.bindings,
             [c for c in branch.constraints if c is not chosen],
             list(branch.binding_checks),
         )
         return tuple(
-            _BranchPlan(_merge(rest, sub_branch), universe, relevant,
-                        budget, memo, depth + 1, parent=self)
+            _BranchPlan(_merge(rest, sub_branch), growth, depth + 1, whole)
             for sub_branch in sub
         )
-
-    @property
-    def constraints(self) -> Tuple[Expr, ...]:
-        """All residual constraints (the pre/step split re-joined) --
-        consumed by the packed engine, which does its own splitting.  A
-        packed plan built from an *expanded* branch falls back to free
-        enumeration, which emits survivors in domain-product order: the
-        identical sequence the expansion produces."""
-        return self.pre_constraints + self.step_constraints
 
     def rank(self, candidate: "State") -> Tuple[int, ...]:
         """The candidate's position in this branch's free-variable
@@ -361,11 +377,15 @@ class SuccessorPlan:
 
     Built once per ``explore()``/``check_*`` run (via
     :meth:`CompiledAction.plan`) and then driven per state; all domain
-    lookups, membership tests, and free-variable analyses happen at build
-    time, so :meth:`successors` only evaluates expressions.
+    lookups, membership tests, and free-variable analyses happen when a
+    node is built, so :meth:`successors` only evaluates expressions.  The
+    top-level branch plans are built here, their sub-plans when a state
+    first reaches them.  ``candidates`` counts the candidate post-states
+    :meth:`successors` has assembled (before the step constraints).
     """
 
-    __slots__ = ("compiled", "universe", "relevant", "branch_plans")
+    __slots__ = ("compiled", "universe", "relevant", "branch_plans",
+                 "candidates", "_growth")
 
     def __init__(self, compiled: "CompiledAction", universe: "Universe",
                  frame: Optional[Iterable[str]] = None):
@@ -378,11 +398,17 @@ class SuccessorPlan:
             self.relevant = tuple(
                 name for name in universe.variables if name in wanted
             )
-        budget, memo = [_EXPAND_TOTAL], {}
+        self.candidates = 0
+        self._growth = _Growth(universe, self.relevant)
         self.branch_plans: Tuple[_BranchPlan, ...] = tuple(
-            _BranchPlan(branch, universe, self.relevant, budget, memo)
+            _BranchPlan(branch, self._growth)
             for branch in compiled.branches
         )
+
+    @property
+    def sub_plans(self) -> int:
+        """How many sub-plans the tree has built so far."""
+        return self._growth.built
 
     def successors(self, state: State) -> Iterator[State]:
         """Enumerate the post-states ``t`` with ``action(state, t)``,
@@ -444,6 +470,7 @@ class SuccessorPlan:
         base: Dict[str, object] = dict(pre)
         base.update(determined)
         if not plan.free_names:
+            self.candidates += 1
             candidate = State._trusted(base)
             if self._constraints_hold(plan, state, candidate):
                 yield candidate
@@ -452,6 +479,7 @@ class SuccessorPlan:
         for combo in itertools.product(*plan.free_values):
             for name, value in zip(names, combo):
                 base[name] = value
+            self.candidates += 1
             candidate = State._trusted(dict(base))
             if self._constraints_hold(plan, state, candidate):
                 yield candidate

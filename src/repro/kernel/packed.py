@@ -17,13 +17,13 @@ This module supplies the kernel half of that engine:
   is then *one int*: hashable, picklable, and orders of magnitude
   smaller than a ``State``.
 * :class:`PackedPlan` -- a compiled successor relation over packed ints.
-  It reuses the branch plans of :func:`~repro.kernel.action.compile_action`
+  It walks the plan tree of :func:`~repro.kernel.action.compile_action`
   but memoizes every guard conjunct, binding, and check on the packed
   *footprint* it actually reads (``packed & mask``), so expression
   evaluation happens once per distinct footprint instead of once per
-  state.  Guards are decomposed into a tree of And/Or/Not/Implies/Equiv
-  nodes with memoized leaves; short-circuit order and ``EvalError``
-  semantics mirror ``Expr.holds`` exactly, so the emitted successor sets
+  state.  Guards are decomposed into a tree of And/Or/Not nodes with
+  memoized leaves; short-circuit order and ``EvalError`` semantics
+  mirror ``Expr.holds`` exactly, so the emitted successor sequences
   are bit-for-bit those of :class:`~repro.kernel.action.SuccessorPlan`.
 
 The codec also computes ``State.fingerprint()``-compatible fingerprints
@@ -332,39 +332,6 @@ class _NotNode:
         return v if v == _ERR else 1 - v
 
 
-class _ImpliesNode:
-    __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs, rhs):
-        self.lhs = lhs
-        self.rhs = rhs
-
-    def value(self, packed, cand, ctx):
-        v = self.lhs.value(packed, cand, ctx)
-        if v == _ERR:
-            return _ERR
-        if v == 0:
-            return 1
-        return self.rhs.value(packed, cand, ctx)
-
-
-class _EquivNode:
-    __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs, rhs):
-        self.lhs = lhs
-        self.rhs = rhs
-
-    def value(self, packed, cand, ctx):
-        a = self.lhs.value(packed, cand, ctx)
-        if a == _ERR:
-            return _ERR
-        b = self.rhs.value(packed, cand, ctx)
-        if b == _ERR:
-            return _ERR
-        return 1 if a == b else 0
-
-
 def _build_guard(expr: Expr, codec: PackedCodec, registry: dict):
     if isinstance(expr, And):
         return _AndNode([_build_guard(a, codec, registry)
@@ -374,12 +341,14 @@ def _build_guard(expr: Expr, codec: PackedCodec, registry: dict):
                         for a in expr.args])
     if isinstance(expr, Not):
         return _NotNode(_build_guard(expr.arg, codec, registry))
-    if isinstance(expr, Implies):
-        return _ImpliesNode(_build_guard(expr.args[0], codec, registry),
-                            _build_guard(expr.args[1], codec, registry))
-    if isinstance(expr, Equiv):
-        return _EquivNode(_build_guard(expr.args[0], codec, registry),
-                          _build_guard(expr.args[1], codec, registry))
+    if isinstance(expr, (Implies, Equiv)):
+        # a => b is ~a \/ b and a <=> b is (a /\ b) \/ (~a /\ ~b): same
+        # value, same ERR (the leaves are memoized, so sharing is free)
+        a, b = (_build_guard(arg, codec, registry) for arg in expr.args)
+        if isinstance(expr, Implies):
+            return _OrNode([_NotNode(a), b])
+        return _OrNode([_AndNode([a, b]),
+                        _AndNode([_NotNode(a), _NotNode(b)])])
     return _Leaf(expr, codec, registry)
 
 
@@ -412,148 +381,179 @@ class _Ctx:
         return Env(state, self._cstate)
 
 
+class _Node:
+    """One reached node of the plan tree over packed ints: its guards,
+    its bindings and checks (as :meth:`PackedPlan._field` rows) and its
+    out-of-frame mask; then, once a state first passes them, either its
+    sub-nodes and rank fields or its free-product offsets, step guards
+    and keep mask (:meth:`PackedPlan._grow`)."""
+
+    __slots__ = ("bp", "pre", "bindings", "checks", "fixed", "det_mask",
+                 "children", "rank", "offsets", "post", "keep")
+
+    def __init__(self, bp, det_mask: int, owner: "PackedPlan"):
+        mask_of = owner.codec.mask_of
+        self.bp = bp
+        self.pre = [owner._guard(expr) for expr in bp.pre_constraints]
+        self.bindings = [owner._field(name, expr)
+                         for name, expr, _dom in bp.bindings]
+        self.checks = [owner._field(name, expr) for name, expr in bp.checks]
+        self.fixed = mask_of(bp.fixed_bound)
+        self.det_mask = det_mask | mask_of(
+            name for name, _expr, _dom in bp.bindings)
+        self.children = self.offsets = None
+
+
 class PackedPlan:
     """A compiled next-state relation over packed ints.
 
     ``successors(packed)`` emits exactly the packed encodings of
-    ``SuccessorPlan.successors(decode(packed))``, in the same order.
-    Branch machinery is memoized per footprint:
+    ``SuccessorPlan.successors(decode(packed))``, in the same order, by
+    walking that plan's own tree (``compile_action(...).plan``): it
+    builds no branch analysis of its own, and a node's sub-plans grow
+    there when a state first reaches it here.  Each reached node is
+    compiled once, and its work is memoized per footprint:
 
     * unprimed guard conjuncts run before bindings (they kill most
       branches without touching candidate generation);
     * deterministic bindings cache the *code* their expression yields
-      on each footprint (``_DEAD`` for EvalError / out-of-domain);
-    * primed constraints run as guard trees against each candidate.
+      on each footprint (``_DEAD`` for EvalError / out-of-domain), and
+      the determined codes are handed down to sub-plans as bits;
+    * an expanded node collects its sub-plans' candidates and emits them
+      in its free-variable domain-product order (``rank`` over codes);
+      only where the plan itself enumerates does the free product run,
+      with primed constraints as guard trees against each candidate.
 
-    Memo tables are shared across branches through per-expression
+    Memo tables are shared across nodes through per-expression
     registries keyed on ``Expr.key()``, so a frame conjunct appearing in
     every branch is evaluated once per footprint, not once per branch.
+    ``candidates`` counts candidates assembled before the step guards,
+    one for one with ``SuccessorPlan.candidates``.
     """
 
     def __init__(self, spec):
-        self.spec = spec
         self.codec = PackedCodec(spec.universe)
+        self.plan = compile_action(spec.next_action).plan(spec.universe)
+        self.candidates = 0
+        self._guards: dict = {}
+        self._trees: dict = {}
+        self._memos: dict = {}
+        self.roots = [_Node(bp, 0, self) for bp in self.plan.branch_plans]
+        self.ctx = _Ctx(self.codec)
+
+    def _guard(self, expr: Expr):
+        """*expr*'s guard tree, built once per expression object: sub-plans
+        repeat their ancestors' step constraints (the pair pins *expr*,
+        so its id is not recycled)."""
+        hit = self._trees.get(id(expr))
+        if hit is None:
+            hit = self._trees[id(expr)] = (
+                expr, _build_guard(expr, self.codec, self._guards))
+        return hit[1]
+
+    def _field(self, name: str, expr: Expr) -> tuple:
+        """How a binding or check ``name' = expr`` reads: (shift, field
+        mask, footprint mask, memo, name, expr, domain, identity?)."""
         c = self.codec
-        full = compile_action(spec.next_action).plan(spec.universe)
-        registry: dict = {}
-        bind_registry: dict = {}
-        self.branches = []
-        for bp in full.branch_plans:
-            pre_guards = []
-            post_guards = []
-            for expr in bp.constraints:
-                tree = _build_guard(expr, c, registry)
-                if expr.primed_vars():
-                    post_guards.append(tree)
-                else:
-                    pre_guards.append(tree)
-            bindings = []
-            det_index: Dict[str, int] = {}
-            written = [n for n, _e, _d in bp.bindings] + list(bp.free_names)
-            for name, expr, domain in bp.bindings:
-                det_index[name] = len(bindings)
-                ident = (type(expr).__name__ == "Var" and not expr.primed
-                         and expr.name == name)
-                memo = bind_registry.setdefault((name, expr.key()), {})
-                bindings.append((name, c.shift[name],
-                                 (1 << c.width[name]) - 1,
-                                 c.mask_of(expr.free_vars()),
-                                 memo, expr, domain, ident))
-            checks = []
-            for name, expr in bp.checks:
-                memo = bind_registry.setdefault((name, expr.key()), {})
-                checks.append((det_index[name],
-                               c.mask_of(expr.free_vars()),
-                               memo, expr, name))
-            fixed = [(det_index[name], c.shift[name],
-                      (1 << c.width[name]) - 1)
-                     for name in bp.fixed_bound]
-            free = [(c.shift[name],
-                     tuple(c.codes[name][v] for v in values))
-                    for name, values in zip(bp.free_names, bp.free_values)]
-            self.branches.append((pre_guards, bindings, checks, fixed,
-                                  free, post_guards, ~c.mask_of(written)))
-        self.ctx = _Ctx(c)
+        ident = (type(expr).__name__ == "Var" and not expr.primed
+                 and expr.name == name)
+        return (c.shift[name], (1 << c.width[name]) - 1,
+                c.mask_of(expr.free_vars()),
+                self._memos.setdefault((name, expr.key()), {}), name, expr,
+                c.universe.domain(name), ident)
 
     def successors(self, packed: int) -> List[int]:
-        codes = self.codec.codes
-        ctx = self.ctx
-        ctx.begin(packed)
+        self.ctx.begin(packed)
         out: List[int] = []
-        for pre, bindings, checks, fixed, free, post, keep in self.branches:
+        self._emit(self.roots, packed, 0, out)
+        return list(dict.fromkeys(out)) if len(out) > 1 else out
+
+    def _code(self, packed: int, name: str, expr: Expr, domain) -> int:
+        try:
+            value = expr.eval_state(self.ctx.state(packed))
+        except EvalError:
+            return _DEAD
+        return self.codec.codes[name][value] if value in domain else _DEAD
+
+    def _emit(self, nodes: List[_Node], packed: int, det_bits: int,
+              out: List[int]) -> None:
+        """Append each of *nodes*' passing candidates on *packed*, on top
+        of the codes their ancestors determined (*det_bits*), each node's
+        in its domain-product order."""
+        ctx = self.ctx
+        for node in nodes:
             alive = True
-            for g in pre:
+            for g in node.pre:
                 if g.value(packed, None, ctx) != 1:
                     alive = False
                     break
             if not alive:
                 continue
-            det_bits = 0
-            det = []
-            for name, shift, width_m, mask, memo, expr, domain, ident \
-                    in bindings:
+            bits = det_bits
+            for shift, width_m, mask, memo, name, expr, dom, ident \
+                    in node.bindings:
                 if ident:
                     code = (packed >> shift) & width_m
                 else:
                     key = packed & mask
                     code = memo.get(key)
                     if code is None:
-                        try:
-                            value = expr.eval_state(ctx.state(packed))
-                        except EvalError:
-                            code = _DEAD
-                        else:
-                            code = codes[name][value] if value in domain \
-                                else _DEAD
-                        memo[key] = code
+                        code = memo[key] = self._code(packed, name, expr, dom)
                     if code == _DEAD:
                         alive = False
                         break
-                det_bits |= code << shift
-                det.append(code)
+                bits |= code << shift
             if not alive:
                 continue
-            for idx, mask, memo, expr, name in checks:
+            for shift, width_m, mask, memo, name, expr, dom, _i \
+                    in node.checks:
                 key = packed & mask
                 code = memo.get(key)
                 if code is None:
-                    try:
-                        value = expr.eval_state(ctx.state(packed))
-                    except EvalError:
-                        code = _DEAD
-                    else:
-                        code = codes[name].get(value, _DEAD)
-                    memo[key] = code
-                if code != det[idx]:
+                    code = memo[key] = self._code(packed, name, expr, dom)
+                if code != (bits >> shift) & width_m:
                     alive = False
                     break
-            if not alive:
+            if not alive or (bits ^ packed) & node.fixed:
+                continue  # dead, or an out-of-frame variable would change
+            if node.children is None and node.offsets is None:
+                self._grow(node)
+            if node.children is not None:
+                found: List[int] = []
+                self._emit(node.children, packed, bits, found)
+                collected: Dict[int, int] = {}
+                for cand in found:
+                    if cand not in collected:
+                        rank = 0
+                        for shift, width_m, width in node.rank:
+                            rank = (rank << width) | (cand >> shift) & width_m
+                        collected[cand] = rank
+                out += sorted(collected, key=collected.__getitem__)
                 continue
-            for idx, shift, width_m in fixed:
-                if det[idx] != (packed >> shift) & width_m:
-                    alive = False
-                    break
-            if not alive:
-                continue
-            base = (packed & keep) | det_bits
-            if not free:
-                ok = True
-                for g in post:
-                    if g.value(packed, base, ctx) != 1:
-                        ok = False
-                        break
-                if ok:
-                    out.append(base)
-                continue
-            for combo in itertools.product(*[cods for _s, cods in free]):
-                cand = base
-                for (shift, _cods), code in zip(free, combo):
-                    cand |= code << shift
-                ok = True
-                for g in post:
+            base = (packed & node.keep) | bits
+            self.candidates += len(node.offsets)
+            for offset in node.offsets:
+                cand = base | offset
+                for g in node.post:
                     if g.value(packed, cand, ctx) != 1:
-                        ok = False
                         break
-                if ok:
+                else:
                     out.append(cand)
-        return out
+
+    def _grow(self, node: _Node) -> None:
+        """Compile what follows *node*'s checks, once a state gets there:
+        its sub-nodes when the plan expands it, else its enumeration --
+        the free codes' domain product, as bits to OR into a candidate
+        (held once: every state reaching the node walks all of it)."""
+        c, bp = self.codec, node.bp
+        if bp.expanded is not None:
+            node.children = [_Node(sub, node.det_mask, self)
+                             for sub in bp.expanded]
+            node.rank = [(c.shift[name], (1 << c.width[name]) - 1,
+                          c.width[name]) for name in bp.free_names]
+            return
+        node.offsets = [sum(combo) for combo in itertools.product(
+            *[[c.codes[name][v] << c.shift[name] for v in values]
+              for name, values in zip(bp.free_names, bp.free_values)])]
+        node.post = [self._guard(expr) for expr in bp.step_constraints]
+        node.keep = ~(node.det_mask | c.mask_of(bp.free_names))

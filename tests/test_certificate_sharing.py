@@ -14,7 +14,7 @@ import pytest
 import repro.checker.liveness as liveness_module
 import repro.checker.refinement as refinement_module
 import repro.core.composition as composition_module
-from repro.checker import check_temporal_implication, explore
+from repro.checker import check_temporal_implication, explore, explore_compact
 from repro.checker.digest import digest_of_graph
 from repro.checker.liveness import premises_of_spec
 from repro.core import (
@@ -65,16 +65,21 @@ THEOREMS = {
 
 @pytest.fixture
 def explored(monkeypatch):
-    """Every graph the three ``explore`` names under a certificate
-    return, in call order (the seams ``bench/wl_certify.py`` wraps)."""
+    """Every graph a certificate explores, in call order: the compact
+    product ``verify`` explores and any the refinement and liveness
+    checkers' ``explore`` names return."""
     graphs = []
 
-    def recording(*args, **kwargs):
-        graphs.append(explore(*args, **kwargs))
-        return graphs[-1]
+    def recording(engine):
+        def run(*args, **kwargs):
+            graphs.append(engine(*args, **kwargs))
+            return graphs[-1]
+        return run
 
-    for module in (composition_module, liveness_module, refinement_module):
-        monkeypatch.setattr(module, "explore", recording)
+    monkeypatch.setattr(composition_module, "explore_compact",
+                        recording(explore_compact))
+    for module in (liveness_module, refinement_module):
+        monkeypatch.setattr(module, "explore", recording(explore))
     return graphs
 
 

@@ -274,7 +274,10 @@ class TestCertificateProductPlans:
 
     def test_each_constraint_compiled_once_per_build(self, product,
                                                      monkeypatch):
-        spec, _states = product
+        """Sub-plans grow as states reach them, so the compiles happen
+        while the plan is driven: over every reachable state, each
+        opaque constraint is compiled at most once."""
+        spec, states = product
         compiled = compile_action(spec.next_action)
         entered, depth = [], [0]
         real = action_module._compile
@@ -289,7 +292,9 @@ class TestCertificateProductPlans:
                 depth[0] -= 1
 
         monkeypatch.setattr(action_module, "_compile", counting)
-        compiled.plan(spec.universe)
+        plan = compiled.plan(spec.universe)
+        for state in states:
+            list(plan.successors(state))
         assert entered and len(entered) == len({id(e) for e in entered})
 
     def test_compiled_forms_do_not_travel_or_linger(self, product):
