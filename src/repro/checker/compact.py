@@ -34,7 +34,13 @@ computed (they feed the graph digest and the service cache), and the
 engine counts any fingerprint collisions it observes on
 ``ExploreStats.fingerprint_collisions`` instead of staying silent; the
 birthday-bound collision probability is reported in
-``ExploreStats.summary()`` / ``to_json()``.
+``ExploreStats.summary()`` / ``to_json()``.  Interning computes none of
+them: the graph folds the fingerprints of every node interned since the
+last read in one lane-parallel batch
+(:meth:`~repro.kernel.packed.PackedCodec.fingerprints`) when the digest,
+a checkpoint record or the collision count is read, absorbing them in
+node-id order -- so the digest is the one an eager fold gives, and a run
+cut short by its state budget folds none.
 
 The graph keeps its edges too, as CSR arrays (an ``array('I')`` of
 successor ids plus an offsets array, about 4 bytes per edge), so every
@@ -165,6 +171,7 @@ class CompactGraph(GraphQueries):
         self._fingerprints: set = set()
         self._collisions = 0
         self._digest = GraphDigest()
+        self._settled = 0   # nodes the digest and collision set absorbed
 
     # -- interning -----------------------------------------------------------
 
@@ -172,9 +179,8 @@ class CompactGraph(GraphQueries):
         """Intern a packed state; returns ``(node_id, is_new)``.
 
         Enforces the ``max_states`` budget at insertion time exactly
-        like :meth:`StateGraph.add_state`, and counts 64-bit fingerprint
-        collisions (packed keys are exact, so a collision here is
-        *observed and survived*, never a silent merge).
+        like :meth:`StateGraph.add_state`.  The node's fingerprint waits
+        for :meth:`_settle`.
         """
         node = self.visited.get(packed)
         if node is not None:
@@ -191,14 +197,28 @@ class CompactGraph(GraphQueries):
         self.parent.append(parent)
         if parent < 0:
             self.init_nodes.append(node)
-        fingerprint = self.codec.fingerprint(packed)
-        self._digest.absorb_node(fingerprint, parent)
         self.visited[packed] = node
-        if fingerprint in self._fingerprints:
-            self._collisions += 1
-        else:
-            self._fingerprints.add(fingerprint)
         return node, True
+
+    def _settle(self) -> None:
+        """Fold the fingerprints of the nodes interned since the last
+        read in one batch: absorb ``(fingerprint, parent)`` into the
+        digest's node stream in node-id order, and count collisions
+        (packed keys are exact, so a collision here is *observed and
+        survived*, never a silent merge)."""
+        start = self._settled
+        if start == len(self.packed):
+            return
+        fingerprints = self.codec.fingerprints(self.packed[start:])
+        self._digest.absorb_nodes(fingerprints, self.parent[start:])
+        self._count_collisions(fingerprints)
+        self._settled = len(self.packed)
+
+    def _count_collisions(self, fingerprints: List[int]) -> None:
+        seen = self._fingerprints
+        before = len(seen)
+        seen.update(fingerprints)
+        self._collisions += len(fingerprints) - (len(seen) - before)
 
     def merge_successors(self, src: int,
                          successors: Iterable[int]) -> List[int]:
@@ -260,6 +280,7 @@ class CompactGraph(GraphQueries):
     @property
     def fingerprint_collisions(self) -> int:
         """Distinct states observed sharing a 64-bit fingerprint."""
+        self._settle()
         return self._collisions
 
     def state_at(self, node: int):
@@ -288,9 +309,11 @@ class CompactGraph(GraphQueries):
 
     def digest(self) -> str:
         """The streaming graph digest (see :mod:`repro.checker.digest`)."""
+        self._settle()
         return self._digest.hexdigest()
 
     def digest_state(self) -> List[int]:
+        self._settle()
         return self._digest.state()
 
 
@@ -450,25 +473,17 @@ def restore_compact(
             f"the log records {loaded.edge_count}; the checkpoint is "
             f"corrupt")
     graph._digest = GraphDigest.restore(loaded.digest)
-    fingerprint = plan.codec.fingerprint
-    limit = 1 << plan.codec.bits
-    fingerprints: set = set()
-    collisions = 0
-    for p in packed_rows:
-        try:
-            fp = fingerprint(p) if p < limit else None
-        except IndexError:  # a field code beyond its domain
-            fp = None
-        if fp is None:
-            raise CheckpointError(
-                f"{path}: packed state {p} lies outside the codec's bit "
-                f"layout; the checkpoint is corrupt")
-        if fp in fingerprints:
-            collisions += 1
-        else:
-            fingerprints.add(fp)
-    graph._fingerprints = fingerprints
-    graph._collisions = collisions
+    codec = plan.codec
+    try:
+        fingerprints = codec.fingerprints(packed_rows)
+    except IndexError:  # a field code beyond its domain
+        fingerprints = None
+    if fingerprints is None or any(p >> codec.bits for p in packed_rows):
+        raise CheckpointError(
+            f"{path}: a packed state lies outside the codec's layout; the "
+            f"checkpoint is corrupt")
+    graph._count_collisions(fingerprints)
+    graph._settled = len(packed_rows)
     return graph
 
 

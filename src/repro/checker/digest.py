@@ -20,7 +20,9 @@ Both engines expand every node exactly once, sources in id order, so
 absorbing at expansion time is equivalent to a post-hoc walk --
 :func:`digest_of_graph` does exactly that walk over a full
 :class:`~repro.checker.graph.StateGraph` and agrees bit-for-bit with a
-compact exploration of the same spec.
+compact exploration of the same spec.  The two streams are separate
+accumulators, so the compact engine absorbs edges as it expands and
+nodes in batches, in id order, only when the digest is read.
 """
 
 from __future__ import annotations
@@ -47,13 +49,16 @@ class GraphDigest:
         self.nodes = nodes
         self.edges = edges
 
-    def absorb_node(self, fingerprint: int, parent: int) -> None:
-        """Absorb a newly interned node (``parent == -1`` for initial)."""
+    def absorb_nodes(self, fingerprints: Sequence[int],
+                     parents: Sequence[int]) -> None:
+        """Absorb interned nodes in id order, one ``(fingerprint,
+        parent)`` pair each (``parent == -1`` for initial)."""
         h = self.node_hash
-        h = ((h ^ (fingerprint & _MASK64)) * _FNV_PRIME) & _MASK64
-        h = ((h ^ (parent & _MASK64)) * _FNV_PRIME) & _MASK64
+        for fingerprint, parent in zip(fingerprints, parents):
+            h = ((h ^ (fingerprint & _MASK64)) * _FNV_PRIME) & _MASK64
+            h = ((h ^ (parent & _MASK64)) * _FNV_PRIME) & _MASK64
         self.node_hash = h
-        self.nodes += 1
+        self.nodes += len(fingerprints)
 
     def absorb_edges(self, src: int, dsts: Sequence[int]) -> None:
         """Absorb a source's deduplicated non-stutter successor ids."""
@@ -97,10 +102,8 @@ def digest_of_graph(graph) -> str:
     if own is not None:
         return own()
     digest = GraphDigest()
-    parent = graph.parent
-    for node, state in enumerate(graph.states):
-        p = parent[node]
-        digest.absorb_node(state.fingerprint(), -1 if p is None else p)
+    digest.absorb_nodes([state.fingerprint() for state in graph.states],
+                        [-1 if p is None else p for p in graph.parent])
     for node in range(graph.state_count):
         digest.absorb_edges(node, graph.succ[node][1:])
     return digest.hexdigest()

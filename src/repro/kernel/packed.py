@@ -29,7 +29,9 @@ This module supplies the kernel half of that engine:
 The codec also computes ``State.fingerprint()``-compatible fingerprints
 directly from packed ints: the FNV-1a fold of a state is a fixed word
 sequence per (variable, value), so the per-value word lists are
-precomputed at codec build time and the hot path just folds ints.
+precomputed at codec build time.  :meth:`PackedCodec.fingerprints` folds
+a whole run of rows at once, one row per 128-bit lane of a Python big
+int, so each FNV step is three big-int operations for every row.
 
 Universes that cannot be packed (empty domains, non-enumerable or huge
 domains) raise :class:`CompactUnsupported`; callers fall back to the
@@ -40,8 +42,10 @@ from __future__ import annotations
 
 import itertools
 import json
+from array import array
 from hashlib import sha256
-from typing import Dict, Iterable, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .action import compile_action
 from .expr import And, Env, Equiv, EvalError, Expr, Implies, Not, Or
@@ -61,6 +65,14 @@ __all__ = ["CompactUnsupported", "PackedCodec", "PackedPlan",
 #: Refuse to enumerate domains larger than this when building a codec --
 #: the code table would dwarf the states it is meant to compress.
 MAX_DOMAIN_SIZE = 1 << 20
+
+#: Rows per lane-parallel fingerprint pass: 1,024 lanes of 128 bits keep
+#: each temporary big int at 16 KB.  Passes of 1,024-4,096 rows fold at
+#: the same cost per row; smaller ones pay more per-pass overhead.
+FP_CHUNK = 1024
+
+#: One 128-bit lane holding 1: ``_LANE_ONE * n`` is the broadcast of 1.
+_LANE_ONE = (1).to_bytes(16, "little")
 
 #: Three-valued guard result: 0 = False, 1 = True, ERR = EvalError.
 _ERR = 2
@@ -119,8 +131,7 @@ class PackedCodec:
     """
 
     __slots__ = ("universe", "variables", "shift", "width", "codes",
-                 "values", "bits", "_fp_prefix", "_fp_words", "_fp_seed",
-                 "_fp_table")
+                 "values", "bits", "_fp_seed", "_fp_table")
 
     def __init__(self, universe: Universe, max_domain: int = MAX_DOMAIN_SIZE):
         self.universe = universe
@@ -155,9 +166,12 @@ class PackedCodec:
         # item tuple, i.e. [0x7C, nvars] then per item [0x7C, 2] + the
         # name's words + the value's words.  Variables are already in
         # sorted order, so the per-(variable, code) sequences concatenate
-        # in field order.
-        self._fp_prefix = (0x7C, len(self.variables))
-        self._fp_words: Dict[str, Tuple[Tuple[int, ...], ...]] = {}
+        # in field order.  Each variable contributes one (shift, mask,
+        # words-per-code, shared, shortest, longest) row: the first
+        # ``shared`` words are the same for every code (the name's words
+        # at least), and the codes' lists have ``shortest..longest`` words.
+        self._fp_seed = _fold(_FNV_OFFSET, (0x7C, len(self.variables)))
+        table = []
         for name in self.variables:
             name_words = [0x7C, 2] + _value_words(name)
             try:
@@ -166,14 +180,15 @@ class PackedCodec:
                     for value in self.values[name])
             except TypeError as exc:
                 raise CompactUnsupported(str(exc)) from None
-            self._fp_words[name] = per_code
-        # flattened fingerprint plan: the prefix fold is constant, and
-        # each variable contributes one (shift, mask, words-per-code) row
-        self._fp_seed = _fold(_FNV_OFFSET, self._fp_prefix)
-        self._fp_table = tuple(
-            (self.shift[name], (1 << self.width[name]) - 1,
-             self._fp_words[name])
-            for name in self.variables)
+            # the common prefix of all lists is that of the least and
+            # the greatest (lexicographically)
+            low, high = min(per_code), max(per_code)
+            shared = next((i for i, (a, b) in enumerate(zip(low, high))
+                           if a != b), len(low))
+            lengths = [len(words) for words in per_code]
+            table.append((self.shift[name], (1 << self.width[name]) - 1,
+                          per_code, shared, min(lengths), max(lengths)))
+        self._fp_table = tuple(table)
 
     def mask_of(self, names: Iterable[str]) -> int:
         """The packed-int mask covering *names* (unknown names ignored)."""
@@ -196,18 +211,57 @@ class PackedCodec:
             for name in self.variables})
 
     def fingerprint(self, packed: int) -> int:
-        """``State.fingerprint()`` of the decoded state, without decoding.
+        """``State.fingerprint()`` of the decoded state, without decoding:
+        a batch of one (see :meth:`fingerprints`)."""
+        return self.fingerprints([packed])[0]
 
-        Hot path of the compact engine (every intern and digest step
-        starts here), so the per-variable fold is flattened into one
-        loop over a precomputed ``(shift, mask, words-per-code)`` table
-        instead of per-variable dict lookups and ``_fold`` calls.  The fold sequence -- and therefore every
-        fingerprint, digest, and golden -- is unchanged."""
-        h = self._fp_seed
-        for shift, mask, per_code in self._fp_table:
-            for word in per_code[(packed >> shift) & mask]:
-                h = ((h ^ word) * _FNV_PRIME) & _MASK64
-        return h
+    def fingerprints(self, rows: Sequence[int]) -> List[int]:
+        """``State.fingerprint()`` of each row's decoded state, in order.
+
+        Folds :data:`FP_CHUNK` rows per pass, each row's 64-bit hash in
+        its own 128-bit lane of one big int ``h``, so the FNV step
+        ``h = ((h ^ w) * P) & MASK64`` runs for every row in three
+        big-int operations (``h * P`` < 2**105: no carry crosses a lane).
+        A word every code of a variable shares is XORed as the broadcast
+        ``w * REP``; a varying word is spread into the lanes through an
+        ``array('Q')``.  Where a variable's codes have word lists of
+        different lengths, a lane mask keeps the rows whose list has
+        ended unchanged.  A field code beyond its domain raises
+        ``IndexError``."""
+        out: List[int] = []
+        for lo in range(0, len(rows), FP_CHUNK):
+            out += self._fold_lanes(rows[lo:lo + FP_CHUNK])
+        return out
+
+    def _fold_lanes(self, rows: Sequence[int]) -> List[int]:
+        n = len(rows)
+        rep = int.from_bytes(_LANE_ONE * n, "little")
+        full = rep * _MASK64
+        h = self._fp_seed * rep
+        spread = array("Q", bytes(16 * n))   # low halves carry the words
+        broadcast: Dict[int, int] = {}
+        for shift, mask, per_code, shared, shortest, longest \
+                in self._fp_table:
+            for word in per_code[0][:shared]:
+                wide = broadcast.get(word)
+                if wide is None:
+                    wide = broadcast[word] = word * rep
+                h = ((h ^ wide) * _FNV_PRIME) & full
+            words = [per_code[(p >> shift) & mask] for p in rows]
+            for j in range(shared, shortest):
+                spread[::2] = array("Q", map(itemgetter(j), words))
+                h = ((h ^ int.from_bytes(spread, "little"))
+                     * _FNV_PRIME) & full
+            for j in range(shortest, longest):
+                # a row whose list has ended keeps its lane unchanged
+                spread[::2] = array("Q", [w[j] if len(w) > j else 0
+                                          for w in words])
+                stepped = (h ^ int.from_bytes(spread, "little")) * _FNV_PRIME
+                spread[::2] = array("Q", [len(w) > j for w in words])
+                live = int.from_bytes(spread, "little") * _MASK64
+                h = (stepped & live) | (h & (full ^ live))
+        lanes = array("Q", h.to_bytes(16 * n, "little"))
+        return lanes[::2].tolist()
 
     def signature(self) -> str:
         """A stable hash of the packing layout.

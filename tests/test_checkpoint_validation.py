@@ -38,6 +38,7 @@ from repro.checker import (
     resume_compact,
 )
 from repro.checker.checkpoint import CHECKPOINT_VERSION
+from repro.kernel.packed import PackedCodec
 from repro.systems import bundled_module
 from repro.tools.cli import main as cli_main
 
@@ -117,6 +118,14 @@ def _count(record):
     return record["nodes_from"] + len(record["parent"])
 
 
+def _beyond_domain(packed):
+    """*packed* with the 3-value field ``req1`` holding code 3: inside
+    the bit layout, beyond the domain."""
+    codec = PackedCodec(mutex_spec().universe)
+    assert len(codec.values["req1"]) == 3
+    return packed | (3 << codec.shift["req1"])
+
+
 MUTATIONS = [
     # (engine, id, mutation); record 0 is the seed level's, -1 the last
     ("full", "frontier-not-a-list",
@@ -147,6 +156,9 @@ MUTATIONS = [
      _record(0, lambda r: r["parent"].__setitem__(0, -2))),
     ("compact", "packed-outside-the-layout",
      _record(-1, lambda r: r["packed"].__setitem__(-1, 1 << 200))),
+    ("compact", "packed-code-beyond-its-domain",
+     _record(-1, lambda r: r["packed"].__setitem__(
+         -1, _beyond_domain(r["packed"][-1])))),
 ]
 
 

@@ -60,8 +60,8 @@ class TestMemoryStoreCollisions:
 class TestCompactEngineCollisions:
     def test_forced_collision_is_counted_not_silent(self, spec, monkeypatch):
         reference = explore_compact(spec)
-        monkeypatch.setattr(PackedCodec, "fingerprint",
-                            lambda self, packed: 0xDEAD)
+        monkeypatch.setattr(PackedCodec, "fingerprints",
+                            lambda self, rows: [0xDEAD] * len(rows))
         stats = ExploreStats()
         graph = explore_compact(spec, stats=stats)
         # interning is keyed on packed ints -- bijective -- so a colliding
@@ -76,8 +76,8 @@ class TestCompactEngineCollisions:
 
     def test_collision_count_survives_checkpoint_resume(self, spec, tmp_path,
                                                         monkeypatch):
-        monkeypatch.setattr(PackedCodec, "fingerprint",
-                            lambda self, packed: 0xDEAD)
+        monkeypatch.setattr(PackedCodec, "fingerprints",
+                            lambda self, rows: [0xDEAD] * len(rows))
         from repro.checker import resume_compact
 
         class _Stop(Exception):
