@@ -13,14 +13,14 @@ provers (see PAPERS.md):
   O(1); sharded, LRU-bounded and safe for N concurrent writer
   processes;
 * :mod:`repro.service.journal` -- the append-only job journal +
-  snapshot compaction that makes the queue durable: queued jobs survive
+  snapshot compaction, the one durable job store: queued jobs survive
   SIGKILL and are re-admitted exactly once per restart;
 * :mod:`repro.service.scheduler` -- per-tenant token-bucket rate
   limits, queue/in-flight bounds, and deficit-round-robin dispatch, so
   no tenant can starve the rest;
 * :mod:`repro.service.metrics` -- stdlib counters/gauges/histograms
   rendered in the Prometheus text format at ``GET /metrics``, whose
-  counters carry across restarts;
+  admission counters a starting front folds from the journal;
 * :mod:`repro.service.jobs` -- the job manager: admission control over a
   bounded queue (full -> rejected with a retry-after hint), a bounded
   pool of concurrent explorations, a per-job

@@ -156,6 +156,19 @@ class ShardedResultCache:
         self._record("hits")
         return entry
 
+    def peek(self, fingerprint: str) -> Optional[Dict[str, object]]:
+        """The entry for *fingerprint*, or ``None`` -- a read that counts
+        neither a hit nor a miss and leaves recency alone (what a
+        restarted front shows as a finished job's result)."""
+        entry = self._memory.get(fingerprint)
+        if entry is not None:
+            return entry
+        try:
+            with open(self._path(fingerprint)) as handle:
+                return json.load(handle)
+        except (OSError, ValueError):
+            return None
+
     def put(self, fingerprint: str, result: Dict[str, object]) -> None:
         shard_dir = self._shard_dir(fingerprint)
         os.makedirs(shard_dir, exist_ok=True)

@@ -29,25 +29,29 @@ per-job state machine::
   the child's level listener raises at the next BFS level boundary.  A
   cancelled job ends ``cancelled``; an interrupted one (server
   shutdown) drops back to ``queued`` with its latest checkpoint on
-  disk, is persisted, and a restarted manager resumes it bit-for-bit --
-  same verdict, same trace, same graph digest.
+  disk, is journaled ``requeued``, and a restarted manager resumes it
+  bit-for-bit -- same verdict, same trace, same graph digest.
 * **Multi-tenancy and fair dispatch** -- submissions carry a tenant
   name; :mod:`repro.service.scheduler` rate-limits and bounds each
   tenant and dispatches deficit-round-robin so no tenant starves the
   rest.  429s carry the rejected tenant's own Retry-After.
-* **Durability** -- every transition is appended to the
-  :mod:`repro.service.journal` (so *queued* jobs survive SIGKILL and
-  are re-admitted exactly once) and mirrored into the
-  :mod:`repro.service.metrics` registry (so ``GET /metrics`` reconciles
-  with the journal: admitted == completed + failed + cancelled +
-  in-flight, across restarts).
+* **Durability** -- the :mod:`repro.service.journal` is the one
+  durable job store: each transition is one appended line.  A starting
+  manager folds it to rebuild every job (a finished job's result comes
+  back from the result cache), re-admits the unfinished ones exactly
+  once, and sets the admission counters of the
+  :mod:`repro.service.metrics` registry from the same fold, so
+  ``GET /metrics`` reconciles with the journal by construction:
+  admitted == completed + failed + cancelled + in-flight, across
+  restarts.
 
 Everything the manager needs to survive a restart lives under its
 ``state_dir``, which one front holds at a time (``front.lock``):
-``jobs/<id>.json`` records, ``jobs/<id>.events.ndjson`` event logs,
-``jobs/<id>.ckpt`` exploration checkpoints, ``journal/`` the durable
-queue, ``metrics/`` the metrics snapshot, and ``cache/`` the sharded
-result store.
+``journal/`` the job store, ``jobs/<id>.events.ndjson`` event logs,
+``jobs/<id>.ckpt`` exploration checkpoints, and ``cache/`` the sharded
+result store.  Files an older front left there (``jobs/<id>.json``
+records, ``metrics/snapshot.json``) are ignored: the journal holds
+every transition they recorded.
 """
 
 from __future__ import annotations
@@ -66,13 +70,9 @@ from ..checker import ExploreStats, StateSpaceExplosion
 from ..checker import digest_of_graph as graph_digest
 from ..checker.checkpoint import counterexample_to_portable
 from ..parser import load_module
-from .cache import (
-    ShardedResultCache,
-    atomic_write_json,
-    canonical_fingerprint,
-)
+from .cache import ShardedResultCache, canonical_fingerprint
 from .journal import JobJournal
-from .metrics import MetricsDir, MetricsRegistry
+from .metrics import MetricsRegistry
 from .pool import CheckFailed, CheckProcess, JobCancelled, JobInterrupted
 from .scheduler import (
     DEFAULT_TENANT,
@@ -99,7 +99,7 @@ __all__ = [
 
 # job ids are uuid4().hex[:12]; anything else arriving over the wire is
 # at best a typo and at worst a path-traversal probe, since ids are
-# joined into jobs/<id>.json / .events.ndjson / .ckpt paths
+# joined into jobs/<id>.events.ndjson / .ckpt paths
 _JOB_ID_RE = re.compile(r"[0-9a-f]{12}")
 
 # module_source travels in every journal `submitted` line and is parsed
@@ -410,10 +410,29 @@ def run_check(
     return document
 
 
-class Job:
-    """One submission moving through the service's state machine."""
+def _read_events(path: str) -> List[Dict[str, object]]:
+    """A job's event log as a restarted front reloads it; a line a
+    SIGKILL tore is skipped (events are best-effort)."""
+    events = []
+    try:
+        with open(path) as handle:
+            for line in handle:
+                try:
+                    events.append(json.loads(line))
+                except ValueError:
+                    continue
+    except OSError:
+        pass
+    return events
 
-    def __init__(self, job_id: str, request: CheckRequest,
+
+class Job:
+    """One submission moving through the service's state machine.
+
+    ``request`` is ``None`` only for a finished job rebuilt from the
+    journal: nothing reads a terminal job's request."""
+
+    def __init__(self, job_id: str, request: Optional[CheckRequest],
                  fingerprint: str, checkpoint_path: Optional[str] = None,
                  tenant: str = DEFAULT_TENANT):
         self.id = job_id
@@ -456,8 +475,8 @@ class Job:
             except OSError:  # pragma: no cover - events are best-effort
                 pass
 
-    def to_dict(self, with_request: bool = False) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+    def to_dict(self) -> Dict[str, object]:
+        return {
             "id": self.id,
             "state": self.state,
             "tenant": self.tenant,
@@ -472,13 +491,10 @@ class Job:
             "error": self.error,
             "events": len(self.events),
         }
-        if with_request:
-            payload["request"] = self.request.to_dict()
-        return payload
 
 
 class JobManager:
-    """Admit, queue, execute, cancel, persist, and resume check jobs.
+    """Admit, queue, execute, cancel, journal, and resume check jobs.
 
     All public methods are called on the event-loop thread; the
     exploration itself runs in the pool slots' check processes,
@@ -512,8 +528,6 @@ class JobManager:
         self.journal = JobJournal(os.path.join(self.state_dir, "journal"))
         self.registry = MetricsRegistry()
         self._init_metrics()
-        self.metrics_dir = MetricsDir(
-            os.path.join(self.state_dir, "metrics"), self.registry)
         self.cache = ShardedResultCache(
             os.path.join(self.state_dir, "cache"),
             max_entries=cache_max_entries, max_bytes=cache_max_bytes,
@@ -574,9 +588,9 @@ class JobManager:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Take the state directory, load persisted jobs (claiming the
-        unfinished ones through the journal) and start the runner pool;
-        each slot spawns its check process on its first job."""
+        """Take the state directory, rebuild the journaled jobs
+        (claiming the unfinished ones) and start the runner pool; each
+        slot spawns its check process on its first job."""
         self._hold_state_dir()
         self._wake = asyncio.Event()
         self._accepting = True
@@ -584,7 +598,6 @@ class JobManager:
         self._stopping = False
         self._recover()
         self._set_gauges()
-        self._flush_metrics()
         loop = asyncio.get_running_loop()
         self._slots = [CheckProcess() for _ in range(self.pool_size)]
         self._runners = [loop.create_task(self._runner(slot))
@@ -609,89 +622,74 @@ class JobManager:
         self._lock_file = handle
 
     def _recover(self) -> None:
-        """Reload persisted jobs and re-admit every unfinished one.
+        """Rebuild every journaled job and re-admit the unfinished ones.
 
         This front holds the state directory, so each queued or running
         job found here was left by a front that has exited: it is
-        claimed with a journal ``claimed`` record and queued again.
-        ``jobs/*.json`` records are authoritative for job content; jobs
-        that exist only in the journal (the front died between the
-        ``submitted`` append and its first record write) are rebuilt
-        from the request stored in the journal line itself."""
-        folded = self.journal.replay()
-        for name in sorted(os.listdir(self.jobs_dir)):
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(self.jobs_dir, name)
-            try:
-                with open(path) as handle:
-                    record = json.load(handle)
-                job = self._job_from_record(record)
-            except (OSError, ValueError, KeyError):
-                continue  # torn or foreign file: not a job we can run
-            self._jobs[job.id] = job
-            if job.state in ("queued", "running"):
-                job.state = "queued"
-                job.resume = bool(job.checkpoint_path
-                                  and os.path.exists(job.checkpoint_path))
-                job.emit("requeued", resume=job.resume)
-                self.journal.append("claimed", job.id, tenant=job.tenant)
-                self._inflight[job.fingerprint] = job.id
-                self._persist(job)
-                self.scheduler.push(job.tenant, job.id)
-        for job_id, entry in sorted(folded.items()):
-            if (not valid_job_id(job_id)
-                    or job_id in self._jobs
-                    or entry.get("state") not in ("queued", "running")
-                    or not isinstance(entry.get("request"), dict)):
-                continue
-            try:
-                request = CheckRequest.from_dict(entry["request"])
-            except ValueError:
+        claimed with a journal ``claimed`` record and queued again,
+        rebuilt from the request its ``submitted`` line carries.  A
+        finished job needs no request; its result is the cache entry
+        for its fingerprint (only the journaled verdict once that entry
+        is evicted).  The same fold sets the admission counters, so
+        ``/metrics`` adds up across any restart."""
+        for job_id, entry in sorted(self.journal.replay().items()):
+            state = entry.get("state")
+            if not valid_job_id(job_id) or state is None:
                 continue
             tenant = entry.get("tenant") or DEFAULT_TENANT
-            job = Job(job_id, request,
-                      entry.get("fingerprint") or request.fingerprint(),
-                      checkpoint_path=os.path.join(
-                          self.jobs_dir, job_id + ".ckpt"),
-                      tenant=tenant)
-            job.events_path = self._events_path(job.id)
-            job.resume = os.path.exists(job.checkpoint_path)
-            job.emit("requeued", resume=job.resume, source="journal")
-            self.journal.append("claimed", job_id, tenant=tenant)
+            self._fold_counters(tenant, entry)
+            terminal = state in _TERMINAL_STATES
+            request = None
+            if not terminal or not entry.get("fingerprint"):
+                try:
+                    request = CheckRequest.from_dict(entry.get("request"))
+                except ValueError:
+                    continue
+            job = self._job(job_id, request, str(entry.get("fingerprint")
+                                                 or request.fingerprint()),
+                            tenant)
+            job.created = float(entry.get("first_t") or job.created)
+            job.started = entry.get("started_t")
+            job.cache_hit = bool(entry.get("cache_hit"))
+            job.resume = bool(entry.get("resume"))
+            job.coalesced = int(entry.get("coalesced") or 0)
+            job.events = _read_events(job.events_path)
             self._jobs[job_id] = job
+            if terminal:
+                job.state = state
+                job.finished = entry.get("last_t")
+                job.error = entry.get("error")
+                if state == "done":
+                    job.result = (self.cache.peek(job.fingerprint)
+                                  or {"verdict": entry.get("verdict")})
+                continue
+            job.resume = os.path.exists(job.checkpoint_path)
+            job.emit("requeued", resume=job.resume)
+            self.journal.append("claimed", job_id, tenant=tenant)
             self._inflight[job.fingerprint] = job.id
-            self._persist(job)
             self.scheduler.push(tenant, job_id)
 
-    def _job_from_record(self, record: Dict[str, object]) -> Job:
-        request = CheckRequest.from_dict(record["request"])
-        job = Job(str(record["id"]), request, str(record["fingerprint"]),
-                  checkpoint_path=record.get("checkpoint"),
-                  tenant=str(record.get("tenant") or DEFAULT_TENANT))
-        job.state = str(record["state"])
-        job.cache_hit = bool(record.get("cache_hit", False))
-        job.resume = bool(record.get("resume", False))
-        job.coalesced = int(record.get("coalesced", 0))
-        job.created = float(record.get("created", time.time()))
-        job.started = record.get("started")
-        job.finished = record.get("finished")
-        job.result = record.get("result")
-        job.error = record.get("error")
-        job.events_path = self._events_path(job.id)
-        if os.path.exists(job.events_path):
-            with open(job.events_path) as handle:
-                job.events = [json.loads(line) for line in handle
-                              if line.strip()]
-        return job
+    def _fold_counters(self, tenant: str, entry: Dict[str, object]) -> None:
+        """Add one journaled job's transitions to the admission
+        counters (the others count this front's lifetime only)."""
+        counts = entry.get("counts") or {}
+        for kind, family in (("submitted", self._m_admitted),
+                             ("failed", self._m_failed),
+                             ("cancelled", self._m_cancelled)):
+            if counts.get(kind):
+                family.labels(tenant=tenant).inc(counts[kind])
+        if counts.get("done"):
+            self._m_completed.labels(
+                tenant=tenant, verdict=str(entry.get("verdict"))
+            ).inc(counts["done"])
 
     async def shutdown(self) -> None:
         """Graceful drain: stop admissions, interrupt running jobs at
         their next level boundary (they fall back to ``queued`` with a
-        checkpoint), keep queued jobs persisted, stop the runners, reap
-        every check process, compact the journal with a final metrics
-        snapshot (the service's run manifest), and let go of the state
-        directory."""
+        checkpoint), leave queued jobs in the journal, stop the runners,
+        reap every check process, compact the journal with a final
+        metrics snapshot (the service's run manifest), and let go of the
+        state directory."""
         self._accepting = False
         self._interrupting = True
         self._stopping = True
@@ -707,7 +705,6 @@ class JobManager:
         self._slots = []
         self._set_gauges()
         try:
-            self._flush_metrics()
             self.journal.compact(
                 extra={"metrics": self.registry.snapshot()})
         except OSError:  # pragma: no cover - a full disk must not wedge
@@ -778,7 +775,6 @@ class JobManager:
             job.result = cached
             job.emit("done", verdict=cached.get("verdict"), cache_hit=True)
             self._jobs[job.id] = job
-            self._persist(job)
             verdict = str(cached.get("verdict"))
             self._m_admitted.labels(tenant=tenant).inc()
             self._m_completed.labels(tenant=tenant, verdict=verdict).inc()
@@ -787,7 +783,6 @@ class JobManager:
             self.journal.append("submitted", job.id, tenant=tenant,
                                 fingerprint=fingerprint, cached=True)
             self.journal.append("done", job.id, verdict=verdict)
-            self._flush_metrics()
             return job, "cached"
         if self._queued_count() >= self.queue_limit:
             self._m_rejected.labels(tenant=tenant,
@@ -806,10 +801,8 @@ class JobManager:
         self.journal.append("submitted", job.id, tenant=tenant,
                             fingerprint=fingerprint,
                             request=request.to_dict())
-        self._persist(job)
         self.scheduler.push(tenant, job.id)
         self._set_gauges()
-        self._flush_metrics()
         if self._wake is not None:
             self._wake.set()
         return job, "created"
@@ -832,11 +825,10 @@ class JobManager:
             job.emit("cancelled", while_state="queued")
             self._inflight.pop(job.fingerprint, None)
             self.scheduler.forget(job.tenant, job.id)
-            self.journal.append("cancelled", job.id, tenant=job.tenant)
+            self.journal.append("cancelled", job.id, tenant=job.tenant,
+                                coalesced=job.coalesced)
             self._m_cancelled.labels(tenant=job.tenant).inc()
-            self._persist(job)
             self._set_gauges()
-            self._flush_metrics()
             return job, True
         if job.state == "running":
             job.cancel_requested = True
@@ -879,12 +871,18 @@ class JobManager:
 
     def _new_job(self, request: CheckRequest, fingerprint: str,
                  tenant: str = DEFAULT_TENANT) -> Job:
-        job_id = uuid.uuid4().hex[:12]
+        return self._job(uuid.uuid4().hex[:12], request, fingerprint, tenant)
+
+    def _job(self, job_id: str, request: Optional[CheckRequest],
+             fingerprint: str, tenant: str) -> Job:
+        """A job whose files live at ``jobs/<id>.ckpt`` and
+        ``jobs/<id>.events.ndjson``, paths derived from its id alone."""
         job = Job(job_id, request, fingerprint,
                   checkpoint_path=os.path.join(self.jobs_dir,
                                                job_id + ".ckpt"),
                   tenant=tenant)
-        job.events_path = self._events_path(job.id)
+        job.events_path = os.path.join(self.jobs_dir,
+                                       job_id + ".events.ndjson")
         return job
 
     def _queued_count(self) -> int:
@@ -907,23 +905,6 @@ class JobManager:
         self._m_queue_depth.default.set(self._queued_count())
         self._m_running.default.set(self._running_count())
 
-    def _flush_metrics(self) -> None:
-        try:
-            self.metrics_dir.flush()
-        except OSError:  # pragma: no cover - a full disk must not wedge
-            pass
-
-    def _events_path(self, job_id: str) -> str:
-        return os.path.join(self.jobs_dir, job_id + ".events.ndjson")
-
-    def _persist(self, job: Job) -> None:
-        """Write the job record atomically (the durable source of truth
-        across restarts; events append separately as they are emitted)."""
-        record = job.to_dict(with_request=True)
-        record["checkpoint"] = job.checkpoint_path
-        atomic_write_json(os.path.join(self.jobs_dir, job.id + ".json"),
-                          record)
-
     async def _next_job(self) -> Optional[Tuple[str, str]]:
         """The next (tenant, job_id) the DRR scheduler dispatches, or
         ``None`` when the manager is stopping.  Waits when nothing is
@@ -941,8 +922,8 @@ class JobManager:
 
     async def _runner(self, slot: CheckProcess) -> None:
         """One pool slot: take scheduled jobs and execute them in the
-        slot's check process, journaling and mirroring every transition
-        to metrics."""
+        slot's check process, journaling every transition and mirroring
+        it to metrics."""
         while True:
             item = await self._next_job()
             if item is None:
@@ -950,17 +931,16 @@ class JobManager:
             tenant, job_id = item
             job = self._jobs.get(job_id)
             if job is None or job.state != "queued" or self._interrupting:
-                # cancelled while queued, or draining (stays persisted)
+                # cancelled while queued, or draining (stays journaled)
                 self.scheduler.release(tenant, completed=False)
                 continue
             job.state = "running"
             job.started = time.time()
             job.emit("started", resume=job.resume,
                      workers=job.request.workers)
-            self.journal.append("started", job.id, tenant=tenant)
-            self._persist(job)
+            self.journal.append("started", job.id, tenant=tenant,
+                                resume=job.resume)
             self._set_gauges()
-            self._flush_metrics()
             began = time.monotonic()
             self._running[job.id] = slot
             try:
@@ -971,7 +951,8 @@ class JobManager:
                 job.emit("cancelled", while_state="running")
                 self._inflight.pop(job.fingerprint, None)
                 self._remove_checkpoint(job)
-                self.journal.append("cancelled", job.id, tenant=tenant)
+                self.journal.append("cancelled", job.id, tenant=tenant,
+                                    coalesced=job.coalesced)
                 self._m_cancelled.labels(tenant=tenant).inc()
                 self.scheduler.release(tenant, completed=False)
             except JobInterrupted:
@@ -992,7 +973,7 @@ class JobManager:
                 self._inflight.pop(job.fingerprint, None)
                 self._remove_checkpoint(job)
                 self.journal.append("failed", job.id, tenant=tenant,
-                                    error=job.error)
+                                    error=job.error, coalesced=job.coalesced)
                 self._m_failed.labels(tenant=tenant).inc()
                 self._m_latency.labels(tenant=tenant).observe(
                     job.finished - job.created)
@@ -1013,7 +994,7 @@ class JobManager:
                 self._inflight.pop(job.fingerprint, None)
                 self._remove_checkpoint(job)
                 self.journal.append("done", job.id, tenant=tenant,
-                                    verdict=verdict)
+                                    verdict=verdict, coalesced=job.coalesced)
                 self._m_completed.labels(tenant=tenant,
                                          verdict=str(verdict)).inc()
                 self._m_engine.labels(
@@ -1023,14 +1004,12 @@ class JobManager:
                 self.scheduler.release(tenant, completed=True)
             finally:
                 self._running.pop(job.id, None)
-            self._finish(job)
+            self._finish()
 
-    def _finish(self, job: Job) -> None:
-        """Persist a transition and wake dispatchers (a release may have
-        unblocked a tenant at its in-flight cap)."""
-        self._persist(job)
+    def _finish(self) -> None:
+        """Settle the gauges after a run and wake dispatchers (a release
+        may have unblocked a tenant at its in-flight cap)."""
         self._set_gauges()
-        self._flush_metrics()
         self._maybe_compact_journal()
         if self._wake is not None:
             self._wake.set()

@@ -1,24 +1,24 @@
-"""Append-only job journal: the service's durable queue of record.
+"""Append-only job journal: the service's one durable job store.
 
-Per-job ``jobs/<id>.json`` records survive a graceful drain, but a
-SIGKILL can land between a submission being admitted and its record
-being written, and nothing in the records says which transitions
-happened.  The journal is the service's record of every transition,
-kept with the classic recipe:
+Every job transition is one line here and nowhere else: a front that
+restarts (after a drain or a SIGKILL) rebuilds its jobs, their
+``GET /jobs/<id>`` view and its admission counters by folding this
+journal.  It is kept with the classic recipe:
 
 * **Append-only NDJSON log** (``journal/journal.ndjson``): every job
   transition -- ``submitted`` (with the full request, so the journal is
   self-contained), ``started``, ``requeued``, ``done``/``failed``/
   ``cancelled``, and recovery ``claimed`` records -- is one JSON line
-  appended under the journal lock.  A SIGKILL can at worst tear the final
-  line; :meth:`JobJournal.replay` tolerates exactly that (a torn
-  *middle* line would mean filesystem corruption and is skipped with a
-  count).
+  appended under the journal lock.  A line's timestamp is the time of
+  its transition.  A SIGKILL can at worst tear the final line;
+  :meth:`JobJournal.replay` tolerates exactly that (a torn *middle*
+  line would mean filesystem corruption and is skipped with a count).
 * **Snapshot compaction** (``journal/snapshot.json``): replay folds the
   log into one record per job id; :meth:`JobJournal.compact` persists
   that fold (plus an optional extra blob -- the service embeds a
-  metrics snapshot) and truncates the log, so the journal's size tracks
-  the *live* job population, not service uptime.
+  metrics snapshot, its run manifest) and truncates the log, so the
+  log's size tracks the work since the last fold.  Records are never
+  aged out: the admission counters are a fold of them.
 * **Idempotent replay, exactly-once re-admission**: replay is keyed by
   job id -- re-applying any suffix of the log is a no-op on the folded
   state.  One front holds a state directory at a time (its
@@ -96,8 +96,16 @@ class JobJournal:
         """Fold snapshot + log into one record per job id::
 
             {job_id: {"state", "tenant", "request", "fingerprint",
-                      "verdict", "counts": {kind: n},
-                      "claims": [{"pid", "t"}, ...], "first_t", "last_t"}}
+                      "verdict", "error", "cache_hit", "resume",
+                      "coalesced", "counts": {kind: n},
+                      "claims": [{"pid", "t"}, ...],
+                      "first_t", "started_t", "last_t"}}
+
+        ``first_t`` is the ``submitted`` time, ``started_t`` that of the
+        last ``started``, and ``last_t`` that of the latest line -- for
+        a finished job, its terminal line.  A record folded by an older
+        front may lack the keys it did not write; read them with
+        ``get``.
         """
         jobs: Dict[str, Dict[str, object]] = {}
         try:
@@ -125,10 +133,13 @@ class JobJournal:
                 record["tenant"] = entry.get("tenant", record["tenant"])
                 record["fingerprint"] = entry.get(
                     "fingerprint", record["fingerprint"])
+                record["cache_hit"] = bool(entry.get("cached"))
                 if entry.get("request") is not None:
                     record["request"] = entry["request"]
             elif kind == "started":
                 record["state"] = "running"
+                record["started_t"] = entry.get("t")
+                record["resume"] = bool(entry.get("resume"))
             elif kind == "requeued":
                 record["state"] = "queued"
             elif kind == "claimed":
@@ -137,26 +148,20 @@ class JobJournal:
                     {"pid": entry.get("pid"), "t": entry.get("t")})
             elif kind in _TERMINAL_KINDS:
                 record["state"] = kind
-                if entry.get("verdict") is not None:
-                    record["verdict"] = entry["verdict"]
+                for key in ("verdict", "error", "coalesced"):
+                    if entry.get(key) is not None:
+                        record[key] = entry[key]
         return jobs
 
     # -- compaction ----------------------------------------------------------
 
-    def compact(self, extra: Optional[Dict[str, object]] = None,
-                drop_terminal_older_than: Optional[float] = None) -> int:
+    def compact(self, extra: Optional[Dict[str, object]] = None) -> int:
         """Fold the log into ``snapshot.json`` and truncate it.  Returns
-        the number of job records retained.  *extra* is persisted
-        verbatim in the snapshot (the service stores a metrics snapshot
-        there, its run-manifest twin).  Terminal records older than
-        *drop_terminal_older_than* seconds are aged out."""
+        the number of job records retained (all of them).  *extra* is
+        persisted verbatim in the snapshot (the service stores a metrics
+        snapshot there, its run manifest)."""
         with self.lock:
             jobs = self.replay()
-            if drop_terminal_older_than is not None:
-                horizon = time.time() - drop_terminal_older_than
-                jobs = {job_id: record for job_id, record in jobs.items()
-                        if record.get("state") not in _TERMINAL_KINDS
-                        or (record.get("last_t") or 0) >= horizon}
             snapshot: Dict[str, object] = {
                 "version": 1, "t": round(time.time(), 4), "jobs": jobs,
             }

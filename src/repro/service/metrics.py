@@ -7,15 +7,14 @@ stdlib: a metric family is a name + kind + label names; a child is one
 label-value combination holding a float (counter/gauge) or cumulative
 bucket counts + sum (histogram).
 
-One front serves a state directory, so its registry is the whole
-story.  :class:`MetricsDir` keeps it on disk as one snapshot file,
-flushed (atomic write-then-rename) on every job transition; the next
-front loads that file as its **counter baseline**.  Counters and
-histograms count on from there -- work the previous front admitted or
-completed still happened, which is what lets ``/metrics`` reconcile
-with the journal across restarts, SIGKILL included (admitted ==
-completed + failed + cancelled + in-flight).  Gauges start from zero:
-a dead front's queue depth describes nothing now.
+The registry lives in memory only.  One front serves a state
+directory, and the job journal is its durable record: a starting front
+sets the admission counters (admitted, completed, failed, cancelled)
+from the journal's fold, so ``/metrics`` reconciles with the journal
+across restarts, SIGKILL included (admitted == completed + failed +
+cancelled + in-flight).  Every other counter and histogram counts this
+front's lifetime, the way a Prometheus counter restarts with its
+process, and gauges describe the present.
 
 Quantiles for human summaries (``repro admin metrics``, the load-test
 report) come from :meth:`Histogram.quantile`, a conservative
@@ -24,17 +23,14 @@ upper-bound read of the cumulative buckets.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cache import atomic_write_json
-
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "MetricsDir",
+    "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "DEFAULT_BUCKETS", "render_snapshot",
 ]
 
@@ -162,16 +158,6 @@ class Histogram(_Child):
             "count": self._count,
         }
 
-    def _add(self, data: Dict[str, object]) -> None:
-        """Fold in another histogram's :meth:`_data` (same bounds)."""
-        with self._lock:
-            for i, bound in enumerate(self.bounds):
-                self._counts[i] += int(data["buckets"].get(
-                    _format_value(bound), 0))
-            self._counts[-1] += int(data["inf"])
-            self._sum += float(data["sum"])
-            self._count += int(data["count"])
-
 
 class _Family:
     def __init__(self, name: str, kind: str, help_text: str,
@@ -256,8 +242,8 @@ class MetricsRegistry:
     # -- snapshot / render ---------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
-        """A JSON-safe dump of every family (the unit MetricsDir
-        flushes and :meth:`restore` reads back)."""
+        """A JSON-safe dump of every family (what :meth:`render`
+        formats and the journal's snapshot keeps as a run manifest)."""
         families: Dict[str, object] = {}
         with self._lock:
             for name, family in self._families.items():
@@ -270,21 +256,6 @@ class MetricsRegistry:
                                 sorted(family._children.items())],
                 }
         return {"pid": os.getpid(), "t": time.time(), "families": families}
-
-    def restore(self, snapshot: Dict[str, object]) -> None:
-        """Add an earlier snapshot's counters and histograms to the
-        families registered here (gauges are skipped: they describe a
-        past moment)."""
-        for name, family in snapshot["families"].items():
-            target = self._families.get(name)
-            if target is None or target.kind == "gauge":
-                continue
-            for key, data in family["samples"]:
-                child = target.labels(**dict(zip(target.labelnames, key)))
-                if target.kind == "counter":
-                    child.inc(float(data))
-                else:
-                    child._add(data)
 
     def render(self) -> str:
         return render_snapshot(self.snapshot())
@@ -321,26 +292,3 @@ def render_snapshot(snapshot: Dict[str, object]) -> str:
             lines.append(f"{name}_count{label_part} {data['count']}")
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-class MetricsDir:
-    """The front's registry on disk: ``<directory>/snapshot.json``.
-
-    Construction loads the previous front's last flush into
-    *registry*'s families as the counter baseline (a missing or
-    unreadable file is a zero baseline); :meth:`flush` persists the registry -- one small JSON,
-    atomic rename -- and the manager calls it on every job transition.
-    """
-
-    def __init__(self, directory: str, registry: MetricsRegistry):
-        self.directory = directory
-        self.registry = registry
-        os.makedirs(directory, exist_ok=True)
-        self.path = os.path.join(directory, "snapshot.json")
-        try:
-            with open(self.path) as handle:
-                registry.restore(json.load(handle))
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
-            pass
-
-    def flush(self) -> None:
-        atomic_write_json(self.path, self.registry.snapshot())

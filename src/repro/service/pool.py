@@ -69,7 +69,11 @@ class CheckProcess:
 
     Every method runs on the front's event loop; one job at a time."""
 
-    command = [sys.executable, "-m", "repro.service.pool"]
+    # not ``-m``: the package imports this module first, so runpy would
+    # execute it a second time as __main__ (a RuntimeWarning per spawn)
+    command = [sys.executable, "-c",
+               "import sys; from repro.service.pool import main; "
+               "sys.exit(main())"]
 
     def __init__(self) -> None:
         self._proc: Optional[asyncio.subprocess.Process] = None
@@ -305,25 +309,21 @@ def _check(message: Dict[str, object], inbox: _Inbox,
 
 def main() -> int:
     die_with_parent()   # a front that already died shows as stdin EOF
-    # frames own the real stdout; a stray print lands on stderr
-    wire = os.fdopen(os.dup(1), "wb")
-    os.dup2(2, 1)
     inbox = _Inbox()
-
-    def send(payload: Dict[str, object]) -> None:
-        wire.write(_frame(payload))
-        wire.flush()
-
     try:
-        while True:
-            message = inbox.next()
-            if message is None:
-                return 0   # the front closed our stdin
-            if message.get("op") == "run":   # else: a stale control frame
-                send(_check(message, inbox, send))
+        # frames own the real stdout; a stray print lands on stderr
+        with os.fdopen(os.dup(1), "wb") as wire:
+            os.dup2(2, 1)
+
+            def send(payload: Dict[str, object]) -> None:
+                wire.write(_frame(payload))
+                wire.flush()
+
+            while True:
+                message = inbox.next()
+                if message is None:
+                    return 0   # the front closed our stdin
+                if message.get("op") == "run":   # else: a stale control
+                    send(_check(message, inbox, send))
     except BrokenPipeError:
         return 0           # the front is gone; nobody to answer
-
-
-if __name__ == "__main__":
-    sys.exit(main())

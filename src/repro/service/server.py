@@ -281,7 +281,7 @@ class BackgroundServer:
             ...
 
     ``stop()`` performs the same graceful drain as SIGTERM on ``repro
-    serve`` -- running jobs checkpoint and persist as queued, and every
+    serve`` -- running jobs checkpoint and are journaled as queued, and every
     check process is reaped.
     """
 

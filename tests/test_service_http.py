@@ -19,6 +19,7 @@ import pytest
 
 from repro.service import BackgroundServer, QueueFullError, ServiceClient
 from repro.service.jobs import CheckRequest, run_check
+from repro.service.journal import JobJournal
 from repro.tools.cli import main
 
 COUNTER_TLA = """
@@ -358,12 +359,15 @@ class TestSigtermResume:
                 first.kill()
         assert first.returncode == 0
 
-        # the drain left the job persisted as queued with its checkpoint
-        record = json.loads(
-            (tmp_path / "svc" / "jobs" / (job_id + ".json")).read_text())
+        # the drain left the job journaled as queued with its checkpoint
+        record = JobJournal(os.path.join(state_dir, "journal")).replay()[
+            job_id]
         assert record["state"] == "queued"
-        assert record["resume"] is True
-        assert os.path.exists(record["checkpoint"])
+        jobs_dir = tmp_path / "svc" / "jobs"
+        assert (jobs_dir / (job_id + ".ckpt")).exists()
+        last = json.loads((jobs_dir / (job_id + ".events.ndjson"))
+                          .read_text().splitlines()[-1])
+        assert last["event"] == "interrupted" and last["resume"] is True
 
         os.unlink(os.path.join(state_dir, "server.json"))  # no stale port
         second = self._spawn(state_dir)

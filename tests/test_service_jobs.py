@@ -8,12 +8,15 @@ import asyncio
 import json
 import os
 import signal
+import subprocess
 import sys
 import time
 
 import pytest
 
+import repro
 from repro.parser import ParseError
+from repro.service.cache import ShardedResultCache
 from repro.service.jobs import (
     MAX_MODULE_SOURCE,
     CheckRequest,
@@ -67,6 +70,37 @@ async def wait_for(predicate, timeout=30.0, message="condition"):
         if time.monotonic() > deadline:
             raise AssertionError(f"timed out waiting for {message}")
         await asyncio.sleep(0.02)
+
+
+def restart(state_dir, probe=lambda manager: None):
+    """Start a fresh manager on *state_dir*, hand it to *probe* before
+    any runner has run, let every job finish and shut down.  Returns
+    ``(probe's answer, manager)``."""
+    async def scenario():
+        manager = JobManager(str(state_dir), pool_size=1)
+        await manager.start()
+        seen = probe(manager)
+        for job in manager.jobs():
+            await wait_terminal(job)
+        await manager.shutdown()
+        return seen, manager
+
+    return asyncio.run(scenario())
+
+
+def states(manager):
+    return {job.id: job.state for job in manager.jobs()}
+
+
+def metric_totals(text):
+    """{family: sum over its samples} of a Prometheus exposition."""
+    totals = {}
+    for line in text.splitlines():
+        if line and not line.startswith("#"):
+            name, value = line.rsplit(" ", 1)
+            family = name.split("{", 1)[0]
+            totals[family] = totals.get(family, 0.0) + float(value)
+    return totals
 
 
 async def wait_terminal(job, timeout=30.0):
@@ -147,14 +181,21 @@ class TestLifecycle:
             return job
 
         job = asyncio.run(scenario())
-        record_path = tmp_path / "jobs" / (job.id + ".json")
-        record = json.loads(record_path.read_text())
+        record = JobJournal(str(tmp_path / "journal")).replay()[job.id]
         assert record["state"] == "done"
-        assert record["result"]["verdict"] == "ok"
+        assert record["verdict"] == "ok"
         events_path = tmp_path / "jobs" / (job.id + ".events.ndjson")
         lines = [json.loads(line) for line in
                  events_path.read_text().splitlines() if line]
         assert lines == job.events
+        # a restarted front shows the job as it was, result included
+        _, manager = restart(tmp_path)
+        recovered = manager.get(job.id)
+        before, after = job.to_dict(), recovered.to_dict()
+        for key in ("created", "started", "finished"):
+            assert after.pop(key) == pytest.approx(before.pop(key), abs=0.5)
+        assert after == before
+        assert recovered.events == job.events
 
     def test_bad_submissions_rejected_eagerly(self, tmp_path):
         async def scenario():
@@ -434,15 +475,16 @@ class TestShutdownAndResume:
         kinds = [event["event"] for event in job.events]
         assert kinds[-1] == "interrupted"
         assert 3 <= kinds.count("level") < 41  # genuinely mid-flight
-        record = json.loads(
-            (tmp_path / "jobs" / (job.id + ".json")).read_text())
-        assert record["state"] == "queued" and record["resume"] is True
+        record = JobJournal(str(tmp_path / "journal")).replay()[job.id]
+        assert record["state"] == "queued"
+        assert record["counts"]["requeued"] == 1
 
         async def second_life():
             manager = JobManager(str(tmp_path), pool_size=1)
             await manager.start()  # recovery requeues the interrupted job
             resumed = manager.get(job.id)
             assert resumed is not None
+            assert resumed.state == "queued" and resumed.resume is True
             await wait_terminal(resumed)
             await manager.shutdown()
             return resumed
@@ -461,19 +503,20 @@ class TestShutdownAndResume:
         assert not os.path.exists(resumed.checkpoint_path)
 
     def test_crashed_running_job_is_requeued_on_recovery(self, tmp_path):
-        # simulate a worker crash (no graceful drain): a persisted record
+        # simulate a front crash (no graceful drain): a journaled job
         # stuck in "running" with no checkpoint must restart from scratch
-        manager = JobManager(str(tmp_path), pool_size=1)
         request = counter_request()
-        job = manager._new_job(request, request.fingerprint())
-        job.state = "running"
-        manager._jobs[job.id] = job
-        manager._persist(job)
+        journal = JobJournal(str(tmp_path / "journal"))
+        job_id = "0123456789ab"
+        journal.append("submitted", job_id, tenant="default",
+                       fingerprint=request.fingerprint(),
+                       request=request.to_dict())
+        journal.append("started", job_id, tenant="default", resume=False)
 
         async def next_life():
             recovered = JobManager(str(tmp_path), pool_size=1)
             await recovered.start()
-            revived = recovered.get(job.id)
+            revived = recovered.get(job_id)
             assert revived is not None
             await wait_terminal(revived)
             await recovered.shutdown()
@@ -525,6 +568,180 @@ class TestShutdownAndResume:
         job, folded = asyncio.run(scenario())
         assert folded[job.id]["state"] == "done"
         assert folded[job.id]["verdict"] == "ok"
+
+
+def write_stale_record(state_dir, job_id, request, state):
+    """A ``jobs/<id>.json`` record as an older front wrote it -- a store
+    of its own it trusted over the journal -- left behind at *state*."""
+    record = {
+        "id": job_id, "state": state, "tenant": "default",
+        "fingerprint": request.fingerprint(), "cache_hit": False,
+        "resume": False, "coalesced": 0, "created": time.time(),
+        "started": None, "finished": None, "result": None, "error": None,
+        "events": 0, "request": request.to_dict(),
+        "checkpoint": str(state_dir / "jobs" / (job_id + ".ckpt")),
+    }
+    (state_dir / "jobs").mkdir(exist_ok=True)
+    (state_dir / "jobs" / (job_id + ".json")).write_text(json.dumps(record))
+
+
+def reconciles(manager):
+    totals = metric_totals(manager.metrics_text())
+    return (totals.get("repro_jobs_admitted_total", 0.0),
+            sum(totals.get(f"repro_jobs_{kind}_total", 0.0)
+                for kind in ("completed", "failed", "cancelled")))
+
+
+class TestJournalIsTheStore:
+    """The journal is the one durable job store: a restart trusts it over
+    anything else in the state directory, and the admission counters are
+    its fold.  The stale records below are what a SIGKILL between a
+    journal line and a record write left on an older front's disk."""
+
+    def test_done_job_with_a_stale_running_record_is_not_rerun(
+            self, tmp_path):
+        request = counter_request()
+
+        async def first_life():
+            manager = JobManager(str(tmp_path), pool_size=1)
+            await manager.start()
+            job, _ = manager.submit(request)
+            await wait_terminal(job)
+            await manager.shutdown()
+            return job
+
+        job = asyncio.run(first_life())
+        write_stale_record(tmp_path, job.id, request, "running")
+        seen, manager = restart(tmp_path, states)
+        assert seen == {job.id: "done"}
+        assert manager.get(job.id).result == job.result
+        assert reconciles(manager) == (1.0, 1.0)
+        counts = JobJournal(str(tmp_path / "journal")).replay()[job.id][
+            "counts"]
+        assert counts == {"submitted": 1, "started": 1, "done": 1}
+
+    def test_journal_only_submission_reconciles_metrics(self, tmp_path):
+        request = counter_request()
+        JobJournal(str(tmp_path / "journal")).append(
+            "submitted", "0123456789ab", tenant="default",
+            fingerprint=request.fingerprint(), request=request.to_dict())
+        seen, manager = restart(tmp_path, states)
+        assert seen == {"0123456789ab": "queued"}
+        assert manager.get("0123456789ab").state == "done"
+        admitted, finished = reconciles(manager)
+        assert admitted == finished == 1.0
+
+    def test_cancelled_job_with_a_stale_queued_record_is_not_rerun(
+            self, tmp_path):
+        request = counter_request()
+
+        async def first_life():
+            manager = JobManager(str(tmp_path), pool_size=1)
+            await manager.start()
+            job, _ = manager.submit(request)
+            manager.cancel(job.id)   # before any runner saw it
+            await manager.shutdown()
+            return job
+
+        job = asyncio.run(first_life())
+        assert job.state == "cancelled"
+        write_stale_record(tmp_path, job.id, request, "queued")
+        seen, manager = restart(tmp_path, states)
+        assert seen == {job.id: "cancelled"}
+        assert reconciles(manager) == (1.0, 1.0)
+        counts = JobJournal(str(tmp_path / "journal")).replay()[job.id][
+            "counts"]
+        assert counts == {"submitted": 1, "cancelled": 1}
+
+    def test_parent_era_state_dir_starts_from_the_journal(self, tmp_path):
+        # every shape an older front left: a compacted snapshot in the
+        # older fold's form, log lines after it, stale records lagging
+        # the journal, and a metrics snapshot nobody reads any more
+        journal = JobJournal(str(tmp_path / "journal"))
+        done_request = counter_request()
+        fp = done_request.fingerprint()
+        ShardedResultCache(str(tmp_path / "cache")).put(
+            fp, run_check(done_request))
+        submitted = ("submitted", {"request": done_request.to_dict()})
+        lines = {
+            "a00000000001": [submitted, ("started", {}),
+                             ("done", {"verdict": "ok"})],
+            "a00000000002": [("submitted", {"cached": True}),
+                             ("done", {"verdict": "ok"})],
+            "a00000000004": [submitted, ("cancelled", {})],
+            # journaled after the compaction: its error is in its line
+            "a00000000003": [submitted, ("started", {}),
+                             ("failed", {"error": "boom"})],
+        }
+
+        def append(job_id):
+            for kind, fields in lines[job_id]:
+                journal.append(kind, job_id, tenant="default",
+                               fingerprint=fp, **fields)
+
+        for job_id in ("a00000000001", "a00000000002", "a00000000004"):
+            append(job_id)
+        journal.compact()
+        older_fold = ("state", "tenant", "request", "fingerprint",
+                      "verdict", "counts", "claims", "first_t", "last_t")
+        snapshot = json.loads(open(journal.snapshot_path).read())
+        snapshot["jobs"] = {
+            job_id: {key: record.get(key) for key in older_fold}
+            for job_id, record in snapshot["jobs"].items()}
+        open(journal.snapshot_path, "w").write(json.dumps(snapshot))
+        append("a00000000003")
+        for n, state in ((5, None), (6, "started")):
+            request = counter_request(max_states=1000 + n)
+            job_id = f"a0000000000{n}"
+            journal.append("submitted", job_id, tenant="default",
+                           fingerprint=request.fingerprint(),
+                           request=request.to_dict())
+            if state:
+                journal.append(state, job_id, tenant="default")
+            write_stale_record(tmp_path, job_id, request, "queued")
+        for job_id, state in (("a00000000001", "running"),
+                              ("a00000000003", "running"),
+                              ("a00000000004", "queued")):
+            write_stale_record(tmp_path, job_id, done_request, state)
+        (tmp_path / "metrics").mkdir()
+        (tmp_path / "metrics" / "snapshot.json").write_text(json.dumps({
+            "pid": 1, "t": 0.0, "families": {"repro_jobs_admitted_total": {
+                "kind": "counter", "help": "", "labelnames": ["tenant"],
+                "samples": [[["default"], 99]]}}}))
+        folded = journal.replay()
+
+        seen, manager = restart(tmp_path, lambda manager: {
+            job.id: (job.state, job.result, job.error)
+            for job in manager.jobs()})
+        assert {job_id: state for job_id, (state, _, _) in seen.items()} \
+            == {job_id: ("queued" if record["state"] == "running"
+                         else record["state"])
+                for job_id, record in folded.items()}
+        cached = ShardedResultCache(str(tmp_path / "cache")).peek(fp)
+        assert seen["a00000000001"][1] == seen["a00000000002"][1] == cached
+        assert seen["a00000000003"][2] == "boom"
+        assert all(job.state in ("done", "failed", "cancelled")
+                   for job in manager.jobs())
+        assert reconciles(manager) == (6.0, 6.0)
+        after = journal.replay()
+        for job_id in lines:   # finished jobs are never claimed again
+            assert after[job_id]["counts"] == folded[job_id]["counts"]
+
+    def test_state_dir_holds_no_record_files_or_metrics(self, tmp_path):
+        async def scenario():
+            manager = JobManager(str(tmp_path), pool_size=1)
+            await manager.start()
+            job, _ = manager.submit(counter_request())
+            await wait_terminal(job)
+            manager.submit(counter_request())             # cache hit
+            queued, _ = manager.submit(chain_request())
+            manager.cancel(queued.id)
+            await manager.shutdown()
+
+        asyncio.run(scenario())
+        assert sorted(os.listdir(tmp_path)) \
+            == ["cache", "front.lock", "jobs", "journal"]
+        assert list((tmp_path / "jobs").glob("*.json")) == []
 
 
 class TestCheckProcesses:
@@ -601,6 +818,18 @@ class TestCheckProcesses:
         assert "Traceback" not in job.error
         assert self._journal_counts(tmp_path, job.id)["failed"] == 1
         assert after.state == "done" and after.result["verdict"] == "ok"
+
+    def test_check_process_command_runs_clean_under_w_error(self):
+        # the child's module is imported once: a warning of its own
+        # (runpy re-executing an imported module) would be fatal here
+        command = CheckProcess.command
+        root = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=root)
+        done = subprocess.run([command[0], "-W", "error", *command[1:]],
+                              stdin=subprocess.DEVNULL, capture_output=True,
+                              env=env, timeout=60)
+        assert (done.returncode, done.stderr) == (0, b"")
 
     def test_check_error_is_the_job_error(self, tmp_path):
         # an exception inside the check comes back as the job's error,

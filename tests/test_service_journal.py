@@ -208,14 +208,3 @@ class TestCompaction:
             snapshot = json.load(handle)
         assert snapshot["extra"] == {"metrics": {"families": {}}}
 
-    def test_terminal_records_age_out(self, tmp_path):
-        journal = journal_for(tmp_path)
-        journal.append("submitted", "old", tenant="a")
-        journal.append("done", "old", verdict="ok")
-        journal.append("submitted", "young", tenant="a")
-        # everything terminal older than -1s from now, i.e. all of it
-        retained = journal.compact(drop_terminal_older_than=-1.0)
-        jobs = journal.replay()
-        assert "old" not in jobs          # terminal and aged out
-        assert jobs["young"]["state"] == "queued"  # non-terminal kept
-        assert retained == 1
