@@ -687,9 +687,8 @@ class JobManager:
         """Graceful drain: stop admissions, interrupt running jobs at
         their next level boundary (they fall back to ``queued`` with a
         checkpoint), leave queued jobs in the journal, stop the runners,
-        reap every check process, compact the journal with a final
-        metrics snapshot (the service's run manifest), and let go of the
-        state directory."""
+        reap every check process, compact the journal, and let go of
+        the state directory."""
         self._accepting = False
         self._interrupting = True
         self._stopping = True
@@ -705,8 +704,7 @@ class JobManager:
         self._slots = []
         self._set_gauges()
         try:
-            self.journal.compact(
-                extra={"metrics": self.registry.snapshot()})
+            self.journal.compact()
         except OSError:  # pragma: no cover - a full disk must not wedge
             pass
         if self._lock_file is not None:
@@ -1027,8 +1025,7 @@ class JobManager:
 
         def work() -> None:
             try:
-                self.journal.compact(
-                    extra={"metrics": self.registry.snapshot()})
+                self.journal.compact()
             except OSError:  # a full disk must not wedge the runner
                 pass
 

@@ -15,10 +15,11 @@ journal.  It is kept with the classic recipe:
   line would mean filesystem corruption and is skipped with a count).
 * **Snapshot compaction** (``journal/snapshot.json``): replay folds the
   log into one record per job id; :meth:`JobJournal.compact` persists
-  that fold (plus an optional extra blob -- the service embeds a
-  metrics snapshot, its run manifest) and truncates the log, so the
-  log's size tracks the work since the last fold.  Records are never
-  aged out: the admission counters are a fold of them.
+  that fold and truncates the log, so the log's size tracks the work
+  since the last fold.  Records are never aged out: the admission
+  counters are a fold of them.  A finished job's request is dropped
+  from its record once the record carries the fingerprint that
+  recovery looks its result up by.
 * **Idempotent replay, exactly-once re-admission**: replay is keyed by
   job id -- re-applying any suffix of the log is a no-op on the folded
   state.  One front holds a state directory at a time (its
@@ -38,7 +39,7 @@ import json
 import os
 import threading
 import time
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 from .cache import atomic_write_json
 
@@ -155,19 +156,20 @@ class JobJournal:
 
     # -- compaction ----------------------------------------------------------
 
-    def compact(self, extra: Optional[Dict[str, object]] = None) -> int:
+    def compact(self) -> int:
         """Fold the log into ``snapshot.json`` and truncate it.  Returns
-        the number of job records retained (all of them).  *extra* is
-        persisted verbatim in the snapshot (the service stores a metrics
-        snapshot there, its run manifest)."""
+        the number of job records retained (all of them).  A finished
+        job with a fingerprint keeps no request: nothing reads it again,
+        and it is most of the record (the module source)."""
         with self.lock:
             jobs = self.replay()
-            snapshot: Dict[str, object] = {
+            for record in jobs.values():
+                if record.get("state") in _TERMINAL_KINDS \
+                        and record.get("fingerprint"):
+                    record.pop("request", None)
+            atomic_write_json(self.snapshot_path, {
                 "version": 1, "t": round(time.time(), 4), "jobs": jobs,
-            }
-            if extra:
-                snapshot["extra"] = extra
-            atomic_write_json(self.snapshot_path, snapshot)
+            })
             with open(self.log_path, "w"):
                 pass  # truncate: its contents are folded into the snapshot
             return len(jobs)

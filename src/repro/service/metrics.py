@@ -243,7 +243,7 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, object]:
         """A JSON-safe dump of every family (what :meth:`render`
-        formats and the journal's snapshot keeps as a run manifest)."""
+        formats)."""
         families: Dict[str, object] = {}
         with self._lock:
             for name, family in self._families.items():

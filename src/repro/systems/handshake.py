@@ -157,7 +157,7 @@ def check_protocol_trace(trace: FiniteBehavior, chan: str) -> List[str]:
     """Validate that every step of a trace is a Send, an Ack, or a stutter.
 
     Returns human-readable problems (empty = the trace follows the
-    protocol).  Used by tests and the Figure 2 benchmark."""
+    protocol)."""
     from ..kernel.action import holds_on_step
     from ..kernel.expr import Exists, Or
     from ..kernel.values import FiniteDomain

@@ -211,7 +211,7 @@ class TestProposition4Check:
                            ActionBox(Eq(m_var.prime(), 0), ("m",)))
         disjoint = DisjointSpec([("e",), ("m",)])
         states = list(universe.states())
-        lassos = list(all_lassos(states, max_stem=1, max_loop=1))
+        lassos = list(all_lassos(states, max_stem=1, max_loop=2))
         problems = validate_proposition4(
             env_closure, sys_closure,
             StatePred(Eq(e_var, 0)), StatePred(Eq(m_var, 0)),
@@ -228,5 +228,5 @@ class TestGuaranteeIdentityValidator:
         sys_f = TAnd(StatePred(Eq(m_var, 0)),
                      ActionBox(Eq(m_var.prime(), 0), ("m",)))
         states = list(universe.states())
-        lassos = list(all_lassos(states, max_stem=1, max_loop=1))
+        lassos = list(all_lassos(states, max_stem=1, max_loop=2))
         assert validate_guarantee_identity(env, sys_f, lassos, universe) == []

@@ -228,10 +228,19 @@ class TestProposition3Semantics:
 
     def test_invalid_hypotheses_reported_not_refuted(self):
         from repro.core import validate_proposition3
-        from repro.kernel import all_lassos
+        from repro.kernel import Not, Or, all_lassos
+        from repro.kernel.action import unchanged
 
         states = list(U.states())
         lassos = list(all_lassos(states, max_stem=1, max_loop=1))
         problems = validate_proposition3(E, M, StatePred(True), ("e", "m"),
                                          lassos, U)
         assert problems and "hypotheses not valid" in problems[0]
+        # R lets m move in the step that moves e: E ∧ R ⇒ M stays valid,
+        # but R ⇒ E ⊥ M fails on the step breaking both
+        lockstep = TAnd(StatePred(Eq(m, 0)), ActionBox(
+            Or(unchanged(("m",)), Not(unchanged(("e",)))), ("m",)))
+        lassos = list(all_lassos(states, max_stem=2, max_loop=1))
+        problems = validate_proposition3(E, M, lockstep, ("e", "m"),
+                                         lassos, U)
+        assert problems and "R ⇒ E ⊥ M fails" in problems[0], problems

@@ -1,93 +1,7 @@
-"""End-to-end integration tests: the paper's headline results, verified in
-one go per figure (see DESIGN.md's per-experiment index)."""
+"""End-to-end integration tests: the example scripts run.  The paper's
+figures and propositions are checked in ``test_paper.py``."""
 
 import pytest
-
-from repro.checker import (
-    check_safety_refinement,
-    check_temporal_implication,
-    explore,
-    premises_of_spec,
-)
-from repro.core import CompositionTheorem, brute_force_implication
-from repro.systems import circuit
-from repro.systems.queue import DoubleQueue, complete_queue
-
-
-class TestFig1:
-    def test_safety_composition_theorem_and_brute_force_agree(self):
-        ag_c, ag_d = circuit.safety_agspecs()
-        goal = circuit.safety_goal()
-        cert = CompositionTheorem([ag_c, ag_d], goal).verify()
-        assert cert.ok
-        brute = brute_force_implication(
-            [ag_c.formula(), ag_d.formula()], goal.formula(),
-            circuit.wire_universe())
-        assert brute.ok
-
-    def test_liveness_counterexample_is_the_papers(self):
-        p1, p2 = circuit.liveness_premises()
-        result = brute_force_implication(
-            [p1, p2], circuit.liveness_goal_formula(),
-            circuit.wire_universe(), max_stem=1, max_loop=1)
-        assert not result.ok
-        assert all(s["c"] == 0 and s["d"] == 0
-                   for s in result.counterexample.trace.states)
-
-
-class TestFig9:
-    @pytest.fixture(scope="class")
-    def dq(self):
-        return DoubleQueue(1)
-
-    def test_full_composition_proof(self, dq):
-        cert = dq.composition_theorem().verify()
-        assert cert.ok, cert.render()
-        # the certificate mirrors Figure 9: closures, H1 per queue, 2a
-        # with Propositions 3+4, 2b
-        oids = [ob.oid for ob in cert.obligations]
-        assert oids == ["0", "1[1]", "1[2]", "2a", "2b"]
-        h2a = cert.obligations[3]
-        applied = [rule.proposition for rule in h2a.rules]
-        assert "Proposition 3" in applied
-        assert "Proposition 4" in applied
-
-    def test_without_g_every_model_checked_hypothesis_fails(self, dq):
-        cert = CompositionTheorem(
-            [dq.ag_q1(), dq.ag_q2()], dq.ag_goal(),
-            disjoint=None, mapping=dq.mapping).verify()
-        assert not cert.ok
-        failed = {ob.oid for ob in cert.failed_obligations()}
-        assert "1[1]" in failed and "1[2]" in failed
-
-    def test_a4_refinement(self, dq):
-        graph = explore(dq.cdq_spec())
-        target = dq.icq_dbl()
-        assert check_safety_refinement(graph, target, dq.mapping).ok
-        assert check_temporal_implication(
-            graph, target.liveness_formula(), mapping=dq.mapping,
-            target_universe=target.universe,
-            premises=premises_of_spec(dq.cdq_spec())).ok
-
-    def test_certificate_renders_like_figure9(self, dq):
-        text = dq.composition_theorem().verify().render()
-        assert "Q.E.D." in text
-        assert "QE[1]" in text and "QE[2]" in text
-        assert "QM[dbl]" in text
-        assert "Proposition 4" in text
-
-
-class TestScaleUp:
-    def test_complete_queue_grows_with_n(self):
-        sizes = [explore(complete_queue(n)).state_count for n in (1, 2)]
-        assert sizes[0] < sizes[1]
-
-    def test_composition_proof_n2(self):
-        """The theorem route stays feasible at N=2 (the direct semantic
-        check over the 11-variable behavior universe would be astronomically
-        large; see the ABL-DIRECT benchmark)."""
-        cert = DoubleQueue(2).composition_theorem().verify()
-        assert cert.ok
 
 
 class TestExamplesRun:

@@ -9,7 +9,8 @@ import os
 
 import pytest
 
-from repro.service.jobs import CheckRequest, JobManager, StateDirBusy
+from repro.service.cache import ShardedResultCache
+from repro.service.jobs import CheckRequest, JobManager, StateDirBusy, run_check
 from repro.service.journal import JobJournal
 
 DEAD_PID = 999999999  # beyond pid_max on any Linux
@@ -200,11 +201,39 @@ class TestCompaction:
         journal.append("done", "job-1", verdict="ok")
         assert journal.replay()["job-1"]["state"] == "done"
 
-    def test_extra_blob_is_persisted(self, tmp_path):
+    def test_finished_jobs_drop_their_request(self, tmp_path):
+        # a finished job is served from the cache by its fingerprint, so
+        # its request (the module source) leaves the snapshot; a queued
+        # job keeps its own, which re-admission rebuilds the job from
+        done = CheckRequest(COUNTER_TLA, invariants=("Small",))
+        queued = CheckRequest(COUNTER_TLA, invariants=("Small",),
+                              max_states=1000)
+        result = run_check(done)
+        ShardedResultCache(str(tmp_path / "cache")).put(
+            done.fingerprint(), result)
         journal = journal_for(tmp_path)
-        journal.append("submitted", "job-1", tenant="a")
-        journal.compact(extra={"metrics": {"families": {}}})
+        for job_id, request in (("d00000000001", done), (JOB_ID, queued)):
+            journal.append("submitted", job_id, tenant="a",
+                           fingerprint=request.fingerprint(),
+                           request=request.to_dict())
+        journal.append("done", "d00000000001", verdict="ok")
+        journal.compact()
         with open(journal.snapshot_path) as handle:
-            snapshot = json.load(handle)
-        assert snapshot["extra"] == {"metrics": {"families": {}}}
+            jobs = json.load(handle)["jobs"]
+        assert "request" not in jobs["d00000000001"]
+        assert jobs[JOB_ID]["request"] == queued.to_dict()
+
+        async def scenario():
+            manager = JobManager(str(tmp_path), pool_size=1)
+            await manager.start()
+            finished = manager.get("d00000000001")
+            readmitted = manager.get(JOB_ID)
+            seen = (finished.state, finished.result,
+                    readmitted.state in ("queued", "running"),
+                    readmitted.request.to_dict())
+            await manager.shutdown()
+            return seen
+
+        assert asyncio.run(scenario()) \
+            == ("done", result, True, queued.to_dict())
 

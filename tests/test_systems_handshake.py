@@ -96,6 +96,10 @@ class TestFigure2:
     def test_trace_follows_protocol(self):
         trace = protocol_trace("c", [37, 4, 19], initial_val=0)
         assert check_protocol_trace(trace, "c") == []
+        long_trace = protocol_trace("c", [v % 2 for v in range(1000)],
+                                    initial_val=0)
+        assert len(long_trace) == 2 * 1000
+        assert check_protocol_trace(long_trace, "c") == []
 
     def test_trace_length(self):
         # initial + (send, ack) per value except last value unacked
