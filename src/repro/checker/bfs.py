@@ -12,10 +12,12 @@ instances (``FullEngine`` in :mod:`~repro.checker.explorer` over a
 
 * ``graph`` / ``spec`` / ``tag`` (``"full"`` or ``"compact"``) /
   ``reduction`` (the effective ``ReductionConfig`` or ``None``);
-* ``payloads[node]`` -- what an expander is fed (a ``State``, a packed
-  int);
+* ``payloads[node]`` -- what an expander is fed (a packed int; a
+  ``State`` under a reducer);
 * ``expand(payload)`` -- the node's successors, pure;
 * ``merge(src, expanded)`` -- intern them, return the new node ids;
+* ``settle(nodes)`` -- called once per level with the level's new
+  nodes (the full engine fingerprints them here in one batch);
 * ``size(expanded)`` -- how many successors a worker's result holds;
 * ``header()`` -- the engine's fields of a checkpoint log's header;
 * ``snapshot(nodes, sources)`` -- the engine's share of one checkpoint
@@ -55,7 +57,6 @@ import os
 from time import perf_counter
 from typing import Callable, List, NamedTuple, Optional
 
-from ..kernel.action import compile_action
 from ..kernel.packed import PackedPlan
 from ..spec import Spec
 from .checkpoint import _SAME_PATH, Checkpoint, LevelLog, run_header
@@ -122,17 +123,14 @@ def resolve_options(
 
 def expander(spec: Spec, engine: str, reduction=None) -> Callable:
     """The pure ``payload -> successors`` function of *engine* for
-    *spec*: what a pool worker runs, and the coordinator's own expander
-    for unreduced full-state runs.
+    *spec*: what a pool worker runs.
 
-    ``"compact"`` maps a packed int to a list of packed ints;
-    ``"full"`` maps a ``State`` to an iterator of states, or under a
-    usable *reduction* to the reducer's ``(tag, successors, pruned)``.
-    Both sides of a run derive the same reducer from (spec, config), so
-    per-state ample decisions agree."""
-    if engine == "compact":
-        return PackedPlan(spec).successors
-    if engine != "full":
+    Both engines map a packed int to a list of packed ints, except that
+    ``"full"`` under a usable *reduction* maps a ``State`` to the
+    reducer's ``(tag, successors, pruned)``.  Both sides of a run derive
+    the same reducer from (spec, config), so per-state ample decisions
+    agree."""
+    if engine not in ("compact", "full"):
         raise ValueError(f"unknown engine {engine!r}")
     if reduction is not None:
         from .reduction.por import build_reducer
@@ -140,7 +138,7 @@ def expander(spec: Spec, engine: str, reduction=None) -> Callable:
         reducer, _reason = build_reducer(spec, reduction)
         if reducer is not None:
             return reducer.expand
-    return compile_action(spec.next_action).plan(spec.universe).successors
+    return PackedPlan(spec).successors
 
 
 class Serial:
@@ -198,6 +196,7 @@ def drive(level: Serial, frontier: List[int], start: float,
     try:
         while frontier:
             next_frontier = level.expand_level(frontier)
+            engine.settle(next_frontier)
             if stats is not None:
                 stats.record_level(len(frontier), graph)
             frontier = next_frontier

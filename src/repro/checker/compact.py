@@ -341,6 +341,9 @@ class CompactEngine:
     def snapshot(self, nodes: range, sources: range) -> Dict[str, object]:
         return _compact_rows(self.graph, nodes, sources)
 
+    def settle(self, nodes: List[int]) -> None:
+        """Nothing per level: the graph folds fingerprints when read."""
+
     def finish(self, stats: Optional[ExploreStats]) -> None:
         if stats is not None:
             stats.engine = "compact"

@@ -8,10 +8,12 @@ reachable :class:`~repro.checker.graph.StateGraph` of a
 self-loops are added by the graph itself).
 
 The hot path is plan-driven: the next-state action is compiled **once
-per run** into a :class:`~repro.kernel.action.SuccessorPlan` specialised
-to the spec's universe, instead of re-analysing the expression per
-state.  Pass an :class:`~repro.checker.stats.ExploreStats` to collect
-throughput, depth, and edge counts.
+per run** into a :class:`~repro.kernel.packed.PackedPlan` specialised
+to the spec's universe, and the engine expands packed rows, decoding
+only the states it interns; each level's new states take their
+fingerprints from one fold over their rows.  Pass an
+:class:`~repro.checker.stats.ExploreStats` to collect throughput,
+depth, and edge counts.
 
 The level loop itself is :func:`repro.checker.bfs.drive`; this module
 contributes the full-state engine seam (:class:`FullEngine`) and runs it
@@ -31,14 +33,15 @@ unreduced explorer.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import (Callable, Dict, Iterator, List, Optional, Tuple,
-                    TYPE_CHECKING)
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, TYPE_CHECKING)
 
 from ..kernel.action import compile_action
 from ..kernel.expr import Expr, prime_expr, to_expr
+from ..kernel.packed import PackedPlan
 from ..kernel.state import State, Universe
 from ..spec import Spec
-from .bfs import RunOptions, Serial, drive, expander
+from .bfs import RunOptions, Serial, drive
 from .checkpoint import graph_header, graph_rows
 from .graph import StateGraph, StateSpaceExplosion
 from .stats import ExploreStats, maybe_phase
@@ -52,26 +55,17 @@ __all__ = ["StateSpaceExplosion", "initial_states", "explore"]
 def initial_states(init: Expr, universe: Universe) -> Iterator[State]:
     """All states of *universe* satisfying the state predicate *init*.
 
-    Implemented by priming the predicate and asking the action compiler for
-    the successors of a dummy state: equations ``x = c`` become bindings
-    ``x' = c``, so typical initial predicates enumerate without scanning the
-    whole universe.
+    Implemented by priming the predicate and asking the packed walker
+    for the successors of a dummy state, packed row 0: equations
+    ``x = c`` become bindings ``x' = c``, so typical initial predicates
+    enumerate without scanning the whole universe.  An unpackable
+    universe raises :class:`~repro.kernel.packed.CompactUnsupported`.
     """
     init = to_expr(init)
     if init.primed_vars():
         raise ValueError(f"initial predicate contains primed variables: {init!r}")
-    primed = prime_expr(init)
-    dummy_values = {}
-    for name in universe.variables:
-        try:
-            dummy_values[name] = next(iter(universe.domain(name).values()))
-        except StopIteration:
-            raise ValueError(
-                f"variable {name!r} has an empty domain; cannot enumerate "
-                f"initial states over it"
-            ) from None
-    dummy = State(dummy_values)
-    yield from compile_action(primed).plan(universe).successors(dummy)
+    packed = compile_action(prime_expr(init)).plan(universe).packed
+    yield from map(packed.codec.decode, packed.successors(0))
 
 
 def _seed_graph(spec: Spec,
@@ -112,12 +106,16 @@ class FullEngine:
     """The full-state engine seam of :mod:`repro.checker.bfs`: states
     are retained in a :class:`StateGraph`.
 
-    With a *reducer*, each source is expanded through its ample set and
-    merged via :func:`repro.checker.reduction.por.merge_source`, which
-    applies the C3 cycle proviso against the live graph -- on the
-    coordinator, in merge order, so the reduced graph too is the same
-    for every configuration.  Without one, ``expand`` / ``merge`` are
-    the bare plan and :meth:`StateGraph.merge_batch`."""
+    Without a reducer the payloads are packed rows and ``expand`` is
+    the packed walker.  With a *reducer*, each source state is expanded
+    through its ample set, and
+    :func:`repro.checker.reduction.por.proviso_successors` applies the
+    C3 cycle proviso against the live graph -- on the coordinator, in
+    merge order, so the reduced graph too is the same for every
+    configuration.  Either way :meth:`merge` interns on the exact packed
+    row, decoding only the states it adds.  No attribute holds a method
+    of the engine itself, so the engine and its graph die by reference
+    count."""
 
     tag = "full"
 
@@ -127,18 +125,47 @@ class FullEngine:
         self.graph = graph
         self.reducer = reducer
         self.reduction = reducer.config if reducer is not None else None
-        self.payloads = graph.states
+        plan = PackedPlan(spec)
+        self.codec = plan.codec
+        self.rows: List[int] = list(map(self.codec.encode, graph.states))
+        self.visited = {row: node for node, row in enumerate(self.rows)}
+        self.settle(range(len(self.rows)))
         if reducer is None:
-            self.expand = expander(spec, self.tag)
-            self.merge = graph.merge_batch
-            self.size = len
+            self.payloads, self.expand, self.size = \
+                self.rows, plan.successors, len
         else:
-            from .reduction.por import merge_source
-
-            self.expand = reducer.expand
-            self.merge = lambda src, expanded: merge_source(
-                graph, src, *expanded, reducer)
+            self.payloads, self.expand = graph.states, reducer.expand
             self.size = lambda expanded: len(expanded[1])
+
+    def merge(self, src: int, expanded) -> List[int]:
+        """Intern one source's successors in order; returns the new node
+        ids.  Edges, BFS parents and the graph's insertion-time budget
+        follow the emission order, so every configuration builds the
+        same graph."""
+        graph, rows, visited = self.graph, self.rows, self.visited
+        if self.reducer is not None:
+            from .reduction.por import proviso_successors
+
+            expanded = map(self.codec.encode, proviso_successors(
+                graph, src, *expanded, self.reducer))
+        decode = self.codec.decode
+        new_nodes = []
+        for row in expanded:
+            dst = visited.get(row)
+            if dst is None:
+                dst = visited[row] = graph.add_state(decode(row), src)[0]
+                rows.append(row)
+                new_nodes.append(dst)
+            graph.add_edge(src, dst)
+        return new_nodes
+
+    def settle(self, nodes: Sequence[int]) -> None:
+        """Fingerprint the states of *nodes* (a level's new nodes) in one
+        fold over their rows: no reader hashes a state value by value."""
+        states, rows = self.graph.states, self.rows
+        for node, fingerprint in zip(nodes, self.codec.fingerprints(
+                [rows[node] for node in nodes])):
+            states[node]._fp = fingerprint  # State.fingerprint()'s cache
 
     def header(self) -> Dict[str, object]:
         return graph_header(self.graph,

@@ -364,28 +364,6 @@ class StateGraph(GraphQueries):
         self.parent.append(parent)
         return node, True
 
-    def merge_batch(self, src: int, successors: Iterable[State]) -> List[int]:
-        """Intern one source node's successor batch; returns the newly
-        interned node ids in insertion order.
-
-        This is the coordinator half of the parallel explorer: workers
-        enumerate successor states, the coordinator merges each batch
-        through this method *in serial-BFS order*, so node numbering, the
-        BFS parent tree (counterexample traces), and the insertion-time
-        ``max_states`` budget behave exactly as in a serial
-        :func:`~repro.checker.explorer.explore` run --
-        :class:`StateSpaceExplosion` fires on the same insertion.
-        """
-        new_nodes: List[int] = []
-        add_state = self.add_state
-        add_edge = self.add_edge
-        for state in successors:
-            dst, new = add_state(state, parent=src)
-            add_edge(src, dst)
-            if new:
-                new_nodes.append(dst)
-        return new_nodes
-
     def add_edge(self, src: int, dst: int) -> None:
         if dst == src:
             return  # the stutter loop is materialised at add_state time

@@ -16,7 +16,7 @@ without partial-order reduction) and the compact one.
 How a level is shipped
 ----------------------
 
-The frontier's payloads (states, or packed ints) are cut into
+The frontier's payloads (packed ints; states under reduction) are cut into
 contiguous chunks (:func:`_chunks`), submitted to a
 ``concurrent.futures`` process pool, and retrieved strictly in
 **submission order**; results pair back to their sources positionally.
@@ -127,15 +127,7 @@ def _init_worker(payload: bytes, fault_hook: _FaultHook = None) -> None:
     global _worker_expand, _worker_fault
     die_with_parent()
     engine, spec, reduction = pickle.loads(payload)
-    expand = expander(spec, engine, reduction)
-    if engine == "full" and reduction is None:
-        # the bare plan yields lazily and generators do not pickle (the
-        # coordinator only ships a reduction config it found usable)
-        successors = expand
-
-        def expand(state):
-            return list(successors(state))
-    _worker_expand = expand
+    _worker_expand = expander(spec, engine, reduction)
     _worker_fault = fault_hook
 
 

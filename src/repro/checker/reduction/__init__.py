@@ -23,7 +23,7 @@ from .por import (
     AmpleReducer,
     ReductionConfig,
     build_reducer,
-    merge_source,
+    proviso_successors,
 )
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
     "ReductionConfig",
     "AmpleReducer",
     "build_reducer",
-    "merge_source",
+    "proviso_successors",
     "EXPAND_FULL",
     "EXPAND_AMPLE",
 ]

@@ -558,16 +558,3 @@ def _decompose_squares(conjuncts: Sequence[Expr], spec: Spec,
         return _unusable("all components collapse into a single dependence "
                          "cluster; nothing to reduce")
     return Decomposition(classes)
-
-
-def _identity_varset_union(move: Expr) -> FrozenSet[str]:
-    """Primed variables of *move* that appear only in identity conjuncts."""
-    if isinstance(move, And):
-        out: FrozenSet[str] = frozenset()
-        for child in move.args:
-            varset = _identity_varset(child)
-            if varset is not None:
-                out |= varset
-        return out
-    varset = _identity_varset(move)
-    return varset if varset is not None else frozenset()

@@ -58,7 +58,7 @@ __all__ = [
     "ReductionConfig",
     "AmpleReducer",
     "build_reducer",
-    "merge_source",
+    "proviso_successors",
 ]
 
 # expansion tags shipped from workers to the coordinator
@@ -119,7 +119,7 @@ class AmpleReducer:
         for cls in decomposition.classes:
             cls.visible = not cls.writes.isdisjoint(observed)
             self.visible.append(cls.visible)
-        # coordinator-side merge accounting (see merge_source)
+        # coordinator-side merge accounting (see proviso_successors)
         self.counters: Dict[str, int] = {
             "ample_states": 0, "full_states": 0, "proviso_states": 0,
             "ample_successors": 0, "pruned_successors": 0,
@@ -223,11 +223,11 @@ def build_reducer(
     return AmpleReducer(spec, decomposition, config), None
 
 
-def merge_source(graph, src: int, tag: int, successors: List[State],
-                 pruned: int, reducer: AmpleReducer) -> List[int]:
-    """Coordinator-side merge of one expanded source: apply the C3
-    proviso against the live graph, then intern through
-    ``graph.merge_batch``.  Returns the newly interned node ids.
+def proviso_successors(graph, src: int, tag: int, successors: List[State],
+                       pruned: int, reducer: AmpleReducer) -> List[State]:
+    """Coordinator-side half of one expanded source's merge: apply the
+    C3 proviso against the live graph and return the successors to
+    intern (the full set when every ample successor is closed).
 
     Called in serial BFS order by both the serial engine and the
     parallel coordinator, so the proviso decision -- and hence the
@@ -258,4 +258,4 @@ def merge_source(graph, src: int, tag: int, successors: List[State],
             counters["pruned_successors"] += pruned
     else:
         counters["full_states"] += 1
-    return graph.merge_batch(src, successors)
+    return successors

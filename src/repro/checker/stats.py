@@ -45,7 +45,7 @@ class ExploreStats:
       (0 = serial run);
     * ``worker_stats`` -- per-worker accumulators: sources expanded,
       successors produced, batches returned, busy seconds (worker-side
-      wall-clock inside ``SuccessorPlan.successors``);
+      wall-clock inside the expander);
     * ``coordinator_idle_seconds`` -- time the parallel coordinator spent
       blocked waiting on worker results (the shard-balance signal: high
       idle with low worker busy time means the frontier shards are too

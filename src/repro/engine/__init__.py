@@ -8,9 +8,8 @@ split for our checker, and the one place a *check* is executed:
 * :class:`~repro.engine.explicit.ExplicitEngine` -- the explicit-state
   pipeline: exhaustive BFS in the mode
   :func:`~repro.engine.explicit.choose_mode` picks (compact unless
-  reduction or an unpackable spec needs the full graph; fresh or
-  resumed), then every invariant and property decided on that one
-  graph.  Definitive
+  reduction needs the full graph; fresh or resumed), then every
+  invariant and property decided on that one graph.  Definitive
   verdicts; cost grows with the reachable state count.
 * :class:`~repro.engine.symbolic.SymbolicEngine` -- bounded model
   checking over a CNF translation solved by a small built-in CDCL

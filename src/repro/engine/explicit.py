@@ -14,12 +14,13 @@ VIOLATION, never UNKNOWN.
 What the pipeline owns:
 
 * **the engine choice** -- :func:`choose_mode`, which both front ends
-  call: the compact engine (packed rows, CSR edges) for every check it
-  can run, the full dict-backed engine when partial-order reduction
-  stays on or the packed codec cannot represent the spec, and on a
-  resume whichever engine wrote the level log.  Both produce the same
-  graph bit for bit, so the choice changes memory and speed, never a
-  verdict, trace or digest, and it adds no note;
+  call: the compact engine (packed rows, CSR edges) for every check
+  except when partial-order reduction stays on (the full dict-backed
+  engine), and on a resume whichever engine wrote the level log.  Both
+  produce the same graph bit for bit, so the choice changes memory and
+  speed, never a verdict, trace or digest, and it adds no note.  A spec
+  the packed codec cannot represent runs on neither: exploring it
+  raises :class:`~repro.kernel.packed.CompactUnsupported`;
 * **dispatch** -- {full, compact} x {fresh, resume}, the only calls of
   the ``explore_*`` / ``resume*`` entry points outside
   :mod:`repro.checker`;
@@ -58,7 +59,6 @@ from ..checker import (
 )
 from ..checker.checkpoint import COMPACT_CHECKPOINT_MODE, checkpoint_mode
 from ..checker.results import CheckResult
-from ..kernel import packed
 from ..kernel.expr import Expr
 from .result import HOLDS, VIOLATION, EngineResult
 
@@ -77,9 +77,8 @@ def choose_mode(spec, por: Optional[bool] = None, properties: bool = False,
     Resuming the level log at *resume_from* continues it on the engine
     that wrote it (its header's ``mode``).  A fresh run is ``"compact"``
     unless reduction stays on -- *por* asked for and no temporal
-    *properties* to switch it off -- or
-    :func:`~repro.kernel.packed.support_problem` refuses the spec; then
-    it is the full engine, ``"parallel"`` (serial at one worker).
+    *properties* to switch it off; then it is the full engine,
+    ``"parallel"`` (serial at one worker).
     """
     if resume_from is not None:
         if checkpoint_mode(resume_from) != COMPACT_CHECKPOINT_MODE:
@@ -91,8 +90,6 @@ def choose_mode(spec, por: Optional[bool] = None, properties: bool = False,
                 f"reduction would not reproduce the run (drop --por)")
         return "compact"
     if por and not properties:
-        return "parallel"
-    if packed.support_problem(spec) is not None:
         return "parallel"
     return "compact"
 

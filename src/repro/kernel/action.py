@@ -9,19 +9,24 @@ correct but exponential; almost all actions in practice are (disjunctions
 of) conjunctions containing equations ``x' = e`` with ``e`` prime-free,
 which *determine* the successor.  :func:`compile_action` normalises an
 action into :class:`Branch` objects -- bindings (determined primed
-variables) plus residual constraints -- and :func:`successors` enumerates
+variables) plus residual constraints -- and :class:`SuccessorPlan`
+specialises them to a universe as a tree of branch plans that enumerate
 only the genuinely undetermined primed variables.  This mirrors what the
 TLC model checker does for TLA+.
 
-The compilation is a pure optimisation: :func:`successors` falls back to
-domain enumeration for whatever a branch leaves undetermined, so every
-action in the value model is handled, just more or less quickly.
+The tree is the analysis; one walker runs it.
+:meth:`SuccessorPlan.successors` is
+:class:`~repro.kernel.packed.PackedPlan`'s walk over packed rows, encoded
+from and decoded back to states, so every engine enumerates successors
+through the same code.  Only :meth:`SuccessorPlan.enabled` still walks
+the tree on states (it needs a witness, not the enumeration).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Tuple,
+                    TYPE_CHECKING)
 
 from .expr import (
     And,
@@ -38,6 +43,9 @@ from .expr import (
     to_expr,
 )
 from .state import State, Universe
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from .packed import PackedPlan
 
 
 def unchanged(names: Iterable[str]) -> Expr:
@@ -87,12 +95,6 @@ class Branch:
         self.bindings = bindings
         self.constraints = constraints
         self.binding_checks = binding_checks or []
-
-    def primed_in_constraints(self) -> FrozenSet[str]:
-        acc: FrozenSet[str] = frozenset()
-        for constraint in self.constraints:
-            acc |= constraint.primed_vars()
-        return acc
 
     def __repr__(self) -> str:
         return (f"Branch(bindings={sorted(self.bindings)}, "
@@ -363,14 +365,6 @@ class _BranchPlan:
             for sub_branch in sub
         )
 
-    def rank(self, candidate: "State") -> Tuple[int, ...]:
-        """The candidate's position in this branch's free-variable
-        domain-product enumeration order."""
-        return tuple(
-            index[candidate[name]]
-            for name, index in zip(self.free_names, self.free_index)
-        )
-
 
 class SuccessorPlan:
     """A compiled action specialised to one universe and frame.
@@ -378,14 +372,13 @@ class SuccessorPlan:
     Built once per ``explore()``/``check_*`` run (via
     :meth:`CompiledAction.plan`) and then driven per state; all domain
     lookups, membership tests, and free-variable analyses happen when a
-    node is built, so :meth:`successors` only evaluates expressions.  The
-    top-level branch plans are built here, their sub-plans when a state
-    first reaches them.  ``candidates`` counts the candidate post-states
-    :meth:`successors` has assembled (before the step constraints).
+    node is built.  The top-level branch plans are built here, their
+    sub-plans when a state first reaches them -- through
+    :meth:`successors` (the :attr:`packed` walker) or :meth:`enabled`.
     """
 
     __slots__ = ("compiled", "universe", "relevant", "branch_plans",
-                 "candidates", "_growth")
+                 "_growth", "_packed")
 
     def __init__(self, compiled: "CompiledAction", universe: "Universe",
                  frame: Optional[Iterable[str]] = None):
@@ -398,7 +391,7 @@ class SuccessorPlan:
             self.relevant = tuple(
                 name for name in universe.variables if name in wanted
             )
-        self.candidates = 0
+        self._packed: Optional["PackedPlan"] = None
         self._growth = _Growth(universe, self.relevant)
         self.branch_plans: Tuple[_BranchPlan, ...] = tuple(
             _BranchPlan(branch, self._growth)
@@ -410,17 +403,30 @@ class SuccessorPlan:
         """How many sub-plans the tree has built so far."""
         return self._growth.built
 
-    def successors(self, state: State) -> Iterator[State]:
-        """Enumerate the post-states ``t`` with ``action(state, t)``,
-        each emitted once."""
-        seen = set()
-        env0 = Env(state)
-        pre = state._map  # direct dict access: skip the Mapping ABC
-        for plan in self.branch_plans:
-            for candidate in self._candidates(plan, state, env0, pre, {}):
-                if candidate not in seen:
-                    seen.add(candidate)
-                    yield candidate
+    @property
+    def packed(self) -> "PackedPlan":
+        """The packed walker of this plan, built on first use."""
+        if self._packed is None:
+            from .packed import PackedPlan
+
+            self._packed = PackedPlan(self)
+        return self._packed
+
+    @property
+    def candidates(self) -> int:
+        """Candidate post-states assembled so far, before the step
+        constraints (the packed walker's count)."""
+        return 0 if self._packed is None else self._packed.candidates
+
+    def successors(self, state: State) -> List[State]:
+        """The post-states ``t`` with ``action(state, t)``, each once, in
+        the packed walker's order.  A universe the packed codec cannot
+        represent raises :class:`~repro.kernel.packed.CompactUnsupported`;
+        a *state* value outside its variable's domain, ``ValueError``."""
+        packed = self.packed
+        codec = packed.codec
+        return [codec.decode(row)
+                for row in packed.successors(codec.encode(state))]
 
     @staticmethod
     def _determine(plan: _BranchPlan, env0: Env, pre: Dict[str, object],
@@ -447,42 +453,6 @@ class SuccessorPlan:
             if determined[name] != pre[name]:
                 return None  # out-of-frame variable must not change
         return determined
-
-    def _candidates(self, plan: _BranchPlan, state: State, env0: Env,
-                    pre: Dict[str, object],
-                    handed_down: Dict[str, object]) -> Iterator[State]:
-        """One branch's passing candidates, in its free-variable
-        domain-product order."""
-        determined = self._determine(plan, env0, pre, handed_down)
-        if determined is None:
-            return
-        if plan.expanded is not None:
-            # refined sub-plans replace free-domain enumeration; emit
-            # in the domain-product order the enumeration would use
-            collected: Dict[State, Tuple[int, ...]] = {}
-            for sub_plan in plan.expanded:
-                for candidate in self._candidates(sub_plan, state, env0,
-                                                  pre, determined):
-                    if candidate not in collected:
-                        collected[candidate] = plan.rank(candidate)
-            yield from sorted(collected, key=collected.get)
-            return
-        base: Dict[str, object] = dict(pre)
-        base.update(determined)
-        if not plan.free_names:
-            self.candidates += 1
-            candidate = State._trusted(base)
-            if self._constraints_hold(plan, state, candidate):
-                yield candidate
-            return
-        names = plan.free_names
-        for combo in itertools.product(*plan.free_values):
-            for name, value in zip(names, combo):
-                base[name] = value
-            self.candidates += 1
-            candidate = State._trusted(dict(base))
-            if self._constraints_hold(plan, state, candidate):
-                yield candidate
 
     @staticmethod
     def _constraints_hold(plan: _BranchPlan, state: State,
@@ -617,8 +587,8 @@ def successors(
     state: State,
     universe: Universe,
     frame: Optional[Iterable[str]] = None,
-) -> Iterator[State]:
-    """Enumerate the post-states ``t`` with ``action(state, t)``.
+) -> List[State]:
+    """The post-states ``t`` with ``action(state, t)``.
 
     *frame* is the set of variables allowed to differ from the pre-state;
     it defaults to every variable of the universe.  Passing the

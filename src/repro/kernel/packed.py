@@ -1,12 +1,11 @@
-"""Packed state encoding and fingerprint-only successor plans.
+"""Packed state encoding and the one successor walker.
 
-The full explorer keeps one dict-backed :class:`~repro.kernel.state.State`
-per visited state.  That is convenient -- every layer can evaluate
-expressions against states directly -- but it caps exploration around
-10^4-10^5 states: each state costs a dict, a tuple of items, and boxed
-values.  TLC's classic answer (Yu, Manolios, Lamport, *Model Checking
-TLA+ Specifications*) is to explore on fingerprints and regenerate
-anything else on demand.
+A dict-backed :class:`~repro.kernel.state.State` per visited state is
+convenient -- every layer can evaluate expressions against states
+directly -- but it caps exploration around 10^4-10^5 states: each state
+costs a dict, a tuple of items, and boxed values.  TLC's classic answer
+(Yu, Manolios, Lamport, *Model Checking TLA+ Specifications*) is to
+explore on fingerprints and regenerate anything else on demand.
 
 This module supplies the kernel half of that engine:
 
@@ -17,14 +16,14 @@ This module supplies the kernel half of that engine:
   is then *one int*: hashable, picklable, and orders of magnitude
   smaller than a ``State``.
 * :class:`PackedPlan` -- a compiled successor relation over packed ints.
-  It walks the plan tree of :func:`~repro.kernel.action.compile_action`
-  but memoizes every guard conjunct, binding, and check on the packed
+  It walks the plan tree of a :class:`~repro.kernel.action.SuccessorPlan`
+  and memoizes every guard conjunct, binding, and check on the packed
   *footprint* it actually reads (``packed & mask``), so expression
   evaluation happens once per distinct footprint instead of once per
   state.  Guards are decomposed into a tree of And/Or/Not nodes with
   memoized leaves; short-circuit order and ``EvalError`` semantics
-  mirror ``Expr.holds`` exactly, so the emitted successor sequences
-  are bit-for-bit those of :class:`~repro.kernel.action.SuccessorPlan`.
+  mirror ``Expr.holds`` exactly.  It is the only successor walker:
+  ``SuccessorPlan.successors`` runs it on encoded states.
 
 The codec also computes ``State.fingerprint()``-compatible fingerprints
 directly from packed ints: the FNV-1a fold of a state is a fixed word
@@ -33,9 +32,9 @@ precomputed at codec build time.  :meth:`PackedCodec.fingerprints` folds
 a whole run of rows at once, one row per 128-bit lane of a Python big
 int, so each FNV step is three big-int operations for every row.
 
-Universes that cannot be packed (empty domains, non-enumerable or huge
-domains) raise :class:`CompactUnsupported`; callers fall back to the
-full engine.
+Universes that cannot be packed (no variables, empty or huge domains,
+unfingerprintable values) raise :class:`CompactUnsupported`: no engine
+enumerates their successors.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from hashlib import sha256
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .action import compile_action
+from .action import SuccessorPlan, compile_action
 from .expr import And, Env, Equiv, EvalError, Expr, Implies, Not, Or
 from .state import (
     _FNV_OFFSET,
@@ -60,7 +59,7 @@ from .state import (
 )
 
 __all__ = ["CompactUnsupported", "PackedCodec", "PackedPlan",
-           "support_problem", "supports"]
+           "support_problem"]
 
 #: Refuse to enumerate domains larger than this when building a codec --
 #: the code table would dwarf the states it is meant to compress.
@@ -82,8 +81,8 @@ _ERR = 2
 _DEAD = -1
 
 
-class CompactUnsupported(Exception):
-    """The universe or spec cannot be run on the compact engine."""
+class CompactUnsupported(ValueError):
+    """The universe cannot be packed, so no engine can explore it."""
 
 
 def _value_words(value: object) -> List[int]:
@@ -138,7 +137,7 @@ class PackedCodec:
         self.variables = universe.variables
         if not self.variables:
             raise CompactUnsupported(
-                "compact engine needs at least one variable to pack")
+                "the universe declares no variables; nothing to pack")
         self.shift: Dict[str, int] = {}
         self.width: Dict[str, int] = {}
         self.codes: Dict[str, Dict[object, int]] = {}
@@ -151,10 +150,11 @@ class PackedCodec:
                 if len(vals) > max_domain:
                     raise CompactUnsupported(
                         f"domain of {name!r} exceeds {max_domain} values; "
-                        f"too large for the compact engine")
+                        f"too large to pack")
             if not vals:
                 raise CompactUnsupported(
-                    f"domain of {name!r} is empty; nothing to pack")
+                    f"variable {name!r} has an empty domain; nothing to "
+                    f"pack")
             self.values[name] = tuple(vals)
             self.codes[name] = {v: i for i, v in enumerate(vals)}
             w = max(1, (len(vals) - 1).bit_length())
@@ -199,9 +199,18 @@ class PackedCodec:
         return m
 
     def encode(self, state: State) -> int:
+        """*state*'s packed row; ``ValueError`` names a variable whose
+        value lies outside its domain (or is missing)."""
         p = 0
-        for name in self.variables:
-            p |= self.codes[name][state[name]] << self.shift[name]
+        try:
+            for name in self.variables:
+                p |= self.codes[name][state[name]] << self.shift[name]
+        except KeyError:
+            if name not in state:
+                raise ValueError(
+                    f"the state has no value for variable {name!r}") from None
+            raise ValueError(f"variable {name!r} has value {state[name]!r}, "
+                             f"outside its domain") from None
         return p
 
     def decode(self, packed: int) -> State:
@@ -283,10 +292,9 @@ class PackedCodec:
 # -- supportability probe -----------------------------------------------------
 #
 # CompactUnsupported is raised only while building the codec, so whether a
-# spec can be packed is a pure function of its universe.  Callers that gate
-# an engine choice on packability (the check pipeline's choose_mode, the
-# symbolic translator) share this
-# probe instead of constructing a throwaway plan and catching.
+# spec can be packed is a pure function of its universe.  Callers that
+# refuse a spec up front (the symbolic translator) share this probe
+# instead of constructing a throwaway plan and catching.
 
 
 def support_problem(spec_or_universe) -> Optional[str]:
@@ -303,13 +311,6 @@ def support_problem(spec_or_universe) -> Optional[str]:
     except CompactUnsupported as exc:
         return str(exc)
     return None
-
-
-def supports(spec_or_universe) -> bool:
-    """True when the packed engines (compact, symbolic) can represent
-    this spec's universe."""
-    return support_problem(spec_or_universe) is None
-
 
 # -- guard trees --------------------------------------------------------------
 #
@@ -461,9 +462,9 @@ class _Node:
 class PackedPlan:
     """A compiled next-state relation over packed ints.
 
-    ``successors(packed)`` emits exactly the packed encodings of
-    ``SuccessorPlan.successors(decode(packed))``, in the same order, by
-    walking that plan's own tree (``compile_action(...).plan``): it
+    Built on a :class:`~repro.kernel.action.SuccessorPlan` (whose
+    ``successors`` runs its own, :attr:`~SuccessorPlan.packed`) or on a
+    spec's next-state action.  It walks that plan's tree: it
     builds no branch analysis of its own, and a node's sub-plans grow
     there when a state first reaches it here.  Each reached node is
     compiled once, and its work is memoized per footprint:
@@ -481,18 +482,20 @@ class PackedPlan:
     Memo tables are shared across nodes through per-expression
     registries keyed on ``Expr.key()``, so a frame conjunct appearing in
     every branch is evaluated once per footprint, not once per branch.
-    ``candidates`` counts candidates assembled before the step guards,
-    one for one with ``SuccessorPlan.candidates``.
+    ``candidates`` counts candidates assembled before the step guards.
     """
 
-    def __init__(self, spec):
-        self.codec = PackedCodec(spec.universe)
-        self.plan = compile_action(spec.next_action).plan(spec.universe)
+    def __init__(self, source):
+        # no reference back to the plan: a PackedPlan (and its memos)
+        # dies with its owner, not with the plan's compiled action
+        plan = source if isinstance(source, SuccessorPlan) else \
+            compile_action(source.next_action).plan(source.universe)
+        self.codec = PackedCodec(plan.universe)
         self.candidates = 0
         self._guards: dict = {}
         self._trees: dict = {}
         self._memos: dict = {}
-        self.roots = [_Node(bp, 0, self) for bp in self.plan.branch_plans]
+        self.roots = [_Node(bp, 0, self) for bp in plan.branch_plans]
         self.ctx = _Ctx(self.codec)
 
     def _guard(self, expr: Expr):

@@ -1,12 +1,13 @@
 """The content-addressed result cache of the checking service.
 
 A check is a pure function of (module source, spec name, semantic check
-configuration): the explorer is deterministic for any worker count, the
-checkpoint layer makes interrupted runs bit-for-bit resumable, and the
-reduction layer preserves verdicts and traces.  That purity is what
-makes content addressing sound -- the cache key never has to mention
-*how* a result was computed (workers, checkpoint cadence, pacing), only
-*what* was asked.
+configuration) for one version of the checker: the explorer is
+deterministic for any worker count, the checkpoint layer makes
+interrupted runs bit-for-bit resumable, and the reduction layer
+preserves verdicts and traces.  That purity is what makes content
+addressing sound -- the cache key never has to mention *how* a result
+was computed (workers, checkpoint cadence, pacing), only *what* was
+asked and *which code* (:func:`source_digest`) answered it.
 
 :class:`ShardedResultCache` is the one store: entries land in
 ``shard-XX/`` directories keyed by the fingerprint's first byte,
@@ -29,15 +30,31 @@ import hashlib
 import json
 import os
 import tempfile
+from functools import lru_cache
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-__all__ = ["canonical_fingerprint", "ShardedResultCache"]
+__all__ = ["canonical_fingerprint", "source_digest", "ShardedResultCache"]
+
+
+@lru_cache(maxsize=None)
+def source_digest() -> str:
+    """SHA-256 over the ``repro`` package's Python sources, each file's
+    relative path and bytes in path order: the checker's version,
+    computed once per process."""
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        body = path.read_bytes()
+        name = path.relative_to(root).as_posix()
+        digest.update(f"{name}\0{len(body)}\0".encode("utf-8") + body)
+    return digest.hexdigest()
 
 
 def canonical_fingerprint(module_source: str, spec: str,
                           config: Dict[str, object]) -> str:
     """The content address of a check: SHA-256 over the canonical JSON of
-    (module source, spec name, semantic config).
+    (module source, spec name, semantic config, :func:`source_digest`).
 
     *config* must contain exactly the knobs that can change the verdict,
     the reported trace, or the explored graph -- invariants, properties,
@@ -47,7 +64,8 @@ def canonical_fingerprint(module_source: str, spec: str,
     is sorted and minimally separated.
     """
     canonical = json.dumps(
-        {"module": module_source, "spec": spec, "config": config},
+        {"module": module_source, "spec": spec, "config": config,
+         "checker": source_digest()},
         sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

@@ -70,7 +70,7 @@ from ..checker import ExploreStats, StateSpaceExplosion
 from ..checker import digest_of_graph as graph_digest
 from ..checker.checkpoint import counterexample_to_portable
 from ..parser import load_module
-from .cache import ShardedResultCache, canonical_fingerprint
+from .cache import ShardedResultCache, canonical_fingerprint, source_digest
 from .journal import JobJournal
 from .metrics import MetricsRegistry
 from .pool import CheckFailed, CheckProcess, JobCancelled, JobInterrupted
@@ -450,6 +450,7 @@ class Job:
         self.result: Optional[Dict[str, object]] = None
         self.error: Optional[str] = None
         self.events: List[Dict[str, object]] = []
+        self._appended: Optional[asyncio.Event] = None
         self.cancel_requested = False
         self.interrupt_requested = False
         # jobs/<id>.events.ndjson, which a restarted front reloads
@@ -459,14 +460,26 @@ class Job:
     def terminal(self) -> bool:
         return self.state in _TERMINAL_STATES
 
+    def appended(self) -> asyncio.Event:
+        """An event the next :meth:`emit` sets.  Made on demand, inside
+        the watcher's running loop: on Python 3.9 an asyncio primitive
+        binds to the loop current when it is constructed."""
+        if self._appended is None:
+            self._appended = asyncio.Event()
+        return self._appended
+
     def emit(self, event: str, **fields: object) -> None:
-        """Append one progress event (watchers only read by index)."""
+        """Append one progress event and wake its watchers (they read
+        by index)."""
         record: Dict[str, object] = {
             "event": event, "job": self.id, "seq": len(self.events),
             "t": round(time.time(), 4),
         }
         record.update(fields)
         self.events.append(record)
+        appended, self._appended = self._appended, None
+        if appended is not None:
+            appended.set()
         if self.events_path is not None:
             try:
                 with open(self.events_path, "a") as handle:
@@ -532,6 +545,7 @@ class JobManager:
             os.path.join(self.state_dir, "cache"),
             max_entries=cache_max_entries, max_bytes=cache_max_bytes,
             on_event=self._cache_event)
+        source_digest()  # every cache key carries it: hash the sources now
         self.scheduler = FairScheduler(tenant_policy)
         self._jobs: Dict[str, Job] = {}
         self._inflight: Dict[str, str] = {}  # fingerprint -> live job id

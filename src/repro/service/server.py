@@ -59,9 +59,6 @@ from .wire import HttpError, read_body, read_head, send_json, send_text
 
 __all__ = ["CheckService", "BackgroundServer", "run_server"]
 
-_STREAM_POLL_SECONDS = 0.05
-
-
 class CheckService:
     """One listening socket serving a :class:`JobManager`."""
 
@@ -210,7 +207,9 @@ class CheckService:
         sent = 0
         while True:
             # events is append-only, so reading by index races with
-            # nothing
+            # nothing; the wake-up is taken first, so an event appended
+            # while this pass writes is not slept through
+            appended = job.appended()
             terminal = job.terminal
             while sent < len(job.events):
                 line = json.dumps(job.events[sent], separators=(",", ":"))
@@ -219,7 +218,7 @@ class CheckService:
             await writer.drain()
             if terminal:
                 return
-            await asyncio.sleep(_STREAM_POLL_SECONDS)
+            await appended.wait()
 
 
 def _write_endpoint_file(state_dir: str, host: str, port: int) -> str:

@@ -46,8 +46,9 @@ integers, edges as CSR arrays, counterexample traces regenerated from
 the BFS parent chain), invariants and temporal properties alike.  Only
 ``--por`` -- Disjoint-derived partial-order reduction, sound for
 invariants and deadlock, auto-disabled with a note when ``--property``
-needs the full graph -- or a spec the packed codec cannot represent
-selects the full dict-backed engine, and ``--resume`` continues on
+needs the full graph -- selects the full dict-backed engine, and a
+spec the packed codec cannot represent is refused (exit 2, with the
+codec's reason); ``--resume`` continues on
 whichever engine wrote the checkpoint (``--por`` there defaults to what
 the checkpoint recorded, and passing it asserts a match).  Verdicts,
 traces, node numbering and graph digests are identical on both engines;

@@ -22,7 +22,8 @@ from typing import Optional, Tuple
 
 import pytest
 
-from repro.checker import StateSpaceExplosion, digest_of_graph
+from repro.checker import (CompactUnsupported, StateSpaceExplosion,
+                           digest_of_graph)
 from repro.checker.stats import ExploreStats
 from repro.engine import (
     UNKNOWN,
@@ -378,7 +379,8 @@ def test_compact_mode_refuses_what_it_cannot_run():
 
 
 def test_the_engine_choice():
-    """Compact unless reduction stays on or the spec cannot be packed."""
+    """Compact unless reduction stays on; a spec that cannot be packed
+    gets no other engine, and exploring it is refused."""
     three = resolve_request(load_module(THREE_TLA), "Spec")[0]
     assert choose_mode(three) == "compact"
     assert choose_mode(three, por=True) == "parallel"
@@ -392,8 +394,11 @@ def test_the_engine_choice():
         def __contains__(self, value):
             return False
 
-    # an empty domain cannot be packed: the full engine, properties or not
+    # an empty domain cannot be packed: no engine explores it
     unpackable = Spec("empty", Const(True), Const(True), ("x",),
                       Universe({"x": Empty()}))
-    assert choose_mode(unpackable) == "parallel"
-    assert choose_mode(unpackable, properties=True) == "parallel"
+    assert choose_mode(unpackable) == "compact"
+    assert choose_mode(unpackable, properties=True) == "compact"
+    for mode in ("compact", "serial"):
+        with pytest.raises(CompactUnsupported, match="'x' has an empty"):
+            ExplicitEngine(mode).check_invariant(unpackable, Const(True))

@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+import repro.service.cache as cache_module
 from repro.service.cache import ShardedResultCache, canonical_fingerprint
 from repro.service.jobs import CheckRequest
 
@@ -67,6 +68,13 @@ class TestFingerprint:
         a = canonical_fingerprint("m", "Spec", {"a": 1, "b": 2})
         b = canonical_fingerprint("m", "Spec", {"b": 2, "a": 1})
         assert a == b
+
+    def test_checker_sources_change_the_key(self, monkeypatch):
+        key = fp()
+        assert len(cache_module.source_digest()) == 64
+        # another version of the checker: same request, another address
+        monkeypatch.setattr(cache_module, "source_digest", lambda: "0" * 64)
+        assert fp() != key
 
     def test_engine_changes_the_key(self):
         # an explicit "ok" and a symbolic "unknown" answer the same

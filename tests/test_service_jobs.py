@@ -16,10 +16,12 @@ import pytest
 
 import repro
 from repro.parser import ParseError
+import repro.service.cache as cache_module
 from repro.service.cache import ShardedResultCache
 from repro.service.jobs import (
     MAX_MODULE_SOURCE,
     CheckRequest,
+    Job,
     JobManager,
     QueueFull,
     run_check,
@@ -110,6 +112,21 @@ async def wait_terminal(job, timeout=30.0):
 
 
 class TestLifecycle:
+    def test_emit_wakes_every_waiting_watcher(self):
+        async def scenario():
+            job = Job("a00000000001", counter_request(), "f" * 64)
+            appended = job.appended()
+            assert job.appended() is appended  # one per emit, shared
+            watchers = [asyncio.ensure_future(appended.wait())
+                        for _ in range(2)]
+            await asyncio.sleep(0)
+            assert not any(watcher.done() for watcher in watchers)
+            job.emit("queued")
+            await asyncio.wait_for(asyncio.gather(*watchers), 1.0)
+            assert job.appended() is not appended  # the next emit's
+
+        asyncio.run(scenario())
+
     def test_submit_runs_to_done_with_events(self, tmp_path):
         async def scenario():
             manager = JobManager(str(tmp_path), pool_size=1)
@@ -333,6 +350,28 @@ class TestCacheAndCoalescing:
         job, disposition = asyncio.run(second_life())
         assert disposition == "cached"
         assert job.result == fresh_result
+
+    def test_an_entry_from_other_checker_sources_misses(self, tmp_path,
+                                                         monkeypatch):
+        # the cache was filled by another version of the checker (an
+        # upgrade kept the state directory): its verdicts are not served
+        with monkeypatch.context() as patched:
+            patched.setattr(cache_module, "source_digest", lambda: "0" * 64)
+            stale = counter_request().fingerprint()
+        ShardedResultCache(str(tmp_path / "cache")).put(
+            stale, {"verdict": "violation"})
+
+        async def scenario():
+            manager = JobManager(str(tmp_path), pool_size=1)
+            await manager.start()
+            job, disposition = manager.submit(counter_request())
+            await wait_terminal(job)
+            await manager.shutdown()
+            return job, disposition
+
+        job, disposition = asyncio.run(scenario())
+        assert disposition == "created" and job.cache_hit is False
+        assert job.result["verdict"] == "ok"
 
     def test_concurrent_identical_submissions_coalesce(self, tmp_path):
         async def scenario():

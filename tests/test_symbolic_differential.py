@@ -173,7 +173,8 @@ class TestRandomSpecs:
     @pytest.mark.parametrize("seed", range(20))
     def test_verdicts_agree(self, seed):
         spec = random_spec(seed)
-        assert packed.supports(spec), "random specs must stay packable"
+        assert packed.support_problem(spec) is None, \
+            "random specs must stay packable"
         rng = random.Random(seed + 4242)
         target = rng.choice(list(spec.universe.states()))
         invariant = Not(And(*[Eq(Var(name), Const(target[name]))
@@ -196,13 +197,12 @@ class TestRandomSpecs:
 
 
 class TestSupportsProbe:
-    """The public ``packed.supports`` / ``support_problem`` probe that
-    the service fallback and the symbolic translator use."""
+    """The public ``packed.support_problem`` probe that the symbolic
+    translator uses."""
 
     def test_bundled_systems_are_supported(self):
         for spec in (complete_queue(2), handshake_system(),
                      composed_system()):
-            assert packed.supports(spec)
             assert packed.support_problem(spec) is None
 
     def test_oversized_domain_is_reported(self):
@@ -210,12 +210,11 @@ class TestSupportsProbe:
             {"x": FiniteDomain(range(packed.MAX_DOMAIN_SIZE + 1))})
         spec = Spec("huge", Eq(Var("x"), Const(0)),
                     Eq(Var("x", primed=True), Var("x")), ("x",), universe)
-        assert not packed.supports(spec)
         problem = packed.support_problem(spec)
         assert problem is not None and "exceeds" in problem
 
     def test_probe_accepts_a_bare_universe(self):
-        assert packed.supports(complete_queue(2).universe)
+        assert packed.support_problem(complete_queue(2).universe) is None
 
 
 class TestEngineRegistry:

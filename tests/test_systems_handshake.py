@@ -1,5 +1,6 @@
 """Unit tests for the two-phase handshake channel (Figure 2)."""
 
+import pytest
 
 from repro.kernel import FiniteDomain, State, Var, holds_on_step, successors
 from repro.systems.handshake import (
@@ -63,10 +64,11 @@ class TestSendAck:
         result = list(successors(ack("c"), chan_state(1, 0, 1), U))
         assert result == [chan_state(1, 1, 1)]
 
-    def test_ack_out_of_domain_value_has_no_successor(self):
-        # c.val = 5 is outside the message domain, so c.val' = c.val cannot
-        # land in the universe: no successor
-        assert list(successors(ack("c"), chan_state(1, 0, 5), U)) == []
+    def test_ack_out_of_domain_value_is_refused(self):
+        # c.val = 5 is outside the message domain: the pre-state is not a
+        # state of the universe, and the walker says which value is not
+        with pytest.raises(ValueError, match=r"'c\.val' has value 5"):
+            successors(ack("c"), chan_state(1, 0, 5), U)
 
     def test_ack_blocked_when_ready(self):
         assert list(successors(ack("c"), chan_state(0, 0, 1), U)) == []

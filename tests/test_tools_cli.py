@@ -589,3 +589,72 @@ class TestBundledModules:
                              "--seed", "11")
         assert code == 0
         assert "clk1" in text
+
+
+class TestUnpackableSpecsAreRefused:
+    """No engine enumerates what the packed codec cannot represent: the
+    check exits 2 with :func:`~repro.kernel.packed.support_problem`'s
+    reason, and the library raises ``CompactUnsupported``."""
+
+    HUGE_TLA = """
+MODULE Huge
+VARIABLE x \\in 0..1048576
+Init == x = 0
+Next == x' = x
+Spec == Init /\\ [][Next]_<<x>>
+Small == x < 3
+"""
+
+    def test_oversized_domain_exits_two_with_the_reason(self, tmp_path):
+        from repro.kernel.packed import MAX_DOMAIN_SIZE, support_problem
+        from repro.parser import load_module
+
+        path = tmp_path / "Huge.tla"
+        path.write_text(self.HUGE_TLA)
+        spec = load_module(self.HUGE_TLA).spec()
+        assert spec.universe.domain("x").size() == MAX_DOMAIN_SIZE + 1
+        reason = support_problem(spec)
+        assert reason is not None
+        for engine_args in ((), ("--por",)):
+            code, text = run_cli("check", str(path), "--invariant", "Small",
+                                 *engine_args)
+            assert code == 2
+            assert text.strip().splitlines()[-1] == f"error: {reason}"
+
+    def test_oversized_domain_raises_in_the_library(self):
+        from repro.checker import (CompactUnsupported, explore,
+                                   explore_compact)
+        from repro.checker.explorer import initial_states
+        from repro.kernel import Const, Eq, FiniteDomain, Universe, Var
+        from repro.kernel.packed import MAX_DOMAIN_SIZE, support_problem
+        from repro.spec import Spec
+
+        universe = Universe(
+            {"x": FiniteDomain(range(MAX_DOMAIN_SIZE + 1))})
+        spec = Spec("huge", Eq(Var("x"), Const(0)),
+                    Eq(Var("x", primed=True), Var("x")), ("x",), universe)
+        reason = support_problem(spec)
+        for run in (explore, explore_compact,
+                    lambda spec: list(initial_states(spec.init, universe))):
+            with pytest.raises(CompactUnsupported) as refused:
+                run(spec)
+            assert str(refused.value) == reason
+
+    def test_zero_variable_universe_is_refused(self, tmp_path):
+        """A spec cannot even be built over no variables (its subscript
+        must name declared ones), so the check stops there; the packed
+        walker refuses the bare universe with the codec's reason."""
+        from repro.checker import CompactUnsupported
+        from repro.checker.explorer import initial_states
+        from repro.kernel import Const, Universe
+        from repro.kernel.packed import support_problem
+
+        empty = Universe({})
+        with pytest.raises(CompactUnsupported) as refused:
+            list(initial_states(Const(True), empty))
+        assert str(refused.value) == support_problem(empty)
+        path = tmp_path / "NoVars.tla"
+        path.write_text("MODULE NoVars\nInit == TRUE\nNext == TRUE\n"
+                        "Spec == Init /\\ [][Next]_v\nSmall == TRUE\n")
+        code, text = run_cli("check", str(path), "--invariant", "Small")
+        assert code == 2 and "undeclared variables: ['v']" in text
