@@ -150,7 +150,7 @@ def main():
             submitted = client.submit(COUNTER_TLA, invariants=["Small"],
                                       max_states=10_000 + serial)
             job_id = submitted["job"]["id"]
-            final = client.wait(job_id, timeout=300, poll=0.05)
+            final = client.wait(job_id, timeout=300)
             elapsed = time.perf_counter() - begin
             assert final["state"] == "done", (job_id, final["state"])
             assert final["result"]["verdict"] == "ok", job_id

@@ -33,7 +33,6 @@ from .liveness import (
     fair_units,
     premises_of_spec,
 )
-from .reduction import ReductionConfig, decompose
 from .refinement import IDENTITY, RefinementMapping, check_safety_refinement
 from .results import CheckResult, Counterexample
 
@@ -71,6 +70,4 @@ __all__ = [
     "check_safety_refinement",
     "CheckResult",
     "Counterexample",
-    "ReductionConfig",
-    "decompose",
 ]

@@ -6,19 +6,18 @@ fresh or resumed -- is :func:`drive` applied to a
 
 The **engine** seam says how one source node is handled, and has two
 instances (``FullEngine`` in :mod:`~repro.checker.explorer` over a
-:class:`~repro.checker.graph.StateGraph` plus optional reducer,
-``CompactEngine`` in :mod:`~repro.checker.compact` over a
+:class:`~repro.checker.graph.StateGraph`, ``CompactEngine`` in
+:mod:`~repro.checker.compact` over a
 :class:`~repro.checker.compact.CompactGraph`):
 
-* ``graph`` / ``spec`` / ``tag`` (``"full"`` or ``"compact"``) /
-  ``reduction`` (the effective ``ReductionConfig`` or ``None``);
-* ``payloads[node]`` -- what an expander is fed (a packed int; a
-  ``State`` under a reducer);
-* ``expand(payload)`` -- the node's successors, pure;
+* ``graph`` / ``spec``;
+* ``payloads[node]`` -- the node's packed row;
+* ``expand(payload)`` -- the node's successor rows, pure: the spec's
+  :class:`~repro.kernel.packed.PackedPlan` walker, which is also what
+  a pool worker runs;
 * ``merge(src, expanded)`` -- intern them, return the new node ids;
 * ``settle(nodes)`` -- called once per level with the level's new
   nodes (the full engine fingerprints them here in one batch);
-* ``size(expanded)`` -- how many successors a worker's result holds;
 * ``header()`` -- the engine's fields of a checkpoint log's header;
 * ``snapshot(nodes, sources)`` -- the engine's share of one checkpoint
   record: the rows of the node-id range *nodes* interned since the
@@ -57,12 +56,10 @@ import os
 from time import perf_counter
 from typing import Callable, List, NamedTuple, Optional
 
-from ..kernel.packed import PackedPlan
-from ..spec import Spec
 from .checkpoint import _SAME_PATH, Checkpoint, LevelLog, run_header
 
-__all__ = ["RunOptions", "resolve_options", "default_workers", "expander",
-           "Serial", "drive"]
+__all__ = ["RunOptions", "resolve_options", "default_workers", "Serial",
+           "drive"]
 
 
 class RunOptions(NamedTuple):
@@ -119,26 +116,6 @@ def resolve_options(
         raise ValueError(f"workers must be >= 0, got {workers}")
     return RunOptions(workers, worker_timeout, fault_hook, checkpoint,
                       checkpoint_every)
-
-
-def expander(spec: Spec, engine: str, reduction=None) -> Callable:
-    """The pure ``payload -> successors`` function of *engine* for
-    *spec*: what a pool worker runs.
-
-    Both engines map a packed int to a list of packed ints, except that
-    ``"full"`` under a usable *reduction* maps a ``State`` to the
-    reducer's ``(tag, successors, pruned)``.  Both sides of a run derive
-    the same reducer from (spec, config), so per-state ample decisions
-    agree."""
-    if engine not in ("compact", "full"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if reduction is not None:
-        from .reduction.por import build_reducer
-
-        reducer, _reason = build_reducer(spec, reduction)
-        if reducer is not None:
-            return reducer.expand
-    return PackedPlan(spec).successors
 
 
 class Serial:

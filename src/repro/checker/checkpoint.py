@@ -7,8 +7,8 @@ the cost of the rows a run interns, not of the graph it has so far:
 
 * A checkpoint is an append-only **level log** (:class:`LevelLog`): a
   magic line, one header frame (format, version, spec name, the
-  engine's variables or codec signature, budget, cadence, the full
-  engine's reduction config), then one frame per snapshot.  A
+  engine's variables or codec signature, budget, cadence), then one
+  frame per snapshot.  A
   snapshot's record holds only what the level boundary added: the rows,
   fingerprints and parents interned since the previous record, the
   adjacency of the sources expanded since then -- both engines keep
@@ -96,11 +96,6 @@ _LENGTH = struct.Struct(">I")
 # resume()'s "keep writing to the file we loaded from" default
 _SAME_PATH = object()
 
-# resume()'s "adopt whatever the checkpoint recorded" default for the
-# reduction configuration (None is a meaningful explicit value: "I want
-# this run unreduced", which must *match* the snapshot)
-_ADOPT = object()
-
 
 class CheckpointError(Exception):
     """A checkpoint file is missing, malformed, or fails integrity checks."""
@@ -144,8 +139,7 @@ def run_header(spec_name: str, max_states: Optional[int], workers: int,
                checkpoint_every: int,
                engine: Dict[str, object]) -> Dict[str, object]:
     """A level log's header: what identifies the run, then the engine's
-    own fields (``mode``, ``variables`` or ``codec_signature``, and the
-    full engine's ``reduction`` config)."""
+    own fields (``mode``, and ``variables`` or ``codec_signature``)."""
     header: Dict[str, object] = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -159,13 +153,9 @@ def run_header(spec_name: str, max_states: Optional[int], workers: int,
     return header
 
 
-def graph_header(graph: StateGraph,
-                 reduction: Optional[Dict[str, object]]) -> Dict[str, object]:
-    """The full engine's header fields.  ``reduction`` is the run's
-    effective ``ReductionConfig.as_dict()``, recorded so :func:`resume`
-    continues under the *same* semantics."""
-    return {"variables": list(graph.universe.variables),
-            "reduction": reduction}
+def graph_header(graph: StateGraph) -> Dict[str, object]:
+    """The full engine's header fields."""
+    return {"variables": list(graph.universe.variables)}
 
 
 def graph_rows(graph: StateGraph, nodes: range,
@@ -271,7 +261,6 @@ def save_checkpoint(
     workers: int = 1,
     checkpoint_every: int = 1,
     stats: Optional[ExploreStats] = None,
-    reduction: Optional[Dict[str, object]] = None,
 ) -> None:
     """Write a fresh level log holding *graph* as one record: the
     header, then every state, and the adjacency of every node below the
@@ -283,7 +272,7 @@ def save_checkpoint(
     counter) -- the loop state of :func:`repro.checker.bfs.drive`
     between two levels."""
     header = run_header(spec.name, graph.max_states, workers,
-                        checkpoint_every, graph_header(graph, reduction))
+                        checkpoint_every, graph_header(graph))
     LevelLog(path, header).append_level(
         graph, lambda nodes, sources: graph_rows(graph, nodes, sources),
         frontier, depth, levels, elapsed_seconds, stats)
@@ -362,7 +351,9 @@ class Checkpoint:
     ``fingerprints``, the compact engine's are ``packed``, plus the
     running ``edge_count`` and ``digest``.  A full header's ``store``
     field, written while the spill store existed, is ignored: every
-    full run interns in RAM.  ``frontier`` lists the node ids the
+    full run interns in RAM.  A full header's non-null ``reduction``
+    field marks a log written under partial-order reduction, which is
+    gone: such a log is refused.  ``frontier`` lists the node ids the
     last record left unexpanded."""
 
     def __init__(self, path: str, header_bytes: bytes,
@@ -401,18 +392,17 @@ class Checkpoint:
                 self.codec_signature: str = header["codec_signature"]
                 self.need(isinstance(self.codec_signature, str),
                           "codec_signature must be a string")
-                self.reduction_config = None
             else:
                 self.variables: List[str] = header["variables"]
                 self.need(isinstance(self.variables, list)
                           and all(isinstance(v, str)
                                   for v in self.variables),
                           "variables must be a list of names")
-                self.reduction_config: Optional[Dict[str, object]] = \
-                    header["reduction"]
-                self.need(isinstance(self.reduction_config,
-                                     (dict, type(None))),
-                          "reduction must be null or an object")
+                if header.get("reduction") is not None:
+                    raise CheckpointError(
+                        f"{path}: checkpoint was written under "
+                        f"partial-order reduction, which this checker no "
+                        f"longer has; start the run afresh")
             self._fold(records, compact)
         except (KeyError, TypeError) as exc:
             raise CheckpointError(
@@ -646,13 +636,6 @@ def load_checkpoint(path: str) -> Checkpoint:
     return read_checkpoint(path, None)
 
 
-def _reduction_dict(reduction: object) -> Optional[Dict[str, object]]:
-    """Normalize a ReductionConfig-or-dict-or-None to the as_dict form."""
-    if reduction is None or isinstance(reduction, dict):
-        return reduction
-    return reduction.as_dict()  # a ReductionConfig
-
-
 def resume(
     path: str,
     spec: Spec,
@@ -664,7 +647,6 @@ def resume(
     checkpoint_every: Optional[int] = None,
     worker_timeout: Optional[float] = None,
     fault_hook: object = None,
-    reduction: object = _ADOPT,
 ) -> StateGraph:
     """Continue an exploration of *spec* from a checkpoint, bit-for-bit.
 
@@ -677,43 +659,18 @@ def resume(
     exploded run under a larger budget).  By default the resumed run
     keeps checkpointing to the same *path*; pass ``checkpoint=None`` to
     disable further snapshots, or another path to redirect them.
-
-    The run's partial-order-reduction semantics are adopted from the
-    snapshot by default.  Passing ``reduction`` (a
-    :class:`~repro.checker.reduction.por.ReductionConfig`, its dict
-    form, or ``None`` for "unreduced") asserts what the caller
-    *expects* the run to be: a mismatch with the snapshot raises
-    :class:`CheckpointError` instead of silently continuing the run
-    under different semantics, which would not reproduce it.
     """
     start = perf_counter()
     from .bfs import drive, resolve_options
-    from .explorer import FullEngine, _resolve_reducer
+    from .explorer import FullEngine
     from .parallel import local_level
-    from .reduction.por import ReductionConfig
 
     loaded = load_checkpoint(path)
     options = resolve_options(workers, worker_timeout, fault_hook,
                               checkpoint, checkpoint_every, resumed=loaded)
-
-    if reduction is _ADOPT:
-        reduction_cfg = loaded.reduction_config
-    else:
-        reduction_cfg = _reduction_dict(reduction)
-        if reduction_cfg != loaded.reduction_config:
-            raise CheckpointError(
-                f"{path}: checkpoint was written with reduction config "
-                f"{loaded.reduction_config!r} but the resume requested "
-                f"{reduction_cfg!r}; resuming under different reduction "
-                f"semantics would not reproduce the run"
-            )
-    reducer_config = (
-        ReductionConfig(tuple(reduction_cfg.get("observed_vars", ())))
-        if reduction_cfg is not None else None)
     graph = loaded.restore_graph(spec, max_states=max_states)
     loaded.restore_stats(stats)
-    engine = FullEngine(spec, graph,
-                        _resolve_reducer(spec, reducer_config, stats))
+    engine = FullEngine(spec, graph)
     return drive(local_level(engine, stats, options),
                  list(loaded.frontier), start, loaded)
 
@@ -755,16 +712,12 @@ def write_manifest(
     counterexample: Optional[Counterexample] = None,
     stats: Optional[ExploreStats] = None,
     error: Optional[str] = None,
-    reduction: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """Atomically write a JSON run manifest; returns the payload.
 
     *outcome* is one of ``"ok"`` (all checks passed / exploration
     completed), ``"violation"`` (a counterexample was found),
     ``"explosion"`` (the state budget was exceeded), or ``"error"``.
-    ``reduction`` records the *effective* reduction configuration of
-    the run (after any auto-disable), so the artifact says what
-    semantics actually produced the verdict.
     """
     payload: Dict[str, object] = {
         "format": "repro-run-manifest",
@@ -780,7 +733,6 @@ def write_manifest(
                            if counterexample is not None else None),
         "stats": stats.as_dict() if stats is not None else None,
         "error": error,
-        "reduction": reduction,
     }
     _replace(path, _encode(payload))
     return payload

@@ -324,10 +324,6 @@ class CompactEngine:
     """The compact engine seam of :mod:`repro.checker.bfs`: packed ints
     in, packed ints out, interned on the exact packed value."""
 
-    tag = "compact"
-    reduction = None
-    size = staticmethod(len)
-
     def __init__(self, graph: CompactGraph):
         self.spec = graph.spec
         self.graph = graph

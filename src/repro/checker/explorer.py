@@ -21,20 +21,12 @@ under the serial configuration.  Runs are durable: ``checkpoint=path``
 appends a snapshot to a level log every ``checkpoint_every`` levels and
 :func:`repro.checker.checkpoint.resume` continues a snapshot bit for
 bit.
-
-``reduction=ReductionConfig(...)`` (see :mod:`repro.checker.reduction`)
-enables ample/stubborn-set partial-order reduction derived from the
-paper's ``Disjoint`` decomposition -- sound for invariants and deadlock,
-auto-disabled (with the reason recorded on the stats) when the action
-shape is not reducible.  The POR-off path is byte-identical to the
-unreduced explorer.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple, TYPE_CHECKING)
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..kernel.action import compile_action
 from ..kernel.expr import Expr, prime_expr, to_expr
@@ -45,9 +37,6 @@ from .bfs import RunOptions, Serial, drive
 from .checkpoint import graph_header, graph_rows
 from .graph import StateGraph, StateSpaceExplosion
 from .stats import ExploreStats, maybe_phase
-
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from .reduction.por import AmpleReducer, ReductionConfig
 
 __all__ = ["StateSpaceExplosion", "initial_states", "explore"]
 
@@ -83,71 +72,31 @@ def _seed_graph(spec: Spec,
     return graph, frontier
 
 
-def _resolve_reducer(
-    spec: Spec,
-    reduction: Optional["ReductionConfig"],
-    stats: Optional[ExploreStats],
-) -> Optional["AmpleReducer"]:
-    """Build the reducer for a run (or record why reduction is off)."""
-    if reduction is None:
-        return None
-    from .reduction.por import build_reducer
-
-    reducer, reason = build_reducer(spec, reduction)
-    if stats is not None:
-        if reducer is None:
-            stats.record_reduction(enabled=False, reason=reason)
-        else:
-            stats.record_reduction(enabled=True)
-    return reducer
-
-
 class FullEngine:
     """The full-state engine seam of :mod:`repro.checker.bfs`: states
     are retained in a :class:`StateGraph`.
 
-    Without a reducer the payloads are packed rows and ``expand`` is
-    the packed walker.  With a *reducer*, each source state is expanded
-    through its ample set, and
-    :func:`repro.checker.reduction.por.proviso_successors` applies the
-    C3 cycle proviso against the live graph -- on the coordinator, in
-    merge order, so the reduced graph too is the same for every
-    configuration.  Either way :meth:`merge` interns on the exact packed
-    row, decoding only the states it adds.  No attribute holds a method
-    of the engine itself, so the engine and its graph die by reference
-    count."""
+    The payloads are packed rows and ``expand`` is the packed walker;
+    :meth:`merge` interns on the exact packed row, decoding only the
+    states it adds.  No attribute holds a method of the engine itself,
+    so the engine and its graph die by reference count."""
 
-    tag = "full"
-
-    def __init__(self, spec: Spec, graph: StateGraph,
-                 reducer: Optional["AmpleReducer"] = None):
+    def __init__(self, spec: Spec, graph: StateGraph):
         self.spec = spec
         self.graph = graph
-        self.reducer = reducer
-        self.reduction = reducer.config if reducer is not None else None
         plan = PackedPlan(spec)
         self.codec = plan.codec
         self.rows: List[int] = list(map(self.codec.encode, graph.states))
         self.visited = {row: node for node, row in enumerate(self.rows)}
         self.settle(range(len(self.rows)))
-        if reducer is None:
-            self.payloads, self.expand, self.size = \
-                self.rows, plan.successors, len
-        else:
-            self.payloads, self.expand = graph.states, reducer.expand
-            self.size = lambda expanded: len(expanded[1])
+        self.payloads, self.expand = self.rows, plan.successors
 
-    def merge(self, src: int, expanded) -> List[int]:
+    def merge(self, src: int, expanded: List[int]) -> List[int]:
         """Intern one source's successors in order; returns the new node
         ids.  Edges, BFS parents and the graph's insertion-time budget
         follow the emission order, so every configuration builds the
         same graph."""
         graph, rows, visited = self.graph, self.rows, self.visited
-        if self.reducer is not None:
-            from .reduction.por import proviso_successors
-
-            expanded = map(self.codec.encode, proviso_successors(
-                graph, src, *expanded, self.reducer))
         decode = self.codec.decode
         new_nodes = []
         for row in expanded:
@@ -168,36 +117,25 @@ class FullEngine:
             states[node]._fp = fingerprint  # State.fingerprint()'s cache
 
     def header(self) -> Dict[str, object]:
-        return graph_header(self.graph,
-                            (self.reduction.as_dict()
-                             if self.reduction is not None else None))
+        return graph_header(self.graph)
 
     def snapshot(self, nodes: range, sources: range) -> Dict[str, object]:
         return graph_rows(self.graph, nodes, sources)
 
     def finish(self, stats: Optional[ExploreStats]) -> None:
-        """Fold the reducer's merge-time counters into graph/stats."""
-        if self.reducer is None:
-            return
-        counters = self.reducer.counters
-        self.graph.reduction_used = bool(counters["ample_states"])
-        if stats is not None:
-            stats.record_reduction(enabled=True, counters=counters)
+        """Nothing to fold: the full engine keeps no counters."""
 
 
 def _explore_full(spec: Spec, max_states: int, stats: Optional[ExploreStats],
-                  options: RunOptions,
-                  reduction: Optional["ReductionConfig"],
-                  configure: Callable[..., Serial],
+                  options: RunOptions, configure: Callable[..., Serial],
                   start: float) -> StateGraph:
     """Seed a fresh full-state graph and drive it under the
     configuration *configure* builds -- the body shared by
     :func:`explore` and
     :func:`~repro.checker.parallel.explore_parallel`."""
-    reducer = _resolve_reducer(spec, reduction, stats)
     graph, frontier = _seed_graph(spec, max_states)
     with maybe_phase(stats, "plan"):
-        engine = FullEngine(spec, graph, reducer)
+        engine = FullEngine(spec, graph)
     return drive(configure(engine, stats, options), frontier, start)
 
 
@@ -207,7 +145,6 @@ def explore(
     stats: Optional[ExploreStats] = None,
     checkpoint: Optional[str] = None,
     checkpoint_every: int = 1,
-    reduction: Optional["ReductionConfig"] = None,
 ) -> StateGraph:
     """The reachable state graph of ``Init ∧ □[N]_v`` over the spec's universe.
 
@@ -227,11 +164,7 @@ def explore(
     :func:`repro.checker.checkpoint.resume` continues the last one
     bit-for-bit identically (including after a crash or an exceeded
     budget -- the last complete snapshot survives both).
-
-    ``reduction`` plugs in partial-order reduction (see
-    :mod:`repro.checker.reduction`); it defaults to off.
     """
     start = perf_counter()
     options = RunOptions(1, None, None, checkpoint, checkpoint_every)
-    return _explore_full(spec, max_states, stats, options, reduction,
-                         Serial, start)
+    return _explore_full(spec, max_states, stats, options, Serial, start)

@@ -299,7 +299,6 @@ class StateGraph(GraphQueries):
         self.init_nodes: List[int] = []
         self.parent: List[Optional[int]] = []
         self._edge_count = 0  # real N-edges; stutter loops counted apart
-        self.reduction_used = False  # set by the explorer when POR pruned
 
     # -- construction ------------------------------------------------------
 

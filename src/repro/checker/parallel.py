@@ -10,13 +10,14 @@ BFS parent tree (hence counterexample traces) and
 the worker count, chunking, scheduling, **or worker failures**
 (``tests/test_parallel_differential.py``,
 ``tests/test_fault_injection.py``).  The pool protocol is engine-blind:
-the same initializer, task and chunker serve the full engine (with or
-without partial-order reduction) and the compact one.
+both engines expand packed rows with the spec's packed walker, so the
+same initializer, task and chunker serve the full engine and the
+compact one.
 
 How a level is shipped
 ----------------------
 
-The frontier's payloads (packed ints; states under reduction) are cut into
+The frontier's payloads (packed ints) are cut into
 contiguous chunks (:func:`_chunks`), submitted to a
 ``concurrent.futures`` process pool, and retrieved strictly in
 **submission order**; results pair back to their sources positionally.
@@ -36,11 +37,11 @@ history.  Retries are counted on
 that keeps failing raises :class:`WorkerFailure` after
 ``_MAX_CHUNK_RETRIES`` attempts.
 
-Workers are started lazily and initialised once: each unpickles
-(engine tag, spec, reduction config) in its initializer and builds its
-expander through :func:`repro.checker.bfs.expander`, so the per-chunk
-payload is only the frontier payloads and the per-chunk result only the
-successor batches.  Worker-side busy time and coordinator idle time are
+Workers are started lazily and initialised once: each unpickles the
+spec in its initializer and builds its packed walker
+(:class:`~repro.kernel.packed.PackedPlan`), so the per-chunk payload is
+only the frontier payloads and the per-chunk result only the successor
+batches.  Worker-side busy time and coordinator idle time are
 recorded on the optional :class:`~repro.checker.stats.ExploreStats`.
 """
 
@@ -57,22 +58,17 @@ from concurrent.futures.process import BrokenProcessPool
 from time import perf_counter
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from typing import TYPE_CHECKING
-
+from ..kernel.packed import PackedPlan
 from ..spec import Spec
-from .bfs import (RunOptions, Serial, default_workers, expander,
-                  resolve_options)
+from .bfs import RunOptions, Serial, default_workers, resolve_options
 from .explorer import _explore_full
 from .graph import StateGraph
 from .stats import ExploreStats
 
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from .reduction.por import ReductionConfig
-
 __all__ = ["explore_parallel", "default_workers", "WorkerFailure",
            "die_with_parent"]
 
-# one payload per chunk: the frontier payloads (states or packed ints)
+# one payload per chunk: the frontier payloads (packed ints)
 _Chunk = List[object]
 # one result per chunk: (worker_pid, busy_seconds, [expanded, ...]), one
 # ``expand(payload)`` result per chunk entry, in chunk order
@@ -101,9 +97,9 @@ class WorkerFailure(Exception):
     """A frontier chunk kept crashing or timing out after all retries."""
 
 
-# worker-process globals, set once by _init_worker: the pure
-# payload -> expanded function of the run's engine
-_worker_expand: Optional[Callable[[object], object]] = None
+# worker-process globals, set once by _init_worker: the spec's pure
+# packed row -> successor rows walker
+_worker_expand: Optional[Callable[[int], List[int]]] = None
 _worker_fault: _FaultHook = None
 
 
@@ -122,12 +118,11 @@ def die_with_parent() -> None:
 
 def _init_worker(payload: bytes, fault_hook: _FaultHook = None) -> None:
     """Pool initializer: tie the worker's life to the coordinator's,
-    unpickle (engine tag, spec, reduction config) and build the expander
-    once; every chunk this worker processes reuses it."""
+    unpickle the spec and build its packed walker once; every chunk this
+    worker processes reuses it."""
     global _worker_expand, _worker_fault
     die_with_parent()
-    engine, spec, reduction = pickle.loads(payload)
-    _worker_expand = expander(spec, engine, reduction)
+    _worker_expand = PackedPlan(pickle.loads(payload)).successors
     _worker_fault = fault_hook
 
 
@@ -268,8 +263,7 @@ class Pooled(Serial):
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context("fork" if "fork" in methods
                                          else methods[0])
-        payload = pickle.dumps((engine.tag, engine.spec, engine.reduction),
-                               protocol=pickle.HIGHEST_PROTOCOL)
+        payload = pickle.dumps(engine.spec, protocol=pickle.HIGHEST_PROTOCOL)
         self._runner = _ChunkRunner(options.workers, payload, ctx,
                                     options.worker_timeout,
                                     options.fault_hook, stats)
@@ -281,7 +275,7 @@ class Pooled(Serial):
             # merge order (frontier order) is the serial order either way
             return super().expand_level(frontier)
         engine, stats = self.engine, self.stats
-        payloads, merge, size = engine.payloads, engine.merge, engine.size
+        payloads, merge = engine.payloads, engine.merge
         chunks = _chunks([payloads[src] for src in frontier], workers)
         sources = iter(frontier)
         next_frontier: List[int] = []
@@ -294,7 +288,7 @@ class Pooled(Serial):
                 stats.record_worker_batch(
                     self._worker_ids.setdefault(pid, len(self._worker_ids)),
                     sources=len(batches),
-                    successors=sum(map(size, batches)),
+                    successors=sum(map(len, batches)),
                     busy_seconds=busy,
                 )
             for expanded in batches:
@@ -321,7 +315,6 @@ def explore_parallel(
     checkpoint_every: int = 1,
     worker_timeout: Optional[float] = None,
     fault_hook: _FaultHook = None,
-    reduction: Optional["ReductionConfig"] = None,
 ) -> StateGraph:
     """The reachable state graph of ``Init ∧ □[N]_v``, explored with
     *workers* processes.
@@ -344,16 +337,13 @@ def explore_parallel(
     worker once per chunk -- the fault-injection seam the crash-recovery
     tests use; leave it ``None`` in production.
 
-    ``reduction`` plugs in partial-order reduction exactly as in
-    :func:`explore` (workers compute ample sets, the coordinator applies
-    the cycle proviso in serial merge order).  Requesting ``workers=1`` explicitly together with
-    options that only the multi-process engine honours
-    (``worker_timeout`` / ``fault_hook``) is an error rather than a
-    silent degrade; ``workers=0`` auto-sizing is exempt because it never
+    Requesting ``workers=1`` explicitly together with options that only
+    the multi-process engine honours (``worker_timeout`` /
+    ``fault_hook``) is an error rather than a silent degrade; ``workers=0`` auto-sizing is exempt because it never
     resolves below the core count.
     """
     start = perf_counter()
     options = resolve_options(workers, worker_timeout, fault_hook,
                               checkpoint, checkpoint_every)
-    return _explore_full(spec, max_states, stats, options, reduction,
-                         local_level, start)
+    return _explore_full(spec, max_states, stats, options, local_level,
+                         start)

@@ -61,8 +61,7 @@ class ExploreStats:
     __slots__ = ("states", "edges", "stutter_edges", "init_states", "depth",
                  "explore_seconds", "phases", "workers", "worker_stats",
                  "coordinator_idle_seconds", "worker_retries", "levels",
-                 "levels_seen", "por_enabled", "por_reason", "por_counters",
-                 "peak_rss_kb", "engine",
+                 "levels_seen", "peak_rss_kb", "engine",
                  "fingerprint_collisions", "_level_listeners")
 
     # per-level rows beyond this are dropped (pathologically deep graphs
@@ -92,11 +91,6 @@ class ExploreStats:
         # these; raising from a listener aborts the exploration, which is
         # how cooperative cancellation works)
         self._level_listeners: List[Callable[[int, Dict[str, int]], None]] = []
-        # partial-order reduction: None = never requested; False = requested
-        # but disabled (reason says why); True = active
-        self.por_enabled: Optional[bool] = None
-        self.por_reason: Optional[str] = None
-        self.por_counters: Dict[str, int] = {}
         self.peak_rss_kb = 0
         # which exploration engine produced these numbers ("full" or
         # "compact"), and how many 64-bit fingerprint collisions were
@@ -154,36 +148,6 @@ class ExploreStats:
         for listener in self._level_listeners:
             listener(level, row)
 
-    def record_reduction(self, enabled: bool,
-                         reason: Optional[str] = None,
-                         counters: Optional[Dict[str, int]] = None) -> None:
-        """Record the partial-order-reduction outcome of a run.
-
-        Called once up front with the on/off decision (and the disable
-        reason, if any) and once at the end with the merge-time counters;
-        counters *accumulate* so resumed runs add to their checkpointed
-        totals."""
-        self.por_enabled = enabled
-        self.por_reason = reason
-        if counters:
-            for key, value in counters.items():
-                self.por_counters[key] = self.por_counters.get(key, 0) + value
-
-    def restart_unreduced(self, reason: str) -> None:
-        """Start over for the unreduced re-exploration that supersedes
-        a reduced one (*reason* is the note announcing it), so these
-        stats describe the one graph that gets reported: levels restart
-        at 0 for the listeners, which stay subscribed.  The reduced run
-        survives only as ``por_counters`` -- now beside a reduction
-        that is off, and why -- and its wall time under its own phase."""
-        listeners, counters = self._level_listeners, self.por_counters
-        reduced_seconds = self.phases.get("explore", 0.0)
-        self.__init__()
-        self._level_listeners = listeners
-        self.por_enabled, self.por_reason = False, reason
-        self.por_counters = counters
-        self.phases["explore-reduced"] = reduced_seconds
-
     def record_worker_batch(self, worker_id: int, sources: int,
                             successors: int, busy_seconds: float) -> None:
         """Accumulate one returned worker batch into that worker's totals."""
@@ -235,12 +199,6 @@ class ExploreStats:
         self.levels = [dict(row) for row in (snapshot.get("levels") or [])]
         self.levels_seen = int(snapshot.get("levels_seen", len(self.levels))
                                or len(self.levels))
-        por = snapshot.get("por_enabled")
-        if por is not None:
-            self.por_enabled = bool(por)
-            self.por_reason = snapshot.get("por_reason")  # type: ignore
-        for key, value in dict(snapshot.get("por_counters") or {}).items():
-            self.por_counters[str(key)] = int(value)
         engine = snapshot.get("engine")
         if engine:
             self.engine = str(engine)
@@ -317,28 +275,12 @@ class ExploreStats:
                     f"{entry['batches']:.0f} batches, busy {busy:.4f}s "
                     f"({rate:,.0f} states/sec)"
                 )
-        if self.por_enabled is not None:
-            lines.append(self._format_reduction(indent))
         if self.phases:
             rendered = ", ".join(
                 f"{name} {seconds:.4f}s" for name, seconds in self.phases.items()
             )
             lines.append(f"{indent}phases: {rendered}")
         return "\n".join(lines)
-
-    def _format_reduction(self, indent: str) -> str:
-        if not self.por_enabled:
-            return (f"{indent}reduction: disabled "
-                    f"({self.por_reason or 'not applicable'})")
-        c = self.por_counters
-        ample = c.get("ample_states", 0)
-        expanded = (ample + c.get("full_states", 0)
-                    + c.get("proviso_states", 0))
-        rate = (100.0 * ample / expanded) if expanded else 0.0
-        return (f"{indent}reduction: por on, ample at {ample}/{expanded} "
-                f"states ({rate:.0f}%), proviso fallbacks "
-                f"{c.get('proviso_states', 0)}, "
-                f"~{c.get('pruned_successors', 0)} successors pruned")
 
     def summary(self, indent: str = "") -> str:
         """:meth:`format` plus the per-level table and peak RSS -- the one
@@ -393,9 +335,6 @@ class ExploreStats:
             "worker_retries": dict(self.worker_retries),
             "levels": [dict(row) for row in self.levels],
             "levels_seen": self.levels_seen,
-            "por_enabled": self.por_enabled,
-            "por_reason": self.por_reason,
-            "por_counters": dict(self.por_counters),
             "peak_rss_kb": self.peak_rss_kb,
             "engine": self.engine,
             "fingerprint_collisions": self.fingerprint_collisions,

@@ -7,8 +7,8 @@ split for our checker, and the one place a *check* is executed:
 
 * :class:`~repro.engine.explicit.ExplicitEngine` -- the explicit-state
   pipeline: exhaustive BFS in the mode
-  :func:`~repro.engine.explicit.choose_mode` picks (compact unless
-  reduction needs the full graph; fresh or resumed), then every
+  :func:`~repro.engine.explicit.choose_mode` picks (compact, or on a
+  resume the engine that wrote the level log), then every
   invariant and property decided on that one graph.  Definitive
   verdicts; cost grows with the reachable state count.
 * :class:`~repro.engine.symbolic.SymbolicEngine` -- bounded model

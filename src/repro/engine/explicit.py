@@ -3,9 +3,9 @@ obligation on that graph.
 
 :class:`ExplicitEngine` holds the run options -- spelled once, here --
 and :meth:`ExplicitEngine.run` is the one path from *(spec, invariants,
-properties)* to *(graph, per-obligation results, notes)*.  ``repro
-check | explore`` render a run as text + manifest + exit
-code, the service's ``run_check`` as a JSON document, and
+properties)* to *(graph, per-obligation results)*.  ``repro check |
+explore`` render a run as text + manifest + exit code, the service's
+``run_check`` as a JSON document, and
 :meth:`ExplicitEngine.check_invariant` as an
 :class:`~repro.engine.result.EngineResult`; none of them explores or
 checks on its own.  Exhaustive exploration is definitive: HOLDS or
@@ -14,29 +14,18 @@ VIOLATION, never UNKNOWN.
 What the pipeline owns:
 
 * **the engine choice** -- :func:`choose_mode`, which both front ends
-  call: the compact engine (packed rows, CSR edges) for every check
-  except when partial-order reduction stays on (the full dict-backed
-  engine), and on a resume whichever engine wrote the level log.  Both
+  call: the compact engine (packed rows, CSR edges) for every fresh
+  check, and on a resume whichever engine wrote the level log.  Both
   produce the same graph bit for bit, so the choice changes memory and
-  speed, never a verdict, trace or digest, and it adds no note.  A spec
-  the packed codec cannot represent runs on neither: exploring it
-  raises :class:`~repro.kernel.packed.CompactUnsupported`;
+  speed, never a verdict, trace or digest.  A spec the packed codec
+  cannot represent runs on neither: exploring it raises
+  :class:`~repro.kernel.packed.CompactUnsupported`;
 * **dispatch** -- {full, compact} x {fresh, resume}, the only calls of
   the ``explore_*`` / ``resume*`` entry points outside
   :mod:`repro.checker`;
-* **obligation policy** -- partial-order reduction observes the sorted
-  free variables of the invariants and is switched off (with a note)
-  when temporal properties need the full graph; a violation found on a
-  reduced graph is re-explored unreduced so the reported trace is the
-  canonical POR-off counterexample (the ample conditions already
-  guarantee the verdict); each graph type gets its invariant checker;
+* **obligation policy** -- each graph type gets its invariant checker;
   properties are checked against the spec's fairness premises on
-  either graph;
-* **notes** -- one wording per event (:data:`POR_DISABLED`,
-  :data:`REEXPLORING`); front ends print or store them.
-
-The engine itself raises ``ValueError`` for a combination it cannot
-honour (reduction that stays on in compact mode).
+  either graph.
 """
 
 from __future__ import annotations
@@ -44,10 +33,8 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Tuple
 
 from ..checker import (
-    CheckpointError,
     CompactGraph,
     ExploreStats,
-    ReductionConfig,
     check_invariant,
     check_invariant_compact,
     check_temporal_implication,
@@ -64,32 +51,17 @@ from .result import HOLDS, VIOLATION, EngineResult
 
 __all__ = ["ExplicitEngine", "CheckRun", "choose_mode"]
 
-POR_DISABLED = ("partial-order reduction disabled: temporal properties "
-                "need the full graph")
-REEXPLORING = ("violation found under reduction; re-exploring the full "
-               "graph for the canonical counterexample")
 
+def choose_mode(resume_from: Optional[str] = None) -> str:
+    """The :class:`ExplicitEngine` mode a front end runs in.
 
-def choose_mode(spec, por: Optional[bool] = None, properties: bool = False,
-                resume_from: Optional[str] = None) -> str:
-    """The :class:`ExplicitEngine` mode a front end runs *spec* in.
-
-    Resuming the level log at *resume_from* continues it on the engine
-    that wrote it (its header's ``mode``).  A fresh run is ``"compact"``
-    unless reduction stays on -- *por* asked for and no temporal
-    *properties* to switch it off; then it is the full engine,
+    A fresh run is ``"compact"``.  Resuming the level log at
+    *resume_from* continues it on the engine that wrote it (its
+    header's ``mode``): ``"compact"``, or the full engine's
     ``"parallel"`` (serial at one worker).
     """
-    if resume_from is not None:
-        if checkpoint_mode(resume_from) != COMPACT_CHECKPOINT_MODE:
-            return "parallel"
-        if por:
-            raise CheckpointError(
-                f"{resume_from}: checkpoint was written by the compact "
-                f"engine, which has no reduction; resuming it with "
-                f"reduction would not reproduce the run (drop --por)")
-        return "compact"
-    if por and not properties:
+    if (resume_from is not None
+            and checkpoint_mode(resume_from) != COMPACT_CHECKPOINT_MODE):
         return "parallel"
     return "compact"
 
@@ -101,17 +73,12 @@ class ExplicitEngine:
     dict-backed graph; serial is parallel with one worker) or
     ``"compact"`` (packed rows and CSR edges, traces regenerated on
     demand).  Every mode produces bit-for-bit identical graphs, so the
-    verdicts and traces are mode-independent by construction; only the
-    full modes have partial-order reduction, so a run that keeps ``por``
-    on in compact mode is refused.  Front ends pick the mode with
-    :func:`choose_mode`.
+    verdicts and traces are mode-independent by construction.  Front
+    ends pick the mode with :func:`choose_mode`.
 
-    ``por`` is tri-state: ``None`` means *unset* -- off on a fresh run,
-    and on ``resume`` whatever the checkpoint recorded -- while a set
-    value is used on a fresh run and *asserted* on resume (a mismatch
-    raises :class:`~repro.checker.CheckpointError`).  ``checkpoint`` /
-    ``checkpoint_every`` / ``resume`` make the exploration durable;
-    ``worker_timeout`` bounds a pool worker's chunk.
+    ``checkpoint`` / ``checkpoint_every`` / ``resume`` make the
+    exploration durable; ``worker_timeout`` bounds a pool worker's
+    chunk.
 
     A blown ``max_states`` budget raises
     :class:`~repro.checker.StateSpaceExplosion` out of every method;
@@ -121,9 +88,8 @@ class ExplicitEngine:
     name = "explicit"
 
     def __init__(self, mode: str = "serial", max_states: int = 200_000,
-                 workers: int = 1, *, por: Optional[bool] = None,
-                 checkpoint: Optional[str] = None, checkpoint_every: int = 1,
-                 resume: bool = False,
+                 workers: int = 1, *, checkpoint: Optional[str] = None,
+                 checkpoint_every: int = 1, resume: bool = False,
                  worker_timeout: Optional[float] = None) -> None:
         if mode not in ("serial", "parallel", "compact"):
             raise ValueError(f"unknown explicit mode {mode!r}")
@@ -132,14 +98,12 @@ class ExplicitEngine:
         self.mode = mode
         self.max_states = max_states
         self.workers = workers
-        self.por = por
         self.checkpoint = checkpoint
         self.checkpoint_every = checkpoint_every
         self.resume = resume
         self.worker_timeout = worker_timeout
 
-    def _explore(self, spec, stats: Optional[ExploreStats],
-                 por: Optional[bool], reduction: Optional[ReductionConfig]):
+    def _explore(self, spec, stats: Optional[ExploreStats]):
         """The one exploration dispatch."""
         common = dict(max_states=self.max_states, stats=stats,
                       checkpoint_every=self.checkpoint_every,
@@ -150,13 +114,8 @@ class ExplicitEngine:
                 return resume_compact(self.checkpoint, spec, **common)
             return explore_compact(spec, checkpoint=self.checkpoint, **common)
         if self.resume:
-            # forward only what the caller set: anything else is adopted
-            # from the checkpoint, and what is forwarded is asserted
-            if por is not None:
-                common["reduction"] = reduction
             return resume(self.checkpoint, spec, **common)
-        return explore_parallel(spec, checkpoint=self.checkpoint,
-                                reduction=reduction, **common)
+        return explore_parallel(spec, checkpoint=self.checkpoint, **common)
 
     def run(self, spec, invariants: Iterable[Tuple[Optional[str], Expr]] = (),
             properties: Iterable[Tuple[str, object]] = (),
@@ -190,14 +149,9 @@ class ExplicitEngine:
 class CheckRun:
     """One pipeline run, as a context manager.
 
-    Construction only *decides*: ``reduction`` is the
-    :class:`~repro.checker.ReductionConfig` the exploration will ask for
-    (``None`` = none) and ``notes`` explains anything degraded, so both
-    are readable even when the exploration then blows its budget.
     Entering explores and checks: ``graph`` is the graph the verdicts
     were decided on, ``results`` the ``(kind, CheckResult)`` pairs in
-    request order (``kind`` is ``"invariant"`` or ``"property"``),
-    ``reduction_used`` whether the first exploration pruned anything.
+    request order (``kind`` is ``"invariant"`` or ``"property"``).
     Leaving lets go of the graph -- as does every failure on the way
     in, so ``graph`` is ``None`` outside the ``with`` block.
     """
@@ -211,23 +165,7 @@ class CheckRun:
         self.invariants = invariants
         self.properties = properties
         self.stats = stats
-        self.notes: List[str] = []
-        self.por = engine.por
-        if self.por and properties:
-            self.por = False
-            self.notes.append(POR_DISABLED)
-        if self.por and engine.mode == "compact":
-            raise ValueError("compact mode has no reduction machinery; "
-                             "por needs serial or parallel mode")
-        # the observed set the reduction must keep visible (C2); with no
-        # invariant nothing is observed and deadlock reachability is
-        # all that is preserved
-        self.reduction = None
-        if self.por:
-            self.reduction = ReductionConfig(tuple(sorted(
-                {v for _name, expr in invariants for v in expr.free_vars()})))
         self.graph = None
-        self.reduction_used = False
         self.results: List[Tuple[str, CheckResult]] = []
 
     @property
@@ -239,24 +177,9 @@ class CheckRun:
         self.graph = None
 
     def __enter__(self) -> "CheckRun":
-        engine, spec, stats = self.engine, self.spec, self.stats
-        self.graph = engine._explore(spec, stats, self.por, self.reduction)
+        stats = self.stats
+        self.graph = self.engine._explore(self.spec, stats)
         try:
-            self.reduction_used = bool(
-                getattr(self.graph, "reduction_used", False))
-            if self.reduction_used and any(
-                    not check_invariant(self.graph, expr).ok
-                    for _name, expr in self.invariants):
-                # a reduced run may reach the violating state along a
-                # different shortest path, so its trace is not the one a
-                # POR-off run reports
-                self.notes.append(REEXPLORING)
-                self.close()
-                if stats is not None:
-                    stats.restart_unreduced(REEXPLORING)
-                self.graph = explore_parallel(
-                    spec, max_states=engine.max_states,
-                    workers=engine.workers, stats=stats)
             check = (check_invariant_compact
                      if isinstance(self.graph, CompactGraph)
                      else check_invariant)
@@ -265,7 +188,8 @@ class CheckRun:
                     self.graph, expr, name=name, run_stats=stats)))
             # one premise list for the run: each fairness action is
             # compiled once, and its ENABLED memo serves every property
-            premises = premises_of_spec(spec) if self.properties else []
+            premises = (premises_of_spec(self.spec) if self.properties
+                        else [])
             for name, formula in self.properties:
                 self.results.append(("property", check_temporal_implication(
                     self.graph, formula, premises=premises,

@@ -377,12 +377,14 @@ class SuccessorPlan:
     :meth:`successors` (the :attr:`packed` walker) or :meth:`enabled`.
     """
 
-    __slots__ = ("compiled", "universe", "relevant", "branch_plans",
-                 "_growth", "_packed")
+    __slots__ = ("universe", "relevant", "branch_plans", "_growth",
+                 "_packed")
 
     def __init__(self, compiled: "CompiledAction", universe: "Universe",
                  frame: Optional[Iterable[str]] = None):
-        self.compiled = compiled
+        # no reference back to *compiled*, which caches this plan: the
+        # plan and its packed walker die with their last holder, without
+        # waiting for the cyclic collector
         self.universe = universe
         if frame is None:
             self.relevant: Tuple[str, ...] = universe.variables

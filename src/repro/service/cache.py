@@ -2,12 +2,12 @@
 
 A check is a pure function of (module source, spec name, semantic check
 configuration) for one version of the checker: the explorer is
-deterministic for any worker count, the checkpoint layer makes
-interrupted runs bit-for-bit resumable, and the reduction layer
-preserves verdicts and traces.  That purity is what makes content
-addressing sound -- the cache key never has to mention *how* a result
-was computed (workers, checkpoint cadence, pacing), only *what* was
-asked and *which code* (:func:`source_digest`) answered it.
+deterministic for any worker count and either engine, and the
+checkpoint layer makes interrupted runs bit-for-bit resumable.  That
+purity is what makes content addressing sound -- the cache key never
+has to mention *how* a result was computed (workers, checkpoint
+cadence, pacing), only *what* was asked and *which code*
+(:func:`source_digest`) answered it.
 
 :class:`ShardedResultCache` is the one store: entries land in
 ``shard-XX/`` directories keyed by the fingerprint's first byte,
@@ -58,7 +58,7 @@ def canonical_fingerprint(module_source: str, spec: str,
 
     *config* must contain exactly the knobs that can change the verdict,
     the reported trace, or the explored graph -- invariants, properties,
-    ``max_states``, ``por`` -- and none of the execution-only knobs
+    ``max_states``, the engine -- and none of the execution-only knobs
     (worker count, checkpoint cadence, pacing), which the engine
     guarantees cannot.  Key order and whitespace never matter: the JSON
     is sorted and minimally separated.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import random
+import socket
 import time
 from http.client import HTTPConnection
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
@@ -162,7 +163,7 @@ class ServiceClient:
     def submit(self, module_source: str, spec: str = "Spec",
                invariants: Sequence[str] = (),
                properties: Sequence[str] = (),
-               max_states: int = 200_000, por: bool = False,
+               max_states: int = 200_000,
                workers: int = 1,
                checkpoint_every: int = 1,
                level_delay: float = 0.0,
@@ -188,7 +189,6 @@ class ServiceClient:
             "invariants": list(invariants),
             "properties": list(properties),
             "max_states": max_states,
-            "por": por,
             "workers": workers,
             "checkpoint_every": checkpoint_every,
             "level_delay": level_delay,
@@ -248,16 +248,27 @@ class ServiceClient:
         finally:
             conn.close()
 
-    def wait(self, job_id: str, timeout: float = 600.0,
-             poll: float = 0.1) -> Dict[str, object]:
-        """Poll until the job is terminal; returns its final record."""
+    def wait(self, job_id: str, timeout: float = 600.0) -> Dict[str, object]:
+        """Follow the job's event stream until the job is terminal;
+        returns its final record.  The server ends the stream at the
+        terminal state; a stream that ends before it (a draining front)
+        is opened again, all within *timeout* seconds."""
         deadline = time.monotonic() + timeout
         while True:
             record = self.job(job_id)
+            remaining = deadline - time.monotonic()
             if record.get("state") in _TERMINAL_STATES:
                 return record
-            if time.monotonic() >= deadline:
+            if remaining <= 0:
                 raise TimeoutError(
                     f"job {job_id} still {record.get('state')!r} "
                     f"after {timeout:g}s")
-            time.sleep(poll)
+            stream = self.events(job_id, timeout=remaining)
+            try:
+                for _event in stream:
+                    if time.monotonic() >= deadline:
+                        break
+            except socket.timeout:
+                pass  # a quiet job outlasted the deadline
+            finally:
+                stream.close()

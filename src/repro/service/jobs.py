@@ -136,7 +136,7 @@ class CheckRequest:
     """One check submission: a module plus what to verify and how.
 
     ``module_source``/``spec``/``invariants``/``properties``/
-    ``max_states``/``por``/``engine``/``depth`` are
+    ``max_states``/``engine``/``depth`` are
     *semantic* -- they address the result in the cache.  ``workers``,
     ``checkpoint_every``, and ``level_delay``
     are execution-only: the engine produces the identical graph and
@@ -151,9 +151,12 @@ class CheckRequest:
     cache key -- with the symbolic engine.
 
     Which explicit engine explores is not a field: :func:`run_check`
-    asks :func:`~repro.engine.explicit.choose_mode`.  A boolean
-    ``compact`` field, which requests once carried, is accepted and
-    dropped, so journals and clients from before still load.
+    asks :func:`~repro.engine.explicit.choose_mode`.  The boolean
+    fields in ``_RETIRED``, which requests once carried (an engine
+    choice, and partial-order reduction), are accepted and dropped, so
+    journals and clients from before still load; a queued job that
+    asked for reduction runs unreduced, which reduction guaranteed
+    gives the same verdict and trace.
     """
 
     module_source: str
@@ -161,7 +164,6 @@ class CheckRequest:
     invariants: Tuple[str, ...] = ()
     properties: Tuple[str, ...] = ()
     max_states: int = 200_000
-    por: bool = False
     workers: int = 1
     checkpoint_every: int = 1
     level_delay: float = 0.0
@@ -169,10 +171,10 @@ class CheckRequest:
     depth: Optional[int] = None
 
     _FIELDS = ("module_source", "spec", "invariants", "properties",
-               "max_states", "por", "workers",
+               "max_states", "workers",
                "checkpoint_every", "level_delay", "engine", "depth")
     # accepted for compatibility, then dropped
-    _RETIRED = ("compact",)
+    _RETIRED = ("compact", "por")
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "CheckRequest":
@@ -215,11 +217,9 @@ class CheckRequest:
                 or isinstance(level_delay, bool) or level_delay < 0 \
                 or level_delay > 10:
             raise ValueError("level_delay must be a number in [0, 10]")
-        por = payload.get("por", False)
-        if not isinstance(por, bool):
-            raise ValueError("por must be a boolean")
-        if not isinstance(payload.get("compact", False), bool):
-            raise ValueError("compact must be a boolean")
+        for retired in cls._RETIRED:
+            if not isinstance(payload.get(retired, False), bool):
+                raise ValueError(f"{retired} must be a boolean")
         engine = payload.get("engine", "explicit")
         if engine not in ("explicit", "symbolic"):
             raise ValueError("engine must be 'explicit' or 'symbolic'")
@@ -231,13 +231,11 @@ class CheckRequest:
             raise ValueError("depth is the symbolic unrolling bound; it "
                              "requires engine='symbolic'")
         if engine == "symbolic":
-            for flag, active in (("por", por),
-                                 ("properties", bool(names("properties")))):
-                if active:
-                    raise ValueError(
-                        f"engine='symbolic' is incompatible with {flag}: "
-                        f"bounded model checking never builds the state "
-                        f"graph that option configures")
+            if names("properties"):
+                raise ValueError(
+                    "engine='symbolic' is incompatible with properties: "
+                    "bounded model checking never builds the state "
+                    "graph that option configures")
             if not names("invariants"):
                 raise ValueError("engine='symbolic' needs at least one "
                                  "invariant to bound-check")
@@ -247,7 +245,6 @@ class CheckRequest:
             invariants=names("invariants"),
             properties=names("properties"),
             max_states=bounded_int("max_states", 200_000, 1),
-            por=por,
             workers=bounded_int("workers", 1, 0),
             checkpoint_every=bounded_int("checkpoint_every", 1, 1),
             level_delay=float(level_delay),
@@ -262,7 +259,6 @@ class CheckRequest:
             "invariants": list(self.invariants),
             "properties": list(self.properties),
             "max_states": self.max_states,
-            "por": self.por,
             "workers": self.workers,
             "checkpoint_every": self.checkpoint_every,
             "level_delay": self.level_delay,
@@ -284,7 +280,6 @@ class CheckRequest:
             "invariants": list(self.invariants),
             "properties": list(self.properties),
             "max_states": self.max_states,
-            "por": self.por,
             "engine": self.engine,
         }
         if self.engine == "symbolic":
@@ -299,26 +294,20 @@ class CheckRequest:
                                      self.semantic_config())
 
 
-def _explicit_engine(request: CheckRequest, spec,
-                     checkpoint: Optional[str], resume_from_checkpoint: bool):
+def _explicit_engine(request: CheckRequest, checkpoint: Optional[str],
+                     resume_from_checkpoint: bool):
     """The explicit engine *request* asks for, in the mode
     :func:`~repro.engine.explicit.choose_mode` picks -- a pure function
-    of request, spec and checkpoint, so a resumed job continues on the
-    engine its checkpoint was written by."""
+    of request and checkpoint, so a resumed job continues on the engine
+    its checkpoint was written by."""
     from ..engine import ExplicitEngine, choose_mode
 
     resuming = (resume_from_checkpoint and checkpoint is not None
                 and os.path.exists(checkpoint))
-    # a restarted job adopts the reduction its checkpoint recorded
-    # (por=None): asserting por=True would refuse a snapshot whose
-    # reducer the spec could not use, which is recorded as none
-    por = None if resuming else request.por
-    mode = choose_mode(spec, por=por, properties=bool(request.properties),
-                       resume_from=checkpoint if resuming else None)
+    mode = choose_mode(checkpoint if resuming else None)
     return ExplicitEngine(mode,
                           max_states=request.max_states,
                           workers=request.workers,
-                          por=por,
                           checkpoint=checkpoint,
                           checkpoint_every=request.checkpoint_every,
                           resume=resuming)
@@ -390,7 +379,7 @@ def run_check(
             return document
     if stats is None:
         stats = ExploreStats()
-    run = _explicit_engine(request, spec, checkpoint,
+    run = _explicit_engine(request, checkpoint,
                            resume_from_checkpoint).run(
         spec, invariants, properties, stats)
     try:
@@ -405,7 +394,6 @@ def run_check(
                 graph_digest=graph_digest(graph))
     except StateSpaceExplosion as exc:
         document.update(verdict="explosion", error=str(exc))
-    notes.extend(run.notes)
     document["stats"] = stats.as_dict()
     return document
 

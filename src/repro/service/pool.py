@@ -15,7 +15,7 @@ pickle, no spec object: the child re-elaborates the module source::
                       "checkpoint": path, "resume": bool}
                      {"op": "cancel" | "interrupt"}   (honoured at the
                                                        next BFS level)
-    child -> front   {"event": "level" | "reexploring", ...fields}
+    child -> front   {"event": "level", ...fields}
                      {"outcome": "done", "result": document}
                      {"outcome": "cancelled" | "interrupted"}
                      {"outcome": "failed", "error": "Type: message"}
@@ -271,21 +271,14 @@ def _check(message: Dict[str, object], inbox: _Inbox,
 
     controls: set = set()
     stats = ExploreStats()
-    last_level = -1
     request: Optional[CheckRequest] = None
 
     def on_level(level: int, row: Dict[str, int]) -> None:
-        nonlocal last_level
         controls.update(m.get("op") for m in inbox.pending())
         if "cancel" in controls:
             raise JobCancelled()
         if "interrupt" in controls or inbox.eof:
             raise JobInterrupted()
-        if level <= last_level:
-            # the pipeline restarted exploring (unreduced, after a
-            # violation under reduction): levels are monotone per run
-            send({"event": "reexploring", "reason": stats.por_reason})
-        last_level = level
         send(dict(row, event="level", level=level))
         if request.level_delay:
             time.sleep(request.level_delay)

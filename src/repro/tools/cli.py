@@ -36,21 +36,16 @@ append a snapshot of the exploration to a level log every
 complete snapshot bit-for-bit, and
 ``--worker-timeout`` to bound (and retry) stuck parallel workers.  When a
 checkpoint path is given, a JSON run manifest (spec, budget, workers,
-wall time, outcome, counterexample trace, effective reduction
-configuration) is written next to it.
+wall time, outcome, counterexample trace) is written next to it.
 
 Which engine explores is not a flag: the pipeline's
 :func:`~repro.engine.explicit.choose_mode` runs every check on the
 compact engine (:mod:`repro.checker.compact`: states as packed machine
 integers, edges as CSR arrays, counterexample traces regenerated from
-the BFS parent chain), invariants and temporal properties alike.  Only
-``--por`` -- Disjoint-derived partial-order reduction, sound for
-invariants and deadlock, auto-disabled with a note when ``--property``
-needs the full graph -- selects the full dict-backed engine, and a
+the BFS parent chain), invariants and temporal properties alike, and a
 spec the packed codec cannot represent is refused (exit 2, with the
-codec's reason); ``--resume`` continues on
-whichever engine wrote the checkpoint (``--por`` there defaults to what
-the checkpoint recorded, and passing it asserts a match).  Verdicts,
+codec's reason); ``--resume`` continues on whichever engine wrote the
+checkpoint, the compact one or the full dict-backed one.  Verdicts,
 traces, node numbering and graph digests are identical on both engines;
 ``--stats`` names the one that ran.
 """
@@ -124,7 +119,6 @@ def _symbolic_flags_error(args: argparse.Namespace, out) -> bool:
             return True
         return False
     for flag, active in (
-            ("--por", bool(args.por)),
             ("--property", bool(getattr(args, "property", None))),
             ("--checkpoint", bool(args.checkpoint)),
             ("--resume", bool(args.resume)),
@@ -191,19 +185,14 @@ def _write_stats_json(args: argparse.Namespace, stats) -> None:
         handle.write(stats.to_json(indent=2) + "\n")
 
 
-def _explicit_engine(args: argparse.Namespace, spec,
-                     properties) -> ExplicitEngine:
+def _explicit_engine(args: argparse.Namespace) -> ExplicitEngine:
     """The engine the ``check`` / ``explore`` flags describe, in the
-    mode :func:`~repro.engine.explicit.choose_mode` picks.  ``--por``
-    left unset stays ``None``, so a ``--resume`` adopts what the
-    checkpoint recorded."""
-    mode = choose_mode(spec, por=args.por, properties=bool(properties),
-                       resume_from=args.checkpoint if args.resume else None)
+    mode :func:`~repro.engine.explicit.choose_mode` picks."""
+    mode = choose_mode(args.checkpoint if args.resume else None)
     return ExplicitEngine(
         mode, max_states=args.max_states, workers=args.workers,
-        por=args.por, checkpoint=args.checkpoint,
-        checkpoint_every=args.checkpoint_every, resume=args.resume,
-        worker_timeout=args.worker_timeout)
+        checkpoint=args.checkpoint, checkpoint_every=args.checkpoint_every,
+        resume=args.resume, worker_timeout=args.worker_timeout)
 
 
 def _leave_behind(args: argparse.Namespace, engine: ExplicitEngine, run,
@@ -214,12 +203,6 @@ def _leave_behind(args: argparse.Namespace, engine: ExplicitEngine, run,
     checkpoint (if one was asked for) and the ``--stats-json`` file."""
     if args.checkpoint:
         graph = run.graph
-        reduction = None
-        if run.reduction is not None:
-            # the requested config plus whether any state of the
-            # reported graph was actually ample-expanded
-            reduction = dict(run.reduction.as_dict(), used=bool(
-                getattr(graph, "reduction_used", False)))
         write_manifest(
             manifest_path_for(args.checkpoint),
             spec_name=label,
@@ -234,7 +217,6 @@ def _leave_behind(args: argparse.Namespace, engine: ExplicitEngine, run,
                  if result.counterexample is not None), None),
             stats=run.stats,
             error=error,
-            reduction=reduction,
         )
     _write_stats_json(args, run.stats)
 
@@ -242,8 +224,8 @@ def _leave_behind(args: argparse.Namespace, engine: ExplicitEngine, run,
 def _run_explicit(args: argparse.Namespace, out, request, report,
                   indent: str = "") -> int:
     """Render one pipeline run the way ``check`` / ``explore`` share:
-    the run's notes, the verb's own *report* of the finished run, the
-    ``--stats`` table, and what the run leaves on disk.  Returns the
+    the verb's own *report* of the finished run, the ``--stats`` table,
+    and what the run leaves on disk.  Returns the
     exit code; a blown budget leaves its manifest and propagates
     (``main`` prints it, exit 2)."""
     spec, label, invariants, properties = request
@@ -251,20 +233,14 @@ def _run_explicit(args: argparse.Namespace, out, request, report,
     # --stats summary or the machine --stats-json file
     stats = ExploreStats() if (args.stats or args.stats_json) else None
     try:
-        engine = _explicit_engine(args, spec, properties)
+        engine = _explicit_engine(args)
     except CheckpointError as exc:
         print(f"error: {exc}", file=out)
         return 2
     run = engine.run(spec, invariants, properties, stats)
-
-    def print_notes() -> None:
-        for note in run.notes:
-            print(f"note: {note}", file=out)
-
     start = perf_counter()
     try:
         with run:
-            print_notes()
             report(run, label)
             if args.stats and stats is not None:
                 print(stats.summary(indent=indent), file=out)
@@ -272,7 +248,6 @@ def _run_explicit(args: argparse.Namespace, out, request, report,
                           "ok" if run.ok else "violation")
             return 0 if run.ok else 1
     except StateSpaceExplosion as exc:
-        print_notes()
         _leave_behind(args, engine, run, label, perf_counter() - start,
                       "explosion", error=str(exc))
         raise
@@ -435,7 +410,7 @@ def cmd_submit(args: argparse.Namespace, out) -> int:
             source, spec=args.spec,
             invariants=args.invariant or (),
             properties=args.property or (),
-            max_states=args.max_states, por=bool(args.por),
+            max_states=args.max_states,
             workers=args.workers, level_delay=args.level_delay,
             engine=args.engine, depth=args.depth)
     except QueueFullError as exc:
@@ -551,17 +526,6 @@ def _add_durability_flags(sub: argparse.ArgumentParser) -> None:
                           "(never changes the result)")
 
 
-def _add_scaling_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--por", dest="por", action="store_true", default=None,
-                     help="enable partial-order reduction derived from the "
-                          "spec's Disjoint decomposition (sound for "
-                          "invariants and deadlock; verdicts and reported "
-                          "traces are identical to a full run)")
-    sub.add_argument("--no-por", dest="por", action="store_false",
-                     help="force reduction off (on --resume this asserts "
-                          "the checkpoint was written without reduction)")
-
-
 def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
     """The exploration-engine flags ``check`` and ``explore`` share."""
     sub.add_argument("--max-states", type=_positive_int, default=200_000,
@@ -615,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "symbolic)")
     _add_engine_flags(check)
     _add_durability_flags(check)
-    _add_scaling_flags(check)
     check.set_defaults(func=cmd_check)
 
     exp = sub.add_parser("explore", help="explore the state space")
@@ -625,7 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="how many states to print")
     _add_engine_flags(exp)
     _add_durability_flags(exp)
-    _add_scaling_flags(exp)
     exp.set_defaults(func=cmd_explore)
 
     trace = sub.add_parser("trace", help="print a random behavior prefix")
@@ -687,9 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="temporal definition to check (repeatable)")
     submit.add_argument("--max-states", type=_positive_int, default=200_000)
     submit.add_argument("--workers", type=int, default=1)
-    submit.add_argument("--por", action="store_true", default=False,
-                        help="request partial-order reduction (same "
-                             "semantics as repro check --por)")
     submit.add_argument("--engine", choices=("explicit", "symbolic"),
                         default="explicit",
                         help="checking engine (same semantics as repro "

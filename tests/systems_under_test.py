@@ -27,7 +27,6 @@ from repro.checker import (
 )
 from repro.checker.liveness import check_temporal_implication, premises_of_spec
 from repro.checker.results import CheckResult
-from repro.engine import ExplicitEngine
 from repro.kernel.expr import And, Cmp, Exists, Len, Or, Var
 from repro.spec import Spec
 from repro.systems.arbiter import composed_system, starvation_property
@@ -43,15 +42,6 @@ from repro.systems.handshake import (
 from repro.systems.mutex import LamportMutex
 from repro.systems.paxos import Paxos
 from repro.systems.queue import DEFAULT_MSG, complete_queue
-
-
-def check_invariant_reduced(spec: Spec, invariant, name: str):
-    """One invariant through the check pipeline with reduction on -- the
-    path ``repro check --por`` and a ``por`` service request take.
-    Returns ``(result, reduction_used)``."""
-    with ExplicitEngine(por=True).run(spec, [(name, invariant)]) as run:
-        (_kind, result), = run.results
-        return result, run.reduction_used
 
 
 def handshake_system() -> Spec:

@@ -116,6 +116,17 @@ class TestExplore:
         assert "explore" in stats.phases
         assert "states/sec" in stats.format()
 
+    def test_stats_summary_reports_levels_and_peak_rss(self):
+        stats = ExploreStats()
+        explore(counter_spec(), stats=stats)
+        text = stats.summary()
+        assert "per-level:" in text
+        assert "real-edges" in text
+        assert "peak RSS:" in text
+        snapshot = stats.as_dict()
+        assert len(snapshot["levels"]) == stats.depth + 1
+        assert snapshot["peak_rss_kb"] >= 0
+
     def test_plan_build_is_a_named_phase(self):
         """Successor-plan construction shows beside ``explore`` (which
         contains it) on both engines, and costs nothing without stats."""

@@ -48,7 +48,7 @@ MODULE = "mutex:n=2,clock=2"
 
 HEADER = ["format", "version", "mode", "spec_name", "max_states",
           "workers", "checkpoint_every"]
-FULL_HEADER = HEADER + ["variables", "reduction"]
+FULL_HEADER = HEADER + ["variables"]
 COMPACT_HEADER = HEADER + ["codec_signature"]
 RECORD = {"nodes_from", "parent", "frontier", "depth", "levels",
           "elapsed_seconds", "stats"}
@@ -57,9 +57,7 @@ COMPACT_RECORD = RECORD | {"packed", "succ", "edge_count", "digest"}
 STATS = {"states", "edges", "stutter_edges", "init_states", "depth",
          "states_per_sec", "explore_seconds", "phases", "workers",
          "worker_stats", "coordinator_idle_seconds", "worker_retries",
-         "levels", "levels_seen", "por_enabled", "por_reason",
-         "por_counters", "peak_rss_kb",
-         "engine", "fingerprint_collisions", "collision_probability_bound"}
+         "levels", "levels_seen", "peak_rss_kb", "engine", "fingerprint_collisions", "collision_probability_bound"}
 # the stats keys a record carried while the worker fleet existed; logs
 # written then must still resume
 FLEET_STATS = {"node_losses": 1, "rebalances": 1, "reshipped_sources": 7,
@@ -249,6 +247,48 @@ def test_stats_restore_ignores_dropped_fleet_keys():
     assert stats.workers == 2 and stats.fingerprint_collisions == 3
     assert set(stats.as_dict()) == STATS
     assert not any(hasattr(stats, key) for key in FLEET_STATS)
+
+
+# ---------------------------------------------------------------------------
+# logs from before partial-order reduction was deleted
+# ---------------------------------------------------------------------------
+
+# the stats keys every record carried while reduction existed
+POR_STATS = {"por_enabled": None, "por_reason": None, "por_counters": {}}
+
+
+def test_unreduced_por_era_full_log_still_resumes(interrupted, tmp_path):
+    """A full log of that era names a null ``reduction`` in its header
+    and carries the reduction counters in its stats; unreduced, it is
+    today's log and resumes to the uninterrupted run's digest."""
+    log = json.loads(json.dumps(interrupted["full"]))  # deep copy
+    log[0]["reduction"] = None
+    for record in log[1:]:
+        record["stats"] = dict(record["stats"] or {}, **POR_STATS)
+    path = str(tmp_path / "por-era.ckpt")
+    write_log(path, log)
+    stats = ExploreStats()
+    graph = resume(path, mutex_spec(), max_states=10_000, stats=stats,
+                   checkpoint=None)
+    assert digest_of_graph(graph) == digest_of_graph(explore(mutex_spec()))
+    assert set(stats.as_dict()) == STATS
+
+
+def test_reduced_full_log_fails_closed(interrupted, tmp_path, capsys):
+    """A log written under reduction holds a reduced graph, which no
+    engine here can continue: it is refused in one line."""
+    log = json.loads(json.dumps(interrupted["full"]))  # deep copy
+    log[0]["reduction"] = {"observed_vars": ["cs1", "cs2"]}
+    path = str(tmp_path / "reduced.ckpt")
+    write_log(path, log)
+    with pytest.raises(CheckpointError,
+                       match="partial-order reduction") as excinfo:
+        resume(path, mutex_spec(), max_states=10_000, checkpoint=None)
+    assert "\n" not in str(excinfo.value)
+    assert cli_main(["explore", f"@{MODULE}", "--checkpoint", path,
+                     "--resume", "--max-states", "10000"]) == 2
+    out = capsys.readouterr().out
+    assert out == f"error: {excinfo.value}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,16 @@ class TestRandomSpecs:
     def test_graph_identical_serial(self, seed):
         assert_compact_matches_full(random_spec(seed), workers=1)
 
+    @pytest.mark.parametrize("seed", RANDOM_SEEDS)
+    def test_graph_identical_from_every_state(self, seed):
+        """``Init == TRUE``: every state of the universe is initial, so
+        the first frontier is the whole universe."""
+        rng = random.Random(seed)
+        universe = random_universe(rng)
+        spec = Spec(f"rand{seed}", Const(True), random_action(rng, universe),
+                    universe.variables, universe)
+        assert_compact_matches_full(spec, workers=1)
+
     @pytest.mark.parametrize("workers", [w for w in WORKER_COUNTS if w > 1])
     @pytest.mark.parametrize("seed", [0, 7, 13])
     def test_graph_identical_parallel(self, seed, workers):

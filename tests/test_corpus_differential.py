@@ -11,8 +11,6 @@ story on them.  For each corpus instance, at workers 1/2/4 (plus
   parents, edge/stutter accounting);
 * the compact (fingerprint-only) engine matches on everything
   observable, including the streaming graph digest;
-* partial-order reduction flips on/off without changing invariant
-  verdicts or rendered counterexample traces;
 * a run killed at a mid-BFS checkpoint and resumed -- full and compact
   engines both -- lands on the same digest as the uninterrupted run.
 
@@ -42,7 +40,6 @@ from repro.checker import (
 from repro.systems.mutex import LamportMutex
 from repro.systems.paxos import Paxos, v1a, v2a
 
-from .systems_under_test import check_invariant_reduced
 from .test_compact_differential import assert_compact_matches_full
 
 WORKER_COUNTS = [1, 2, 4]
@@ -124,33 +121,6 @@ class TestCompactEngine:
             # and parent pointers; it must render byte-identically
             assert (res_compact.counterexample.render()
                     == res_full.counterexample.render())
-
-
-class TestReduction:
-    @pytest.mark.parametrize("case", CORPUS_PARAMS)
-    def test_por_verdict_and_trace_identical(self, case):
-        system = case.make_system()
-        spec = system.complete_spec()
-        prop = case.property_of(system)
-        res_full = check_invariant(explore(spec), prop, name=case.id)
-        res_reduced, _used = check_invariant_reduced(spec, prop,
-                                                     name=case.id)
-        assert res_reduced.ok is res_full.ok is case.expect_ok
-        if not case.expect_ok:
-            assert (res_reduced.counterexample.render()
-                    == res_full.counterexample.render())
-
-    @pytest.mark.parametrize("workers", [w for w in WORKER_COUNTS if w > 1])
-    def test_reduced_exploration_deterministic_across_workers(self, workers):
-        # ample-set choices must not depend on the worker count
-        from repro.checker import ReductionConfig
-
-        spec = LamportMutex(2, 2).complete_spec()
-        serial = explore_parallel(spec, workers=1,
-                                  reduction=ReductionConfig(()))
-        parallel = explore_parallel(spec, workers=workers,
-                                    reduction=ReductionConfig(()))
-        assert graph_signature(parallel) == graph_signature(serial)
 
 
 class _StopAtLevel(Exception):

@@ -309,7 +309,7 @@ class TestCertificateProductPlans:
         gc.collect()
         assert not [obj for obj in gc.get_objects()
                     if isinstance(obj, SuccessorPlan)
-                    and obj.compiled.action is spec.next_action]
+                    and obj.universe is spec.universe]
 
 
 def test_verify_rounds_leave_no_compiled_actions_behind():
@@ -328,3 +328,26 @@ def test_verify_rounds_leave_no_compiled_actions_behind():
     for _ in range(2):
         live_after_a_round()
     assert live_after_a_round() == first
+
+
+def test_a_dropped_plan_frees_its_walker_without_the_cyclic_collector():
+    """A plan keeps no reference back to the compiled action that caches
+    it, so dropping both frees the plan's packed walker -- and every
+    footprint memo it holds -- by reference count alone."""
+    import gc
+    import weakref
+    from repro.checker import initial_states
+    from repro.systems.queue import QueueChain
+
+    spec = QueueChain(3, 1).complete_spec()
+    compiled = compile_action(spec.next_action)
+    plan = compiled.plan(spec.universe)
+    init = next(initial_states(spec.init, spec.universe))
+    assert list(plan.successors(init))
+    walker = weakref.ref(plan.packed)
+    gc.disable()
+    try:
+        del plan, compiled
+        assert walker() is None
+    finally:
+        gc.enable()

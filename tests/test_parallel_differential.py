@@ -22,7 +22,10 @@ from repro.checker import (
     ExploreStats,
     StateSpaceExplosion,
     explore,
+    explore_compact,
     explore_parallel,
+    resume,
+    resume_compact,
 )
 from repro.kernel.expr import And, Exists, Or, Var
 from repro.spec import Spec
@@ -36,6 +39,8 @@ from repro.systems.handshake import (
     send,
 )
 from repro.systems.queue import DEFAULT_MSG, complete_queue
+
+from .test_fault_injection import _kill_once
 
 
 def handshake_system() -> Spec:
@@ -146,3 +151,41 @@ def test_workers_zero_resolves_to_cores():
 def test_negative_workers_rejected():
     with pytest.raises(ValueError):
         explore_parallel(complete_queue(2), workers=-1)
+
+
+# ---------------------------------------------------------------------------
+# option validation: no silent degradation to the serial engine
+# ---------------------------------------------------------------------------
+
+
+def test_explicit_serial_with_parallel_only_options_rejected():
+    spec = complete_queue(2)
+    with pytest.raises(ValueError, match="serial"):
+        explore_parallel(spec, workers=1, worker_timeout=5.0)
+    with pytest.raises(ValueError, match="serial"):
+        explore_parallel(spec, workers=1, fault_hook=_kill_once)
+
+
+def test_resume_paths_validate_options_like_fresh_runs(tmp_path):
+    """The same two rejections on both resume entry points: they share
+    the fresh runs' option resolver."""
+    spec = complete_queue(2)
+    full, compact = str(tmp_path / "full"), str(tmp_path / "compact")
+    explore(spec, checkpoint=full)
+    explore_compact(spec, checkpoint=compact)
+    for resumer, path in ((resume, full), (resume_compact, compact)):
+        with pytest.raises(ValueError, match="serial"):
+            resumer(path, spec, workers=1, worker_timeout=5.0)
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            resumer(path, spec, workers=-3)
+
+
+def test_autosized_workers_keep_parallel_options():
+    """workers=0 resolves to the core count and is exempt from the
+    explicit-workers=1 rejection (it never *silently* degrades)."""
+    spec = complete_queue(2)
+    serial = explore(spec)
+    graph = explore_parallel(spec, workers=0, worker_timeout=60.0)
+    assert graph.states == serial.states
+    assert graph.succ == serial.succ
+    assert graph.parent == serial.parent

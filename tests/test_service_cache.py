@@ -47,7 +47,7 @@ class TestFingerprint:
     def test_semantic_knobs_all_change_the_key(self):
         base = fp()
         assert fp(max_states=10) != base
-        assert fp(por=True) != base
+        assert fp(engine="symbolic") != base
         assert CheckRequest(module_source=COUNTER_TLA,
                             invariants=("TooSmall",)).fingerprint() != base
         assert CheckRequest(module_source=COUNTER_TLA,

@@ -135,6 +135,69 @@ class TestRetryLoop:
             assert "team-7" in client.tenants()
 
 
+SLOW_TLA = """
+MODULE Slow
+VARIABLE x \\in 0..20
+Init == x = 0
+Next == x' = IF x < 20 THEN x + 1 ELSE x
+Spec == Init /\\ [][Next]_<<x>>
+Bound == x <= 20
+"""
+
+
+class TestWait:
+    """``wait`` follows the job's event stream: one look at the job
+    before and one after, however long the job runs."""
+
+    def slow_job(self, client):
+        # 21 BFS levels, each paced 0.05 s: about a second of running
+        return client.submit(SLOW_TLA, invariants=["Bound"],
+                             level_delay=0.05)["job"]["id"]
+
+    def test_follows_the_stream_instead_of_polling(self, tmp_path,
+                                                   monkeypatch):
+        with BackgroundServer(str(tmp_path / "svc")) as server:
+            client = ServiceClient(server.url)
+            job_id = self.slow_job(client)
+            looks = []
+            real_job = client.job
+            monkeypatch.setattr(client, "job", lambda job_id: looks.append(
+                job_id) or real_job(job_id))
+            final = client.wait(job_id, timeout=60)
+        assert final["state"] == "done"
+        assert final["result"]["verdict"] == "ok"
+        assert looks == [job_id, job_id]
+
+    def test_reopens_a_stream_that_ends_before_the_job(self, tmp_path,
+                                                       monkeypatch):
+        with BackgroundServer(str(tmp_path / "svc")) as server:
+            client = ServiceClient(server.url)
+            job_id = self.slow_job(client)
+            opened = []
+            real_events = client.events
+
+            def events(job_id, timeout=None):
+                opened.append(job_id)
+                if len(opened) == 1:
+                    return (event for event in ())  # closed at once
+                return real_events(job_id, timeout=timeout)
+
+            monkeypatch.setattr(client, "events", events)
+            final = client.wait(job_id, timeout=60)
+        assert final["state"] == "done"
+        assert len(opened) == 2
+
+    def test_timeout_names_the_state_it_left_the_job_in(self, tmp_path):
+        with BackgroundServer(str(tmp_path / "svc")) as server:
+            client = ServiceClient(server.url)
+            job_id = self.slow_job(client)
+            with pytest.raises(TimeoutError) as excinfo:
+                client.wait(job_id, timeout=0.2)
+            client.cancel(job_id)
+        assert str(excinfo.value).startswith(f"job {job_id} still ")
+        assert str(excinfo.value).endswith(" after 0.2s")
+
+
 class TestAdminVerbs:
     @pytest.fixture
     def server(self, tmp_path):

@@ -766,6 +766,25 @@ class TestJournalIsTheStore:
         for job_id in lines:   # finished jobs are never claimed again
             assert after[job_id]["counts"] == folded[job_id]["counts"]
 
+    def test_reduction_era_job_runs_unreduced(self, tmp_path):
+        """A job an older front journaled with ``"por": true,
+        "compact": false`` replays from the journal and finishes with
+        the verdict, trace and digest of the same request unreduced."""
+        plain = counter_request(invariants=("TooSmall",))
+        JobJournal(str(tmp_path / "journal")).append(
+            "submitted", "a00000000001", tenant="default",
+            fingerprint="0" * 64,
+            request=dict(plain.to_dict(), por=True, compact=False))
+        seen, manager = restart(tmp_path, states)
+        assert seen == {"a00000000001": "queued"}
+        job, = manager.jobs()
+        assert job.state == "done" and job.request == plain
+        reference = run_check(plain)
+        assert job.result["verdict"] == reference["verdict"] == "violation"
+        assert job.result["checks"] == reference["checks"]
+        assert job.result["graph_digest"] == reference["graph_digest"]
+        assert reconciles(manager) == (1.0, 1.0)
+
     def test_state_dir_holds_no_record_files_or_metrics(self, tmp_path):
         async def scenario():
             manager = JobManager(str(tmp_path), pool_size=1)
@@ -932,15 +951,27 @@ class TestRequestValidation:
         assert "at most" not in str(excinfo.value)
 
 
+@pytest.fixture
+def run_check_full(monkeypatch):
+    """``run_check`` with the pipeline's engine choice pinned to the full
+    dict-backed engine -- the reference a compact run must reproduce."""
+    def run(request):
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.engine.choose_mode",
+                          lambda *args, **kwargs: "parallel")
+            return run_check(request)
+    return run
+
+
 class TestCompactRequests:
     """The compact engine is the service's default: same verdict, same
-    trace, same graph digest as the full engine (what ``por`` still
-    selects), properties included and with no note, and a retired
-    ``compact`` field in a request is accepted and dropped."""
+    trace, same graph digest as the full engine, properties included
+    and with no note, and the retired ``compact`` and ``por`` fields of
+    a request are accepted and dropped."""
 
-    def test_verdict_trace_and_digest_match_full(self):
-        full = run_check(counter_request(invariants=("Small", "TooSmall"),
-                                         por=True))
+    def test_verdict_trace_and_digest_match_full(self, run_check_full):
+        full = run_check_full(counter_request(
+            invariants=("Small", "TooSmall")))
         compact = run_check(counter_request(
             invariants=("Small", "TooSmall")))
         assert compact["verdict"] == full["verdict"] == "violation"
@@ -958,30 +989,26 @@ class TestCompactRequests:
         assert result["verdict"] == "ok"
         assert result["notes"] == []
         assert result["stats"]["engine"] == "compact"
-        # reduction asked for and switched off by the property: compact
-        result = run_check(counter_request(properties=("Progress",),
-                                           por=True))
-        assert result["verdict"] == "ok"
-        assert result["stats"]["engine"] == "compact"
 
-    def test_explosion_verdict_matches_full(self):
-        full = run_check(chain_request(max_states=5, por=True))
+    def test_explosion_verdict_matches_full(self, run_check_full):
+        full = run_check_full(chain_request(max_states=5))
         compact = run_check(chain_request(max_states=5))
         assert compact["verdict"] == full["verdict"] == "explosion"
         assert compact["error"] == full["error"]
 
     def test_from_dict_accepts_and_roundtrips_compact(self):
-        """Journals and clients from before the field was retired still
-        load: ``compact`` is accepted, dropped, and leaves neither the
-        request nor its cache identity different."""
+        """Journals and clients from before a field was retired still
+        load: ``compact`` and ``por`` are accepted, dropped, and leave
+        neither the request nor its cache identity different."""
         plain = CheckRequest.from_dict({"module_source": COUNTER_TLA})
-        for flag in (True, False):
-            request = CheckRequest.from_dict(
-                {"module_source": COUNTER_TLA, "compact": flag})
-            assert request == plain
-            assert request.fingerprint() == plain.fingerprint()
-        assert "compact" not in plain.to_dict()
-        assert "compact" not in plain.semantic_config()
+        for field in ("compact", "por"):
+            for flag in (True, False):
+                request = CheckRequest.from_dict(
+                    {"module_source": COUNTER_TLA, field: flag})
+                assert request == plain
+                assert request.fingerprint() == plain.fingerprint()
+            assert field not in plain.to_dict()
+            assert field not in plain.semantic_config()
         assert CheckRequest.from_dict(plain.to_dict()) == plain
 
     @pytest.mark.parametrize("payload, fragment", [
@@ -991,7 +1018,7 @@ class TestCompactRequests:
         with pytest.raises(ValueError, match=fragment):
             CheckRequest.from_dict(payload)
 
-    def test_compact_job_through_the_manager(self, tmp_path):
+    def test_compact_job_through_the_manager(self, tmp_path, run_check_full):
         async def scenario():
             manager = JobManager(str(tmp_path / "svc"), pool_size=1)
             await manager.start()
@@ -1007,6 +1034,5 @@ class TestCompactRequests:
         assert job.state == "done"
         assert job.result["verdict"] == "violation"
         assert job.result["stats"]["engine"] == "compact"
-        reference = run_check(counter_request(invariants=("TooSmall",),
-                                              por=True))
+        reference = run_check_full(counter_request(invariants=("TooSmall",)))
         assert job.result["graph_digest"] == reference["graph_digest"]

@@ -456,23 +456,20 @@ class TestUsageErrorPaths:
 
     def test_resume_with_missing_checkpoint_file(self, module_file,
                                                  tmp_path):
-        for extra in ((), ("--por",)):
-            code, text = run_cli("check", module_file, "--checkpoint",
-                                 str(tmp_path / "nope.ckpt"), "--resume",
-                                 *extra)
-            assert code == 2
-            assert "error: cannot resume" in text
-            assert "does not exist" in text
+        code, text = run_cli("check", module_file, "--checkpoint",
+                             str(tmp_path / "nope.ckpt"), "--resume")
+        assert code == 2
+        assert "error: cannot resume" in text
+        assert "does not exist" in text
 
     def test_resume_with_corrupt_checkpoint(self, module_file, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_text("{not json")
-        for extra in ((), ("--por",)):
-            code, text = run_cli("check", module_file, "--checkpoint",
-                                 str(bad), "--resume", *extra)
-            assert code == 2
-            assert "error:" in text and "unreadable checkpoint" in text
-            assert "Traceback" not in text
+        code, text = run_cli("check", module_file, "--checkpoint",
+                             str(bad), "--resume")
+        assert code == 2
+        assert "error:" in text and "unreadable checkpoint" in text
+        assert "Traceback" not in text
 
     def test_resume_with_non_object_checkpoint(self, module_file, tmp_path):
         bad = tmp_path / "list.ckpt"
@@ -492,12 +489,11 @@ class TestUsageErrorPaths:
         assert "error:" in text
 
     def test_resume_continues_on_the_engine_that_wrote_the_log(
-            self, module_file, tmp_path):
+            self, module_file, tmp_path, run_cli_full):
         full_cp = str(tmp_path / "full.ckpt")
         compact_cp = str(tmp_path / "compact.ckpt")
-        # --por selects the full engine; the default run is compact
-        assert run_cli("check", module_file, "--invariant", "Small",
-                       "--por", "--checkpoint", full_cp)[0] == 0
+        assert run_cli_full("check", module_file, "--invariant", "Small",
+                            "--checkpoint", full_cp)[0] == 0
         assert run_cli("check", module_file, "--invariant", "Small",
                        "--checkpoint", compact_cp)[0] == 0
         assert read_checkpoint(full_cp).mode is None
@@ -508,12 +504,20 @@ class TestUsageErrorPaths:
                                  "--stats")
             assert code == 0
             assert ("engine: compact" in text) == (path == compact_cp)
-        # the compact engine has no reduction to resume under
-        code, text = run_cli("check", module_file, "--invariant", "Small",
-                             "--checkpoint", compact_cp, "--resume", "--por")
-        assert code == 2
-        assert text.startswith(f"error: {compact_cp}: ")
-        assert "compact engine" in text
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "--por"), ("check", "--no-por"), ("explore", "--por"),
+        ("submit", "--por"),
+    ])
+    def test_retired_reduction_flags_are_usage_errors(self, module_file,
+                                                      capsys, argv):
+        """Partial-order reduction is gone: its flags exit 2 naming
+        themselves, before any module is read or server contacted."""
+        verb, flag = argv
+        with pytest.raises(SystemExit) as exited:
+            main([verb, module_file, flag])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_help_lists_no_engine_or_store_flag(self, capsys):
         for verb in ("check", "explore", "submit"):
@@ -521,7 +525,7 @@ class TestUsageErrorPaths:
                 main([verb, "--help"])
             text = capsys.readouterr().out
             for flag in ("--compact", "--store", "--spill-dir",
-                         "--spill-cache"):
+                         "--spill-cache", "--por"):
                 assert flag not in text, (verb, flag)
 
 
@@ -560,11 +564,6 @@ class TestBundledModules:
         code, text = run_cli("check", "@mutex:n=2,clock=2",
                              "--invariant", "MutualExclusion")
         assert (code, text) == (ref_code, ref_text)
-
-    def test_bundled_por_same_verdict(self):
-        code, text = run_cli("check", "@mutex:n=2,clock=2,broken", "--por",
-                             "--invariant", "MutualExclusion")
-        assert code == 1
 
     def test_unknown_bundled_name_is_exit_two(self):
         code, text = run_cli("check", "@nope")
@@ -605,7 +604,8 @@ Spec == Init /\\ [][Next]_<<x>>
 Small == x < 3
 """
 
-    def test_oversized_domain_exits_two_with_the_reason(self, tmp_path):
+    def test_oversized_domain_exits_two_with_the_reason(self, tmp_path,
+                                                         run_cli_full):
         from repro.kernel.packed import MAX_DOMAIN_SIZE, support_problem
         from repro.parser import load_module
 
@@ -615,9 +615,8 @@ Small == x < 3
         assert spec.universe.domain("x").size() == MAX_DOMAIN_SIZE + 1
         reason = support_problem(spec)
         assert reason is not None
-        for engine_args in ((), ("--por",)):
-            code, text = run_cli("check", str(path), "--invariant", "Small",
-                                 *engine_args)
+        for run in (run_cli, run_cli_full):
+            code, text = run("check", str(path), "--invariant", "Small")
             assert code == 2
             assert text.strip().splitlines()[-1] == f"error: {reason}"
 
