@@ -57,7 +57,8 @@ from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..kernel.behavior import FiniteBehavior
-from ..kernel.expr import Expr, to_expr
+from ..kernel.expr import Env, Expr, to_expr
+from ..kernel.guard import ERR, Leaf
 from ..kernel.packed import CompactUnsupported, PackedPlan
 from ..spec import Spec
 from .bfs import drive, resolve_options
@@ -531,9 +532,9 @@ def check_invariant_compact(
     over a pre-explored graph: same scan order (node-id order, so the
     first violation -- and hence the counterexample trace -- is
     identical to the full engine's), same ``TypeError`` on a non-bool
-    predicate, same ``CheckResult`` shape.  Evaluation is memoized on
-    the packed footprint of the invariant's free variables, so states
-    are only decoded once per distinct footprint.
+    predicate, same ``CheckResult`` shape.  The invariant is one guard
+    :class:`~repro.kernel.guard.Leaf`, memoized on its packed footprint,
+    so states are only decoded once per distinct footprint.
     """
     invariant = to_expr(invariant)
     label = name or "invariant"
@@ -541,19 +542,19 @@ def check_invariant_compact(
         run_stats.record_graph(graph)
     stats = {"states": graph.state_count, "edges": graph.edge_count,
              "stutter": graph.stutter_count}
-    mask = graph.codec.mask_of(invariant.free_vars())
+    leaf = Leaf(invariant, graph.codec)
+    memo, mask = leaf.memo, leaf.pmask
     decode = graph.codec.decode
-    memo: Dict[int, bool] = {}
     with maybe_phase(run_stats, f"invariant:{label}"):
         for node, packed in enumerate(graph.packed):
             key = packed & mask
             value = memo.get(key)
             if value is None:
-                value = invariant.eval_state(decode(packed))
-                if not isinstance(value, bool):
-                    raise TypeError(
-                        f"invariant {invariant!r} returned {value!r}")
-                memo[key] = value
+                state = decode(packed)
+                value = memo[key] = leaf.read(Env(state))
+                if value == ERR:  # re-read: an EvalError propagates
+                    raise TypeError(f"invariant {invariant!r} returned "
+                                    f"{invariant.eval_state(state)!r}")
             if not value:
                 return CheckResult(
                     label,

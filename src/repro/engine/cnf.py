@@ -24,53 +24,30 @@ variables) -- and stamped out per unrolling depth by renumbering:
   asserted at the last frame, and per-variable clauses forbidding the
   unused codes of fields whose domain is not a power of two.
 
-Guard expressions are compiled with the same three-valued (0 / 1 / ERR)
-semantics as ``packed.py``'s guard trees: every connective node carries
-a (value, err) literal pair, ``err`` propagates in short-circuit order,
-and a branch selector asserts ``value AND NOT err`` for each conjunct --
-an ``EvalError`` anywhere disables the branch, exactly as
-``SuccessorPlan.successors`` treats it.  Leaves are compiled by
-enumerating their (tiny) support -- the product of the domains they
-read -- into one clause per combination; quantifiers are expanded over
-their finite domains first, which is what keeps leaf supports tiny.
-Specs whose leaves read unboundedly large supports raise
-:class:`SymbolicUnsupported`; callers fall back to the explicit engine.
+Guards are encoded from the walker's own three-valued DAG
+(:mod:`repro.kernel.guard`; DESIGN.md 4g): each node becomes a (value,
+err) literal pair, each leaf or field one clause per row of its
+``table()``, after quantifiers are expanded over their finite domains.
+A spec no table can cover raises :class:`SymbolicUnsupported`.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import namedtuple
 from typing import Dict, List, Optional, Tuple
 
 from ..kernel.action import compile_action
-from ..kernel.expr import (
-    And,
-    Const,
-    Env,
-    Equiv,
-    EvalError,
-    Exists,
-    Expr,
-    Forall,
-    Implies,
-    Not,
-    Or,
-    Var,
-)
+from ..kernel.expr import (And, Const, Equiv, Exists, Expr, Forall, Implies,
+                           Not, Or, Var, _Nary)
+from ..kernel.guard import (DEAD, ERR, AndNode, EquivNode, Guards,
+                            ImpliesNode, NotNode, OrNode, Untabulable)
 from ..kernel.packed import PackedCodec, support_problem
 from ..kernel.state import State
 
 __all__ = ["SymbolicUnsupported", "Translation"]
 
-_ERR = 2  # third truth value, matching packed.py's guard trees
-_DEAD = object()  # EvalError sentinel: matches no domain value
-
-# A leaf may read at most this many (pre x post) domain combinations;
-# beyond it the enumeration encoding stops paying for itself and the
-# caller should use the explicit engine instead.
-MAX_LEAF_SUPPORT = 4096
-# Total encoded connective/leaf instances per template (quantifier
-# expansion can explode; this bounds the translation, not the solver).
+# Quantifier instances plus encoded guard nodes per template: this bounds
+# the translation (expansion can explode), not the solver.
 MAX_NODES = 200_000
 
 _TRUE = 1
@@ -81,38 +58,46 @@ class SymbolicUnsupported(Exception):
     """This spec cannot be translated to CNF; use the explicit engine."""
 
 
-class _Template:
-    """Clauses over an abstract frame interface.
+#: Clauses over an abstract frame interface: template variable 1 is TRUE,
+#: ``2 .. interface+1`` are the frame bits (pre block, then any post block),
+#: and those above are auxiliary, renumbered fresh per instantiation.
+_Template = namedtuple("_Template", "interface num_aux clauses")
 
-    Template variable 1 is the global TRUE constant; variables
-    ``2 .. interface+1`` are the frame bits (pre block then, for
-    two-frame templates, post block); anything above is auxiliary and
-    renumbered fresh per instantiation.
-    """
 
-    __slots__ = ("interface", "num_aux", "clauses")
+class _Some(Or):
+    """An expanded ``Exists``: the Or of its instances as listed (``Or``
+    would flatten them), keyed as the quantifier, so the guard build
+    shares it exactly where it would share the quantifier."""
 
-    def __init__(self, interface: int, num_aux: int,
-                 clauses: List[List[int]]):
-        self.interface = interface
-        self.num_aux = num_aux
-        self.clauses = clauses
+    __slots__ = ("_key",)
+
+    def __init__(self, quant: Expr, instances: List[Expr]):
+        _Nary.__init__(self, instances)
+        self._key = quant.key()
+
+    def key(self):
+        return self._key
+
+
+class _Every(And):
+    """An expanded ``Forall``, as :class:`_Some` is an ``Exists``."""
+
+    __slots__ = ("_key",)
+    __init__, key = _Some.__init__, _Some.key
 
 
 class _Builder:
     """Accumulates template clauses and the three-valued encoding."""
 
-    def __init__(self, codec: PackedCodec, frames: int,
-                 max_leaf_support: int = MAX_LEAF_SUPPORT):
+    def __init__(self, codec: PackedCodec, frames: int):
         self.codec = codec
         self.bits = codec.bits
-        self.frames = frames
         self.interface = frames * codec.bits
         self._next = self.interface + 2
         self.clauses: List[List[int]] = []
-        self.max_leaf_support = max_leaf_support
         self.nodes = 0
-        self._registry: Dict[object, Tuple[int, int]] = {}
+        self.guards = Guards(codec)
+        self._pairs: Dict[object, Tuple[int, int]] = {}
 
     # -- raw CNF -------------------------------------------------------------
 
@@ -128,8 +113,8 @@ class _Builder:
         return _Template(self.interface, self._next - self.interface - 2,
                          self.clauses)
 
-    def _tick(self) -> None:
-        self.nodes += 1
+    def _tick(self, count: int = 1) -> None:
+        self.nodes += count
         if self.nodes > MAX_NODES:
             raise SymbolicUnsupported(
                 f"translation exceeds {MAX_NODES} nodes "
@@ -151,6 +136,14 @@ class _Builder:
     def _neq_code_lits(self, name: str, code: int, primed: bool) -> List[int]:
         """Literals whose disjunction says the field differs from *code*."""
         return [-lit for lit in self._eq_code_lits(name, code, primed)]
+
+    def _differs(self, support, codes) -> List[int]:
+        """Literals whose disjunction says the support's fields differ
+        from *codes* (a table row's guard)."""
+        differs: List[int] = []
+        for (name, primed), code in zip(support, codes):
+            differs.extend(self._neq_code_lits(name, code, primed))
+        return differs
 
     # -- gates ---------------------------------------------------------------
 
@@ -174,60 +167,73 @@ class _Builder:
     def define_or(self, lits: List[int]) -> int:
         return -self.define_and([-lit for lit in lits])
 
-    # -- three-valued expression encoding ------------------------------------
-    #
-    # encode() returns a (value, err) literal pair with the invariant
-    # that err=true forces value=false; err is the constant FALSE for
-    # subtrees that provably cannot raise EvalError, which keeps the
-    # common all-total case free of error plumbing.
+    # -- quantifier expansion ------------------------------------------------
 
-    def encode(self, expr: Expr) -> Tuple[int, int]:
-        key = expr.key()
-        cached = self._registry.get(key)
-        if cached is not None:
-            return cached
-        self._tick()
-        pair = self._encode(expr)
-        self._registry[key] = pair
+    def _expand(self, expr: Expr) -> Expr:
+        """*expr* with each quantifier it reaches through connectives
+        replaced by the Or / And of its instances; connectives are
+        rebuilt only where a child changed, and never flattened."""
+        if isinstance(expr, (Exists, Forall)):
+            values = list(expr.domain.values())
+            self._tick(len(values))
+            kind = _Some if isinstance(expr, Exists) else _Every
+            return kind(expr, [
+                self._expand(expr.body.substitute({expr.var: Const(value)}))
+                for value in values])
+        if not isinstance(expr, (And, Or, Not, Implies, Equiv)):
+            return expr
+        args = [self._expand(arg) for arg in expr.args]
+        if all(new is old for new, old in zip(args, expr.args)):
+            return expr
+        out = object.__new__(type(expr))
+        _Nary.__init__(out, args)
+        return out
+
+    # -- three-valued encoding -----------------------------------------------
+    #
+    # encode() returns a (value, err) literal pair per guard node with the
+    # invariant that err=true forces value=false; err is the constant
+    # FALSE for subtrees that provably cannot raise EvalError, which keeps
+    # the common all-total case free of error plumbing.
+
+    def guard(self, expr: Expr) -> Tuple[int, int]:
+        """The (value, err) pair of *expr*, quantifiers expanded."""
+        return self.encode(self.guards.build(self._expand(expr)))
+
+    def encode(self, node) -> Tuple[int, int]:
+        pair = self._pairs.get(node)
+        if pair is None:
+            self._tick()
+            pair = self._pairs[node] = self._encode(node)
         return pair
 
-    def _encode(self, expr: Expr) -> Tuple[int, int]:
-        if isinstance(expr, And):
-            return self._encode_and([self.encode(a) for a in expr.args])
-        if isinstance(expr, Or):
-            return self._encode_or([self.encode(a) for a in expr.args])
-        if isinstance(expr, Not):
-            v, e = self.encode(expr.arg)
+    def _encode(self, node) -> Tuple[int, int]:
+        kind = type(node)
+        if kind is AndNode:
+            return self._encode_and([self.encode(c) for c in node.children])
+        if kind is OrNode:
+            return self._encode_or([self.encode(c) for c in node.children])
+        if kind is NotNode:
+            v, e = self.encode(node.children[0])
             return self.define_and([-v, -e]), e
-        if isinstance(expr, Implies):
-            va, ea = self.encode(expr.args[0])
-            vb, eb = self.encode(expr.args[1])
+        if kind is ImpliesNode:
+            (va, ea), (vb, eb) = map(self.encode, node.children)
             err = self.define_or([ea, self.define_and([va, eb])])
             val = self.define_or([self.define_and([-va, -ea]),
                                   self.define_and([va, vb])])
             return val, err
-        if isinstance(expr, Equiv):
-            va, ea = self.encode(expr.args[0])
-            vb, eb = self.encode(expr.args[1])
+        if kind is EquivNode:
+            (va, ea), (vb, eb) = map(self.encode, node.children)
             err = self.define_or([ea, eb])
             val = self.define_or([
                 self.define_and([va, vb]),
                 self.define_and([-va, -ea, -vb, -eb])])
             return val, err
-        if isinstance(expr, Exists):
-            return self._encode_or(
-                [self.encode(expr.body.substitute({expr.var: Const(value)}))
-                 for value in expr.domain.values()])
-        if isinstance(expr, Forall):
-            return self._encode_and(
-                [self.encode(expr.body.substitute({expr.var: Const(value)}))
-                 for value in expr.domain.values()])
-        return self._encode_leaf(expr)
+        return self._encode_leaf(node)
 
     def _encode_and(self, pairs: List[Tuple[int, int]]) -> Tuple[int, int]:
         # value: all children true.  err: some child errs while every
-        # child *before* it is true (short-circuit order, as in
-        # packed._AndNode / Expr.holds).
+        # child *before* it is true.
         val = self.define_and([v for v, _e in pairs])
         err_terms = []
         prefix = _TRUE
@@ -254,136 +260,53 @@ class _Builder:
         err = self.define_or(err_terms) if err_terms else _FALSE
         return val, err
 
-    # -- leaves --------------------------------------------------------------
-
-    def _support(self, expr: Expr) -> List[Tuple[str, bool]]:
-        names = [(name, False) for name in sorted(expr.free_vars())]
-        names += [(name, True) for name in sorted(expr.primed_vars())]
-        for name, _primed in names:
-            if name not in self.codec.shift:
-                raise SymbolicUnsupported(
-                    f"leaf {expr!r} reads {name!r}, which is not a "
-                    f"packed state variable")
-        return names
-
-    def _enumerate(self, expr: Expr, support: List[Tuple[str, bool]]):
-        """Yield ``(codes, value)`` over the leaf's support product,
-        where value is 0/1/_ERR exactly as ``packed._Leaf`` computes it."""
-        count = 1
-        for name, _primed in support:
-            count *= len(self.codec.values[name])
-        if count > self.max_leaf_support:
-            raise SymbolicUnsupported(
-                f"leaf {expr!r} reads {count} domain combinations "
-                f"(cap {self.max_leaf_support})")
-        ranges = [range(len(self.codec.values[name]))
-                  for name, _primed in support]
-        for codes in itertools.product(*ranges):
-            pre: Dict[str, object] = {}
-            post: Dict[str, object] = {}
-            for (name, primed), code in zip(support, codes):
-                target = post if primed else pre
-                target[name] = self.codec.values[name][code]
-            env = Env(State._trusted(pre),
-                      State._trusted(post) if post else None)
-            try:
-                value = 1 if expr.holds(env) else 0
-            except EvalError:
-                value = _ERR
-            yield codes, value
-
-    def _encode_leaf(self, expr: Expr) -> Tuple[int, int]:
-        if isinstance(expr, Const):
-            if expr.value is True:
-                return _TRUE, _FALSE
-            if expr.value is False:
-                return _FALSE, _FALSE
-        unchanged = self._as_unchanged(expr)
-        if unchanged is not None:
-            eqs = [self.define_or([
-                       self.define_and([self.bit(unchanged, i, False),
-                                        self.bit(unchanged, i, True)]),
-                       self.define_and([-self.bit(unchanged, i, False),
-                                        -self.bit(unchanged, i, True)])])
-                   for i in range(self.codec.width[unchanged])]
-            return self.define_and(eqs), _FALSE
-        support = self._support(expr)
-        rows = list(self._enumerate(expr, support))
+    def _encode_leaf(self, leaf) -> Tuple[int, int]:
+        name = self._as_unchanged(leaf.expr)
+        if name is not None:
+            bits = [(self.bit(name, i, False), self.bit(name, i, True))
+                    for i in range(self.codec.width[name])]
+            return self.define_and([
+                self.define_or([self.define_and([a, b]),
+                                self.define_and([-a, -b])])
+                for a, b in bits]), _FALSE
+        support, rows = leaf.table()
         seen = {value for _codes, value in rows}
-        if seen == {1}:
-            return _TRUE, _FALSE
-        if seen == {0}:
-            return _FALSE, _FALSE
-        if seen == {_ERR}:
-            return _FALSE, _TRUE
+        if len(seen) == 1:  # constant on its support
+            return {1: (_TRUE, _FALSE), 0: (_FALSE, _FALSE),
+                    ERR: (_FALSE, _TRUE)}[seen.pop()]
         val = self.new_var()
-        err = self.new_var() if _ERR in seen else _FALSE
+        err = self.new_var() if ERR in seen else _FALSE
         for codes, value in rows:
-            differs: List[int] = []
-            for (name, primed), code in zip(support, codes):
-                differs.extend(self._neq_code_lits(name, code, primed))
+            differs = self._differs(support, codes)
             self.add(differs + [val if value == 1 else -val])
             if err != _FALSE:
-                self.add(differs + [err if value == _ERR else -err])
+                self.add(differs + [err if value == ERR else -err])
         return val, err
 
     def _as_unchanged(self, expr: Expr) -> Optional[str]:
         """``x' = x`` (either orientation) -- encoded as bit equality
         instead of a |domain|^2 enumeration."""
-        if type(expr).__name__ != "Eq" or len(expr.args) != 2:
-            return None
-        lhs, rhs = expr.args
-        if (isinstance(lhs, Var) and isinstance(rhs, Var)
-                and lhs.name == rhs.name and lhs.primed != rhs.primed
-                and lhs.name in self.codec.shift):
-            return lhs.name
+        if type(expr).__name__ == "Eq" and len(expr.args) == 2:
+            lhs, rhs = expr.args
+            if (isinstance(lhs, Var) and isinstance(rhs, Var)
+                    and lhs.name == rhs.name and lhs.primed != rhs.primed
+                    and lhs.name in self.codec.shift):
+                return lhs.name
         return None
 
     def encode_assignment(self, name: str, expr: Expr) -> int:
-        """The CNF value of binding/check ``name' = expr`` (*expr*
-        prime-free, per ``_as_binding``).
-
-        Enumerates only *expr*'s pre-state support: each combination
-        either determines a valid code for ``name`` (value literal
-        biconditional with "post field = code") or is dead -- EvalError
-        and out-of-domain results disable the branch exactly as
-        ``SuccessorPlan.successors`` drops those candidates.
-        """
+        """The CNF value of binding/check ``name' = expr``: per row of its
+        field's table, a code (value literal iff "post field = code") or
+        DEAD, which disables the branch as the walker drops the row."""
         self._tick()
-        support = self._support(expr)
-        width = self.codec.width[name]
-        codes = self.codec.codes[name]
-        count = 1
-        for sname, _primed in support:
-            count *= len(self.codec.values[sname])
-        if count > self.max_leaf_support:
-            raise SymbolicUnsupported(
-                f"binding {name}' = {expr!r} reads {count} domain "
-                f"combinations (cap {self.max_leaf_support})")
+        support, rows = self.guards.field(name, expr).table()
         val = self.new_var()
-        ranges = [range(len(self.codec.values[sname]))
-                  for sname, _primed in support]
-        for combo in itertools.product(*ranges):
-            pre: Dict[str, object] = {}
-            for (sname, _primed), code in zip(support, combo):
-                pre[sname] = self.codec.values[sname][code]
-            differs: List[int] = []
-            for (sname, primed), code in zip(support, combo):
-                differs.extend(self._neq_code_lits(sname, code, primed))
-            try:
-                value = expr.eval(Env(State._trusted(pre)))
-            except EvalError:
-                value = _DEAD
-            try:
-                target = codes.get(value)
-            except TypeError:
-                target = None  # unhashable result can match no code
-            if target is None:
+        for codes, target in rows:
+            differs = self._differs(support, codes)
+            if target == DEAD:
                 self.add(differs + [-val])
                 continue
-            for i in range(width):
-                bit = self.bit(name, i, True)
-                lit = bit if (target >> i) & 1 else -bit
+            for lit in self._eq_code_lits(name, target, True):
                 self.add(differs + [-val, lit])
             self.add(differs + self._neq_code_lits(name, target, True)
                      + [val])
@@ -396,19 +319,12 @@ def _build_transition(codec: PackedCodec, spec) -> _Template:
     selectors: List[int] = []
     for bp in plan.branch_plans:
         sel = b.new_var()
-        conjuncts: List[Tuple[int, int]] = []
-        for name, expr, _domain in bp.bindings:
-            conjuncts.append((b.encode_assignment(name, expr), _FALSE))
-        for name, expr in bp.checks:
-            conjuncts.append((b.encode_assignment(name, expr), _FALSE))
-        for expr in bp.pre_constraints + bp.step_constraints:
-            conjuncts.append(b.encode(expr))
-        dead = False
-        for v, e in conjuncts:
-            if v == _FALSE or e == _TRUE:
-                dead = True
-                break
-        if dead:
+        assigned = [(name, expr) for name, expr, _dom in bp.bindings]
+        conjuncts = [(b.encode_assignment(name, expr), _FALSE)
+                     for name, expr in assigned + list(bp.checks)]
+        conjuncts += [b.guard(expr)
+                      for expr in bp.pre_constraints + bp.step_constraints]
+        if any(v == _FALSE or e == _TRUE for v, e in conjuncts):
             continue
         for v, e in conjuncts:
             if v != _TRUE:
@@ -433,7 +349,7 @@ def _build_predicate(codec: PackedCodec, expr: Expr,
     checker, which propagates evaluation errors instead of reporting
     them as violations)."""
     b = _Builder(codec, frames=1)
-    v, e = b.encode(expr)
+    v, e = b.guard(expr)
     root = b.define_and([-v, -e]) if negate else b.define_and([v, -e])
     if root == _FALSE:
         b.add([])  # unsatisfiable template
@@ -475,12 +391,12 @@ class Translation:
         self.invariant = invariant
         self.codec = PackedCodec(spec.universe)
         self.bits = self.codec.bits
-        if self.bits == 0:
-            raise SymbolicUnsupported(
-                "universe packs to zero bits; nothing to solve")
-        self.trans = _build_transition(self.codec, spec)
-        self.init = _build_predicate(self.codec, spec.init, negate=False)
-        self.bad = _build_predicate(self.codec, invariant, negate=True)
+        try:
+            self.trans = _build_transition(self.codec, spec)
+            self.init = _build_predicate(self.codec, spec.init, negate=False)
+            self.bad = _build_predicate(self.codec, invariant, negate=True)
+        except Untabulable as exc:
+            raise SymbolicUnsupported(str(exc)) from None
         self.valid = _build_validity(self.codec)
 
     # -- assembly ------------------------------------------------------------
@@ -493,22 +409,13 @@ class Translation:
 
         def stamp(template: _Template, frame: int) -> None:
             nonlocal num_vars
-            base = num_vars - template.interface - 1
+            # template variable -> CNF variable: TRUE, frame bits, aux
+            first = 2 + frame * self.bits
+            to = [0, 1, *range(first, first + template.interface),
+                  *range(num_vars + 1, num_vars + 1 + template.num_aux)]
             num_vars += template.num_aux
-            bits = self.bits
-            start = 1 + frame * bits
-            for clause in template.clauses:
-                mapped = []
-                for lit in clause:
-                    a = abs(lit)
-                    if a == 1:
-                        g = 1
-                    elif a <= template.interface + 1:
-                        g = start + a - 1
-                    else:
-                        g = base + a
-                    mapped.append(g if lit > 0 else -g)
-                clauses.append(mapped)
+            clauses.extend([to[lit] if lit > 0 else -to[-lit] for lit in clause]
+                           for clause in template.clauses)
 
         stamp(self.init, 0)
         for frame in range(frames):

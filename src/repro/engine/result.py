@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from ..checker.results import CheckResult, Counterexample
+from ..checker.results import Counterexample
 
 __all__ = ["HOLDS", "VIOLATION", "UNKNOWN", "EngineResult"]
 
@@ -61,18 +61,3 @@ class EngineResult:
                      else f" (no violation within depth {self.depth}; "
                           f"not a proof)")
         return f"[{tag[self.verdict]}] {self.name}{extra}"
-
-    def to_check_result(self) -> CheckResult:
-        """Bridge to the explicit checker's result type.
-
-        UNKNOWN maps to ``ok=False`` with no counterexample plus an
-        explanatory note -- the conservative reading for callers that
-        only understand pass/fail.
-        """
-        notes = list(self.notes)
-        if self.verdict == UNKNOWN:
-            notes.append(f"unknown at depth {self.depth}: no violation "
-                         f"within the bound; not a proof")
-        return CheckResult(self.name, ok=(self.verdict == HOLDS),
-                           counterexample=self.counterexample,
-                           notes=tuple(notes))

@@ -131,18 +131,6 @@ class Lasso:
     def loop_positions(self) -> range:
         return range(self.loop_start, len(self.states))
 
-    def reachable_positions(self, start: int) -> range:
-        """Canonical positions occurring at or after canonical position *start*.
-
-        Every position >= start occurs in the suffix; additionally the whole
-        loop occurs, so the answer is ``min(start, loop_start) .. end``
-        intersected with positions >= start union the loop.  Since the stem
-        positions before *start* never recur, the result is
-        ``start..n-1`` together with ``loop_start..n-1``.
-        """
-        return range(min(start, self.loop_start) if start >= self.loop_start else start,
-                     len(self.states))
-
     def suffix_positions(self, start: int) -> Iterator[int]:
         """Canonical positions of states occurring at index >= start."""
         for pos in range(start, len(self.states)):

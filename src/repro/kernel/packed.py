@@ -17,13 +17,10 @@ This module supplies the kernel half of that engine:
   smaller than a ``State``.
 * :class:`PackedPlan` -- a compiled successor relation over packed ints.
   It walks the plan tree of a :class:`~repro.kernel.action.SuccessorPlan`
-  and memoizes every guard conjunct, binding, and check on the packed
-  *footprint* it actually reads (``packed & mask``), so expression
-  evaluation happens once per distinct footprint instead of once per
-  state.  Guards are decomposed into a tree of And/Or/Not nodes with
-  memoized leaves; short-circuit order and ``EvalError`` semantics
-  mirror ``Expr.holds`` exactly.  It is the only successor walker:
-  ``SuccessorPlan.successors`` runs it on encoded states.
+  and reads every guard, binding and check through
+  :mod:`repro.kernel.guard`, memoized on the packed *footprint* each
+  guard leaf or field actually reads (``packed & mask``).  It is the
+  only successor walker: ``SuccessorPlan.successors`` runs it.
 
 The codec also computes ``State.fingerprint()``-compatible fingerprints
 directly from packed ints: the FNV-1a fold of a state is a fixed word
@@ -47,7 +44,8 @@ from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .action import SuccessorPlan, compile_action
-from .expr import And, Env, Equiv, EvalError, Expr, Implies, Not, Or
+from .expr import Env
+from .guard import DEAD, Guards
 from .state import (
     _FNV_OFFSET,
     _FNV_PRIME,
@@ -72,13 +70,6 @@ FP_CHUNK = 1024
 
 #: One 128-bit lane holding 1: ``_LANE_ONE * n`` is the broadcast of 1.
 _LANE_ONE = (1).to_bytes(16, "little")
-
-#: Three-valued guard result: 0 = False, 1 = True, ERR = EvalError.
-_ERR = 2
-
-#: Sentinel for a binding/check whose value falls outside the domain or
-#: raises ``EvalError`` -- the branch dies for that footprint.
-_DEAD = -1
 
 
 class CompactUnsupported(ValueError):
@@ -289,21 +280,14 @@ class PackedCodec:
         return sha256(blob.encode("utf-8")).hexdigest()
 
 
-# -- supportability probe -----------------------------------------------------
-#
-# CompactUnsupported is raised only while building the codec, so whether a
-# spec can be packed is a pure function of its universe.  Callers that
-# refuse a spec up front (the symbolic translator) share this probe
-# instead of constructing a throwaway plan and catching.
-
-
 def support_problem(spec_or_universe) -> Optional[str]:
-    """Why the packed engines cannot represent this spec, or ``None``.
+    """Why the packed engines cannot represent this spec (or bare
+    universe), or ``None`` when :class:`PackedCodec` can be built.
 
-    Accepts a :class:`~repro.spec.Spec` or a bare universe.  Returns a
-    human-readable reason string when packing is impossible (empty or
-    oversized domains, unfingerprintable values, no variables) and
-    ``None`` when :class:`PackedCodec` can be built.
+    ``CompactUnsupported`` is raised only while building the codec, so
+    whether a spec can be packed is a pure function of its universe:
+    callers that refuse a spec up front (the symbolic translator) share
+    this probe instead of constructing a throwaway plan and catching.
     """
     universe = getattr(spec_or_universe, "universe", spec_or_universe)
     try:
@@ -312,133 +296,20 @@ def support_problem(spec_or_universe) -> Optional[str]:
         return str(exc)
     return None
 
-# -- guard trees --------------------------------------------------------------
-#
-# A branch constraint like  And(g1, Or(g2, g3))  is decomposed into a tree
-# whose leaves memoize their own (typically tiny) packed footprints.  The
-# frame conjuncts the action compiler attaches to each branch read nearly
-# every variable, so memoizing whole constraints keys on nearly the full
-# packed int and never hits; memoizing leaves recovers the sharing.
-# Values are three-valued (0 / 1 / _ERR) so that short-circuit order and
-# EvalError propagation match Expr.holds exactly: an ERR reaching the root
-# rejects the candidate, just as SuccessorPlan treats an EvalError step.
+
+# -- the walker ---------------------------------------------------------------
 
 
-class _Leaf:
-    __slots__ = ("expr", "pmask", "cmask", "memo")
-
-    def __init__(self, expr: Expr, codec: PackedCodec, registry: dict):
-        self.expr = expr
-        self.pmask = codec.mask_of(expr.free_vars())
-        self.cmask = codec.mask_of(expr.primed_vars())
-        self.memo = registry.setdefault(expr.key(), {})
-
-    def value(self, packed, cand, ctx):
-        if self.cmask:
-            key = (packed & self.pmask, cand & self.cmask)
-        else:
-            key = packed & self.pmask
-        v = self.memo.get(key)
-        if v is None:
-            try:
-                v = 1 if self.expr.holds(ctx.env(packed, cand)) else 0
-            except EvalError:
-                v = _ERR
-            self.memo[key] = v
-        return v
-
-
-class _AndNode:
-    __slots__ = ("children",)
-
-    def __init__(self, children):
-        self.children = children
-
-    def value(self, packed, cand, ctx):
-        for child in self.children:
-            v = child.value(packed, cand, ctx)
-            if v != 1:
-                return v
-        return 1
-
-
-class _OrNode:
-    __slots__ = ("children",)
-
-    def __init__(self, children):
-        self.children = children
-
-    def value(self, packed, cand, ctx):
-        for child in self.children:
-            v = child.value(packed, cand, ctx)
-            if v != 0:
-                return v
-        return 0
-
-
-class _NotNode:
-    __slots__ = ("child",)
-
-    def __init__(self, child):
-        self.child = child
-
-    def value(self, packed, cand, ctx):
-        v = self.child.value(packed, cand, ctx)
-        return v if v == _ERR else 1 - v
-
-
-def _build_guard(expr: Expr, codec: PackedCodec, registry: dict):
-    if isinstance(expr, And):
-        return _AndNode([_build_guard(a, codec, registry)
-                         for a in expr.args])
-    if isinstance(expr, Or):
-        return _OrNode([_build_guard(a, codec, registry)
-                        for a in expr.args])
-    if isinstance(expr, Not):
-        return _NotNode(_build_guard(expr.arg, codec, registry))
-    if isinstance(expr, (Implies, Equiv)):
-        # a => b is ~a \/ b and a <=> b is (a /\ b) \/ (~a /\ ~b): same
-        # value, same ERR (the leaves are memoized, so sharing is free)
-        a, b = (_build_guard(arg, codec, registry) for arg in expr.args)
-        if isinstance(expr, Implies):
-            return _OrNode([_NotNode(a), b])
-        return _OrNode([_AndNode([a, b]),
-                        _AndNode([_NotNode(a), _NotNode(b)])])
-    return _Leaf(expr, codec, registry)
-
-
-class _Ctx:
-    """Lazy decode cache for the current source state / candidate."""
-
-    __slots__ = ("codec", "_packed", "_state", "_cand", "_cstate")
-
-    def __init__(self, codec: PackedCodec):
-        self.codec = codec
-        self._packed = self._state = self._cand = self._cstate = None
-
-    def begin(self, packed):
-        self._packed = packed
-        self._state = None
-        self._cand = self._cstate = None
-
-    def state(self, packed):
-        if self._state is None:
-            self._state = self.codec.decode(packed)
-        return self._state
-
-    def env(self, packed, cand):
-        state = self.state(packed)
-        if cand is None:
-            return Env(state)
-        if self._cand != cand or self._cstate is None:
-            self._cstate = self.codec.decode(cand)
-            self._cand = cand
-        return Env(state, self._cstate)
+def _field_row(field) -> tuple:
+    """How the walker reads a :class:`~repro.kernel.guard.Field`: (shift,
+    field mask, footprint mask, memo, field, identity?), unpacked at once."""
+    return (field.shift, field.fmask, field.pmask, field.memo, field,
+            field.ident)
 
 
 class _Node:
     """One reached node of the plan tree over packed ints: its guards,
-    its bindings and checks (as :meth:`PackedPlan._field` rows) and its
+    its bindings and checks (as :func:`_field_row` rows) and its
     out-of-frame mask; then, once a state first passes them, either its
     sub-nodes and rank fields or its free-product offsets, step guards
     and keep mask (:meth:`PackedPlan._grow`)."""
@@ -449,10 +320,12 @@ class _Node:
     def __init__(self, bp, det_mask: int, owner: "PackedPlan"):
         mask_of = owner.codec.mask_of
         self.bp = bp
-        self.pre = [owner._guard(expr) for expr in bp.pre_constraints]
-        self.bindings = [owner._field(name, expr)
+        guards = owner.guards
+        self.pre = [guards.build(expr) for expr in bp.pre_constraints]
+        self.bindings = [_field_row(guards.field(name, expr))
                          for name, expr, _dom in bp.bindings]
-        self.checks = [owner._field(name, expr) for name, expr in bp.checks]
+        self.checks = [_field_row(guards.field(name, expr))
+                       for name, expr in bp.checks]
         self.fixed = mask_of(bp.fixed_bound)
         self.det_mask = det_mask | mask_of(
             name for name, _expr, _dom in bp.bindings)
@@ -472,16 +345,16 @@ class PackedPlan:
     * unprimed guard conjuncts run before bindings (they kill most
       branches without touching candidate generation);
     * deterministic bindings cache the *code* their expression yields
-      on each footprint (``_DEAD`` for EvalError / out-of-domain), and
+      on each footprint (``DEAD`` for EvalError / out-of-domain), and
       the determined codes are handed down to sub-plans as bits;
     * an expanded node collects its sub-plans' candidates and emits them
       in its free-variable domain-product order (``rank`` over codes);
       only where the plan itself enumerates does the free product run,
-      with primed constraints as guard trees against each candidate.
+      with primed constraints as guards against each candidate.
 
-    Memo tables are shared across nodes through per-expression
-    registries keyed on ``Expr.key()``, so a frame conjunct appearing in
-    every branch is evaluated once per footprint, not once per branch.
+    Guard leaves and fields are shared across nodes through one
+    :class:`~repro.kernel.guard.Guards`, so a frame conjunct of every
+    branch is evaluated once per footprint, not once per branch.
     ``candidates`` counts candidates assembled before the step guards.
     """
 
@@ -492,82 +365,59 @@ class PackedPlan:
             compile_action(source.next_action).plan(source.universe)
         self.codec = PackedCodec(plan.universe)
         self.candidates = 0
-        self._guards: dict = {}
-        self._trees: dict = {}
-        self._memos: dict = {}
+        self.guards = Guards(self.codec)
         self.roots = [_Node(bp, 0, self) for bp in plan.branch_plans]
-        self.ctx = _Ctx(self.codec)
+        self._state = self._cand = self._cstate = None
 
-    def _guard(self, expr: Expr):
-        """*expr*'s guard tree, built once per expression object: sub-plans
-        repeat their ancestors' step constraints (the pair pins *expr*,
-        so its id is not recycled)."""
-        hit = self._trees.get(id(expr))
-        if hit is None:
-            hit = self._trees[id(expr)] = (
-                expr, _build_guard(expr, self.codec, self._guards))
-        return hit[1]
-
-    def _field(self, name: str, expr: Expr) -> tuple:
-        """How a binding or check ``name' = expr`` reads: (shift, field
-        mask, footprint mask, memo, name, expr, domain, identity?)."""
-        c = self.codec
-        ident = (type(expr).__name__ == "Var" and not expr.primed
-                 and expr.name == name)
-        return (c.shift[name], (1 << c.width[name]) - 1,
-                c.mask_of(expr.free_vars()),
-                self._memos.setdefault((name, expr.key()), {}), name, expr,
-                c.universe.domain(name), ident)
+    def env(self, packed: int, cand: Optional[int]) -> Env:
+        """The guards' decode context: the source row, decoded at most
+        once per :meth:`successors` call, and the last candidate."""
+        if self._state is None:
+            self._state = self.codec.decode(packed)
+        if cand is not None and cand != self._cand:
+            self._cstate = self.codec.decode(cand)
+            self._cand = cand
+        return Env(self._state, None if cand is None else self._cstate)
 
     def successors(self, packed: int) -> List[int]:
-        self.ctx.begin(packed)
+        self._state = self._cand = None
         out: List[int] = []
         self._emit(self.roots, packed, 0, out)
         return list(dict.fromkeys(out)) if len(out) > 1 else out
-
-    def _code(self, packed: int, name: str, expr: Expr, domain) -> int:
-        try:
-            value = expr.eval_state(self.ctx.state(packed))
-        except EvalError:
-            return _DEAD
-        return self.codec.codes[name][value] if value in domain else _DEAD
 
     def _emit(self, nodes: List[_Node], packed: int, det_bits: int,
               out: List[int]) -> None:
         """Append each of *nodes*' passing candidates on *packed*, on top
         of the codes their ancestors determined (*det_bits*), each node's
         in its domain-product order."""
-        ctx = self.ctx
         for node in nodes:
             alive = True
             for g in node.pre:
-                if g.value(packed, None, ctx) != 1:
+                if g.value(packed, None, self) != 1:
                     alive = False
                     break
             if not alive:
                 continue
             bits = det_bits
-            for shift, width_m, mask, memo, name, expr, dom, ident \
-                    in node.bindings:
+            for shift, width_m, mask, memo, field, ident in node.bindings:
                 if ident:
                     code = (packed >> shift) & width_m
                 else:
                     key = packed & mask
                     code = memo.get(key)
                     if code is None:
-                        code = memo[key] = self._code(packed, name, expr, dom)
-                    if code == _DEAD:
+                        code = memo[key] = field.read(self.env(packed, None))
+                    if code == DEAD:
                         alive = False
                         break
                 bits |= code << shift
             if not alive:
                 continue
-            for shift, width_m, mask, memo, name, expr, dom, _i \
-                    in node.checks:
+            for shift, width_m, mask, memo, field, _i in node.checks:
                 key = packed & mask
                 code = memo.get(key)
                 if code is None:
-                    code = memo[key] = self._code(packed, name, expr, dom)
+                    code = memo[key] = field.read(self.env(packed, None))
                 if code != (bits >> shift) & width_m:
                     alive = False
                     break
@@ -592,7 +442,7 @@ class PackedPlan:
             for offset in node.offsets:
                 cand = base | offset
                 for g in node.post:
-                    if g.value(packed, cand, ctx) != 1:
+                    if g.value(packed, cand, self) != 1:
                         break
                 else:
                     out.append(cand)
@@ -612,5 +462,5 @@ class PackedPlan:
         node.offsets = [sum(combo) for combo in itertools.product(
             *[[c.codes[name][v] << c.shift[name] for v in values]
               for name, values in zip(bp.free_names, bp.free_values)])]
-        node.post = [self._guard(expr) for expr in bp.step_constraints]
+        node.post = [self.guards.build(expr) for expr in bp.step_constraints]
         node.keep = ~(node.det_mask | c.mask_of(bp.free_names))

@@ -327,9 +327,6 @@ class Component:
         bindings = {x: self.universe.domain(x) for x in self.internals}
         return Hide(bindings, inner)
 
-    def inner_formula(self) -> TemporalFormula:
-        return self._spec.formula()
-
     def safety_formula(self) -> TemporalFormula:
         """Closure with internals hidden: ``∃x : Init ∧ □[N]_v`` (valid by
         Propositions 1 and 2)."""
