@@ -59,7 +59,7 @@ from ..temporal.formulas import (
     to_tf,
 )
 from ..temporal.semantics import EvalContext
-from .explorer import explore
+from .compact import explore_compact
 from .graph import GraphQueries
 from .refinement import IDENTITY, RefinementMapping
 from .results import CheckResult, Counterexample
@@ -502,7 +502,8 @@ def check_temporal_implication(
         if run_stats is not None and run_stats.states == 0:
             run_stats.record_graph(graph)
     else:
-        graph = explore(impl, max_states=max_states, stats=run_stats)
+        graph = explore_compact(impl, max_states=max_states,
+                                stats=run_stats)
         if premises is None:
             premises = premises_of_spec(impl)
         label = name or f"{impl.name} => conclusion"

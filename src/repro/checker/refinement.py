@@ -26,7 +26,7 @@ from ..kernel.expr import Env, EvalError, Expr, Var, to_expr
 from ..kernel.action import square
 from ..kernel.state import State, Universe
 from ..spec import Spec
-from .explorer import explore
+from .compact import explore_compact
 from .graph import GraphQueries
 from .results import CheckResult, Counterexample
 from .stats import ExploreStats, maybe_phase
@@ -106,7 +106,8 @@ def check_safety_refinement(
         if run_stats is not None and run_stats.states == 0:
             run_stats.record_graph(graph)
     else:
-        graph = explore(impl, max_states=max_states, stats=run_stats)
+        graph = explore_compact(impl, max_states=max_states,
+                                stats=run_stats)
         label = name or f"{impl.name} => C({target.name})"
     stats = {"states": graph.state_count, "edges": graph.edge_count,
              "stutter": graph.stutter_count}

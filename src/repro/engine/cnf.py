@@ -319,9 +319,8 @@ def _build_transition(codec: PackedCodec, spec) -> _Template:
     selectors: List[int] = []
     for bp in plan.branch_plans:
         sel = b.new_var()
-        assigned = [(name, expr) for name, expr, _dom in bp.bindings]
         conjuncts = [(b.encode_assignment(name, expr), _FALSE)
-                     for name, expr in assigned + list(bp.checks)]
+                     for name, expr in bp.bindings + bp.checks]
         conjuncts += [b.guard(expr)
                       for expr in bp.pre_constraints + bp.step_constraints]
         if any(v == _FALSE or e == _TRUE for v, e in conjuncts):

@@ -15,16 +15,15 @@ only the genuinely undetermined primed variables.  This mirrors what the
 TLC model checker does for TLA+.
 
 The tree is the analysis; one walker runs it.
-:meth:`SuccessorPlan.successors` is
-:class:`~repro.kernel.packed.PackedPlan`'s walk over packed rows, encoded
-from and decoded back to states, so every engine enumerates successors
-through the same code.  Only :meth:`SuccessorPlan.enabled` still walks
-the tree on states (it needs a witness, not the enumeration).
+:meth:`SuccessorPlan.successors` and :meth:`SuccessorPlan.enabled` are
+:class:`~repro.kernel.packed.PackedPlan`'s walks over packed rows,
+encoded from (and decoded back to) states, so every engine enumerates
+successors, and every ENABLED query looks for a witness, through the
+same code.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import (Dict, FrozenSet, Iterable, List, Optional, Tuple,
                     TYPE_CHECKING)
 
@@ -33,7 +32,6 @@ from .expr import (
     Const,
     Env,
     Eq,
-    EvalError,
     Exists,
     Expr,
     Not,
@@ -223,15 +221,17 @@ class _BranchPlan:
     :class:`Branch`, with everything that depends only on the universe and
     frame hoisted out of the per-state loop.
 
-    * ``bindings`` -- ``(name, expr, domain)`` for each determined primed
-      variable declared in the universe (domain looked up once);
+    * ``bindings`` -- ``(name, expr)`` for each determined primed
+      variable declared in the universe;
     * ``checks`` -- the fail-fast re-determinations whose target variable
       is actually determined by this branch;
     * ``fixed_bound`` -- determined variables *outside* the frame: their
       computed post-value must equal the pre-state value, or the branch
       contributes nothing for this state;
-    * ``free_names``/``free_values`` -- the undetermined frame variables
-      and their domain value tuples, enumerated by product;
+    * ``free_names`` -- the undetermined frame variables, enumerated by
+      the product of their domains;
+    * ``free_needed`` -- the indices of the free variables some step
+      constraint reads primed: the only ones an ENABLED witness varies;
     * ``pre_constraints``/``step_constraints`` -- the residual constraints
       split by whether they mention primed variables: a prime-free
       constraint depends only on the pre-state, so it is evaluated once
@@ -257,37 +257,28 @@ class _BranchPlan:
     """
 
     __slots__ = ("bindings", "checks", "fixed_bound", "free_names",
-                 "free_values", "free_index", "free_needed",
-                 "pre_constraints", "step_constraints", "_pending",
-                 "_expanded")
+                 "free_needed", "pre_constraints", "step_constraints",
+                 "_pending", "_expanded")
 
     def __init__(self, branch: Branch, growth: _Growth, depth: int = 0,
                  prefix: Tuple[int, int, int, int] = (0, 0, 0, 0)):
         universe, relevant = growth.universe, growth.relevant
-        self.bindings: Tuple[Tuple[str, Expr, object], ...] = tuple(
-            (name, expr, universe.domain(name))
-            for name, expr in branch.bindings.items()
+        self.bindings: Tuple[Tuple[str, Expr], ...] = tuple(
+            (name, expr) for name, expr in branch.bindings.items()
             if name in universe
         )
-        determined = {name for name, _expr, _dom in self.bindings}
+        determined = {name for name, _expr in self.bindings}
         self.checks: Tuple[Tuple[str, Expr], ...] = tuple(
             (name, expr) for name, expr in branch.binding_checks
             if name in determined
         )
         relevant_set = set(relevant)
         self.fixed_bound: Tuple[str, ...] = tuple(
-            name for name, _expr, _dom in self.bindings
+            name for name, _expr in self.bindings
             if name not in relevant_set
         )
         free = [name for name in relevant if name not in determined]
         self.free_names: Tuple[str, ...] = tuple(free)
-        self.free_values: Tuple[Tuple[object, ...], ...] = tuple(
-            tuple(universe.domain(name).values()) for name in free
-        )
-        self.free_index: Tuple[Dict[object, int], ...] = tuple(
-            {value: idx for idx, value in enumerate(values)}
-            for values in self.free_values
-        )
         constraints = tuple(branch.constraints)
         self.pre_constraints: Tuple[Expr, ...] = tuple(
             c for c in constraints if not c.primed_vars()
@@ -373,8 +364,8 @@ class SuccessorPlan:
     :meth:`CompiledAction.plan`) and then driven per state; all domain
     lookups, membership tests, and free-variable analyses happen when a
     node is built.  The top-level branch plans are built here, their
-    sub-plans when a state first reaches them -- through
-    :meth:`successors` (the :attr:`packed` walker) or :meth:`enabled`.
+    sub-plans when a state first reaches them in the :attr:`packed`
+    walker, which both :meth:`successors` and :meth:`enabled` run.
     """
 
     __slots__ = ("universe", "relevant", "branch_plans", "_growth",
@@ -430,91 +421,14 @@ class SuccessorPlan:
         return [codec.decode(row)
                 for row in packed.successors(codec.encode(state))]
 
-    @staticmethod
-    def _determine(plan: _BranchPlan, env0: Env, pre: Dict[str, object],
-                   handed_down: Dict[str, object]) -> Optional[Dict[str, object]]:
-        """The post-values *plan* determines on this pre-state, on top of
-        those its ancestors *handed down* to it; ``None`` when one of its
-        guards, bindings or checks disables the branch here."""
-        try:
-            for constraint in plan.pre_constraints:
-                if not constraint.holds(env0):
-                    return None
-            determined = dict(handed_down)
-            for name, expr, domain in plan.bindings:
-                value = expr.eval(env0)
-                if value not in domain:
-                    return None  # post-value escapes the domain
-                determined[name] = value
-            for name, expr in plan.checks:
-                if expr.eval(env0) != determined[name]:
-                    return None
-        except EvalError:
-            return None  # unevaluable on this state: branch disabled
-        for name in plan.fixed_bound:
-            if determined[name] != pre[name]:
-                return None  # out-of-frame variable must not change
-        return determined
-
-    @staticmethod
-    def _constraints_hold(plan: _BranchPlan, state: State,
-                          candidate: State) -> bool:
-        if not plan.step_constraints:
-            return True
-        env = Env(state, candidate)
-        try:
-            return all(c.holds(env) for c in plan.step_constraints)
-        except EvalError:
-            return False  # a type error on this candidate: not a step
-
     def enabled(self, state: State) -> bool:
-        """The paper's ENABLED: does *some* post-state make a step?
-
-        Existence needs one witness, not the enumeration
-        :meth:`successors` performs: a free variable that no step
-        constraint mentions can take any in-domain value, so it is pinned
-        (to its pre-state value) rather than enumerated.  This is what
-        makes ``ENABLED <N_i>_{v_i}`` queries on a many-component product
-        tractable -- the other components' variables are free-but-
-        unconstrained there, and enumerating them would be exponential in
-        the number of components."""
-        env0 = Env(state)
-        pre = state._map
-        return any(self._branch_enabled(plan, state, env0, pre, {})
-                   for plan in self.branch_plans)
-
-    def _branch_enabled(self, plan: _BranchPlan, state: State, env0: Env,
-                        pre: Dict[str, object],
-                        handed_down: Dict[str, object]) -> bool:
-        determined = self._determine(plan, env0, pre, handed_down)
-        if determined is None:
-            return False
-        if plan.expanded is not None:
-            return any(
-                self._branch_enabled(sub, state, env0, pre, determined)
-                for sub in plan.expanded)
-        base: Dict[str, object] = dict(pre)
-        base.update(determined)
-        if not plan.free_names:
-            return self._constraints_hold(plan, state, State._trusted(base))
-        needed = set(plan.free_needed)
-        for idx, name in enumerate(plan.free_names):
-            if idx in needed:
-                continue
-            if name not in pre or pre[name] not in plan.free_index[idx]:
-                base[name] = plan.free_values[idx][0]
-        if not needed:
-            return self._constraints_hold(plan, state,
-                                          State._trusted(base))
-        needed_names = [plan.free_names[i] for i in plan.free_needed]
-        needed_values = [plan.free_values[i] for i in plan.free_needed]
-        for combo in itertools.product(*needed_values):
-            for name, value in zip(needed_names, combo):
-                base[name] = value
-            if self._constraints_hold(plan, state,
-                                      State._trusted(dict(base))):
-                return True
-        return False
+        """The paper's ENABLED: does *some* post-state make a step?  The
+        packed walker's witness walk (:meth:`PackedPlan.enabled
+        <repro.kernel.packed.PackedPlan.enabled>`) on the encoded state;
+        a value outside its variable's domain, or a missing one, raises
+        the codec's ``ValueError``."""
+        packed = self.packed
+        return packed.enabled(packed.codec.encode(state))
 
 
 class CompiledAction:

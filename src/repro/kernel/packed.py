@@ -20,7 +20,8 @@ This module supplies the kernel half of that engine:
   and reads every guard, binding and check through
   :mod:`repro.kernel.guard`, memoized on the packed *footprint* each
   guard leaf or field actually reads (``packed & mask``).  It is the
-  only successor walker: ``SuccessorPlan.successors`` runs it.
+  only successor walker: ``SuccessorPlan.successors`` runs it, and
+  ``SuccessorPlan.enabled`` runs its witness walk.
 
 The codec also computes ``State.fingerprint()``-compatible fingerprints
 directly from packed ints: the FNV-1a fold of a state is a fixed word
@@ -311,11 +312,13 @@ class _Node:
     """One reached node of the plan tree over packed ints: its guards,
     its bindings and checks (as :func:`_field_row` rows) and its
     out-of-frame mask; then, once a state first passes them, either its
-    sub-nodes and rank fields or its free-product offsets, step guards
-    and keep mask (:meth:`PackedPlan._grow`)."""
+    sub-nodes and rank fields or its step guards, free codes and keep
+    masks (:meth:`PackedPlan._grow`); its free-product offsets only once
+    a successor walk enumerates it."""
 
     __slots__ = ("bp", "pre", "bindings", "checks", "fixed", "det_mask",
-                 "children", "rank", "offsets", "post", "keep")
+                 "children", "rank", "post", "free", "needed", "keep",
+                 "wkeep", "offsets")
 
     def __init__(self, bp, det_mask: int, owner: "PackedPlan"):
         mask_of = owner.codec.mask_of
@@ -323,13 +326,13 @@ class _Node:
         guards = owner.guards
         self.pre = [guards.build(expr) for expr in bp.pre_constraints]
         self.bindings = [_field_row(guards.field(name, expr))
-                         for name, expr, _dom in bp.bindings]
+                         for name, expr in bp.bindings]
         self.checks = [_field_row(guards.field(name, expr))
                        for name, expr in bp.checks]
         self.fixed = mask_of(bp.fixed_bound)
         self.det_mask = det_mask | mask_of(
-            name for name, _expr, _dom in bp.bindings)
-        self.children = self.offsets = None
+            name for name, _expr in bp.bindings)
+        self.children = self.post = self.offsets = None
 
 
 class PackedPlan:
@@ -352,10 +355,12 @@ class PackedPlan:
       only where the plan itself enumerates does the free product run,
       with primed constraints as guards against each candidate.
 
-    Guard leaves and fields are shared across nodes through one
-    :class:`~repro.kernel.guard.Guards`, so a frame conjunct of every
-    branch is evaluated once per footprint, not once per branch.
-    ``candidates`` counts candidates assembled before the step guards.
+    :meth:`enabled` walks the same nodes for one witness (see
+    :meth:`_emit`).  Guard leaves and fields are shared across nodes
+    through one :class:`~repro.kernel.guard.Guards`, so a frame conjunct
+    of every branch is evaluated once per footprint, not once per
+    branch.  ``candidates`` counts candidates assembled before the step
+    guards, by both walks.
     """
 
     def __init__(self, source):
@@ -385,11 +390,25 @@ class PackedPlan:
         self._emit(self.roots, packed, 0, out)
         return list(dict.fromkeys(out)) if len(out) > 1 else out
 
+    def enabled(self, packed: int) -> bool:
+        """ENABLED on *packed*: does some candidate pass a node's step
+        guards?  The witness walk of :meth:`_emit`."""
+        self._state = self._cand = None
+        return self._emit(self.roots, packed, 0, None, True)
+
     def _emit(self, nodes: List[_Node], packed: int, det_bits: int,
-              out: List[int]) -> None:
-        """Append each of *nodes*' passing candidates on *packed*, on top
-        of the codes their ancestors determined (*det_bits*), each node's
-        in its domain-product order."""
+              out: Optional[List[int]], witness: bool = False) -> bool:
+        """Append each of *nodes*' passing candidates on *packed* to
+        *out*, on top of the codes their ancestors determined
+        (*det_bits*), each node's in its domain-product order.
+
+        A *witness* walk instead returns True at the first passing
+        candidate (False when there is none).  It descends into expanded
+        children without ranking, and at an enumerating node it varies
+        only the free variables some step guard reads primed
+        (``free_needed``), lazily; every other free variable keeps the
+        row's own code, which is in its domain, so it is as good a
+        witness as any.  It never builds the free product."""
         for node in nodes:
             alive = True
             for g in node.pre:
@@ -423,9 +442,13 @@ class PackedPlan:
                     break
             if not alive or (bits ^ packed) & node.fixed:
                 continue  # dead, or an out-of-frame variable would change
-            if node.children is None and node.offsets is None:
+            if node.children is None and node.post is None:
                 self._grow(node)
             if node.children is not None:
+                if witness:
+                    if self._emit(node.children, packed, bits, None, True):
+                        return True
+                    continue
                 found: List[int] = []
                 self._emit(node.children, packed, bits, found)
                 collected: Dict[int, int] = {}
@@ -437,21 +460,39 @@ class PackedPlan:
                         collected[cand] = rank
                 out += sorted(collected, key=collected.__getitem__)
                 continue
-            base = (packed & node.keep) | bits
-            self.candidates += len(node.offsets)
-            for offset in node.offsets:
+            if witness:
+                base = (packed & node.wkeep) | bits
+                offsets = self._tried(node.needed)
+            else:
+                base = (packed & node.keep) | bits
+                offsets = node.offsets
+                if offsets is None:
+                    offsets = node.offsets = [
+                        sum(combo) for combo in itertools.product(*node.free)]
+                self.candidates += len(offsets)
+            for offset in offsets:
                 cand = base | offset
                 for g in node.post:
                     if g.value(packed, cand, self) != 1:
                         break
                 else:
+                    if witness:
+                        return True
                     out.append(cand)
+        return False
+
+    def _tried(self, free: List[List[int]]) -> Iterable[int]:
+        """The domain product of *free*, one offset at a time, each
+        counted in ``candidates`` as it is tried."""
+        for combo in itertools.product(*free):
+            self.candidates += 1
+            yield sum(combo)
 
     def _grow(self, node: _Node) -> None:
         """Compile what follows *node*'s checks, once a state gets there:
-        its sub-nodes when the plan expands it, else its enumeration --
-        the free codes' domain product, as bits to OR into a candidate
-        (held once: every state reaching the node walks all of it)."""
+        its sub-nodes when the plan expands it, else its step guards and
+        each free variable's codes, as bits to OR into a candidate.  The
+        free product itself (``offsets``) is left to :meth:`_emit`."""
         c, bp = self.codec, node.bp
         if bp.expanded is not None:
             node.children = [_Node(sub, node.det_mask, self)
@@ -459,8 +500,11 @@ class PackedPlan:
             node.rank = [(c.shift[name], (1 << c.width[name]) - 1,
                           c.width[name]) for name in bp.free_names]
             return
-        node.offsets = [sum(combo) for combo in itertools.product(
-            *[[c.codes[name][v] << c.shift[name] for v in values]
-              for name, values in zip(bp.free_names, bp.free_values)])]
         node.post = [self.guards.build(expr) for expr in bp.step_constraints]
+        node.free = [[code << c.shift[name]
+                      for code in range(len(c.values[name]))]
+                     for name in bp.free_names]
+        node.needed = [node.free[i] for i in bp.free_needed]
         node.keep = ~(node.det_mask | c.mask_of(bp.free_names))
+        node.wkeep = ~(node.det_mask | c.mask_of(
+            bp.free_names[i] for i in bp.free_needed))

@@ -67,7 +67,7 @@ THEOREMS = {
 def explored(monkeypatch):
     """Every graph a certificate explores, in call order: the compact
     product ``verify`` explores and any the refinement and liveness
-    checkers' ``explore`` names return."""
+    checkers explore from a ``Spec``."""
     graphs = []
 
     def recording(engine):
@@ -76,10 +76,9 @@ def explored(monkeypatch):
             return graphs[-1]
         return run
 
-    monkeypatch.setattr(composition_module, "explore_compact",
-                        recording(explore_compact))
-    for module in (liveness_module, refinement_module):
-        monkeypatch.setattr(module, "explore", recording(explore))
+    for module in (composition_module, liveness_module, refinement_module):
+        monkeypatch.setattr(module, "explore_compact",
+                            recording(explore_compact))
     return graphs
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.kernel import (
+    BOOLEAN,
     ActionPlans,
     And,
     Const,
@@ -183,6 +184,32 @@ class TestEnabled:
         small = Universe({"x": interval(0, 0)})
         action = Eq(xp, x + 1)
         assert not enabled(action, State({"x": 0}), small)
+
+    @pytest.mark.parametrize("state, reason", [
+        (State({"x": 0, "y": 7}), "variable 'y' has value 7, outside"),
+        (State({"x": 0}), "no value for variable 'y'"),
+    ], ids=["out-of-domain", "missing"])
+    def test_enabled_fails_closed_on_a_state_outside_the_universe(
+            self, uni, state, reason):
+        # y is free and no step constraint reads it: a walker that pinned
+        # it to some domain value would answer for another state
+        action = angle(Eq(xp, 1), ["x"])
+        with pytest.raises(ValueError, match=reason):
+            enabled(action, state, uni)
+
+    def test_enabled_never_builds_the_free_product(self):
+        # <x0' = ~x0>_{x0} leaves x1..x19 free; one witness keeps the
+        # row's own codes for them instead of walking 2^19 candidates
+        names = [f"x{i}" for i in range(20)]
+        x0 = Var("x0")
+        plan = compile_action(angle(Eq(x0.prime(), Not(x0)), ["x0"])).plan(
+            Universe({name: BOOLEAN for name in names}))
+        assert plan.enabled(State({name: False for name in names}))
+        assert plan.candidates == 1
+        nodes = list(plan.packed.roots)
+        for node in nodes:
+            nodes += node.children or ()
+        assert [node.offsets for node in nodes] == [None] * len(nodes)
 
 
 # -- certificate products: the plans that expand ------------------------------
