@@ -16,17 +16,17 @@ the cost of the rows a run interns, not of the graph it has so far:
   id ranges), the frontier, the ``depth`` / ``levels`` / elapsed
   counters and the cumulative stats.  A run's checkpoint I/O is
   therefore O(states), however many levels it snapshots.
-* Frames are length-prefixed and CRC32-checked and every append is
-  ``fsync``'d.  Every run, fresh or resumed, writes the header
-  together with its first record through write-temp-then-``os.replace``,
-  so it *replaces* an old log at the same path and never appends to
-  one.
+* The frames are :mod:`repro.records`' checked frames, and every
+  append is ``fsync``'d.  Every run, fresh or resumed, writes the header
+  together with its first record through
+  :func:`~repro.records.atomic_replace`, so it *replaces* an old log at
+  the same path and never appends to one.
 * :func:`read_checkpoint` is the one reader: it folds the records into
   the run's state at the last complete one, drops a torn final frame
-  (the residue of a crash mid-append, the same idiom as
-  :mod:`repro.service.journal`), and fails closed with a
-  :class:`CheckpointError` on anything else -- a bad checksum, a gap
-  between records, a type or range a resume would index with.
+  (the residue of a crash mid-append, the rule of every record log),
+  and fails closed with a :class:`CheckpointError` on anything else --
+  a bad checksum, a gap between records, a type or range a resume
+  would index with.
 * :func:`resume` (and its compact twin) continue a run
   **bit-for-bit**: same node numbering, adjacency order, parents,
   traces, and :class:`~repro.checker.graph.StateSpaceExplosion`
@@ -46,14 +46,11 @@ header's variables (or codec signature).
 
 from __future__ import annotations
 
-import json
-import os
-import struct
-import tempfile
-import zlib
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence
 
+from .. import records
+from ..kernel.packed import PackedCodec
 from ..kernel.state import State, value_to_portable
 from ..spec import Spec
 from .graph import StateGraph
@@ -87,11 +84,6 @@ COMPACT_CHECKPOINT_MODE = "compact"
 
 # the first bytes of every level log
 _MAGIC = b"repro-checkpoint level log\n"
-# a frame: payload length, CRC32 of the length's bytes, CRC32 of the
-# payload.  The length has its own check so a damaged one is corruption,
-# never mistaken for a torn tail.
-_FRAME = struct.Struct(">III")
-_LENGTH = struct.Struct(">I")
 
 # resume()'s "keep writing to the file we loaded from" default
 _SAME_PATH = object()
@@ -102,37 +94,6 @@ class CheckpointError(Exception):
 
 
 # -- writing -----------------------------------------------------------------
-
-
-def _encode(payload: Dict[str, object]) -> bytes:
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
-
-
-def _frame(body: bytes) -> bytes:
-    length = _LENGTH.pack(len(body))
-    return (_FRAME.pack(len(body), zlib.crc32(length), zlib.crc32(body))
-            + body)
-
-
-def _replace(path: str, data: bytes) -> None:
-    """Write *data* to *path* via write-temp-then-rename: readers (and a
-    crash mid-write) see the old complete file or the new one."""
-    path = os.path.abspath(path)
-    fd, tmp_path = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
-                                    suffix=".tmp",
-                                    dir=os.path.dirname(path))
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
 
 
 def run_header(spec_name: str, max_states: Optional[int], workers: int,
@@ -195,21 +156,19 @@ class LevelLog:
 
     def __init__(self, path: str, header: Dict[str, object]):
         self.path = path
-        self._header = _encode(header)
+        self._header = header
         self._started = False
         self.nodes = self.sources = self.level_rows = 0
 
     def append(self, record: Dict[str, object]) -> None:
         """Make *record* durable."""
-        frame = _frame(_encode(record))
         if not self._started:
-            _replace(self.path, _MAGIC + _frame(self._header) + frame)
+            records.atomic_replace(
+                self.path, _MAGIC + records.frame(self._header)
+                + records.frame(record), fsync=True)
             self._started = True
             return
-        with open(self.path, "ab") as handle:
-            handle.write(frame)
-            handle.flush()
-            os.fsync(handle.fileno())
+        records.append(self.path, _MAGIC, record, fsync=True)
 
     def append_level(self, graph, rows: Callable[[range, range], Dict],
                      frontier: Sequence[int], depth: int, levels: int,
@@ -281,61 +240,6 @@ def save_checkpoint(
 # -- reading -----------------------------------------------------------------
 
 
-def _frames(path: str, data: bytes) -> List[bytes]:
-    """The payloads of the complete frames after the magic.  A final
-    frame the file ends inside of is a torn tail and left out; a
-    complete frame that fails its checksums raises."""
-    bodies: List[bytes] = []
-    offset, size = len(_MAGIC), len(data)
-    while offset + _FRAME.size <= size:
-        length, length_crc, body_crc = _FRAME.unpack_from(data, offset)
-        if zlib.crc32(_LENGTH.pack(length)) != length_crc:
-            raise CheckpointError(
-                f"{path}: corrupt checkpoint: damaged frame length at "
-                f"byte {offset}")
-        start = offset + _FRAME.size
-        if start + length > size:
-            break
-        body = data[start:start + length]
-        if zlib.crc32(body) != body_crc:
-            raise CheckpointError(
-                f"{path}: corrupt checkpoint: checksum mismatch in the "
-                f"frame at byte {offset}")
-        bodies.append(body)
-        offset = start + length
-    return bodies
-
-
-def _foreign(path: str, data: bytes) -> CheckpointError:
-    """Why *data*, which lacks the level-log magic, is refused: it is
-    not JSON, not an object, another format, or another version of this
-    one (version 1 files were one JSON object)."""
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError included
-        return CheckpointError(
-            f"{path}: unreadable checkpoint (not a {CHECKPOINT_FORMAT} "
-            f"level log: {exc})")
-    if not isinstance(payload, dict):
-        return CheckpointError(f"{path}: checkpoint is not a JSON object")
-    return _identity_error(path, payload) or CheckpointError(
-        f"{path}: unreadable checkpoint (no level-log magic)")
-
-
-def _identity_error(path: str,
-                    header: Dict[str, object]) -> Optional[CheckpointError]:
-    if header.get("format") != CHECKPOINT_FORMAT:
-        return CheckpointError(
-            f"{path}: not a {CHECKPOINT_FORMAT} file "
-            f"(format={header.get('format')!r})")
-    if header.get("version") != CHECKPOINT_VERSION:
-        return CheckpointError(
-            f"{path}: unsupported checkpoint version "
-            f"{header.get('version')!r} (this build reads version "
-            f"{CHECKPOINT_VERSION})")
-    return None
-
-
 def _natural(value: object, lowest: int = 0) -> bool:
     return type(value) is int and value >= lowest
 
@@ -356,20 +260,9 @@ class Checkpoint:
     gone: such a log is refused.  ``frontier`` lists the node ids the
     last record left unexpanded."""
 
-    def __init__(self, path: str, header_bytes: bytes,
-                 records: List[bytes]):
+    def __init__(self, path: str, header: Dict[str, object],
+                 frames: List[object]):
         self.path = path
-        try:
-            header = json.loads(header_bytes.decode("utf-8"))
-        except ValueError as exc:
-            raise CheckpointError(
-                f"{path}: unreadable checkpoint header ({exc})") from None
-        if not isinstance(header, dict):
-            raise CheckpointError(f"{path}: checkpoint header is not an "
-                                  f"object")
-        problem = _identity_error(path, header)
-        if problem is not None:
-            raise problem
         self.header = header
         self.mode: Optional[str] = header.get("mode")
         try:
@@ -403,7 +296,7 @@ class Checkpoint:
                         f"{path}: checkpoint was written under "
                         f"partial-order reduction, which this checker no "
                         f"longer has; start the run afresh")
-            self._fold(records, compact)
+            self._fold(frames, compact)
         except (KeyError, TypeError) as exc:
             raise CheckpointError(
                 f"{path}: missing or malformed field ({exc!r})") from None
@@ -415,7 +308,7 @@ class Checkpoint:
         if not ok:
             raise CheckpointError(f"{self.path}: malformed checkpoint: {what}")
 
-    def _fold(self, records: List[bytes], compact: bool) -> None:
+    def _fold(self, frames: List[object], compact: bool) -> None:
         """Replay the records: append their node columns, keep the last
         one's loop state.  Types and ranges of everything a resume
         indexes or counts with are checked here, once, for both
@@ -427,14 +320,8 @@ class Checkpoint:
         self.succ: List[List[int]] = []
         self.packed: List[int] = []
         self.stats_snapshot: Optional[Dict[str, object]] = None
-        need(bool(records), "the log holds no complete snapshot record")
-        for index, raw in enumerate(records):
-            try:
-                record = json.loads(raw.decode("utf-8"))
-            except ValueError as exc:
-                raise CheckpointError(
-                    f"{self.path}: unreadable record {index} ({exc})"
-                ) from None
+        need(bool(frames), "the log holds no complete snapshot record")
+        for index, record in enumerate(frames):
             need(isinstance(record, dict), f"record {index} is not an object")
             where = f"record {index}: "
             need(record["nodes_from"] == len(self.parent),
@@ -537,31 +424,38 @@ class Checkpoint:
                       max_states: Optional[int] = None) -> StateGraph:
         """Rebuild the full-engine graph against *spec*'s universe,
         verifying that the header's variables match and that every
-        decoded state reproduces its stored fingerprint (corruption /
-        encoding-drift detection)."""
+        decoded state lies in the spec's domains and reproduces its
+        stored fingerprint (corruption / encoding-drift detection).  The
+        fingerprints come from one codec fold over the states' packed
+        rows, which also fills each state's fingerprint cache."""
         variables = self.variables
         if variables != list(spec.universe.variables):
             raise CheckpointError(
                 f"{self.path}: checkpoint variables {variables} do not match "
                 f"spec {spec.name!r} variables {list(spec.universe.variables)}"
             )
+        codec = PackedCodec(spec.universe)
         states: List[State] = []
+        rows: List[int] = []
         for node, row in enumerate(self.states):
             try:
                 state = State.from_portable(dict(zip(variables, row)))
+                rows.append(codec.encode(state))
             except (TypeError, ValueError) as exc:
                 raise CheckpointError(
                     f"{self.path}: state {node} cannot be decoded "
                     f"({exc})") from None
+            states.append(state)
+        for node, fingerprint in enumerate(codec.fingerprints(rows)):
             expected = self.fingerprints[node]
-            actual = format(state.fingerprint(), "016x")
+            actual = format(fingerprint, "016x")
             if actual != expected:
                 raise CheckpointError(
                     f"{self.path}: state {node} fingerprint mismatch "
                     f"({actual} != stored {expected}); the checkpoint is "
                     f"corrupt or was written by an incompatible encoder"
                 )
-            states.append(state)
+            states[node]._fp = fingerprint  # State.fingerprint()'s cache
         unexpanded = [[]] * (len(states) - len(self.succ))
         return StateGraph.restore(
             spec.universe,
@@ -574,6 +468,42 @@ class Checkpoint:
         )
 
 
+def _read_frames(path: str, count: Optional[int] = None) -> List[object]:
+    """The header and records of the level log at *path* (at most
+    *count*), the header's format and version checked: a torn final
+    frame is dropped, anything else is a :class:`CheckpointError`."""
+    try:
+        log = records.read(path, _MAGIC, count)
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from exc
+    except records.RecordError as exc:
+        if exc.offset == 0:  # no magic, and not JSON either
+            raise CheckpointError(
+                f"{path}: unreadable checkpoint (no level-log magic, and "
+                f"not a JSON object)") from None
+        raise CheckpointError(f"{path}: corrupt checkpoint: {exc.what} at "
+                              f"byte {exc.offset}") from None
+    # a version-1 file, one JSON object, reads as NDJSON with a header
+    header = log.records[0] if log.records else None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: unreadable checkpoint (the header "
+                              f"is truncated or not an object)")
+    if header.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file "
+                              f"(format={header.get('format')!r})")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path}: unsupported checkpoint version "
+            f"{header.get('version')!r} (this build reads version "
+            f"{CHECKPOINT_VERSION})")
+    if log.ndjson:
+        raise CheckpointError(
+            f"{path}: unreadable checkpoint (no level-log magic)")
+    return log.records
+
+
 # read_checkpoint()'s "either engine's snapshot will do"
 _ANY_MODE = object()
 
@@ -582,20 +512,8 @@ def read_checkpoint(path: str, mode: object = _ANY_MODE) -> Checkpoint:
     """The one validating reader: fold the level log at *path*, and
     refuse a log written by the other engine than *mode* (``None`` is
     the full engine) -- the two are not interchangeable."""
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except FileNotFoundError:
-        raise
-    except OSError as exc:
-        raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from exc
-    if not data.startswith(_MAGIC):
-        raise _foreign(path, data)
-    bodies = _frames(path, data)
-    if not bodies:
-        raise CheckpointError(
-            f"{path}: unreadable checkpoint (the header is truncated)")
-    loaded = Checkpoint(path, bodies[0], bodies[1:])
+    frames = _read_frames(path)
+    loaded = Checkpoint(path, frames[0], frames[1:])
     if mode is not _ANY_MODE and loaded.mode != mode:
         if loaded.mode == COMPACT_CHECKPOINT_MODE:
             raise CheckpointError(
@@ -610,25 +528,9 @@ def read_checkpoint(path: str, mode: object = _ANY_MODE) -> Checkpoint:
 
 def checkpoint_mode(path: str) -> Optional[str]:
     """The engine the level log at *path* was written by -- its header's
-    ``mode``: ``None`` for the full engine, ``"compact"`` -- read from the
-    header frame alone.  A file whose header does not check out is
-    handed to :func:`read_checkpoint`, which fails closed saying why."""
-    try:
-        with open(path, "rb") as handle:
-            head = handle.read(len(_MAGIC) + _FRAME.size)
-            length, length_crc, body_crc = _FRAME.unpack_from(
-                head, len(_MAGIC))
-            body = handle.read(length)
-        header = json.loads(body.decode("utf-8"))
-        if (head.startswith(_MAGIC)
-                and zlib.crc32(_LENGTH.pack(length)) == length_crc
-                and zlib.crc32(body) == body_crc
-                and isinstance(header, dict)
-                and _identity_error(path, header) is None):
-            return header.get("mode")
-    except (OSError, struct.error, ValueError):
-        pass
-    return read_checkpoint(path).mode
+    ``mode``: ``None`` for the full engine, ``"compact"`` -- decoded from
+    the header frame alone."""
+    return _read_frames(path, 1)[0].get("mode")
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -734,5 +636,5 @@ def write_manifest(
         "stats": stats.as_dict() if stats is not None else None,
         "error": error,
     }
-    _replace(path, _encode(payload))
+    records.atomic_replace(path, records.encode(payload), fsync=True)
     return payload

@@ -20,7 +20,8 @@ eviction-storm regression visible in one line.  Entries are
 content-addressed and recomputable, so a directory in any other layout
 simply starts cold.
 
-Writes are atomic (write-temp-then-rename), so a crash mid-``put``
+Writes are atomic (:func:`repro.records.atomic_replace`, no ``fsync``:
+an entry lost to a power cut is recomputed), so a crash mid-``put``
 never leaves a torn entry for a later server to trust.
 """
 
@@ -29,10 +30,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
+
+from .. import records
 
 __all__ = ["canonical_fingerprint", "source_digest", "ShardedResultCache"]
 
@@ -68,25 +70,6 @@ def canonical_fingerprint(module_source: str, spec: str,
          "checker": source_digest()},
         sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def atomic_write_json(path: str, document: Dict[str, object]) -> None:
-    """Write *document* to *path* whole or not at all (write a temp
-    file beside it, then rename), so a crash never leaves a torn file
-    for a later reader to trust."""
-    fd, tmp_path = tempfile.mkstemp(prefix=".put-", suffix=".tmp",
-                                    dir=os.path.dirname(path))
-    try:
-        with os.fdopen(fd, "w") as handle:
-            # dumps, not dump: only the one-shot encoder is the C one
-            handle.write(json.dumps(document, separators=(",", ":")))
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
 
 
 class ShardedResultCache:
@@ -154,23 +137,16 @@ class ShardedResultCache:
             self._memory.pop(next(iter(self._memory)))
 
     def get(self, fingerprint: str) -> Optional[Dict[str, object]]:
-        entry = self._memory.get(fingerprint)
-        if entry is not None:
-            self._remember(fingerprint, entry)  # refresh recency
-            self._record("hits")
-            return entry
-        path = self._path(fingerprint)
-        try:
-            with open(path) as handle:
-                entry = json.load(handle)
-        except (OSError, ValueError):  # absent or torn: a miss
+        entry = self.peek(fingerprint)
+        if entry is None:  # absent or torn: a miss
             self._record("misses")
             return None
-        self._remember(fingerprint, entry)
-        try:
-            os.utime(path)  # LRU recency for the evictor
-        except OSError:
-            pass
+        if fingerprint not in self._memory:
+            try:
+                os.utime(self._path(fingerprint))  # LRU recency on disk
+            except OSError:
+                pass
+        self._remember(fingerprint, entry)  # and in memory
         self._record("hits")
         return entry
 
@@ -190,7 +166,8 @@ class ShardedResultCache:
     def put(self, fingerprint: str, result: Dict[str, object]) -> None:
         shard_dir = self._shard_dir(fingerprint)
         os.makedirs(shard_dir, exist_ok=True)
-        atomic_write_json(self._path(fingerprint), result)
+        records.atomic_replace(self._path(fingerprint),
+                               records.encode(result), fsync=False)
         self._remember(fingerprint, result)
         self._evict_shard(shard_dir)
 

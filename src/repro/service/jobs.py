@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import asyncio
 import fcntl
-import json
 import os
 import re
 import time
@@ -66,6 +65,7 @@ import uuid
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from .. import records
 from ..checker import ExploreStats, StateSpaceExplosion
 from ..checker import digest_of_graph as graph_digest
 from ..checker.checkpoint import counterexample_to_portable
@@ -105,6 +105,9 @@ _JOB_ID_RE = re.compile(r"[0-9a-f]{12}")
 # module_source travels in every journal `submitted` line and is parsed
 # synchronously at admission; bound it well below the HTTP body cap
 MAX_MODULE_SOURCE = 1024 * 1024
+
+# the first bytes of a jobs/<id>.events.ndjson record log
+EVENTS_MAGIC = b"repro job events\n"
 
 # fold the journal once its log outgrows this: shutdown() compacts on a
 # graceful drain, but a SIGKILLed or long-lived process never gets
@@ -398,22 +401,6 @@ def run_check(
     return document
 
 
-def _read_events(path: str) -> List[Dict[str, object]]:
-    """A job's event log as a restarted front reloads it; a line a
-    SIGKILL tore is skipped (events are best-effort)."""
-    events = []
-    try:
-        with open(path) as handle:
-            for line in handle:
-                try:
-                    events.append(json.loads(line))
-                except ValueError:
-                    continue
-    except OSError:
-        pass
-    return events
-
-
 class Job:
     """One submission moving through the service's state machine.
 
@@ -470,9 +457,8 @@ class Job:
             appended.set()
         if self.events_path is not None:
             try:
-                with open(self.events_path, "a") as handle:
-                    handle.write(
-                        json.dumps(record, separators=(",", ":")) + "\n")
+                records.append(self.events_path, EVENTS_MAGIC, record,
+                               fsync=False)
             except OSError:  # pragma: no cover - events are best-effort
                 pass
 
@@ -598,7 +584,11 @@ class JobManager:
         self._accepting = True
         self._interrupting = False
         self._stopping = False
-        self._recover()
+        try:
+            self._recover()
+        except BaseException:  # a damaged journal: let go of the dir
+            self._lock_file.close()
+            raise
         self._set_gauges()
         loop = asyncio.get_running_loop()
         self._slots = [CheckProcess() for _ in range(self.pool_size)]
@@ -633,7 +623,10 @@ class JobManager:
         finished job needs no request; its result is the cache entry
         for its fingerprint (only the journaled verdict once that entry
         is evicted).  The same fold sets the admission counters, so
-        ``/metrics`` adds up across any restart."""
+        ``/metrics`` adds up across any restart.  The journal is
+        compacted first, so no append lands behind a torn frame or in
+        an older front's NDJSON log."""
+        self.journal.compact()
         for job_id, entry in sorted(self.journal.replay().items()):
             state = entry.get("state")
             if not valid_job_id(job_id) or state is None:
@@ -655,7 +648,11 @@ class JobManager:
             job.cache_hit = bool(entry.get("cache_hit"))
             job.resume = bool(entry.get("resume"))
             job.coalesced = int(entry.get("coalesced") or 0)
-            job.events = _read_events(job.events_path)
+            try:
+                job.events = records.read(job.events_path,
+                                          EVENTS_MAGIC).records
+            except FileNotFoundError:
+                job.events = []
             self._jobs[job_id] = job
             if terminal:
                 job.state = state
@@ -665,6 +662,9 @@ class JobManager:
                     job.result = (self.cache.peek(job.fingerprint)
                                   or {"verdict": entry.get("verdict")})
                 continue
+            # rewritten framed: no append behind a torn tail or NDJSON
+            records.atomic_replace(job.events_path, EVENTS_MAGIC + b"".join(
+                map(records.frame, job.events)), fsync=False)
             job.resume = os.path.exists(job.checkpoint_path)
             job.emit("requeued", resume=job.resume)
             self.journal.append("claimed", job_id, tenant=tenant)

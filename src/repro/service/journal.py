@@ -5,21 +5,22 @@ restarts (after a drain or a SIGKILL) rebuilds its jobs, their
 ``GET /jobs/<id>`` view and its admission counters by folding this
 journal.  It is kept with the classic recipe:
 
-* **Append-only NDJSON log** (``journal/journal.ndjson``): every job
-  transition -- ``submitted`` (with the full request, so the journal is
-  self-contained), ``started``, ``requeued``, ``done``/``failed``/
-  ``cancelled``, and recovery ``claimed`` records -- is one JSON line
-  appended under the journal lock.  A line's timestamp is the time of
-  its transition.  A SIGKILL can at worst tear the final line;
-  :meth:`JobJournal.replay` tolerates exactly that (a torn *middle*
-  line would mean filesystem corruption and is skipped with a count).
+* **Append-only record log** (``journal/journal.ndjson``, a
+  :mod:`repro.records` log): every job transition -- ``submitted``
+  (with the full request, so the journal is self-contained),
+  ``started``, ``requeued``, ``done``/``failed``/``cancelled``, and
+  recovery ``claimed`` records -- is one frame appended under the
+  journal lock, timestamped with its transition.  Replay drops a torn
+  final frame (the SIGKILL residue) and raises on any other damage;
+  the front compacts when it starts, so it never appends behind a torn
+  frame or to an older front's NDJSON log.
 * **Snapshot compaction** (``journal/snapshot.json``): replay folds the
   log into one record per job id; :meth:`JobJournal.compact` persists
-  that fold and truncates the log, so the log's size tracks the work
-  since the last fold.  Records are never aged out: the admission
-  counters are a fold of them.  A finished job's request is dropped
-  from its record once the record carries the fingerprint that
-  recovery looks its result up by.
+  that fold, ``fsync``'d, then truncates the log, so the log's size
+  tracks the work since the last fold.  Records are never aged out:
+  the admission counters are a fold of them.  A finished job's request
+  is dropped from its record once the record carries the fingerprint
+  that recovery looks its result up by.
 * **Idempotent replay, exactly-once re-admission**: replay is keyed by
   job id -- re-applying any suffix of the log is a no-op on the folded
   state.  One front holds a state directory at a time (its
@@ -39,14 +40,17 @@ import json
 import os
 import threading
 import time
-from typing import Dict, Iterator
+from typing import Dict
 
-from .cache import atomic_write_json
+from .. import records
 
 __all__ = ["JobJournal"]
 
 # kinds after which a job is finished
 _TERMINAL_KINDS = ("done", "failed", "cancelled")
+
+# the first bytes of a framed journal log
+_MAGIC = b"repro job journal\n"
 
 
 class JobJournal:
@@ -58,40 +62,21 @@ class JobJournal:
         self.log_path = os.path.join(self.directory, "journal.ndjson")
         self.snapshot_path = os.path.join(self.directory, "snapshot.json")
         self.lock = threading.Lock()
-        self.torn_lines = 0
+        self.torn_lines = 0  # torn final frames the last replay dropped
 
     # -- writing -------------------------------------------------------------
 
     def append(self, kind: str, job_id: str, **fields: object) -> None:
-        """Append one transition under the lock (one line, one write)."""
+        """Append one transition under the lock (one frame, one write)."""
         record: Dict[str, object] = {
             "kind": kind, "job": job_id, "pid": os.getpid(),
             "t": round(time.time(), 4),
         }
         record.update(fields)
-        line = json.dumps(record, separators=(",", ":")) + "\n"
-        with self.lock, open(self.log_path, "a") as handle:
-            handle.write(line)
+        with self.lock:
+            records.append(self.log_path, _MAGIC, record, fsync=False)
 
     # -- reading -------------------------------------------------------------
-
-    def _iter_log(self) -> Iterator[Dict[str, object]]:
-        try:
-            with open(self.log_path, "rb") as handle:
-                raw = handle.read()
-        except OSError:
-            return
-        lines = raw.split(b"\n")
-        for index, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                # a torn final line is the expected SIGKILL residue;
-                # anything earlier is corruption we skip but count
-                self.torn_lines += 1
 
     def replay(self) -> Dict[str, Dict[str, object]]:
         """Fold snapshot + log into one record per job id::
@@ -103,22 +88,29 @@ class JobJournal:
                       "first_t", "started_t", "last_t"}}
 
         ``first_t`` is the ``submitted`` time, ``started_t`` that of the
-        last ``started``, and ``last_t`` that of the latest line -- for
-        a finished job, its terminal line.  A record folded by an older
-        front may lack the keys it did not write; read them with
-        ``get``.
+        last ``started``, and ``last_t`` that of the latest record --
+        for a finished job, its terminal one.  A record folded by an
+        older front may lack the keys it did not write; read them with
+        ``get``.  A snapshot that does not parse, or damage in the log
+        other than a torn final frame, is a
+        :class:`~repro.records.RecordError`.
         """
-        jobs: Dict[str, Dict[str, object]] = {}
         try:
-            with open(self.snapshot_path) as handle:
-                snapshot = json.load(handle)
-            jobs = {job_id: dict(record) for job_id, record
-                    in snapshot.get("jobs", {}).items()}
-        except (OSError, ValueError):
-            pass
-        for entry in self._iter_log():
-            job_id = entry.get("job")
-            kind = entry.get("kind")
+            with open(self.snapshot_path, "rb") as handle:
+                folded = json.loads(handle.read())["jobs"]
+            jobs = {job_id: dict(record) for job_id, record in folded.items()}
+        except FileNotFoundError:  # only an absent snapshot holds no jobs
+            jobs = {}
+        except (ValueError, TypeError, KeyError, AttributeError) as exc:
+            raise records.RecordError(self.snapshot_path, None,
+                                      f"unreadable snapshot ({exc})") from None
+        try:
+            log = records.read(self.log_path, _MAGIC)
+        except FileNotFoundError:
+            log = records.Log([], False, False)
+        self.torn_lines = int(log.torn)
+        for entry in log.records:
+            job_id, kind = entry.get("job"), entry.get("kind")
             if not isinstance(job_id, str) or not isinstance(kind, str):
                 continue
             record = jobs.setdefault(job_id, {
@@ -167,10 +159,11 @@ class JobJournal:
                 if record.get("state") in _TERMINAL_KINDS \
                         and record.get("fingerprint"):
                     record.pop("request", None)
-            atomic_write_json(self.snapshot_path, {
+            # durable before the truncation drops the log it folds
+            records.atomic_replace(self.snapshot_path, records.encode({
                 "version": 1, "t": round(time.time(), 4), "jobs": jobs,
-            })
-            with open(self.log_path, "w"):
+            }), fsync=True)
+            with open(self.log_path, "wb"):
                 pass  # truncate: its contents are folded into the snapshot
             return len(jobs)
 

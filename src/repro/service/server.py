@@ -44,6 +44,7 @@ import sys
 import threading
 from typing import Dict, Optional
 
+from .. import records
 from ..parser import ParseError
 from .jobs import (
     CheckRequest,
@@ -53,7 +54,6 @@ from .jobs import (
     TenantThrottled,
     valid_job_id,
 )
-from .cache import atomic_write_json
 from .scheduler import DEFAULT_TENANT, TenantPolicy
 from .wire import HttpError, read_body, read_head, send_json, send_text
 
@@ -225,9 +225,9 @@ def _write_endpoint_file(state_dir: str, host: str, port: int) -> str:
     """Drop ``server.json`` into the state dir so scripts can discover
     an ephemeral port (the smoke tests bind port 0)."""
     path = os.path.join(state_dir, "server.json")
-    atomic_write_json(path, {"host": host, "port": port,
-                             "url": f"http://{host}:{port}",
-                             "pid": os.getpid()})
+    records.atomic_replace(path, records.encode(
+        {"host": host, "port": port, "url": f"http://{host}:{port}",
+         "pid": os.getpid()}), fsync=False)
     return path
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.checker import (
     resume_compact,
     save_checkpoint,
 )
+from repro import records
 from repro.checker import checkpoint as checkpoint_module
 from repro.checker.checkpoint import LevelLog, read_checkpoint
 from repro.checker.compact import save_compact_checkpoint
@@ -49,6 +51,10 @@ def mutex_spec():
 # ---------------------------------------------------------------------------
 
 
+# a frame's prefix: body length, CRC32 of the length, CRC32 of the body
+FRAME = struct.Struct(">III")
+
+
 def frame_spans(path):
     """``(start, end)`` byte offsets of every complete frame, header
     first."""
@@ -56,9 +62,8 @@ def frame_spans(path):
         data = handle.read()
     spans, offset = [], len(checkpoint_module._MAGIC)
     while offset < len(data):
-        (length, _crc, _body_crc) = checkpoint_module._FRAME.unpack_from(
-            data, offset)
-        end = offset + checkpoint_module._FRAME.size + length
+        (length, _crc, _body_crc) = FRAME.unpack_from(data, offset)
+        end = offset + FRAME.size + length
         spans.append((offset, end))
         offset = end
     return spans
@@ -66,19 +71,16 @@ def frame_spans(path):
 
 def read_log(path):
     """``[header, *records]`` of the log at *path*, as dicts."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    return [json.loads(body) for body in checkpoint_module._frames(path, data)]
+    return records.read(path, checkpoint_module._MAGIC).records
 
 
 def write_log(path, log):
     """Write ``[header, *records]`` as a well-formed log: every frame's
     checksums are valid, so only the reader's field checks stand
     between a mutated log and a resume."""
-    frames = [checkpoint_module._frame(checkpoint_module._encode(payload))
-              for payload in log]
     with open(path, "wb") as handle:
-        handle.write(checkpoint_module._MAGIC + b"".join(frames))
+        handle.write(checkpoint_module._MAGIC
+                     + b"".join(map(records.frame, log)))
 
 
 ENGINES = {
@@ -201,7 +203,7 @@ def test_damaged_header_or_middle_record_fails_closed(engine, where,
     if where == "middle-record-length":
         offset = start + 1  # inside the length prefix
     else:
-        offset = (start + checkpoint_module._FRAME.size + end) // 2
+        offset = (start + FRAME.size + end) // 2
     _flip(path, offset)
     _assert_refused(path, engine, capsys, match="corrupt checkpoint")
 
@@ -236,10 +238,10 @@ def test_checkpoint_io_is_linear_in_states(engine, tmp_path, monkeypatch):
     snapshot per level the total stays within 1.5x of one snapshot of
     the final graph."""
     written = []
-    real_replace, real_append = checkpoint_module._replace, LevelLog.append
+    real_replace, real_append = records.atomic_replace, LevelLog.append
 
-    def counting_replace(path, data):
-        real_replace(path, data)
+    def counting_replace(path, data, *, fsync):
+        real_replace(path, data, fsync=fsync)
         written.append(len(data))
 
     def counting_append(log, record):
@@ -248,7 +250,7 @@ def test_checkpoint_io_is_linear_in_states(engine, tmp_path, monkeypatch):
         if before is not None:
             written.append(os.path.getsize(log.path) - before)
 
-    monkeypatch.setattr(checkpoint_module, "_replace", counting_replace)
+    monkeypatch.setattr(records, "atomic_replace", counting_replace)
     monkeypatch.setattr(LevelLog, "append", counting_append)
     run, _resumer, _digest = ENGINES[engine]
     save = save_checkpoint if engine == "full" else save_compact_checkpoint

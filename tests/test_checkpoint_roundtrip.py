@@ -330,6 +330,21 @@ def test_fingerprint_mismatch_is_detected(tmp_path):
         load_checkpoint(path).restore_graph(spec)
 
 
+def test_state_outside_the_domains_is_refused(tmp_path):
+    # a row whose stored fingerprint agrees with it but whose value the
+    # spec's codec cannot encode: refused, never restored
+    def corrupt(log):
+        variables, row = log[0]["variables"], log[1]["states"][0]
+        row[0] = 12345
+        state = State.from_portable(dict(zip(variables, row)))
+        log[1]["fingerprints"][0] = format(state.fingerprint(), "016x")
+
+    path, spec = _write_tampered(tmp_path, corrupt)
+    with pytest.raises(CheckpointError,
+                       match="state 0 cannot be decoded .*outside its domain"):
+        load_checkpoint(path).restore_graph(spec)
+
+
 def test_wrong_format_is_rejected(tmp_path):
     path, _spec = _write_tampered(
         tmp_path, lambda log: log[0].update(format="something-else"))

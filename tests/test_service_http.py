@@ -17,8 +17,9 @@ from http.client import HTTPConnection
 
 import pytest
 
+from repro import records
 from repro.service import BackgroundServer, QueueFullError, ServiceClient
-from repro.service.jobs import CheckRequest, run_check
+from repro.service.jobs import EVENTS_MAGIC, CheckRequest, run_check
 from repro.service.journal import JobJournal
 from repro.tools.cli import main
 
@@ -365,8 +366,8 @@ class TestSigtermResume:
         assert record["state"] == "queued"
         jobs_dir = tmp_path / "svc" / "jobs"
         assert (jobs_dir / (job_id + ".ckpt")).exists()
-        last = json.loads((jobs_dir / (job_id + ".events.ndjson"))
-                          .read_text().splitlines()[-1])
+        last = records.read(str(jobs_dir / (job_id + ".events.ndjson")),
+                            EVENTS_MAGIC).records[-1]
         assert last["event"] == "interrupted" and last["resume"] is True
 
         os.unlink(os.path.join(state_dir, "server.json"))  # no stale port

@@ -7,6 +7,7 @@ on the same state directory resumes to the identical graph digest."""
 import asyncio
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -15,10 +16,12 @@ import time
 import pytest
 
 import repro
+from repro import records
 from repro.parser import ParseError
 import repro.service.cache as cache_module
 from repro.service.cache import ShardedResultCache
 from repro.service.jobs import (
+    EVENTS_MAGIC,
     MAX_MODULE_SOURCE,
     CheckRequest,
     Job,
@@ -27,6 +30,7 @@ from repro.service.jobs import (
     run_check,
     valid_job_id,
 )
+from repro.service.journal import _MAGIC as JOURNAL_MAGIC
 from repro.service.journal import JobJournal
 from repro.service.pool import CheckProcess
 
@@ -202,9 +206,8 @@ class TestLifecycle:
         assert record["state"] == "done"
         assert record["verdict"] == "ok"
         events_path = tmp_path / "jobs" / (job.id + ".events.ndjson")
-        lines = [json.loads(line) for line in
-                 events_path.read_text().splitlines() if line]
-        assert lines == job.events
+        assert records.read(str(events_path), EVENTS_MAGIC).records \
+            == job.events
         # a restarted front shows the job as it was, result included
         _, manager = restart(tmp_path)
         recovered = manager.get(job.id)
@@ -765,6 +768,71 @@ class TestJournalIsTheStore:
         after = journal.replay()
         for job_id in lines:   # finished jobs are never claimed again
             assert after[job_id]["counts"] == folded[job_id]["counts"]
+
+    def test_ndjson_era_state_dir_restarts_unchanged(self, tmp_path):
+        """A state directory whose journal log and event logs an older
+        front wrote as NDJSON, one JSON line per record (a snapshot
+        beside them, a torn final line in each), restarts with the jobs,
+        events and counters of the same directory written framed.  The
+        front rewrites framed each log it appends to, so no file mixes
+        the two formats."""
+        framed = tmp_path / "framed"
+
+        async def first_life():
+            manager = JobManager(str(framed), pool_size=1)
+            await manager.start()
+            job, _ = manager.submit(counter_request())
+            await wait_terminal(job)
+            manager.submit(counter_request())             # cache hit
+            queued, _ = manager.submit(chain_request())
+            manager.cancel(queued.id)
+            await manager.shutdown()                      # compacts
+
+        asyncio.run(first_life())
+        request = counter_request(max_states=1000)
+        journal = JobJournal(str(framed / "journal"))
+        events = str(framed / "jobs" / "a00000000001.events.ndjson")
+        for seq, kind in enumerate(("submitted", "started")):  # died running
+            journal.append(kind, "a00000000001", tenant="default",
+                           fingerprint=request.fingerprint(),
+                           request=request.to_dict())
+            records.append(events, EVENTS_MAGIC,
+                           {"event": kind, "job": "a00000000001",
+                            "seq": seq, "t": 0.0}, fsync=False)
+        old = tmp_path / "ndjson"
+        shutil.copytree(framed, old)
+        logs = [old / "journal" / "journal.ndjson",
+                *(old / "jobs").glob("*.events.ndjson")]
+
+        def read(path):
+            return records.read(str(path), JOURNAL_MAGIC
+                                if path.name == "journal.ndjson"
+                                else EVENTS_MAGIC)
+
+        for path in logs:
+            lines = [json.dumps(record, separators=(",", ":")) + "\n"
+                     for record in read(path).records]
+            path.write_text("".join(lines) + '{"kind":"done","job":"a0')
+        assert len(logs) == 5
+
+        def view(manager):
+            events = {job.id: [dict(event, t=None) for event in job.events]
+                      for job in manager.jobs()}
+            return (states(manager), events,
+                    metric_totals(manager.metrics_text()))
+
+        framed_view, _ = restart(framed, view)
+        old_view, manager = restart(old, view)
+        assert old_view == framed_view
+        assert old_view[0]["a00000000001"] == "queued"
+        assert reconciles(manager) == (4.0, 4.0)
+        # the re-admitted job's journal and event log were appended to,
+        # so converted whole, torn line dropped; the finished jobs' event
+        # logs were left alone.  Every file reads whole.
+        converted = ("journal.ndjson", "a00000000001.events.ndjson")
+        assert {path.name: read(path)[1:] for path in logs} \
+            == {path.name: (False, False) if path.name in converted
+                else (True, True) for path in logs}
 
     def test_reduction_era_job_runs_unreduced(self, tmp_path):
         """A job an older front journaled with ``"por": true,

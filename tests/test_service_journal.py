@@ -1,17 +1,27 @@
 """Unit tests for the append-only job journal: replay folding, torn
-final lines (the SIGKILL residue), which jobs a starting front re-admits
-from it (and that it claims each exactly once), and snapshot
-compaction."""
+final frames (the SIGKILL residue), which jobs a starting front re-admits
+from it (and that it claims each exactly once), snapshot compaction, and
+damage in the journal, its snapshot or an event log failing closed."""
 
 import asyncio
 import json
 import os
+import struct
 
 import pytest
 
+from repro import records
 from repro.service.cache import ShardedResultCache
-from repro.service.jobs import CheckRequest, JobManager, StateDirBusy, run_check
+from repro.service.jobs import (
+    EVENTS_MAGIC,
+    CheckRequest,
+    JobManager,
+    StateDirBusy,
+    run_check,
+)
+from repro.service.journal import _MAGIC as JOURNAL_MAGIC
 from repro.service.journal import JobJournal
+from repro.tools.cli import main as cli_main
 
 DEAD_PID = 999999999  # beyond pid_max on any Linux
 
@@ -24,6 +34,7 @@ Spec == Init /\\ [][Next]_<<x>>
 Small == x < 3
 """
 JOB_ID = "0123456789ab"
+OTHER_ID = "0123456789ac"
 
 
 def journal_for(tmp_path):
@@ -41,11 +52,10 @@ def journal_submission(tmp_path, pid=None, done=False):
     if done:
         journal.append("done", JOB_ID, verdict="ok")
     if pid is not None:
-        with open(journal.log_path) as handle:
-            lines = [json.loads(line) for line in handle]
-        with open(journal.log_path, "w") as handle:
-            for line in lines:
-                handle.write(json.dumps(dict(line, pid=pid)) + "\n")
+        entries = records.read(journal.log_path, JOURNAL_MAGIC).records
+        records.atomic_replace(journal.log_path, JOURNAL_MAGIC + b"".join(
+            records.frame(dict(entry, pid=pid)) for entry in entries),
+            fsync=False)
     return journal
 
 
@@ -85,10 +95,10 @@ class TestReplay:
         first = journal.replay()
         # duplicate the whole log (a replayed suffix): the fold keyed by
         # job id reaches the same state, only the counts change
-        with open(journal.log_path) as handle:
-            lines = handle.read()
-        with open(journal.log_path, "a") as handle:
-            handle.write(lines)
+        with open(journal.log_path, "rb") as handle:
+            frames = handle.read()[len(JOURNAL_MAGIC):]
+        with open(journal.log_path, "ab") as handle:
+            handle.write(frames)
         second = journal.replay()
         assert second["job-1"]["state"] == first["job-1"]["state"]
         assert second["job-1"]["tenant"] == first["job-1"]["tenant"]
@@ -97,8 +107,9 @@ class TestReplay:
         journal = journal_for(tmp_path)
         journal.append("submitted", "job-1", tenant="a")
         journal.append("submitted", "job-2", tenant="a")
-        with open(journal.log_path, "a") as handle:
-            handle.write('{"kind": "done", "job": "job-2", "verd')
+        with open(journal.log_path, "ab") as handle:
+            handle.write(records.frame(
+                {"kind": "done", "job": "job-2", "verdict": "ok"})[:-5])
         jobs = journal.replay()
         assert jobs["job-2"]["state"] == "queued"  # torn write lost
         assert journal.torn_lines == 1
@@ -237,3 +248,159 @@ class TestCompaction:
         assert asyncio.run(scenario()) \
             == ("done", result, True, queued.to_dict())
 
+
+
+# a frame's prefix: body length, CRC32 of the length, CRC32 of the body
+FRAME = struct.Struct(">III")
+
+
+def frame_starts(path, magic):
+    """The byte offset of every complete frame of the log at *path*."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    starts, offset = [], len(magic)
+    while offset + FRAME.size <= len(data):
+        end = offset + FRAME.size + FRAME.unpack_from(data, offset)[0]
+        if end > len(data):
+            break
+        starts.append(offset)
+        offset = end
+    return starts
+
+
+def flip(path, offset):
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        byte = handle.read(1)
+        handle.seek(offset)
+        handle.write(bytes([byte[0] ^ 0x20]))
+
+
+def start_front(state_dir):
+    async def scenario():
+        manager = JobManager(str(state_dir), pool_size=1)
+        await manager.start()
+        jobs = {job.id: job.state for job in manager.jobs()}
+        await manager.shutdown()
+        return jobs
+
+    return asyncio.run(scenario())
+
+
+class TestDamage:
+    """A torn final frame is a crash's residue and is dropped; damage
+    anywhere else in the journal, its snapshot or an event log makes
+    the front refuse to start, naming the file and the byte offset."""
+
+    @staticmethod
+    def damaged_journal(tmp_path):
+        """job-1 submitted, started and done, then job-2 submitted; the
+        ``done`` frame corrupted in place and the last frame torn, as a
+        torn *middle* write would leave them."""
+        journal = journal_for(tmp_path)
+        request = CheckRequest(COUNTER_TLA, invariants=("Small",))
+        for kind, job_id in (("submitted", JOB_ID), ("started", JOB_ID),
+                             ("done", JOB_ID), ("submitted", OTHER_ID)):
+            journal.append(kind, job_id, tenant="a", verdict="ok",
+                           fingerprint=request.fingerprint(),
+                           request=request.to_dict())
+        done = frame_starts(journal.log_path, JOURNAL_MAGIC)[2]
+        flip(journal.log_path, done + FRAME.size + 5)
+        os.truncate(journal.log_path, journal.log_size() - 10)
+        return journal, done
+
+    def test_replay_names_the_file_and_the_offset(self, tmp_path):
+        journal, done = self.damaged_journal(tmp_path)
+        with pytest.raises(records.RecordError) as excinfo:
+            journal.replay()
+        assert excinfo.value.offset == done
+        assert str(excinfo.value) == (f"{journal.log_path}: checksum "
+                                      f"mismatch in the frame at byte {done}")
+
+    def test_serve_refuses_to_start_in_one_line(self, tmp_path, capsys):
+        _journal, done = self.damaged_journal(tmp_path)
+        assert cli_main(["serve", "--port", "0",
+                         "--state-dir", str(tmp_path)]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and "Traceback" not in out
+        assert "journal/journal.ndjson: " in out
+        assert out.endswith(f" at byte {done}\n")
+
+    def test_cutting_at_the_offset_loses_only_what_follows(self, tmp_path):
+        # the README's recovery: the records before the damage survive
+        journal, done = self.damaged_journal(tmp_path)
+        os.truncate(journal.log_path, done)
+        assert {job_id: record["state"]
+                for job_id, record in journal.replay().items()} \
+            == {JOB_ID: "running"}
+        assert start_front(tmp_path) == {JOB_ID: "queued"}
+
+    def test_a_damaged_event_log_fails_closed(self, tmp_path):
+        journal_submission(tmp_path, done=True)
+        (tmp_path / "jobs").mkdir()
+        path = str(tmp_path / "jobs" / (JOB_ID + ".events.ndjson"))
+        for seq, event in enumerate(("queued", "started", "done")):
+            records.append(path, EVENTS_MAGIC,
+                           {"event": event, "job": JOB_ID, "seq": seq},
+                           fsync=False)
+        middle = frame_starts(path, EVENTS_MAGIC)[1]
+        flip(path, middle + FRAME.size + 3)
+        with pytest.raises(records.RecordError,
+                           match=f"^{path}: .* at byte {middle}$"):
+            start_front(tmp_path)
+        # the refusal let go of the state directory
+        os.unlink(path)
+        assert start_front(tmp_path) == {JOB_ID: "done"}
+
+    def test_an_unreadable_snapshot_fails_closed(self, tmp_path):
+        # a snapshot that exists but does not parse is not "no jobs":
+        # the front refuses instead of starting empty and folding a
+        # smaller snapshot over it
+        journal = journal_submission(tmp_path, done=True)
+        journal.compact()
+        with open(journal.snapshot_path, "r+b") as handle:
+            handle.truncate(os.path.getsize(journal.snapshot_path) // 2)
+        with pytest.raises(records.RecordError,
+                           match=f"^{journal.snapshot_path}: "):
+            journal.replay()
+        with pytest.raises(records.RecordError, match="snapshot"):
+            start_front(tmp_path)
+        os.unlink(journal.snapshot_path)   # only an absent one is empty
+        assert start_front(tmp_path) == {}
+
+    def test_a_starting_front_compacts_a_torn_tail(self, tmp_path):
+        # appending behind a torn frame would turn it into damage in the
+        # middle of the file on the next restart
+        journal = journal_submission(tmp_path)
+        with open(journal.log_path, "ab") as handle:
+            handle.write(records.frame({"kind": "done", "job": JOB_ID})[:7])
+
+        async def scenario():
+            manager = JobManager(str(tmp_path), pool_size=1)
+            await manager.start()
+            log = records.read(journal.log_path, JOURNAL_MAGIC)
+            await manager.shutdown()
+            return log
+
+        log = asyncio.run(scenario())
+        assert not log.torn
+        assert [entry["kind"] for entry in log.records] == ["claimed"]
+
+
+def test_the_snapshot_is_synced_before_the_log_is_truncated(tmp_path,
+                                                            monkeypatch):
+    journal = journal_for(tmp_path)
+    journal.append("submitted", "job-1", tenant="a")
+    size = journal.log_size()
+    synced = []
+    real_fsync = os.fsync
+
+    def spy(fd):
+        synced.append((os.fstat(fd).st_size, journal.log_size()))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    journal.compact()
+    # one fsync, of the whole snapshot, while the log still held it all
+    assert synced == [(os.path.getsize(journal.snapshot_path), size)]
+    assert journal.log_size() == 0
