@@ -189,11 +189,13 @@ class TestFig9:
         assert "Proposition 3" in applied
         assert "Proposition 4" in applied
 
-    def test_without_g_every_model_checked_hypothesis_fails(self, formula3):
+    def test_without_g_every_model_checked_hypothesis_fails(self, formula3,
+                                                            golden):
         assert not formula3.ok
         failed = formula3.failed_obligations()
         assert {"1[1]", "1[2]"} <= {ob.oid for ob in failed}
         assert failed[0].result.counterexample is not None
+        golden.check("fig9_formula3_certificate.txt", formula3.render())
 
     def test_a4_refinement(self, dq1, dq2, cdq):
         """CDQ ⇒ CQ[dbl] through q ↦ q2 ∘ buffer(z) ∘ q1, safety and
