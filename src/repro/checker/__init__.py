@@ -33,7 +33,9 @@ from .liveness import (
     fair_units,
     premises_of_spec,
 )
-from .refinement import IDENTITY, RefinementMapping, check_safety_refinement
+from .refinement import (
+    IDENTITY, MappedGraph, RefinementMapping, check_safety_refinement,
+)
 from .results import CheckResult, Counterexample
 
 __all__ = [
@@ -66,6 +68,7 @@ __all__ = [
     "fair_units",
     "premises_of_spec",
     "IDENTITY",
+    "MappedGraph",
     "RefinementMapping",
     "check_safety_refinement",
     "CheckResult",

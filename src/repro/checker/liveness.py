@@ -36,15 +36,13 @@ is the witness for ``∃``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
-from ..kernel.action import (
-    ActionPlans, angle, compile_action, holds_on_step, square,
-)
-from ..kernel.behavior import Lasso
+from ..kernel.action import angle, compile_action, square
+from ..kernel.behavior import FiniteBehavior, Lasso
 from ..kernel.expr import Expr
-from ..kernel.state import State, Universe
-from ..spec import Fairness, Spec
+from ..kernel.state import Universe
+from ..spec import Spec
 from ..temporal.formulas import (
     ActionBox,
     ActionDiamond,
@@ -59,9 +57,8 @@ from ..temporal.formulas import (
     to_tf,
 )
 from ..temporal.semantics import EvalContext
-from .compact import explore_compact
 from .graph import GraphQueries
-from .refinement import IDENTITY, RefinementMapping
+from .refinement import IDENTITY, MappedGraph, RefinementMapping, explored
 from .results import CheckResult, Counterexample
 from .stats import ExploreStats, maybe_phase
 
@@ -69,13 +66,12 @@ from .stats import ExploreStats, maybe_phase
 class PremiseConstraint:
     """One premise fairness condition, evaluated on implementation states.
 
-    ``<A>_v`` is compiled once into a successor plan per universe (see
-    :meth:`~repro.kernel.action.CompiledAction.plan`); ENABLED queries are
-    memoised per node on top of that.
+    ``<A>_v`` is compiled once, so one premise list serves every check of
+    a run; the ENABLED answers belong to the graph's view (see
+    :meth:`~repro.checker.refinement.MappedGraph.enabled`).
     """
 
-    __slots__ = ("kind", "sub", "action", "_angle", "_compiled",
-                 "_enabled_cache")
+    __slots__ = ("kind", "sub", "action", "_angle", "_compiled")
 
     def __init__(self, kind: str, sub: Sequence[str], action: Expr):
         self.kind = kind  # "WF" | "SF"
@@ -83,37 +79,22 @@ class PremiseConstraint:
         self.action = action
         self._angle = angle(action, sub)
         self._compiled = compile_action(self._angle)
-        self._enabled_cache: Dict[int, bool] = {}
-
-    @classmethod
-    def of(cls, fairness: Fairness) -> "PremiseConstraint":
-        return cls(fairness.kind, fairness.sub, fairness.action)
 
     def formula(self) -> TemporalFormula:
         cls = WF if self.kind == "WF" else SF
         return cls(self.sub, self.action)
 
-    def is_step(self, graph: GraphQueries, src: int, dst: int) -> bool:
-        return holds_on_step(self._angle, graph.states[src], graph.states[dst])
-
-    def is_enabled(self, graph: GraphQueries, node: int) -> bool:
-        cached = self._enabled_cache.get(node)
-        if cached is None:
-            plan = self._compiled.plan(graph.universe)
-            cached = plan.enabled(graph.states[node])
-            self._enabled_cache[node] = cached
-        return cached
-
 
 def premises_of_spec(spec: Spec) -> List[PremiseConstraint]:
-    return [PremiseConstraint.of(fair) for fair in spec.fairness]
+    return [PremiseConstraint(fair.kind, fair.sub, fair.action)
+            for fair in spec.fairness]
 
 
 EdgeOk = Callable[[int, int], bool]
 
 
 def fair_units(
-    graph: GraphQueries,
+    impl: MappedGraph,
     nodes: Iterable[int],
     edge_ok: EdgeOk,
     premises: Sequence[PremiseConstraint],
@@ -123,8 +104,9 @@ def fair_units(
     A returned unit U is strongly connected (under ``edge_ok``) and every
     premise is satisfiable by a cycle visiting all of U.  The decomposition
     is complete: a fair cycle exists in the subgraph iff some unit is
-    returned.
+    returned.  *impl* is the identity view of the implementation's graph.
     """
+    graph = impl.graph
     result: List[List[int]] = []
     node_set = set(nodes)
 
@@ -146,12 +128,13 @@ def fair_units(
             discard = False
             for premise in premises:
                 has_edge = any(
-                    premise.is_step(graph, src, dst) for src, dst in comp_edges
+                    impl.step(premise._angle, src, dst)
+                    for src, dst in comp_edges
                 )
                 if has_edge:
                     continue
                 enabled_nodes = [
-                    n for n in component if premise.is_enabled(graph, n)
+                    n for n in component if impl.enabled(premise._compiled, n)
                 ]
                 if premise.kind == "WF":
                     if len(enabled_nodes) == len(component):
@@ -172,7 +155,7 @@ def fair_units(
     return result
 
 
-class Violation:
+class Violation(NamedTuple):
     """The negation of one conclusion conjunct, as subgraph restrictions.
 
     A counterexample to the conjunct is a lasso whose loop lies in the
@@ -181,34 +164,20 @@ class Violation:
     ``entry``/``restricted_stem``.
     """
 
-    __slots__ = (
-        "description",
-        "loop_node_ok",
-        "loop_edge_ok",
-        "require",
-        "entry",
-        "restricted_stem",
-    )
-
-    def __init__(
-        self,
-        description: str,
-        loop_node_ok: Callable[[int], bool],
-        loop_edge_ok: EdgeOk,
-        require: Optional[Callable[[int], bool]] = None,
-        entry: Optional[Callable[[int], bool]] = None,
-        restricted_stem: bool = False,
-    ):
-        self.description = description
-        self.loop_node_ok = loop_node_ok
-        self.loop_edge_ok = loop_edge_ok
-        self.require = require
-        self.entry = entry
-        self.restricted_stem = restricted_stem
+    description: str
+    loop_node_ok: Callable[[int], bool]
+    loop_edge_ok: EdgeOk
+    require: Optional[Callable[[int], bool]] = None
+    entry: Optional[Callable[[int], bool]] = None
+    restricted_stem: bool = False
 
 
 class ConclusionChecker:
-    """Checks one conclusion formula against a premise-fair state graph."""
+    """Checks one conclusion formula against a premise-fair state graph.
+
+    The premises read the graph through ``impl``, its identity view; the
+    conclusion reads it through ``target``, the view under *mapping*.
+    """
 
     def __init__(
         self,
@@ -220,12 +189,9 @@ class ConclusionChecker:
     ):
         self.graph = graph
         self.premises = list(premises)
-        self.mapping = mapping or IDENTITY
-        self.target_universe = target_universe or graph.universe
+        self.impl = MappedGraph(graph)
+        self.target = MappedGraph(graph, mapping or IDENTITY, target_universe)
         self.name = name
-        self._mapped: Dict[int, State] = {}
-        self._enabled_cache: Dict[Tuple[int, int], bool] = {}
-        self._target_actions = ActionPlans()
         self.stats: Dict[str, int] = {
             "states": graph.state_count,
             "edges": graph.edge_count,
@@ -234,80 +200,43 @@ class ConclusionChecker:
             "candidates_validated": 0,
         }
 
-    # -- mapped-state helpers ------------------------------------------------
-
-    def mapped_state(self, node: int) -> State:
-        cached = self._mapped.get(node)
-        if cached is None:
-            cached = self.mapping.target_state(
-                self.graph.states[node], self.target_universe
-            )
-            self._mapped[node] = cached
-        return cached
-
-    def _pred_holds(self, pred: Expr, node: int) -> bool:
-        value = pred.eval_state(self.mapped_state(node))
-        if not isinstance(value, bool):
-            raise TypeError(f"predicate {pred!r} returned {value!r}")
-        return value
-
-    def _target_step(self, action: Expr, src: int, dst: int) -> bool:
-        return holds_on_step(action, self.mapped_state(src), self.mapped_state(dst))
-
-    def _target_enabled(self, action: Expr, node: int) -> bool:
-        key = (id(action), node)  # _target_actions pins the id
-        cached = self._enabled_cache.get(key)
-        if cached is None:
-            plan = self._target_actions.plan(action, self.target_universe)
-            cached = plan.enabled(self.mapped_state(node))
-            self._enabled_cache[key] = cached
-        return cached
-
     # -- top level ------------------------------------------------------------
 
     def check(self, conclusion: TemporalFormula) -> CheckResult:
-        conjuncts = _flatten_conjunction(to_tf(conclusion))
-        notes: List[str] = []
-        for conjunct in conjuncts:
+        for conjunct in _flatten_conjunction(to_tf(conclusion)):
             failure = self._check_conjunct(conjunct)
             if failure is not None:
                 return CheckResult(
                     self.name, ok=False, counterexample=failure, stats=self.stats
                 )
-        return CheckResult(self.name, ok=True, stats=self.stats, notes=notes)
+        return CheckResult(self.name, ok=True, stats=self.stats)
 
     # -- safety conjuncts (checked directly) -----------------------------------
 
     def _check_conjunct(self, tf: TemporalFormula) -> Optional[Counterexample]:
+        target, graph = self.target, self.graph
         if isinstance(tf, StatePred):
-            for node in self.graph.init_nodes:
-                if not self._pred_holds(tf.pred, node):
-                    return self._finite_cex([node], f"initial state violates {tf!r}")
+            node = target.first_failing(tf.pred, graph.init_nodes)
+            if node is not None:
+                return self._finite_cex([node], f"initial state violates {tf!r}")
             return None
         if isinstance(tf, Always) and isinstance(tf.body, StatePred):
-            for node in range(self.graph.state_count):
-                if not self._pred_holds(tf.body.pred, node):
-                    return self._finite_cex(
-                        self.graph.path_to_root(node),
-                        f"reachable state violates {tf!r}",
-                    )
+            node = target.first_failing(tf.body.pred, range(graph.state_count))
+            if node is not None:
+                return self._finite_cex(graph.path_to_root(node),
+                                        f"reachable state violates {tf!r}")
             return None
         if isinstance(tf, ActionBox):
-            boxed = square(tf.action, tf.sub)
-            for src in range(self.graph.state_count):
-                for dst in self.graph.succ[src]:
-                    if dst != src and not self._target_step(boxed, src, dst):
-                        return self._finite_cex(
-                            self.graph.path_to_root(src) + [dst],
-                            f"mapped step violates {tf!r}",
-                        )
+            edge = target.first_failing_step(square(tf.action, tf.sub))
+            if edge is not None:
+                src, dst = edge
+                return self._finite_cex(graph.path_to_root(src) + [dst],
+                                        f"mapped step violates {tf!r}")
             return None
         violation = self._violation_of(tf)
         return self._search(violation, tf)
 
     def _finite_cex(self, path: List[int], reason: str) -> Counterexample:
-        from ..kernel.behavior import FiniteBehavior
-
         return Counterexample(
             FiniteBehavior([self.graph.states[i] for i in path]), reason
         )
@@ -317,14 +246,14 @@ class ConclusionChecker:
     def _violation_of(self, tf: TemporalFormula) -> Violation:
         accept_all_nodes = lambda _n: True  # noqa: E731
         accept_all_edges = lambda _s, _d: True  # noqa: E731
+        target = self.target
 
         if isinstance(tf, Eventually) and isinstance(tf.body, StatePred):
             pred = tf.body.pred
             return Violation(
                 f"never reaches {pred!r}",
-                loop_node_ok=lambda n: not self._pred_holds(pred, n),
+                loop_node_ok=lambda n: not target.holds(pred, n),
                 loop_edge_ok=accept_all_edges,
-                entry=None,
                 restricted_stem=True,
             )
         if (
@@ -335,7 +264,7 @@ class ConclusionChecker:
             pred = tf.body.body.pred
             return Violation(
                 f"eventually never {pred!r}",
-                loop_node_ok=lambda n: not self._pred_holds(pred, n),
+                loop_node_ok=lambda n: not target.holds(pred, n),
                 loop_edge_ok=accept_all_edges,
             )
         if isinstance(tf, LeadsTo) and isinstance(tf.lhs, StatePred) and isinstance(
@@ -344,32 +273,32 @@ class ConclusionChecker:
             p, q = tf.lhs.pred, tf.rhs.pred
             return Violation(
                 f"reaches {p!r} then never {q!r}",
-                loop_node_ok=lambda n: not self._pred_holds(q, n),
+                loop_node_ok=lambda n: not target.holds(q, n),
                 loop_edge_ok=accept_all_edges,
-                entry=lambda n: self._pred_holds(p, n) and not self._pred_holds(q, n),
+                entry=lambda n: target.holds(p, n) and not target.holds(q, n),
             )
         if isinstance(tf, ActionDiamond):
             act = tf._angle
             return Violation(
                 f"never takes <{tf.action!r}>_{tf.sub}",
                 loop_node_ok=accept_all_nodes,
-                loop_edge_ok=lambda s, d: not self._target_step(act, s, d),
+                loop_edge_ok=lambda s, d: not target.step(act, s, d),
                 restricted_stem=True,
             )
         if isinstance(tf, SF):
-            act = tf._angle
+            act, compiled = tf._angle, compile_action(tf._angle)
             return Violation(
                 f"violates SF: infinitely enabled, finitely taken",
                 loop_node_ok=accept_all_nodes,
-                loop_edge_ok=lambda s, d: not self._target_step(act, s, d),
-                require=lambda n: self._target_enabled(act, n),
+                loop_edge_ok=lambda s, d: not target.step(act, s, d),
+                require=lambda n: target.enabled(compiled, n),
             )
         if isinstance(tf, WF):
-            act = tf._angle
+            act, compiled = tf._angle, compile_action(tf._angle)
             return Violation(
                 f"violates WF: eventually always enabled, finitely taken",
-                loop_node_ok=lambda n: self._target_enabled(act, n),
-                loop_edge_ok=lambda s, d: not self._target_step(act, s, d),
+                loop_node_ok=lambda n: target.enabled(compiled, n),
+                loop_edge_ok=lambda s, d: not target.step(act, s, d),
             )
         raise TypeError(
             f"unsupported liveness conclusion conjunct: {tf!r} "
@@ -381,7 +310,8 @@ class ConclusionChecker:
     def _search(self, violation: Violation, conjunct: TemporalFormula) -> Optional[Counterexample]:
         graph = self.graph
         nodes = [n for n in range(graph.state_count) if violation.loop_node_ok(n)]
-        units = fair_units(graph, nodes, violation.loop_edge_ok, self.premises)
+        units = fair_units(self.impl, nodes, violation.loop_edge_ok,
+                           self.premises)
         for unit in units:
             self.stats["fair_units_examined"] += 1
             if violation.require is not None and not any(
@@ -462,8 +392,9 @@ class ConclusionChecker:
         for premise in self.premises:
             if not impl_ctx.eval(premise.formula(), 0):
                 return False
-        mapped = self.mapping.map_lasso(lasso, self.target_universe)
-        target_ctx = EvalContext(mapped, self.target_universe)
+        target = self.target
+        mapped = target.mapping.map_lasso(lasso, target.universe)
+        target_ctx = EvalContext(mapped, target.universe)
         return not target_ctx.eval(conjunct, 0)
 
 
@@ -494,25 +425,14 @@ def check_temporal_implication(
     Theorem and the refinement Corollary.  Pass *run_stats* to time the
     exploration and fair-cycle-search phases.
     """
-    if isinstance(impl, GraphQueries):
-        graph = impl
-        if premises is None:
-            premises = []
-        label = name or "temporal implication"
-        if run_stats is not None and run_stats.states == 0:
-            run_stats.record_graph(graph)
-    else:
-        graph = explore_compact(impl, max_states=max_states,
-                                stats=run_stats)
+    graph = explored(impl, max_states, run_stats)
+    if isinstance(impl, Spec):
         if premises is None:
             premises = premises_of_spec(impl)
         label = name or f"{impl.name} => conclusion"
-    checker = ConclusionChecker(
-        graph,
-        premises,
-        mapping=mapping,
-        target_universe=target_universe,
-        name=label,
-    )
+    else:
+        label = name or "temporal implication"
+    checker = ConclusionChecker(graph, premises or [], mapping=mapping,
+                                target_universe=target_universe, name=label)
     with maybe_phase(run_stats, f"liveness:{label}"):
         return checker.check(to_tf(conclusion))

@@ -19,11 +19,11 @@ finite trace.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..kernel.behavior import FiniteBehavior, Lasso
 from ..kernel.expr import Env, EvalError, Expr, Var, to_expr
-from ..kernel.action import square
+from ..kernel.action import CompiledAction, square
 from ..kernel.state import State, Universe
 from ..spec import Spec
 from .compact import explore_compact
@@ -81,95 +81,131 @@ class RefinementMapping:
 IDENTITY = RefinementMapping()
 
 
+class MappedGraph:
+    """A reachable graph read as a target spec's states through a mapping.
+
+    Every obligation reads its states, predicates, steps and ENABLED
+    here.  A target state is memoised and domain-checked; the identity
+    view on the graph's own universe reads ``graph.states`` directly.
+    The ENABLED memo is keyed by compiled action and node and dies with
+    the view, so an answer never crosses graphs.
+    """
+
+    __slots__ = ("graph", "mapping", "universe", "_mapped", "_enabled")
+
+    def __init__(self, graph: GraphQueries,
+                 mapping: RefinementMapping = IDENTITY,
+                 universe: Optional[Universe] = None):
+        self.graph = graph
+        self.mapping = mapping
+        self.universe = graph.universe if universe is None else universe
+        self._mapped: Optional[Dict[int, State]] = (
+            None if mapping is IDENTITY and self.universe is graph.universe
+            else {})
+        self._enabled: Dict[Tuple[CompiledAction, int], bool] = {}
+
+    def state(self, node: int) -> State:
+        if self._mapped is None:
+            return self.graph.states[node]
+        cached = self._mapped.get(node)
+        if cached is None:
+            # a value outside the target's domains would make the
+            # verdict one about states the target never has
+            impl_state = self.graph.states[node]
+            cached = self.mapping.target_state(impl_state, self.universe)
+            for var in self.universe.variables:
+                if cached[var] not in self.universe.domain(var):
+                    raise ValueError(
+                        f"refinement mapping sends {var!r} to "
+                        f"{cached[var]!r}, outside its target domain "
+                        f"(impl state {impl_state!r})"
+                    )
+            self._mapped[node] = cached
+        return cached
+
+    def holds(self, pred: Expr, node: int) -> bool:
+        value = pred.eval_state(self.state(node))
+        if not isinstance(value, bool):
+            raise TypeError(f"predicate {pred!r} returned {value!r}")
+        return value
+
+    def step(self, action: Expr, src: int, dst: int) -> bool:
+        return action.holds(Env(self.state(src), self.state(dst)))
+
+    def enabled(self, compiled: CompiledAction, node: int) -> bool:
+        key = (compiled, node)  # the key pins the compiled action
+        cached = self._enabled.get(key)
+        if cached is None:
+            plan = compiled.plan(self.universe)
+            cached = self._enabled[key] = plan.enabled(self.state(node))
+        return cached
+
+    def first_failing(self, pred: Expr, nodes: Iterable[int]) -> Optional[int]:
+        return next((n for n in nodes if not self.holds(pred, n)), None)
+
+    def first_failing_step(self, action: Expr) -> Optional[Tuple[int, int]]:
+        """The first edge that is not an *action* step; a stutter maps
+        to a stutter, which every ``[A]_v`` allows."""
+        graph = self.graph
+        for src in range(graph.state_count):
+            for dst in graph.succ[src]:
+                if dst != src and not self.step(action, src, dst):
+                    return src, dst
+        return None
+
+
+def explored(impl: Union[Spec, GraphQueries], max_states: int,
+             run_stats: Optional[ExploreStats]) -> GraphQueries:
+    """The graph a check reads: *impl* itself when it is a pre-explored
+    graph (shared across obligations; recorded on *run_stats* unless that
+    already counts a graph), else the compact exploration of the spec."""
+    if isinstance(impl, GraphQueries):
+        if run_stats is not None and run_stats.states == 0:
+            run_stats.record_graph(impl)
+        return impl
+    return explore_compact(impl, max_states=max_states, stats=run_stats)
+
+
 def check_safety_refinement(
     impl: Union[Spec, GraphQueries],
     target: Spec,
     mapping: Optional[RefinementMapping] = None,
     name: Optional[str] = None,
     max_states: int = 200_000,
-    domain_check: bool = True,
     run_stats: Optional[ExploreStats] = None,
 ) -> CheckResult:
     """Exhaustively check ``C(impl) ⇒ C(target)`` on the reachable graph.
 
     *impl* may be a pre-explored graph (to share exploration across
-    obligations).  With ``domain_check`` (default), mapped values must lie
-    in the target universe's domains -- catching refinement mappings that
-    leave the intended value space, which would make the verdict
-    meaningless.  Pass *run_stats* to time the exploration and simulation
-    phases.
+    obligations).  Mapped values must lie in the target universe's
+    domains (see :meth:`MappedGraph.state`).  Pass *run_stats* to time
+    the exploration and simulation phases.
     """
-    mapping = mapping or IDENTITY
-    if isinstance(impl, GraphQueries):
-        graph = impl
-        label = name or f"safety refinement -> {target.name}"
-        if run_stats is not None and run_stats.states == 0:
-            run_stats.record_graph(graph)
-    else:
-        graph = explore_compact(impl, max_states=max_states,
-                                stats=run_stats)
-        label = name or f"{impl.name} => C({target.name})"
+    graph = explored(impl, max_states, run_stats)
+    label = name or (f"{impl.name} => C({target.name})"
+                     if isinstance(impl, Spec)
+                     else f"safety refinement -> {target.name}")
     stats = {"states": graph.state_count, "edges": graph.edge_count,
              "stutter": graph.stutter_count}
+    view = MappedGraph(graph, mapping or IDENTITY, target.universe)
 
-    mapped: Dict[int, State] = {}
-
-    def target_of(node: int) -> State:
-        cached = mapped.get(node)
-        if cached is None:
-            cached = mapping.target_state(graph.states[node], target.universe)
-            if domain_check:
-                for var in target.universe.variables:
-                    if cached[var] not in target.universe.domain(var):
-                        raise ValueError(
-                            f"refinement mapping sends {var!r} to "
-                            f"{cached[var]!r}, outside its target domain "
-                            f"(impl state {graph.states[node]!r})"
-                        )
-            mapped[node] = cached
-        return cached
-
-    def impl_trace(path) -> FiniteBehavior:
-        return FiniteBehavior([graph.states[i] for i in path])
+    def failure(path: List[int], reason: str) -> CheckResult:
+        trace = FiniteBehavior([graph.states[i] for i in path])
+        return CheckResult(label, ok=False, stats=stats,
+                           counterexample=Counterexample(trace, reason))
 
     with maybe_phase(run_stats, f"refinement:{label}"):
-        # initial condition
-        for node in graph.init_nodes:
-            value = target.init.eval_state(target_of(node))
-            if not isinstance(value, bool):
-                raise TypeError(f"target Init returned non-Boolean {value!r}")
-            if not value:
-                return CheckResult(
-                    label,
-                    ok=False,
-                    counterexample=Counterexample(
-                        impl_trace([node]),
-                        f"mapped initial state violates Init of {target.name}: "
-                        f"{target_of(node)!r}",
-                    ),
-                    stats=stats,
-                )
-
-        # step condition -- the boxed action is built (and coerced) once,
-        # then evaluated per mapped edge
-        boxed = to_expr(square(target.next_action, target.sub))
-        for src in range(graph.state_count):
-            mapped_src = None
-            for dst in graph.succ[src]:
-                if dst == src:
-                    continue  # stutter maps to stutter: [N]_v trivially
-                if mapped_src is None:
-                    mapped_src = target_of(src)
-                if not boxed.holds(Env(mapped_src, target_of(dst))):
-                    path = graph.path_to_root(src) + [dst]
-                    return CheckResult(
-                        label,
-                        ok=False,
-                        counterexample=Counterexample(
-                            impl_trace(path),
-                            f"mapped step violates [N]_v of {target.name}: "
-                            f"{target_of(src)!r} -> {target_of(dst)!r}",
-                        ),
-                        stats=stats,
-                    )
+        node = view.first_failing(target.init, graph.init_nodes)
+        if node is not None:
+            return failure(
+                [node],
+                f"mapped initial state violates Init of {target.name}: "
+                f"{view.state(node)!r}")
+        edge = view.first_failing_step(square(target.next_action, target.sub))
+        if edge is not None:
+            src, dst = edge
+            return failure(
+                graph.path_to_root(src) + [dst],
+                f"mapped step violates [N]_v of {target.name}: "
+                f"{view.state(src)!r} -> {view.state(dst)!r}")
     return CheckResult(label, ok=True, stats=stats)

@@ -39,7 +39,9 @@ from typing import List, Optional, Sequence, Tuple
 from ..checker.compact import explore_compact
 from ..checker.graph import GraphQueries
 from ..checker.liveness import check_temporal_implication, premises_of_spec
-from ..checker.refinement import IDENTITY, RefinementMapping, check_safety_refinement
+from ..checker.refinement import (
+    IDENTITY, MappedGraph, RefinementMapping, check_safety_refinement,
+)
 from ..kernel.state import Universe
 from ..spec import Spec, conjoin
 from .agspec import AGSpec
@@ -240,7 +242,6 @@ class CompositionTheorem:
             ag.assumption,
             mapping=IDENTITY,
             name=f"C(E) ∧ ⋀ C(M_j) ⇒ {ag.assumption.name}",
-            max_states=self.max_states,
         )
         return Obligation(
             oid,
@@ -269,7 +270,6 @@ class CompositionTheorem:
             target_closure,
             mapping=self.mapping,
             name=f"C(E) ∧ ⋀ C(M_j) ⇒ C({self.goal.guarantee_spec.name})",
-            max_states=self.max_states,
         )
         return Obligation("2a", description, rules=rules, result=result)
 
@@ -295,17 +295,17 @@ class CompositionTheorem:
         report = proposition4(assumption.sub, sys_owned, self.disjoint)
         # initial disjunction, checked on the product's initial states with
         # the mapping supplying the goal's internal variables
-        goal_universe = self.goal.guarantee_spec.universe
+        impl = MappedGraph(graph)
+        goal = MappedGraph(graph, self.mapping,
+                           self.goal.guarantee_spec.universe)
         details = list(report.details)
         ok = report.ok
         for node in graph.init_nodes:
-            state = graph.states[node]
-            env_ok = bool(assumption.init.eval_state(state))
-            mapped = self.mapping.target_state(state, goal_universe)
-            sys_ok = bool(self.goal.guarantee_spec.init.eval_state(mapped))
-            if not (env_ok or sys_ok):
+            if not (impl.holds(assumption.init, node)
+                    or goal.holds(self.goal.guarantee_spec.init, node)):
                 ok = False
-                details.append(f"initial disjunction fails at {state!r}")
+                details.append(
+                    f"initial disjunction fails at {impl.state(node)!r}")
                 break
         else:
             details.append(

@@ -187,7 +187,7 @@ class CheckRun:
                 self.results.append(("invariant", check(
                     self.graph, expr, name=name, run_stats=stats)))
             # one premise list for the run: each fairness action is
-            # compiled once, and its ENABLED memo serves every property
+            # compiled once; each property's check memoises ENABLED
             premises = (premises_of_spec(self.spec) if self.properties
                         else [])
             for name, formula in self.properties:

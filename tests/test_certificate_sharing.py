@@ -11,7 +11,6 @@ brute-force lasso semantics, which shares no exploration code at all.
 
 import pytest
 
-import repro.checker.liveness as liveness_module
 import repro.checker.refinement as refinement_module
 import repro.core.composition as composition_module
 from repro.checker import check_temporal_implication, explore, explore_compact
@@ -67,7 +66,8 @@ THEOREMS = {
 def explored(monkeypatch):
     """Every graph a certificate explores, in call order: the compact
     product ``verify`` explores and any the refinement and liveness
-    checkers explore from a ``Spec``."""
+    checkers explore from a ``Spec`` (both through
+    ``refinement.explored``)."""
     graphs = []
 
     def recording(engine):
@@ -76,7 +76,7 @@ def explored(monkeypatch):
             return graphs[-1]
         return run
 
-    for module in (composition_module, liveness_module, refinement_module):
+    for module in (composition_module, refinement_module):
         monkeypatch.setattr(module, "explore_compact",
                             recording(explore_compact))
     return graphs

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.checker import (
+    MappedGraph,
     PremiseConstraint,
     RefinementMapping,
     check_deadlock_free,
@@ -12,6 +13,7 @@ from repro.checker import (
     explore,
     explore_compact,
     fair_units,
+    premises_of_spec,
 )
 from repro.kernel import (
     And,
@@ -92,9 +94,8 @@ class TestSafetyRefinement:
         assert result.stats["states"] == 6
 
     def test_invalid_mapping_found(self):
-        bad = RefinementMapping({"y": Arith("%", x, Const(3))})
-        result = check_safety_refinement(counter6(), parity_spec(), bad,
-                                         domain_check=False)
+        bad = RefinementMapping({"y": Arith("%", x + 1, Const(2))})
+        result = check_safety_refinement(counter6(), parity_spec(), bad)
         assert not result.ok
         assert result.counterexample is not None
 
@@ -116,11 +117,10 @@ class TestSafetyRefinement:
         assert result.ok
 
     def test_compact_graph_gives_the_full_graphs_results(self):
-        bad = RefinementMapping({"y": Arith("%", x, Const(3))})
+        bad = RefinementMapping({"y": Arith("%", x + 1, Const(2))})
         for mapping in (PARITY_MAP, bad):
             full, compact = (
-                check_safety_refinement(graph, parity_spec(), mapping,
-                                        domain_check=False)
+                check_safety_refinement(graph, parity_spec(), mapping)
                 for graph in (explore(counter6()),
                               explore_compact(counter6())))
             assert (compact.ok, compact.stats) == (full.ok, full.stats)
@@ -169,7 +169,7 @@ class TestFairUnits:
 
     def test_no_premises_every_scc_fair(self):
         graph, *_ = self.make_choice_graph()
-        units = fair_units(graph, range(graph.state_count),
+        units = fair_units(MappedGraph(graph), range(graph.state_count),
                            lambda s, d: True, [])
         assert units  # at least the {0,1} component and the singletons
 
@@ -177,7 +177,7 @@ class TestFairUnits:
         graph, a, b, c = self.make_choice_graph()
         whole = Or(a, b, c)
         premise = PremiseConstraint("WF", ("x",), whole)
-        units = fair_units(graph, range(graph.state_count),
+        units = fair_units(MappedGraph(graph), range(graph.state_count),
                            lambda s, d: True, [premise])
         # singleton {x=0} stuttering forever is not WF-fair (always enabled);
         # the {0,1} cycle is; {2} is fair because the action is disabled there
@@ -191,15 +191,17 @@ class TestFairUnits:
         compact = explore_compact(self.choice_spec())
         for premises in ([], [PremiseConstraint("WF", ("x",), Or(a, b, c))],
                          [PremiseConstraint("SF", ("x",), b)]):
-            assert (fair_units(compact, range(compact.state_count),
+            assert (fair_units(MappedGraph(compact),
+                               range(compact.state_count),
                                lambda s, d: True, premises)
-                    == fair_units(graph, range(graph.state_count),
+                    == fair_units(MappedGraph(graph),
+                                  range(graph.state_count),
                                   lambda s, d: True, premises))
 
     def test_sf_removal_recursion(self):
         graph, a, b, c = self.make_choice_graph()
         premise = PremiseConstraint("SF", ("x",), b)
-        units = fair_units(graph, range(graph.state_count),
+        units = fair_units(MappedGraph(graph), range(graph.state_count),
                            lambda s, d: True, [premise])
         # any fair unit must avoid x=0 (where b is enabled but untaken)
         for unit in units:
@@ -291,6 +293,35 @@ class TestLivenessConclusions:
         assert not check_temporal_implication(
             spec, Always(StatePred(x < 2))).ok
 
+    def test_domain_check_catches_escape(self):
+        """The mapped states a conclusion reads are refused outside the
+        target domains, as safety refinement refuses them."""
+        bad = RefinementMapping({"y": x})  # x reaches 5, outside BIT
+        with pytest.raises(ValueError, match="outside its target domain"):
+            check_temporal_implication(
+                counter6(), Always(Eventually(StatePred(Eq(y, 0)))),
+                mapping=bad, target_universe=Universe({"y": BIT}))
+
+    def test_premises_reused_on_a_second_graph(self):
+        """One premise list checked against two graphs answers ENABLED
+        for each graph: node 0 is (0, 0) in the first, where WF(A) forces
+        the step to x = 1, and (0, 1) in the second, where A is disabled
+        and the behavior stutters at x = 0."""
+        universe = Universe({"x": BIT, "y": BIT})
+        step = And(Eq(x, 0), Eq(y, 0), Eq(x.prime(), 1), Eq(y.prime(), y))
+
+        def spec(y0):
+            return Spec(f"y0={y0}", And(Eq(x, 0), Eq(y, y0)), step,
+                        ("x", "y"), universe,
+                        [weak_fairness(("x", "y"), step)])
+
+        premises = premises_of_spec(spec(0))
+        prop = Always(Eventually(StatePred(Eq(x, 1))))
+        assert check_temporal_implication(
+            explore_compact(spec(0)), prop, premises=premises).ok
+        assert not check_temporal_implication(
+            explore_compact(spec(1)), prop, premises=premises).ok
+
     def test_unsupported_conclusion_rejected(self):
         from repro.temporal import TOr
 
@@ -318,5 +349,5 @@ class TestEnabledMemoPinsEachActionOnce:
             explore(full), premises_of_spec(full), mapping=theorem.mapping,
             target_universe=goal.guarantee_spec.universe)
         assert checker.check(goal.guarantee_spec.formula()).ok
-        assert len(checker._enabled_cache) > 1000
-        assert len(checker._target_actions) == 1
+        assert len(checker.target._enabled) > 1000
+        assert len({compiled for compiled, _ in checker.target._enabled}) == 1
