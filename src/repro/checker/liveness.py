@@ -36,10 +36,10 @@ is the witness for ``∃``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..kernel.action import angle, compile_action, square
-from ..kernel.behavior import FiniteBehavior, Lasso
+from ..kernel.behavior import Lasso
 from ..kernel.expr import Expr
 from ..kernel.state import Universe
 from ..spec import Spec
@@ -66,19 +66,19 @@ from .stats import ExploreStats, maybe_phase
 class PremiseConstraint:
     """One premise fairness condition, evaluated on implementation states.
 
-    ``<A>_v`` is compiled once, so one premise list serves every check of
-    a run; the ENABLED answers belong to the graph's view (see
-    :meth:`~repro.checker.refinement.MappedGraph.enabled`).
+    ``<A>_v`` (``angle``) is compiled once (``compiled``), so one premise
+    list serves every check of a run; the ENABLED answers belong to the
+    graph's view (see :meth:`~repro.checker.refinement.MappedGraph.enabled`).
     """
 
-    __slots__ = ("kind", "sub", "action", "_angle", "_compiled")
+    __slots__ = ("kind", "sub", "action", "angle", "compiled")
 
     def __init__(self, kind: str, sub: Sequence[str], action: Expr):
         self.kind = kind  # "WF" | "SF"
         self.sub = tuple(sub)
         self.action = action
-        self._angle = angle(action, sub)
-        self._compiled = compile_action(self._angle)
+        self.angle = angle(action, sub)
+        self.compiled = compile_action(self.angle)
 
     def formula(self) -> TemporalFormula:
         cls = WF if self.kind == "WF" else SF
@@ -106,6 +106,9 @@ def fair_units(
     is complete: a fair cycle exists in the subgraph iff some unit is
     returned.  *impl* is the identity view of the implementation's graph.
     """
+    if not impl.identity:
+        raise ValueError("premises read the implementation's own states: "
+                         "fair_units needs the graph's identity view")
     graph = impl.graph
     result: List[List[int]] = []
     node_set = set(nodes)
@@ -128,13 +131,13 @@ def fair_units(
             discard = False
             for premise in premises:
                 has_edge = any(
-                    impl.step(premise._angle, src, dst)
+                    impl.step(premise.angle, src, dst)
                     for src, dst in comp_edges
                 )
                 if has_edge:
                     continue
                 enabled_nodes = [
-                    n for n in component if impl.enabled(premise._compiled, n)
+                    n for n in component if impl.enabled(premise.compiled, n)
                 ]
                 if premise.kind == "WF":
                     if len(enabled_nodes) == len(component):
@@ -155,7 +158,7 @@ def fair_units(
     return result
 
 
-class Violation(NamedTuple):
+class Violation:
     """The negation of one conclusion conjunct, as subgraph restrictions.
 
     A counterexample to the conjunct is a lasso whose loop lies in the
@@ -164,19 +167,38 @@ class Violation(NamedTuple):
     ``entry``/``restricted_stem``.
     """
 
-    description: str
-    loop_node_ok: Callable[[int], bool]
-    loop_edge_ok: EdgeOk
-    require: Optional[Callable[[int], bool]] = None
-    entry: Optional[Callable[[int], bool]] = None
-    restricted_stem: bool = False
+    __slots__ = (
+        "description",
+        "loop_node_ok",
+        "loop_edge_ok",
+        "require",
+        "entry",
+        "restricted_stem",
+    )
+
+    def __init__(
+        self,
+        description: str,
+        loop_node_ok: Callable[[int], bool],
+        loop_edge_ok: EdgeOk,
+        require: Optional[Callable[[int], bool]] = None,
+        entry: Optional[Callable[[int], bool]] = None,
+        restricted_stem: bool = False,
+    ):
+        self.description = description
+        self.loop_node_ok = loop_node_ok
+        self.loop_edge_ok = loop_edge_ok
+        self.require = require
+        self.entry = entry
+        self.restricted_stem = restricted_stem
 
 
 class ConclusionChecker:
     """Checks one conclusion formula against a premise-fair state graph.
 
     The premises read the graph through ``impl``, its identity view; the
-    conclusion reads it through ``target``, the view under *mapping*.
+    conclusion reads it through ``target``, the view under *mapping*,
+    which is ``impl`` itself when the mapping is the identity.
     """
 
     def __init__(
@@ -189,8 +211,9 @@ class ConclusionChecker:
     ):
         self.graph = graph
         self.premises = list(premises)
-        self.impl = MappedGraph(graph)
         self.target = MappedGraph(graph, mapping or IDENTITY, target_universe)
+        self.impl = (self.target if self.target.identity
+                     else MappedGraph(graph))
         self.name = name
         self.stats: Dict[str, int] = {
             "states": graph.state_count,
@@ -237,6 +260,8 @@ class ConclusionChecker:
         return self._search(violation, tf)
 
     def _finite_cex(self, path: List[int], reason: str) -> Counterexample:
+        from ..kernel.behavior import FiniteBehavior
+
         return Counterexample(
             FiniteBehavior([self.graph.states[i] for i in path]), reason
         )

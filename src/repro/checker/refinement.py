@@ -85,13 +85,15 @@ class MappedGraph:
     """A reachable graph read as a target spec's states through a mapping.
 
     Every obligation reads its states, predicates, steps and ENABLED
-    here.  A target state is memoised and domain-checked; the identity
-    view on the graph's own universe reads ``graph.states`` directly.
-    The ENABLED memo is keyed by compiled action and node and dies with
-    the view, so an answer never crosses graphs.
+    here.  Each node's target state is memoised, and a mapped one is
+    domain-checked; the identity view on the graph's own universe keeps
+    the decoded state as it is.  The ENABLED memo is keyed by compiled
+    action and node and dies with the view, so an answer never crosses
+    graphs.
     """
 
-    __slots__ = ("graph", "mapping", "universe", "_mapped", "_enabled")
+    __slots__ = ("graph", "mapping", "universe", "identity", "_mapped",
+                 "_enabled")
 
     def __init__(self, graph: GraphQueries,
                  mapping: RefinementMapping = IDENTITY,
@@ -99,27 +101,25 @@ class MappedGraph:
         self.graph = graph
         self.mapping = mapping
         self.universe = graph.universe if universe is None else universe
-        self._mapped: Optional[Dict[int, State]] = (
-            None if mapping is IDENTITY and self.universe is graph.universe
-            else {})
+        self.identity = mapping is IDENTITY and self.universe is graph.universe
+        self._mapped: Dict[int, State] = {}
         self._enabled: Dict[Tuple[CompiledAction, int], bool] = {}
 
     def state(self, node: int) -> State:
-        if self._mapped is None:
-            return self.graph.states[node]
         cached = self._mapped.get(node)
         if cached is None:
-            # a value outside the target's domains would make the
-            # verdict one about states the target never has
-            impl_state = self.graph.states[node]
-            cached = self.mapping.target_state(impl_state, self.universe)
-            for var in self.universe.variables:
-                if cached[var] not in self.universe.domain(var):
-                    raise ValueError(
-                        f"refinement mapping sends {var!r} to "
-                        f"{cached[var]!r}, outside its target domain "
-                        f"(impl state {impl_state!r})"
-                    )
+            cached = impl_state = self.graph.states[node]
+            if not self.identity:
+                # a value outside the target's domains would make the
+                # verdict one about states the target never has
+                cached = self.mapping.target_state(impl_state, self.universe)
+                for var in self.universe.variables:
+                    if cached[var] not in self.universe.domain(var):
+                        raise ValueError(
+                            f"refinement mapping sends {var!r} to "
+                            f"{cached[var]!r}, outside its target domain "
+                            f"(impl state {impl_state!r})"
+                        )
             self._mapped[node] = cached
         return cached
 

@@ -198,6 +198,14 @@ class TestFairUnits:
                                   range(graph.state_count),
                                   lambda s, d: True, premises))
 
+    def test_premises_refuse_a_mapped_view(self):
+        graph, a, b, c = self.make_choice_graph()
+        premise = PremiseConstraint("WF", ("x",), Or(a, b, c))
+        view = MappedGraph(graph, universe=Universe({"x": interval(0, 2)}))
+        with pytest.raises(ValueError, match="identity view"):
+            fair_units(view, range(graph.state_count),
+                       lambda s, d: True, [premise])
+
     def test_sf_removal_recursion(self):
         graph, a, b, c = self.make_choice_graph()
         premise = PremiseConstraint("SF", ("x",), b)
